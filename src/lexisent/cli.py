@@ -30,6 +30,7 @@ from .lexicon import (
     Polarity,
     clean,
     parse_lexicon,
+    require_normalized,
     serialize_lexicon,
     validate_lexicon,
 )
@@ -87,6 +88,16 @@ def _effective_config(args: argparse.Namespace) -> dict:
 
 def _load_lexicon(path: str):
     return parse_lexicon(Path(path).read_bytes())
+
+
+def _load_normalized_lexicon(path: str):
+    """A lexicon for the commands that tokenize sentences against it."""
+    lexicon = _load_lexicon(path)
+    try:
+        require_normalized(lexicon)
+    except LexiconFormatError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return lexicon
 
 
 def _read_csv_rows(path: str, expected_header: tuple[str, ...]) -> list[list[str]]:
@@ -189,7 +200,7 @@ def cmd_lexicon_stats(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    lexicon = _load_lexicon(args.lex)
+    lexicon = _load_normalized_lexicon(args.lex)
     if args.text is not None:
         if not args.source or not args.target:
             raise _UsageError("--text requires --from and --to")
@@ -206,10 +217,10 @@ def cmd_translate(args) -> int:
     if not args.infile or not args.out:
         raise _UsageError("batch mode requires --in and --out")
     rows = _read_csv_rows(args.infile, ("sentence", "source_language", "target_language"))
-    results = tr.translate_batch(
-        [(s, LanguageCode.parse(a), LanguageCode.parse(b)) for s, a, b in rows],
-        lexicon,
-    )
+    results = [
+        tr.translate(s, LanguageCode.parse(a), LanguageCode.parse(b), lexicon)
+        for s, a, b in rows
+    ]
     out = OutputDir(args.out, _effective_config(args))
     table = [["sentence", "source_language", "target_language", "translated_text"]]
     for r in results:
@@ -228,7 +239,7 @@ def _baseline_fn(name: str) -> scoring.BaselineScorer:
 
 
 def _score_rows(args) -> scoring.ComparisonReport:
-    lexicon = _load_lexicon(args.lex)
+    lexicon = _load_normalized_lexicon(args.lex)
     rows = _read_csv_rows(args.infile, ("sentence", "language"))
     return scoring.score_batch(
         [(s, LanguageCode.parse(l)) for s, l in rows],

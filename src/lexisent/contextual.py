@@ -468,8 +468,8 @@ def read_corpus(text: str) -> list[TargetSentence]:
 def history_csv(model: ContextModel) -> str:
     lines = ["epoch,train_loss,val_loss"]
     for row in model.history:
-        val = "" if row["val_loss"] is None else repr(row["val_loss"])
-        lines.append(f"{row['epoch']},{repr(row['train_loss'])},{val}")
+        val = "" if row["val_loss"] is None else repr(float(row["val_loss"]))
+        lines.append(f"{row['epoch']},{repr(float(row['train_loss']))},{val}")
     return "\n".join(lines) + "\n"
 
 

@@ -183,29 +183,75 @@ def check_entry(entry: LexiconEntry) -> None:
         check_score(score, column=SCORE_COLUMNS[language])
 
 
+#: Disambiguation rank when one surface form maps to several entries.
+POS_PRIORITY: dict[PosTag, int] = {
+    PosTag.MOT: 0,
+    PosTag.VERBE: 1,
+    PosTag.NOMBRE: 2,
+    PosTag.ADJECTIF: 3,
+    PosTag.ADVERB: 4,
+    PosTag.ADVERBE: 5,
+    PosTag.ARTICLE: 6,
+    PosTag.CONJUNCTION: 7,
+    PosTag.PRONOMPERSONNEL: 8,
+}
+
+
 class Lexicon:
     """Immutable ordered collection of entries with per-language form indexes.
 
     Entry ids are positional ("r1", "r2", ...), matching 1-based data rows of
     the CSV serialization, so a parse/serialize round trip is the identity.
+
+    Besides ``index`` (form -> entry ids in entry order), construction compiles
+    two per-language tables for the tokenizer: ``phrase_lengths`` maps the
+    first word of every multi-word form to the word counts of the forms that
+    start with it (descending), and ``ambiguous`` maps every form with several
+    entries to the winning entry id and the losing ones, ranked by
+    :data:`POS_PRIORITY` and then by entry id string.
     """
 
     def __init__(self, entries: Iterable[LexiconEntry]):
         self.entries: tuple[LexiconEntry, ...] = tuple(
-            replace(entry, entry_id=f"r{i}") for i, entry in enumerate(entries, start=1)
+            entry if entry.entry_id == f"r{i}" else replace(entry, entry_id=f"r{i}")
+            for i, entry in enumerate(entries, start=1)
         )
         self.by_id: dict[str, LexiconEntry] = {e.entry_id: e for e in self.entries}
         self.index: dict[LanguageCode, dict[str, tuple[str, ...]]] = {
             lang: {} for lang in LanguageCode
         }
-        self.max_phrase_len: dict[LanguageCode, int] = {lang: 0 for lang in LanguageCode}
+        self.phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]] = {
+            lang: {} for lang in LanguageCode
+        }
+        # Forms seen more than once collect their ids in a list, frozen below.
+        repeated: dict[LanguageCode, dict[str, list[str]]] = {lang: {} for lang in LanguageCode}
         for entry in self.entries:
+            entry_id = entry.entry_id
             for language, form in entry.forms.items():
-                ids = self.index[language].setdefault(form, ())
-                self.index[language][form] = ids + (entry.entry_id,)
-                words = len(form.split())
-                if words > self.max_phrase_len[language]:
-                    self.max_phrase_len[language] = words
+                index = self.index[language]
+                if form not in index:
+                    index[form] = (entry_id,)
+                    if " " in form:
+                        self._add_phrase_length(language, form)
+                elif form in repeated[language]:
+                    repeated[language][form].append(entry_id)
+                else:
+                    repeated[language][form] = [*index[form], entry_id]
+        self.ambiguous: dict[LanguageCode, dict[str, tuple[str, tuple[str, ...]]]] = {}
+        for language, forms in repeated.items():
+            ambiguous = self.ambiguous[language] = {}
+            for form, ids in forms.items():
+                self.index[language][form] = tuple(ids)
+                ranked = sorted(ids, key=lambda i: (POS_PRIORITY[self.by_id[i].pos], i))
+                ambiguous[form] = (ranked[0], tuple(ranked[1:]))
+
+    def _add_phrase_length(self, language: LanguageCode, form: str) -> None:
+        lengths = self.phrase_lengths[language]
+        first = form.partition(" ")[0]
+        count = form.count(" ") + 1
+        known = lengths.get(first, ())
+        if count not in known:
+            lengths[first] = tuple(sorted((*known, count), reverse=True))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -271,7 +317,11 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
                 per_language[language] = _parse_score(cell, row_no, column)
         entries.append(
             LexiconEntry(
-                forms=forms, pos=pos, shared_score=shared, per_language_scores=per_language
+                forms=forms,
+                pos=pos,
+                shared_score=shared,
+                per_language_scores=per_language,
+                entry_id=f"r{row_no}",
             )
         )
     return Lexicon(entries)
@@ -369,7 +419,7 @@ def clean(lexicon: Lexicon) -> tuple[Lexicon, CleaningReport]:
                     }
                 )
             forms[language] = normalized
-        candidate = replace(entry, forms=forms)
+        candidate = replace(entry, forms=forms, entry_id=f"r{len(cleaned) + 1}")
         key = candidate.dedup_key()
         if key in seen:
             report.removed_duplicates.append(
@@ -400,15 +450,14 @@ class ValidationReport:
         }
 
 
-def validate_lexicon(lexicon: Lexicon) -> ValidationReport:
-    """Flag duplicate rows (under the dedup key) and forms clean would rewrite."""
-    report = ValidationReport()
-    seen: dict[tuple, int] = {}
+def unnormalized_forms(lexicon: Lexicon) -> list[dict]:
+    """Every form that :func:`clean` would rewrite, in row then column order."""
+    found = []
     for row_no, entry in enumerate(lexicon.entries, start=1):
         for language, form in entry.forms.items():
             normalized = normalize_form(form)
             if normalized != form:
-                report.unnormalized_forms.append(
+                found.append(
                     {
                         "row": row_no,
                         "entry_id": entry.entry_id,
@@ -417,6 +466,14 @@ def validate_lexicon(lexicon: Lexicon) -> ValidationReport:
                         "normalized": normalized,
                     }
                 )
+    return found
+
+
+def validate_lexicon(lexicon: Lexicon) -> ValidationReport:
+    """Flag duplicate rows (under the dedup key) and forms clean would rewrite."""
+    report = ValidationReport(unnormalized_forms=unnormalized_forms(lexicon))
+    seen: dict[tuple, int] = {}
+    for row_no, entry in enumerate(lexicon.entries, start=1):
         key = entry.dedup_key()
         if key in seen:
             report.duplicates.append(
@@ -425,6 +482,24 @@ def validate_lexicon(lexicon: Lexicon) -> ValidationReport:
         else:
             seen[key] = row_no
     return report
+
+
+def require_normalized(lexicon: Lexicon) -> None:
+    """Refuse a lexicon with forms that sentence tokens could never match.
+
+    Tokens are normalized (NFC, case-folded) before lookup, so a form such as
+    ``"Happy "`` would silently score and translate as unknown. Raises
+    :class:`LexiconFormatError` naming the first such row and column.
+    """
+    found = unnormalized_forms(lexicon)
+    if found:
+        first = found[0]
+        raise LexiconFormatError(
+            f"form {first['form']!r} is not normalized (expected {first['normalized']!r}); "
+            f"{len(found)} un-normalized form(s) in all; run `lexicon clean` first",
+            first["row"],
+            first["language"],
+        )
 
 
 @dataclass

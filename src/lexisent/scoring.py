@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-from .lexicon import LanguageCode, Lexicon, Polarity
-from .translator import TokenKind, resolve_entry, tokenize
+from .lexicon import LanguageCode, Lexicon, Polarity, format_score
+from .translator import WORD_PATTERN, Token, TokenKind, resolve_entry, tokenize
 
 
 class ScoreMode(str, Enum):
@@ -39,6 +39,16 @@ def score_sentence(
 ) -> ScoredSentence:
     """Tokenize and score one sentence; unknown tokens score 0."""
     tokens = tokenize(sentence, language, lexicon)
+    return _scored(sentence, language, lexicon, mode, tokens)
+
+
+def _scored(
+    sentence: str,
+    language: LanguageCode,
+    lexicon: Lexicon,
+    mode: ScoreMode,
+    tokens: list[Token],
+) -> ScoredSentence:
     word_scores: list[tuple[str, float]] = []
     for token in tokens:
         entry = resolve_entry(token, lexicon)
@@ -63,13 +73,7 @@ def score_sentence(
 
 def format_word_scores(word_scores: tuple[tuple[str, float], ...]) -> str:
     """Serialize word scores as ``form:score; form:score``."""
-    return "; ".join(f"{form}:{_fmt(score)}" for form, score in word_scores)
-
-
-def _fmt(score: float) -> str:
-    if score == int(score):
-        return str(int(score))
-    return repr(score)
+    return "; ".join(f"{form}:{format_score(score)}" for form, score in word_scores)
 
 
 # Valence list for the built-in baseline: a small set of common English
@@ -138,14 +142,8 @@ def builtin_english_baseline(sentence: str) -> tuple[float, Polarity]:
     [-1, 1]; sentences with no valence hits (any non-English input) score 0.
     """
     total = 0.0
-    word = []
-    for ch in sentence.casefold() + " ":
-        if ch.isspace() or ch in '.,!?;:"()':
-            if word:
-                total += ENGLISH_VALENCES.get("".join(word), 0.0)
-                word = []
-        else:
-            word.append(ch)
+    for word in WORD_PATTERN.findall(sentence.casefold()):
+        total += ENGLISH_VALENCES.get(word, 0.0)
     compound = total / math.sqrt(total * total + _NORMALIZATION_ALPHA)
     if compound > BASELINE_THRESHOLD:
         return compound, Polarity.POSITIVE
@@ -211,6 +209,8 @@ def score_batch(
 ) -> ComparisonReport:
     """Score every sentence under both modes plus the baseline.
 
+    Each sentence is tokenized once; both modes score the same tokens.
+
     Agreement is the fraction of rows where the v2 polarity matches the
     baseline's (vacuously 1.0 on empty input). Output rows keep input order.
     """
@@ -220,8 +220,9 @@ def score_batch(
     }
     agree = 0
     for sentence, language in rows:
-        avg = score_sentence(sentence, language, lexicon, ScoreMode.AVG)
-        v2 = score_sentence(sentence, language, lexicon, ScoreMode.V2)
+        tokens = tokenize(sentence, language, lexicon)
+        avg = _scored(sentence, language, lexicon, ScoreMode.AVG, tokens)
+        v2 = _scored(sentence, language, lexicon, ScoreMode.V2, tokens)
         compound, baseline_polarity = baseline(sentence)
         counts["avg"][avg.polarity] += 1
         counts["v2"][v2.polarity] += 1

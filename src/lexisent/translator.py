@@ -2,28 +2,18 @@
 
 from __future__ import annotations
 
+import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .lexicon import LanguageCode, Lexicon, LexiconEntry, PosTag
+from .lexicon import LanguageCode, Lexicon, LexiconEntry
 
-#: Characters treated as separators (dropped from tokens). Apostrophes are
-#: word characters so contractions stay whole.
-PUNCTUATION = set('.,!?;:"()')
-
-#: Disambiguation rank when one surface form maps to several entries.
-_POS_PRIORITY = {
-    PosTag.MOT: 0,
-    PosTag.VERBE: 1,
-    PosTag.NOMBRE: 2,
-    PosTag.ADJECTIF: 3,
-    PosTag.ADVERB: 4,
-    PosTag.ADVERBE: 5,
-    PosTag.ARTICLE: 6,
-    PosTag.CONJUNCTION: 7,
-    PosTag.PRONOMPERSONNEL: 8,
-}
+#: A word: a maximal run of characters that are neither whitespace nor one of
+#: the separators ``.,!?;:"()``. Apostrophes are word characters so
+#: contractions stay whole. For ``str`` patterns ``\s`` matches exactly the
+#: characters for which ``str.isspace()`` is true.
+WORD_PATTERN = re.compile(r'[^\s.,!?;:"()]+')
 
 
 class TokenKind(str, Enum):
@@ -61,62 +51,50 @@ def word_tokens(text: str) -> list[str]:
 
 
 def _words_with_spans(normalized: str) -> list[tuple[str, int, int]]:
-    words = []
-    start = None
-    for i, ch in enumerate(normalized):
-        if ch.isspace() or ch in PUNCTUATION:
-            if start is not None:
-                words.append((normalized[start:i], start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        words.append((normalized[start:], start, len(normalized)))
-    return words
-
-
-def _choose_entry(lexicon: Lexicon, ids: tuple[str, ...]) -> tuple[str, tuple[str, ...]]:
-    """Pick one entry id deterministically; ties go to the earliest entry."""
-    ranked = sorted(ids, key=lambda i: (_POS_PRIORITY[lexicon.by_id[i].pos], i))
-    return ranked[0], tuple(ranked[1:])
+    return [(m.group(), m.start(), m.end()) for m in WORD_PATTERN.finditer(normalized)]
 
 
 def tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[Token]:
     """Segment a sentence against the lexicon's phrases for ``language``.
 
     The sentence is normalized (NFC, case-folded), punctuation acts as a
-    separator, and matching is greedy left-to-right longest-match up to the
-    longest phrase recorded for the language, so "go tšhaba go wa" becomes two
-    two-word tokens when both phrases are known. Words with no lexicon match
-    come back as unknown tokens. Spans index into the normalized sentence.
+    separator, and matching is greedy left-to-right longest-match, so "go
+    tšhaba go wa" becomes two two-word tokens when both phrases are known. At
+    each word only the phrase lengths that the lexicon's ``phrase_lengths``
+    records for that first word are tried, longest first, then the word on its
+    own. Words with no lexicon match come back as unknown tokens. Spans index
+    into the normalized sentence. A form with several entries resolves to the
+    winner precompiled in ``lexicon.ambiguous``.
     """
-    normalized = normalize_sentence(sentence)
-    words = _words_with_spans(normalized)
-    max_len = max(1, lexicon.max_phrase_len[language])
+    words = _words_with_spans(normalize_sentence(sentence))
+    texts = [w for w, _, _ in words]
     index = lexicon.index[language]
+    phrase_lengths = lexicon.phrase_lengths[language]
+    ambiguous = lexicon.ambiguous[language]
 
     tokens: list[Token] = []
     i = 0
     while i < len(words):
-        match_len = 0
-        matched_ids: tuple[str, ...] = ()
-        for length in range(min(max_len, len(words) - i), 0, -1):
-            candidate = " ".join(w for w, _, _ in words[i : i + length])
-            ids = index.get(candidate, ())
-            if ids:
-                match_len = length
-                matched_ids = ids
-                break
-        if match_len == 0:
-            word, start, end = words[i]
+        word, start, end = words[i]
+        surface, match_len, ids = word, 1, ()
+        for length in phrase_lengths.get(word, ()):
+            if i + length <= len(words):
+                candidate = " ".join(texts[i : i + length])
+                ids = index.get(candidate, ())
+                if ids:
+                    surface, match_len = candidate, length
+                    end = words[i + length - 1][2]
+                    break
+        if not ids:
+            ids = index.get(word, ())
+        if not ids:
             tokens.append(Token(word, TokenKind.UNKNOWN, None, (start, end)))
-            i += 1
+        elif len(ids) == 1:
+            tokens.append(Token(surface, TokenKind.LEXICAL, ids[0], (start, end)))
         else:
-            surface = " ".join(w for w, _, _ in words[i : i + match_len])
-            span = (words[i][1], words[i + match_len - 1][2])
-            chosen, alternatives = _choose_entry(lexicon, matched_ids)
-            tokens.append(Token(surface, TokenKind.LEXICAL, chosen, span, alternatives))
-            i += match_len
+            chosen, alternatives = ambiguous[surface]
+            tokens.append(Token(surface, TokenKind.LEXICAL, chosen, (start, end), alternatives))
+        i += match_len
     return tokens
 
 
@@ -171,9 +149,3 @@ def translate(
         tokens=tuple(out_tokens),
         unknown_count=unknown,
     )
-
-
-def translate_batch(
-    rows: list[tuple[str, LanguageCode, LanguageCode]], lexicon: Lexicon
-) -> list[TranslationResult]:
-    return [translate(sentence, src, dst, lexicon) for sentence, src, dst in rows]

@@ -119,6 +119,21 @@ class TestTranslateCommand:
         assert lines[1].endswith("merci")
         assert lines[2].endswith("to fear to fall")
 
+    def test_batch_preserves_order(self, tmp_path, paper_lex_file):
+        sentences = tmp_path / "sentences.csv"
+        sentences.write_text(
+            "sentence,source_language,target_language\n"
+            "Ek vertrou haar,afrikaans,english\n"
+            '"Thank you.",english,ciluba\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "translated"
+        assert run("translate", "--lex", paper_lex_file, "--in", sentences,
+                   "--out", out) == 0
+        lines = (out / "translations.csv").read_text(encoding="utf-8").splitlines()
+        assert [line.rsplit(",", 1)[1] for line in lines[1:]] == [
+            "i trust her", "tuasakadila"]
+
 
 class TestScoreCommands:
     @pytest.fixture
@@ -152,6 +167,52 @@ class TestScoreCommands:
         report = json.loads((out / "comparison.json").read_text())
         assert 0.0 <= report["agreement"] <= 1.0
         assert len(report["rows"]) == 2
+
+
+class TestUnnormalizedLexicon:
+    @pytest.fixture
+    def dirty_lex_file(self, tmp_path, paper_lex_file):
+        text = paper_lex_file.read_text(encoding="utf-8")
+        assert text.count(",happy,") == 1 and text.count(",food,") == 1
+        path = tmp_path / "dirty.csv"
+        path.write_text(text.replace(",happy,", ",Happy ,").replace(",food,", ",Food,"),
+                        encoding="utf-8")
+        return path
+
+    @pytest.fixture
+    def sentences_file(self, tmp_path):
+        path = tmp_path / "sents.csv"
+        path.write_text("sentence,language\nI am happy,english\n", encoding="utf-8")
+        return path
+
+    @pytest.mark.parametrize("command", ["score", "compare"])
+    def test_scoring_commands_refuse(self, tmp_path, dirty_lex_file, sentences_file,
+                                     command, capsys):
+        out = tmp_path / "out"
+        assert run(command, "--lex", dirty_lex_file, "--in", sentences_file,
+                   "--out", out) == 2
+        err = capsys.readouterr().err
+        assert "row 3, column 'english'" in err
+        assert "'Food'" in err and "2 un-normalized" in err and "lexicon clean" in err
+        assert not out.exists()
+
+    def test_translate_refuses(self, dirty_lex_file, capsys):
+        assert run("translate", "--lex", dirty_lex_file, "--text", "I am happy",
+                   "--from", "english", "--to", "french") == 2
+        assert "lexicon clean" in capsys.readouterr().err
+
+    def test_cleaned_lexicon_scores(self, tmp_path, dirty_lex_file, sentences_file):
+        cleaned = tmp_path / "cleaned"
+        assert run("lexicon", "clean", "--in", dirty_lex_file, "--out", cleaned) == 0
+        out = tmp_path / "out"
+        assert run("score", "--lex", cleaned / "cleaned.csv", "--in", sentences_file,
+                   "--out", out) == 0
+        row = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()[1]
+        assert "happy:5" in row and "positive" in row
+
+    def test_commands_that_never_tokenize_accept_it(self, tmp_path, dirty_lex_file):
+        assert run("lexicon", "stats", "--in", dirty_lex_file, "--out", tmp_path / "s") == 0
+        assert run("lexicon", "validate", "--in", dirty_lex_file) == 0
 
 
 class TestMlCommands:
@@ -196,7 +257,9 @@ class TestCtxAndExplain:
         files = read_dir(trained)
         assert {"model.json", "loss.csv", "train.tsv", "validation.tsv",
                 "test.tsv"} <= set(files)
-        assert files["loss.csv"].decode().splitlines()[0] == "epoch,train_loss,val_loss"
+        loss_rows = files["loss.csv"].decode().splitlines()
+        assert loss_rows[0] == "epoch,train_loss,val_loss"
+        assert all(float(cell) >= 0.0 for row in loss_rows[1:] for cell in row.split(","))
 
         evaluated = tmp_path / "evaluated"
         assert run("ctx", "eval", "--model", trained / "model.json",

@@ -17,6 +17,7 @@ from lexisent.lexicon import (
     context_dependent_forms,
     normalize_form,
     parse_lexicon,
+    require_normalized,
     serialize_lexicon,
     validate_lexicon,
 )
@@ -263,6 +264,25 @@ class TestContextDependentForms:
         assert context_dependent_forms(lex, LanguageCode.ENGLISH) == []
 
 
+class TestRequireNormalized:
+    def test_clean_lexicon_passes(self, paper_lexicon):
+        require_normalized(paper_lexicon)
+
+    def test_names_first_row_and_column_and_count(self):
+        lex = parse_lexicon(csv_bytes(
+            "bon,,good,,,,mot,1,,,,,,",
+            "Mal,,bad ,,,,mot,-1,,,,,,",
+            "triste,,Sad,,,,mot,-1,,,,,,",
+        ))
+        with pytest.raises(LexiconFormatError) as info:
+            require_normalized(lex)
+        assert (info.value.row, info.value.column) == (2, "french")
+        message = str(info.value)
+        assert "'Mal'" in message and "3 un-normalized" in message
+        assert "lexicon clean" in message
+        require_normalized(clean(lex)[0])
+
+
 class TestIndexes:
     def test_index_is_consistent(self, paper_lexicon):
         for language in LanguageCode:
@@ -273,6 +293,28 @@ class TestIndexes:
             for language, form in entry.forms.items():
                 assert entry.entry_id in paper_lexicon.index[language][form]
 
-    def test_max_phrase_len(self, paper_lexicon):
-        assert paper_lexicon.max_phrase_len[LanguageCode.ENGLISH] == 2
-        assert paper_lexicon.max_phrase_len[LanguageCode.SEPEDI] == 2
+    def test_parsed_entries_keep_their_positional_ids(self):
+        lex = parse_lexicon(csv_bytes("bon,,good,,,,mot,1,,,,,,", "mal,,bad,,,,mot,-1,,,,,,"))
+        assert [e.entry_id for e in lex.entries] == ["r1", "r2"]
+        rebuilt = Lexicon(lex.entries)
+        assert all(a is b for a, b in zip(rebuilt.entries, lex.entries))
+        shifted = Lexicon(lex.entries[1:])
+        assert [e.entry_id for e in shifted.entries] == ["r1"]
+        assert shifted.index[LanguageCode.ENGLISH] == {"bad": ("r1",)}
+
+    def test_ambiguous_forms_precompile_the_pos_winner(self):
+        lex = Lexicon([
+            make_entry(fr="regarder", english="watch", pos=PosTag.VERBE),
+            make_entry(fr="montre", english="watch", pos=PosTag.MOT),
+            make_entry(fr="voir", english="watch", pos=PosTag.VERBE),
+            make_entry(fr="seul", english="alone"),
+        ])
+        assert lex.index[LanguageCode.ENGLISH]["watch"] == ("r1", "r2", "r3")
+        assert lex.ambiguous[LanguageCode.ENGLISH] == {"watch": ("r2", ("r1", "r3"))}
+
+    def test_phrase_lengths(self, paper_lexicon):
+        assert paper_lexicon.phrase_lengths[LanguageCode.ENGLISH]["to"] == (2,)
+        assert paper_lexicon.phrase_lengths[LanguageCode.SEPEDI]["go"] == (2,)
+        assert paper_lexicon.phrase_lengths[LanguageCode.FRENCH]["tu"] == (3, 2)
+        assert "food" not in paper_lexicon.phrase_lengths[LanguageCode.ENGLISH]
+        assert paper_lexicon.phrase_lengths[LanguageCode.ZULU] == {}

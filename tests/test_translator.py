@@ -8,7 +8,6 @@ from lexisent.translator import (
     normalize_sentence,
     tokenize,
     translate,
-    translate_batch,
     word_tokens,
 )
 
@@ -130,14 +129,6 @@ class TestTranslate:
         a = translate("I am happy today.", EN, FR, paper_lexicon)
         b = translate("I am happy today.", EN, FR, paper_lexicon)
         assert a == b
-
-    def test_batch_preserves_order(self, paper_lexicon):
-        rows = [
-            ("Ek vertrou haar", AF, EN),
-            ("Thank you.", EN, LanguageCode.CILUBA),
-        ]
-        results = translate_batch(rows, paper_lexicon)
-        assert [r.translated_text for r in results] == ["i trust her", "tuasakadila"]
 
 
 def test_word_tokens_strip_punctuation():
