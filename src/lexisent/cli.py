@@ -3,8 +3,15 @@
 Subcommands: ``lexicon validate|clean|stats``, ``translate``, ``score``,
 ``compare``, ``ml train|eval``, ``ctx generate|train|eval``, ``explain``.
 Every run echoes its effective configuration and a manifest of produced files
-into the output directory, so results are reproducible from disk. Exit codes:
-0 success, 1 usage error, 2 data error.
+into the output directory, so results are reproducible from disk.
+
+``score`` and ``compare`` write both scoring modes (avg and v2). ``ml train``
+records its task and train/test split in the model, and ``ml eval`` scores the
+same test split, refusing a ``--seed`` or ``--train-fraction`` that differs.
+``ml train``, ``ml eval`` and ``ctx eval`` write the same evaluation files:
+confusion matrix, metrics and one-vs-rest ROC curves. Exit codes: 0 success,
+1 usage error, 2 data error; data errors name the file and, where there is
+one, the row or line.
 """
 
 from __future__ import annotations
@@ -34,9 +41,6 @@ from .lexicon import (
     serialize_lexicon,
     validate_lexicon,
 )
-
-MODEL_KINDS = ("decision_tree", "random_forest", "gaussian_nb", "linear_svm")
-
 
 class _UsageError(Exception):
     pass
@@ -87,7 +91,10 @@ def _effective_config(args: argparse.Namespace) -> dict:
 
 
 def _load_lexicon(path: str):
-    return parse_lexicon(Path(path).read_bytes())
+    try:
+        return parse_lexicon(Path(path).read_bytes())
+    except LexiconFormatError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_normalized_lexicon(path: str):
@@ -107,7 +114,21 @@ def _read_csv_rows(path: str, expected_header: tuple[str, ...]) -> list[list[str
         raise ValueError(
             f"{path}: expected header {','.join(expected_header)}"
         )
+    for row_no, row in enumerate(rows[1:], start=1):
+        if len(row) != len(expected_header):
+            raise ValueError(
+                f"{path}: row {row_no}: expected {len(expected_header)} columns, "
+                f"found {len(row)}"
+            )
     return rows[1:]
+
+
+def _parse_file(path: str, parse):
+    """``parse`` applied to a UTF-8 file's text; its errors name the file."""
+    try:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -253,9 +274,12 @@ def cmd_score(args) -> int:
     out = OutputDir(args.out, _effective_config(args))
     out.write("comparison.csv", _csv_text(scoring.comparison_csv_rows(report)))
     out.finish()
-    counts = report.polarity_counts[args.mode]
-    summary = ", ".join(f"{p.value} {counts[p]}" for p in Polarity)
-    print(f"{len(report.rows)} sentences ({args.mode}): {summary}", file=sys.stderr)
+    summary = "; ".join(
+        f"{mode.value}: "
+        + ", ".join(f"{p.value} {report.polarity_counts[mode.value][p]}" for p in Polarity)
+        for mode in scoring.ScoreMode
+    )
+    print(f"{len(report.rows)} sentences ({summary})", file=sys.stderr)
     return 0
 
 
@@ -318,6 +342,7 @@ def cmd_ml_train(args) -> int:
     train_set, test_set = ml.split(dataset, args.train_fraction, args.seed)
     model = _train_ml_model(train_set, args)
     model.hyperparameters["task"] = args.task
+    model.hyperparameters["split"] = {"seed": args.seed, "train_fraction": args.train_fraction}
     out = OutputDir(args.out, _effective_config(args))
     out.write("model.json", ml.save_model(model))
     out.write("dataset.csv", ml.dataset_csv(dataset))
@@ -336,9 +361,28 @@ def cmd_ml_train(args) -> int:
     return 0
 
 
+def _use_recorded_split(model, args) -> None:
+    """Set ``args.seed`` and ``args.train_fraction`` to the split ``ml train``
+    recorded in the model; flags given explicitly must match it."""
+    recorded = model.hyperparameters.get("split", {})
+    for key, flag in (("seed", "--seed"), ("train_fraction", "--train-fraction")):
+        given = getattr(args, key)
+        value = recorded.get(key, given)
+        if value is None:
+            raise ValueError(f"{args.model}: the model records no split {key}; pass {flag}")
+        if given is not None and given != value:
+            raise ValueError(
+                f"{flag} {given} differs from {value}, the {key} {args.model} was trained with"
+            )
+        setattr(args, key, value)
+
+
 def cmd_ml_eval(args) -> int:
-    model = ml.load_model(Path(args.model).read_text(encoding="utf-8"))
-    task = args.task or model.hyperparameters.get("task", "pos")
+    model = _parse_file(args.model, ml.load_model)
+    task = model.hyperparameters.get("task")
+    if task not in ml.dataset.TASKS:
+        raise ValueError(f"{args.model}: the model records no known task (found {task!r})")
+    _use_recorded_split(model, args)
     lexicon = _load_lexicon(args.lex)
     dataset = ml.featurize(lexicon, task=task)
     _, test_set = ml.split(dataset, args.train_fraction, args.seed)
@@ -375,7 +419,7 @@ def cmd_ctx_generate(args) -> int:
 
 
 def cmd_ctx_train(args) -> int:
-    corpus = ctx.read_corpus(Path(args.corpus).read_text(encoding="utf-8"))
+    corpus = _parse_file(args.corpus, ctx.read_corpus)
     train_set, val_set, test_set = ctx.split_70_20_10(corpus, args.seed)
     if args.uniform_weights:
         weights = ctx.uniform_class_weights()
@@ -405,32 +449,26 @@ def cmd_ctx_train(args) -> int:
 
 
 def cmd_ctx_eval(args) -> int:
-    model = ctx.load_context_model(Path(args.model).read_text(encoding="utf-8"))
-    corpus = ctx.read_corpus(Path(args.corpus).read_text(encoding="utf-8"))
-    report, cm, curves = ctx.evaluate(model, corpus)
+    model = _parse_file(args.model, ctx.load_context_model)
+    corpus = _parse_file(args.corpus, ctx.read_corpus)
+    y_true, y_pred, proba = ctx.evaluate(model, corpus)
     out = OutputDir(args.out, _effective_config(args))
-    out.write("confusion.json", _json_text(cm.to_json_dict()))
-    out.write("metrics.json", _json_text(report.to_json_dict()))
-    out.write("metrics.txt", evalm.metrics_table(report))
-    for name, curve in sorted(curves.items()):
-        rows = [["false_positive_rate", "true_positive_rate"]]
-        rows += [[repr(x), repr(y)] for x, y in curve.points]
-        out.write(f"roc_{name}.csv", _csv_text(rows))
-    if curves:
-        out.write("roc.svg", svg.roc_chart(curves, "one-vs-rest ROC"))
+    summary = _write_evaluation(
+        out, y_true, y_pred, proba, [p.value for p in ctx.CLASS_ORDER]
+    )
     out.finish()
-    print(f"accuracy {report.accuracy:.4f} on {cm.total} sentences", file=sys.stderr)
+    print(f"accuracy {summary['accuracy']:.4f} on {len(y_true)} sentences", file=sys.stderr)
     return 0
 
 
 def cmd_explain(args) -> int:
-    model = ctx.load_context_model(Path(args.model).read_text(encoding="utf-8"))
+    model = _parse_file(args.model, ctx.load_context_model)
     if (args.text is None) == (args.corpus is None):
         raise _UsageError("provide exactly one of --text or --corpus")
     if args.text is not None:
         sentences = [ctx.parse_marked(args.text)]
     else:
-        sentences = ctx.read_corpus(Path(args.corpus).read_text(encoding="utf-8"))
+        sentences = _parse_file(args.corpus, ctx.read_corpus)
     target_class = Polarity(args.target_class) if args.target_class else None
     out = OutputDir(args.out, _effective_config(args))
     maps = []
@@ -461,8 +499,6 @@ def build_parser() -> _Parser:
     def add(name, func, parent, **kwargs):
         p = parent.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on internal parallelism (recorded; single-threaded)")
         return p
 
     lex = sub.add_parser("lexicon", help="validate, clean, or summarize a lexicon")
@@ -491,15 +527,14 @@ def build_parser() -> _Parser:
         p.add_argument("--lex", required=True)
         p.add_argument("--in", dest="infile", required=True, help="CSV sentence,language")
         p.add_argument("--out", required=True)
-        p.add_argument("--mode", choices=[m.value for m in scoring.ScoreMode], default="v2")
         p.add_argument("--baseline", choices=("builtin", "zero"), default="builtin")
 
     mlp = sub.add_parser("ml", help="classical classifiers on lexicon features")
     ml_sub = mlp.add_subparsers(dest="subcommand")
     p = add("train", cmd_ml_train, ml_sub)
     p.add_argument("--lex", required=True)
-    p.add_argument("--task", choices=ml.dataset.TASKS if hasattr(ml, "dataset") else ("pos", "polarity"), default="pos")
-    p.add_argument("--model", choices=MODEL_KINDS, default="random_forest")
+    p.add_argument("--task", choices=ml.dataset.TASKS, default="pos")
+    p.add_argument("--model", choices=ml.MODEL_KINDS, default="random_forest")
     p.add_argument("--out", required=True)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
@@ -514,10 +549,11 @@ def build_parser() -> _Parser:
     p = add("eval", cmd_ml_eval, ml_sub)
     p.add_argument("--model", required=True)
     p.add_argument("--lex", required=True)
-    p.add_argument("--task", choices=("pos", "polarity"), default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--train-fraction", type=float, default=None,
+                   help="must match the model's recorded split (the default)")
+    p.add_argument("--seed", type=int, default=None,
+                   help="must match the model's recorded split (the default)")
 
     ctxp = sub.add_parser("ctx", help="contextual target-word classifier")
     ctx_sub = ctxp.add_subparsers(dest="subcommand")

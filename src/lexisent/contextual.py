@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import metrics as evalm
 from .lexicon import LanguageCode, Lexicon, Polarity, context_dependent_forms
 from .ml.dataset import rng_for
 from .translator import word_tokens
@@ -411,29 +410,22 @@ def train(
 
 def evaluate(
     model: ContextModel, test_set: list[TargetSentence]
-) -> tuple[evalm.MetricsReport, evalm.ConfusionMatrix, dict[str, evalm.RocCurve]]:
-    """Metrics, confusion matrix, and one-vs-rest ROC curves on labeled data."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """True and predicted class indices (:data:`CLASS_ORDER`) and the
+    ``(n, 3)`` class probabilities of a labeled set."""
     if not test_set:
         raise ValueError("test set is empty")
-    y_true = []
     for s in test_set:
         if s.label is None:
             raise ValueError(f"unlabeled sentence: {s.text!r}")
-        y_true.append(CLASS_ORDER.index(s.label))
-    preds, proba = model.predict_batch(test_set)
-    names = [p.value for p in CLASS_ORDER]
-    cm = evalm.confusion(
-        [names[t] for t in y_true], [names[int(p)] for p in preds], names
-    )
-    report = evalm.metrics(cm)
-    curves = evalm.roc_one_vs_rest(y_true, proba, names)
-    return report, cm, curves
+    y_true = np.array([CLASS_ORDER.index(s.label) for s in test_set])
+    y_pred, proba = model.predict_batch(test_set)
+    return y_true, y_pred, proba
 
 
 def accuracy(model: ContextModel, sentences: list[TargetSentence]) -> float:
-    preds, _ = model.predict_batch(sentences)
-    truth = np.array([CLASS_ORDER.index(s.label) for s in sentences])
-    return float(np.mean(preds == truth))
+    y_true, y_pred, _ = evaluate(model, sentences)
+    return float(np.mean(y_pred == y_true))
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +448,15 @@ def read_corpus(text: str) -> list[TargetSentence]:
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise ValueError(f"line {line_no}: expected 'sentence<TAB>label'")
+        marked, label_text = fields
         try:
-            marked, label_text = line.split("\t")
-        except ValueError:
-            raise ValueError(f"line {line_no}: expected 'sentence<TAB>label'") from None
-        label = Polarity(label_text) if label_text else None
-        sentences.append(parse_marked(marked, label=label))
+            label = Polarity(label_text) if label_text else None
+            sentences.append(parse_marked(marked, label=label))
+        except ValueError as exc:  # a bad label or MarkupError
+            raise type(exc)(f"line {line_no}: {exc}") from None
     return sentences
 
 
@@ -492,8 +487,15 @@ def save_context_model(model: ContextModel) -> str:
 
 def load_context_model(text: str) -> ContextModel:
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
     if data.get("format_version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {data.get('format_version')!r}")
+    if "vocabulary" not in data:
+        raise ValueError(
+            "expected a contextual model, found "
+            + (f"a {data['kind']} model" if "kind" in data else "no vocabulary")
+        )
     id_to_token = tuple(data["vocabulary"])
     vocabulary = Vocabulary(id_to_token, {t: i for i, t in enumerate(id_to_token)})
     return ContextModel(

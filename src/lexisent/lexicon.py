@@ -208,7 +208,7 @@ class Lexicon:
     first word of every multi-word form to the word counts of the forms that
     start with it (descending), and ``ambiguous`` maps every form with several
     entries to the winning entry id and the losing ones, ranked by
-    :data:`POS_PRIORITY` and then by entry id string.
+    :data:`POS_PRIORITY` and then by row, so the earliest entry wins a tie.
     """
 
     def __init__(self, entries: Iterable[LexiconEntry]):
@@ -242,7 +242,7 @@ class Lexicon:
             ambiguous = self.ambiguous[language] = {}
             for form, ids in forms.items():
                 self.index[language][form] = tuple(ids)
-                ranked = sorted(ids, key=lambda i: (POS_PRIORITY[self.by_id[i].pos], i))
+                ranked = sorted(ids, key=lambda i: POS_PRIORITY[self.by_id[i].pos])
                 ambiguous[form] = (ranked[0], tuple(ranked[1:]))
 
     def _add_phrase_length(self, language: LanguageCode, form: str) -> None:

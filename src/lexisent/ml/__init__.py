@@ -3,13 +3,14 @@
 from .dataset import Dataset, FEATURE_NAMES, dataset_csv, featurize, split
 from .forest import RandomForestModel, train_random_forest
 from .naive_bayes import GaussianNBModel, train_gaussian_nb
-from .serialize import load_model, save_model
+from .serialize import MODEL_KINDS, load_model, save_model
 from .svm import LinearSVMModel, train_linear_svm
 from .tree import DecisionTreeModel, train_decision_tree
 
 __all__ = [
     "Dataset",
     "FEATURE_NAMES",
+    "MODEL_KINDS",
     "DecisionTreeModel",
     "RandomForestModel",
     "GaussianNBModel",
@@ -30,16 +31,12 @@ __all__ = [
 
 def predict(model, vector):
     """Predicted class index for one feature vector (argmax of probabilities)."""
-    import numpy as np
-
     x = _check_arity(model, vector)
     return int(model.predict(x[None, :])[0])
 
 
 def predict_proba(model, vector):
     """Class probability list for one feature vector (sums to 1)."""
-    import numpy as np
-
     x = _check_arity(model, vector)
     return [float(p) for p in model.predict_proba(x[None, :])[0]]
 

@@ -65,12 +65,22 @@ def save_model(model) -> str:
     return json.dumps(common, sort_keys=True, indent=2) + "\n"
 
 
+MODEL_KINDS = ("decision_tree", "random_forest", "gaussian_nb", "linear_svm")
+
+
 def load_model(text: str):
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("expected a JSON object")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
-    kind = data["kind"]
+    kind = data.get("kind")
+    if kind not in MODEL_KINDS:
+        raise ValueError(
+            f"expected a classical model ({', '.join(MODEL_KINDS)}), found "
+            + ("a contextual model" if "vocabulary" in data else f"kind {kind!r}")
+        )
     class_names = tuple(data["class_names"])
     n_features = data["n_features"]
     seed = data["seed"]
@@ -121,4 +131,3 @@ def load_model(text: str):
             seed=seed,
             hyperparameters=hyper,
         )
-    raise ValueError(f"unknown model kind {kind!r}")

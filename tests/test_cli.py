@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
 
-from lexisent.cli import main
+from lexisent.cli import build_parser, main
 from lexisent.lexicon import serialize_lexicon
 
 from conftest import build_ctx_lexicon
@@ -43,15 +44,65 @@ class TestExitCodes:
         assert run("lexicon", "stats", "--in", tmp_path / "nope.csv",
                    "--out", tmp_path / "out") == 2
 
-    def test_malformed_lexicon(self, tmp_path):
+    def test_malformed_lexicon(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,lexicon\n1,2,3\n")
         assert run("lexicon", "validate", "--in", bad) == 2
+        assert f"{bad}: [row 0] bad header" in capsys.readouterr().err
 
     def test_success(self, paper_lex_file, capsys):
         assert run("lexicon", "validate", "--in", paper_lex_file) == 0
         out = capsys.readouterr().out
         assert json.loads(out)["issue_count"] == 0
+
+
+# Every leaf subcommand's options. A flag added or removed shows up here.
+CLI_SURFACE = {
+    "lexicon validate": {"--in", "--out"},
+    "lexicon clean": {"--in", "--out"},
+    "lexicon stats": {"--in", "--out"},
+    "translate": {"--lex", "--text", "--from", "--to", "--in", "--out"},
+    "score": {"--lex", "--in", "--out", "--baseline"},
+    "compare": {"--lex", "--in", "--out", "--baseline"},
+    "ml train": {"--lex", "--task", "--model", "--out", "--train-fraction", "--seed",
+                 "--max-depth", "--min-samples-split", "--n-trees", "--no-bootstrap",
+                 "--no-feature-subsample", "--var-smoothing", "--lam", "--epochs"},
+    "ml eval": {"--model", "--lex", "--out", "--train-fraction", "--seed"},
+    "ctx generate": {"--lex", "--language", "--count", "--seed", "--label-weights", "--out"},
+    "ctx train": {"--corpus", "--out", "--epochs", "--learning-rate", "--seed",
+                  "--embedding-dim", "--window", "--batch-size", "--uniform-weights"},
+    "ctx eval": {"--model", "--corpus", "--out"},
+    "explain": {"--model", "--text", "--corpus", "--out", "--steps", "--baseline",
+                "--scheme", "--target-class"},
+}
+
+
+def leaf_options(parser, path=()):
+    subcommands = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subcommands:
+        yield " ".join(path), {
+            a.option_strings[-1] for a in parser._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+    for action in subcommands:
+        for name, sub in action.choices.items():
+            yield from leaf_options(sub, path + (name,))
+
+
+class TestCliSurface:
+    def test_options_per_subcommand(self):
+        assert dict(leaf_options(build_parser())) == CLI_SURFACE
+        assert sum(len(options) for options in CLI_SURFACE.values()) == 65
+
+    @pytest.mark.parametrize("argv", [
+        ("lexicon", "validate", "--in", "lexicon.csv", "--threads", "2"),
+        ("score", "--lex", "l.csv", "--in", "s.csv", "--out", "o", "--mode", "v2"),
+        ("compare", "--lex", "l.csv", "--in", "s.csv", "--out", "o", "--mode", "avg"),
+        ("ml", "eval", "--model", "m.json", "--lex", "l.csv", "--out", "o", "--task", "pos"),
+    ])
+    def test_removed_flags_are_usage_errors(self, argv, capsys):
+        assert run(*argv) == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestLexiconCommands:
@@ -150,7 +201,7 @@ class TestScoreCommands:
     def test_score_layout(self, tmp_path, paper_lex_file, sentences_file):
         out = tmp_path / "scored"
         assert run("score", "--in", sentences_file, "--lex", paper_lex_file,
-                   "--mode", "v2", "--baseline", "builtin", "--out", out) == 0
+                   "--baseline", "builtin", "--out", out) == 0
         lines = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == (
             "sentence,language,total_score_avg,word_scores_avg,sentiment_avg,"
@@ -233,6 +284,48 @@ class TestMlCommands:
         metrics = json.loads((out2 / "metrics.json").read_text())
         assert 0.0 <= metrics["accuracy"] <= 1.0
 
+    @pytest.fixture
+    def nb_model(self, tmp_path, paper_lex_file):
+        out = tmp_path / "nb"
+        assert run("ml", "train", "--lex", paper_lex_file, "--model", "gaussian_nb",
+                   "--out", out, "--seed", "3", "--train-fraction", "0.7") == 0
+        return out
+
+    def test_eval_uses_the_recorded_split(self, tmp_path, paper_lex_file, nb_model):
+        model = json.loads((nb_model / "model.json").read_text())
+        assert model["hyperparameters"]["split"] == {"seed": 3, "train_fraction": 0.7}
+        for extra in ((), ("--seed", "3", "--train-fraction", "0.7")):
+            out = tmp_path / f"eval{len(extra)}"
+            assert run("ml", "eval", "--model", nb_model / "model.json",
+                       "--lex", paper_lex_file, "--out", out, *extra) == 0
+            assert read_dir(out)["metrics.json"] == read_dir(nb_model)["metrics.json"]
+
+    @pytest.mark.parametrize("flag, value, recorded", [
+        ("--seed", "0", "3"), ("--train-fraction", "0.8", "0.7"),
+    ])
+    def test_eval_refuses_another_split(self, tmp_path, paper_lex_file, nb_model,
+                                        flag, value, recorded, capsys):
+        out = tmp_path / "eval"
+        assert run("ml", "eval", "--model", nb_model / "model.json",
+                   "--lex", paper_lex_file, "--out", out, flag, value) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} {value} differs from {recorded}" in err
+        assert str(nb_model / "model.json") in err
+        assert not out.exists()
+
+    def test_eval_needs_flags_when_no_split_is_recorded(self, tmp_path, paper_lex_file,
+                                                        nb_model, capsys):
+        path = nb_model / "model.json"
+        model = json.loads(path.read_text())
+        del model["hyperparameters"]["split"]
+        path.write_text(json.dumps(model))
+        base = ("ml", "eval", "--model", path, "--lex", paper_lex_file)
+        assert run(*base, "--out", tmp_path / "a") == 2
+        assert "records no split seed; pass --seed" in capsys.readouterr().err
+        assert run(*base, "--out", tmp_path / "b", "--seed", "3",
+                   "--train-fraction", "0.7") == 0
+        assert read_dir(tmp_path / "b")["metrics.json"] == read_dir(nb_model)["metrics.json"]
+
     def test_train_deterministic(self, tmp_path, paper_lex_file):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
         for out in (out1, out2):
@@ -304,3 +397,59 @@ class TestCtxAndExplain:
             "--epochs", "2", "--seed", "3", "--embedding-dim", "8")
         assert run("explain", "--model", trained / "model.json",
                    "--out", tmp_path / "x") == 1
+
+
+class TestErrorsNameTheFile:
+    @pytest.fixture
+    def models(self, tmp_path, paper_lex_file, ctx_lex_file):
+        run("ml", "train", "--lex", paper_lex_file, "--model", "decision_tree",
+            "--out", tmp_path / "ml")
+        run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+            "-n", "40", "--seed", "1", "--out", tmp_path / "gen")
+        run("ctx", "train", "--corpus", tmp_path / "gen" / "corpus.tsv",
+            "--out", tmp_path / "ctx", "--epochs", "1", "--embedding-dim", "4")
+        return tmp_path / "ml" / "model.json", tmp_path / "ctx" / "model.json"
+
+    def test_ml_eval_given_a_contextual_model(self, tmp_path, paper_lex_file, models,
+                                              capsys):
+        _, ctx_model = models
+        assert run("ml", "eval", "--model", ctx_model, "--lex", paper_lex_file,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{ctx_model}: expected a classical model" in err
+        assert "found a contextual model" in err
+
+    @pytest.mark.parametrize("command", [("ctx", "eval"), ("explain",)])
+    def test_contextual_commands_given_a_classical_model(self, tmp_path, models,
+                                                         command, capsys):
+        ml_model, ctx_model = models
+        corpus = ctx_model.parent / "test.tsv"
+        assert run(*command, "--model", ml_model, "--corpus", corpus,
+                   "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert f"{ml_model}: expected a contextual model, found a decision_tree model" in err
+
+    @pytest.mark.parametrize("command", [("ml", "eval", "--lex", "lexicon.csv"),
+                                         ("ctx", "eval", "--corpus", "corpus.tsv")])
+    def test_model_file_that_is_not_an_object(self, tmp_path, command, capsys):
+        model = tmp_path / "model.json"
+        model.write_text("[]", encoding="utf-8")
+        assert run(*command, "--model", model, "--out", tmp_path / "out") == 2
+        assert f"{model}: expected a JSON object" in capsys.readouterr().err
+
+    def test_corpus_error_names_file_and_line(self, tmp_path, models, capsys):
+        _, ctx_model = models
+        corpus = tmp_path / "bad.tsv"
+        corpus.write_text("[TARGET] a [/TARGET] b\tneutral\n[TARGET] c [/TARGET]\tangry\n",
+                          encoding="utf-8")
+        assert run("ctx", "eval", "--model", ctx_model, "--corpus", corpus,
+                   "--out", tmp_path / "out") == 2
+        assert f"{corpus}: line 2: 'angry'" in capsys.readouterr().err
+
+    def test_short_sentence_row_names_file_and_row(self, tmp_path, paper_lex_file, capsys):
+        sentences = tmp_path / "sents.csv"
+        sentences.write_text("sentence,language\nI want food.,english\nno language\n",
+                             encoding="utf-8")
+        assert run("compare", "--lex", paper_lex_file, "--in", sentences,
+                   "--out", tmp_path / "out") == 2
+        assert f"{sentences}: row 2: expected 2 columns, found 1" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lexisent import contextual as ctx
+from lexisent import metrics as evalm
 from lexisent.lexicon import LanguageCode, Polarity
 
 EN = LanguageCode.ENGLISH
@@ -303,24 +304,34 @@ class TestEvaluate:
         corpus = toy_corpus(n_per_class=12)
         model, _, _ = small_model(corpus=corpus, epochs=10, learning_rate=0.5)
         positives = [s for s in corpus if s.label is POS]
-        report, cm, _ = ctx.evaluate(model, positives)
-        if report.accuracy == 1.0:  # model must at least produce a coherent report
-            assert cm.counts[2][2] == len(positives)
-        assert report.total_support == len(positives)
+        y_true, y_pred, proba = ctx.evaluate(model, positives)
+        assert len(y_true) == len(y_pred) == len(positives)
+        assert list(y_true) == [ctx.CLASS_ORDER.index(POS)] * len(positives)
+        assert ctx.accuracy(model, positives) == float(np.mean(y_pred == y_true))
 
     def test_report_shape_and_roc_curves(self):
         corpus = toy_corpus(n_per_class=15)
         model, train, val = small_model(corpus=corpus, epochs=12, learning_rate=0.5)
-        report, cm, curves = ctx.evaluate(model, val)
-        assert report.classes == ("negative", "neutral", "positive")
-        assert {c.positive_class for c in curves.values()} <= set(report.classes)
-        assert len(curves) == 3
+        y_true, y_pred, proba = ctx.evaluate(model, val)
+        assert proba.shape == (len(val), len(ctx.CLASS_ORDER))
+        assert np.allclose(proba.sum(axis=1), 1.0)
+        assert np.array_equal(y_pred, np.argmax(proba, axis=1))
+        assert list(y_true) == [ctx.CLASS_ORDER.index(s.label) for s in val]
+        names = [p.value for p in ctx.CLASS_ORDER]
+        cm = evalm.confusion([names[t] for t in y_true], [names[p] for p in y_pred], names)
+        assert evalm.metrics(cm).classes == ("negative", "neutral", "positive")
         assert cm.total == len(val)
+        assert len(evalm.roc_one_vs_rest(list(y_true), proba, names)) == 3
 
     def test_unlabeled_sentence_rejected(self):
         model, _, _ = small_model()
         with pytest.raises(ValueError, match="unlabeled"):
             ctx.evaluate(model, [ctx.parse_marked("[TARGET] x [/TARGET] y")])
+
+    def test_empty_set_rejected(self):
+        model, _, _ = small_model()
+        with pytest.raises(ValueError, match="empty"):
+            ctx.evaluate(model, [])
 
 
 class TestModelSerialization:
@@ -330,6 +341,15 @@ class TestModelSerialization:
         for sentence in train[:10]:
             assert np.array_equal(model.logits(sentence), clone.logits(sentence))
         assert ctx.save_context_model(clone) == ctx.save_context_model(model)
+
+    @pytest.mark.parametrize("bad_line, error, message", [
+        ("[TARGET] x y\tpositive", ctx.MarkupError, "line 2: expected exactly one"),
+        ("[TARGET] x [/TARGET] y\tangry", ValueError, "line 2: 'angry' is not a valid"),
+        ("[TARGET] x [/TARGET] y", ValueError, "line 2: expected 'sentence<TAB>label'"),
+    ])
+    def test_corpus_errors_name_the_line(self, bad_line, error, message):
+        with pytest.raises(error, match=message):
+            ctx.read_corpus(f"[TARGET] a [/TARGET] b\tneutral\n{bad_line}\n")
 
     def test_corpus_round_trip(self, ctx_lexicon):
         data = ctx.generate_dataset(ctx_lexicon, EN, 25, seed=3)

@@ -21,6 +21,7 @@ from lexisent.lexicon import (
     serialize_lexicon,
     validate_lexicon,
 )
+from lexisent.translator import tokenize
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -311,6 +312,15 @@ class TestIndexes:
         ])
         assert lex.index[LanguageCode.ENGLISH]["watch"] == ("r1", "r2", "r3")
         assert lex.ambiguous[LanguageCode.ENGLISH] == {"watch": ("r2", ("r1", "r3"))}
+
+    def test_same_pos_tie_goes_to_the_earliest_row(self):
+        entries = [make_entry(fr=f"f{i}", english=f"w{i}") for i in range(1, 9)]
+        entries += [make_entry(fr="f9", english="same", pos=PosTag.VERBE),
+                    make_entry(fr="f10", english="same", pos=PosTag.VERBE)]
+        lex = Lexicon(entries)
+        assert lex.ambiguous[LanguageCode.ENGLISH]["same"] == ("r9", ("r10",))
+        (token,) = tokenize("same", LanguageCode.ENGLISH, lex)
+        assert (token.entry_id, token.alternatives) == ("r9", ("r10",))
 
     def test_phrase_lengths(self, paper_lexicon):
         assert paper_lexicon.phrase_lengths[LanguageCode.ENGLISH]["to"] == (2,)

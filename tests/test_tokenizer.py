@@ -3,7 +3,7 @@
 The oracle is the straightforward algorithm: split on whitespace and the
 separators character by character, then at every position probe every phrase
 length from the language's longest form down to one, and rank ambiguous hits
-by POS priority and entry id on every hit.
+by POS priority and row on every hit.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ def oracle_tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> 
             continue
         surface = " ".join(w for w, _, _ in words[i : i + match_len])
         span = (words[i][1], words[i + match_len - 1][2])
-        ranked = sorted(matched, key=lambda e: (POS_PRIORITY[lexicon.by_id[e].pos], e))
+        ranked = sorted(matched, key=lambda e: (POS_PRIORITY[lexicon.by_id[e].pos], int(e[1:])))
         tokens.append(Token(surface, TokenKind.LEXICAL, ranked[0], span, tuple(ranked[1:])))
         i += match_len
     return tokens
