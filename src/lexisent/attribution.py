@@ -18,8 +18,8 @@ import numpy as np
 from .contextual import CLASS_ORDER, ContextModel, TargetSentence
 from .lexicon import Polarity
 
-#: score_fn(x) -> (value, gradient w.r.t. x)
-ScoreFn = Callable[[np.ndarray], tuple[float, np.ndarray]]
+#: score_fn(points (P, T, E)) -> (values (P,), gradients w.r.t. each point (P, T, E))
+ScoreFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 SCHEMES = ("right", "trapezoid")
 # Trapezoid converges at 1/steps^2 versus the right-endpoint sum's 1/steps,
@@ -41,27 +41,25 @@ def path_integrated_gradients(
     ``right`` evaluates gradients at k/steps for k = 1..steps (a right-endpoint
     Riemann sum); ``trapezoid`` averages endpoint pairs, halving the endpoint
     weights. Both are exact for linear score functions at any step count.
+    Every path point, ``x`` and ``baseline`` go to ``score_fn`` in one call.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     diff = x - baseline
-    mean_grad = np.zeros_like(x)
     if scheme == "right":
-        for k in range(1, steps + 1):
-            _, grad = score_fn(baseline + (k / steps) * diff)
-            mean_grad += grad
-        mean_grad /= steps
+        ks = np.arange(1, steps + 1)
+        weights = np.ones(steps)
     else:
-        for k in range(0, steps + 1):
-            weight = 0.5 if k in (0, steps) else 1.0
-            _, grad = score_fn(baseline + (k / steps) * diff)
-            mean_grad += weight * grad
-        mean_grad /= steps
+        ks = np.arange(0, steps + 1)
+        weights = np.ones(steps + 1)
+        weights[[0, -1]] = 0.5
+    points = baseline + (ks / steps)[:, None, None] * diff
+    values, grads = score_fn(np.concatenate([points, x[None], baseline[None]]))
+    mean_grad = (weights[:, None, None] * grads[: len(ks)]).sum(axis=0) / steps
     attributions = diff * mean_grad
-    f_x, _ = score_fn(x)
-    f_baseline, _ = score_fn(baseline)
+    f_x, f_baseline = float(values[-2]), float(values[-1])
     delta = float(attributions.sum() - (f_x - f_baseline))
     return attributions, f_x, f_baseline, delta
 
@@ -132,8 +130,8 @@ def integrated_gradients(
     chosen = predicted if target_class is None else target_class
     class_index = CLASS_ORDER.index(chosen)
 
-    def score_fn(point: np.ndarray) -> tuple[float, np.ndarray]:
-        return model.log_prob_and_input_grad(point, target_index, class_index)
+    def score_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return model.log_prob_and_input_grad(points, target_index, class_index)
 
     attributions, f_x, f_baseline, delta = path_integrated_gradients(
         score_fn, x, baseline, steps, scheme

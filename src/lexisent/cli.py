@@ -418,20 +418,27 @@ def cmd_ctx_generate(args) -> int:
     return 0
 
 
+def _read_labeled_corpus(text: str):
+    return ctx.read_corpus(text, labeled=True)
+
+
 def cmd_ctx_train(args) -> int:
-    corpus = _parse_file(args.corpus, ctx.read_corpus)
-    train_set, val_set, test_set = ctx.split_70_20_10(corpus, args.seed)
-    if args.uniform_weights:
-        weights = ctx.uniform_class_weights()
-    else:
-        weights = ctx.compute_class_weights([s.label for s in train_set])
-    config = ctx.TrainConfig(
-        embedding_dim=args.embedding_dim, window=args.window, batch_size=args.batch_size
-    )
-    model = ctx.train(
-        config, train_set, val_set, weights,
-        epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed,
-    )
+    corpus = _parse_file(args.corpus, _read_labeled_corpus)
+    try:
+        train_set, val_set, test_set = ctx.split_70_20_10(corpus, args.seed)
+        if args.uniform_weights:
+            weights = ctx.uniform_class_weights()
+        else:
+            weights = ctx.compute_class_weights([s.label for s in train_set])
+        config = ctx.TrainConfig(
+            embedding_dim=args.embedding_dim, window=args.window, batch_size=args.batch_size
+        )
+        model = ctx.train(
+            config, train_set, val_set, weights,
+            epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed,
+        )
+    except ValueError as exc:  # nothing is written for a corpus that cannot be trained on
+        raise ValueError(f"{args.corpus}: {exc}") from None
     out = OutputDir(args.out, _effective_config(args))
     out.write("model.json", ctx.save_context_model(model))
     out.write("loss.csv", ctx.history_csv(model))
@@ -450,7 +457,7 @@ def cmd_ctx_train(args) -> int:
 
 def cmd_ctx_eval(args) -> int:
     model = _parse_file(args.model, ctx.load_context_model)
-    corpus = _parse_file(args.corpus, ctx.read_corpus)
+    corpus = _parse_file(args.corpus, _read_labeled_corpus)
     y_true, y_pred, proba = ctx.evaluate(model, corpus)
     out = OutputDir(args.out, _effective_config(args))
     summary = _write_evaluation(

@@ -143,6 +143,7 @@ def split_70_20_10(
     one item, deterministic per seed, union equals the input."""
     if len(data) < 10:
         raise ValueError("need at least 10 sentences for a 70:20:10 split")
+    _require_labels(data)
     targets = _largest_remainder(len(data), SPLIT_RATIOS)
 
     by_class: list[list[int]] = []
@@ -222,8 +223,49 @@ def generate_dataset(
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    """Row-wise softmax of logits (..., 3)."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _log_sum_exp(z: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of logits (..., 3)."""
+    m = z.max(axis=-1)
+    return m + np.log(np.exp(z - m[..., None]).sum(axis=-1))
+
+
+@dataclass(frozen=True)
+class PackedSentences:
+    """A sentence set as arrays, the input of :meth:`ContextModel.forward_ids`.
+
+    Context slot ``j`` of a row holds the token ``window - j`` places left of
+    the target for ``j < window`` and ``j - window + 1`` places right of it
+    otherwise, so the slots run in sentence order. Slots past either end of
+    the sentence hold the pad id and are masked out.
+    """
+
+    targets: np.ndarray  # (B,) token id of each target
+    context: np.ndarray  # (B, 2 * window) token ids around the target
+    mask: np.ndarray  # (B, 2 * window) bool, True where a slot holds a token
+    labels: np.ndarray  # (B,) CLASS_ORDER index, -1 for an unlabeled sentence
+
+    def __len__(self) -> int:
+        return len(self.targets)
+
+    def take(self, rows) -> PackedSentences:
+        """The rows ``rows`` (an index array or a slice), in that order."""
+        return PackedSentences(
+            self.targets[rows], self.context[rows], self.mask[rows], self.labels[rows]
+        )
+
+    def chunks(self, size: int):
+        for start in range(0, len(self), size):
+            yield self.take(slice(start, start + size))
+
+
+#: Sentences per forward pass in :meth:`ContextModel.predict_batch`; bounds the
+#: (chunk, 2 * window, E) context array on large corpora.
+PREDICT_CHUNK = 1024
 
 
 @dataclass
@@ -250,106 +292,126 @@ class ContextModel:
         hi = min(length - 1, target_index + self.window)
         return [j for j in range(lo, hi + 1) if j != target_index]
 
-    def features_from_embeddings(self, x: np.ndarray, target_index: int) -> np.ndarray:
-        context = self.window_positions(len(x), target_index)
-        mean = x[context].mean(axis=0) if context else np.zeros(self.embedding_dim)
-        return np.concatenate([x[target_index], mean])
+    def pack(self, sentences: list[TargetSentence]) -> PackedSentences:
+        w = self.window
+        targets = np.empty(len(sentences), dtype=np.intp)
+        context = np.full((len(sentences), 2 * w), self.vocabulary.pad_id, dtype=np.intp)
+        mask = np.zeros((len(sentences), 2 * w), dtype=bool)
+        labels = np.full(len(sentences), -1, dtype=np.intp)
+        for row, s in enumerate(sentences):
+            ids, t = self.encode(s)
+            targets[row] = ids[t]
+            left, right = ids[max(0, t - w) : t], ids[t + 1 : t + 1 + w]
+            context[row, w - len(left) : w + len(right)] = np.concatenate([left, right])
+            mask[row, w - len(left) : w + len(right)] = True
+            if s.label is not None:
+                labels[row] = CLASS_ORDER.index(s.label)
+        return PackedSentences(targets, context, mask, labels)
 
-    def logits_from_embeddings(self, x: np.ndarray, target_index: int) -> np.ndarray:
-        return self.features_from_embeddings(x, target_index) @ self.weights + self.bias
+    def forward(
+        self, target: np.ndarray, context: np.ndarray, mask: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Features ``h`` (B, 2E) and logits ``z`` (B, 3) of B inputs.
+
+        ``target`` (B, E) holds target embeddings, ``context`` (B, C, E) the
+        embeddings in the window and ``mask`` (B, C) or (C,) the slots in use;
+        ``h`` is the target embedding next to the mean of the used slots (zero
+        when none is used).
+        """
+        count = np.maximum(mask.sum(axis=-1), 1)
+        mean = context.sum(axis=1, where=mask[..., None]) / count[..., None]
+        h = np.concatenate([target, mean], axis=1)
+        return h, h @ self.weights + self.bias
+
+    def forward_ids(self, packed: PackedSentences) -> tuple[np.ndarray, np.ndarray]:
+        return self.forward(
+            self.embeddings[packed.targets], self.embeddings[packed.context], packed.mask
+        )
 
     def logits(self, sentence: TargetSentence) -> np.ndarray:
-        ids, target_index = self.encode(sentence)
-        return self.logits_from_embeddings(self.embeddings[ids], target_index)
+        return self.forward_ids(self.pack([sentence]))[1][0]
 
     def predict_proba(self, sentence: TargetSentence) -> np.ndarray:
         return _softmax(self.logits(sentence))
 
-    def predict(self, sentence: TargetSentence) -> Polarity:
-        return CLASS_ORDER[int(np.argmax(self.predict_proba(sentence)))]
-
     def predict_batch(self, sentences: list[TargetSentence]) -> tuple[np.ndarray, np.ndarray]:
-        proba = np.stack([self.predict_proba(s) for s in sentences])
+        packed = self.pack(sentences)
+        proba = np.concatenate(
+            [_softmax(self.forward_ids(part)[1]) for part in packed.chunks(PREDICT_CHUNK)]
+        )
         return np.argmax(proba, axis=1), proba
 
     def log_prob_and_input_grad(
-        self, x: np.ndarray, target_index: int, class_index: int
-    ) -> tuple[float, np.ndarray]:
-        """Log-probability of a class and its gradient w.r.t. the input
-        embedding matrix ``x`` (T, E). Model parameters are untouched."""
-        z = self.logits_from_embeddings(x, target_index)
-        p = _softmax(z)
-        value = float(z[class_index] - _log_sum_exp(z))
-        dz = -p
-        dz[class_index] += 1.0
-        dh = self.weights @ dz  # (2E,)
-        grad = np.zeros_like(x)
+        self, points: np.ndarray, target_index: int, class_index: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Log-probability of a class at each of P inputs ``points`` (P, T, E)
+        of one sentence, and its gradient w.r.t. each input: values (P,) and
+        gradients (P, T, E). Model parameters are untouched."""
+        context = self.window_positions(points.shape[1], target_index)
+        _, z = self.forward(points[:, target_index], points[:, context],
+                            np.ones(len(context), dtype=bool))
+        values = z[:, class_index] - _log_sum_exp(z)
+        dz = -_softmax(z)
+        dz[:, class_index] += 1.0
+        dh = dz @ self.weights.T  # (P, 2E)
+        grads = np.zeros_like(points)
         e = self.embedding_dim
-        grad[target_index] += dh[:e]
-        context = self.window_positions(len(x), target_index)
+        grads[:, target_index] += dh[:, :e]
         if context:
-            grad[context] += dh[e:] / len(context)
-        return value, grad
+            grads[:, context] += dh[:, None, e:] / len(context)
+        return values, grads
 
 
-def _log_sum_exp(z: np.ndarray) -> float:
-    m = float(z.max())
-    return m + math.log(float(np.exp(z - m).sum()))
+def _weighted_losses(z: np.ndarray, labels: np.ndarray, weight_vector: np.ndarray) -> np.ndarray:
+    """Per-row class-weighted cross-entropy of logits ``z`` (B, 3)."""
+    return weight_vector[labels] * (_log_sum_exp(z) - z[np.arange(len(z)), labels])
 
 
 def loss_and_gradients(
     model: ContextModel,
-    batch: list[tuple[np.ndarray, int, int]],
+    batch: PackedSentences,
     weight_vector: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Mean class-weighted cross-entropy over a batch, plus analytic gradients.
-
-    The batch holds (token ids, target index, label index) triples. With all
-    weights 1 this is exactly the unweighted mean cross-entropy.
-    """
-    grads = {
-        "embeddings": np.zeros_like(model.embeddings),
-        "weights": np.zeros_like(model.weights),
-        "bias": np.zeros_like(model.bias),
-    }
-    e = model.embedding_dim
-    total = 0.0
+    """Mean class-weighted cross-entropy over a labeled batch, plus analytic
+    gradients. With all weights 1 this is exactly the unweighted mean
+    cross-entropy."""
+    h, z = model.forward_ids(batch)
+    rows = np.arange(len(batch))
     scale = 1.0 / len(batch)
-    for ids, target_index, label in batch:
-        x = model.embeddings[ids]
-        h = model.features_from_embeddings(x, target_index)
-        z = h @ model.weights + model.bias
-        log_z = _log_sum_exp(z)
-        w = weight_vector[label]
-        total += w * (log_z - float(z[label]))
+    loss = float(_weighted_losses(z, batch.labels, weight_vector).sum()) * scale
 
-        dz = _softmax(z)
-        dz[label] -= 1.0
-        dz *= w * scale
-        grads["weights"] += np.outer(h, dz)
-        grads["bias"] += dz
-        dh = model.weights @ dz
-        grads["embeddings"][ids[target_index]] += dh[:e]
-        context = model.window_positions(len(ids), target_index)
-        if context:
-            share = dh[e:] / len(context)
-            for j in context:
-                grads["embeddings"][ids[j]] += share
-    return total * scale, grads
+    dz = _softmax(z)
+    dz[rows, batch.labels] -= 1.0
+    dz *= (weight_vector[batch.labels] * scale)[:, None]
+    dh = dz @ model.weights.T  # (B, 2E)
+    e = model.embedding_dim
+    grad_embeddings = np.zeros_like(model.embeddings)
+    np.add.at(grad_embeddings, batch.targets, dh[:, :e])
+    share = dh[:, e:] / np.maximum(batch.mask.sum(axis=1), 1)[:, None]
+    rows_used, slots_used = np.nonzero(batch.mask)
+    np.add.at(grad_embeddings, batch.context[rows_used, slots_used], share[rows_used])
+    return loss, {"embeddings": grad_embeddings, "weights": h.T @ dz, "bias": dz.sum(axis=0)}
+
+
+def _mean_loss(
+    model: ContextModel, packed: PackedSentences, weight_vector: np.ndarray, chunk: int
+) -> float:
+    """:func:`loss_and_gradients`' loss alone, ``chunk`` sentences per forward."""
+    total = 0.0
+    for part in packed.chunks(chunk):
+        _, z = model.forward_ids(part)
+        total += float(_weighted_losses(z, part.labels, weight_vector).sum())
+    return total * (1.0 / len(packed))
 
 
 def _weight_vector(class_weights: dict[Polarity, float]) -> np.ndarray:
     return np.array([class_weights[p] for p in CLASS_ORDER], dtype=float)
 
 
-def _encode_all(model: ContextModel, sentences: list[TargetSentence]):
-    encoded = []
+def _require_labels(sentences: list[TargetSentence]) -> None:
     for s in sentences:
         if s.label is None:
             raise ValueError(f"unlabeled sentence: {s.text!r}")
-        ids, target_index = model.encode(s)
-        encoded.append((ids, target_index, CLASS_ORDER.index(s.label)))
-    return encoded
 
 
 def train(
@@ -364,12 +426,16 @@ def train(
     """Mini-batch gradient descent on the weighted cross-entropy.
 
     The vocabulary comes from the training set; per-epoch train/validation
-    losses land in ``model.history``. Fully deterministic per seed.
+    losses land in ``model.history``. Fully deterministic per seed. Raises
+    :class:`ValueError` as soon as an epoch ends with a loss that is not
+    finite, instead of returning a diverged model.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     if not train_set:
         raise ValueError("training set is empty")
+    _require_labels(train_set)
+    _require_labels(val_set)
     vocabulary = build_vocabulary(train_set)
     rng = rng_for(seed, 7)
     model = ContextModel(
@@ -389,21 +455,34 @@ def train(
         },
     )
     weight_vector = _weight_vector(class_weights)
-    encoded_train = _encode_all(model, train_set)
-    encoded_val = _encode_all(model, val_set) if val_set else []
+    packed_train = model.pack(train_set)
+    packed_val = model.pack(val_set)
 
     for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(encoded_train))
-        for start in range(0, len(order), config.batch_size):
-            batch = [encoded_train[i] for i in order[start : start + config.batch_size]]
-            _, grads = loss_and_gradients(model, batch, weight_vector)
-            model.embeddings -= learning_rate * grads["embeddings"]
-            model.weights -= learning_rate * grads["weights"]
-            model.bias -= learning_rate * grads["bias"]
-        train_loss, _ = loss_and_gradients(model, encoded_train, weight_vector)
-        record = {"epoch": epoch, "train_loss": train_loss, "val_loss": None}
-        if encoded_val:
-            record["val_loss"], _ = loss_and_gradients(model, encoded_val, weight_vector)
+        order = rng.permutation(len(packed_train))
+        # A diverging run overflows here; the loss check below reports it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, len(order), config.batch_size):
+                batch = packed_train.take(order[start : start + config.batch_size])
+                _, grads = loss_and_gradients(model, batch, weight_vector)
+                model.embeddings -= learning_rate * grads["embeddings"]
+                model.weights -= learning_rate * grads["weights"]
+                model.bias -= learning_rate * grads["bias"]
+            record = {
+                "epoch": epoch,
+                "train_loss": _mean_loss(model, packed_train, weight_vector, config.batch_size),
+                "val_loss": None,
+            }
+            if val_set:
+                record["val_loss"] = _mean_loss(
+                    model, packed_val, weight_vector, config.batch_size
+                )
+        for name in ("train_loss", "val_loss"):
+            if record[name] is not None and not math.isfinite(record[name]):
+                raise ValueError(
+                    f"training diverged: epoch {epoch} {name.replace('_', ' ')} is "
+                    f"{record[name]} at learning rate {learning_rate}"
+                )
         model.history.append(record)
     return model
 
@@ -415,9 +494,7 @@ def evaluate(
     ``(n, 3)`` class probabilities of a labeled set."""
     if not test_set:
         raise ValueError("test set is empty")
-    for s in test_set:
-        if s.label is None:
-            raise ValueError(f"unlabeled sentence: {s.text!r}")
+    _require_labels(test_set)
     y_true = np.array([CLASS_ORDER.index(s.label) for s in test_set])
     y_pred, proba = model.predict_batch(test_set)
     return y_true, y_pred, proba
@@ -443,7 +520,8 @@ def write_corpus(sentences: list[TargetSentence]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_corpus(text: str) -> list[TargetSentence]:
+def read_corpus(text: str, labeled: bool = False) -> list[TargetSentence]:
+    """Parse a corpus TSV; with ``labeled`` an empty label is an error."""
     sentences = []
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -452,6 +530,11 @@ def read_corpus(text: str) -> list[TargetSentence]:
         if len(fields) != 2:
             raise ValueError(f"line {line_no}: expected 'sentence<TAB>label'")
         marked, label_text = fields
+        if labeled and not label_text:
+            raise ValueError(
+                f"line {line_no}: no label; expected one of "
+                + ", ".join(p.value for p in CLASS_ORDER)
+            )
         try:
             label = Polarity(label_text) if label_text else None
             sentences.append(parse_marked(marked, label=label))
@@ -485,7 +568,31 @@ def save_context_model(model: ContextModel) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
+#: Fields of a saved contextual model, all required on load.
+MODEL_FIELDS = ("vocabulary", "embeddings", "weights", "bias", "window", "seed",
+                "hyperparameters")
+
+
+def _parameter(data: dict, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
+    """Field ``name`` as a finite float array of ``shape`` (None: any size)."""
+    try:
+        array = np.asarray(data[name], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {name!r} is not an array of numbers") from None
+    if array.ndim != len(shape) or any(
+        want is not None and have != want for have, want in zip(array.shape, shape)
+    ):
+        expected = "(" + ", ".join("E" if s is None else str(s) for s in shape) + ")"
+        raise ValueError(f"field {name!r} has shape {array.shape}, expected {expected}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"field {name!r} holds values that are not finite")
+    return array
+
+
 def load_context_model(text: str) -> ContextModel:
+    """A saved model, checked field by field: every field of
+    :data:`MODEL_FIELDS` present, ``embeddings`` (V, E) for V vocabulary
+    tokens, ``weights`` (2E, 3), ``bias`` (3,), ``window`` an int >= 0."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
@@ -496,14 +603,29 @@ def load_context_model(text: str) -> ContextModel:
             "expected a contextual model, found "
             + (f"a {data['kind']} model" if "kind" in data else "no vocabulary")
         )
-    id_to_token = tuple(data["vocabulary"])
-    vocabulary = Vocabulary(id_to_token, {t: i for i, t in enumerate(id_to_token)})
+    missing = [name for name in MODEL_FIELDS if name not in data]
+    if missing:
+        raise ValueError(f"missing field {', '.join(map(repr, missing))} in the model")
+    tokens = data["vocabulary"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError("field 'vocabulary' is not a list of strings")
+    if tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
+        raise ValueError(f"field 'vocabulary' does not start with {SPECIAL_TOKENS}")
+    window = data["window"]
+    if not isinstance(window, int) or isinstance(window, bool) or window < 0:
+        raise ValueError(f"field 'window' is {window!r}, expected an int >= 0")
+    if not isinstance(data["hyperparameters"], dict):
+        raise ValueError("field 'hyperparameters' is not an object")
+    embeddings = _parameter(data, "embeddings", (len(tokens), None))
+    e = embeddings.shape[1]
+    k = len(CLASS_ORDER)
+    id_to_token = tuple(tokens)
     return ContextModel(
-        vocabulary=vocabulary,
-        embeddings=np.asarray(data["embeddings"], dtype=float),
-        weights=np.asarray(data["weights"], dtype=float),
-        bias=np.asarray(data["bias"], dtype=float),
-        window=data["window"],
+        vocabulary=Vocabulary(id_to_token, {t: i for i, t in enumerate(id_to_token)}),
+        embeddings=embeddings,
+        weights=_parameter(data, "weights", (2 * e, k)),
+        bias=_parameter(data, "bias", (k,)),
+        window=window,
         seed=data["seed"],
         hyperparameters=data["hyperparameters"],
     )

@@ -25,9 +25,19 @@ def _node_to_dict(node: TreeNode) -> dict:
     }
 
 
+def _require(data, names: tuple[str, ...], where: str = "the model") -> None:
+    """Refuse ``data`` unless it is an object holding every field in ``names``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    missing = [repr(name) for name in names if name not in data]
+    if missing:
+        raise ValueError(f"missing field {', '.join(missing)} in {where}")
+
+
 def _node_from_dict(data: dict) -> TreeNode:
-    if "distribution" in data:
+    if isinstance(data, dict) and "distribution" in data:
         return TreeNode(distribution=np.asarray(data["distribution"], dtype=float))
+    _require(data, ("feature", "threshold", "left", "right"), "a tree node")
     return TreeNode(
         feature=data["feature"],
         threshold=data["threshold"],
@@ -66,6 +76,14 @@ def save_model(model) -> str:
 
 
 MODEL_KINDS = ("decision_tree", "random_forest", "gaussian_nb", "linear_svm")
+#: Fields every saved model holds, and the ``parameters`` of each kind.
+MODEL_FIELDS = ("class_names", "n_features", "seed", "hyperparameters", "parameters")
+PARAMETER_FIELDS = {
+    "decision_tree": ("root",),
+    "random_forest": ("trees",),
+    "gaussian_nb": ("present", "priors", "means", "variances"),
+    "linear_svm": ("weights",),
+}
 
 
 def load_model(text: str):
@@ -81,6 +99,8 @@ def load_model(text: str):
             f"expected a classical model ({', '.join(MODEL_KINDS)}), found "
             + ("a contextual model" if "vocabulary" in data else f"kind {kind!r}")
         )
+    _require(data, MODEL_FIELDS)
+    _require(data["parameters"], PARAMETER_FIELDS[kind], "'parameters'")
     class_names = tuple(data["class_names"])
     n_features = data["n_features"]
     seed = data["seed"]

@@ -32,17 +32,28 @@ class LinearSVMModel:
         return np.argmax(self.decision_function(X), axis=1)
 
 
-def _train_head(X: np.ndarray, y_signed: np.ndarray, lam: float, epochs: int,
-                rng: np.random.Generator) -> np.ndarray:
+def _train_heads(X: np.ndarray, y: np.ndarray, k: int, lam: float, epochs: int,
+                 seed: int) -> np.ndarray:
+    """Pegasos for all k one-vs-rest heads at once, one row of the (k, d)
+    weights per head. Head c visits the samples in the order of its own
+    ``rng_for(seed, c)`` permutations, and all heads share the step t."""
     n, d = X.shape
-    w = np.zeros(d)
+    rngs = [rng_for(seed, c) for c in range(k)]
+    y_signed = np.where(y[None, :] == np.arange(k)[:, None], 1.0, -1.0)  # (k, n)
+    heads = np.arange(k)
+    w = np.zeros((k, d))
     t = 1
     for _ in range(epochs):
-        for idx in rng.permutation(n):
+        orders = np.stack([rng.permutation(n) for rng in rngs])  # (k, n)
+        labels = y_signed[heads[:, None], orders]  # (k, n), in visiting order
+        for step in range(n):
             eta = 1.0 / (lam * t)
             w *= 1.0 - 1.0 / t
-            if y_signed[idx] * (w @ X[idx]) < 1.0:
-                w += eta * y_signed[idx] * X[idx]
+            x = X[orders[:, step]]  # (k, d): each head's sample
+            y_step = labels[:, step]
+            violated = y_step * np.einsum("kd,kd->k", w, x) < 1.0
+            # Rows without a violated margin add exact zeros.
+            w += (eta * y_step * violated)[:, None] * x
             t += 1
     return w
 
@@ -61,13 +72,8 @@ def train_linear_svm(
         raise ValueError("epochs must be >= 1")
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
-    k = len(data.class_names)
-    weights = np.zeros((k, data.X.shape[1]))
-    for c in range(k):
-        y_signed = np.where(data.y == c, 1.0, -1.0)
-        weights[c] = _train_head(data.X, y_signed, lam, epochs, rng_for(seed, c))
     return LinearSVMModel(
-        weights=weights,
+        weights=_train_heads(data.X, data.y, len(data.class_names), lam, epochs, seed),
         class_names=data.class_names,
         n_features=data.X.shape[1],
         seed=seed,

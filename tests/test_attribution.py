@@ -21,8 +21,8 @@ EN = LanguageCode.ENGLISH
 
 
 def linear_score_fn(w):
-    def score(x):
-        return float(np.sum(w * x)), w.copy()
+    def score(points):
+        return np.sum(w * points, axis=(1, 2)), np.broadcast_to(w, points.shape).copy()
 
     return score
 
@@ -57,8 +57,8 @@ class TestCore:
             path_integrated_gradients(linear_score_fn(w), w, w * 0, steps=1, scheme="simpson")
 
     def test_quadratic_delta_shrinks_with_steps(self):
-        def score(x):
-            return float(np.sum(x * x)), 2.0 * x
+        def score(points):
+            return np.sum(points * points, axis=(1, 2)), 2.0 * points
 
         x = np.full((1, 3), 1.5)
         deltas = []

@@ -453,3 +453,47 @@ class TestErrorsNameTheFile:
         assert run("compare", "--lex", paper_lex_file, "--in", sentences,
                    "--out", tmp_path / "out") == 2
         assert f"{sentences}: row 2: expected 2 columns, found 1" in capsys.readouterr().err
+
+    def test_diverging_ctx_train_writes_no_model(self, tmp_path, ctx_lex_file, capsys):
+        run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+            "-n", "300", "--seed", "2", "--out", tmp_path / "gen")
+        corpus = tmp_path / "gen" / "corpus.tsv"
+        out = tmp_path / "ctx"
+        assert run("ctx", "train", "--corpus", corpus, "--out", out,
+                   "--learning-rate", "1e6", "--epochs", "30") == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}: training diverged: epoch " in err
+        assert "at learning rate 1000000.0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_unlabeled_corpus_line_names_file_and_line(self, tmp_path, models, command,
+                                                       capsys):
+        _, ctx_model = models
+        corpus = tmp_path / "unlabeled.tsv"
+        lines = (ctx_model.parent / "train.tsv").read_text(encoding="utf-8").splitlines()
+        lines[3] = lines[3].split("\t")[0] + "\t"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        model_flag = ["--model", ctx_model] if command == "eval" else []
+        assert run("ctx", command, *model_flag, "--corpus", corpus,
+                   "--out", tmp_path / "out") == 2
+        assert f"{corpus}: line 4: no label" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [("ctx", "eval"), ("explain",)])
+    def test_truncated_weights_refused_by_field(self, tmp_path, models, command, capsys):
+        _, ctx_model = models
+        data = json.loads(ctx_model.read_text(encoding="utf-8"))
+        data["weights"] = data["weights"][:-1]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data), encoding="utf-8")
+        assert run(*command, "--model", broken, "--corpus", ctx_model.parent / "test.tsv",
+                   "--out", tmp_path / "out") == 2
+        assert (f"{broken}: field 'weights' has shape (7, 3), expected (8, 3)"
+                in capsys.readouterr().err)
+
+    def test_classical_model_missing_a_field(self, tmp_path, paper_lex_file, capsys):
+        model = tmp_path / "model.json"
+        model.write_text('{"format_version": 1, "kind": "random_forest"}', encoding="utf-8")
+        assert run("ml", "eval", "--model", model, "--lex", paper_lex_file,
+                   "--out", tmp_path / "out") == 2
+        assert f"{model}: missing field 'class_names'" in capsys.readouterr().err

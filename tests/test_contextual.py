@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import collections
+import copy
+import json
+import math
 
 import numpy as np
 import pytest
@@ -126,6 +129,12 @@ class TestSplit:
         with pytest.raises(ValueError):
             ctx.split_70_20_10(toy_corpus(n_per_class=3)[:9], seed=0)
 
+    def test_unlabeled_sentence_rejected(self):
+        data = toy_corpus(n_per_class=4)
+        data[5] = ctx.parse_marked(data[5].text)
+        with pytest.raises(ValueError, match="unlabeled sentence"):
+            ctx.split_70_20_10(data, seed=0)
+
 
 class TestGenerate:
     def test_counts_and_parseability(self, ctx_lexicon):
@@ -171,7 +180,7 @@ class TestGradients:
     def test_analytic_gradients_match_finite_differences(self):
         model, train, _ = small_model(epochs=1, learning_rate=0.1)
         weight_vector = np.array([0.5, 2.0, 1.0])
-        batch = ctx._encode_all(model, train[:6])
+        batch = model.pack(train[:6])
 
         def loss():
             value, _ = ctx.loss_and_gradients(model, batch, weight_vector)
@@ -202,18 +211,17 @@ class TestGradients:
         model, train, _ = small_model(epochs=2)
         ids, target_index = model.encode(train[0])
         x = model.embeddings[ids].copy()
-        value, grad = model.log_prob_and_input_grad(x, target_index, 2)
+        _, (grad,) = model.log_prob_and_input_grad(x[None], target_index, 2)
         h = 1e-6
         rng = np.random.default_rng(0)
         for _ in range(25):
             i = rng.integers(x.shape[0])
             j = rng.integers(x.shape[1])
-            x[i, j] += h
-            up, _ = model.log_prob_and_input_grad(x, target_index, 2)
-            x[i, j] -= 2 * h
-            down, _ = model.log_prob_and_input_grad(x, target_index, 2)
-            x[i, j] += h
-            numeric = (up - down) / (2 * h)
+            up, down = x.copy(), x.copy()
+            up[i, j] += h
+            down[i, j] -= h
+            values, _ = model.log_prob_and_input_grad(np.stack([up, down]), target_index, 2)
+            numeric = (values[0] - values[1]) / (2 * h)
             scale = max(abs(numeric), abs(grad[i, j]), 1e-8)
             assert abs(numeric - grad[i, j]) / scale < 1e-4
 
@@ -237,7 +245,7 @@ class TestTraining:
 
     def test_uniform_weights_equal_plain_cross_entropy(self):
         model, train, _ = small_model(epochs=1)
-        batch = ctx._encode_all(model, train)
+        batch = model.pack(train)
         weighted, _ = ctx.loss_and_gradients(model, batch, np.ones(3))
         manual = 0.0
         for sentence in train:
@@ -247,10 +255,11 @@ class TestTraining:
 
     def test_duplicating_batch_leaves_gradient_unchanged(self):
         model, train, _ = small_model(epochs=1)
-        batch = ctx._encode_all(model, train[:8])
         weight_vector = np.array([1.0, 3.0, 1.0])
-        loss_once, grads_once = ctx.loss_and_gradients(model, batch, weight_vector)
-        loss_twice, grads_twice = ctx.loss_and_gradients(model, batch * 2, weight_vector)
+        loss_once, grads_once = ctx.loss_and_gradients(model, model.pack(train[:8]), weight_vector)
+        loss_twice, grads_twice = ctx.loss_and_gradients(
+            model, model.pack(train[:8] * 2), weight_vector
+        )
         assert loss_twice == pytest.approx(loss_once, rel=1e-12)
         for key in grads_once:
             assert np.allclose(grads_once[key], grads_twice[key], atol=1e-12)
@@ -272,6 +281,37 @@ class TestTraining:
         csv_text = ctx.history_csv(model)
         assert csv_text.splitlines()[0] == "epoch,train_loss,val_loss"
         assert len(csv_text.splitlines()) == 5
+
+    def test_diverging_run_raises_at_the_first_non_finite_epoch(self, ctx_lexicon):
+        corpus = ctx.generate_dataset(ctx_lexicon, EN, 300, seed=2)
+        train, val, _ = ctx.split_70_20_10(corpus, seed=2)
+
+        def fit(epochs):
+            return ctx.train(ctx.TrainConfig(), train, val, ctx.uniform_class_weights(),
+                             epochs=epochs, learning_rate=1e6, seed=0)
+
+        finite = fit(3)  # same seed, so the same first three epochs
+        assert all(math.isfinite(h[key]) for h in finite.history
+                   for key in ("train_loss", "val_loss"))
+        with pytest.raises(ValueError, match=r"diverged: epoch 4 train loss is nan "
+                                             r"at learning rate 1000000\.0"):
+            fit(6)
+
+    def test_non_finite_validation_loss_is_reported(self, monkeypatch):
+        corpus = toy_corpus()
+        train, val, _ = ctx.split_70_20_10(corpus, seed=0)
+        mean_loss = ctx._mean_loss
+        monkeypatch.setattr(ctx, "_mean_loss", lambda model, packed, *rest: (
+            float("inf") if len(packed) == len(val) else mean_loss(model, packed, *rest)))
+        with pytest.raises(ValueError, match="epoch 1 val loss is inf"):
+            ctx.train(ctx.TrainConfig(embedding_dim=4), train, val,
+                      ctx.uniform_class_weights(), epochs=2, learning_rate=0.1, seed=0)
+
+    def test_unlabeled_training_sentence_rejected(self):
+        train = toy_corpus(n_per_class=3) + [ctx.parse_marked("[TARGET] x [/TARGET] y")]
+        with pytest.raises(ValueError, match="unlabeled sentence"):
+            ctx.train(ctx.TrainConfig(), train, [], ctx.uniform_class_weights(),
+                      epochs=1, learning_rate=0.1, seed=0)
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError):
@@ -351,9 +391,65 @@ class TestModelSerialization:
         with pytest.raises(error, match=message):
             ctx.read_corpus(f"[TARGET] a [/TARGET] b\tneutral\n{bad_line}\n")
 
+    def test_labeled_corpus_needs_every_label(self):
+        text = "[TARGET] a [/TARGET] b\tneutral\n\n[TARGET] c [/TARGET] d\t\n"
+        assert ctx.read_corpus(text)[1].label is None
+        with pytest.raises(ValueError, match="line 3: no label"):
+            ctx.read_corpus(text, labeled=True)
+
     def test_corpus_round_trip(self, ctx_lexicon):
         data = ctx.generate_dataset(ctx_lexicon, EN, 25, seed=3)
         text = ctx.write_corpus(data)
         again = ctx.read_corpus(text)
         assert [s.text for s in again] == [s.text for s in data]
         assert [s.label for s in again] == [s.label for s in data]
+
+
+class TestCheckedLoading:
+    @pytest.fixture(scope="class")
+    def saved(self):
+        model, _, _ = small_model(epochs=1)
+        return json.loads(ctx.save_context_model(model))
+
+    def load(self, saved, **changes):
+        data = copy.deepcopy(saved)
+        for name, value in changes.items():
+            if value is None:
+                del data[name]
+            else:
+                data[name] = value
+        return ctx.load_context_model(json.dumps(data))
+
+    @pytest.mark.parametrize("name", ctx.MODEL_FIELDS[1:])
+    def test_missing_field_is_named(self, saved, name):
+        with pytest.raises(ValueError, match=f"missing field '{name}' in the model"):
+            self.load(saved, **{name: None})
+
+    @pytest.mark.parametrize("name, cut, message", [
+        ("embeddings", lambda a: a[:-1], r"'embeddings' has shape \(\d+, 8\), expected \(\d+, E\)"),
+        ("embeddings", lambda a: [row[:-1] for row in a], r"'weights' has shape \(16, 3\), "
+                                                            r"expected \(14, 3\)"),
+        ("weights", lambda a: a[:-1], r"'weights' has shape \(15, 3\), expected \(16, 3\)"),
+        ("weights", lambda a: [row[:2] for row in a], r"'weights' has shape \(16, 2\)"),
+        ("bias", lambda a: a + [0.0], r"'bias' has shape \(4,\), expected \(3\)"),
+        ("bias", lambda a: [a], r"'bias' has shape \(1, 3\)"),
+        ("weights", lambda a: a[:-1] + [[1.0]], "'weights' is not an array of numbers"),
+        ("bias", lambda a: ["x", 1.0, 2.0], "'bias' is not an array of numbers"),
+    ])
+    def test_wrong_shape_is_named(self, saved, name, cut, message):
+        with pytest.raises(ValueError, match=message):
+            self.load(saved, **{name: cut(saved[name])})
+
+    @pytest.mark.parametrize("window", [-1, 1.5, "5", True])
+    def test_window_must_be_a_non_negative_int(self, saved, window):
+        with pytest.raises(ValueError, match="'window' is"):
+            self.load(saved, window=window)
+
+    def test_non_finite_parameters_refused(self, saved):
+        bias = [float("nan")] + saved["bias"][1:]
+        with pytest.raises(ValueError, match="'bias' holds values that are not finite"):
+            self.load(saved, bias=bias)
+
+    def test_vocabulary_must_start_with_the_special_tokens(self, saved):
+        with pytest.raises(ValueError, match="'vocabulary' does not start with"):
+            self.load(saved, vocabulary=saved["vocabulary"][1:] + ["extra"])

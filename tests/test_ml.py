@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexisent import ml
 from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, PosTag
@@ -300,6 +303,43 @@ class TestLinearSVM:
         assert np.array_equal(base.predict(probe), rescaled.predict(probe * c))
 
 
+def reference_svm_weights(data, lam, epochs, seed):
+    """Pegasos one head at a time, each head with its own sample order."""
+    weights = np.zeros((len(data.class_names), data.X.shape[1]))
+    for c in range(len(data.class_names)):
+        rng = ml.dataset.rng_for(seed, c)
+        y_signed = np.where(data.y == c, 1.0, -1.0)
+        w = weights[c]
+        t = 1
+        for _ in range(epochs):
+            for idx in rng.permutation(len(data)):
+                eta = 1.0 / (lam * t)
+                w *= 1.0 - 1.0 / t
+                if y_signed[idx] * (w @ data.X[idx]) < 1.0:
+                    w += eta * y_signed[idx] * data.X[idx]
+                t += 1
+    return weights
+
+
+class TestLinearSVMMatchesPerHeadLoop:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(1, 5),
+        k=st.integers(1, 4),
+        epochs=st.integers(1, 3),
+        lam=st.sampled_from([1e-4, 1e-2, 1.0]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_weights_and_predictions(self, seed, n, d, k, epochs, lam):
+        data = random_dataset(np.random.default_rng(seed), n=n, d=d, k=k)
+        model = ml.train_linear_svm(data, lam=lam, epochs=epochs, seed=seed % 7)
+        expected = reference_svm_weights(data, lam, epochs, seed % 7)
+        np.testing.assert_allclose(model.weights, expected, rtol=1e-12, atol=1e-12)
+        probe = np.random.default_rng(seed + 1).normal(size=(20, d))
+        assert np.array_equal(model.predict(probe), np.argmax(probe @ expected.T, axis=1))
+
+
 class TestPredictApi:
     @pytest.fixture
     def trained(self):
@@ -334,3 +374,27 @@ class TestPredictApi:
             assert np.array_equal(model.predict(probe), clone.predict(probe))
             assert np.allclose(model.predict_proba(probe), clone.predict_proba(probe))
             assert ml.save_model(clone) == ml.save_model(model)
+
+
+class TestLoadModelFields:
+    @pytest.fixture
+    def saved(self):
+        data = random_dataset(np.random.default_rng(20), n=30, d=3, k=2)
+        return json.loads(ml.save_model(ml.train_decision_tree(data, max_depth=2)))
+
+    @pytest.mark.parametrize("name", ["class_names", "n_features", "seed",
+                                      "hyperparameters", "parameters"])
+    def test_missing_field_is_named(self, saved, name):
+        del saved[name]
+        with pytest.raises(ValueError, match=f"missing field '{name}' in the model"):
+            ml.load_model(json.dumps(saved))
+
+    def test_missing_parameter_is_named(self, saved):
+        saved["kind"] = "linear_svm"
+        with pytest.raises(ValueError, match="missing field 'weights' in 'parameters'"):
+            ml.load_model(json.dumps(saved))
+
+    def test_incomplete_tree_node(self, saved):
+        saved["parameters"]["root"] = {"feature": 0, "threshold": 0.5}
+        with pytest.raises(ValueError, match="missing field 'left', 'right' in a tree node"):
+            ml.load_model(json.dumps(saved))
