@@ -71,8 +71,10 @@ class OutputDir:
         self.config = config
         self.files: list[str] = []
 
-    def write(self, name: str, text: str) -> None:
-        (self.path / name).write_bytes(text.encode("utf-8"))
+    def write(self, name: str, content: str | bytes) -> None:
+        """Write ``content``, text as UTF-8, to ``name`` in the directory."""
+        data = content.encode("utf-8") if isinstance(content, str) else content
+        (self.path / name).write_bytes(data)
         self.files.append(name)
 
     def finish(self) -> None:
@@ -153,7 +155,7 @@ def cmd_lexicon_clean(args) -> int:
     lexicon = _load_lexicon(args.infile)
     cleaned, report = clean(lexicon)
     out = OutputDir(args.out, _effective_config(args))
-    out.write("cleaned.csv", serialize_lexicon(cleaned).decode("utf-8"))
+    out.write("cleaned.csv", serialize_lexicon(cleaned))
     out.write("cleaning_report.json", _json_text(report.to_json_dict()))
     out.finish()
     print(

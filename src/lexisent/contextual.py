@@ -19,6 +19,7 @@ import numpy as np
 
 from .lexicon import LanguageCode, Lexicon, Polarity, context_dependent_forms
 from .ml.dataset import rng_for
+from .ml.serialize import checked_array
 from .translator import word_tokens
 
 log = logging.getLogger(__name__)
@@ -565,28 +566,12 @@ def save_context_model(model: ContextModel) -> str:
         "seed": model.seed,
         "hyperparameters": model.hyperparameters,
     }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 #: Fields of a saved contextual model, all required on load.
 MODEL_FIELDS = ("vocabulary", "embeddings", "weights", "bias", "window", "seed",
                 "hyperparameters")
-
-
-def _parameter(data: dict, name: str, shape: tuple[int | None, ...]) -> np.ndarray:
-    """Field ``name`` as a finite float array of ``shape`` (None: any size)."""
-    try:
-        array = np.asarray(data[name], dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"field {name!r} is not an array of numbers") from None
-    if array.ndim != len(shape) or any(
-        want is not None and have != want for have, want in zip(array.shape, shape)
-    ):
-        expected = "(" + ", ".join("E" if s is None else str(s) for s in shape) + ")"
-        raise ValueError(f"field {name!r} has shape {array.shape}, expected {expected}")
-    if not np.isfinite(array).all():
-        raise ValueError(f"field {name!r} holds values that are not finite")
-    return array
 
 
 def load_context_model(text: str) -> ContextModel:
@@ -616,15 +601,15 @@ def load_context_model(text: str) -> ContextModel:
         raise ValueError(f"field 'window' is {window!r}, expected an int >= 0")
     if not isinstance(data["hyperparameters"], dict):
         raise ValueError("field 'hyperparameters' is not an object")
-    embeddings = _parameter(data, "embeddings", (len(tokens), None))
+    embeddings = checked_array(data, "embeddings", (len(tokens), "E"))
     e = embeddings.shape[1]
     k = len(CLASS_ORDER)
     id_to_token = tuple(tokens)
     return ContextModel(
         vocabulary=Vocabulary(id_to_token, {t: i for i, t in enumerate(id_to_token)}),
         embeddings=embeddings,
-        weights=_parameter(data, "weights", (2 * e, k)),
-        bias=_parameter(data, "bias", (k,)),
+        weights=checked_array(data, "weights", (2 * e, k)),
+        bias=checked_array(data, "bias", (k,)),
         window=window,
         seed=data["seed"],
         hyperparameters=data["hyperparameters"],

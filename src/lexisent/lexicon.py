@@ -13,7 +13,8 @@ import io
 import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 SCORE_MIN = -9.0
 SCORE_MAX = 9.0
@@ -118,8 +119,12 @@ class LexiconFormatError(ValueError):
 
 
 def normalize_form(form: str) -> str:
-    """Canonical surface form: NFC, stripped, case-folded. Diacritics kept."""
-    return unicodedata.normalize("NFC", form).strip().casefold()
+    """Canonical surface form: case-folded, NFC, stripped. Diacritics kept.
+
+    Idempotent: case folding can leave a letter and a combining mark that NFC
+    composes (``"ß\u0301"`` folds to ``"ss\u0301"``), so NFC runs again after it.
+    """
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", form).casefold()).strip()
 
 
 def check_score(value: float, row: int | None = None, column: str | None = None) -> float:
@@ -197,18 +202,28 @@ POS_PRIORITY: dict[PosTag, int] = {
 }
 
 
+class _Tables(NamedTuple):
+    by_id: dict[str, LexiconEntry]
+    index: dict[LanguageCode, dict[str, tuple[str, ...]]]
+    phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]]
+    ambiguous: dict[LanguageCode, dict[str, tuple[str, tuple[str, ...]]]]
+
+
 class Lexicon:
     """Immutable ordered collection of entries with per-language form indexes.
 
     Entry ids are positional ("r1", "r2", ...), matching 1-based data rows of
     the CSV serialization, so a parse/serialize round trip is the identity.
 
-    Besides ``index`` (form -> entry ids in entry order), construction compiles
-    two per-language tables for the tokenizer: ``phrase_lengths`` maps the
-    first word of every multi-word form to the word counts of the forms that
-    start with it (descending), and ``ambiguous`` maps every form with several
-    entries to the winning entry id and the losing ones, ranked by
-    :data:`POS_PRIORITY` and then by row, so the earliest entry wins a tie.
+    Construction keeps only ``entries``. The lookup tables are compiled on
+    first use, all at once and once per lexicon, so commands that never look a
+    form up never pay for them: ``by_id`` (entry id -> entry), ``index`` (form
+    -> entry ids in entry order), and two per-language tables for the
+    tokenizer: ``phrase_lengths`` maps the first word of every multi-word form
+    to the word counts of the forms that start with it (descending), and
+    ``ambiguous`` maps every form with several entries to the winning entry id
+    and the losing ones, ranked by :data:`POS_PRIORITY` and then by row, so the
+    earliest entry wins a tie.
     """
 
     def __init__(self, entries: Iterable[LexiconEntry]):
@@ -216,11 +231,12 @@ class Lexicon:
             entry if entry.entry_id == f"r{i}" else replace(entry, entry_id=f"r{i}")
             for i, entry in enumerate(entries, start=1)
         )
-        self.by_id: dict[str, LexiconEntry] = {e.entry_id: e for e in self.entries}
-        self.index: dict[LanguageCode, dict[str, tuple[str, ...]]] = {
-            lang: {} for lang in LanguageCode
-        }
-        self.phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]] = {
+
+    @cached_property
+    def _tables(self) -> _Tables:
+        by_id = {e.entry_id: e for e in self.entries}
+        index: dict[LanguageCode, dict[str, tuple[str, ...]]] = {lang: {} for lang in LanguageCode}
+        phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]] = {
             lang: {} for lang in LanguageCode
         }
         # Forms seen more than once collect their ids in a list, frozen below.
@@ -228,30 +244,39 @@ class Lexicon:
         for entry in self.entries:
             entry_id = entry.entry_id
             for language, form in entry.forms.items():
-                index = self.index[language]
-                if form not in index:
-                    index[form] = (entry_id,)
+                forms = index[language]
+                if form not in forms:
+                    forms[form] = (entry_id,)
                     if " " in form:
-                        self._add_phrase_length(language, form)
+                        _add_phrase_length(phrase_lengths[language], form)
                 elif form in repeated[language]:
                     repeated[language][form].append(entry_id)
                 else:
-                    repeated[language][form] = [*index[form], entry_id]
-        self.ambiguous: dict[LanguageCode, dict[str, tuple[str, tuple[str, ...]]]] = {}
+                    repeated[language][form] = [*forms[form], entry_id]
+        ambiguous: dict[LanguageCode, dict[str, tuple[str, tuple[str, ...]]]] = {}
         for language, forms in repeated.items():
-            ambiguous = self.ambiguous[language] = {}
+            winners = ambiguous[language] = {}
             for form, ids in forms.items():
-                self.index[language][form] = tuple(ids)
-                ranked = sorted(ids, key=lambda i: POS_PRIORITY[self.by_id[i].pos])
-                ambiguous[form] = (ranked[0], tuple(ranked[1:]))
+                index[language][form] = tuple(ids)
+                ranked = sorted(ids, key=lambda i: POS_PRIORITY[by_id[i].pos])
+                winners[form] = (ranked[0], tuple(ranked[1:]))
+        return _Tables(by_id, index, phrase_lengths, ambiguous)
 
-    def _add_phrase_length(self, language: LanguageCode, form: str) -> None:
-        lengths = self.phrase_lengths[language]
-        first = form.partition(" ")[0]
-        count = form.count(" ") + 1
-        known = lengths.get(first, ())
-        if count not in known:
-            lengths[first] = tuple(sorted((*known, count), reverse=True))
+    @property
+    def by_id(self) -> dict[str, LexiconEntry]:
+        return self._tables.by_id
+
+    @property
+    def index(self) -> dict[LanguageCode, dict[str, tuple[str, ...]]]:
+        return self._tables.index
+
+    @property
+    def phrase_lengths(self) -> dict[LanguageCode, dict[str, tuple[int, ...]]]:
+        return self._tables.phrase_lengths
+
+    @property
+    def ambiguous(self) -> dict[LanguageCode, dict[str, tuple[str, tuple[str, ...]]]]:
+        return self._tables.ambiguous
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -264,6 +289,28 @@ class Lexicon:
 
     def forms(self, language: LanguageCode) -> Iterable[str]:
         return self.index[language].keys()
+
+
+def _add_phrase_length(lengths: dict[str, tuple[int, ...]], form: str) -> None:
+    first = form.partition(" ")[0]
+    count = form.count(" ") + 1
+    known = lengths.get(first, ())
+    if count not in known:
+        lengths[first] = tuple(sorted((*known, count), reverse=True))
+
+
+#: Cells of a CSV row, in header order: (cell index, language) of each form,
+#: and (cell index, language, column name) of each per-language score.
+_FORM_CELLS: tuple[tuple[int, LanguageCode], ...] = tuple(
+    (CSV_HEADER.index(lang.value), lang) for lang in LanguageCode
+)
+_SCORE_CELLS: tuple[tuple[int, LanguageCode, str], ...] = tuple(
+    (CSV_HEADER.index(SCORE_COLUMNS[lang]), lang, SCORE_COLUMNS[lang]) for lang in LanguageCode
+)
+_FRENCH_CELL = CSV_HEADER.index(LanguageCode.FRENCH.value)
+_POS_CELL = CSV_HEADER.index("pos")
+_SCORE_CELL = CSV_HEADER.index("score")
+_POS_BY_VALUE: dict[str, PosTag] = {tag.value: tag for tag in PosTag}
 
 
 def parse_lexicon(source: bytes | str) -> Lexicon:
@@ -290,41 +337,54 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
             f"bad header {header!r}; expected {','.join(CSV_HEADER)}", row=0
         )
 
+    n_columns = len(CSV_HEADER)
     entries = []
     for row_no, row in enumerate(reader, start=1):
-        if len(row) != len(CSV_HEADER):
-            raise LexiconFormatError(
-                f"expected {len(CSV_HEADER)} columns, found {len(row)}", row=row_no
-            )
-        cells = dict(zip(CSV_HEADER, row))
-        forms: dict[LanguageCode, str] = {}
-        for language in LanguageCode:
-            cell = cells[language.value]
-            if cell != "":
-                forms[language] = cell
-        if LanguageCode.FRENCH not in forms:
-            raise LexiconFormatError("missing required french form", row_no, "french")
+        if len(row) != n_columns or not row[_FRENCH_CELL] or row[_POS_CELL] not in _POS_BY_VALUE:
+            raise _row_error(row, row_no)
         try:
-            pos = PosTag.parse(cells["pos"])
-        except ValueError as exc:
-            raise LexiconFormatError(str(exc), row_no, "pos") from None
-        shared = _parse_score(cells["score"], row_no, "score")
-        per_language: dict[LanguageCode, float] = {}
-        for language in LanguageCode:
-            column = SCORE_COLUMNS[language]
-            cell = cells[column]
-            if cell != "":
-                per_language[language] = _parse_score(cell, row_no, column)
+            shared = float(row[_SCORE_CELL])
+            per_language = {lang: float(row[i]) for i, lang, _ in _SCORE_CELLS if row[i]}
+        except ValueError:
+            raise _row_error(row, row_no) from None
+        # Written so that NaN fails too.
+        if not SCORE_MIN <= shared <= SCORE_MAX or not all(
+            SCORE_MIN <= value <= SCORE_MAX for value in per_language.values()
+        ):
+            raise _row_error(row, row_no)
         entries.append(
             LexiconEntry(
-                forms=forms,
-                pos=pos,
-                shared_score=shared,
-                per_language_scores=per_language,
-                entry_id=f"r{row_no}",
+                {lang: row[i] for i, lang in _FORM_CELLS if row[i]},
+                _POS_BY_VALUE[row[_POS_CELL]],
+                shared,
+                per_language,
+                f"r{row_no}",
             )
         )
     return Lexicon(entries)
+
+
+def _row_error(row: list[str], row_no: int) -> LexiconFormatError:
+    """The first error of a row that :func:`parse_lexicon` refused, found by
+    checking its cells one at a time in column order."""
+    if len(row) != len(CSV_HEADER):
+        return LexiconFormatError(
+            f"expected {len(CSV_HEADER)} columns, found {len(row)}", row=row_no
+        )
+    if not row[_FRENCH_CELL]:
+        return LexiconFormatError("missing required french form", row_no, "french")
+    try:
+        PosTag.parse(row[_POS_CELL])
+    except ValueError as exc:
+        return LexiconFormatError(str(exc), row_no, "pos")
+    try:
+        _parse_score(row[_SCORE_CELL], row_no, "score")
+        for i, _, column in _SCORE_CELLS:
+            if row[i]:
+                _parse_score(row[i], row_no, column)
+    except LexiconFormatError as exc:
+        return exc
+    raise AssertionError(f"row {row_no} has no error")
 
 
 def _parse_score(cell: str, row: int, column: str) -> float:
@@ -347,17 +407,17 @@ def serialize_lexicon(lexicon: Lexicon) -> bytes:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for entry in lexicon.entries:
-        row = [entry.forms.get(lang, "") for lang in LanguageCode]
-        row.append(entry.pos.value)
-        row.append(format_score(entry.shared_score))
-        row.extend(
+    writer.writerows(
+        [entry.forms.get(lang, "") for _, lang in _FORM_CELLS]
+        + [entry.pos.value, format_score(entry.shared_score)]
+        + [
             format_score(entry.per_language_scores[lang])
             if lang in entry.per_language_scores
             else ""
-            for lang in LanguageCode
-        )
-        writer.writerow(row)
+            for _, lang, _ in _SCORE_CELLS
+        ]
+        for entry in lexicon.entries
+    )
     return buffer.getvalue().encode("utf-8")
 
 
@@ -419,15 +479,20 @@ def clean(lexicon: Lexicon) -> tuple[Lexicon, CleaningReport]:
                     }
                 )
             forms[language] = normalized
-        candidate = replace(entry, forms=forms, entry_id=f"r{len(cleaned) + 1}")
-        key = candidate.dedup_key()
+        # The dedup key of the cleaned entry: its french form is normalized already.
+        key = (forms[LanguageCode.FRENCH], entry.pos, entry.shared_score)
         if key in seen:
             report.removed_duplicates.append(
                 {"entry_id": entry.entry_id, "kept_entry_id": seen[key]}
             )
             continue
         seen[key] = entry.entry_id
-        cleaned.append(candidate)
+        cleaned.append(
+            LexiconEntry(
+                forms, entry.pos, entry.shared_score, entry.per_language_scores,
+                f"r{len(cleaned) + 1}",
+            )
+        )
     return Lexicon(cleaned), report
 
 

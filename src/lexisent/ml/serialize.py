@@ -34,16 +34,44 @@ def _require(data, names: tuple[str, ...], where: str = "the model") -> None:
         raise ValueError(f"missing field {', '.join(missing)} in {where}")
 
 
-def _node_from_dict(data: dict) -> TreeNode:
+def _node_from_dict(data: dict, n_features: int, n_classes: int) -> TreeNode:
+    """A tree node and its subtree: splits on a feature below ``n_features``,
+    leaves with a distribution over ``n_classes`` classes."""
     if isinstance(data, dict) and "distribution" in data:
-        return TreeNode(distribution=np.asarray(data["distribution"], dtype=float))
+        return TreeNode(distribution=checked_array(data, "distribution", (n_classes,)))
     _require(data, ("feature", "threshold", "left", "right"), "a tree node")
+    feature = data["feature"]
+    if not _is_int(feature) or not 0 <= feature < n_features:
+        raise ValueError(
+            f"field 'feature' of a tree node is {feature!r}, expected an int in [0, {n_features})"
+        )
     return TreeNode(
-        feature=data["feature"],
+        feature=feature,
         threshold=data["threshold"],
-        left=_node_from_dict(data["left"]),
-        right=_node_from_dict(data["right"]),
+        left=_node_from_dict(data["left"], n_features, n_classes),
+        right=_node_from_dict(data["right"], n_features, n_classes),
     )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def checked_array(data: dict, name: str, shape: tuple[int | str, ...]) -> np.ndarray:
+    """Field ``name`` of ``data`` as a finite float array of ``shape``, in
+    which a string stands for a dimension of any size."""
+    try:
+        array = np.asarray(data[name], dtype=float)
+    except (TypeError, ValueError):
+        raise ValueError(f"field {name!r} is not an array of numbers") from None
+    if array.ndim != len(shape) or any(
+        isinstance(want, int) and have != want for have, want in zip(array.shape, shape)
+    ):
+        expected = "(" + ", ".join(map(str, shape)) + ")"
+        raise ValueError(f"field {name!r} has shape {array.shape}, expected {expected}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"field {name!r} holds values that are not finite")
+    return array
 
 
 def save_model(model) -> str:
@@ -72,7 +100,7 @@ def save_model(model) -> str:
         common["parameters"] = {"weights": model.weights.tolist()}
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    return json.dumps(common, sort_keys=True, indent=2) + "\n"
+    return json.dumps(common, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 MODEL_KINDS = ("decision_tree", "random_forest", "gaussian_nb", "linear_svm")
@@ -87,6 +115,10 @@ PARAMETER_FIELDS = {
 
 
 def load_model(text: str):
+    """A saved classical model, checked field by field: every field present,
+    ``class_names`` a list of k strings, ``n_features`` an int >= 0, and the
+    parameters shaped for k classes and ``n_features`` features. Naive Bayes
+    keeps rows only for the classes in ``present``."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
@@ -101,14 +133,20 @@ def load_model(text: str):
         )
     _require(data, MODEL_FIELDS)
     _require(data["parameters"], PARAMETER_FIELDS[kind], "'parameters'")
-    class_names = tuple(data["class_names"])
+    names = data["class_names"]
+    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+        raise ValueError("field 'class_names' is not a list of strings")
+    class_names = tuple(names)
+    k = len(class_names)
     n_features = data["n_features"]
+    if not _is_int(n_features) or n_features < 0:
+        raise ValueError(f"field 'n_features' is {n_features!r}, expected an int >= 0")
     seed = data["seed"]
     hyper = data["hyperparameters"]
     params = data["parameters"]
     if kind == "decision_tree":
         return DecisionTreeModel(
-            root=_node_from_dict(params["root"]),
+            root=_node_from_dict(params["root"], n_features, k),
             class_names=class_names,
             n_features=n_features,
             seed=seed,
@@ -117,7 +155,7 @@ def load_model(text: str):
     if kind == "random_forest":
         trees = [
             DecisionTreeModel(
-                root=_node_from_dict(t),
+                root=_node_from_dict(t, n_features, k),
                 class_names=class_names,
                 n_features=n_features,
                 seed=seed,
@@ -133,21 +171,30 @@ def load_model(text: str):
             hyperparameters=hyper,
         )
     if kind == "gaussian_nb":
+        present = params["present"]
+        if (
+            not isinstance(present, list)
+            or not all(_is_int(c) and 0 <= c < k for c in present)
+            or len(set(present)) != len(present)
+        ):
+            raise ValueError(
+                f"field 'present' is {present!r}, expected distinct class indices in [0, {k})"
+            )
+        k_present = len(present)
         return GaussianNBModel(
             class_names=class_names,
-            present=np.asarray(params["present"], dtype=int),
-            priors=np.asarray(params["priors"], dtype=float),
-            means=np.asarray(params["means"], dtype=float),
-            variances=np.asarray(params["variances"], dtype=float),
+            present=np.asarray(present, dtype=int),
+            priors=checked_array(params, "priors", (k_present,)),
+            means=checked_array(params, "means", (k_present, n_features)),
+            variances=checked_array(params, "variances", (k_present, n_features)),
             n_features=n_features,
             seed=seed,
             hyperparameters=hyper,
         )
-    if kind == "linear_svm":
-        return LinearSVMModel(
-            weights=np.asarray(params["weights"], dtype=float),
-            class_names=class_names,
-            n_features=n_features,
-            seed=seed,
-            hyperparameters=hyper,
-        )
+    return LinearSVMModel(
+        weights=checked_array(params, "weights", (k, n_features)),
+        class_names=class_names,
+        n_features=n_features,
+        seed=seed,
+        hyperparameters=hyper,
+    )

@@ -42,7 +42,8 @@ class TranslationResult:
 
 
 def normalize_sentence(sentence: str) -> str:
-    return unicodedata.normalize("NFC", sentence).casefold()
+    """Case-folded and NFC, as :func:`~lexisent.lexicon.normalize_form` makes forms."""
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", sentence).casefold())
 
 
 def word_tokens(text: str) -> list[str]:

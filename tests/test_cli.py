@@ -6,7 +6,7 @@ import json
 import pytest
 
 from lexisent.cli import build_parser, main
-from lexisent.lexicon import serialize_lexicon
+from lexisent.lexicon import Lexicon, serialize_lexicon
 
 from conftest import build_ctx_lexicon
 
@@ -138,6 +138,30 @@ class TestLexiconCommands:
         for name in files1:
             if name != "run_config.json" and name != "manifest.json":
                 assert files1[name] == files2[name], name
+
+
+class TestLookupTablesStayUncompiled:
+    @pytest.fixture
+    def no_tables(self, monkeypatch):
+        def refuse(lexicon):
+            raise AssertionError("lookup tables compiled")
+
+        monkeypatch.setattr(Lexicon._tables, "func", refuse)
+
+    def test_commands_that_never_look_up_a_form(self, tmp_path, paper_lex_file, no_tables):
+        assert run("lexicon", "validate", "--in", paper_lex_file) == 0
+        assert run("lexicon", "clean", "--in", paper_lex_file, "--out", tmp_path / "c") == 0
+        assert run("lexicon", "stats", "--in", tmp_path / "c" / "cleaned.csv",
+                   "--out", tmp_path / "s") == 0
+        assert run("ml", "train", "--lex", paper_lex_file, "--model", "gaussian_nb",
+                   "--out", tmp_path / "m") == 0
+        assert run("ml", "eval", "--model", tmp_path / "m" / "model.json",
+                   "--lex", paper_lex_file, "--out", tmp_path / "e") == 0
+
+    def test_a_command_that_tokenizes_does(self, paper_lex_file, no_tables):
+        with pytest.raises(AssertionError, match="lookup tables compiled"):
+            run("translate", "--lex", paper_lex_file, "--text", "I am happy",
+                "--from", "english", "--to", "french")
 
 
 class TestTranslateCommand:

@@ -382,6 +382,20 @@ class TestModelSerialization:
             assert np.array_equal(model.logits(sentence), clone.logits(sentence))
         assert ctx.save_context_model(clone) == ctx.save_context_model(model)
 
+    def test_compact_and_indented_files_load_to_identical_parameters(self):
+        model, train, _ = small_model(epochs=2)
+        compact = ctx.save_context_model(model)
+        data = json.loads(compact)
+        assert compact == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+        indented = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        from_compact = ctx.load_context_model(compact)
+        from_indented = ctx.load_context_model(indented)
+        for name in ("embeddings", "weights", "bias"):
+            assert np.array_equal(getattr(from_indented, name), getattr(model, name))
+            assert np.array_equal(getattr(from_compact, name), getattr(model, name))
+        assert from_indented.vocabulary == from_compact.vocabulary == model.vocabulary
+        assert ctx.save_context_model(from_indented) == compact
+
     @pytest.mark.parametrize("bad_line, error, message", [
         ("[TARGET] x y\tpositive", ctx.MarkupError, "line 2: expected exactly one"),
         ("[TARGET] x [/TARGET] y\tangry", ValueError, "line 2: 'angry' is not a valid"),

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import csv
+import io
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexisent.lexicon import (
     CSV_HEADER,
+    POS_PRIORITY,
+    SCORE_COLUMNS,
     LanguageCode,
     Lexicon,
     LexiconEntry,
@@ -13,6 +18,7 @@ from lexisent.lexicon import (
     Polarity,
     PosTag,
     add_entries,
+    check_score,
     clean,
     context_dependent_forms,
     normalize_form,
@@ -328,3 +334,286 @@ class TestIndexes:
         assert paper_lexicon.phrase_lengths[LanguageCode.FRENCH]["tu"] == (3, 2)
         assert "food" not in paper_lexicon.phrase_lengths[LanguageCode.ENGLISH]
         assert paper_lexicon.phrase_lengths[LanguageCode.ZULU] == {}
+
+
+# ---------------------------------------------------------------------------
+# The parser against the row-by-row parser it replaced.
+
+
+def reference_parse_lexicon(source: bytes | str) -> Lexicon:
+    """The earlier ``parse_lexicon``: one dict per row, enum loops, and a
+    checked ``_parse_score`` call per score cell."""
+    if isinstance(source, bytes):
+        try:
+            text = source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise LexiconFormatError(f"lexicon is not valid UTF-8: {exc}") from None
+    else:
+        text = source
+    reader = csv.reader(io.StringIO(text))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise LexiconFormatError("empty lexicon file", row=0) from None
+    if tuple(header) != CSV_HEADER:
+        raise LexiconFormatError(
+            f"bad header {header!r}; expected {','.join(CSV_HEADER)}", row=0
+        )
+
+    def parse_score(cell, row, column):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise LexiconFormatError(f"invalid score literal {cell!r}", row, column) from None
+        return check_score(value, row, column)
+
+    entries = []
+    for row_no, row in enumerate(reader, start=1):
+        if len(row) != len(CSV_HEADER):
+            raise LexiconFormatError(
+                f"expected {len(CSV_HEADER)} columns, found {len(row)}", row=row_no
+            )
+        cells = dict(zip(CSV_HEADER, row))
+        forms = {}
+        for language in LanguageCode:
+            cell = cells[language.value]
+            if cell != "":
+                forms[language] = cell
+        if LanguageCode.FRENCH not in forms:
+            raise LexiconFormatError("missing required french form", row_no, "french")
+        try:
+            pos = PosTag.parse(cells["pos"])
+        except ValueError as exc:
+            raise LexiconFormatError(str(exc), row_no, "pos") from None
+        shared = parse_score(cells["score"], row_no, "score")
+        per_language = {}
+        for language in LanguageCode:
+            column = SCORE_COLUMNS[language]
+            cell = cells[column]
+            if cell != "":
+                per_language[language] = parse_score(cell, row_no, column)
+        entries.append(
+            LexiconEntry(
+                forms=forms,
+                pos=pos,
+                shared_score=shared,
+                per_language_scores=per_language,
+                entry_id=f"r{row_no}",
+            )
+        )
+    return Lexicon(entries)
+
+
+FORMS = ["mot", "aimer", " Merci ", "HAPPY", "été", "go tšhaba", "salut, toi", 'dit "ça"',
+         "ligne\nnouvelle", "  ", "straß́e"]
+SCORES = ["1", "-9", "9", "0.25", "-0", "1e0", "+3", " 1", "1 "]
+BAD_CELLS = {
+    "form": [""],
+    "pos": ["", "MOT", " mot", "noun"],
+    "score": ["", "x", "nan", "-inf", "inf", "9.5", "-9.01", "1_0", "١"],
+}
+
+
+@st.composite
+def csv_row_st(draw) -> list[str]:
+    """A valid row, or one with bad cells, a missing cell or an extra cell."""
+    row = [draw(st.sampled_from(FORMS))]
+    row += [draw(st.sampled_from([""] + FORMS)) for _ in list(LanguageCode)[1:]]
+    row.append(draw(st.sampled_from(list(PosTag))).value)
+    row.append(draw(st.sampled_from(SCORES)))
+    row += [draw(st.sampled_from([""] + SCORES)) for _ in LanguageCode]
+    for _ in range(draw(st.sampled_from([0] * 8 + [1, 1, 2, 3]))):
+        column = draw(st.integers(min_value=0, max_value=len(row) - 1))
+        kind = "form" if column < len(LanguageCode) else "pos" if column == 6 else "score"
+        row[column] = draw(st.sampled_from(BAD_CELLS[kind]))
+    if draw(st.integers(min_value=0, max_value=12)) == 0:
+        row = row[:-1] if draw(st.booleans()) else row + ["1"]
+    return row
+
+
+@st.composite
+def lexicon_csv_st(draw) -> bytes:
+    """CSV files, mostly valid: rows drawn from cells that parse, cells that
+    fail, and cells that need quoting; sometimes a bad or missing header,
+    a CRLF line end, or bytes that are not UTF-8."""
+    header = list(CSV_HEADER)
+    damage = draw(st.integers(min_value=0, max_value=14))
+    if damage == 0:
+        header = header[:-1]
+    elif damage == 1:
+        header[3] = "afrikaan"
+    rows = [header] + draw(st.lists(csv_row_st(), max_size=6))
+    buffer = io.StringIO()
+    line_end = "\r\n" if draw(st.booleans()) else "\n"
+    csv.writer(buffer, lineterminator=line_end).writerows(rows)
+    data = buffer.getvalue().encode("utf-8")
+    if damage == 2:
+        data = b""
+    elif damage == 3:
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+def outcome(parse, data: bytes):
+    """The entries a parser returns, fields and key order included, or its error."""
+    try:
+        lexicon = parse(data)
+    except LexiconFormatError as exc:
+        return ("error", str(exc), exc.row, exc.column)
+    return [
+        (e.entry_id, list(e.forms.items()), e.pos, e.shared_score,
+         list(e.per_language_scores.items()))
+        for e in lexicon.entries
+    ]
+
+
+@given(lexicon_csv_st())
+@settings(max_examples=400, deadline=None)
+def test_parser_equals_the_row_by_row_reference(data):
+    expected = outcome(reference_parse_lexicon, data)
+    assert outcome(parse_lexicon, data) == expected
+    if isinstance(expected, list):
+        canonical = serialize_lexicon(parse_lexicon(data))
+        assert serialize_lexicon(parse_lexicon(canonical)) == canonical
+
+
+@pytest.mark.parametrize("row, message, column", [
+    ("aimer,,,,,,verbe,1,,,,,", "expected 14 columns, found 13", None),
+    (",love,,,,,verbe,1,,,,,,", "missing required french form", "french"),
+    ("aimer,,,,,,noun,1,,,,,,", "unknown POS tag 'noun'", "pos"),
+    ("aimer,,,,,,verbe,,,,,,,", "invalid score literal ''", "score"),
+    ("aimer,,,,,,verbe,nan,,,,,,", "score nan outside [-9, 9]", "score"),
+    ("aimer,,,,,,verbe,1,,,x,,,inf", "invalid score literal 'x'", "score_en"),
+    ("aimer,,,,,,verbe,1,,9.5,x,,,", "score 9.5 outside [-9, 9]", "score_cil"),
+    ("aimer,,,,,,verbe,x,9.5,,,,,", "invalid score literal 'x'", "score"),
+    (",,,,,,noun,x,,,,,,", "missing required french form", "french"),
+])
+def test_row_errors_name_the_first_bad_cell(row, message, column):
+    with pytest.raises(LexiconFormatError) as caught:
+        parse_lexicon(csv_bytes("bon,,,,,,mot,1,,,,,,", row))
+    assert message in str(caught.value)
+    assert (caught.value.row, caught.value.column) == (2, column)
+
+
+# ---------------------------------------------------------------------------
+# Lookup tables compiled on first use.
+
+
+def reference_tables(lexicon: Lexicon):
+    """``by_id``, ``index``, ``phrase_lengths`` and ``ambiguous`` built eagerly,
+    one entry and one form at a time."""
+    by_id = {e.entry_id: e for e in lexicon.entries}
+    index = {lang: {} for lang in LanguageCode}
+    for entry in lexicon.entries:
+        for language, form in entry.forms.items():
+            index[language][form] = index[language].get(form, ()) + (entry.entry_id,)
+    phrase_lengths = {lang: {} for lang in LanguageCode}
+    for language, forms in index.items():
+        for form in forms:
+            if " " in form:
+                first = form.split(" ")[0]
+                lengths = set(phrase_lengths[language].get(first, ())) | {form.count(" ") + 1}
+                phrase_lengths[language][first] = tuple(sorted(lengths, reverse=True))
+    ambiguous = {
+        language: {
+            form: (ranked[0], tuple(ranked[1:]))
+            for form, ids in forms.items()
+            if len(ids) > 1
+            for ranked in [sorted(ids, key=lambda i: (POS_PRIORITY[by_id[i].pos], int(i[1:])))]
+        }
+        for language, forms in index.items()
+    }
+    return by_id, index, phrase_lengths, ambiguous
+
+
+WORDS = ["go", "wa", "le", "bon", "go wa", "go tšhaba", "go wa le", "bon le", "ke"]
+
+
+@st.composite
+def crowded_lexicon_st(draw) -> Lexicon:
+    """Lexicons whose forms repeat and share first words."""
+    entries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        forms = {LanguageCode.FRENCH: draw(st.sampled_from(WORDS))}
+        for language in draw(st.sets(st.sampled_from(list(LanguageCode)[1:]))):
+            forms[language] = draw(st.sampled_from(WORDS))
+        entries.append(
+            LexiconEntry(forms, draw(st.sampled_from(list(PosTag))), 1.0, {})
+        )
+    return Lexicon(entries)
+
+
+def items(table):
+    """A table's contents with its key order, nested dicts included."""
+    if isinstance(table, dict):
+        return [(key, items(value)) for key, value in table.items()]
+    return table
+
+
+@given(crowded_lexicon_st())
+@settings(max_examples=150, deadline=None)
+def test_lazy_tables_equal_the_eager_reference(lex):
+    assert "_tables" not in lex.__dict__
+    by_id, index, phrase_lengths, ambiguous = reference_tables(lex)
+    assert items(lex.by_id) == items(by_id)
+    assert items(lex.index) == items(index)
+    assert items(lex.phrase_lengths) == items(phrase_lengths)
+    # Forms enter ``ambiguous`` in the order of their second entry, so only
+    # its contents are compared.
+    assert lex.ambiguous == ambiguous
+
+
+class TestLazyTables:
+    def test_compiled_once_across_tokenize_calls(self, paper_lexicon, monkeypatch):
+        compiled = []
+        compile_tables = Lexicon._tables.func
+
+        def counted(lexicon):
+            compiled.append(lexicon)
+            return compile_tables(lexicon)
+
+        monkeypatch.setattr(Lexicon._tables, "func", counted)
+        lex = Lexicon(paper_lexicon.entries)
+        for sentence in ["I am happy", "go tšhaba go wa", "tu aimes bien"] * 20:
+            for language in LanguageCode:
+                tokenize(sentence, language, lex)
+        lex.lookup(LanguageCode.ENGLISH, "happy")
+        assert compiled == [lex]
+
+    def test_commands_that_never_look_up_a_form_never_compile(self, paper_lexicon):
+        from lexisent.eda import compute_eda
+        from lexisent.ml import featurize
+
+        lex = parse_lexicon(serialize_lexicon(paper_lexicon))
+        validate_lexicon(lex)
+        cleaned, _ = clean(lex)
+        serialize_lexicon(cleaned)
+        compute_eda(cleaned)
+        featurize(cleaned, task="pos")
+        featurize(cleaned, task="polarity")
+        assert "_tables" not in lex.__dict__
+        assert "_tables" not in cleaned.__dict__
+
+
+# ---------------------------------------------------------------------------
+# Normalization is idempotent, so a cleaned lexicon stays clean.
+
+
+@given(st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=8))
+@settings(max_examples=300, deadline=None)
+def test_normalize_form_is_idempotent(text):
+    once = normalize_form(text)
+    assert normalize_form(once) == once
+
+
+def test_case_folding_that_leaves_a_composable_mark():
+    # "ß" + combining acute folds to "ss" + combining acute, which NFC composes.
+    lex = parse_lexicon(csv_bytes("straß́e,,,,,,mot,1,,,,,,", "strasśe,,,,,,mot,1,,,,,,"))
+    cleaned, report = clean(lex)
+    assert [e.forms[LanguageCode.FRENCH] for e in cleaned.entries] == ["strasśe"]
+    assert report.removed_duplicates == [{"entry_id": "r2", "kept_entry_id": "r1"}]
+    assert clean(cleaned)[1].change_count == 0
+    require_normalized(cleaned)
+    (token,) = tokenize("STRAß́E", LanguageCode.FRENCH, cleaned)
+    assert token.entry_id == "r1"

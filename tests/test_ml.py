@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -375,6 +377,19 @@ class TestPredictApi:
             assert np.allclose(model.predict_proba(probe), clone.predict_proba(probe))
             assert ml.save_model(clone) == ml.save_model(model)
 
+    def test_compact_and_indented_files_load_to_identical_parameters(self, trained):
+        probe = np.random.default_rng(21).normal(size=(25, 4))
+        for model in trained:
+            compact = ml.save_model(model)
+            data = json.loads(compact)
+            assert compact == json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+            indented = json.dumps(data, sort_keys=True, indent=2) + "\n"
+            from_compact, from_indented = ml.load_model(compact), ml.load_model(indented)
+            # JSON floats round-trip exactly, so equal files mean equal parameters.
+            assert ml.save_model(from_indented) == ml.save_model(from_compact) == compact
+            assert np.array_equal(from_indented.predict_proba(probe),
+                                  from_compact.predict_proba(probe))
+
 
 class TestLoadModelFields:
     @pytest.fixture
@@ -398,3 +413,94 @@ class TestLoadModelFields:
         saved["parameters"]["root"] = {"feature": 0, "threshold": 0.5}
         with pytest.raises(ValueError, match="missing field 'left', 'right' in a tree node"):
             ml.load_model(json.dumps(saved))
+
+
+class TestLoadModelShapes:
+    """Each refusal names the field; the model has 3 classes and 4 features."""
+
+    @pytest.fixture(scope="class")
+    def saved(self):
+        data = random_dataset(np.random.default_rng(22), n=40, d=4, k=3)
+        models = [ml.train_decision_tree(data, max_depth=2),
+                  ml.train_random_forest(data, n_trees=2, max_depth=2, seed=1),
+                  ml.train_gaussian_nb(data), ml.train_linear_svm(data, epochs=2)]
+        return {m.kind: json.loads(ml.save_model(m)) for m in models}
+
+    def refused(self, saved, kind, change, message):
+        data = copy.deepcopy(saved[kind])
+        change(data)
+        with pytest.raises(ValueError, match=message):
+            ml.load_model(json.dumps(data))
+
+    @pytest.mark.parametrize("name, cut, message", [
+        ("priors", lambda a: a[:-1], r"'priors' has shape \(2,\), expected \(3\)"),
+        ("means", lambda a: a[:-1], r"'means' has shape \(2, 4\), expected \(3, 4\)"),
+        ("means", lambda a: [row[:-1] for row in a], r"'means' has shape \(3, 3\)"),
+        ("variances", lambda a: [a], r"'variances' has shape \(1, 3, 4\), expected \(3, 4\)"),
+        ("variances", lambda a: [["x"] * 4] + a[1:], "'variances' is not an array of numbers"),
+        ("present", lambda a: [0, 1, 3], r"'present' is \[0, 1, 3\], expected distinct"),
+        ("present", lambda a: [0, 0, 1], r"'present' is \[0, 0, 1\], expected distinct"),
+        ("present", lambda a: [0, 1], r"'priors' has shape \(3,\), expected \(2\)"),
+    ])
+    def test_naive_bayes(self, saved, name, cut, message):
+        def change(data):
+            data["parameters"][name] = cut(data["parameters"][name])
+        self.refused(saved, "gaussian_nb", change, message)
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda a: a[:-1], r"'weights' has shape \(2, 4\), expected \(3, 4\)"),
+        (lambda a: [row + [0.0] for row in a], r"'weights' has shape \(3, 5\)"),
+        (lambda a: [[float("nan")] * 4] + a[1:], "'weights' holds values that are not finite"),
+    ])
+    def test_svm_weights(self, saved, cut, message):
+        def change(data):
+            data["parameters"]["weights"] = cut(data["parameters"]["weights"])
+        self.refused(saved, "linear_svm", change, message)
+
+    @staticmethod
+    def first_leaf(node):
+        while "distribution" not in node:
+            node = node["left"]
+        return node
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+    @pytest.mark.parametrize("feature", [4, -1, 1.0, True, "0"])
+    def test_tree_feature(self, saved, kind, feature):
+        def change(data):
+            params = data["parameters"]
+            root = params["root"] if kind == "decision_tree" else params["trees"][-1]
+            assert "feature" in root  # the root splits
+            root["feature"] = feature
+        self.refused(saved, kind, change,
+                     rf"'feature' of a tree node is {re.escape(repr(feature))}, "
+                     r"expected an int in \[0, 4\)")
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+    @pytest.mark.parametrize("cut, message", [
+        (lambda a: a[:-1], r"'distribution' has shape \(2,\), expected \(3\)"),
+        (lambda a: a + [0.0], r"'distribution' has shape \(4,\), expected \(3\)"),
+    ])
+    def test_leaf_distribution(self, saved, kind, cut, message):
+        def change(data):
+            params = data["parameters"]
+            root = params["root"] if kind == "decision_tree" else params["trees"][0]
+            leaf = self.first_leaf(root)
+            leaf["distribution"] = cut(leaf["distribution"])
+        self.refused(saved, kind, change, message)
+
+    @pytest.mark.parametrize("value", ["c0", ["c0", 1, "c2"]])
+    def test_class_names(self, saved, value):
+        self.refused(saved, "linear_svm", lambda data: data.update(class_names=value),
+                     "'class_names' is not a list of strings")
+
+    @pytest.mark.parametrize("value", [-1, 4.0, "4", None])
+    def test_n_features(self, saved, value):
+        self.refused(saved, "linear_svm", lambda data: data.update(n_features=value),
+                     rf"'n_features' is {re.escape(repr(value))}, expected an int >= 0")
+
+    def test_class_count_follows_class_names(self, saved):
+        # Dropping a class name leaves 3 weight rows for 2 classes.
+        def change(data):
+            data["class_names"] = data["class_names"][:-1]
+        self.refused(saved, "linear_svm", change,
+                     r"'weights' has shape \(3, 4\), expected \(2, 4\)")
