@@ -439,6 +439,7 @@ def cmd_ctx_train(args) -> int:
             config, train_set, val_set, weights,
             epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed,
         )
+        ctx.check_loss_explosion(model, train_set, weights)
     except ValueError as exc:  # nothing is written for a corpus that cannot be trained on
         raise ValueError(f"{args.corpus}: {exc}") from None
     out = OutputDir(args.out, _effective_config(args))

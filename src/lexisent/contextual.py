@@ -488,6 +488,35 @@ def train(
     return model
 
 
+#: A run has diverged, even while its loss is finite, once an epoch ends with
+#: a train loss above this multiple of the untrained model's loss.
+LOSS_EXPLOSION_FACTOR = 100
+
+
+def check_loss_explosion(
+    model: ContextModel,
+    train_set: list[TargetSentence],
+    class_weights: dict[Polarity, float],
+) -> None:
+    """Raise :class:`ValueError` at the first epoch of ``model.history`` whose
+    train loss exceeds :data:`LOSS_EXPLOSION_FACTOR` times the untrained loss.
+
+    Zero weights and bias give each class probability 1/3, so the untrained
+    model's loss is ln 3 times the mean class weight of ``train_set``.
+    """
+    untrained = math.log(len(CLASS_ORDER)) * (
+        sum(class_weights[s.label] for s in train_set) / len(train_set)
+    )
+    for record in model.history:
+        if record["train_loss"] > LOSS_EXPLOSION_FACTOR * untrained:
+            raise ValueError(
+                f"training diverged: epoch {record['epoch']} train loss "
+                f"{record['train_loss']} exceeds {LOSS_EXPLOSION_FACTOR:g} times the "
+                f"untrained model's loss {untrained:.6g} at learning rate "
+                f"{model.hyperparameters['learning_rate']}"
+            )
+
+
 def evaluate(
     model: ContextModel, test_set: list[TargetSentence]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -581,13 +610,13 @@ def load_context_model(text: str) -> ContextModel:
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
-    if data.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {data.get('format_version')!r}")
     if "vocabulary" not in data:
         raise ValueError(
             "expected a contextual model, found "
             + (f"a {data['kind']} model" if "kind" in data else "no vocabulary")
         )
+    if data.get("format_version") != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {data.get('format_version')!r}")
     missing = [name for name in MODEL_FIELDS if name not in data]
     if missing:
         raise ValueError(f"missing field {', '.join(map(repr, missing))} in the model")

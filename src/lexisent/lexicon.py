@@ -168,8 +168,12 @@ class LexiconEntry:
         score = self.shared_score if language is None else self.effective_score(language)
         return Polarity.from_score(score)
 
-    def dedup_key(self) -> tuple[str, PosTag, float]:
-        return (normalize_form(self.forms[LanguageCode.FRENCH]), self.pos, self.shared_score)
+    def dedup_key(self, french: str | None = None) -> tuple[str, PosTag, float]:
+        """Entries with equal keys are duplicates. ``french`` is the French
+        form already normalized, when the caller has it."""
+        if french is None:
+            french = normalize_form(self.forms[LanguageCode.FRENCH])
+        return (french, self.pos, self.shared_score)
 
 
 def check_entry(entry: LexiconEntry) -> None:
@@ -537,9 +541,17 @@ def unnormalized_forms(lexicon: Lexicon) -> list[dict]:
 def validate_lexicon(lexicon: Lexicon) -> ValidationReport:
     """Flag duplicate rows (under the dedup key) and forms clean would rewrite."""
     report = ValidationReport(unnormalized_forms=unnormalized_forms(lexicon))
+    # A French form that clean would not rewrite is already normalized, so the
+    # dedup keys reuse the forms normalized above instead of normalizing again.
+    french = LanguageCode.FRENCH
+    rewritten = {
+        found["row"]: found["normalized"]
+        for found in report.unnormalized_forms
+        if found["language"] == french.value
+    }
     seen: dict[tuple, int] = {}
     for row_no, entry in enumerate(lexicon.entries, start=1):
-        key = entry.dedup_key()
+        key = entry.dedup_key(rewritten.get(row_no, entry.forms[french]))
         if key in seen:
             report.duplicates.append(
                 {"row": row_no, "entry_id": entry.entry_id, "first_row": seen[key]}

@@ -8,13 +8,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, rng_for
-from .tree import DecisionTreeModel, build_tree
+from .tree import Tree, build_tree
 
 
 @dataclass
 class RandomForestModel:
     kind = "random_forest"
-    trees: list[DecisionTreeModel]
+    trees: list[Tree]
     class_names: tuple[str, ...]
     n_features: int
     seed: int
@@ -47,6 +47,7 @@ def train_random_forest(
         raise ValueError("cannot train on an empty dataset")
     d = data.X.shape[1]
     n_candidates = math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1)  # ceil(sqrt(d))
+    subsample = feature_subsample and n_candidates < d
     trees = []
     for i in range(n_trees):
         rng = rng_for(seed, i)
@@ -55,23 +56,9 @@ def train_random_forest(
             X, y = data.X[idx], data.y[idx]
         else:
             X, y = data.X, data.y
-        root = build_tree(
-            X,
-            y,
-            len(data.class_names),
-            max_depth,
-            min_samples_split,
-            feature_rng=rng if feature_subsample else None,
-            n_candidate_features=n_candidates if feature_subsample else None,
-        )
         trees.append(
-            DecisionTreeModel(
-                root=root,
-                class_names=data.class_names,
-                n_features=d,
-                seed=seed,
-                hyperparameters={"max_depth": max_depth, "min_samples_split": min_samples_split},
-            )
+            build_tree(X, y, len(data.class_names), max_depth, min_samples_split,
+                       feature_rng=rng if subsample else None, n_candidate_features=n_candidates)
         )
     return RandomForestModel(
         trees=trees,

@@ -9,20 +9,63 @@ import numpy as np
 from .forest import RandomForestModel
 from .naive_bayes import GaussianNBModel
 from .svm import LinearSVMModel
-from .tree import DecisionTreeModel, TreeNode
+from .tree import DecisionTreeModel, Tree
 
-FORMAT_VERSION = 1
+#: Version 2 saves every tree as flat arrays; version 1 files are refused.
+FORMAT_VERSION = 2
+
+#: The arrays of a saved tree (see :class:`~lexisent.ml.tree.Tree`).
+TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"distribution": node.distribution.tolist()}
-    return {
-        "feature": node.feature,
-        "threshold": node.threshold,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
-    }
+def _tree_to_dict(tree: Tree) -> dict:
+    return {name: getattr(tree, name).tolist() for name in TREE_FIELDS}
+
+
+def _tree_from_dict(data, where: str, n_features: int, n_classes: int) -> Tree:
+    """The tree ``where`` of a saved model, checked array by array: splits on
+    a feature below ``n_features``, every split's children after it, leaves
+    with -1 children, and finite thresholds and ``(nodes, n_classes)`` values.
+    The ordering of children also bounds the walk in :meth:`Tree.predict_proba`."""
+    _require(data, TREE_FIELDS, where)
+    feature = _node_indices(data, "feature", where, n_features)
+    nodes = len(feature)
+    split = feature >= 0
+    after = np.arange(nodes)
+    children = []
+    for name in ("left", "right"):
+        child = _node_indices(data, name, where, nodes)
+        if len(child) != nodes:
+            raise ValueError(f"field {name!r} of {where} has {len(child)} nodes, expected {nodes}")
+        bad = np.flatnonzero(np.where(split, child <= after, child != -1))
+        if bad.size:
+            i = int(bad[0])
+            expected = f"a node in ({i}, {nodes}) at a split" if split[i] else "-1 at a leaf"
+            raise ValueError(
+                f"field {name!r} of {where} holds {child[i]} at node {i}, expected {expected}"
+            )
+        children.append(child)
+    return Tree(
+        feature=feature,
+        threshold=checked_array(data, "threshold", (nodes,), where),
+        left=children[0],
+        right=children[1],
+        value=checked_array(data, "value", (nodes, n_classes), where),
+    )
+
+
+def _node_indices(data: dict, name: str, where: str, stop: int) -> np.ndarray:
+    """Field ``name`` of a tree as an int array, non-empty, each entry -1 or
+    in [0, stop)."""
+    values = data[name]
+    if not isinstance(values, list) or not values:
+        raise ValueError(f"field {name!r} of {where} is not a non-empty list")
+    for value in values:
+        if not _is_int(value) or not -1 <= value < stop:
+            raise ValueError(
+                f"field {name!r} of {where} holds {value!r}, expected -1 or an int in [0, {stop})"
+            )
+    return np.array(values, dtype=np.intp)
 
 
 def _require(data, names: tuple[str, ...], where: str = "the model") -> None:
@@ -34,43 +77,28 @@ def _require(data, names: tuple[str, ...], where: str = "the model") -> None:
         raise ValueError(f"missing field {', '.join(missing)} in {where}")
 
 
-def _node_from_dict(data: dict, n_features: int, n_classes: int) -> TreeNode:
-    """A tree node and its subtree: splits on a feature below ``n_features``,
-    leaves with a distribution over ``n_classes`` classes."""
-    if isinstance(data, dict) and "distribution" in data:
-        return TreeNode(distribution=checked_array(data, "distribution", (n_classes,)))
-    _require(data, ("feature", "threshold", "left", "right"), "a tree node")
-    feature = data["feature"]
-    if not _is_int(feature) or not 0 <= feature < n_features:
-        raise ValueError(
-            f"field 'feature' of a tree node is {feature!r}, expected an int in [0, {n_features})"
-        )
-    return TreeNode(
-        feature=feature,
-        threshold=data["threshold"],
-        left=_node_from_dict(data["left"], n_features, n_classes),
-        right=_node_from_dict(data["right"], n_features, n_classes),
-    )
-
-
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def checked_array(data: dict, name: str, shape: tuple[int | str, ...]) -> np.ndarray:
+def checked_array(
+    data: dict, name: str, shape: tuple[int | str, ...], where: str | None = None
+) -> np.ndarray:
     """Field ``name`` of ``data`` as a finite float array of ``shape``, in
-    which a string stands for a dimension of any size."""
+    which a string stands for a dimension of any size. Errors name the field,
+    and ``where`` it lies when given."""
+    label = f"field {name!r}" if where is None else f"field {name!r} of {where}"
     try:
         array = np.asarray(data[name], dtype=float)
     except (TypeError, ValueError):
-        raise ValueError(f"field {name!r} is not an array of numbers") from None
+        raise ValueError(f"{label} is not an array of numbers") from None
     if array.ndim != len(shape) or any(
         isinstance(want, int) and have != want for have, want in zip(array.shape, shape)
     ):
         expected = "(" + ", ".join(map(str, shape)) + ")"
-        raise ValueError(f"field {name!r} has shape {array.shape}, expected {expected}")
+        raise ValueError(f"{label} has shape {array.shape}, expected {expected}")
     if not np.isfinite(array).all():
-        raise ValueError(f"field {name!r} holds values that are not finite")
+        raise ValueError(f"{label} holds values that are not finite")
     return array
 
 
@@ -83,12 +111,9 @@ def save_model(model) -> str:
         "seed": model.seed,
         "hyperparameters": model.hyperparameters,
     }
-    if isinstance(model, DecisionTreeModel):
-        common["parameters"] = {"root": _node_to_dict(model.root)}
-    elif isinstance(model, RandomForestModel):
-        common["parameters"] = {
-            "trees": [_node_to_dict(t.root) for t in model.trees]
-        }
+    if isinstance(model, (DecisionTreeModel, RandomForestModel)):
+        trees = [model.tree] if isinstance(model, DecisionTreeModel) else model.trees
+        common["parameters"] = {"trees": [_tree_to_dict(tree) for tree in trees]}
     elif isinstance(model, GaussianNBModel):
         common["parameters"] = {
             "present": model.present.tolist(),
@@ -107,7 +132,7 @@ MODEL_KINDS = ("decision_tree", "random_forest", "gaussian_nb", "linear_svm")
 #: Fields every saved model holds, and the ``parameters`` of each kind.
 MODEL_FIELDS = ("class_names", "n_features", "seed", "hyperparameters", "parameters")
 PARAMETER_FIELDS = {
-    "decision_tree": ("root",),
+    "decision_tree": ("trees",),
     "random_forest": ("trees",),
     "gaussian_nb": ("present", "priors", "means", "variances"),
     "linear_svm": ("weights",),
@@ -117,19 +142,22 @@ PARAMETER_FIELDS = {
 def load_model(text: str):
     """A saved classical model, checked field by field: every field present,
     ``class_names`` a list of k strings, ``n_features`` an int >= 0, and the
-    parameters shaped for k classes and ``n_features`` features. Naive Bayes
+    parameters shaped for k classes and ``n_features`` features. ``trees`` is
+    a non-empty list, with exactly one tree for a decision tree. Naive Bayes
     keeps rows only for the classes in ``present``."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("expected a JSON object")
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {version!r}")
     kind = data.get("kind")
     if kind not in MODEL_KINDS:
         raise ValueError(
             f"expected a classical model ({', '.join(MODEL_KINDS)}), found "
             + ("a contextual model" if "vocabulary" in data else f"kind {kind!r}")
+        )
+    version = data.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported model format version {version!r}, expected {FORMAT_VERSION}"
         )
     _require(data, MODEL_FIELDS)
     _require(data["parameters"], PARAMETER_FIELDS[kind], "'parameters'")
@@ -141,35 +169,19 @@ def load_model(text: str):
     n_features = data["n_features"]
     if not _is_int(n_features) or n_features < 0:
         raise ValueError(f"field 'n_features' is {n_features!r}, expected an int >= 0")
-    seed = data["seed"]
-    hyper = data["hyperparameters"]
     params = data["parameters"]
-    if kind == "decision_tree":
-        return DecisionTreeModel(
-            root=_node_from_dict(params["root"], n_features, k),
-            class_names=class_names,
-            n_features=n_features,
-            seed=seed,
-            hyperparameters=hyper,
-        )
-    if kind == "random_forest":
-        trees = [
-            DecisionTreeModel(
-                root=_node_from_dict(t, n_features, k),
-                class_names=class_names,
-                n_features=n_features,
-                seed=seed,
-                hyperparameters={},
-            )
-            for t in params["trees"]
-        ]
-        return RandomForestModel(
-            trees=trees,
-            class_names=class_names,
-            n_features=n_features,
-            seed=seed,
-            hyperparameters=hyper,
-        )
+    common = {"class_names": class_names, "n_features": n_features, "seed": data["seed"],
+              "hyperparameters": data["hyperparameters"]}
+    if kind in ("decision_tree", "random_forest"):
+        saved = params["trees"]
+        if not isinstance(saved, list) or not saved:
+            raise ValueError("field 'trees' is not a non-empty list")
+        if kind == "decision_tree" and len(saved) != 1:
+            raise ValueError(f"field 'trees' holds {len(saved)} trees, expected 1")
+        trees = [_tree_from_dict(tree, f"tree {i}", n_features, k) for i, tree in enumerate(saved)]
+        if kind == "decision_tree":
+            return DecisionTreeModel(tree=trees[0], **common)
+        return RandomForestModel(trees=trees, **common)
     if kind == "gaussian_nb":
         present = params["present"]
         if (
@@ -182,19 +194,10 @@ def load_model(text: str):
             )
         k_present = len(present)
         return GaussianNBModel(
-            class_names=class_names,
             present=np.asarray(present, dtype=int),
             priors=checked_array(params, "priors", (k_present,)),
             means=checked_array(params, "means", (k_present, n_features)),
             variances=checked_array(params, "variances", (k_present, n_features)),
-            n_features=n_features,
-            seed=seed,
-            hyperparameters=hyper,
+            **common,
         )
-    return LinearSVMModel(
-        weights=checked_array(params, "weights", (k, n_features)),
-        class_names=class_names,
-        n_features=n_features,
-        seed=seed,
-        hyperparameters=hyper,
-    )
+    return LinearSVMModel(weights=checked_array(params, "weights", (k, n_features)), **common)

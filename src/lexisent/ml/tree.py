@@ -6,20 +6,39 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, rng_for
+from .dataset import Dataset
 
 
-@dataclass
-class TreeNode:
-    feature: int | None = None
-    threshold: float | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    distribution: np.ndarray | None = None  # leaf only: class frequencies, sums to 1
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A fitted tree as five arrays over its nodes, in depth-first order with
+    node 0 the root (the layout of scikit-learn's ``Tree`` struct).
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.distribution is not None
+    ``feature (nodes,)`` is the split feature, -1 at leaves; a row goes to
+    ``left`` when its value is ``<= threshold (nodes,)`` and to ``right``
+    otherwise. ``left`` and ``right (nodes,)`` are -1 at leaves, and at a
+    split ``i`` both are greater than ``i``. ``value (nodes, k)`` holds the
+    class frequencies of each leaf, summing to 1, and zeros at splits.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """The leaf frequencies of each row of ``X``. All rows descend one
+        level per step, so the loop runs at most depth + 1 times."""
+        X = np.asarray(X, dtype=float)
+        node = np.zeros(len(X), dtype=np.intp)
+        rows = np.flatnonzero(self.feature[node] >= 0)
+        while rows.size:
+            at = node[rows]
+            goes_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(goes_left, self.left[at], self.right[at])
+            rows = rows[self.feature[node[rows]] >= 0]
+        return self.value[node]
 
 
 def gini(counts: np.ndarray) -> float:
@@ -75,71 +94,60 @@ def build_tree(
     n_classes: int,
     max_depth: int | None,
     min_samples_split: int,
-    depth: int = 0,
     feature_rng: np.random.Generator | None = None,
-    n_candidate_features: int | None = None,
-) -> TreeNode:
-    counts = np.bincount(y, minlength=n_classes).astype(float)
-
-    def leaf() -> TreeNode:
-        return TreeNode(distribution=counts / counts.sum())
-
-    if (
-        (max_depth is not None and depth >= max_depth)
-        or len(y) < min_samples_split
-        or np.count_nonzero(counts) <= 1
-    ):
-        return leaf()
-
+    n_candidate_features: int = 0,
+) -> Tree:
+    """Grow a tree depth-first, left before right, numbering nodes in the
+    order they are reached. With ``feature_rng``, each split draws
+    ``n_candidate_features`` of the features as candidates, in that order."""
     d = X.shape[1]
-    if feature_rng is not None and n_candidate_features is not None and n_candidate_features < d:
-        features = np.sort(feature_rng.choice(d, size=n_candidate_features, replace=False))
-    else:
-        features = np.arange(d)
-    found = best_split(X, y, n_classes, features)
-    if found is None:
-        return leaf()
-    feature, threshold, _ = found
-    mask = X[:, feature] <= threshold
-    node = TreeNode(feature=feature, threshold=threshold)
-    node.left = build_tree(
-        X[mask], y[mask], n_classes, max_depth, min_samples_split,
-        depth + 1, feature_rng, n_candidate_features,
+    nodes: list[list] = []  # [feature, threshold, left, right, value] per node
+    # A node's rows, its depth, and the split whose right child it is (-1 if
+    # none). Left children pop first, so a split's left child is the next node.
+    stack = [(X, y, 0, -1)]
+    while stack:
+        X, y, depth, parent = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = node
+        counts = np.bincount(y, minlength=n_classes).astype(float)
+        found = None
+        grows = (max_depth is None or depth < max_depth) and len(y) >= min_samples_split
+        if grows and np.count_nonzero(counts) > 1:
+            features = np.arange(d) if feature_rng is None else np.sort(
+                feature_rng.choice(d, size=n_candidate_features, replace=False))
+            found = best_split(X, y, n_classes, features)
+        if found is None:
+            nodes.append([-1, 0.0, -1, -1, counts / counts.sum()])
+            continue
+        feature, threshold, _ = found
+        nodes.append([feature, threshold, node + 1, -1, np.zeros(n_classes)])
+        mask = X[:, feature] <= threshold
+        stack.append((X[~mask], y[~mask], depth + 1, node))
+        stack.append((X[mask], y[mask], depth + 1, -1))
+    feature, threshold, left, right, value = zip(*nodes)
+    return Tree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        value=np.array(value, dtype=float),
     )
-    node.right = build_tree(
-        X[~mask], y[~mask], n_classes, max_depth, min_samples_split,
-        depth + 1, feature_rng, n_candidate_features,
-    )
-    return node
-
-
-def _predict_proba_node(
-    node: TreeNode, X: np.ndarray, rows: np.ndarray, out: np.ndarray
-) -> None:
-    if node.is_leaf:
-        out[rows] = node.distribution
-        return
-    mask = X[rows, node.feature] <= node.threshold
-    if mask.any():
-        _predict_proba_node(node.left, X, rows[mask], out)
-    if (~mask).any():
-        _predict_proba_node(node.right, X, rows[~mask], out)
 
 
 @dataclass
 class DecisionTreeModel:
+    """One CART tree (:class:`Tree`) with its classes and training settings."""
+
     kind = "decision_tree"
-    root: TreeNode
+    tree: Tree
     class_names: tuple[str, ...]
     n_features: int
     seed: int
     hyperparameters: dict = field(default_factory=dict)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        out = np.zeros((len(X), len(self.class_names)))
-        _predict_proba_node(self.root, X, np.arange(len(X)), out)
-        return out
+        return self.tree.predict_proba(X)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
@@ -153,11 +161,8 @@ def train_decision_tree(
 ) -> DecisionTreeModel:
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
-    root = build_tree(
-        data.X, data.y, len(data.class_names), max_depth, min_samples_split
-    )
     return DecisionTreeModel(
-        root=root,
+        tree=build_tree(data.X, data.y, len(data.class_names), max_depth, min_samples_split),
         class_names=data.class_names,
         n_features=data.X.shape[1],
         seed=seed,

@@ -6,7 +6,9 @@ import json
 import pytest
 
 from lexisent.cli import build_parser, main
+from lexisent.contextual import LOSS_EXPLOSION_FACTOR
 from lexisent.lexicon import Lexicon, serialize_lexicon
+from lexisent.ml.serialize import FORMAT_VERSION
 
 from conftest import build_ctx_lexicon
 
@@ -517,7 +519,33 @@ class TestErrorsNameTheFile:
 
     def test_classical_model_missing_a_field(self, tmp_path, paper_lex_file, capsys):
         model = tmp_path / "model.json"
-        model.write_text('{"format_version": 1, "kind": "random_forest"}', encoding="utf-8")
+        model.write_text(json.dumps({"format_version": FORMAT_VERSION, "kind": "random_forest"}),
+                         encoding="utf-8")
         assert run("ml", "eval", "--model", model, "--lex", paper_lex_file,
                    "--out", tmp_path / "out") == 2
         assert f"{model}: missing field 'class_names'" in capsys.readouterr().err
+
+    def test_tree_threshold_that_is_not_a_number(self, tmp_path, paper_lex_file, models,
+                                                 capsys):
+        ml_model, _ = models
+        data = json.loads(ml_model.read_text(encoding="utf-8"))
+        data["parameters"]["trees"][0]["threshold"][0] = "oops"
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data), encoding="utf-8")
+        assert run("ml", "eval", "--model", broken, "--lex", paper_lex_file,
+                   "--out", tmp_path / "out") == 2
+        assert (f"{broken}: field 'threshold' of tree 0 is not an array of numbers"
+                in capsys.readouterr().err)
+
+    def test_exploding_ctx_train_writes_no_model(self, tmp_path, ctx_lex_file, capsys):
+        run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+            "-n", "300", "--seed", "2", "--out", tmp_path / "gen")
+        corpus = tmp_path / "gen" / "corpus.tsv"
+        out = tmp_path / "ctx"
+        # The loss stays finite at this rate but ends far above the untrained model's.
+        assert run("ctx", "train", "--corpus", corpus, "--out", out,
+                   "--learning-rate", "1e3", "--epochs", "6") == 2
+        err = capsys.readouterr().err
+        assert f"{corpus}: training diverged: epoch 1 train loss " in err
+        assert f"exceeds {LOSS_EXPLOSION_FACTOR:g} times the untrained model's loss " in err
+        assert not out.exists()

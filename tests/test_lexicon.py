@@ -95,6 +95,15 @@ class TestParsing:
         assert [d["row"] for d in report.duplicates] == [3]
         assert report.duplicates[0]["first_row"] == 1
 
+    def test_validate_compares_normalized_french_forms(self):
+        lex = parse_lexicon(csv_bytes(" Aimer,,love,,,,verbe,9,,,,,,",
+                                      "aimer,,Like ,,,,verbe,9,,,,,,",
+                                      "AIMER ,,love,,,,verbe,8,,,,,,"))
+        report = validate_lexicon(lex)
+        assert [(d["row"], d["first_row"]) for d in report.duplicates] == [(2, 1)]
+        assert [(f["row"], f["language"]) for f in report.unnormalized_forms] == [
+            (1, "french"), (2, "english"), (3, "french")]
+
 
 class TestRoundTrip:
     def test_parse_serialize_identity(self, paper_lexicon):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from lexisent import ml
 from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, PosTag
 from lexisent.ml.dataset import Dataset, FEATURE_NAMES, featurize, split
-from lexisent.ml.tree import gini
+from lexisent.ml.tree import best_split, gini
 
 CLASSES_AB = ("a", "b")
 
@@ -144,7 +145,7 @@ class TestDecisionTree:
     def test_pure_input_single_leaf(self):
         data = dataset_from([[0.0], [1.0], [2.0]], [1, 1, 1])
         model = ml.train_decision_tree(data)
-        assert model.root.is_leaf
+        assert model.tree.feature[0] == -1
         assert model.predict_proba(data.X)[0].tolist() == [0.0, 1.0]
 
     def test_stump_matches_exhaustive_search(self):
@@ -153,8 +154,8 @@ class TestDecisionTree:
         data = dataset_from(X, y)
         model = ml.train_decision_tree(data, max_depth=1)
         feature, threshold, _ = brute_force_stump(X, y, 2)
-        assert model.root.feature == feature
-        assert model.root.threshold == pytest.approx(threshold)
+        assert model.tree.feature[0] == feature
+        assert model.tree.threshold[0] == pytest.approx(threshold)
 
     def test_stump_matches_exhaustive_search_many_seeds(self):
         for seed in range(25):
@@ -164,10 +165,10 @@ class TestDecisionTree:
             expected = brute_force_stump(X, y, 2)
             model = ml.train_decision_tree(dataset_from(X, y), max_depth=1)
             if expected is None:
-                assert model.root.is_leaf
+                assert model.tree.feature[0] == -1
             else:
-                assert model.root.feature == expected[0]
-                assert model.root.threshold == pytest.approx(expected[1])
+                assert model.tree.feature[0] == expected[0]
+                assert model.tree.threshold[0] == pytest.approx(expected[1])
 
     def test_training_accuracy_nondecreasing_in_depth(self):
         rng = np.random.default_rng(5)
@@ -224,6 +225,141 @@ class TestRandomForest:
         model = ml.train_random_forest(data, n_trees=5, seed=0)
         proba = model.predict_proba(data.X)
         assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
+
+
+@dataclass
+class ReferenceNode:
+    feature: int | None = None
+    threshold: float | None = None
+    left: "ReferenceNode | None" = None
+    right: "ReferenceNode | None" = None
+    distribution: np.ndarray | None = None  # leaf only: class frequencies, sums to 1
+
+    @property
+    def is_leaf(self) -> bool:
+        return self.distribution is not None
+
+
+def reference_build(X, y, n_classes, max_depth, min_samples_split, depth=0,
+                    feature_rng=None, n_candidate_features=None) -> ReferenceNode:
+    """CART as a graph of node objects, grown by one recursive call per node."""
+    counts = np.bincount(y, minlength=n_classes).astype(float)
+
+    def leaf() -> ReferenceNode:
+        return ReferenceNode(distribution=counts / counts.sum())
+
+    if (
+        (max_depth is not None and depth >= max_depth)
+        or len(y) < min_samples_split
+        or np.count_nonzero(counts) <= 1
+    ):
+        return leaf()
+
+    d = X.shape[1]
+    if feature_rng is not None and n_candidate_features is not None and n_candidate_features < d:
+        features = np.sort(feature_rng.choice(d, size=n_candidate_features, replace=False))
+    else:
+        features = np.arange(d)
+    found = best_split(X, y, n_classes, features)
+    if found is None:
+        return leaf()
+    feature, threshold, _ = found
+    mask = X[:, feature] <= threshold
+    node = ReferenceNode(feature=feature, threshold=threshold)
+    node.left = reference_build(
+        X[mask], y[mask], n_classes, max_depth, min_samples_split,
+        depth + 1, feature_rng, n_candidate_features,
+    )
+    node.right = reference_build(
+        X[~mask], y[~mask], n_classes, max_depth, min_samples_split,
+        depth + 1, feature_rng, n_candidate_features,
+    )
+    return node
+
+
+def reference_predict(node, X, rows, out) -> None:
+    """Send ``rows`` of ``X`` down the node graph, one recursive call per node."""
+    if node.is_leaf:
+        out[rows] = node.distribution
+        return
+    mask = X[rows, node.feature] <= node.threshold
+    if mask.any():
+        reference_predict(node.left, X, rows[mask], out)
+    if (~mask).any():
+        reference_predict(node.right, X, rows[~mask], out)
+
+
+def reference_proba(roots, X, n_classes):
+    """The mean of the trees' leaf distributions for every row of ``X``."""
+    per_tree = []
+    for root in roots:
+        out = np.zeros((len(X), n_classes))
+        reference_predict(root, X, np.arange(len(X)), out)
+        per_tree.append(out)
+    return np.stack(per_tree).mean(axis=0)
+
+
+def reference_forest(data, n_trees, max_depth, min_samples_split, seed, bootstrap,
+                     feature_subsample):
+    """The root of each tree :func:`ml.train_random_forest` grows."""
+    d = data.X.shape[1]
+    n_candidates = math.ceil(math.sqrt(d))
+    roots = []
+    for i in range(n_trees):
+        rng = ml.dataset.rng_for(seed, i)
+        idx = rng.integers(0, len(data), size=len(data)) if bootstrap else np.arange(len(data))
+        roots.append(reference_build(
+            data.X[idx], data.y[idx], len(data.class_names), max_depth, min_samples_split,
+            feature_rng=rng if feature_subsample else None,
+            n_candidate_features=n_candidates if feature_subsample else None,
+        ))
+    return roots
+
+
+class TestFlatTreeMatchesNodeGraph:
+    """Flat-array trees predict bit for bit what the node graph they replaced
+    predicts, and a saved tree model survives save, load and save unchanged."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 40),
+        d=st.integers(1, 5),
+        k=st.integers(2, 4),
+        levels=st.sampled_from([2, 4, 1000]),
+        max_depth=st.sampled_from([None, 1, 3]),
+        min_samples_split=st.sampled_from([2, 5]),
+        n_trees=st.integers(1, 3),
+        bootstrap=st.booleans(),
+        feature_subsample=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_predictions_and_round_trip(self, seed, n, d, k, levels, max_depth,
+                                        min_samples_split, n_trees, bootstrap,
+                                        feature_subsample):
+        rng = np.random.default_rng(seed)
+        # Few levels tie many values; probes on the quarter grid hit thresholds exactly.
+        data = dataset_from(rng.integers(0, levels, size=(n, d)) * 0.5,
+                            rng.integers(0, k, size=n),
+                            classes=tuple(f"c{i}" for i in range(k)))
+        probe = np.vstack([data.X, rng.integers(-1, 2 * levels + 1, size=(30, d)) * 0.25])
+        tree = ml.train_decision_tree(data, max_depth=max_depth,
+                                      min_samples_split=min_samples_split)
+        forest = ml.train_random_forest(data, n_trees=n_trees, max_depth=max_depth,
+                                        min_samples_split=min_samples_split, seed=seed % 97,
+                                        bootstrap=bootstrap, feature_subsample=feature_subsample)
+        expected = [
+            (tree, reference_proba([reference_build(data.X, data.y, k, max_depth,
+                                                    min_samples_split)], probe, k)),
+            (forest, reference_proba(reference_forest(data, n_trees, max_depth,
+                                                      min_samples_split, seed % 97, bootstrap,
+                                                      feature_subsample), probe, k)),
+        ]
+        for model, want in expected:
+            assert model.predict_proba(probe).tobytes() == want.tobytes()
+            text = ml.save_model(model)
+            clone = ml.load_model(text)
+            assert ml.save_model(clone) == text
+            assert clone.predict_proba(probe).tobytes() == want.tobytes()
 
 
 def gaussian_density(x, mean, var):
@@ -410,8 +546,15 @@ class TestLoadModelFields:
             ml.load_model(json.dumps(saved))
 
     def test_incomplete_tree_node(self, saved):
-        saved["parameters"]["root"] = {"feature": 0, "threshold": 0.5}
-        with pytest.raises(ValueError, match="missing field 'left', 'right' in a tree node"):
+        tree = saved["parameters"]["trees"][0]
+        del tree["left"], tree["right"]
+        with pytest.raises(ValueError, match="missing field 'left', 'right' in tree 0"):
+            ml.load_model(json.dumps(saved))
+
+    def test_version_1_tree_file_is_refused_by_version(self, saved):
+        saved["format_version"] = 1
+        saved["parameters"] = {"root": {"distribution": [0.5, 0.5]}}
+        with pytest.raises(ValueError, match="unsupported model format version 1, expected 2"):
             ml.load_model(json.dumps(saved))
 
 
@@ -457,36 +600,101 @@ class TestLoadModelShapes:
             data["parameters"]["weights"] = cut(data["parameters"]["weights"])
         self.refused(saved, "linear_svm", change, message)
 
-    @staticmethod
-    def first_leaf(node):
-        while "distribution" not in node:
-            node = node["left"]
-        return node
-
     @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
     @pytest.mark.parametrize("feature", [4, -1, 1.0, True, "0"])
     def test_tree_feature(self, saved, kind, feature):
+        last = len(saved[kind]["parameters"]["trees"]) - 1
+
         def change(data):
-            params = data["parameters"]
-            root = params["root"] if kind == "decision_tree" else params["trees"][-1]
-            assert "feature" in root  # the root splits
-            root["feature"] = feature
-        self.refused(saved, kind, change,
-                     rf"'feature' of a tree node is {re.escape(repr(feature))}, "
-                     r"expected an int in \[0, 4\)")
+            root = data["parameters"]["trees"][-1]
+            assert root["feature"][0] >= 0 and root["left"][0] == 1  # the root splits
+            root["feature"][0] = feature
+        if feature == -1:  # a leaf that keeps its children
+            message = rf"'left' of tree {last} holds 1 at node 0, expected -1 at a leaf"
+        else:
+            message = (rf"'feature' of tree {last} holds {re.escape(repr(feature))}, "
+                       r"expected -1 or an int in \[0, 4\)")
+        self.refused(saved, kind, change, message)
 
     @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
-    @pytest.mark.parametrize("cut, message", [
-        (lambda a: a[:-1], r"'distribution' has shape \(2,\), expected \(3\)"),
-        (lambda a: a + [0.0], r"'distribution' has shape \(4,\), expected \(3\)"),
-    ])
-    def test_leaf_distribution(self, saved, kind, cut, message):
+    @pytest.mark.parametrize("cut, columns", [(lambda row: row[:-1], 2),
+                                              (lambda row: row + [0.0], 4)],
+                             ids=["short", "long"])
+    def test_leaf_distribution(self, saved, kind, cut, columns):
+        nodes = len(saved[kind]["parameters"]["trees"][0]["value"])
+
         def change(data):
-            params = data["parameters"]
-            root = params["root"] if kind == "decision_tree" else params["trees"][0]
-            leaf = self.first_leaf(root)
-            leaf["distribution"] = cut(leaf["distribution"])
-        self.refused(saved, kind, change, message)
+            tree = data["parameters"]["trees"][0]
+            tree["value"] = [cut(row) for row in tree["value"]]
+        self.refused(saved, kind, change,
+                     rf"'value' of tree 0 has shape \({nodes}, {columns}\), "
+                     rf"expected \({nodes}, 3\)")
+
+    @staticmethod
+    def first_leaf(tree):
+        return tree["feature"].index(-1)
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest"])
+    @pytest.mark.parametrize("change, message", [
+        pytest.param(lambda t, leaf: t.update(threshold="oops"),
+                     "'threshold' of tree 0 is not an array of numbers",
+                     id="threshold-text"),
+        pytest.param(lambda t, leaf: t["threshold"].__setitem__(0, None),
+                     "'threshold' of tree 0 holds values that are not finite",
+                     id="threshold-null"),
+        pytest.param(lambda t, leaf: t["threshold"].pop(),
+                     r"'threshold' of tree 0 has shape \(\d+,\), expected \(\d+\)",
+                     id="threshold-short"),
+        pytest.param(lambda t, leaf: t["value"][leaf].__setitem__(0, float("inf")),
+                     "'value' of tree 0 holds values that are not finite",
+                     id="value-infinite"),
+        pytest.param(lambda t, leaf: t.update(feature=0),
+                     "'feature' of tree 0 is not a non-empty list",
+                     id="feature-not-list"),
+        pytest.param(lambda t, leaf: t.update(feature=[]),
+                     "'feature' of tree 0 is not a non-empty list",
+                     id="feature-empty"),
+        pytest.param(lambda t, leaf: t["left"].__setitem__(0, 1.0),
+                     r"'left' of tree 0 holds 1.0, expected -1 or an int in \[0, \d+\)",
+                     id="left-float"),
+        pytest.param(lambda t, leaf: t["right"].__setitem__(0, "2"),
+                     r"'right' of tree 0 holds '2', expected -1 or an int in \[0, \d+\)",
+                     id="right-string"),
+        pytest.param(lambda t, leaf: t["right"].__setitem__(0, len(t["right"])),
+                     r"'right' of tree 0 holds \d+, expected -1 or an int in \[0, \d+\)",
+                     id="right-past-end"),
+        pytest.param(lambda t, leaf: t["left"].append(-1),
+                     r"'left' of tree 0 has \d+ nodes, expected \d+",
+                     id="left-long"),
+        pytest.param(lambda t, leaf: t["left"].__setitem__(0, 0),
+                     r"'left' of tree 0 holds 0 at node 0, expected a node in \(0, \d+\) at a",
+                     id="left-not-after-split"),
+        pytest.param(lambda t, leaf: t["right"].__setitem__(leaf, leaf + 1),
+                     r"'right' of tree 0 holds \d+ at node \d+, expected -1 at a leaf",
+                     id="right-at-leaf"),
+    ])
+    def test_tree_arrays(self, saved, kind, change, message):
+        """Each array of a saved tree is checked, and the refusal names it."""
+        def edit(data):
+            tree = data["parameters"]["trees"][0]
+            change(tree, self.first_leaf(tree))
+        self.refused(saved, kind, edit, message)
+
+    def test_decision_tree_holds_one_tree(self, saved):
+        def change(data):
+            data["parameters"]["trees"] *= 2
+        self.refused(saved, "decision_tree", change, "'trees' holds 2 trees, expected 1")
+
+    @pytest.mark.parametrize("trees", [[], {}, None])
+    def test_trees_is_a_non_empty_list(self, saved, trees):
+        def change(data):
+            data["parameters"]["trees"] = trees
+        self.refused(saved, "random_forest", change, "'trees' is not a non-empty list")
+
+    def test_tree_that_is_not_an_object(self, saved):
+        def change(data):
+            data["parameters"]["trees"][1] = []
+        self.refused(saved, "random_forest", change, "tree 1 is not a JSON object")
 
     @pytest.mark.parametrize("value", ["c0", ["c0", 1, "c2"]])
     def test_class_names(self, saved, value):
