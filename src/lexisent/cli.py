@@ -303,18 +303,21 @@ def cmd_compare(args) -> int:
 
 
 def _train_ml_model(dataset, args):
-    if args.model == "decision_tree":
-        return ml.train_decision_tree(
-            dataset, max_depth=args.max_depth,
-            min_samples_split=args.min_samples_split, seed=args.seed,
-        )
-    if args.model == "random_forest":
-        return ml.train_random_forest(
-            dataset, n_trees=args.n_trees, max_depth=args.max_depth,
-            min_samples_split=args.min_samples_split, seed=args.seed,
-            bootstrap=not args.no_bootstrap,
-            feature_subsample=not args.no_feature_subsample,
-        )
+    try:
+        if args.model == "decision_tree":
+            return ml.train_decision_tree(
+                dataset, max_depth=args.max_depth,
+                min_samples_split=args.min_samples_split, seed=args.seed,
+            )
+        if args.model == "random_forest":
+            return ml.train_random_forest(
+                dataset, n_trees=args.n_trees, max_depth=args.max_depth,
+                min_samples_split=args.min_samples_split, seed=args.seed,
+                bootstrap=not args.no_bootstrap,
+                feature_subsample=not args.no_feature_subsample,
+            )
+    except ml.SettingError as exc:  # name the flag the setting came from
+        raise ValueError(f"--{exc.setting.replace('_', '-')} {exc.problem}") from None
     if args.model == "gaussian_nb":
         return ml.train_gaussian_nb(dataset, var_smoothing=args.var_smoothing)
     return ml.train_linear_svm(dataset, lam=args.lam, epochs=args.epochs, seed=args.seed)

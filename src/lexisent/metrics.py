@@ -187,26 +187,19 @@ def roc(
     n_neg = int(np.sum(y == 0))
     if n_pos == 0 or n_neg == 0:
         raise ValueError("ROC needs at least one positive and one negative instance")
+    if np.isnan(s).any():
+        raise ValueError("ROC scores must not be NaN")
 
     order = np.argsort(-s, kind="stable")
     y_sorted = y[order]
     s_sorted = s[order]
-    points: list[tuple[float, float]] = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = len(y_sorted)
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            tp += int(y_sorted[j] == 1)
-            fp += int(y_sorted[j] == 0)
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    fpr = np.array([p[0] for p in points])
-    tpr = np.array([p[1] for p in points])
+    # One point per group of equal scores, at the group's last index.
+    last = np.append(np.flatnonzero(s_sorted[1:] != s_sorted[:-1]), len(s) - 1)
+    fpr = np.concatenate(([0.0], np.cumsum(y_sorted == 0)[last] / n_neg))
+    tpr = np.concatenate(([0.0], np.cumsum(y_sorted == 1)[last] / n_pos))
+    points = tuple(zip(fpr.tolist(), tpr.tolist()))
     auc = float(np.sum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0))
-    return RocCurve(positive_class, tuple(points), auc)
+    return RocCurve(positive_class, points, auc)
 
 
 def roc_one_vs_rest(
@@ -218,9 +211,10 @@ def roc_one_vs_rest(
     (their AUC is undefined).
     """
     proba = np.asarray(proba, dtype=float)
+    y = np.asarray(y_true)
     curves: dict[str, RocCurve] = {}
     for k, name in enumerate(classes):
-        binary = [1 if t == k else 0 for t in y_true]
-        if 0 < sum(binary) < len(binary):
+        binary = (y == k).astype(int)
+        if 0 < np.count_nonzero(binary) < len(binary):
             curves[name] = roc(binary, proba[:, k], positive_class=name)
     return curves

@@ -5,7 +5,7 @@ from .forest import RandomForestModel, train_random_forest
 from .naive_bayes import GaussianNBModel, train_gaussian_nb
 from .serialize import MODEL_KINDS, load_model, save_model
 from .svm import LinearSVMModel, train_linear_svm
-from .tree import DecisionTreeModel, train_decision_tree
+from .tree import DecisionTreeModel, SettingError, train_decision_tree
 
 __all__ = [
     "Dataset",
@@ -15,6 +15,7 @@ __all__ = [
     "RandomForestModel",
     "GaussianNBModel",
     "LinearSVMModel",
+    "SettingError",
     "dataset_csv",
     "featurize",
     "split",

@@ -56,22 +56,23 @@ def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:
     to the shared score) plus length and word count of the english form."""
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
+    classes = PosTag if task == "pos" else Polarity
+    index = {member: i for i, member in enumerate(classes)}
+    # Column of each language's score; an absent score keeps the shared one.
+    column = {language: i for i, language in enumerate(LanguageCode, start=1)}
+    english_code = LanguageCode.ENGLISH
     rows = []
     labels = []
     for entry in lexicon.entries:
-        english = entry.forms.get(LanguageCode.ENGLISH)
-        rows.append(
-            [entry.shared_score]
-            + [entry.effective_score(lang) for lang in LanguageCode]
-            + [len(english) if english else 0, len(english.split()) if english else 0]
-        )
-        if task == "pos":
-            labels.append(list(PosTag).index(entry.pos))
-        else:
-            labels.append(list(Polarity).index(Polarity.from_score(entry.shared_score)))
-    class_names = tuple(
-        m.value for m in (PosTag if task == "pos" else Polarity)
-    )
+        shared = entry.shared_score
+        row = [shared] * 7
+        for language, score in entry.per_language_scores.items():
+            row[column[language]] = score
+        english = entry.forms.get(english_code)
+        row += (len(english), len(english.split())) if english else (0, 0)
+        rows.append(row)
+        labels.append(index[entry.pos if task == "pos" else Polarity.from_score(shared)])
+    class_names = tuple(m.value for m in classes)
     return Dataset(
         X=np.asarray(rows, dtype=float),
         y=np.asarray(labels, dtype=int),
@@ -125,8 +126,9 @@ def dataset_csv(data: Dataset) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(list(data.feature_names) + ["label", "entry_id"])
-    for row, label, entry_id in zip(data.X, data.y, data.provenance):
-        writer.writerow(
-            [repr(float(v)) for v in row] + [data.class_names[label], entry_id]
-        )
+    names = data.class_names
+    writer.writerows(
+        [*map(repr, row), names[label], entry_id]
+        for row, label, entry_id in zip(data.X.tolist(), data.y.tolist(), data.provenance)
+    )
     return buffer.getvalue()

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset, rng_for
-from .tree import Tree, build_tree
+from .tree import SettingError, Tree, build_tree, check_tree_training
 
 
 @dataclass
@@ -42,9 +42,8 @@ def train_random_forest(
     """Train ``n_trees`` CART trees; each tree's RNG derives from (seed, index),
     so results do not depend on training order."""
     if n_trees < 1:
-        raise ValueError("n_trees must be >= 1")
-    if len(data) == 0:
-        raise ValueError("cannot train on an empty dataset")
+        raise SettingError("n_trees", f"must be at least 1, got {n_trees}")
+    check_tree_training(data, max_depth, min_samples_split)
     d = data.X.shape[1]
     n_candidates = math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1)  # ceil(sqrt(d))
     subsample = feature_subsample and n_candidates < d

@@ -1,4 +1,5 @@
-"""CART decision tree with Gini impurity and class-frequency leaves."""
+"""CART decision tree with Gini impurity and class-frequency leaves, grown by
+an exact split search over columns sorted once per tree."""
 
 from __future__ import annotations
 
@@ -49,43 +50,70 @@ def gini(counts: np.ndarray) -> float:
     return float(1.0 - np.sum(p * p))
 
 
+def split_threshold(lower: float, upper: float) -> float:
+    """The midpoint of two adjacent distinct values, or ``lower`` where the
+    midpoint is not below ``upper`` (it rounds up to it between neighbouring
+    floats, and overflows between huge ones), so that exactly the values up
+    to ``lower`` satisfy ``value <= threshold``."""
+    lower, upper = float(lower), float(upper)
+    threshold = (lower + upper) / 2.0
+    return threshold if threshold < upper else lower
+
+
 def best_split(
-    X: np.ndarray,
+    columns: np.ndarray,
     y: np.ndarray,
-    n_classes: int,
-    feature_indices: np.ndarray,
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, impurity decrease) over midpoint thresholds.
+    order: np.ndarray,
+    counts: np.ndarray,
+    features: np.ndarray,
+) -> tuple[int, float, float, np.ndarray] | None:
+    """Best (feature, threshold, impurity decrease, left class counts) over
+    midpoint thresholds of one node.
 
-    Ties resolve to the lowest feature index and then the lowest threshold,
-    so training is deterministic. Returns None when nothing improves.
+    ``columns (d, n)`` is the training matrix transposed and ``y (n,)`` its
+    labels; ``order (d, m)`` holds the node's rows sorted by each feature, and
+    ``counts (k,)`` their class counts. Only the rows of ``features`` (sorted
+    candidate features) are searched: one class histogram over every
+    candidate's node-local value ranks, cumulated over ranks, scores every
+    threshold at once (the exact greedy search on presorted columns of SLIQ and
+    XGBoost). Ties resolve to the lowest feature index and then the lowest
+    threshold, so training is deterministic. Returns None when nothing improves.
     """
-    n = len(y)
-    parent_counts = np.bincount(y, minlength=n_classes).astype(float)
-    parent_gini = gini(parent_counts)
-    one_hot = np.eye(n_classes)[y]
-
-    best: tuple[int, float, float] | None = None
-    for f in feature_indices:
-        column = X[:, f]
-        order = np.argsort(column, kind="stable")
-        xs = column[order]
-        boundaries = np.flatnonzero(xs[:-1] != xs[1:])
-        if boundaries.size == 0:
-            continue
-        cum = np.cumsum(one_hot[order], axis=0)
-        left_counts = cum[boundaries]
-        n_left = (boundaries + 1).astype(float)
-        n_right = n - n_left
-        right_counts = parent_counts - left_counts
-        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
-        gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
-        decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / n
-        i = int(np.argmax(decrease))
-        if decrease[i] > 1e-12 and (best is None or decrease[i] > best[2]):
-            threshold = float((xs[boundaries[i]] + xs[boundaries[i] + 1]) / 2.0)
-            best = (int(f), threshold, float(decrease[i]))
-    return best
+    m = order.shape[1]
+    n_features, k = len(features), len(counts)
+    rows = order[features]
+    values = columns[features[:, None], rows]
+    # Rank of each sorted value among the node's distinct values of its feature.
+    changes = np.zeros(rows.shape, dtype=bool)
+    np.not_equal(values[:, 1:], values[:, :-1], out=changes[:, 1:])
+    ranks = np.add.accumulate(changes, axis=1, dtype=np.intp)
+    n_ranks = int(ranks[:, -1].max()) + 1
+    if n_ranks == 1:
+        return None
+    # cum[f, r, c]: rows of class c whose value of feature f has rank <= r.
+    codes = (np.arange(n_features)[:, None] * n_ranks + ranks) * k + y[rows]
+    hist = np.bincount(codes.ravel(), minlength=n_features * n_ranks * k)
+    cum = np.add.accumulate(hist.reshape(n_features, n_ranks, k), axis=1)
+    n_left_all = np.add.reduce(cum, axis=2)
+    # A threshold above rank r of feature f leaves rows on both sides.
+    valid = n_left_all < m
+    left_counts = cum[valid].astype(float)
+    n_left = n_left_all[valid].astype(float)
+    n_right = m - n_left
+    right_counts = counts - left_counts
+    parent_gini = gini(counts)
+    # The Gini expressions of the sort-per-node search, on C-contiguous rows,
+    # so every decrease has the same bits.
+    gini_left = 1.0 - np.add.reduce((left_counts / n_left[:, None]) ** 2, axis=1)
+    gini_right = 1.0 - np.add.reduce((right_counts / n_right[:, None]) ** 2, axis=1)
+    decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / m
+    i = int(np.argmax(decrease))  # first in (feature, threshold) order
+    if not decrease[i] > 1e-12:
+        return None
+    f, r = (int(a[i]) for a in np.nonzero(valid))
+    b = int(n_left_all[f, r])
+    threshold = split_threshold(values[f, b - 1], values[f, b])
+    return int(features[f]), threshold, float(decrease[i]), cum[f, r]
 
 
 def build_tree(
@@ -99,32 +127,59 @@ def build_tree(
 ) -> Tree:
     """Grow a tree depth-first, left before right, numbering nodes in the
     order they are reached. With ``feature_rng``, each split draws
-    ``n_candidate_features`` of the features as candidates, in that order."""
-    d = X.shape[1]
+    ``n_candidate_features`` of the features as candidates, in that order.
+
+    Each column is sorted once; a split partitions every column's sorted rows
+    with one boolean gather, which keeps them sorted, and hands its children
+    their class counts, so no node sorts or counts again."""
+    n, d = X.shape
+    columns = np.ascontiguousarray(X.T)
+    goes_left = np.zeros(n, dtype=bool)
+    all_features = np.arange(d)
+
+    def searched(m: int, counts: np.ndarray, depth: int) -> bool:
+        return ((max_depth is None or depth < max_depth) and m >= min_samples_split
+                and np.count_nonzero(counts) > 1)
+
     nodes: list[list] = []  # [feature, threshold, left, right, value] per node
-    # A node's rows, its depth, and the split whose right child it is (-1 if
+    # A node's rows sorted by each feature (None if it is not searched), its
+    # class counts, its depth, and the split whose right child it is (-1 if
     # none). Left children pop first, so a split's left child is the next node.
-    stack = [(X, y, 0, -1)]
+    counts = np.bincount(y, minlength=n_classes)
+    order = np.argsort(X, axis=0, kind="stable").T if searched(n, counts, 0) else None
+    stack = [(order, counts, 0, -1)]
     while stack:
-        X, y, depth, parent = stack.pop()
+        order, counts, depth, parent = stack.pop()
         node = len(nodes)
         if parent >= 0:
             nodes[parent][3] = node
-        counts = np.bincount(y, minlength=n_classes).astype(float)
         found = None
-        grows = (max_depth is None or depth < max_depth) and len(y) >= min_samples_split
-        if grows and np.count_nonzero(counts) > 1:
-            features = np.arange(d) if feature_rng is None else np.sort(
+        if order is not None:
+            features = all_features if feature_rng is None else np.sort(
                 feature_rng.choice(d, size=n_candidate_features, replace=False))
-            found = best_split(X, y, n_classes, features)
+            found = best_split(columns, y, order, counts, features)
         if found is None:
             nodes.append([-1, 0.0, -1, -1, counts / counts.sum()])
             continue
-        feature, threshold, _ = found
+        feature, threshold, _, left_counts = found
         nodes.append([feature, threshold, node + 1, -1, np.zeros(n_classes)])
-        mask = X[:, feature] <= threshold
-        stack.append((X[~mask], y[~mask], depth + 1, node))
-        stack.append((X[mask], y[mask], depth + 1, -1))
+        m = order.shape[1]
+        n_left = int(left_counts.sum())
+        right_counts = counts - left_counts
+        left = right = None
+        left_searched = searched(n_left, left_counts, depth + 1)
+        right_searched = searched(m - n_left, right_counts, depth + 1)
+        if left_searched or right_searched:
+            left_rows = order[feature, :n_left]
+            goes_left[left_rows] = True
+            sel = goes_left[order]
+            goes_left[left_rows] = False
+            if left_searched:
+                left = order[sel].reshape(d, n_left)
+            if right_searched:
+                right = order[~sel].reshape(d, m - n_left)
+        stack.append((right, right_counts, depth + 1, node))
+        stack.append((left, left_counts, depth + 1, -1))
     feature, threshold, left, right, value = zip(*nodes)
     return Tree(
         feature=np.array(feature, dtype=np.intp),
@@ -153,14 +208,42 @@ class DecisionTreeModel:
         return np.argmax(self.predict_proba(X), axis=1)
 
 
+class SettingError(ValueError):
+    """A training setting that would yield a useless model. ``setting`` is
+    the parameter's name and ``problem`` what is wrong with its value."""
+
+    def __init__(self, setting: str, problem: str):
+        super().__init__(f"{setting} {problem}")
+        self.setting = setting
+        self.problem = problem
+
+
+def check_tree_training(data: Dataset, max_depth: int | None, min_samples_split: int) -> None:
+    """Refuse what would grow a useless tree: no rows, ``max_depth`` below 1
+    (a single majority leaf), ``min_samples_split`` below 2, or a feature that
+    is not finite (presorting orders no NaN)."""
+    if len(data) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    if max_depth is not None and max_depth < 1:
+        raise SettingError("max_depth", f"must be at least 1, got {max_depth}")
+    if min_samples_split < 2:
+        raise SettingError("min_samples_split", f"must be at least 2, got {min_samples_split}")
+    bad = np.argwhere(~np.isfinite(data.X))
+    if len(bad):
+        row, column = (int(i) for i in bad[0])
+        raise ValueError(
+            f"feature {data.feature_names[column]!r} of row {row} "
+            f"({data.provenance[row]}) is {float(data.X[row, column])!r}; trees need finite features"
+        )
+
+
 def train_decision_tree(
     data: Dataset,
     max_depth: int | None = 12,
     min_samples_split: int = 2,
     seed: int = 0,
 ) -> DecisionTreeModel:
-    if len(data) == 0:
-        raise ValueError("cannot train on an empty dataset")
+    check_tree_training(data, max_depth, min_samples_split)
     return DecisionTreeModel(
         tree=build_tree(data.X, data.y, len(data.class_names), max_depth, min_samples_split),
         class_names=data.class_names,

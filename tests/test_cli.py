@@ -361,6 +361,27 @@ class TestMlCommands:
         assert (out1 / "metrics.json").read_bytes() == (out2 / "metrics.json").read_bytes()
 
 
+    @pytest.mark.parametrize("model", ["decision_tree", "random_forest"])
+    @pytest.mark.parametrize("flag, value, low", [
+        ("--max-depth", "-1", 1), ("--max-depth", "0", 1),
+        ("--min-samples-split", "1", 2), ("--min-samples-split", "0", 2),
+    ])
+    def test_train_refuses_a_tree_setting_that_yields_a_useless_model(
+            self, tmp_path, paper_lex_file, model, flag, value, low, capsys):
+        out = tmp_path / "ml"
+        assert run("ml", "train", "--lex", paper_lex_file, "--model", model,
+                   "--out", out, flag, value) == 2
+        assert f"error: {flag} must be at least {low}, got {value}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_refuses_a_forest_of_no_trees(self, tmp_path, paper_lex_file, capsys):
+        out = tmp_path / "ml"
+        assert run("ml", "train", "--lex", paper_lex_file, "--model", "random_forest",
+                   "--out", out, "--n-trees", "0") == 2
+        assert "error: --n-trees must be at least 1, got 0\n" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestCtxAndExplain:
     def test_full_chain(self, tmp_path, ctx_lex_file):
         gen = tmp_path / "gen"

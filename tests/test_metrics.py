@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lexisent import metrics as evalm
 from lexisent.metrics import (
     ConfusionMatrix,
     aggregate_per_class,
@@ -198,3 +200,73 @@ class TestRoc:
         proba = np.full((4, 3), 1 / 3)
         curves = roc_one_vs_rest([0, 0, 2, 2], proba, POLARITIES)
         assert "neutral" not in curves
+
+
+def reference_roc(y_true, scores, positive_class="positive"):
+    """``roc`` as it swept each group of equal scores one element at a time."""
+    y = np.asarray(y_true, dtype=int)
+    s = np.asarray(scores, dtype=float)
+    n_pos = int(np.sum(y == 1))
+    n_neg = int(np.sum(y == 0))
+    order = np.argsort(-s, kind="stable")
+    y_sorted = y[order]
+    s_sorted = s[order]
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    n = len(y_sorted)
+    while i < n:
+        j = i
+        while j < n and s_sorted[j] == s_sorted[i]:
+            tp += int(y_sorted[j] == 1)
+            fp += int(y_sorted[j] == 0)
+            j += 1
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    fpr = np.array([p[0] for p in points])
+    tpr = np.array([p[1] for p in points])
+    auc = float(np.sum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0))
+    return evalm.RocCurve(positive_class, tuple(points), auc)
+
+
+def float_bits(curve):
+    return [x.hex() for point in curve.points for x in point], curve.auc.hex()
+
+
+TIED_SCORES = st.sampled_from([0.0, -0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0, math.inf, -math.inf])
+
+
+class TestRocMatchesElementSweep:
+    """``roc`` gives every point and the AUC bit for bit as the per-element
+    sweep it replaced, on scores with many ties."""
+
+    @given(pairs=st.lists(st.tuples(st.integers(0, 1), st.one_of(TIED_SCORES, st.floats(
+        -2, 2, allow_nan=False))), min_size=2, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_points_and_auc(self, pairs):
+        labels = [t for t, _ in pairs]
+        assume(0 < sum(labels) < len(labels))
+        scores = [x for _, x in pairs]
+        curve = roc(labels, scores, positive_class="c")
+        want = reference_roc(labels, scores, positive_class="c")
+        assert curve == want
+        assert float_bits(curve) == float_bits(want)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), levels=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_one_vs_rest(self, seed, n, levels):
+        rng = np.random.default_rng(seed)
+        y = rng.integers(0, 3, n).tolist()
+        proba = rng.integers(0, levels, size=(n, 3)) / levels
+        curves = roc_one_vs_rest(y, proba, POLARITIES)
+        want = {
+            name: reference_roc([int(t == k) for t in y], proba[:, k], positive_class=name)
+            for k, name in enumerate(POLARITIES) if 0 < y.count(k) < n
+        }
+        assert curves == want
+        assert {k: float_bits(c) for k, c in curves.items()} == {
+            k: float_bits(c) for k, c in want.items()}
+
+    def test_nan_score_is_refused(self):
+        with pytest.raises(ValueError, match="ROC scores must not be NaN"):
+            roc([1, 0, 1], [0.5, math.nan, 0.2])

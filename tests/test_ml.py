@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import copy
+import csv
+import io
 import itertools
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexisent import ml
-from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, PosTag
+from lexisent.lexicon import (
+    NEUTRAL_EPSILON, LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag,
+)
 from lexisent.ml.dataset import Dataset, FEATURE_NAMES, featurize, split
 from lexisent.ml.tree import best_split, gini
 
@@ -71,6 +76,87 @@ class TestFeaturize:
         text = ml.dataset_csv(featurize(paper_lexicon))
         header = text.splitlines()[0].split(",")
         assert header == list(FEATURE_NAMES) + ["label", "entry_id"]
+
+
+def reference_featurize(lexicon, task):
+    """The features and labels as ``featurize`` computed them with one enum
+    scan per entry."""
+    rows = []
+    labels = []
+    for entry in lexicon.entries:
+        english = entry.forms.get(LanguageCode.ENGLISH)
+        rows.append(
+            [entry.shared_score]
+            + [entry.effective_score(lang) for lang in LanguageCode]
+            + [len(english) if english else 0, len(english.split()) if english else 0]
+        )
+        if task == "pos":
+            labels.append(list(PosTag).index(entry.pos))
+        else:
+            labels.append(list(Polarity).index(Polarity.from_score(entry.shared_score)))
+    return np.asarray(rows, dtype=float), np.asarray(labels, dtype=int)
+
+
+def reference_dataset_csv(data):
+    """``dataset_csv`` as it wrote one row per ``writerow`` call."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(list(data.feature_names) + ["label", "entry_id"])
+    for row, label, entry_id in zip(data.X, data.y, data.provenance):
+        writer.writerow([repr(float(v)) for v in row] + [data.class_names[label], entry_id])
+    return buffer.getvalue()
+
+
+SCORES = st.one_of(
+    st.floats(-5, 5, allow_nan=False),
+    st.sampled_from([0.0, -0.0, NEUTRAL_EPSILON, -NEUTRAL_EPSILON, 1e-300]),
+)
+ENTRIES = st.builds(
+    LexiconEntry,
+    forms=st.fixed_dictionaries({}, optional={
+        LanguageCode.FRENCH: st.just("mot"),
+        # Missing, empty, one-word and multi-word English forms.
+        LanguageCode.ENGLISH: st.text(alphabet="ab é\t", max_size=12),
+    }),
+    pos=st.sampled_from(list(PosTag)),
+    shared_score=SCORES,
+    per_language_scores=st.dictionaries(st.sampled_from(list(LanguageCode)), SCORES),
+)
+
+
+class TestLeanFeaturizeAndCsv:
+    """``featurize`` and ``dataset_csv`` give the same arrays and bytes as the
+    per-entry enum scans and per-row writes they replaced."""
+
+    @given(entries=st.lists(ENTRIES, min_size=1, max_size=20),
+           task=st.sampled_from(ml.dataset.TASKS))
+    @settings(max_examples=150, deadline=None)
+    def test_featurize(self, entries, task):
+        lexicon = Lexicon(entries)
+        data = featurize(lexicon, task=task)
+        X, y = reference_featurize(lexicon, task)
+        assert data.X.tobytes() == X.tobytes() and data.X.shape == X.shape
+        assert data.y.tobytes() == y.tobytes() and data.y.dtype == y.dtype
+        assert data.provenance == tuple(f"r{i + 1}" for i in range(len(entries)))
+
+    @given(
+        X=st.lists(st.lists(st.floats(width=64), min_size=2, max_size=2), max_size=8),
+        names=st.lists(st.text(max_size=4), min_size=1, max_size=3),
+        ids=st.lists(st.text(max_size=6), min_size=8, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dataset_csv_bytes(self, X, names, ids, seed):
+        X = np.array(X, dtype=float).reshape(len(X), 2)
+        y = np.random.default_rng(seed).integers(0, len(names), size=len(X))
+        data = Dataset(X=X, y=y, class_names=tuple(names), task="pos",
+                       provenance=tuple(ids[:len(X)]), feature_names=("a,b", 'q"'))
+        assert ml.dataset_csv(data) == reference_dataset_csv(data)
+
+    def test_dataset_csv_bytes_on_a_lexicon(self, paper_lexicon):
+        for task in ml.dataset.TASKS:
+            data = featurize(paper_lexicon, task=task)
+            assert ml.dataset_csv(data) == reference_dataset_csv(data)
 
 
 class TestSplit:
@@ -240,6 +326,40 @@ class ReferenceNode:
         return self.distribution is not None
 
 
+def reference_best_split(X, y, n_classes, feature_indices):
+    """Best (feature, threshold, impurity decrease) over midpoint thresholds,
+    by sorting each candidate column of the node afresh."""
+    n = len(y)
+    parent_counts = np.bincount(y, minlength=n_classes).astype(float)
+    parent_gini = gini(parent_counts)
+    one_hot = np.eye(n_classes)[y]
+
+    best = None
+    for f in feature_indices:
+        column = X[:, f]
+        order = np.argsort(column, kind="stable")
+        xs = column[order]
+        boundaries = np.flatnonzero(xs[:-1] != xs[1:])
+        if boundaries.size == 0:
+            continue
+        cum = np.cumsum(one_hot[order], axis=0)
+        left_counts = cum[boundaries]
+        n_left = (boundaries + 1).astype(float)
+        n_right = n - n_left
+        right_counts = parent_counts - left_counts
+        gini_left = 1.0 - np.sum((left_counts / n_left[:, None]) ** 2, axis=1)
+        gini_right = 1.0 - np.sum((right_counts / n_right[:, None]) ** 2, axis=1)
+        decrease = parent_gini - (n_left * gini_left + n_right * gini_right) / n
+        i = int(np.argmax(decrease))
+        if decrease[i] > 1e-12 and (best is None or decrease[i] > best[2]):
+            lower, upper = xs[boundaries[i]], xs[boundaries[i] + 1]
+            threshold = float((lower + upper) / 2.0)
+            if not threshold < upper:  # keep the scored partition under ``<=``
+                threshold = float(lower)
+            best = (int(f), threshold, float(decrease[i]))
+    return best
+
+
 def reference_build(X, y, n_classes, max_depth, min_samples_split, depth=0,
                     feature_rng=None, n_candidate_features=None) -> ReferenceNode:
     """CART as a graph of node objects, grown by one recursive call per node."""
@@ -260,7 +380,7 @@ def reference_build(X, y, n_classes, max_depth, min_samples_split, depth=0,
         features = np.sort(feature_rng.choice(d, size=n_candidate_features, replace=False))
     else:
         features = np.arange(d)
-    found = best_split(X, y, n_classes, features)
+    found = reference_best_split(X, y, n_classes, features)
     if found is None:
         return leaf()
     feature, threshold, _ = found
@@ -316,15 +436,34 @@ def reference_forest(data, n_trees, max_depth, min_samples_split, seed, bootstra
     return roots
 
 
+def columns_of(kind, rng, n, d, levels):
+    """An (n, d) feature matrix of one kind: tied values on a grid, all-distinct
+    normal values, grid columns of which some are constant, duplicated rows,
+    or adjacent floats (whose midpoints may round up to the upper value)."""
+    if kind == "distinct":
+        return rng.normal(size=(n, d))
+    if kind == "adjacent":
+        return 1.0 + rng.integers(0, levels, size=(n, d)) * 2.0**-52
+    X = rng.integers(0, levels, size=(n, d)) * 0.5
+    if kind == "constant":
+        X[:, rng.random(d) < 0.5] = 1.5
+    elif kind == "duplicated":
+        X = X[rng.integers(0, n, size=n)]
+    return X
+
+
 class TestFlatTreeMatchesNodeGraph:
-    """Flat-array trees predict bit for bit what the node graph they replaced
-    predicts, and a saved tree model survives save, load and save unchanged."""
+    """Flat-array trees grown from presorted columns predict bit for bit what
+    the node graph grown by sorting every node afresh predicts, and a saved
+    tree model survives save, load and save unchanged."""
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         n=st.integers(1, 40),
         d=st.integers(1, 5),
         k=st.integers(2, 4),
+        used=st.integers(1, 4),
+        kind=st.sampled_from(["grid", "distinct", "constant", "duplicated", "adjacent"]),
         levels=st.sampled_from([2, 4, 1000]),
         max_depth=st.sampled_from([None, 1, 3]),
         min_samples_split=st.sampled_from([2, 5]),
@@ -332,16 +471,18 @@ class TestFlatTreeMatchesNodeGraph:
         bootstrap=st.booleans(),
         feature_subsample=st.booleans(),
     )
-    @settings(max_examples=150, deadline=None)
-    def test_predictions_and_round_trip(self, seed, n, d, k, levels, max_depth,
+    @settings(max_examples=250, deadline=None)
+    def test_predictions_and_round_trip(self, seed, n, d, k, used, kind, levels, max_depth,
                                         min_samples_split, n_trees, bootstrap,
                                         feature_subsample):
         rng = np.random.default_rng(seed)
-        # Few levels tie many values; probes on the quarter grid hit thresholds exactly.
-        data = dataset_from(rng.integers(0, levels, size=(n, d)) * 0.5,
-                            rng.integers(0, k, size=n),
+        # Labels from the first ``used`` classes leave the others absent from every node.
+        data = dataset_from(columns_of(kind, rng, n, d, levels),
+                            rng.integers(0, min(used, k), size=n),
                             classes=tuple(f"c{i}" for i in range(k)))
-        probe = np.vstack([data.X, rng.integers(-1, 2 * levels + 1, size=(30, d)) * 0.25])
+        # Probes on the quarter grid hit grid thresholds exactly.
+        probe = np.vstack([data.X, rng.integers(-1, 2 * levels + 1, size=(30, d)) * 0.25,
+                           columns_of(kind, rng, 30, d, levels)])
         tree = ml.train_decision_tree(data, max_depth=max_depth,
                                       min_samples_split=min_samples_split)
         forest = ml.train_random_forest(data, n_trees=n_trees, max_depth=max_depth,
@@ -360,6 +501,85 @@ class TestFlatTreeMatchesNodeGraph:
             clone = ml.load_model(text)
             assert ml.save_model(clone) == text
             assert clone.predict_proba(probe).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("lower, upper", [
+        (1.0 + 2.0**-52, 1.0 + 2.0**-51),  # the midpoint rounds up to ``upper``
+        (1e308, 1.5e308),  # the sum overflows
+    ])
+    def test_threshold_keeps_the_scored_partition(self, lower, upper):
+        assert not (lower + upper) / 2.0 < upper
+        data = dataset_from([[lower], [upper], [upper]], [0, 1, 1])
+        tree = ml.train_decision_tree(data, max_depth=1).tree
+        assert tree.threshold[0] == lower
+        assert tree.value.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert tree.predict_proba(data.X).tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
+
+
+class TestBestSplitPerNode:
+    """``build_tree`` calls ``best_split`` by name once for each node it searches,
+    the same nodes the sort-per-node builder searched."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("forest", [False, True])
+    def test_one_call_per_searched_node(self, monkeypatch, seed, forest):
+        rng = np.random.default_rng(seed)
+        data = dataset_from(rng.integers(0, 6, size=(80, 4)) * 0.5, rng.integers(0, 3, 80),
+                            classes=("a", "b", "c"))
+        calls = {"new": 0, "reference": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(ml.tree, "best_split", counted("new", best_split))
+        monkeypatch.setattr(sys.modules[__name__], "reference_best_split",
+                            counted("reference", reference_best_split))
+        if forest:
+            ml.train_random_forest(data, n_trees=3, max_depth=5, seed=seed)
+            reference_forest(data, 3, 5, 2, seed, True, True)
+        else:
+            model = ml.train_decision_tree(data, max_depth=5)
+            reference_build(data.X, data.y, 3, 5, 2)
+            assert calls["new"] >= np.count_nonzero(model.tree.feature >= 0) > 0
+        assert calls["new"] == calls["reference"] > 0
+
+
+class TestRefusedTreeSettings:
+    @pytest.mark.parametrize("train", [ml.train_decision_tree, ml.train_random_forest])
+    @pytest.mark.parametrize("setting, value, message", [
+        ("max_depth", 0, "max_depth must be at least 1, got 0"),
+        ("max_depth", -1, "max_depth must be at least 1, got -1"),
+        ("min_samples_split", 1, "min_samples_split must be at least 2, got 1"),
+        ("min_samples_split", -3, "min_samples_split must be at least 2, got -3"),
+    ])
+    def test_setting(self, train, setting, value, message):
+        data = dataset_from([[0.0], [1.0]], [0, 1])
+        with pytest.raises(ml.SettingError, match=f"^{message}$") as caught:
+            train(data, **{setting: value})
+        assert caught.value.setting == setting
+
+    def test_no_trees(self):
+        data = dataset_from([[0.0], [1.0]], [0, 1])
+        with pytest.raises(ml.SettingError, match="^n_trees must be at least 1, got 0$"):
+            ml.train_random_forest(data, n_trees=0)
+
+    @pytest.mark.parametrize("train", [ml.train_decision_tree, ml.train_random_forest])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_feature_names_row_and_column(self, train, bad):
+        X = np.zeros((4, 3))
+        X[3, 1] = X[2, 2] = bad
+        data = dataset_from(X, [0, 1, 0, 1])
+        message = (f"feature 'score_cil' of row 2 (r3) is {bad!r}; "
+                   "trees need finite features")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(data)
+
+    def test_depth_one_and_no_limit_are_accepted(self):
+        data = dataset_from([[0.0], [1.0]], [0, 1])
+        for max_depth in (1, None):
+            assert ml.train_decision_tree(data, max_depth=max_depth).tree.feature[0] == 0
 
 
 def gaussian_density(x, mean, var):
