@@ -9,7 +9,10 @@ into the output directory, so results are reproducible from disk.
 records its task and train/test split in the model, and ``ml eval`` scores the
 same test split, refusing a ``--seed`` or ``--train-fraction`` that differs.
 ``ml train``, ``ml eval`` and ``ctx eval`` write the same evaluation files:
-confusion matrix, metrics and one-vs-rest ROC curves. Exit codes: 0 success,
+confusion matrix, metrics and one-vs-rest ROC curves. ``ml train`` and
+``ctx train`` write ``model.json`` in model format 2, whose ``kind`` names the
+model; files of any other format version are refused, so models saved by
+older versions must be trained again. Exit codes: 0 success,
 1 usage error, 2 data error; data errors name the file and, where there is
 one, the row or line.
 """
@@ -31,6 +34,7 @@ from . import ml
 from . import scoring
 from . import svg
 from . import translator as tr
+from .artifact import is_int
 from .lexicon import (
     LanguageCode,
     LexiconFormatError,
@@ -316,11 +320,11 @@ def _train_ml_model(dataset, args):
                 bootstrap=not args.no_bootstrap,
                 feature_subsample=not args.no_feature_subsample,
             )
+        if args.model == "gaussian_nb":
+            return ml.train_gaussian_nb(dataset, var_smoothing=args.var_smoothing)
+        return ml.train_linear_svm(dataset, lam=args.lam, epochs=args.epochs, seed=args.seed)
     except ml.SettingError as exc:  # name the flag the setting came from
         raise ValueError(f"--{exc.setting.replace('_', '-')} {exc.problem}") from None
-    if args.model == "gaussian_nb":
-        return ml.train_gaussian_nb(dataset, var_smoothing=args.var_smoothing)
-    return ml.train_linear_svm(dataset, lam=args.lam, epochs=args.epochs, seed=args.seed)
 
 
 def _write_evaluation(out: OutputDir, y_true, y_pred, proba, class_names) -> dict:
@@ -370,6 +374,16 @@ def _use_recorded_split(model, args) -> None:
     """Set ``args.seed`` and ``args.train_fraction`` to the split ``ml train``
     recorded in the model; flags given explicitly must match it."""
     recorded = model.hyperparameters.get("split", {})
+    if "split" in model.hyperparameters and not (
+        isinstance(recorded, dict)
+        and is_int(recorded.get("seed"))
+        and isinstance(recorded.get("train_fraction"), float)
+        and 0 < recorded["train_fraction"] < 1
+    ):
+        raise ValueError(
+            f"{args.model}: field 'split' of 'hyperparameters' is {recorded!r}, expected an "
+            "object with an int 'seed' and a 'train_fraction' in (0, 1)"
+        )
     for key, flag in (("seed", "--seed"), ("train_fraction", "--train-fraction")):
         given = getattr(args, key)
         value = recorded.get(key, given)

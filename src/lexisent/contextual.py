@@ -10,16 +10,17 @@ the attribution module integrate gradients along an input path.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import artifact
+from .artifact import checked_array, checked_names, is_int
 from .lexicon import LanguageCode, Lexicon, Polarity, context_dependent_forms
 from .ml.dataset import rng_for
-from .ml.serialize import checked_array
 from .translator import word_tokens
 
 log = logging.getLogger(__name__)
@@ -85,12 +86,12 @@ SPECIAL_TOKENS = (PAD, UNK, TARGET_OPEN, TARGET_CLOSE)
 @dataclass(frozen=True)
 class Vocabulary:
     id_to_token: tuple[str, ...]
-    token_to_id: dict[str, int]
 
     pad_id = 0
     unknown_id = 1
-    target_open_id = 2
-    target_close_id = 3
+
+    def __post_init__(self):
+        object.__setattr__(self, "token_to_id", {t: i for i, t in enumerate(self.id_to_token)})
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -101,19 +102,14 @@ class Vocabulary:
 
 def build_vocabulary(sentences: list[TargetSentence]) -> Vocabulary:
     seen = sorted({token for s in sentences for token in s.tokens} - set(SPECIAL_TOKENS))
-    id_to_token = SPECIAL_TOKENS + tuple(seen)
-    return Vocabulary(id_to_token, {t: i for i, t in enumerate(id_to_token)})
+    return Vocabulary(SPECIAL_TOKENS + tuple(seen))
 
 
 def compute_class_weights(labels: list[Polarity]) -> dict[Polarity, float]:
     """Inverse-frequency weights: N / (K * n_c); absent classes weigh 0."""
-    n = len(labels)
-    k = len(CLASS_ORDER)
-    weights = {}
-    for polarity in CLASS_ORDER:
-        count = sum(1 for l in labels if l is polarity)
-        weights[polarity] = n / (k * count) if count else 0.0
-    return weights
+    counts = Counter(labels)
+    return {p: len(labels) / (len(CLASS_ORDER) * counts[p]) if counts[p] else 0.0
+            for p in CLASS_ORDER}
 
 
 def uniform_class_weights() -> dict[Polarity, float]:
@@ -204,7 +200,6 @@ def generate_dataset(
             raise ValueError(
                 f"no unambiguous {polarity.value} {language.value} words to build contexts"
             )
-    for polarity in CLASS_ORDER:
         pools[polarity].sort()
 
     total = sum(label_weights)
@@ -212,8 +207,7 @@ def generate_dataset(
     rng = rng_for(seed, 1000)
     sentences = []
     for _ in range(n):
-        k = int(rng.choice(len(CLASS_ORDER), p=probabilities))
-        label = CLASS_ORDER[k]
+        label = CLASS_ORDER[int(rng.choice(len(CLASS_ORDER), p=probabilities))]
         pool = pools[label]
         target = targets[int(rng.integers(len(targets)))]
         before = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(1, 4)))]
@@ -255,9 +249,8 @@ class PackedSentences:
 
     def take(self, rows) -> PackedSentences:
         """The rows ``rows`` (an index array or a slice), in that order."""
-        return PackedSentences(
-            self.targets[rows], self.context[rows], self.mask[rows], self.labels[rows]
-        )
+        return PackedSentences(self.targets[rows], self.context[rows], self.mask[rows],
+                               self.labels[rows])
 
     def chunks(self, size: int):
         for start in range(0, len(self), size):
@@ -405,10 +398,6 @@ def _mean_loss(
     return total * (1.0 / len(packed))
 
 
-def _weight_vector(class_weights: dict[Polarity, float]) -> np.ndarray:
-    return np.array([class_weights[p] for p in CLASS_ORDER], dtype=float)
-
-
 def _require_labels(sentences: list[TargetSentence]) -> None:
     for s in sentences:
         if s.label is None:
@@ -455,7 +444,7 @@ def train(
             "class_weights": {p.value: class_weights[p] for p in CLASS_ORDER},
         },
     )
-    weight_vector = _weight_vector(class_weights)
+    weight_vector = np.array([class_weights[p] for p in CLASS_ORDER], dtype=float)
     packed_train = model.pack(train_set)
     packed_val = model.pack(val_set)
 
@@ -475,9 +464,7 @@ def train(
                 "val_loss": None,
             }
             if val_set:
-                record["val_loss"] = _mean_loss(
-                    model, packed_val, weight_vector, config.batch_size
-                )
+                record["val_loss"] = _mean_loss(model, packed_val, weight_vector, config.batch_size)
         for name in ("train_loss", "val_loss"):
             if record[name] is not None and not math.isfinite(record[name]):
                 raise ValueError(
@@ -493,20 +480,16 @@ def train(
 LOSS_EXPLOSION_FACTOR = 100
 
 
-def check_loss_explosion(
-    model: ContextModel,
-    train_set: list[TargetSentence],
-    class_weights: dict[Polarity, float],
-) -> None:
+def check_loss_explosion(model: ContextModel, train_set: list[TargetSentence],
+                         class_weights: dict[Polarity, float]) -> None:
     """Raise :class:`ValueError` at the first epoch of ``model.history`` whose
     train loss exceeds :data:`LOSS_EXPLOSION_FACTOR` times the untrained loss.
 
     Zero weights and bias give each class probability 1/3, so the untrained
     model's loss is ln 3 times the mean class weight of ``train_set``.
     """
-    untrained = math.log(len(CLASS_ORDER)) * (
-        sum(class_weights[s.label] for s in train_set) / len(train_set)
-    )
+    mean_weight = sum(class_weights[s.label] for s in train_set) / len(train_set)
+    untrained = math.log(len(CLASS_ORDER)) * mean_weight
     for record in model.history:
         if record["train_loss"] > LOSS_EXPLOSION_FACTOR * untrained:
             raise ValueError(
@@ -581,21 +564,17 @@ def history_csv(model: ContextModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-MODEL_FORMAT_VERSION = 1
+MODEL_KIND = "contextual"
 
 
 def save_context_model(model: ContextModel) -> str:
-    payload = {
-        "format_version": MODEL_FORMAT_VERSION,
+    return artifact.dumps(MODEL_KIND, model.seed, model.hyperparameters, {
         "vocabulary": list(model.vocabulary.id_to_token),
         "embeddings": model.embeddings.tolist(),
         "weights": model.weights.tolist(),
         "bias": model.bias.tolist(),
         "window": model.window,
-        "seed": model.seed,
-        "hyperparameters": model.hyperparameters,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    })
 
 
 #: Fields of a saved contextual model, all required on load.
@@ -604,41 +583,23 @@ MODEL_FIELDS = ("vocabulary", "embeddings", "weights", "bias", "window", "seed",
 
 
 def load_context_model(text: str) -> ContextModel:
-    """A saved model, checked field by field: every field of
-    :data:`MODEL_FIELDS` present, ``embeddings`` (V, E) for V vocabulary
-    tokens, ``weights`` (2E, 3), ``bias`` (3,), ``window`` an int >= 0."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object")
-    if "vocabulary" not in data:
-        raise ValueError(
-            "expected a contextual model, found "
-            + (f"a {data['kind']} model" if "kind" in data else "no vocabulary")
-        )
-    if data.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {data.get('format_version')!r}")
-    missing = [name for name in MODEL_FIELDS if name not in data]
-    if missing:
-        raise ValueError(f"missing field {', '.join(map(repr, missing))} in the model")
-    tokens = data["vocabulary"]
-    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-        raise ValueError("field 'vocabulary' is not a list of strings")
-    if tuple(tokens[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
+    """A saved model, checked field by field after the envelope:
+    ``vocabulary`` distinct strings that start with :data:`SPECIAL_TOKENS`,
+    ``embeddings`` (V, E) for V vocabulary tokens, ``weights`` (2E, 3),
+    ``bias`` (3,), ``window`` an int >= 0."""
+    data = artifact.loads(text, "contextual", (MODEL_KIND,), MODEL_FIELDS)
+    id_to_token = checked_names(data, "vocabulary")
+    if id_to_token[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
         raise ValueError(f"field 'vocabulary' does not start with {SPECIAL_TOKENS}")
     window = data["window"]
-    if not isinstance(window, int) or isinstance(window, bool) or window < 0:
+    if not is_int(window) or window < 0:
         raise ValueError(f"field 'window' is {window!r}, expected an int >= 0")
-    if not isinstance(data["hyperparameters"], dict):
-        raise ValueError("field 'hyperparameters' is not an object")
-    embeddings = checked_array(data, "embeddings", (len(tokens), "E"))
-    e = embeddings.shape[1]
-    k = len(CLASS_ORDER)
-    id_to_token = tuple(tokens)
+    embeddings = checked_array(data, "embeddings", (len(id_to_token), "E"))
     return ContextModel(
-        vocabulary=Vocabulary(id_to_token, {t: i for i, t in enumerate(id_to_token)}),
+        vocabulary=Vocabulary(id_to_token),
         embeddings=embeddings,
-        weights=checked_array(data, "weights", (2 * e, k)),
-        bias=checked_array(data, "bias", (k,)),
+        weights=checked_array(data, "weights", (2 * embeddings.shape[1], len(CLASS_ORDER))),
+        bias=checked_array(data, "bias", (len(CLASS_ORDER),)),
         window=window,
         seed=data["seed"],
         hyperparameters=data["hyperparameters"],

@@ -7,6 +7,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .artifact import check_distinct
+
 
 @dataclass(frozen=True)
 class ConfusionMatrix:
@@ -73,6 +75,7 @@ def confusion(
     if len(y_true) != len(y_pred):
         raise ValueError(f"length mismatch: {len(y_true)} true vs {len(y_pred)} predicted")
     classes = tuple(classes)
+    check_distinct(classes, "class names")
     position = {c: i for i, c in enumerate(classes)}
     counts = [[0] * len(classes) for _ in classes]
     for t, p in zip(y_true, y_pred):
@@ -210,6 +213,7 @@ def roc_one_vs_rest(
     Classes missing either positives or negatives in ``y_true`` are skipped
     (their AUC is undefined).
     """
+    check_distinct(classes, "class names")
     proba = np.asarray(proba, dtype=float)
     y = np.asarray(y_true)
     curves: dict[str, RocCurve] = {}

@@ -1,11 +1,11 @@
 """From-scratch classical classifiers over lexicon-derived feature vectors."""
 
-from .dataset import Dataset, FEATURE_NAMES, dataset_csv, featurize, split
+from .dataset import Dataset, FEATURE_NAMES, SettingError, dataset_csv, featurize, split
 from .forest import RandomForestModel, train_random_forest
 from .naive_bayes import GaussianNBModel, train_gaussian_nb
 from .serialize import MODEL_KINDS, load_model, save_model
 from .svm import LinearSVMModel, train_linear_svm
-from .tree import DecisionTreeModel, SettingError, train_decision_tree
+from .tree import DecisionTreeModel, train_decision_tree
 
 __all__ = [
     "Dataset",

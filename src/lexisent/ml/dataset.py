@@ -82,6 +82,16 @@ def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:
     )
 
 
+class SettingError(ValueError):
+    """A training setting that would yield a useless model. ``setting`` is
+    the parameter's name and ``problem`` what is wrong with its value."""
+
+    def __init__(self, setting: str, problem: str):
+        super().__init__(f"{setting} {problem}")
+        self.setting = setting
+        self.problem = problem
+
+
 def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream...); deterministic per key."""
     key = [seed & 0xFFFFFFFFFFFFFFFF] + [s & 0xFFFFFFFFFFFFFFFF for s in stream]

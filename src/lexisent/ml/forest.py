@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, rng_for
-from .tree import SettingError, Tree, build_tree, check_tree_training
+from .dataset import Dataset, SettingError, rng_for
+from .tree import Tree, build_tree, check_tree_training
 
 
 @dataclass

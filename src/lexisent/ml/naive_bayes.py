@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, SettingError
 
 
 @dataclass
@@ -49,8 +50,11 @@ def train_gaussian_nb(data: Dataset, var_smoothing: float = 1e-9) -> GaussianNBM
     """Per-class priors, feature means and (population) variances.
 
     Variances are floored at ``var_smoothing`` times the largest overall
-    feature variance, so constant features never divide by zero.
+    feature variance, so constant features never divide by zero; a
+    ``var_smoothing`` that is not finite and above 0 is refused.
     """
+    if not (math.isfinite(var_smoothing) and var_smoothing > 0):
+        raise SettingError("var_smoothing", f"must be a finite number above 0, got {var_smoothing}")
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
     present = np.flatnonzero(np.bincount(data.y, minlength=len(data.class_names)))

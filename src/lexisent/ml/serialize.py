@@ -1,18 +1,15 @@
-"""Versioned JSON serialization for trained models."""
+"""Model files of the classical models, in the envelope of :mod:`lexisent.artifact`."""
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
+from .. import artifact
+from ..artifact import checked_array, checked_names, is_int, require
 from .forest import RandomForestModel
 from .naive_bayes import GaussianNBModel
 from .svm import LinearSVMModel
 from .tree import DecisionTreeModel, Tree
-
-#: Version 2 saves every tree as flat arrays; version 1 files are refused.
-FORMAT_VERSION = 2
 
 #: The arrays of a saved tree (see :class:`~lexisent.ml.tree.Tree`).
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
@@ -27,7 +24,7 @@ def _tree_from_dict(data, where: str, n_features: int, n_classes: int) -> Tree:
     a feature below ``n_features``, every split's children after it, leaves
     with -1 children, and finite thresholds and ``(nodes, n_classes)`` values.
     The ordering of children also bounds the walk in :meth:`Tree.predict_proba`."""
-    _require(data, TREE_FIELDS, where)
+    require(data, TREE_FIELDS, where)
     feature = _node_indices(data, "feature", where, n_features)
     nodes = len(feature)
     split = feature >= 0
@@ -61,71 +58,31 @@ def _node_indices(data: dict, name: str, where: str, stop: int) -> np.ndarray:
     if not isinstance(values, list) or not values:
         raise ValueError(f"field {name!r} of {where} is not a non-empty list")
     for value in values:
-        if not _is_int(value) or not -1 <= value < stop:
+        if not is_int(value) or not -1 <= value < stop:
             raise ValueError(
                 f"field {name!r} of {where} holds {value!r}, expected -1 or an int in [0, {stop})"
             )
     return np.array(values, dtype=np.intp)
 
 
-def _require(data, names: tuple[str, ...], where: str = "the model") -> None:
-    """Refuse ``data`` unless it is an object holding every field in ``names``."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} is not a JSON object")
-    missing = [repr(name) for name in names if name not in data]
-    if missing:
-        raise ValueError(f"missing field {', '.join(missing)} in {where}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def checked_array(
-    data: dict, name: str, shape: tuple[int | str, ...], where: str | None = None
-) -> np.ndarray:
-    """Field ``name`` of ``data`` as a finite float array of ``shape``, in
-    which a string stands for a dimension of any size. Errors name the field,
-    and ``where`` it lies when given."""
-    label = f"field {name!r}" if where is None else f"field {name!r} of {where}"
-    try:
-        array = np.asarray(data[name], dtype=float)
-    except (TypeError, ValueError):
-        raise ValueError(f"{label} is not an array of numbers") from None
-    if array.ndim != len(shape) or any(
-        isinstance(want, int) and have != want for have, want in zip(array.shape, shape)
-    ):
-        expected = "(" + ", ".join(map(str, shape)) + ")"
-        raise ValueError(f"{label} has shape {array.shape}, expected {expected}")
-    if not np.isfinite(array).all():
-        raise ValueError(f"{label} holds values that are not finite")
-    return array
-
-
 def save_model(model) -> str:
-    common = {
-        "format_version": FORMAT_VERSION,
-        "kind": model.kind,
-        "class_names": list(model.class_names),
-        "n_features": model.n_features,
-        "seed": model.seed,
-        "hyperparameters": model.hyperparameters,
-    }
     if isinstance(model, (DecisionTreeModel, RandomForestModel)):
         trees = [model.tree] if isinstance(model, DecisionTreeModel) else model.trees
-        common["parameters"] = {"trees": [_tree_to_dict(tree) for tree in trees]}
+        parameters = {"trees": [_tree_to_dict(tree) for tree in trees]}
     elif isinstance(model, GaussianNBModel):
-        common["parameters"] = {
+        parameters = {
             "present": model.present.tolist(),
             "priors": model.priors.tolist(),
             "means": model.means.tolist(),
             "variances": model.variances.tolist(),
         }
     elif isinstance(model, LinearSVMModel):
-        common["parameters"] = {"weights": model.weights.tolist()}
+        parameters = {"weights": model.weights.tolist()}
     else:
         raise TypeError(f"cannot serialize model of type {type(model).__name__}")
-    return json.dumps(common, sort_keys=True, separators=(",", ":")) + "\n"
+    return artifact.dumps(model.kind, model.seed, model.hyperparameters, {
+        "class_names": list(model.class_names), "n_features": model.n_features,
+        "parameters": parameters})
 
 
 MODEL_KINDS = ("decision_tree", "random_forest", "gaussian_nb", "linear_svm")
@@ -140,36 +97,19 @@ PARAMETER_FIELDS = {
 
 
 def load_model(text: str):
-    """A saved classical model, checked field by field: every field present,
-    ``class_names`` a list of k strings, ``n_features`` an int >= 0, and the
+    """A saved classical model, checked field by field after the envelope:
+    ``class_names`` a list of k distinct strings, ``n_features`` an int >= 0, and the
     parameters shaped for k classes and ``n_features`` features. ``trees`` is
     a non-empty list, with exactly one tree for a decision tree. Naive Bayes
     keeps rows only for the classes in ``present``."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise ValueError("expected a JSON object")
-    kind = data.get("kind")
-    if kind not in MODEL_KINDS:
-        raise ValueError(
-            f"expected a classical model ({', '.join(MODEL_KINDS)}), found "
-            + ("a contextual model" if "vocabulary" in data else f"kind {kind!r}")
-        )
-    version = data.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format version {version!r}, expected {FORMAT_VERSION}"
-        )
-    _require(data, MODEL_FIELDS)
-    _require(data["parameters"], PARAMETER_FIELDS[kind], "'parameters'")
-    names = data["class_names"]
-    if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-        raise ValueError("field 'class_names' is not a list of strings")
-    class_names = tuple(names)
+    data = artifact.loads(text, "classical", MODEL_KINDS, MODEL_FIELDS)
+    kind, params = data["kind"], data["parameters"]
+    require(params, PARAMETER_FIELDS[kind], "'parameters'")
+    class_names = checked_names(data, "class_names")
     k = len(class_names)
     n_features = data["n_features"]
-    if not _is_int(n_features) or n_features < 0:
+    if not is_int(n_features) or n_features < 0:
         raise ValueError(f"field 'n_features' is {n_features!r}, expected an int >= 0")
-    params = data["parameters"]
     common = {"class_names": class_names, "n_features": n_features, "seed": data["seed"],
               "hyperparameters": data["hyperparameters"]}
     if kind in ("decision_tree", "random_forest"):
@@ -186,7 +126,7 @@ def load_model(text: str):
         present = params["present"]
         if (
             not isinstance(present, list)
-            or not all(_is_int(c) and 0 <= c < k for c in present)
+            or not all(is_int(c) and 0 <= c < k for c in present)
             or len(set(present)) != len(present)
         ):
             raise ValueError(

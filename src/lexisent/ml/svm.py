@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, rng_for
+from .dataset import Dataset, SettingError, rng_for
 
 
 @dataclass
@@ -66,10 +67,10 @@ def train_linear_svm(
     Each head's sample order comes from its own (seed, head) generator, so the
     result is independent of head training order.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise SettingError("lam", f"must be a finite number above 0, got {lam}")
     if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+        raise SettingError("epochs", f"must be at least 1, got {epochs}")
     if len(data) == 0:
         raise ValueError("cannot train on an empty dataset")
     return LinearSVMModel(

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, SettingError
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,16 +206,6 @@ class DecisionTreeModel:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
-
-
-class SettingError(ValueError):
-    """A training setting that would yield a useless model. ``setting`` is
-    the parameter's name and ``problem`` what is wrong with its value."""
-
-    def __init__(self, setting: str, problem: str):
-        super().__init__(f"{setting} {problem}")
-        self.setting = setting
-        self.problem = problem
 
 
 def check_tree_training(data: Dataset, max_depth: int | None, min_samples_split: int) -> None:

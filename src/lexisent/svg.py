@@ -6,7 +6,13 @@ produce identical bytes.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
+import html
+
+
+def _escape(text: str) -> str:
+    """``&``, ``<`` and ``>`` as entities; SVG text needs no quote escaping."""
+    return html.escape(text, quote=False)
+
 
 # Light-to-dark blue ramp endpoints.
 _LIGHT = (247, 251, 255)
@@ -25,7 +31,7 @@ def _svg(width: int, height: int, body: list[str], title: str) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="11">'
     )
-    caption = f'<text x="8" y="16" font-size="13">{escape(title)}</text>'
+    caption = f'<text x="8" y="16" font-size="13">{_escape(title)}</text>'
     return "\n".join([head, caption] + body + ["</svg>"]) + "\n"
 
 
@@ -38,7 +44,7 @@ def bar_chart(labels: list[str], values: list[float], title: str) -> str:
         y = 32 + i * (bar_height + gap)
         bar = (width - left - 70) * abs(value) / peak
         body.append(
-            f'<text x="{left - 6}" y="{y + 13}" text-anchor="end">{escape(label)}</text>'
+            f'<text x="{left - 6}" y="{y + 13}" text-anchor="end">{_escape(label)}</text>'
         )
         body.append(
             f'<rect x="{left}" y="{y}" width="{bar:.1f}" height="{bar_height}" '
@@ -66,13 +72,13 @@ def heatmap_grid(
     for j, label in enumerate(col_labels):
         body.append(
             f'<text x="{left + j * cell + cell // 2}" y="{top - 8}" '
-            f'text-anchor="middle">{escape(label)}</text>'
+            f'text-anchor="middle">{_escape(label)}</text>'
         )
     for i, row_label in enumerate(row_labels):
         y = top + i * cell
         body.append(
             f'<text x="{left - 6}" y="{y + cell // 2 + 4}" text-anchor="end">'
-            f"{escape(row_label)}</text>"
+            f"{_escape(row_label)}</text>"
         )
         for j, value in enumerate(values[i]):
             x = left + j * cell
@@ -94,7 +100,7 @@ def heatmap_grid(
             )
             body.append(
                 f'<text x="{x + cell // 2}" y="{y + cell // 2 + 4}" text-anchor="middle" '
-                f'fill="{text_fill}">{escape(fmt.format(value))}</text>'
+                f'fill="{text_fill}">{_escape(fmt.format(value))}</text>'
             )
     return _svg(width, height, body, title)
 
@@ -126,9 +132,9 @@ def line_chart(
         f'y2="{height - bottom}" stroke="#000"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{height - bottom}" stroke="#000"/>',
         f'<text x="{(left + width - right) // 2}" y="{height - 8}" '
-        f'text-anchor="middle">{escape(x_label)}</text>',
+        f'text-anchor="middle">{_escape(x_label)}</text>',
         f'<text x="14" y="{(top + height - bottom) // 2}" text-anchor="middle" '
-        f'transform="rotate(-90 14 {(top + height - bottom) // 2})">{escape(y_label)}</text>',
+        f'transform="rotate(-90 14 {(top + height - bottom) // 2})">{_escape(y_label)}</text>',
     ]
     for i, (name, points) in enumerate(series):
         color = ramp_color(0.25 + 0.75 * (i / max(1, len(series) - 1)) if len(series) > 1 else 0.8)
@@ -139,7 +145,7 @@ def line_chart(
             f'<rect x="{width - right + 10}" y="{legend_y - 9}" width="10" height="10" '
             f'fill="{color}"/>'
         )
-        body.append(f'<text x="{width - right + 24}" y="{legend_y}">{escape(name)}</text>')
+        body.append(f'<text x="{width - right + 24}" y="{legend_y}">{_escape(name)}</text>')
     return _svg(width, height, body, title)
 
 
@@ -159,7 +165,7 @@ def token_heatmap(
         )
         body.append(
             f'<text x="{x + w / 2:.1f}" y="{top + 18}" text-anchor="middle" '
-            f'fill="{text_fill}">{escape(token)}</text>'
+            f'fill="{text_fill}">{_escape(token)}</text>'
         )
         body.append(
             f'<text x="{x + w / 2:.1f}" y="{top + 36}" text-anchor="middle" '

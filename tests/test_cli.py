@@ -5,10 +5,10 @@ import json
 
 import pytest
 
+from lexisent.artifact import FORMAT_VERSION
 from lexisent.cli import build_parser, main
 from lexisent.contextual import LOSS_EXPLOSION_FACTOR
 from lexisent.lexicon import Lexicon, serialize_lexicon
-from lexisent.ml.serialize import FORMAT_VERSION
 
 from conftest import build_ctx_lexicon
 
@@ -381,6 +381,47 @@ class TestMlCommands:
         assert "error: --n-trees must be at least 1, got 0\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("model, flag, value, problem", [
+        ("gaussian_nb", "--var-smoothing", "0", "must be a finite number above 0, got 0.0"),
+        ("gaussian_nb", "--var-smoothing", "-1", "must be a finite number above 0, got -1.0"),
+        ("gaussian_nb", "--var-smoothing", "nan", "must be a finite number above 0, got nan"),
+        ("linear_svm", "--epochs", "0", "must be at least 1, got 0"),
+        ("linear_svm", "--lam", "0", "must be a finite number above 0, got 0.0"),
+        ("linear_svm", "--lam", "-0.5", "must be a finite number above 0, got -0.5"),
+        ("linear_svm", "--lam", "inf", "must be a finite number above 0, got inf"),
+    ])
+    def test_train_names_the_flag_of_a_refused_nb_or_svm_setting(
+            self, tmp_path, paper_lex_file, model, flag, value, problem, capsys):
+        out = tmp_path / "ml"
+        assert run("ml", "train", "--lex", paper_lex_file, "--model", model,
+                   "--out", out, flag, value) == 2
+        assert f"error: {flag} {problem}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("hyperparameters", ["split"], "field 'hyperparameters' is not an object"),
+        ("split", [3, 0.7], "field 'split' of 'hyperparameters' is [3, 0.7], expected an "
+                            "object with an int 'seed' and a 'train_fraction' in (0, 1)"),
+        ("split", {"seed": "3", "train_fraction": 0.7}, "field 'split' of 'hyperparameters' is"),
+        ("split", {"seed": 3}, "field 'split' of 'hyperparameters' is {'seed': 3}"),
+        ("split", {"seed": 3, "train_fraction": 1.5},
+         "field 'split' of 'hyperparameters' is {'seed': 3, 'train_fraction': 1.5}"),
+        ("split", None, "field 'split' of 'hyperparameters' is None"),
+    ])
+    def test_eval_refuses_a_malformed_hyperparameters_or_split_record(
+            self, tmp_path, paper_lex_file, nb_model, field, value, message, capsys):
+        path = nb_model / "model.json"
+        model = json.loads(path.read_text())
+        if field == "hyperparameters":
+            model["hyperparameters"] = value
+        else:
+            model["hyperparameters"]["split"] = value
+        path.write_text(json.dumps(model))
+        out = tmp_path / "eval"
+        assert run("ml", "eval", "--model", path, "--lex", paper_lex_file, "--out", out) == 2
+        assert f"error: {path}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCtxAndExplain:
     def test_full_chain(self, tmp_path, ctx_lex_file):
@@ -537,6 +578,22 @@ class TestErrorsNameTheFile:
                    "--out", tmp_path / "out") == 2
         assert (f"{broken}: field 'weights' has shape (7, 3), expected (8, 3)"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", [("ctx", "eval"), ("explain",)])
+    def test_version_1_contextual_file_is_refused_by_version(self, tmp_path, models, command,
+                                                             capsys):
+        _, ctx_model = models
+        data = json.loads(ctx_model.read_text(encoding="utf-8"))
+        assert data.pop("kind") == "contextual"
+        data["format_version"] = 1
+        old = tmp_path / "v1.json"
+        old.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(*command, "--model", old, "--corpus", ctx_model.parent / "test.tsv",
+                   "--out", out) == 2
+        assert (f"error: {old}: unsupported model format version 1, expected 2\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_classical_model_missing_a_field(self, tmp_path, paper_lex_file, capsys):
         model = tmp_path / "model.json"

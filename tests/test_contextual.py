@@ -434,7 +434,7 @@ class TestCheckedLoading:
                 data[name] = value
         return ctx.load_context_model(json.dumps(data))
 
-    @pytest.mark.parametrize("name", ctx.MODEL_FIELDS[1:])
+    @pytest.mark.parametrize("name", ctx.MODEL_FIELDS)
     def test_missing_field_is_named(self, saved, name):
         with pytest.raises(ValueError, match=f"missing field '{name}' in the model"):
             self.load(saved, **{name: None})

@@ -61,6 +61,11 @@ class TestConfusion:
         with pytest.raises(ValueError, match="unknown"):
             confusion(["a"], ["z"], ["a", "b"])
 
+    def test_repeated_class_name_is_refused(self):
+        # A lookup by name would file every "a" under the last position, 2.
+        with pytest.raises(ValueError, match="^class names repeats 'a'$"):
+            confusion(["a", "b"], ["a", "b"], ["a", "b", "a"])
+
 
 class TestMetrics:
     @pytest.fixture

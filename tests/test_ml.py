@@ -636,12 +636,35 @@ class TestGaussianNB:
         proba = model.predict_proba(data.X)
         assert np.all(np.isfinite(proba))
 
+    @pytest.mark.parametrize("var_smoothing", [0.0, -1.0, -1e-9, math.nan, math.inf])
+    def test_var_smoothing_must_be_finite_and_positive(self, var_smoothing):
+        # A class-constant feature: without a positive floor its variance stays 0.
+        data = dataset_from([[1.0, 0.0], [1.0, 1.0], [2.0, 5.0], [2.0, 6.0]], [0, 0, 1, 1])
+        with pytest.raises(ml.SettingError, match="^var_smoothing must be a finite number "
+                                                  rf"above 0, got {var_smoothing}$") as caught:
+            ml.train_gaussian_nb(data, var_smoothing=var_smoothing)
+        assert caught.value.setting == "var_smoothing"
+
 
 class TestLinearSVM:
     def test_separable_four_points(self):
         data = dataset_from([[1.0, 1.0], [2.0, 1.0], [-1.0, -1.0], [-2.0, -1.0]], [1, 1, 0, 0])
         model = ml.train_linear_svm(data, lam=0.01, epochs=100, seed=0)
         assert model.predict(data.X).tolist() == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("epochs", 0, "epochs must be at least 1, got 0"),
+        ("epochs", -2, "epochs must be at least 1, got -2"),
+        ("lam", 0.0, "lam must be a finite number above 0, got 0.0"),
+        ("lam", -1e-4, "lam must be a finite number above 0, got -0.0001"),
+        ("lam", math.nan, "lam must be a finite number above 0, got nan"),
+        ("lam", math.inf, "lam must be a finite number above 0, got inf"),
+    ])
+    def test_refused_settings_name_the_parameter(self, setting, value, message):
+        data = dataset_from([[0.0], [1.0]], [0, 1])
+        with pytest.raises(ml.SettingError, match=f"^{message}$") as caught:
+            ml.train_linear_svm(data, **{setting: value})
+        assert caught.value.setting == setting
 
     def test_same_seed_identical_weights(self):
         rng = np.random.default_rng(15)
