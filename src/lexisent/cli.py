@@ -14,7 +14,7 @@ confusion matrix, metrics and one-vs-rest ROC curves. ``ml train`` and
 model; files of any other format version are refused, so models saved by
 older versions must be trained again. Exit codes: 0 success,
 1 usage error, 2 data error; data errors name the file and, where there is
-one, the row or line.
+one, the row or line; a refused training setting names its flag.
 """
 
 from __future__ import annotations
@@ -307,24 +307,21 @@ def cmd_compare(args) -> int:
 
 
 def _train_ml_model(dataset, args):
-    try:
-        if args.model == "decision_tree":
-            return ml.train_decision_tree(
-                dataset, max_depth=args.max_depth,
-                min_samples_split=args.min_samples_split, seed=args.seed,
-            )
-        if args.model == "random_forest":
-            return ml.train_random_forest(
-                dataset, n_trees=args.n_trees, max_depth=args.max_depth,
-                min_samples_split=args.min_samples_split, seed=args.seed,
-                bootstrap=not args.no_bootstrap,
-                feature_subsample=not args.no_feature_subsample,
-            )
-        if args.model == "gaussian_nb":
-            return ml.train_gaussian_nb(dataset, var_smoothing=args.var_smoothing)
-        return ml.train_linear_svm(dataset, lam=args.lam, epochs=args.epochs, seed=args.seed)
-    except ml.SettingError as exc:  # name the flag the setting came from
-        raise ValueError(f"--{exc.setting.replace('_', '-')} {exc.problem}") from None
+    if args.model == "decision_tree":
+        return ml.train_decision_tree(
+            dataset, max_depth=args.max_depth,
+            min_samples_split=args.min_samples_split, seed=args.seed,
+        )
+    if args.model == "random_forest":
+        return ml.train_random_forest(
+            dataset, n_trees=args.n_trees, max_depth=args.max_depth,
+            min_samples_split=args.min_samples_split, seed=args.seed,
+            bootstrap=not args.no_bootstrap,
+            feature_subsample=not args.no_feature_subsample,
+        )
+    if args.model == "gaussian_nb":
+        return ml.train_gaussian_nb(dataset, var_smoothing=args.var_smoothing)
+    return ml.train_linear_svm(dataset, lam=args.lam, epochs=args.epochs, seed=args.seed)
 
 
 def _write_evaluation(out: OutputDir, y_true, y_pred, proba, class_names) -> dict:
@@ -422,10 +419,17 @@ def cmd_ml_eval(args) -> int:
 
 
 def cmd_ctx_generate(args) -> int:
-    lexicon = _load_lexicon(args.lex)
-    weights = tuple(float(w) for w in args.label_weights.split(","))
+    try:
+        weights = tuple(float(w) for w in args.label_weights.split(","))
+    except ValueError:
+        weights = ()
     if len(weights) != 3:
-        raise _UsageError("--label-weights needs three comma-separated numbers")
+        raise _UsageError(
+            f"--label-weights needs three comma-separated numbers, got {args.label_weights!r}"
+        )
+    if args.count < 1:
+        raise _UsageError(f"-n/--count must be at least 1, got {args.count}")
+    lexicon = _load_lexicon(args.lex)
     sentences = ctx.generate_dataset(
         lexicon, LanguageCode.parse(args.language), args.count, args.seed,
         label_weights=weights,
@@ -457,6 +461,8 @@ def cmd_ctx_train(args) -> int:
             epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed,
         )
         ctx.check_loss_explosion(model, train_set, weights)
+    except ml.SettingError:
+        raise
     except ValueError as exc:  # nothing is written for a corpus that cannot be trained on
         raise ValueError(f"{args.corpus}: {exc}") from None
     out = OutputDir(args.out, _effective_config(args))
@@ -636,6 +642,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except ml.SettingError as exc:  # name the flag the setting came from
+        print(f"error: --{exc.setting.replace('_', '-')} {exc.problem}", file=sys.stderr)
+        return 2
     except (LexiconFormatError, ctx.MarkupError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,7 +20,7 @@ import numpy as np
 from . import artifact
 from .artifact import checked_array, checked_names, is_int
 from .lexicon import LanguageCode, Lexicon, Polarity, context_dependent_forms
-from .ml.dataset import rng_for
+from .ml.dataset import SettingError, rng_for
 from .translator import word_tokens
 
 log = logging.getLogger(__name__)
@@ -185,14 +185,21 @@ def generate_dataset(
     Each sentence places 1-3 context words on either side of the target, drawn
     from lexicon forms whose polarity (in ``language``) matches the intended
     label, so the label is recoverable from the context alone.
-    ``label_weights`` orders (negative, neutral, positive).
+    ``label_weights`` orders (negative, neutral, positive); they must be
+    finite, non-negative and not all 0.
     """
+    total = sum(label_weights)
+    if not (all(math.isfinite(w) and w >= 0 for w in label_weights) and 0 < total < math.inf):
+        raise SettingError(
+            "label_weights", f"must be finite, non-negative and not all 0, got {label_weights}"
+        )
     targets = context_dependent_forms(lexicon, language)
     if not targets:
         raise ValueError(f"lexicon has no context-dependent {language.value} forms")
+    effective = lexicon.scores.effective[language]
     pools: dict[Polarity, list[str]] = {p: [] for p in CLASS_ORDER}
     for form, ids in lexicon.index[language].items():
-        polarities = {lexicon.by_id[i].polarity(language) for i in ids}
+        polarities = {Polarity.from_score(effective[i]) for i in ids}
         if len(polarities) == 1:
             pools[next(iter(polarities))].append(form)
     for polarity, weight in zip(CLASS_ORDER, label_weights):
@@ -202,7 +209,6 @@ def generate_dataset(
             )
         pools[polarity].sort()
 
-    total = sum(label_weights)
     probabilities = [w / total for w in label_weights]
     rng = rng_for(seed, 1000)
     sentences = []
@@ -418,10 +424,16 @@ def train(
     The vocabulary comes from the training set; per-epoch train/validation
     losses land in ``model.history``. Fully deterministic per seed. Raises
     :class:`ValueError` as soon as an epoch ends with a loss that is not
-    finite, instead of returning a diverged model.
+    finite, instead of returning a diverged model. A setting that cannot
+    train a model raises :class:`~lexisent.ml.SettingError`.
     """
-    if epochs < 1:
-        raise ValueError("epochs must be >= 1")
+    minimums = (("embedding_dim", config.embedding_dim, 1), ("epochs", epochs, 1),
+                ("window", config.window, 0), ("batch_size", config.batch_size, 1))
+    for setting, value, least in minimums:
+        if value < least:
+            raise SettingError(setting, f"must be at least {least}, got {value}")
+    if not (math.isfinite(learning_rate) and learning_rate >= 0):
+        raise SettingError("learning_rate", f"must be a finite number >= 0, got {learning_rate}")
     if not train_set:
         raise ValueError("training set is empty")
     _require_labels(train_set)

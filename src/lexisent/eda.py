@@ -82,23 +82,20 @@ def compute_eda(lexicon: Lexicon) -> EdaReport:
 
     polarity_counts = {p: 0 for p in Polarity}
     pos_by_polarity = {pos: {p: 0 for p in Polarity} for pos in PosTag}
+    pos_scores: dict[PosTag, list[float]] = {pos: [] for pos in PosTag}
     for entry in lexicon.entries:
         polarity = Polarity.from_score(entry.shared_score)
         polarity_counts[polarity] += 1
         pos_by_polarity[entry.pos][polarity] += 1
+        pos_scores[entry.pos].append(entry.shared_score)
 
+    columns = lexicon.scores.present
     histograms: dict[LanguageCode, list[int]] = {}
-    columns: dict[LanguageCode, dict[str, float]] = {}
-    for language in LanguageCode:
+    for language, column in columns.items():
         counts = [0] * len(HISTOGRAM_CENTERS)
-        column: dict[str, float] = {}
-        for entry in lexicon.entries:
-            if language in entry.per_language_scores:
-                score = entry.per_language_scores[language]
-                counts[score_bin(score)] += 1
-                column[entry.entry_id] = score
+        for score in column.values():
+            counts[score_bin(score)] += 1
         histograms[language] = counts
-        columns[language] = column
 
     correlation: dict[LanguageCode, dict[LanguageCode, float | None]] = {
         a: {} for a in LanguageCode
@@ -107,20 +104,15 @@ def compute_eda(lexicon: Lexicon) -> EdaReport:
     for i, a in enumerate(languages):
         correlation[a][a] = 1.0 if len(columns[a]) >= 2 else None
         for b in languages[i + 1 :]:
-            shared_ids = [eid for eid in columns[a] if eid in columns[b]]
-            r = pearson(
-                [columns[a][eid] for eid in shared_ids],
-                [columns[b][eid] for eid in shared_ids],
+            both = [eid for eid in columns[a] if eid in columns[b]]
+            correlation[a][b] = correlation[b][a] = pearson(
+                [columns[a][eid] for eid in both], [columns[b][eid] for eid in both]
             )
-            correlation[a][b] = r
-            correlation[b][a] = r
 
-    five_number: dict[PosTag, tuple[float, float, float, float, float]] = {}
-    for pos in PosTag:
-        scores = [e.shared_score for e in lexicon.entries if e.pos is pos]
-        if scores:
-            q = np.percentile(np.asarray(scores, dtype=float), [0, 25, 50, 75, 100])
-            five_number[pos] = tuple(float(v) for v in q)
+    five_number = {
+        pos: tuple(np.percentile(np.asarray(scores, dtype=float), [0, 25, 50, 75, 100]).tolist())
+        for pos, scores in pos_scores.items() if scores
+    }
 
     return EdaReport(
         entry_count=len(lexicon),

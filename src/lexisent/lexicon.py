@@ -150,24 +150,6 @@ class LexiconEntry:
     per_language_scores: Mapping[LanguageCode, float]
     entry_id: str = ""
 
-    def form(self, language: LanguageCode) -> str | None:
-        return self.forms.get(language)
-
-    def effective_score(self, language: LanguageCode) -> float:
-        """Language-specific score, falling back to the shared score."""
-        return self.per_language_scores.get(language, self.shared_score)
-
-    def mean_score(self) -> float:
-        """Mean over the per-language scores present; shared score if none are."""
-        if not self.per_language_scores:
-            return self.shared_score
-        values = list(self.per_language_scores.values())
-        return sum(values) / len(values)
-
-    def polarity(self, language: LanguageCode | None = None) -> Polarity:
-        score = self.shared_score if language is None else self.effective_score(language)
-        return Polarity.from_score(score)
-
     def dedup_key(self, french: str | None = None) -> tuple[str, PosTag, float]:
         """Entries with equal keys are duplicates. ``french`` is the French
         form already normalized, when the caller has it."""
@@ -213,6 +195,16 @@ class _Tables(NamedTuple):
     ambiguous: dict[LanguageCode, dict[str, tuple[str, tuple[str, ...]]]]
 
 
+class ScoreTable(NamedTuple):
+    """Entry id -> score, in row order: ``effective`` per language (else the
+    shared score), ``mean`` of the per-language scores (else the shared
+    score), and ``present`` per language (explicit scores only)."""
+
+    effective: dict[LanguageCode, dict[str, float]]
+    mean: dict[str, float]
+    present: dict[LanguageCode, dict[str, float]]
+
+
 class Lexicon:
     """Immutable ordered collection of entries with per-language form indexes.
 
@@ -227,7 +219,7 @@ class Lexicon:
     to the word counts of the forms that start with it (descending), and
     ``ambiguous`` maps every form with several entries to the winning entry id
     and the losing ones, ranked by :data:`POS_PRIORITY` and then by row, so the
-    earliest entry wins a tie.
+    earliest entry wins a tie. ``scores`` compiles on its own first use too.
     """
 
     def __init__(self, entries: Iterable[LexiconEntry]):
@@ -266,6 +258,21 @@ class Lexicon:
                 winners[form] = (ranked[0], tuple(ranked[1:]))
         return _Tables(by_id, index, phrase_lengths, ambiguous)
 
+    @cached_property
+    def scores(self) -> ScoreTable:
+        shared: dict[str, float] = {}
+        mean: dict[str, float] = {}
+        present: dict[LanguageCode, dict[str, float]] = {lang: {} for lang in LanguageCode}
+        for entry in self.entries:
+            entry_id, own = entry.entry_id, entry.per_language_scores
+            shared[entry_id] = entry.shared_score
+            mean[entry_id] = sum(own.values()) / len(own) if own else entry.shared_score
+            for language, score in own.items():
+                present[language][entry_id] = score
+        # Overlaying keeps the shared column's row order.
+        effective = {language: {**shared, **column} for language, column in present.items()}
+        return ScoreTable(effective, mean, present)
+
     @property
     def by_id(self) -> dict[str, LexiconEntry]:
         return self._tables.by_id
@@ -290,9 +297,6 @@ class Lexicon:
 
     def lookup(self, language: LanguageCode, form: str) -> tuple[LexiconEntry, ...]:
         return tuple(self.by_id[i] for i in self.index[language].get(form, ()))
-
-    def forms(self, language: LanguageCode) -> Iterable[str]:
-        return self.index[language].keys()
 
 
 def _add_phrase_length(lengths: dict[str, tuple[int, ...]], form: str) -> None:
@@ -625,11 +629,12 @@ def context_dependent_forms(lexicon: Lexicon, language: LanguageCode) -> list[st
     the language-specific effective score, at least one is positive and one
     negative. Returned sorted for determinism.
     """
+    effective = lexicon.scores.effective[language]
     result = []
     for form, ids in lexicon.index[language].items():
         if len(ids) < 2:
             continue
-        polarities = {lexicon.by_id[i].polarity(language) for i in ids}
+        polarities = {Polarity.from_score(effective[i]) for i in ids}
         if Polarity.POSITIVE in polarities and Polarity.NEGATIVE in polarities:
             result.append(form)
     return sorted(result)

@@ -58,27 +58,25 @@ def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     classes = PosTag if task == "pos" else Polarity
     index = {member: i for i, member in enumerate(classes)}
-    # Column of each language's score; an absent score keeps the shared one.
-    column = {language: i for i, language in enumerate(LanguageCode, start=1)}
+    entries = lexicon.entries
+    effective = lexicon.scores.effective
     english_code = LanguageCode.ENGLISH
-    rows = []
-    labels = []
-    for entry in lexicon.entries:
-        shared = entry.shared_score
-        row = [shared] * 7
-        for language, score in entry.per_language_scores.items():
-            row[column[language]] = score
-        english = entry.forms.get(english_code)
-        row += (len(english), len(english.split())) if english else (0, 0)
-        rows.append(row)
-        labels.append(index[entry.pos if task == "pos" else Polarity.from_score(shared)])
-    class_names = tuple(m.value for m in classes)
+    english = [entry.forms.get(english_code) or "" for entry in entries]
+    X = np.column_stack(
+        [[entry.shared_score for entry in entries]]
+        + [list(effective[language].values()) for language in LanguageCode]
+        + [[len(form) for form in english], [len(form.split()) for form in english]]
+    ).astype(float, copy=False)
+    if task == "pos":
+        labels = [index[entry.pos] for entry in entries]
+    else:
+        labels = [index[Polarity.from_score(entry.shared_score)] for entry in entries]
     return Dataset(
-        X=np.asarray(rows, dtype=float),
+        X=X,
         y=np.asarray(labels, dtype=int),
-        class_names=class_names,
+        class_names=tuple(m.value for m in classes),
         task=task,
-        provenance=tuple(e.entry_id for e in lexicon.entries),
+        provenance=tuple(e.entry_id for e in entries),
     )
 
 

@@ -51,7 +51,8 @@ def train_gaussian_nb(data: Dataset, var_smoothing: float = 1e-9) -> GaussianNBM
 
     Variances are floored at ``var_smoothing`` times the largest overall
     feature variance, so constant features never divide by zero; a
-    ``var_smoothing`` that is not finite and above 0 is refused.
+    ``var_smoothing`` that is not finite and above 0, or that gives a
+    subnormal floor, is refused.
     """
     if not (math.isfinite(var_smoothing) and var_smoothing > 0):
         raise SettingError("var_smoothing", f"must be a finite number above 0, got {var_smoothing}")
@@ -69,6 +70,8 @@ def train_gaussian_nb(data: Dataset, var_smoothing: float = 1e-9) -> GaussianNBM
     floor = var_smoothing * float(data.X.var(axis=0).max())
     if floor == 0.0:
         floor = var_smoothing
+    if floor < np.finfo(float).tiny:  # a subnormal variance overflows the log-likelihood
+        raise SettingError("var_smoothing", f"{var_smoothing} gives the subnormal floor {floor}")
     variances = np.maximum(variances, floor)
     return GaussianNBModel(
         class_names=data.class_names,

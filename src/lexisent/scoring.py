@@ -13,7 +13,7 @@ from enum import Enum
 from typing import Callable
 
 from .lexicon import LanguageCode, Lexicon, Polarity, format_score
-from .translator import WORD_PATTERN, Token, TokenKind, resolve_entry, tokenize
+from .translator import WORD_PATTERN, Token, TokenKind, tokenize
 
 
 class ScoreMode(str, Enum):
@@ -49,17 +49,12 @@ def _scored(
     mode: ScoreMode,
     tokens: list[Token],
 ) -> ScoredSentence:
-    word_scores: list[tuple[str, float]] = []
-    for token in tokens:
-        entry = resolve_entry(token, lexicon)
-        if token.kind is TokenKind.LEXICAL and entry is not None:
-            if mode is ScoreMode.AVG:
-                score = entry.mean_score()
-            else:
-                score = entry.effective_score(language)
-        else:
-            score = 0.0
-        word_scores.append((token.surface, score))
+    table = lexicon.scores
+    column = table.mean if mode is ScoreMode.AVG else table.effective[language]
+    word_scores = [
+        (token.surface, column[token.entry_id] if token.kind is TokenKind.LEXICAL else 0.0)
+        for token in tokens
+    ]
     total = math.fsum(score for _, score in word_scores)
     return ScoredSentence(
         sentence=sentence,

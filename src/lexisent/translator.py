@@ -7,7 +7,7 @@ import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
-from .lexicon import LanguageCode, Lexicon, LexiconEntry
+from .lexicon import LanguageCode, Lexicon
 
 #: A word: a maximal run of characters that are neither whitespace nor one of
 #: the separators ``.,!?;:"()``. Apostrophes are word characters so
@@ -99,10 +99,6 @@ def tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[To
     return tokens
 
 
-def resolve_entry(token: Token, lexicon: Lexicon) -> LexiconEntry | None:
-    return lexicon.by_id[token.entry_id] if token.entry_id is not None else None
-
-
 def translate(
     sentence: str,
     source: LanguageCode,
@@ -118,35 +114,23 @@ def translate(
     """
     tokens = tuple(tokenize(sentence, source, lexicon))
     if source is target:
-        return TranslationResult(
-            source_language=source,
-            target_language=target,
-            source_text=sentence,
-            translated_text=normalize_sentence(sentence),
-            tokens=tokens,
-            unknown_count=sum(t.kind is TokenKind.UNKNOWN for t in tokens),
-        )
-
-    pieces: list[str] = []
-    out_tokens: list[Token] = []
-    unknown = 0
-    for token in tokens:
-        entry = resolve_entry(token, lexicon)
-        target_form = entry.forms.get(target) if entry is not None else None
-        if token.kind is TokenKind.LEXICAL and target_form is not None:
-            pieces.append(target_form)
-            out_tokens.append(token)
-        else:
-            pieces.append(token.surface)
-            out_tokens.append(
-                Token(token.surface, TokenKind.UNKNOWN, None, token.span, token.alternatives)
-            )
-            unknown += 1
+        translated_text, out_tokens = normalize_sentence(sentence), tokens
+    else:
+        by_id = lexicon.by_id
+        pieces, out = [], []
+        for token in tokens:
+            form = by_id[token.entry_id].forms.get(target) if token.entry_id is not None else None
+            if form is None:
+                form = token.surface
+                token = Token(form, TokenKind.UNKNOWN, None, token.span, token.alternatives)
+            pieces.append(form)
+            out.append(token)
+        translated_text, out_tokens = " ".join(pieces), tuple(out)
     return TranslationResult(
         source_language=source,
         target_language=target,
         source_text=sentence,
-        translated_text=" ".join(pieces),
-        tokens=tuple(out_tokens),
-        unknown_count=unknown,
+        translated_text=translated_text,
+        tokens=out_tokens,
+        unknown_count=sum(t.kind is TokenKind.UNKNOWN for t in out_tokens),
     )

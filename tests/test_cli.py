@@ -627,3 +627,56 @@ class TestErrorsNameTheFile:
         assert f"{corpus}: training diverged: epoch 1 train loss " in err
         assert f"exceeds {LOSS_EXPLOSION_FACTOR:g} times the untrained model's loss " in err
         assert not out.exists()
+
+
+class TestCtxSettings:
+    """``ctx generate`` and ``ctx train`` refuse settings they cannot use, name
+    the flag and write no output directory."""
+
+    @pytest.mark.parametrize("weights, shown", [
+        ("0,0,0", "(0.0, 0.0, 0.0)"), ("-1,1,1", "(-1.0, 1.0, 1.0)"),
+        ("nan,1,1", "(nan, 1.0, 1.0)"), ("inf,1,1", "(inf, 1.0, 1.0)"),
+    ])
+    def test_generate_refuses_label_weights_it_cannot_sample(self, tmp_path, ctx_lex_file,
+                                                             weights, shown, capsys):
+        out = tmp_path / "gen"
+        assert run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+                   "-n", "10", f"--label-weights={weights}", "--out", out) == 2
+        assert (f"error: --label-weights must be finite, non-negative and not all 0, "
+                f"got {shown}\n") in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("-n", "10", "--label-weights", "a,b,c"),
+         "--label-weights needs three comma-separated numbers, got 'a,b,c'"),
+        (("-n", "10", "--label-weights", "1,1"),
+         "--label-weights needs three comma-separated numbers, got '1,1'"),
+        (("-n", "0"), "-n/--count must be at least 1, got 0"),
+        (("-n", "-3"), "-n/--count must be at least 1, got -3"),
+    ])
+    def test_generate_usage_errors_name_the_flag(self, tmp_path, ctx_lex_file, flags,
+                                                 message, capsys):
+        out = tmp_path / "gen"
+        assert run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+                   *flags, "--out", out) == 1
+        assert f"usage error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value, problem", [
+        ("--batch-size", "0", "must be at least 1, got 0"),
+        ("--window", "-1", "must be at least 0, got -1"),
+        ("--embedding-dim", "0", "must be at least 1, got 0"),
+        ("--epochs", "0", "must be at least 1, got 0"),
+        ("--learning-rate", "-1", "must be a finite number >= 0, got -1.0"),
+        ("--learning-rate", "nan", "must be a finite number >= 0, got nan"),
+    ])
+    def test_train_refuses_a_setting_that_cannot_train(self, tmp_path, ctx_lex_file, flag,
+                                                       value, problem, capsys):
+        run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+            "-n", "40", "--seed", "1", "--out", tmp_path / "gen")
+        out = tmp_path / "ctx"
+        assert run("ctx", "train", "--corpus", tmp_path / "gen" / "corpus.tsv", "--out", out,
+                   flag, value) == 2
+        # The line starts with the flag: a setting is not a fault of the corpus file.
+        assert f"error: {flag} {problem}\n" in capsys.readouterr().err
+        assert not out.exists()

@@ -10,6 +10,7 @@ import pytest
 
 from lexisent import contextual as ctx
 from lexisent import metrics as evalm
+from lexisent import ml
 from lexisent.lexicon import LanguageCode, Polarity
 
 EN = LanguageCode.ENGLISH
@@ -164,6 +165,16 @@ class TestGenerate:
         with pytest.raises(ValueError, match="context-dependent"):
             ctx.generate_dataset(paper_lexicon, LanguageCode.CILUBA, 10, seed=0)
 
+    @pytest.mark.parametrize("weights", [
+        (0.0, 0.0, 0.0), (-1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
+        (1e308, 1e308, 0.0),
+    ])
+    def test_label_weights_that_cannot_be_sampled_are_refused(self, ctx_lexicon, weights):
+        with pytest.raises(ml.SettingError, match="^label_weights must be finite, "
+                                                  "non-negative and not all 0, got ") as caught:
+            ctx.generate_dataset(ctx_lexicon, EN, 10, seed=0, label_weights=weights)
+        assert caught.value.setting == "label_weights"
+
 
 def small_model(seed=0, corpus=None, epochs=3, learning_rate=0.2, weights=None,
                 config=None):
@@ -174,6 +185,31 @@ def small_model(seed=0, corpus=None, epochs=3, learning_rate=0.2, weights=None,
     model = ctx.train(config, train, val, weights, epochs=epochs,
                       learning_rate=learning_rate, seed=seed)
     return model, train, val
+
+
+class TestTrainSettings:
+    @pytest.mark.parametrize("setting, value, problem", [
+        ("embedding_dim", 0, "must be at least 1, got 0"),
+        ("window", -1, "must be at least 0, got -1"),
+        ("batch_size", 0, "must be at least 1, got 0"),
+        ("epochs", 0, "must be at least 1, got 0"),
+        ("learning_rate", -1.0, "must be a finite number >= 0, got -1.0"),
+        ("learning_rate", math.nan, "must be a finite number >= 0, got nan"),
+        ("learning_rate", math.inf, "must be a finite number >= 0, got inf"),
+    ])
+    def test_refused_settings_name_the_parameter(self, setting, value, problem):
+        config = dict(embedding_dim=8, window=5, batch_size=8)
+        kwargs = dict(epochs=1, learning_rate=0.1)
+        (config if setting in config else kwargs)[setting] = value
+        train, val, _ = ctx.split_70_20_10(toy_corpus(), seed=0)
+        with pytest.raises(ml.SettingError, match=f"^{setting} {problem}$") as caught:
+            ctx.train(ctx.TrainConfig(**config), train, val, ctx.uniform_class_weights(),
+                      seed=0, **kwargs)
+        assert caught.value.setting == setting
+
+    def test_window_zero_trains_on_the_target_alone(self):
+        model, _, _ = small_model(epochs=1, config=ctx.TrainConfig(8, window=0, batch_size=8))
+        assert model.window == 0 and len(model.history) == 1
 
 
 class TestGradients:

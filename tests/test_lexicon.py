@@ -11,6 +11,8 @@ from lexisent.lexicon import (
     CSV_HEADER,
     POS_PRIORITY,
     SCORE_COLUMNS,
+    SCORE_MAX,
+    SCORE_MIN,
     LanguageCode,
     Lexicon,
     LexiconEntry,
@@ -256,8 +258,56 @@ class TestPolarity:
             shared_score=2.0,
             per_language_scores={LanguageCode.ZULU: -1.0},
         )
-        assert e.effective_score(LanguageCode.ZULU) == -1.0
-        assert e.effective_score(LanguageCode.ENGLISH) == 2.0
+        effective = Lexicon([e]).scores.effective
+        assert effective[LanguageCode.ZULU] == {"r1": -1.0}
+        assert effective[LanguageCode.ENGLISH] == {"r1": 2.0}
+
+
+SCORES = st.one_of(
+    st.floats(SCORE_MIN, SCORE_MAX), st.sampled_from([0.0, -0.0, 0.1, 0.2, 0.7, 1e-300])
+)
+SCORED_ENTRIES = st.builds(
+    LexiconEntry,
+    forms=st.just({LanguageCode.FRENCH: "mot"}),
+    pos=st.sampled_from(list(PosTag)),
+    shared_score=SCORES,
+    # Keys in drawn order, so the mean sums in whatever order an entry holds them.
+    per_language_scores=st.dictionaries(st.sampled_from(list(LanguageCode)), SCORES),
+)
+
+
+def bits(column: dict[str, float]) -> list[tuple[str, str]]:
+    """A score column with its exact floats (-0.0 too), in key order."""
+    return [(entry_id, score.hex()) for entry_id, score in column.items()]
+
+
+class TestScoreTable:
+    @given(st.lists(SCORED_ENTRIES, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    def test_columns_equal_the_per_entry_expressions(self, entries):
+        lexicon = Lexicon(entries)
+        table = lexicon.scores
+        assert list(table.effective) == list(table.present) == list(LanguageCode)
+        expected_mean = []
+        for e in lexicon.entries:
+            values = list(e.per_language_scores.values())
+            mean = sum(values) / len(values) if values else e.shared_score
+            expected_mean.append((e.entry_id, mean.hex()))
+        assert bits(table.mean) == expected_mean
+        for language in LanguageCode:
+            assert bits(table.effective[language]) == [
+                (e.entry_id, e.per_language_scores.get(language, e.shared_score).hex())
+                for e in lexicon.entries
+            ]
+            assert bits(table.present[language]) == [
+                (e.entry_id, e.per_language_scores[language].hex())
+                for e in lexicon.entries if language in e.per_language_scores
+            ]
+
+    def test_compiled_on_first_use_once(self):
+        lexicon = Lexicon([make_entry()])
+        assert "scores" not in vars(lexicon)
+        assert lexicon.scores is lexicon.scores
 
 
 class TestContextDependentForms:

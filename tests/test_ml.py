@@ -87,7 +87,7 @@ def reference_featurize(lexicon, task):
         english = entry.forms.get(LanguageCode.ENGLISH)
         rows.append(
             [entry.shared_score]
-            + [entry.effective_score(lang) for lang in LanguageCode]
+            + [entry.per_language_scores.get(lang, entry.shared_score) for lang in LanguageCode]
             + [len(english) if english else 0, len(english.split()) if english else 0]
         )
         if task == "pos":
@@ -644,6 +644,21 @@ class TestGaussianNB:
                                                   rf"above 0, got {var_smoothing}$") as caught:
             ml.train_gaussian_nb(data, var_smoothing=var_smoothing)
         assert caught.value.setting == "var_smoothing"
+
+    @pytest.mark.parametrize("var_smoothing", [1e-310, 5e-324])
+    def test_subnormal_variance_floor_is_refused(self, var_smoothing):
+        # The largest feature variance is 0.6875, so the floor is subnormal too;
+        # (X - mean)**2 / floor overflows and predict_proba would be NaN.
+        data = dataset_from([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [1.0, 3.0]], [0, 0, 1, 1])
+        with pytest.raises(ml.SettingError, match=rf"^var_smoothing {var_smoothing} gives the "
+                                                  r"subnormal floor \S+$") as caught:
+            ml.train_gaussian_nb(data, var_smoothing=var_smoothing)
+        assert caught.value.setting == "var_smoothing"
+
+    def test_smallest_normal_variance_floor_still_trains(self):
+        data = dataset_from([[0.0, 1.0], [0.0, 2.0], [1.0, 1.0], [1.0, 3.0]], [0, 0, 1, 1])
+        model = ml.train_gaussian_nb(data, var_smoothing=1e-300)
+        assert model.predict_proba([[0.5, 1.0]]).tolist() == [[0.5, 0.5]]
 
 
 class TestLinearSVM:

@@ -1,12 +1,20 @@
 from __future__ import annotations
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag
+import lexisent
+from lexisent.lexicon import (
+    LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag, serialize_lexicon,
+)
 from lexisent.scoring import (
     ENGLISH_VALENCES,
     ScoreMode,
@@ -17,6 +25,7 @@ from lexisent.scoring import (
     score_sentence,
     zero_baseline,
 )
+from lexisent.translator import translate
 
 EN = LanguageCode.ENGLISH
 AF = LanguageCode.AFRIKAANS
@@ -224,3 +233,36 @@ class TestSerialization:
         assert rows[1][2] == "6.500000"
         assert rows[1][5] == "7.000000"
         assert rows[1][8] == "0.0000"
+
+
+# Reads a lexicon CSV from stdin with numpy blocked, then scores and translates.
+NUMPY_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None
+from lexisent.lexicon import LanguageCode, parse_lexicon
+from lexisent.scoring import score_batch, zero_baseline
+from lexisent.translator import translate
+lexicon = parse_lexicon(sys.stdin.read())
+rows = [(sentence, LanguageCode(language)) for sentence, language in json.loads(sys.argv[1])]
+report = score_batch(rows, lexicon, zero_baseline)
+translated = translate(rows[0][0], rows[0][1], LanguageCode.FRENCH, lexicon)
+print(json.dumps([[[r.total_avg, r.total_v2] for r in report.rows],
+                  translated.translated_text]))
+"""
+
+
+def test_lexicon_scoring_and_translate_run_without_numpy(paper_lexicon):
+    rows = [("I want food.", "english"), ("Go tšhaba go wa.", "sepedi")]
+    src = str(Path(lexisent.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_BLOCKED, json.dumps(rows)],
+        input=serialize_lexicon(paper_lexicon).decode("utf-8"), capture_output=True,
+        text=True, encoding="utf-8", env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    totals, translated = json.loads(done.stdout)
+    parsed = [(sentence, LanguageCode(language)) for sentence, language in rows]
+    report = score_batch(parsed, paper_lexicon, zero_baseline)
+    assert totals == [[r.total_avg, r.total_v2] for r in report.rows]
+    assert translated == translate(rows[0][0], EN, LanguageCode.FRENCH,
+                                   paper_lexicon).translated_text

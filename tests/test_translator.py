@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, PosTag
 from lexisent.translator import (
     TokenKind,
@@ -10,6 +13,8 @@ from lexisent.translator import (
     translate,
     word_tokens,
 )
+
+from test_tokenizer import lexicons, other_words, phrase, separator
 
 EN = LanguageCode.ENGLISH
 FR = LanguageCode.FRENCH
@@ -133,3 +138,33 @@ class TestTranslate:
 
 def test_word_tokens_strip_punctuation():
     assert word_tokens("Earth, is (the) third!") == ["earth", "is", "the", "third"]
+
+
+@given(lexicons(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_translate_on_arbitrary_unicode(lexicon, data):
+    forms = sorted({f for e in lexicon.entries for f in e.forms.values()}) or ["go"]
+    chunks = data.draw(st.lists(st.one_of(st.sampled_from(forms), phrase, other_words, st.text()),
+                                max_size=6))
+    text = data.draw(separator).join(chunks)
+    source = data.draw(st.sampled_from([FR, EN]))
+    target = data.draw(st.sampled_from(list(LanguageCode)))
+    result = translate(text, source, target, lexicon)
+    tokens = tokenize(text, source, lexicon)
+    assert [(t.surface, t.span) for t in result.tokens] == [(t.surface, t.span) for t in tokens]
+    assert result.unknown_count == sum(t.kind is TokenKind.UNKNOWN for t in result.tokens)
+    if source is target:
+        assert result.translated_text == normalize_sentence(text)
+        assert result.tokens == tuple(tokens)
+        return
+    pieces = []
+    for token, out in zip(tokens, result.tokens):
+        entry = lexicon.by_id[token.entry_id] if token.kind is TokenKind.LEXICAL else None
+        form = entry.forms.get(target) if entry is not None else None
+        if form is None:
+            assert (out.kind, out.entry_id) == (TokenKind.UNKNOWN, None)
+            pieces.append(token.surface)
+        else:
+            assert out == token
+            pieces.append(form)
+    assert result.translated_text == " ".join(pieces)
