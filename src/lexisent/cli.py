@@ -24,6 +24,7 @@ import csv
 import io
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import attribution as attr
@@ -37,7 +38,6 @@ from . import translator as tr
 from .artifact import is_int
 from .lexicon import (
     LanguageCode,
-    LexiconFormatError,
     Polarity,
     clean,
     parse_lexicon,
@@ -96,45 +96,40 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return config
 
 
-def _load_lexicon(path: str):
+def _parse_file(path: str, parse):
+    """``parse`` applied to a UTF-8 file's text; its errors name the file.
+
+    The text keeps its line ends, so CSV readers see quoted line breaks as
+    written.
+    """
     try:
-        return parse_lexicon(Path(path).read_bytes())
-    except LexiconFormatError as exc:
+        return parse(Path(path).read_bytes().decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _load_normalized_lexicon(path: str):
+def _normalized_lexicon(text: str):
     """A lexicon for the commands that tokenize sentences against it."""
-    lexicon = _load_lexicon(path)
-    try:
-        require_normalized(lexicon)
-    except LexiconFormatError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    lexicon = parse_lexicon(text)
+    require_normalized(lexicon)
     return lexicon
 
 
-def _read_csv_rows(path: str, expected_header: tuple[str, ...]) -> list[list[str]]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(csv.reader(handle))
-    if not rows or tuple(rows[0]) != expected_header:
-        raise ValueError(
-            f"{path}: expected header {','.join(expected_header)}"
-        )
+def _csv_rows(text: str, header: tuple[str, ...]) -> list[list[str]]:
+    """The data rows of a CSV with ``header``; errors name the row (header = 0)."""
+    rows = []
+    try:  # ``rows`` keeps the rows read before an error, so its length is the bad row
+        rows.extend(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as exc:
+        raise ValueError(f"row {len(rows)}: malformed CSV: {exc}") from None
+    if not rows or tuple(rows[0]) != header:
+        raise ValueError(f"expected header {','.join(header)}")
     for row_no, row in enumerate(rows[1:], start=1):
-        if len(row) != len(expected_header):
+        if len(row) != len(header):
             raise ValueError(
-                f"{path}: row {row_no}: expected {len(expected_header)} columns, "
-                f"found {len(row)}"
+                f"row {row_no}: expected {len(header)} columns, found {len(row)}"
             )
     return rows[1:]
-
-
-def _parse_file(path: str, parse):
-    """``parse`` applied to a UTF-8 file's text; its errors name the file."""
-    try:
-        return parse(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +137,7 @@ def _parse_file(path: str, parse):
 
 
 def cmd_lexicon_validate(args) -> int:
-    lexicon = _load_lexicon(args.infile)
+    lexicon = _parse_file(args.infile, parse_lexicon)
     report = validate_lexicon(lexicon)
     text = _json_text(report.to_json_dict())
     if args.out:
@@ -156,7 +151,7 @@ def cmd_lexicon_validate(args) -> int:
 
 
 def cmd_lexicon_clean(args) -> int:
-    lexicon = _load_lexicon(args.infile)
+    lexicon = _parse_file(args.infile, parse_lexicon)
     cleaned, report = clean(lexicon)
     out = OutputDir(args.out, _effective_config(args))
     out.write("cleaned.csv", serialize_lexicon(cleaned))
@@ -171,7 +166,7 @@ def cmd_lexicon_clean(args) -> int:
 
 
 def cmd_lexicon_stats(args) -> int:
-    lexicon = _load_lexicon(args.infile)
+    lexicon = _parse_file(args.infile, parse_lexicon)
     report = eda.compute_eda(lexicon)
     out = OutputDir(args.out, _effective_config(args))
     out.write("eda.json", _json_text(report.to_json_dict()))
@@ -227,7 +222,7 @@ def cmd_lexicon_stats(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    lexicon = _load_normalized_lexicon(args.lex)
+    lexicon = _parse_file(args.lex, _normalized_lexicon)
     if args.text is not None:
         if not args.source or not args.target:
             raise _UsageError("--text requires --from and --to")
@@ -243,7 +238,9 @@ def cmd_translate(args) -> int:
         return 0
     if not args.infile or not args.out:
         raise _UsageError("batch mode requires --in and --out")
-    rows = _read_csv_rows(args.infile, ("sentence", "source_language", "target_language"))
+    rows = _parse_file(
+        args.infile, partial(_csv_rows, header=("sentence", "source_language", "target_language"))
+    )
     results = [
         tr.translate(s, LanguageCode.parse(a), LanguageCode.parse(b), lexicon)
         for s, a, b in rows
@@ -266,8 +263,8 @@ def _baseline_fn(name: str) -> scoring.BaselineScorer:
 
 
 def _score_rows(args) -> scoring.ComparisonReport:
-    lexicon = _load_normalized_lexicon(args.lex)
-    rows = _read_csv_rows(args.infile, ("sentence", "language"))
+    lexicon = _parse_file(args.lex, _normalized_lexicon)
+    rows = _parse_file(args.infile, partial(_csv_rows, header=("sentence", "language")))
     return scoring.score_batch(
         [(s, LanguageCode.parse(l)) for s, l in rows],
         lexicon,
@@ -343,7 +340,7 @@ def _write_evaluation(out: OutputDir, y_true, y_pred, proba, class_names) -> dic
 
 
 def cmd_ml_train(args) -> int:
-    lexicon = _load_lexicon(args.lex)
+    lexicon = _parse_file(args.lex, parse_lexicon)
     dataset = ml.featurize(lexicon, task=args.task)
     train_set, test_set = ml.split(dataset, args.train_fraction, args.seed)
     model = _train_ml_model(train_set, args)
@@ -399,7 +396,7 @@ def cmd_ml_eval(args) -> int:
     if task not in ml.dataset.TASKS:
         raise ValueError(f"{args.model}: the model records no known task (found {task!r})")
     _use_recorded_split(model, args)
-    lexicon = _load_lexicon(args.lex)
+    lexicon = _parse_file(args.lex, parse_lexicon)
     dataset = ml.featurize(lexicon, task=task)
     _, test_set = ml.split(dataset, args.train_fraction, args.seed)
     if not len(test_set):
@@ -429,7 +426,7 @@ def cmd_ctx_generate(args) -> int:
         )
     if args.count < 1:
         raise _UsageError(f"-n/--count must be at least 1, got {args.count}")
-    lexicon = _load_lexicon(args.lex)
+    lexicon = _parse_file(args.lex, _normalized_lexicon)
     sentences = ctx.generate_dataset(
         lexicon, LanguageCode.parse(args.language), args.count, args.seed,
         label_weights=weights,
@@ -441,12 +438,8 @@ def cmd_ctx_generate(args) -> int:
     return 0
 
 
-def _read_labeled_corpus(text: str):
-    return ctx.read_corpus(text, labeled=True)
-
-
 def cmd_ctx_train(args) -> int:
-    corpus = _parse_file(args.corpus, _read_labeled_corpus)
+    corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
     try:
         train_set, val_set, test_set = ctx.split_70_20_10(corpus, args.seed)
         if args.uniform_weights:
@@ -483,7 +476,7 @@ def cmd_ctx_train(args) -> int:
 
 def cmd_ctx_eval(args) -> int:
     model = _parse_file(args.model, ctx.load_context_model)
-    corpus = _parse_file(args.corpus, _read_labeled_corpus)
+    corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
     y_true, y_pred, proba = ctx.evaluate(model, corpus)
     out = OutputDir(args.out, _effective_config(args))
     summary = _write_evaluation(
@@ -645,7 +638,7 @@ def main(argv=None) -> int:
     except ml.SettingError as exc:  # name the flag the setting came from
         print(f"error: --{exc.setting.replace('_', '-')} {exc.problem}", file=sys.stderr)
         return 2
-    except (LexiconFormatError, ctx.MarkupError, ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

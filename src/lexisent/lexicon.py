@@ -4,6 +4,12 @@ A lexicon row is one concept carried across up to six languages, with a part
 of speech, one shared sentiment score, and optional per-language scores.
 Lexicon values are immutable; every operation that changes content returns a
 new ``Lexicon`` plus a report describing what happened.
+
+The curation rules live in one place, the walk :func:`_curate`: which forms
+:func:`clean` rewrites or drops (:func:`normalize_form`), and which rows
+duplicate an earlier one (equal French form as cleaned, POS and shared score).
+:func:`clean`, :func:`validate_lexicon`, :func:`require_normalized` and
+:func:`add_entries` build their reports and refusals from that walk alone.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 SCORE_MIN = -9.0
 SCORE_MAX = 9.0
@@ -78,10 +85,10 @@ class Polarity(str, Enum):
     POSITIVE = "positive"
 
     @classmethod
-    def from_score(cls, score: float, eps: float = NEUTRAL_EPSILON) -> "Polarity":
-        if score > eps:
+    def from_score(cls, score: float) -> "Polarity":
+        if score > NEUTRAL_EPSILON:
             return cls.POSITIVE
-        if score < -eps:
+        if score < -NEUTRAL_EPSILON:
             return cls.NEGATIVE
         return cls.NEUTRAL
 
@@ -118,13 +125,18 @@ class LexiconFormatError(ValueError):
         super().__init__(prefix + message)
 
 
-def normalize_form(form: str) -> str:
-    """Canonical surface form: case-folded, NFC, stripped. Diacritics kept.
+def normalize_sentence(sentence: str) -> str:
+    """Case-folded and NFC, as sentences are matched against lexicon forms.
 
     Idempotent: case folding can leave a letter and a combining mark that NFC
     composes (``"ß\u0301"`` folds to ``"ss\u0301"``), so NFC runs again after it.
     """
-    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", form).casefold()).strip()
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", sentence).casefold())
+
+
+def normalize_form(form: str) -> str:
+    """Canonical surface form: :func:`normalize_sentence`, stripped. Diacritics kept."""
+    return normalize_sentence(form).strip()
 
 
 def check_score(value: float, row: int | None = None, column: str | None = None) -> float:
@@ -149,29 +161,6 @@ class LexiconEntry:
     shared_score: float
     per_language_scores: Mapping[LanguageCode, float]
     entry_id: str = ""
-
-    def dedup_key(self, french: str | None = None) -> tuple[str, PosTag, float]:
-        """Entries with equal keys are duplicates. ``french`` is the French
-        form already normalized, when the caller has it."""
-        if french is None:
-            french = normalize_form(self.forms[LanguageCode.FRENCH])
-        return (french, self.pos, self.shared_score)
-
-
-def check_entry(entry: LexiconEntry) -> None:
-    """Raise ``ValueError`` unless the entry satisfies all per-entry invariants."""
-    if LanguageCode.FRENCH not in entry.forms:
-        raise ValueError("entry is missing the required french form")
-    for language, form in entry.forms.items():
-        if form == "":
-            raise ValueError(f"empty {language.value} form (absent forms must be omitted)")
-        if form != normalize_form(form):
-            raise ValueError(
-                f"{language.value} form {form!r} is not normalized (trimmed, case-folded, NFC)"
-            )
-    check_score(entry.shared_score)
-    for language, score in entry.per_language_scores.items():
-        check_score(score, column=SCORE_COLUMNS[language])
 
 
 #: Disambiguation rank when one surface form maps to several entries.
@@ -336,39 +325,43 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
     else:
         text = source
     reader = csv.reader(io.StringIO(text))
+    entries: list[LexiconEntry] = []
+    header = None
     try:
-        header = next(reader)
-    except StopIteration:
-        raise LexiconFormatError("empty lexicon file", row=0) from None
-    if tuple(header) != CSV_HEADER:
-        raise LexiconFormatError(
-            f"bad header {header!r}; expected {','.join(CSV_HEADER)}", row=0
-        )
-
-    n_columns = len(CSV_HEADER)
-    entries = []
-    for row_no, row in enumerate(reader, start=1):
-        if len(row) != n_columns or not row[_FRENCH_CELL] or row[_POS_CELL] not in _POS_BY_VALUE:
-            raise _row_error(row, row_no)
-        try:
-            shared = float(row[_SCORE_CELL])
-            per_language = {lang: float(row[i]) for i, lang, _ in _SCORE_CELLS if row[i]}
-        except ValueError:
-            raise _row_error(row, row_no) from None
-        # Written so that NaN fails too.
-        if not SCORE_MIN <= shared <= SCORE_MAX or not all(
-            SCORE_MIN <= value <= SCORE_MAX for value in per_language.values()
-        ):
-            raise _row_error(row, row_no)
-        entries.append(
-            LexiconEntry(
-                {lang: row[i] for i, lang in _FORM_CELLS if row[i]},
-                _POS_BY_VALUE[row[_POS_CELL]],
-                shared,
-                per_language,
-                f"r{row_no}",
+        header = next(reader, None)
+        if header is None:
+            raise LexiconFormatError("empty lexicon file", row=0)
+        if tuple(header) != CSV_HEADER:
+            raise LexiconFormatError(
+                f"bad header {header!r}; expected {','.join(CSV_HEADER)}", row=0
             )
-        )
+        n_columns = len(CSV_HEADER)
+        for row_no, row in enumerate(reader, start=1):
+            if (len(row) != n_columns or not row[_FRENCH_CELL]
+                    or row[_POS_CELL] not in _POS_BY_VALUE):
+                raise _row_error(row, row_no)
+            try:
+                shared = float(row[_SCORE_CELL])
+                per_language = {lang: float(row[i]) for i, lang, _ in _SCORE_CELLS if row[i]}
+            except ValueError:
+                raise _row_error(row, row_no) from None
+            # Written so that NaN fails too.
+            if not SCORE_MIN <= shared <= SCORE_MAX or not all(
+                SCORE_MIN <= value <= SCORE_MAX for value in per_language.values()
+            ):
+                raise _row_error(row, row_no)
+            entries.append(
+                LexiconEntry(
+                    {lang: row[i] for i, lang in _FORM_CELLS if row[i]},
+                    _POS_BY_VALUE[row[_POS_CELL]],
+                    shared,
+                    per_language,
+                    f"r{row_no}",
+                )
+            )
+    except csv.Error as exc:  # the reader could not split the header or the next row
+        row_no = 0 if header is None else len(entries) + 1
+        raise LexiconFormatError(f"malformed CSV: {exc}", row=row_no) from None
     return Lexicon(entries)
 
 
@@ -454,6 +447,33 @@ class CleaningReport:
         }
 
 
+def _curate(
+    entries: Iterable[LexiconEntry],
+) -> Iterator[tuple[int, LexiconEntry, Mapping[LanguageCode, str], int | None]]:
+    """The curation walk: ``(row, entry, forms, first_row)`` for each entry in
+    row order, rows counted from 1.
+
+    ``forms`` holds every form of the entry as :func:`clean` writes it, its
+    :func:`normalize_form`, with ``""`` where clean drops the form. It is the
+    entry's own mapping when clean would change none of them, so findings are
+    looked for only in copied mappings. ``first_row`` is the first earlier row
+    with the same dedup key (the French form as clean writes it, the POS and
+    the shared score), or ``None``.
+    """
+    french = LanguageCode.FRENCH
+    seen: dict[tuple[str, PosTag, float], int] = {}
+    for row, entry in enumerate(entries, start=1):
+        forms = entry.forms
+        for language, form in entry.forms.items():
+            normalized = normalize_form(form)
+            if normalized != form or not normalized:
+                if forms is entry.forms:
+                    forms = dict(forms)
+                forms[language] = normalized
+        first_row = seen.setdefault((forms.get(french, ""), entry.pos, entry.shared_score), row)
+        yield row, entry, forms, first_row if first_row != row else None
+
+
 def clean(lexicon: Lexicon) -> tuple[Lexicon, CleaningReport]:
     """Normalize every form and drop exact duplicates, keeping first occurrences.
 
@@ -463,38 +483,31 @@ def clean(lexicon: Lexicon) -> tuple[Lexicon, CleaningReport]:
     """
     report = CleaningReport()
     cleaned: list[LexiconEntry] = []
-    seen: dict[tuple, str] = {}
-    for entry in lexicon.entries:
-        forms: dict[LanguageCode, str] = {}
-        for language, form in entry.forms.items():
-            normalized = normalize_form(form)
-            if normalized == "":
-                if language is LanguageCode.FRENCH:
-                    raise ValueError(
-                        f"entry {entry.entry_id}: french form {form!r} normalizes to empty"
+    for _, entry, forms, first_row in _curate(lexicon.entries):
+        entry_id = entry.entry_id
+        if forms is not entry.forms:
+            for language, before in entry.forms.items():
+                after = forms[language]
+                if not after:
+                    report.dropped_forms.append(
+                        {"entry_id": entry_id, "language": language.value, "before": before}
                     )
-                report.dropped_forms.append(
-                    {"entry_id": entry.entry_id, "language": language.value, "before": form}
-                )
-                continue
-            if normalized != form:
-                report.normalized_forms.append(
-                    {
-                        "entry_id": entry.entry_id,
-                        "language": language.value,
-                        "before": form,
-                        "after": normalized,
-                    }
-                )
-            forms[language] = normalized
-        # The dedup key of the cleaned entry: its french form is normalized already.
-        key = (forms[LanguageCode.FRENCH], entry.pos, entry.shared_score)
-        if key in seen:
+                elif after != before:
+                    report.normalized_forms.append(
+                        {"entry_id": entry_id, "language": language.value,
+                         "before": before, "after": after}
+                    )
+            forms = {language: form for language, form in forms.items() if form}
+        if LanguageCode.FRENCH not in forms:
+            raise ValueError(
+                f"entry {entry_id}: french form "
+                f"{entry.forms.get(LanguageCode.FRENCH, '')!r} normalizes to empty"
+            )
+        if first_row is not None:
             report.removed_duplicates.append(
-                {"entry_id": entry.entry_id, "kept_entry_id": seen[key]}
+                {"entry_id": entry_id, "kept_entry_id": lexicon.entries[first_row - 1].entry_id}
             )
             continue
-        seen[key] = entry.entry_id
         cleaned.append(
             LexiconEntry(
                 forms, entry.pos, entry.shared_score, entry.per_language_scores,
@@ -523,45 +536,26 @@ class ValidationReport:
         }
 
 
-def unnormalized_forms(lexicon: Lexicon) -> list[dict]:
-    """Every form that :func:`clean` would rewrite, in row then column order."""
-    found = []
-    for row_no, entry in enumerate(lexicon.entries, start=1):
-        for language, form in entry.forms.items():
-            normalized = normalize_form(form)
-            if normalized != form:
-                found.append(
-                    {
-                        "row": row_no,
-                        "entry_id": entry.entry_id,
-                        "language": language.value,
-                        "form": form,
-                        "normalized": normalized,
-                    }
-                )
-    return found
+def _rewritten(row: int, entry: LexiconEntry, forms: Mapping[LanguageCode, str]) -> list[dict]:
+    """The forms of ``entry`` that clean rewrites, given the walk's ``forms``."""
+    return [
+        {"row": row, "entry_id": entry.entry_id, "language": language.value,
+         "form": form, "normalized": forms[language]}
+        for language, form in entry.forms.items()
+        if forms[language] != form
+    ]
 
 
 def validate_lexicon(lexicon: Lexicon) -> ValidationReport:
     """Flag duplicate rows (under the dedup key) and forms clean would rewrite."""
-    report = ValidationReport(unnormalized_forms=unnormalized_forms(lexicon))
-    # A French form that clean would not rewrite is already normalized, so the
-    # dedup keys reuse the forms normalized above instead of normalizing again.
-    french = LanguageCode.FRENCH
-    rewritten = {
-        found["row"]: found["normalized"]
-        for found in report.unnormalized_forms
-        if found["language"] == french.value
-    }
-    seen: dict[tuple, int] = {}
-    for row_no, entry in enumerate(lexicon.entries, start=1):
-        key = entry.dedup_key(rewritten.get(row_no, entry.forms[french]))
-        if key in seen:
+    report = ValidationReport()
+    for row, entry, forms, first_row in _curate(lexicon.entries):
+        if forms is not entry.forms:
+            report.unnormalized_forms += _rewritten(row, entry, forms)
+        if first_row is not None:
             report.duplicates.append(
-                {"row": row_no, "entry_id": entry.entry_id, "first_row": seen[key]}
+                {"row": row, "entry_id": entry.entry_id, "first_row": first_row}
             )
-        else:
-            seen[key] = row_no
     return report
 
 
@@ -572,7 +566,12 @@ def require_normalized(lexicon: Lexicon) -> None:
     ``"Happy "`` would silently score and translate as unknown. Raises
     :class:`LexiconFormatError` naming the first such row and column.
     """
-    found = unnormalized_forms(lexicon)
+    found = [
+        rewrite
+        for row, entry, forms, _ in _curate(lexicon.entries)
+        if forms is not entry.forms
+        for rewrite in _rewritten(row, entry, forms)
+    ]
     if found:
         first = found[0]
         raise LexiconFormatError(
@@ -588,36 +587,48 @@ class AdditionReport:
     added: int = 0
     rejected: list[dict] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {"added": self.added, "rejected": self.rejected}
-
 
 def add_entries(
     lexicon: Lexicon, new_entries: Sequence[LexiconEntry]
 ) -> tuple[Lexicon, AdditionReport]:
     """Append entries whose dedup key is novel; conflicts are rejected per entry.
 
-    Every candidate must already satisfy the per-entry invariants
-    (:func:`check_entry` raises otherwise). Conflicts never merge silently.
+    Every candidate must already be as :func:`clean` writes it, with a French
+    form and scores in range; a ``ValueError`` refuses the whole call
+    otherwise. A rejected candidate names the entry it conflicts with by that
+    entry's id in the returned lexicon. Conflicts never merge silently.
     """
     report = AdditionReport()
-    existing = {entry.dedup_key(): entry.entry_id for entry in lexicon.entries}
     accepted: list[LexiconEntry] = []
-    for entry in new_entries:
-        check_entry(entry)
-        key = entry.dedup_key()
-        if key in existing:
-            report.rejected.append(
-                {
-                    "french": entry.forms[LanguageCode.FRENCH],
-                    "pos": entry.pos.value,
-                    "shared_score": entry.shared_score,
-                    "conflicts_with": existing[key],
-                }
-            )
+    accepted_ids: dict[int, str] = {}  # walk row -> id in the returned lexicon
+    for row, entry, forms, first_row in _curate(chain(lexicon.entries, new_entries)):
+        if row <= len(lexicon):
             continue
-        existing[key] = f"new{len(accepted)}"
-        accepted.append(entry)
+        if LanguageCode.FRENCH not in entry.forms:
+            raise ValueError("entry is missing the required french form")
+        for language, form in entry.forms.items():
+            if not form:
+                raise ValueError(f"empty {language.value} form (absent forms must be omitted)")
+            if forms[language] != form:
+                raise ValueError(
+                    f"{language.value} form {form!r} is not normalized (trimmed, case-folded, NFC)"
+                )
+        check_score(entry.shared_score)
+        for language, score in entry.per_language_scores.items():
+            check_score(score, column=SCORE_COLUMNS[language])
+        if first_row is None:
+            accepted.append(entry)
+            accepted_ids[row] = f"r{len(lexicon) + len(accepted)}"
+            continue
+        report.rejected.append(
+            {
+                "french": entry.forms[LanguageCode.FRENCH],
+                "pos": entry.pos.value,
+                "shared_score": entry.shared_score,
+                "conflicts_with": accepted_ids[first_row] if first_row > len(lexicon)
+                else lexicon.entries[first_row - 1].entry_id,
+            }
+        )
     report.added = len(accepted)
     return Lexicon(list(lexicon.entries) + accepted), report
 

@@ -165,13 +165,6 @@ class RocCurve:
     points: tuple[tuple[float, float], ...]  # (false positive rate, true positive rate)
     auc: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "positive_class": self.positive_class,
-            "points": [list(p) for p in self.points],
-            "auc": self.auc,
-        }
-
 
 def roc(
     y_true: Sequence[int], scores: Sequence[float], positive_class: str = "positive"

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import re
-import unicodedata
 from dataclasses import dataclass
 from enum import Enum
 
-from .lexicon import LanguageCode, Lexicon
+from .lexicon import LanguageCode, Lexicon, normalize_sentence
 
 #: A word: a maximal run of characters that are neither whitespace nor one of
 #: the separators ``.,!?;:"()``. Apostrophes are word characters so
@@ -39,11 +38,6 @@ class TranslationResult:
     translated_text: str
     tokens: tuple[Token, ...]
     unknown_count: int
-
-
-def normalize_sentence(sentence: str) -> str:
-    """Case-folded and NFC, as :func:`~lexisent.lexicon.normalize_form` makes forms."""
-    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", sentence).casefold())
 
 
 def word_tokens(text: str) -> list[str]:

@@ -2,13 +2,14 @@ from __future__ import annotations
 
 import argparse
 import json
+from dataclasses import replace
 
 import pytest
 
 from lexisent.artifact import FORMAT_VERSION
 from lexisent.cli import build_parser, main
 from lexisent.contextual import LOSS_EXPLOSION_FACTOR
-from lexisent.lexicon import Lexicon, serialize_lexicon
+from lexisent.lexicon import LanguageCode, Lexicon, serialize_lexicon
 
 from conftest import build_ctx_lexicon
 
@@ -680,3 +681,77 @@ class TestCtxSettings:
         # The line starts with the flag: a setting is not a fault of the corpus file.
         assert f"error: {flag} {problem}\n" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUnreadableInput:
+    """Files the readers cannot split are data errors that name the file and
+    row; a bug's ``KeyError`` is not one."""
+
+    def test_sentence_csv_that_is_not_utf8_names_the_file(self, tmp_path, paper_lex_file,
+                                                           capsys):
+        sentences = tmp_path / "bad_utf8.csv"
+        sentences.write_bytes(b"sentence,language\n\xff bad,english\n")
+        out = tmp_path / "out"
+        assert run("compare", "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
+        assert f"error: {sentences}: 'utf-8' codec can't decode byte 0xff" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_oversized_lexicon_cell_names_file_and_row(self, tmp_path, paper_lex_file, capsys):
+        lexicon = tmp_path / "huge.csv"
+        lexicon.write_bytes(paper_lex_file.read_bytes()
+                            + b"x" * 140_000 + b",,,,,,mot,1,,,,,,\n")
+        rows = len(paper_lex_file.read_bytes().splitlines())
+        assert run("lexicon", "validate", "--in", lexicon) == 2
+        assert (f"error: {lexicon}: [row {rows}] malformed CSV: field larger than field limit"
+                in capsys.readouterr().err)
+
+    def test_oversized_sentence_cell_names_file_and_row(self, tmp_path, paper_lex_file, capsys):
+        sentences = tmp_path / "huge.csv"
+        sentences.write_text("sentence,language\nI am happy,english\n"
+                             + "x" * 140_000 + ",english\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("compare", "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
+        assert (f"error: {sentences}: row 2: malformed CSV: field larger than field limit"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_a_key_error_is_not_reported_as_a_data_error(self, monkeypatch, paper_lex_file):
+        from lexisent import cli
+
+        def broken(args):
+            return {}["x"]
+
+        monkeypatch.setattr(cli, "cmd_lexicon_validate", broken)
+        with pytest.raises(KeyError):
+            run("lexicon", "validate", "--in", paper_lex_file)
+
+
+class TestCtxGenerateNeedsACleanLexicon:
+    @pytest.fixture
+    def dirty_ctx_lex_file(self, tmp_path):
+        entries = list(build_ctx_lexicon().entries)
+        french, english = LanguageCode.FRENCH, LanguageCode.ENGLISH
+        assert entries[1].forms == {french: "accuser", english: "accuse"}
+        entries[1] = replace(entries[1], forms={french: "accuser", english: "Accuse "})
+        path = tmp_path / "dirty.csv"
+        path.write_bytes(serialize_lexicon(Lexicon(entries)))
+        return path
+
+    def test_generate_refuses_an_unnormalized_lexicon(self, tmp_path, dirty_ctx_lex_file,
+                                                      capsys):
+        out = tmp_path / "gen"
+        assert run("ctx", "generate", "--lex", dirty_ctx_lex_file, "--language", "english",
+                   "-n", "40", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{dirty_ctx_lex_file}: [row 2, column 'english'] form 'Accuse '" in err
+        assert "run `lexicon clean` first" in err
+        assert not out.exists()
+
+    def test_after_clean_the_form_is_context_dependent(self, tmp_path, dirty_ctx_lex_file):
+        assert run("lexicon", "clean", "--in", dirty_ctx_lex_file,
+                   "--out", tmp_path / "clean") == 0
+        assert run("ctx", "generate", "--lex", tmp_path / "clean" / "cleaned.csv",
+                   "--language", "english", "-n", "40", "--out", tmp_path / "gen") == 0
+        corpus = (tmp_path / "gen" / "corpus.tsv").read_text(encoding="utf-8")
+        assert "[TARGET] accuse [/TARGET]" in corpus

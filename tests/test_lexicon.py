@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from lexisent.lexicon import (
     Lexicon,
     LexiconEntry,
     LexiconFormatError,
+    AdditionReport,
     Polarity,
     PosTag,
     add_entries,
@@ -676,3 +678,257 @@ def test_case_folding_that_leaves_a_composable_mark():
     require_normalized(cleaned)
     (token,) = tokenize("STRAß́E", LanguageCode.FRENCH, cleaned)
     assert token.entry_id == "r1"
+
+
+# ---------------------------------------------------------------------------
+# The curation walk against the functions it replaced. Each reference is the
+# earlier implementation, with its helpers (``LexiconEntry.dedup_key``,
+# ``check_entry``, ``unnormalized_forms``) written out inline.
+
+
+def reference_dedup_key(entry: LexiconEntry) -> tuple:
+    return (normalize_form(entry.forms[LanguageCode.FRENCH]), entry.pos, entry.shared_score)
+
+
+def reference_unnormalized_forms(lexicon: Lexicon) -> list[dict]:
+    found = []
+    for row_no, entry in enumerate(lexicon.entries, start=1):
+        for language, form in entry.forms.items():
+            normalized = normalize_form(form)
+            if normalized != form:
+                found.append({"row": row_no, "entry_id": entry.entry_id,
+                              "language": language.value, "form": form,
+                              "normalized": normalized})
+    return found
+
+
+def reference_clean(lexicon: Lexicon):
+    report = {"normalized_forms": [], "dropped_forms": [], "removed_duplicates": []}
+    cleaned, seen = [], {}
+    for entry in lexicon.entries:
+        forms = {}
+        for language, form in entry.forms.items():
+            normalized = normalize_form(form)
+            if normalized == "":
+                if language is LanguageCode.FRENCH:
+                    raise ValueError(
+                        f"entry {entry.entry_id}: french form {form!r} normalizes to empty"
+                    )
+                report["dropped_forms"].append(
+                    {"entry_id": entry.entry_id, "language": language.value, "before": form}
+                )
+                continue
+            if normalized != form:
+                report["normalized_forms"].append(
+                    {"entry_id": entry.entry_id, "language": language.value,
+                     "before": form, "after": normalized}
+                )
+            forms[language] = normalized
+        key = (forms[LanguageCode.FRENCH], entry.pos, entry.shared_score)
+        if key in seen:
+            report["removed_duplicates"].append(
+                {"entry_id": entry.entry_id, "kept_entry_id": seen[key]}
+            )
+            continue
+        seen[key] = entry.entry_id
+        cleaned.append(LexiconEntry(forms, entry.pos, entry.shared_score,
+                                    entry.per_language_scores, f"r{len(cleaned) + 1}"))
+    report["change_count"] = sum(len(found) for found in report.values())
+    return Lexicon(cleaned), report
+
+
+def reference_validate_lexicon(lexicon: Lexicon) -> dict:
+    unnormalized = reference_unnormalized_forms(lexicon)
+    duplicates, seen = [], {}
+    for row_no, entry in enumerate(lexicon.entries, start=1):
+        key = reference_dedup_key(entry)
+        if key in seen:
+            duplicates.append({"row": row_no, "entry_id": entry.entry_id,
+                               "first_row": seen[key]})
+        else:
+            seen[key] = row_no
+    return {"duplicates": duplicates, "unnormalized_forms": unnormalized,
+            "issue_count": len(duplicates) + len(unnormalized)}
+
+
+def reference_require_normalized(lexicon: Lexicon) -> None:
+    found = reference_unnormalized_forms(lexicon)
+    if found:
+        first = found[0]
+        raise LexiconFormatError(
+            f"form {first['form']!r} is not normalized (expected {first['normalized']!r}); "
+            f"{len(found)} un-normalized form(s) in all; run `lexicon clean` first",
+            first["row"],
+            first["language"],
+        )
+
+
+def reference_check_entry(entry: LexiconEntry) -> None:
+    if LanguageCode.FRENCH not in entry.forms:
+        raise ValueError("entry is missing the required french form")
+    for language, form in entry.forms.items():
+        if form == "":
+            raise ValueError(f"empty {language.value} form (absent forms must be omitted)")
+        if form != normalize_form(form):
+            raise ValueError(
+                f"{language.value} form {form!r} is not normalized (trimmed, case-folded, NFC)"
+            )
+    check_score(entry.shared_score)
+    for language, score in entry.per_language_scores.items():
+        check_score(score, column=SCORE_COLUMNS[language])
+
+
+def reference_add_entries(lexicon: Lexicon, new_entries):
+    existing = {reference_dedup_key(entry): entry.entry_id for entry in lexicon.entries}
+    accepted, rejected = [], []
+    for entry in new_entries:
+        reference_check_entry(entry)
+        key = reference_dedup_key(entry)
+        if key in existing:
+            rejected.append({"french": entry.forms[LanguageCode.FRENCH],
+                             "pos": entry.pos.value, "shared_score": entry.shared_score,
+                             "conflicts_with": existing[key]})
+            continue
+        existing[key] = f"new{len(accepted)}"
+        accepted.append(entry)
+    return Lexicon(list(lexicon.entries) + accepted), {"added": len(accepted),
+                                                      "rejected": rejected}
+
+
+#: French forms that clean merges: untrimmed, mixed case, non-NFC ("e" plus a
+#: combining acute), "ß" plus a combining mark that folds to "ss" plus the mark,
+#: and whitespace only.
+DIRTY_FRENCH = ["été", " Été", "ÉTÉ ", "été", "strasśe", "straß́e",
+                "STRASSÉ", "mot", "Mot\t", "  "]
+DIRTY_OTHER = ["good", " Good", "GOOD", "go tšhaba", "Go Tšhaba ", " ", "", "x"]
+CURATION_SCORES = [1.0, -1.0, 0.0, -0.0]
+
+
+@st.composite
+def dirty_entry_st(draw, scores=CURATION_SCORES, french=True) -> LexiconEntry:
+    forms = {LanguageCode.FRENCH: draw(st.sampled_from(DIRTY_FRENCH))} if french else {}
+    for language in draw(st.sets(st.sampled_from(list(LanguageCode)[1:]), max_size=3)):
+        forms[language] = draw(st.sampled_from(DIRTY_OTHER))
+    per_language = {language: draw(st.sampled_from(scores))
+                    for language in draw(st.sets(st.sampled_from(list(LanguageCode)),
+                                                 max_size=2))}
+    return LexiconEntry(forms, draw(st.sampled_from([PosTag.MOT, PosTag.VERBE])),
+                        draw(st.sampled_from(scores)), per_language)
+
+
+@st.composite
+def candidate_st(draw) -> LexiconEntry:
+    """Mostly clean candidates; sometimes a dirty or empty form, no French
+    form or a score out of range."""
+    kind = draw(st.integers(min_value=0, max_value=9))
+    if kind == 0:
+        return draw(dirty_entry_st(scores=CURATION_SCORES + [9.5, -12.0]))
+    if kind == 1:
+        return draw(dirty_entry_st(french=False))
+    entry = draw(dirty_entry_st())
+    forms = {language: normalize_form(form) for language, form in entry.forms.items()}
+    forms = {language: form for language, form in forms.items() if form}
+    forms.setdefault(LanguageCode.FRENCH, "mot")
+    return replace(entry, forms=forms)
+
+
+def caught(call):
+    """What ``call`` returns, or the type and message of the error it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def reference_conflict_id(lexicon: Lexicon, conflicts_with: str) -> str:
+    """The id ``add_entries`` reports for the reference's ``conflicts_with``:
+    a candidate accepted earlier in the call is named by its id in the
+    returned lexicon instead of "new<k>", and an existing key by its first
+    row instead of its last."""
+    if conflicts_with.startswith("new"):
+        return f"r{len(lexicon) + int(conflicts_with[3:]) + 1}"
+    key = reference_dedup_key(lexicon.by_id[conflicts_with])
+    return next(e.entry_id for e in lexicon.entries if reference_dedup_key(e) == key)
+
+
+@given(st.lists(dirty_entry_st(), max_size=10), st.lists(candidate_st(), max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_curation_equals_the_reference_functions(entries, candidates):
+    lexicon = Lexicon(entries)
+    assert validate_lexicon(lexicon).to_json_dict() == reference_validate_lexicon(lexicon)
+
+    def cleaned(clean_fn):
+        lexicon_out, report = clean_fn(lexicon)
+        if not isinstance(report, dict):
+            report = report.to_json_dict()
+        return serialize_lexicon(lexicon_out), report
+
+    assert caught(lambda: cleaned(clean)) == caught(lambda: cleaned(reference_clean))
+    assert caught(lambda: require_normalized(lexicon)) == caught(
+        lambda: reference_require_normalized(lexicon))
+
+    expected = caught(lambda: reference_add_entries(lexicon, candidates))
+    if isinstance(expected, tuple) and isinstance(expected[1], dict):
+        bigger, report = expected
+        for rejected in report["rejected"]:
+            rejected["conflicts_with"] = reference_conflict_id(lexicon, rejected["conflicts_with"])
+        expected = (bigger, report)
+    actual = caught(lambda: add_entries(lexicon, candidates))
+    if isinstance(actual, tuple) and isinstance(actual[1], AdditionReport):
+        actual = (actual[0], vars(actual[1]))
+    assert actual == expected
+
+
+class TestCurationWalk:
+    def test_add_entries_names_an_accepted_candidate_by_its_new_id(self):
+        lex = Lexicon([make_entry(fr="mot")])
+        bigger, report = add_entries(lex, [make_entry(fr="neuf", score=2.0),
+                                           make_entry(fr="neuf", score=2.0, english="new")])
+        assert report.added == 1
+        assert report.rejected[0]["conflicts_with"] == "r2"
+        assert bigger.entries[1].forms[LanguageCode.FRENCH] == "neuf"
+
+    def test_add_entries_names_the_first_of_repeated_existing_rows(self):
+        lex = Lexicon([make_entry(fr="mot"), make_entry(fr="autre"), make_entry(fr="MOT")])
+        _, report = add_entries(lex, [make_entry(fr="mot")])
+        assert report.rejected[0]["conflicts_with"] == "r1"
+
+    @pytest.mark.parametrize("entry, message", [
+        (make_entry(english=""), "empty english form"),
+        (make_entry(zulu="  "), "zulu form '  ' is not normalized"),
+        (make_entry(score=9.5), "score 9.5 outside"),
+        (LexiconEntry({LanguageCode.FRENCH: "mot"}, PosTag.MOT, 1.0,
+                      {LanguageCode.SEPEDI: -10.0}), r"\[column 'score_nso'\] score -10.0"),
+    ])
+    def test_add_entries_refuses_a_candidate_clean_would_change(self, entry, message):
+        with pytest.raises(ValueError, match=message):
+            add_entries(Lexicon([make_entry(fr="autre")]), [make_entry(fr="bon"), entry])
+
+    def test_empty_forms_are_dropped_by_clean_but_not_reported_by_validate(self):
+        entry = make_entry(fr="mot", english="")
+        lex = Lexicon([entry])
+        cleaned, report = clean(lex)
+        assert cleaned.entries[0].forms == {LanguageCode.FRENCH: "mot"}
+        assert report.dropped_forms == [{"entry_id": "r1", "language": "english", "before": ""}]
+        assert validate_lexicon(lex).issue_count == 0
+        with pytest.raises(ValueError, match="french form '' normalizes to empty"):
+            clean(Lexicon([make_entry(fr="")]))
+
+    def test_clean_keeps_the_forms_of_an_entry_it_does_not_change(self):
+        lex = Lexicon([make_entry(fr="mot", english="word"), make_entry(fr=" Autre")])
+        cleaned, _ = clean(lex)
+        assert cleaned.entries[0].forms is lex.entries[0].forms
+        assert cleaned.entries[1].forms == {LanguageCode.FRENCH: "autre"}
+
+
+class TestMalformedCsv:
+    def test_oversized_cell_names_the_row(self):
+        data = csv_bytes("bon,,,,,,mot,1,,,,,,", "x" * 140_000 + ",,,,,,mot,1,,,,,,")
+        with pytest.raises(LexiconFormatError) as caught_error:
+            parse_lexicon(data)
+        assert caught_error.value.row == 2
+        assert "field larger than field limit" in str(caught_error.value)
+
+    def test_unsplittable_header_is_row_0(self):
+        with pytest.raises(LexiconFormatError, match=r"\[row 0\] malformed CSV"):
+            parse_lexicon(b"french\rciluba," + HEADER.encode())
