@@ -17,16 +17,10 @@ import numpy as np
 
 from .contextual import CLASS_ORDER, ContextModel, TargetSentence
 from .lexicon import Polarity
+from .settings import BASELINE_KINDS, DEFAULT_SCHEME, DEFAULT_STEPS, SCHEMES
 
 #: score_fn(points (P, T, E)) -> (values (P,), gradients w.r.t. each point (P, T, E))
 ScoreFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-SCHEMES = ("right", "trapezoid")
-# Trapezoid converges at 1/steps^2 versus the right-endpoint sum's 1/steps,
-# keeping convergence deltas far below the score difference at modest steps.
-DEFAULT_SCHEME = "trapezoid"
-DEFAULT_STEPS = 50
-BASELINE_KINDS = ("zero", "pad")
 
 
 def path_integrated_gradients(

@@ -15,6 +15,10 @@ model; files of any other format version are refused, so models saved by
 older versions must be trained again. Exit codes: 0 success,
 1 usage error, 2 data error; data errors name the file and, where there is
 one, the row or line; a refused training setting names its flag.
+
+Each subcommand imports only the modules it runs, so building the parser
+loads no numpy, and ``lexicon validate|clean``, ``translate``, ``score`` and
+``compare`` run without it.
 """
 
 from __future__ import annotations
@@ -27,15 +31,8 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import attribution as attr
-from . import contextual as ctx
-from . import eda
-from . import metrics as evalm
-from . import ml
 from . import scoring
-from . import svg
 from . import translator as tr
-from .artifact import is_int
 from .lexicon import (
     LanguageCode,
     Polarity,
@@ -44,6 +41,15 @@ from .lexicon import (
     require_normalized,
     serialize_lexicon,
     validate_lexicon,
+)
+from .settings import (
+    BASELINE_KINDS,
+    DEFAULT_SCHEME,
+    DEFAULT_STEPS,
+    MODEL_KINDS,
+    SCHEMES,
+    TASKS,
+    SettingError,
 )
 
 class _UsageError(Exception):
@@ -166,6 +172,8 @@ def cmd_lexicon_clean(args) -> int:
 
 
 def cmd_lexicon_stats(args) -> int:
+    from . import eda, svg
+
     lexicon = _parse_file(args.infile, parse_lexicon)
     report = eda.compute_eda(lexicon)
     out = OutputDir(args.out, _effective_config(args))
@@ -304,6 +312,8 @@ def cmd_compare(args) -> int:
 
 
 def _train_ml_model(dataset, args):
+    from . import ml
+
     if args.model == "decision_tree":
         return ml.train_decision_tree(
             dataset, max_depth=args.max_depth,
@@ -322,6 +332,9 @@ def _train_ml_model(dataset, args):
 
 
 def _write_evaluation(out: OutputDir, y_true, y_pred, proba, class_names) -> dict:
+    from . import metrics as evalm
+    from . import svg
+
     cm = evalm.confusion(
         [class_names[t] for t in y_true], [class_names[p] for p in y_pred], class_names
     )
@@ -340,6 +353,8 @@ def _write_evaluation(out: OutputDir, y_true, y_pred, proba, class_names) -> dic
 
 
 def cmd_ml_train(args) -> int:
+    from . import ml
+
     lexicon = _parse_file(args.lex, parse_lexicon)
     dataset = ml.featurize(lexicon, task=args.task)
     train_set, test_set = ml.split(dataset, args.train_fraction, args.seed)
@@ -367,6 +382,8 @@ def cmd_ml_train(args) -> int:
 def _use_recorded_split(model, args) -> None:
     """Set ``args.seed`` and ``args.train_fraction`` to the split ``ml train``
     recorded in the model; flags given explicitly must match it."""
+    from .artifact import is_int
+
     recorded = model.hyperparameters.get("split", {})
     if "split" in model.hyperparameters and not (
         isinstance(recorded, dict)
@@ -391,9 +408,11 @@ def _use_recorded_split(model, args) -> None:
 
 
 def cmd_ml_eval(args) -> int:
+    from . import ml
+
     model = _parse_file(args.model, ml.load_model)
     task = model.hyperparameters.get("task")
-    if task not in ml.dataset.TASKS:
+    if task not in TASKS:
         raise ValueError(f"{args.model}: the model records no known task (found {task!r})")
     _use_recorded_split(model, args)
     lexicon = _parse_file(args.lex, parse_lexicon)
@@ -416,6 +435,8 @@ def cmd_ml_eval(args) -> int:
 
 
 def cmd_ctx_generate(args) -> int:
+    from . import contextual as ctx
+
     try:
         weights = tuple(float(w) for w in args.label_weights.split(","))
     except ValueError:
@@ -439,6 +460,8 @@ def cmd_ctx_generate(args) -> int:
 
 
 def cmd_ctx_train(args) -> int:
+    from . import contextual as ctx
+
     corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
     try:
         train_set, val_set, test_set = ctx.split_70_20_10(corpus, args.seed)
@@ -454,7 +477,7 @@ def cmd_ctx_train(args) -> int:
             epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed,
         )
         ctx.check_loss_explosion(model, train_set, weights)
-    except ml.SettingError:
+    except SettingError:
         raise
     except ValueError as exc:  # nothing is written for a corpus that cannot be trained on
         raise ValueError(f"{args.corpus}: {exc}") from None
@@ -475,6 +498,8 @@ def cmd_ctx_train(args) -> int:
 
 
 def cmd_ctx_eval(args) -> int:
+    from . import contextual as ctx
+
     model = _parse_file(args.model, ctx.load_context_model)
     corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
     y_true, y_pred, proba = ctx.evaluate(model, corpus)
@@ -488,6 +513,9 @@ def cmd_ctx_eval(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    from . import attribution as attr
+    from . import contextual as ctx
+
     model = _parse_file(args.model, ctx.load_context_model)
     if (args.text is None) == (args.corpus is None):
         raise _UsageError("provide exactly one of --text or --corpus")
@@ -559,8 +587,8 @@ def build_parser() -> _Parser:
     ml_sub = mlp.add_subparsers(dest="subcommand")
     p = add("train", cmd_ml_train, ml_sub)
     p.add_argument("--lex", required=True)
-    p.add_argument("--task", choices=ml.dataset.TASKS, default="pos")
-    p.add_argument("--model", choices=ml.MODEL_KINDS, default="random_forest")
+    p.add_argument("--task", choices=TASKS, default="pos")
+    p.add_argument("--model", choices=MODEL_KINDS, default="random_forest")
     p.add_argument("--out", required=True)
     p.add_argument("--train-fraction", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
@@ -589,7 +617,8 @@ def build_parser() -> _Parser:
     p.add_argument("-n", "--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--label-weights", default="0.4,0.2,0.4",
-                   help="negative,neutral,positive sampling weights")
+                   help="negative,neutral,positive sampling weights; a list that starts "
+                        "with '-' must be written --label-weights=...")
     p.add_argument("--out", required=True)
     p = add("train", cmd_ctx_train, ctx_sub)
     p.add_argument("--corpus", required=True, help="TSV marked_sentence<TAB>label")
@@ -612,9 +641,9 @@ def build_parser() -> _Parser:
     p.add_argument("--text", default=None, help="one marked sentence")
     p.add_argument("--corpus", default=None, help="TSV corpus to attribute in batch")
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=attr.DEFAULT_STEPS)
-    p.add_argument("--baseline", choices=attr.BASELINE_KINDS, default="zero")
-    p.add_argument("--scheme", choices=attr.SCHEMES, default=attr.DEFAULT_SCHEME)
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+    p.add_argument("--baseline", choices=BASELINE_KINDS, default="zero")
+    p.add_argument("--scheme", choices=SCHEMES, default=DEFAULT_SCHEME)
     p.add_argument("--target-class", choices=[pol.value for pol in Polarity], default=None)
 
     return parser
@@ -635,7 +664,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except ml.SettingError as exc:  # name the flag the setting came from
+    except SettingError as exc:  # name the flag the setting came from
         print(f"error: --{exc.setting.replace('_', '-')} {exc.problem}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

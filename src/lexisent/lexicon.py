@@ -315,7 +315,8 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
 
     Rows are kept in file order and are *not* cleaned: un-trimmed or mixed-case
     forms and duplicate rows survive parsing so that :func:`clean` can report
-    them. Errors carry the offending 1-based data row and column.
+    them. Errors carry the offending 1-based data row and column. Lines may
+    end in ``\\n``, ``\\r\\n`` or ``\\r``.
     """
     if isinstance(source, bytes):
         try:
@@ -324,7 +325,7 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
             raise LexiconFormatError(f"lexicon is not valid UTF-8: {exc}") from None
     else:
         text = source
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text, newline=""))
     entries: list[LexiconEntry] = []
     header = None
     try:

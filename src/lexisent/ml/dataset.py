@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..lexicon import LanguageCode, Lexicon, Polarity, PosTag
+from ..settings import TASKS, SettingError
 
 log = logging.getLogger(__name__)
 
@@ -24,8 +25,6 @@ FEATURE_NAMES: tuple[str, ...] = (
     "english_chars",
     "english_words",
 )
-
-TASKS = ("pos", "polarity")
 
 
 @dataclass
@@ -78,16 +77,6 @@ def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:
         task=task,
         provenance=tuple(e.entry_id for e in entries),
     )
-
-
-class SettingError(ValueError):
-    """A training setting that would yield a useless model. ``setting`` is
-    the parameter's name and ``problem`` what is wrong with its value."""
-
-    def __init__(self, setting: str, problem: str):
-        super().__init__(f"{setting} {problem}")
-        self.setting = setting
-        self.problem = problem
 
 
 def rng_for(seed: int, *stream: int) -> np.random.Generator:

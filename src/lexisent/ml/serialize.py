@@ -6,6 +6,7 @@ import numpy as np
 
 from .. import artifact
 from ..artifact import checked_array, checked_names, is_int, require
+from ..settings import MODEL_KINDS
 from .forest import RandomForestModel
 from .naive_bayes import GaussianNBModel
 from .svm import LinearSVMModel
@@ -85,7 +86,6 @@ def save_model(model) -> str:
         "parameters": parameters})
 
 
-MODEL_KINDS = ("decision_tree", "random_forest", "gaussian_nb", "linear_svm")
 #: Fields every saved model holds, and the ``parameters`` of each kind.
 MODEL_FIELDS = ("class_names", "n_features", "seed", "hyperparameters", "parameters")
 PARAMETER_FIELDS = {

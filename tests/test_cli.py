@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import lexisent
 from lexisent.artifact import FORMAT_VERSION
 from lexisent.cli import build_parser, main
 from lexisent.contextual import LOSS_EXPLOSION_FACTOR
@@ -652,6 +657,10 @@ class TestCtxSettings:
          "--label-weights needs three comma-separated numbers, got 'a,b,c'"),
         (("-n", "10", "--label-weights", "1,1"),
          "--label-weights needs three comma-separated numbers, got '1,1'"),
+        # argparse takes "-1,1,1" for an option; the help says to write --label-weights=-1,1,1,
+        # which the test above refuses as a data error.
+        (("-n", "10", "--label-weights", "-1,1,1"),
+         "argument --label-weights: expected one argument"),
         (("-n", "0"), "-n/--count must be at least 1, got 0"),
         (("-n", "-3"), "-n/--count must be at least 1, got -3"),
     ])
@@ -755,3 +764,75 @@ class TestCtxGenerateNeedsACleanLexicon:
                    "--language", "english", "-n", "40", "--out", tmp_path / "gen") == 0
         corpus = (tmp_path / "gen" / "corpus.tsv").read_text(encoding="utf-8")
         assert "[TARGET] accuse [/TARGET]" in corpus
+
+
+def run_python(code: str, *args: str, cwd=None) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports this checkout's ``lexisent``."""
+    src = str(Path(lexisent.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], cwd=cwd, capture_output=True, text=True,
+        encoding="utf-8", env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+
+
+# The modules that need numpy, directly or through another module.
+NUMPY_MODULES = ("numpy", "lexisent.ml", "lexisent.contextual", "lexisent.attribution",
+                 "lexisent.eda", "lexisent.metrics")
+
+START_UP = """
+import json, sys
+from lexisent.cli import build_parser
+build_parser()
+print(json.dumps(sorted(sys.modules)))
+"""
+
+NUMPY_BLOCKED = """
+import json, sys
+sys.modules["numpy"] = None
+from lexisent.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
+"""
+
+
+class TestImportsPerSubcommand:
+    """Each subcommand imports only the modules it runs."""
+
+    def test_building_the_parser_loads_no_numpy(self):
+        done = run_python(START_UP)
+        assert done.returncode == 0, done.stderr
+        assert set(NUMPY_MODULES).isdisjoint(json.loads(done.stdout))
+
+    def test_lexicon_and_scoring_commands_run_without_numpy(self, tmp_path, paper_lex_file,
+                                                            monkeypatch):
+        sentences = tmp_path / "sentences.csv"
+        sentences.write_text('sentence,language\n"I want food.",english\n'
+                             '"Go tšhaba go wa.",sepedi\n', encoding="utf-8")
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text('sentence,source_language,target_language\n'
+                         '"Thank you.",english,french\nEk vertrou haar,afrikaans,english\n',
+                         encoding="utf-8")
+        lexicon = str(paper_lex_file)
+        # Relative output directories, so that both runs echo the same config.
+        commands = [
+            ["lexicon", "validate", "--in", lexicon, "--out", "validate"],
+            ["lexicon", "clean", "--in", lexicon, "--out", "clean"],
+            ["translate", "--lex", lexicon, "--in", str(pairs), "--out", "translate"],
+            ["score", "--lex", lexicon, "--in", str(sentences), "--out", "score"],
+            ["compare", "--lex", lexicon, "--in", str(sentences), "--out", "compare"],
+        ]
+        blocked, plain = tmp_path / "blocked", tmp_path / "plain"
+        blocked.mkdir()
+        plain.mkdir()
+        done = run_python(NUMPY_BLOCKED, json.dumps(commands), cwd=blocked)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == [0] * len(commands)
+        monkeypatch.chdir(plain)
+        assert [main(argv) for argv in commands] == [0] * len(commands)
+
+        def files(root):
+            return {str(p.relative_to(root)): p.read_bytes()
+                    for p in sorted(root.rglob("*")) if p.is_file()}
+
+        assert files(blocked) == files(plain)
+        assert {Path(name).parts[0] for name in files(plain)} == {
+            "validate", "clean", "translate", "score", "compare"}

@@ -110,6 +110,15 @@ class TestParsing:
 
 
 class TestRoundTrip:
+    def test_line_ends(self):
+        rows = [HEADER, "aimer,,love,,,,verbe,9,,,,,,", '"ligne\nnouvelle",,hi,,,,mot,1,,,,,,']
+        unix, windows, cr = (
+            parse_lexicon(end.join(rows + [""]).encode()) for end in ("\n", "\r\n", "\r")
+        )
+        assert unix == windows == cr
+        assert [e.forms[LanguageCode.FRENCH] for e in unix.entries] == ["aimer", "ligne\nnouvelle"]
+        assert parse_lexicon(serialize_lexicon(unix)) == unix
+
     def test_parse_serialize_identity(self, paper_lexicon):
         data = serialize_lexicon(paper_lexicon)
         assert parse_lexicon(data) == paper_lexicon
@@ -931,4 +940,4 @@ class TestMalformedCsv:
 
     def test_unsplittable_header_is_row_0(self):
         with pytest.raises(LexiconFormatError, match=r"\[row 0\] malformed CSV"):
-            parse_lexicon(b"french\rciluba," + HEADER.encode())
+            parse_lexicon(("x" * 140_000 + "," + HEADER).encode())
