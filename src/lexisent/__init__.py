@@ -1,4 +1,9 @@
-"""Lexicon-driven multilingual sentiment scoring and translation toolkit."""
+"""Lexicon-driven multilingual sentiment scoring and translation toolkit.
+
+The public API is the names in ``__all__``. :func:`score_batch` scores many
+sentences in both modes; :func:`score_sentence` is its one-sentence,
+one-mode form and goes through the same scoring walk.
+"""
 
 from .lexicon import (
     LanguageCode,

@@ -37,6 +37,7 @@ from .lexicon import (
     LanguageCode,
     Polarity,
     clean,
+    csv_text,
     parse_lexicon,
     require_normalized,
     serialize_lexicon,
@@ -63,13 +64,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _json_text(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _csv_text(rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
 
 
 class OutputDir:
@@ -260,7 +254,7 @@ def cmd_translate(args) -> int:
             [r.source_text, r.source_language.value, r.target_language.value,
              r.translated_text]
         )
-    out.write("translations.csv", _csv_text(table))
+    out.write("translations.csv", csv_text(table))
     out.finish()
     print(f"translated {len(results)} sentences", file=sys.stderr)
     return 0
@@ -283,7 +277,7 @@ def _score_rows(args) -> scoring.ComparisonReport:
 def cmd_score(args) -> int:
     report = _score_rows(args)
     out = OutputDir(args.out, _effective_config(args))
-    out.write("comparison.csv", _csv_text(scoring.comparison_csv_rows(report)))
+    out.write("comparison.csv", csv_text(scoring.comparison_csv_rows(report)))
     out.finish()
     summary = "; ".join(
         f"{mode.value}: "
@@ -297,7 +291,7 @@ def cmd_score(args) -> int:
 def cmd_compare(args) -> int:
     report = _score_rows(args)
     out = OutputDir(args.out, _effective_config(args))
-    out.write("comparison.csv", _csv_text(scoring.comparison_csv_rows(report)))
+    out.write("comparison.csv", csv_text(scoring.comparison_csv_rows(report)))
     out.write("comparison.json", _json_text(report.to_json_dict()))
     out.finish()
     print(
@@ -346,7 +340,7 @@ def _write_evaluation(out: OutputDir, y_true, y_pred, proba, class_names) -> dic
     for name, curve in sorted(curves.items()):
         rows = [["false_positive_rate", "true_positive_rate"]]
         rows += [[repr(x), repr(y)] for x, y in curve.points]
-        out.write(f"roc_{name}.csv", _csv_text(rows))
+        out.write(f"roc_{name}.csv", csv_text(rows))
     if curves:
         out.write("roc.svg", svg.roc_chart(curves, "one-vs-rest ROC"))
     return {"accuracy": report.accuracy}
@@ -536,7 +530,7 @@ def cmd_explain(args) -> int:
         out.write(f"{stem}.json", attr.attribution_json(amap))
         out.write(f"{stem}.csv", attr.heatmap_csv(amap))
         out.write(f"{stem}.svg", attr.heatmap_svg(amap))
-    out.write("summary.csv", _csv_text(attr.summary_rows(maps)))
+    out.write("summary.csv", csv_text(attr.summary_rows(maps)))
     out.finish()
     print(f"attributed {len(maps)} sentence(s)", file=sys.stderr)
     return 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import types
 import unicodedata
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -404,12 +405,26 @@ def format_score(value: float) -> str:
     return repr(value)
 
 
+def csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """CSV text of ``rows``, each ended by ``\\n``, with minimal quoting.
+
+    A cell holding ``\\r`` is quoted too, so a reader reads the cell back
+    whole. ``csv.writer`` quotes only the characters of its line terminator,
+    so rows are written with ``\\r\\n`` ends, one ``write`` call per row,
+    and each end is cut back to ``\\n``.
+    """
+    buffer = io.StringIO()
+
+    def write(line: str) -> None:
+        buffer.write(line[:-2] + "\n")
+
+    csv.writer(types.SimpleNamespace(write=write), lineterminator="\r\n").writerows(rows)
+    return buffer.getvalue()
+
+
 def serialize_lexicon(lexicon: Lexicon) -> bytes:
     """Canonical CSV bytes; inverse of :func:`parse_lexicon` (row order kept)."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(
+    rows = (
         [entry.forms.get(lang, "") for _, lang in _FORM_CELLS]
         + [entry.pos.value, format_score(entry.shared_score)]
         + [
@@ -420,7 +435,7 @@ def serialize_lexicon(lexicon: Lexicon) -> bytes:
         ]
         for entry in lexicon.entries
     )
-    return buffer.getvalue().encode("utf-8")
+    return csv_text(chain([CSV_HEADER], rows)).encode("utf-8")
 
 
 @dataclass
@@ -538,17 +553,20 @@ class ValidationReport:
 
 
 def _rewritten(row: int, entry: LexiconEntry, forms: Mapping[LanguageCode, str]) -> list[dict]:
-    """The forms of ``entry`` that clean rewrites, given the walk's ``forms``."""
+    """The forms of ``entry`` that clean rewrites or drops, given the walk's
+    ``forms``; a dropped form is listed with ``normalized`` ``""``, a literal
+    ``""`` form included."""
     return [
         {"row": row, "entry_id": entry.entry_id, "language": language.value,
          "form": form, "normalized": forms[language]}
         for language, form in entry.forms.items()
-        if forms[language] != form
+        if forms[language] != form or not form
     ]
 
 
 def validate_lexicon(lexicon: Lexicon) -> ValidationReport:
-    """Flag duplicate rows (under the dedup key) and forms clean would rewrite."""
+    """Flag duplicate rows (under the dedup key) and forms clean would rewrite
+    or drop: exactly what :func:`clean` changes."""
     report = ValidationReport()
     for row, entry, forms, first_row in _curate(lexicon.entries):
         if forms is not entry.forms:

@@ -3,6 +3,10 @@
 Two scoring modes exist: ``avg`` scores each word by the mean of its entry's
 per-language scores, ``v2`` by the score for the sentence's own language.
 Sentence totals are plain sums of word scores (they may leave [-9, 9]).
+
+One walk over a sentence's tokens scores both modes and formats each mode's
+word scores (``form:score; form:score``) once; :func:`score_batch` and
+:func:`score_sentence` both go through it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .lexicon import LanguageCode, Lexicon, Polarity, format_score
 from .translator import WORD_PATTERN, Token, TokenKind, tokenize
@@ -34,40 +38,78 @@ class ScoredSentence:
 BaselineScorer = Callable[[str], tuple[float, Polarity]]
 
 
+class _ModeScores(NamedTuple):
+    """One mode's scores of one sentence; ``text`` is
+    ``format_word_scores(word_scores)``."""
+
+    word_scores: tuple[tuple[str, float], ...]
+    total: float
+    text: str
+
+
+# Read once: an enum member read from its class costs about 150 ns.
+_LEXICAL = TokenKind.LEXICAL
+
+
+def _score_modes(
+    tokens: list[Token],
+    mean: dict[str, float],
+    own: dict[str, float],
+    formatted: dict[float, str],
+) -> tuple[_ModeScores, _ModeScores]:
+    """Both modes' scores of ``tokens`` in one walk: ``mean`` holds the avg
+    column and ``own`` the v2 column of the sentence's language. Unknown
+    tokens score 0. ``formatted`` caches :func:`format_score` by score, so a
+    caller that passes one dict formats each distinct score once."""
+    avg_scores, v2_scores, avg_pieces, v2_pieces = [], [], [], []
+    for surface, kind, entry_id, _, _ in tokens:
+        if kind is _LEXICAL:
+            avg, v2 = mean[entry_id], own[entry_id]
+        else:
+            avg = v2 = 0.0
+        text = formatted.get(avg)
+        if text is None:
+            text = formatted[avg] = format_score(avg)
+        avg_piece = f"{surface}:{text}"
+        if v2 == avg:  # equal scores format alike, 0.0 and -0.0 included
+            v2_piece = avg_piece
+        else:
+            text = formatted.get(v2)
+            if text is None:
+                text = formatted[v2] = format_score(v2)
+            v2_piece = f"{surface}:{text}"
+        avg_scores.append((surface, avg))
+        v2_scores.append((surface, v2))
+        avg_pieces.append(avg_piece)
+        v2_pieces.append(v2_piece)
+    return (
+        _ModeScores(tuple(avg_scores), math.fsum(s for _, s in avg_scores), "; ".join(avg_pieces)),
+        _ModeScores(tuple(v2_scores), math.fsum(s for _, s in v2_scores), "; ".join(v2_pieces)),
+    )
+
+
 def score_sentence(
     sentence: str, language: LanguageCode, lexicon: Lexicon, mode: ScoreMode
 ) -> ScoredSentence:
     """Tokenize and score one sentence; unknown tokens score 0."""
-    tokens = tokenize(sentence, language, lexicon)
-    return _scored(sentence, language, lexicon, mode, tokens)
-
-
-def _scored(
-    sentence: str,
-    language: LanguageCode,
-    lexicon: Lexicon,
-    mode: ScoreMode,
-    tokens: list[Token],
-) -> ScoredSentence:
     table = lexicon.scores
-    column = table.mean if mode is ScoreMode.AVG else table.effective[language]
-    word_scores = [
-        (token.surface, column[token.entry_id] if token.kind is TokenKind.LEXICAL else 0.0)
-        for token in tokens
-    ]
-    total = math.fsum(score for _, score in word_scores)
+    avg, v2 = _score_modes(
+        tokenize(sentence, language, lexicon), table.mean, table.effective[language], {}
+    )
+    scores = avg if mode is ScoreMode.AVG else v2
     return ScoredSentence(
         sentence=sentence,
         language=language,
         mode=mode,
-        word_scores=tuple(word_scores),
-        total_score=total,
-        polarity=Polarity.from_score(total),
+        word_scores=scores.word_scores,
+        total_score=scores.total,
+        polarity=Polarity.from_score(scores.total),
     )
 
 
 def format_word_scores(word_scores: tuple[tuple[str, float], ...]) -> str:
-    """Serialize word scores as ``form:score; form:score``."""
+    """Serialize word scores as ``form:score; form:score``, the text that
+    :func:`score_batch` stores in each row's ``word_scores_*_text``."""
     return "; ".join(f"{form}:{format_score(score)}" for form, score in word_scores)
 
 
@@ -158,9 +200,11 @@ class ComparisonRow:
     language: LanguageCode
     total_avg: float
     word_scores_avg: tuple[tuple[str, float], ...]
+    word_scores_avg_text: str
     polarity_avg: Polarity
     total_v2: float
     word_scores_v2: tuple[tuple[str, float], ...]
+    word_scores_v2_text: str
     polarity_v2: Polarity
     baseline_compound: float
     baseline_polarity: Polarity
@@ -179,10 +223,10 @@ class ComparisonReport:
                     "sentence": r.sentence,
                     "language": r.language.value,
                     "total_score_avg": r.total_avg,
-                    "word_scores_avg": format_word_scores(r.word_scores_avg),
+                    "word_scores_avg": r.word_scores_avg_text,
                     "sentiment_avg": r.polarity_avg.value,
                     "total_score_v2": r.total_v2,
-                    "word_scores_v2": format_word_scores(r.word_scores_v2),
+                    "word_scores_v2": r.word_scores_v2_text,
                     "sentiment_v2": r.polarity_v2.value,
                     "baseline_compound": r.baseline_compound,
                     "baseline_sentiment": r.baseline_polarity.value,
@@ -204,36 +248,44 @@ def score_batch(
 ) -> ComparisonReport:
     """Score every sentence under both modes plus the baseline.
 
-    Each sentence is tokenized once; both modes score the same tokens.
+    Each sentence is tokenized once and one walk over its tokens scores both
+    modes; each distinct score is formatted once per batch.
 
     Agreement is the fraction of rows where the v2 polarity matches the
     baseline's (vacuously 1.0 on empty input). Output rows keep input order.
     """
+    table = lexicon.scores
+    mean, effective = table.mean, table.effective
+    formatted: dict[float, str] = {}
     out: list[ComparisonRow] = []
     counts = {
         scorer: {p: 0 for p in Polarity} for scorer in ("avg", "v2", "baseline")
     }
     agree = 0
     for sentence, language in rows:
-        tokens = tokenize(sentence, language, lexicon)
-        avg = _scored(sentence, language, lexicon, ScoreMode.AVG, tokens)
-        v2 = _scored(sentence, language, lexicon, ScoreMode.V2, tokens)
+        avg, v2 = _score_modes(
+            tokenize(sentence, language, lexicon), mean, effective[language], formatted
+        )
+        avg_polarity = Polarity.from_score(avg.total)
+        v2_polarity = Polarity.from_score(v2.total)
         compound, baseline_polarity = baseline(sentence)
-        counts["avg"][avg.polarity] += 1
-        counts["v2"][v2.polarity] += 1
+        counts["avg"][avg_polarity] += 1
+        counts["v2"][v2_polarity] += 1
         counts["baseline"][baseline_polarity] += 1
-        if v2.polarity is baseline_polarity:
+        if v2_polarity is baseline_polarity:
             agree += 1
         out.append(
             ComparisonRow(
                 sentence=sentence,
                 language=language,
-                total_avg=avg.total_score,
+                total_avg=avg.total,
                 word_scores_avg=avg.word_scores,
-                polarity_avg=avg.polarity,
-                total_v2=v2.total_score,
+                word_scores_avg_text=avg.text,
+                polarity_avg=avg_polarity,
+                total_v2=v2.total,
                 word_scores_v2=v2.word_scores,
-                polarity_v2=v2.polarity,
+                word_scores_v2_text=v2.text,
+                polarity_v2=v2_polarity,
                 baseline_compound=compound,
                 baseline_polarity=baseline_polarity,
             )
@@ -265,10 +317,10 @@ def comparison_csv_rows(report: ComparisonReport) -> list[list[str]]:
                 r.sentence,
                 r.language.value,
                 f"{r.total_avg:.6f}",
-                format_word_scores(r.word_scores_avg),
+                r.word_scores_avg_text,
                 r.polarity_avg.value,
                 f"{r.total_v2:.6f}",
-                format_word_scores(r.word_scores_v2),
+                r.word_scores_v2_text,
                 r.polarity_v2.value,
                 f"{r.baseline_compound:.4f}",
                 r.baseline_polarity.value,

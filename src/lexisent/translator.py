@@ -1,10 +1,15 @@
-"""Phrase-aware tokenization and word-by-word translation over a lexicon."""
+"""Phrase-aware tokenization and word-by-word translation over a lexicon.
+
+Tokens are named tuples, since a sentence yields one per word or phrase and
+the scoring and translation walks only read them.
+"""
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .lexicon import LanguageCode, Lexicon, normalize_sentence
 
@@ -20,14 +25,18 @@ class TokenKind(str, Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     surface: str
     kind: TokenKind
     entry_id: str | None
     span: tuple[int, int]
     #: Entry ids that also matched the surface but lost disambiguation.
     alternatives: tuple[str, ...] = ()
+
+
+# Read once: an enum member read from its class costs about 150 ns.
+_LEXICAL = TokenKind.LEXICAL
+_UNKNOWN = TokenKind.UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -61,34 +70,36 @@ def tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[To
     into the normalized sentence. A form with several entries resolves to the
     winner precompiled in ``lexicon.ambiguous``.
     """
-    words = _words_with_spans(normalize_sentence(sentence))
-    texts = [w for w, _, _ in words]
+    matches = list(WORD_PATTERN.finditer(normalize_sentence(sentence)))
+    texts = [m.group() for m in matches]
+    n_words = len(texts)
     index = lexicon.index[language]
     phrase_lengths = lexicon.phrase_lengths[language]
     ambiguous = lexicon.ambiguous[language]
 
     tokens: list[Token] = []
     i = 0
-    while i < len(words):
-        word, start, end = words[i]
+    while i < n_words:
+        word = texts[i]
+        span = matches[i].span()
         surface, match_len, ids = word, 1, ()
         for length in phrase_lengths.get(word, ()):
-            if i + length <= len(words):
+            if i + length <= n_words:
                 candidate = " ".join(texts[i : i + length])
                 ids = index.get(candidate, ())
                 if ids:
                     surface, match_len = candidate, length
-                    end = words[i + length - 1][2]
+                    span = (span[0], matches[i + length - 1].end())
                     break
         if not ids:
             ids = index.get(word, ())
         if not ids:
-            tokens.append(Token(word, TokenKind.UNKNOWN, None, (start, end)))
+            tokens.append(Token(word, _UNKNOWN, None, span))
         elif len(ids) == 1:
-            tokens.append(Token(surface, TokenKind.LEXICAL, ids[0], (start, end)))
+            tokens.append(Token(surface, _LEXICAL, ids[0], span))
         else:
             chosen, alternatives = ambiguous[surface]
-            tokens.append(Token(surface, TokenKind.LEXICAL, chosen, (start, end), alternatives))
+            tokens.append(Token(surface, _LEXICAL, chosen, span, alternatives))
         i += match_len
     return tokens
 
@@ -109,14 +120,18 @@ def translate(
     tokens = tuple(tokenize(sentence, source, lexicon))
     if source is target:
         translated_text, out_tokens = normalize_sentence(sentence), tokens
+        unknown_count = sum(t.kind is _UNKNOWN for t in tokens)
     else:
         by_id = lexicon.by_id
         pieces, out = [], []
+        unknown_count = 0
         for token in tokens:
             form = by_id[token.entry_id].forms.get(target) if token.entry_id is not None else None
             if form is None:
+                unknown_count += 1
                 form = token.surface
-                token = Token(form, TokenKind.UNKNOWN, None, token.span, token.alternatives)
+                if token.kind is _LEXICAL:
+                    token = Token(form, _UNKNOWN, None, token.span, token.alternatives)
             pieces.append(form)
             out.append(token)
         translated_text, out_tokens = " ".join(pieces), tuple(out)
@@ -126,5 +141,5 @@ def translate(
         source_text=sentence,
         translated_text=translated_text,
         tokens=out_tokens,
-        unknown_count=sum(t.kind is TokenKind.UNKNOWN for t in out_tokens),
+        unknown_count=unknown_count,
     )

@@ -14,7 +14,7 @@ import lexisent
 from lexisent.artifact import FORMAT_VERSION
 from lexisent.cli import build_parser, main
 from lexisent.contextual import LOSS_EXPLOSION_FACTOR
-from lexisent.lexicon import LanguageCode, Lexicon, serialize_lexicon
+from lexisent.lexicon import LanguageCode, Lexicon, parse_lexicon, serialize_lexicon
 
 from conftest import build_ctx_lexicon
 
@@ -122,6 +122,18 @@ class TestLexiconCommands:
                 "manifest.json"} <= set(files)
         manifest = json.loads(files["manifest.json"])
         assert "cleaned.csv" in manifest["files"]
+
+    def test_cleaned_csv_keeps_a_form_holding_a_carriage_return(self, tmp_path, capsys):
+        raw = tmp_path / "raw.csv"
+        raw.write_bytes(serialize_lexicon(Lexicon([])) + 'mot,,"a\rb",,,,mot,1,,,,,,\n'.encode())
+        assert run("lexicon", "clean", "--in", raw, "--out", tmp_path / "clean") == 0
+        cleaned = tmp_path / "clean" / "cleaned.csv"
+        assert b'"a\rb"' in cleaned.read_bytes()
+        capsys.readouterr()
+        assert run("lexicon", "validate", "--in", cleaned) == 0
+        assert json.loads(capsys.readouterr().out)["issue_count"] == 0
+        forms = parse_lexicon(cleaned.read_bytes()).entries[0].forms
+        assert forms[LanguageCode.ENGLISH] == "a\rb"
 
     def test_stats_emits_charts(self, tmp_path, paper_lex_file):
         out = tmp_path / "stats"

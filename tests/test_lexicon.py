@@ -25,6 +25,7 @@ from lexisent.lexicon import (
     check_score,
     clean,
     context_dependent_forms,
+    csv_text,
     normalize_form,
     parse_lexicon,
     require_normalized,
@@ -129,6 +130,28 @@ class TestRoundTrip:
         lex = Lexicon([entry])
         again = parse_lexicon(serialize_lexicon(lex))
         assert again.entries[0].forms[LanguageCode.FRENCH] == 'salut, "toi"'
+
+
+    def test_form_holding_a_carriage_return(self):
+        lex = Lexicon([make_entry(fr="a\rb", english="c\r\nd"), make_entry(fr="e\nf")])
+        data = serialize_lexicon(lex)
+        assert data == (HEADER + '\n"a\rb",,"c\r\nd",,,,mot,1,,,,,,\n'
+                        '"e\nf",,,,,,mot,1,,,,,,\n').encode()
+        assert parse_lexicon(data) == lex
+
+
+CELL_ST = st.text(alphabet="ab ,\"\r\n'", max_size=5)
+
+
+@given(st.lists(st.lists(CELL_ST, min_size=2, max_size=4), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_csv_text_reads_back_and_matches_the_plain_writer(rows):
+    text = csv_text(rows)
+    assert list(csv.reader(io.StringIO(text, newline=""))) == rows
+    if not any("\r" in cell for row in rows for cell in row):
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows)
+        assert text == buffer.getvalue()
 
 
 FORM_ALPHABET = "abcdefghijklmnopqrstuvwxyzéèêëšţž' -,\""
@@ -700,11 +723,13 @@ def reference_dedup_key(entry: LexiconEntry) -> tuple:
 
 
 def reference_unnormalized_forms(lexicon: Lexicon) -> list[dict]:
+    """The earlier ``unnormalized_forms``, which also lists a literal ``""``
+    form now: clean drops it, so validation reports it."""
     found = []
     for row_no, entry in enumerate(lexicon.entries, start=1):
         for language, form in entry.forms.items():
             normalized = normalize_form(form)
-            if normalized != form:
+            if normalized != form or not form:
                 found.append({"row": row_no, "entry_id": entry.entry_id,
                               "language": language.value, "form": form,
                               "normalized": normalized})
@@ -913,13 +938,16 @@ class TestCurationWalk:
         with pytest.raises(ValueError, match=message):
             add_entries(Lexicon([make_entry(fr="autre")]), [make_entry(fr="bon"), entry])
 
-    def test_empty_forms_are_dropped_by_clean_but_not_reported_by_validate(self):
+    def test_empty_forms_are_dropped_by_clean_and_reported_by_validate(self):
         entry = make_entry(fr="mot", english="")
         lex = Lexicon([entry])
         cleaned, report = clean(lex)
         assert cleaned.entries[0].forms == {LanguageCode.FRENCH: "mot"}
         assert report.dropped_forms == [{"entry_id": "r1", "language": "english", "before": ""}]
-        assert validate_lexicon(lex).issue_count == 0
+        assert validate_lexicon(lex).unnormalized_forms == [
+            {"row": 1, "entry_id": "r1", "language": "english", "form": "", "normalized": ""}]
+        with pytest.raises(LexiconFormatError, match=r"\[row 1, column 'english'\] form ''"):
+            require_normalized(lex)
         with pytest.raises(ValueError, match="french form '' normalizes to empty"):
             clean(Lexicon([make_entry(fr="")]))
 
@@ -941,3 +969,26 @@ class TestMalformedCsv:
     def test_unsplittable_header_is_row_0(self):
         with pytest.raises(LexiconFormatError, match=r"\[row 0\] malformed CSV"):
             parse_lexicon(("x" * 140_000 + "," + HEADER).encode())
+
+
+@given(st.lists(dirty_entry_st(), max_size=10))
+@settings(max_examples=150, deadline=None)
+def test_validate_reports_exactly_what_clean_changes(entries):
+    lexicon = Lexicon(entries)
+    report = validate_lexicon(lexicon)
+    flagged = {(f["entry_id"], f["language"]): f["normalized"]
+               for f in report.unnormalized_forms}
+    try:
+        _, changes = clean(lexicon)
+    except ValueError:
+        # clean refuses a French form that normalizes to empty; validate flags it.
+        assert ("french", "") in {(f["language"], f["normalized"])
+                                  for f in report.unnormalized_forms}
+        return
+    changed = {(c["entry_id"], c["language"]): c["after"] for c in changes.normalized_forms}
+    changed.update({(c["entry_id"], c["language"]): "" for c in changes.dropped_forms})
+    assert flagged == changed
+    assert [(d["entry_id"], lexicon.entries[d["first_row"] - 1].entry_id)
+            for d in report.duplicates] == [
+        (d["entry_id"], d["kept_entry_id"]) for d in changes.removed_duplicates]
+    assert report.issue_count == changes.change_count

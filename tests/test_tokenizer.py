@@ -8,6 +8,9 @@ by POS priority and row on every hit.
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,15 +108,20 @@ separator = st.sampled_from(
 )
 
 
-@given(lexicons(), st.data())
-@settings(max_examples=300, deadline=None)
-def test_tokenize_equals_brute_force_longest_match(lexicon, data):
+def draw_sentence(data, lexicon: Lexicon) -> str:
+    """Known forms, phrases and unknown words joined by drawn separators."""
     forms = sorted({f for e in lexicon.entries for f in e.forms.values()}) or ["go"]
     chunks = data.draw(st.lists(st.one_of(st.sampled_from(forms), phrase, other_words),
                                 max_size=6))
     words = " ".join(chunks).split(" ")
     separators = data.draw(st.lists(separator, min_size=len(words), max_size=len(words)))
-    sentence = "".join(w + sep for w, sep in zip(words, separators))
+    return "".join(w + sep for w, sep in zip(words, separators))
+
+
+@given(lexicons(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_tokenize_equals_brute_force_longest_match(lexicon, data):
+    sentence = draw_sentence(data, lexicon)
     for language in (FR, EN):
         assert tokenize(sentence, language, lexicon) == oracle_tokenize(sentence, language, lexicon)
 
@@ -168,3 +176,50 @@ def test_score_batch_equals_score_sentence_per_mode(paper_lexicon):
         v2 = scoring.score_sentence(sentence, language, paper_lexicon, scoring.ScoreMode.V2)
         assert (row.word_scores_avg, row.total_avg) == (avg.word_scores, avg.total_score)
         assert (row.word_scores_v2, row.total_v2) == (v2.word_scores, v2.total_score)
+
+
+# Integral, non-integral and signed-zero scores, so equal scores of the two
+# modes and the format cache's 0.0/-0.0 key are both exercised.
+WALK_SCORES = [0.0, -0.0, 1.0, -2.0, 0.1, 2.5, 7.0 / 3.0, -9.0]
+
+
+@st.composite
+def scored_lexicons(draw) -> Lexicon:
+    """:func:`lexicons` with drawn shared and per-language scores."""
+    entries = draw(lexicons()).entries
+    score = st.sampled_from(WALK_SCORES)
+    return Lexicon([
+        replace(entry, shared_score=draw(score),
+                per_language_scores=draw(st.dictionaries(st.sampled_from(list(LanguageCode)),
+                                                         score, max_size=3)))
+        for entry in entries
+    ])
+
+
+def reference_word_scores(tokens, column) -> tuple[tuple[str, float], ...]:
+    return tuple((t.surface, column[t.entry_id] if t.kind is TokenKind.LEXICAL else 0.0)
+                 for t in tokens)
+
+
+@given(scored_lexicons(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_score_batch_walk_equals_per_mode_scoring(lexicon, data):
+    count = data.draw(st.integers(min_value=0, max_value=4))
+    sentences = [draw_sentence(data, lexicon) for _ in range(count)]
+    rows = [(sentence, language) for sentence in sentences for language in (FR, EN)]
+    report = score_batch(rows, lexicon, zero_baseline)
+    table = lexicon.scores
+    for (sentence, language), row in zip(rows, report.rows):
+        tokens = tokenize(sentence, language, lexicon)
+        for mode, column, word_scores, text, total, polarity in (
+            (scoring.ScoreMode.AVG, table.mean, row.word_scores_avg, row.word_scores_avg_text,
+             row.total_avg, row.polarity_avg),
+            (scoring.ScoreMode.V2, table.effective[language], row.word_scores_v2,
+             row.word_scores_v2_text, row.total_v2, row.polarity_v2),
+        ):
+            scored = scoring.score_sentence(sentence, language, lexicon, mode)
+            assert (word_scores, total, polarity) == (
+                scored.word_scores, scored.total_score, scored.polarity)
+            assert word_scores == reference_word_scores(tokens, column)
+            assert total == math.fsum(score for _, score in word_scores)
+            assert text == scoring.format_word_scores(word_scores)
