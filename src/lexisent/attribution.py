@@ -9,14 +9,13 @@ which shrinks as the number of integration steps grows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .contextual import CLASS_ORDER, ContextModel, TargetSentence
-from .lexicon import Polarity
+from .lexicon import Polarity, csv_text, json_text
 from .settings import BASELINE_KINDS, DEFAULT_SCHEME, DEFAULT_STEPS, SCHEMES
 
 #: score_fn(points (P, T, E)) -> (values (P,), gradients w.r.t. each point (P, T, E))
@@ -158,12 +157,11 @@ def normalized_colors(values: list[float]) -> list[float]:
 
 
 def heatmap_csv(amap: AttributionMap) -> str:
-    values = [value for _, value in amap.per_token]
-    colors = normalized_colors(values)
-    lines = ["token,attribution,color"]
-    for (token, value), color in zip(amap.per_token, colors):
-        lines.append(f"{token},{repr(value)},{repr(color)}")
-    return "\n".join(lines) + "\n"
+    colors = normalized_colors([value for _, value in amap.per_token])
+    rows = [["token", "attribution", "color"]]
+    rows += [[token, repr(value), repr(color)]
+             for (token, value), color in zip(amap.per_token, colors)]
+    return csv_text(rows)
 
 
 def heatmap_svg(amap: AttributionMap) -> str:
@@ -180,7 +178,7 @@ def heatmap_svg(amap: AttributionMap) -> str:
 
 
 def attribution_json(amap: AttributionMap) -> str:
-    return json.dumps(amap.to_json_dict(), sort_keys=True, indent=2) + "\n"
+    return json_text(amap.to_json_dict())
 
 
 SUMMARY_COLUMNS = (

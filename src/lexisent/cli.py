@@ -25,8 +25,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
-import json
 import sys
 from functools import partial
 from pathlib import Path
@@ -38,6 +38,7 @@ from .lexicon import (
     Polarity,
     clean,
     csv_text,
+    json_text,
     parse_lexicon,
     require_normalized,
     serialize_lexicon,
@@ -62,10 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 class OutputDir:
     """Collects written files and finishes with a manifest + config echo."""
 
@@ -82,9 +79,9 @@ class OutputDir:
         self.files.append(name)
 
     def finish(self) -> None:
-        self.write("run_config.json", _json_text(self.config))
+        self.write("run_config.json", json_text(self.config))
         manifest = {"config": self.config, "files": sorted(self.files + ["manifest.json"])}
-        self.write("manifest.json", _json_text(manifest))
+        self.write("manifest.json", json_text(manifest))
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -139,7 +136,7 @@ def _csv_rows(text: str, header: tuple[str, ...]) -> list[list[str]]:
 def cmd_lexicon_validate(args) -> int:
     lexicon = _parse_file(args.infile, parse_lexicon)
     report = validate_lexicon(lexicon)
-    text = _json_text(report.to_json_dict())
+    text = json_text(report.to_json_dict())
     if args.out:
         out = OutputDir(args.out, _effective_config(args))
         out.write("validation_report.json", text)
@@ -155,7 +152,7 @@ def cmd_lexicon_clean(args) -> int:
     cleaned, report = clean(lexicon)
     out = OutputDir(args.out, _effective_config(args))
     out.write("cleaned.csv", serialize_lexicon(cleaned))
-    out.write("cleaning_report.json", _json_text(report.to_json_dict()))
+    out.write("cleaning_report.json", json_text(report.to_json_dict()))
     out.finish()
     print(
         f"{len(lexicon)} entries in, {len(cleaned)} out, "
@@ -171,7 +168,7 @@ def cmd_lexicon_stats(args) -> int:
     lexicon = _parse_file(args.infile, parse_lexicon)
     report = eda.compute_eda(lexicon)
     out = OutputDir(args.out, _effective_config(args))
-    out.write("eda.json", _json_text(report.to_json_dict()))
+    out.write("eda.json", json_text(report.to_json_dict()))
 
     polarities = [p.value for p in Polarity]
     out.write(
@@ -292,7 +289,7 @@ def cmd_compare(args) -> int:
     report = _score_rows(args)
     out = OutputDir(args.out, _effective_config(args))
     out.write("comparison.csv", csv_text(scoring.comparison_csv_rows(report)))
-    out.write("comparison.json", _json_text(report.to_json_dict()))
+    out.write("comparison.json", json_text(report.to_json_dict()))
     out.finish()
     print(
         f"{len(report.rows)} sentences, v2/baseline agreement {report.agreement:.3f}",
@@ -334,8 +331,8 @@ def _write_evaluation(out: OutputDir, y_true, y_pred, proba, class_names) -> dic
     )
     report = evalm.metrics(cm)
     curves = evalm.roc_one_vs_rest(list(y_true), proba, class_names)
-    out.write("confusion.json", _json_text(cm.to_json_dict()))
-    out.write("metrics.json", _json_text(report.to_json_dict()))
+    out.write("confusion.json", json_text(cm.to_json_dict()))
+    out.write("metrics.json", json_text(report.to_json_dict()))
     out.write("metrics.txt", evalm.metrics_table(report))
     for name, curve in sorted(curves.items()):
         rows = [["false_positive_rate", "true_positive_rate"]]
@@ -411,6 +408,11 @@ def cmd_ml_eval(args) -> int:
     _use_recorded_split(model, args)
     lexicon = _parse_file(args.lex, parse_lexicon)
     dataset = ml.featurize(lexicon, task=task)
+    if model.n_features != dataset.X.shape[1]:
+        raise ValueError(
+            f"{args.model}: the model takes {model.n_features} features, "
+            f"the lexicon gives {dataset.X.shape[1]}"
+        )
     _, test_set = ml.split(dataset, args.train_fraction, args.seed)
     if not len(test_set):
         raise ValueError("test split is empty")
@@ -644,6 +646,24 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command; returns its exit code.
+
+    The cyclic garbage collector is paused while the command runs, since its
+    passes over the many small objects a command builds find nothing to free.
+    That holds because no command leaves cyclic garbage that grows with its
+    input: reference counting frees what the command drops. The caller's
+    collector state comes back on return, and no collection is forced.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import artifact
 from .artifact import checked_array, checked_names, is_int
-from .lexicon import LanguageCode, Lexicon, Polarity, context_dependent_forms
+from .lexicon import LanguageCode, Lexicon, Polarity, context_dependent_forms, csv_text
 from .ml.dataset import SettingError, rng_for
 from .translator import word_tokens
 
@@ -569,11 +569,11 @@ def read_corpus(text: str, labeled: bool = False) -> list[TargetSentence]:
 
 
 def history_csv(model: ContextModel) -> str:
-    lines = ["epoch,train_loss,val_loss"]
+    rows = [["epoch", "train_loss", "val_loss"]]
     for row in model.history:
         val = "" if row["val_loss"] is None else repr(float(row["val_loss"]))
-        lines.append(f"{row['epoch']},{repr(float(row['train_loss']))},{val}")
-    return "\n".join(lines) + "\n"
+        rows.append([str(row["epoch"]), repr(float(row["train_loss"])), val])
+    return csv_text(rows)
 
 
 MODEL_KIND = "contextual"

@@ -1,5 +1,8 @@
 """Six-language sentiment lexicon: domain types, CSV I/O, cleaning, extension.
 
+It also holds the two text writers every command uses: :func:`csv_text` and
+:func:`json_text`.
+
 A lexicon row is one concept carried across up to six languages, with a part
 of speech, one shared sentiment score, and optional per-language scores.
 Lexicon values are immutable; every operation that changes content returns a
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import cached_property
 from itertools import chain
+from json.encoder import INFINITY as _INFINITY, encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 SCORE_MIN = -9.0
@@ -420,6 +424,103 @@ def csv_text(rows: Iterable[Sequence[str]]) -> str:
 
     csv.writer(types.SimpleNamespace(write=write), lineterminator="\r\n").writerows(rows)
     return buffer.getvalue()
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` runs its pure-Python encoder, whose
+    nested closures are left as cyclic garbage after every call. This writer
+    is plain recursion into one list of parts, so it leaves none. Values are
+    tested in ``json.dumps``'s order (str, None, True, False, int, float,
+    list or tuple, dict), so subclasses such as ``str`` enums and numpy
+    floats are written as ``json.dumps`` writes them.
+    """
+    parts: list[str] = []
+    _json_parts(payload, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# The text of a value of exactly these types, as :func:`_json_parts` writes
+# it; a lookup by exact type skips its type tests for the common leaves.
+_JSON_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float}
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _json_float(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_parts(value, newline: str, parts: list[str]) -> None:
+    """Append the JSON text of ``value`` to ``parts``; ``newline`` is ``"\\n"``
+    plus the indentation of the line ``value`` starts on."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        parts.append(_json_float(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            scalar = _JSON_SCALARS.get(type(item))
+            if scalar is None:
+                parts.append(separator)
+                _json_parts(item, inner, parts)
+            else:
+                parts.append(separator + scalar(item))
+            separator = "," + inner
+        parts.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            key = encode_basestring_ascii(key if type(key) is str else _json_key(key))
+            scalar = _JSON_SCALARS.get(type(item))
+            if scalar is None:
+                parts.append(separator + key + ": ")
+                _json_parts(item, inner, parts)
+            else:
+                parts.append(separator + key + ": " + scalar(item))
+            separator = "," + inner
+        parts.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def serialize_lexicon(lexicon: Lexicon) -> bytes:

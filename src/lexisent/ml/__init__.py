@@ -23,31 +23,7 @@ __all__ = [
     "train_random_forest",
     "train_gaussian_nb",
     "train_linear_svm",
-    "predict",
-    "predict_proba",
     "save_model",
     "load_model",
 ]
 
-
-def predict(model, vector):
-    """Predicted class index for one feature vector (argmax of probabilities)."""
-    x = _check_arity(model, vector)
-    return int(model.predict(x[None, :])[0])
-
-
-def predict_proba(model, vector):
-    """Class probability list for one feature vector (sums to 1)."""
-    x = _check_arity(model, vector)
-    return [float(p) for p in model.predict_proba(x[None, :])[0]]
-
-
-def _check_arity(model, vector):
-    import numpy as np
-
-    x = np.asarray(vector, dtype=float)
-    if x.ndim != 1 or x.shape[0] != model.n_features:
-        raise ValueError(
-            f"feature arity mismatch: model expects {model.n_features}, got {x.shape}"
-        )
-    return x

@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import io
-import csv
 import logging
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from ..lexicon import LanguageCode, Lexicon, Polarity, PosTag
+from ..lexicon import LanguageCode, Lexicon, Polarity, PosTag, csv_text
 from ..settings import TASKS, SettingError
 
 log = logging.getLogger(__name__)
@@ -120,12 +119,9 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
 
 def dataset_csv(data: Dataset) -> str:
     """CSV export with one named column per feature, plus label and provenance."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(list(data.feature_names) + ["label", "entry_id"])
     names = data.class_names
-    writer.writerows(
+    rows = (
         [*map(repr, row), names[label], entry_id]
         for row, label, entry_id in zip(data.X.tolist(), data.y.tolist(), data.provenance)
     )
-    return buffer.getvalue()
+    return csv_text(chain([list(data.feature_names) + ["label", "entry_id"]], rows))

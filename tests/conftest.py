@@ -1,8 +1,11 @@
-"""Shared fixtures: a mini-lexicon carrying the published word scores, and a
+"""Shared fixtures: a mini-lexicon carrying the published word scores, a
 synthetic English lexicon with context-dependent words for the contextual
-model tests."""
+model tests, and a check that every test leaves the cyclic garbage collector
+as it found it."""
 
 from __future__ import annotations
+
+import gc
 
 import pytest
 
@@ -14,6 +17,18 @@ EN = LanguageCode.ENGLISH
 AF = LanguageCode.AFRIKAANS
 NSO = LanguageCode.SEPEDI
 ZU = LanguageCode.ZULU
+
+
+@pytest.fixture(autouse=True)
+def collector_state_kept():
+    """Fail a test that leaves the cyclic garbage collector switched on or off,
+    or tuned, otherwise than it found it; the state is put back either way."""
+    before = gc.isenabled(), gc.get_threshold()
+    yield
+    after = gc.isenabled(), gc.get_threshold()
+    (gc.enable if before[0] else gc.disable)()
+    gc.set_threshold(*before[1])
+    assert after == before, f"the test changed the collector from {before} to {after}"
 
 
 def entry(pos: PosTag, mean: float, forms: dict, **override) -> LexiconEntry:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexisent import contextual as ctx
 from lexisent.attribution import (
@@ -14,6 +18,7 @@ from lexisent.attribution import (
     summary_rows,
 )
 from lexisent.lexicon import LanguageCode, Polarity
+from lexisent.settings import BASELINE_KINDS, SCHEMES
 
 from test_contextual import small_model, toy_corpus
 
@@ -138,6 +143,60 @@ class TestIntegratedGradients:
         model, train = trained
         with pytest.raises(ValueError):
             integrated_gradients(model, train[0], baseline_kind="mean")
+
+
+def coordinate_attributions(model, amap):
+    """The (tokens, embedding) attributions that ``amap`` sums per token,
+    recomputed from the core integral."""
+    ids, target_index = model.encode(amap.sentence)
+    x = model.embeddings[ids]
+    if amap.baseline_kind == "zero":
+        baseline = np.zeros_like(x)
+    else:
+        baseline = np.tile(model.embeddings[model.vocabulary.pad_id], (len(ids), 1))
+    class_index = ctx.CLASS_ORDER.index(amap.target_class)
+    attributions, *_ = path_integrated_gradients(
+        lambda points: model.log_prob_and_input_grad(points, target_index, class_index),
+        x, baseline, amap.steps, amap.scheme,
+    )
+    return attributions
+
+
+# Words of the toy corpus, and one it never saw.
+WORDS = st.sampled_from(["good", "happy", "bad", "awful", "table", "stone", "thing", "zebra"])
+
+
+class TestCompleteness:
+    @given(
+        before=st.lists(WORDS, max_size=4),
+        target=st.lists(WORDS, min_size=1, max_size=2),
+        after=st.lists(WORDS, max_size=4),
+        steps=st.integers(1, 64),
+        scheme=st.sampled_from(SCHEMES),
+        baseline_kind=st.sampled_from(BASELINE_KINDS),
+        target_class=st.sampled_from([None, *Polarity]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_delta_is_the_completeness_residual(self, trained, before, target, after, steps,
+                                                scheme, baseline_kind, target_class):
+        """sum(per-token attributions) - (F(x) - F(x')) is the reported delta."""
+        model, _ = trained
+        sentence = ctx.parse_marked(" ".join([*before, "[TARGET]", *target, "[/TARGET]", *after]))
+        amap = integrated_gradients(model, sentence, target_class=target_class, steps=steps,
+                                    baseline_kind=baseline_kind, scheme=scheme)
+        coords = coordinate_attributions(model, amap)
+        assert [value for _, value in amap.per_token] == coords.sum(axis=1).tolist()
+        residual = math.fsum(value for _, value in amap.per_token) - (
+            amap.score_input - amap.score_baseline)
+        # Both sides add the same n coordinates in different orders, each with
+        # an error of at most (n - 1) * eps/2 * sum|coordinates| (Higham,
+        # "Accuracy and Stability of Numerical Algorithms", 2nd ed., eq. 4.4),
+        # and each subtraction rounds once more.
+        eps = np.finfo(np.float64).eps
+        magnitude = np.abs(coords).sum()
+        tolerance = eps * ((coords.size + 1) * magnitude
+                           + 2 * (abs(amap.score_input) + abs(amap.score_baseline)))
+        assert abs(residual - amap.convergence_delta) <= tolerance
 
 
 class TestHeatmap:

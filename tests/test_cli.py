@@ -633,6 +633,19 @@ class TestErrorsNameTheFile:
         assert (f"{broken}: field 'threshold' of tree 0 is not an array of numbers"
                 in capsys.readouterr().err)
 
+    def test_ml_eval_refuses_a_model_of_another_feature_count(self, tmp_path, paper_lex_file,
+                                                              models, capsys):
+        ml_model, _ = models
+        data = json.loads(ml_model.read_text(encoding="utf-8"))
+        data["n_features"] = 12
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("ml", "eval", "--model", other, "--lex", paper_lex_file, "--out", out) == 2
+        assert (f"error: {other}: the model takes 12 features, the lexicon gives 9\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_exploding_ctx_train_writes_no_model(self, tmp_path, ctx_lex_file, capsys):
         run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
             "-n", "300", "--seed", "2", "--out", tmp_path / "gen")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from dataclasses import replace
 
 import pytest
@@ -26,6 +27,7 @@ from lexisent.lexicon import (
     clean,
     context_dependent_forms,
     csv_text,
+    json_text,
     normalize_form,
     parse_lexicon,
     require_normalized,
@@ -152,6 +154,48 @@ def test_csv_text_reads_back_and_matches_the_plain_writer(rows):
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerows(rows)
         assert text == buffer.getvalue()
+
+
+class Score(float):
+    def __repr__(self):
+        return f"Score({float(self)!r})"
+
+
+class Count(int):
+    def __repr__(self):
+        return f"Count({int(self)!r})"
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(),
+    st.floats().map(Score), st.integers().map(Count), st.sampled_from(list(Polarity)),
+)
+JSON_KEYS = (st.text(max_size=3), st.sampled_from(list(LanguageCode)), st.integers(),
+             st.floats(), st.booleans(), st.none())
+JSON_PAYLOADS = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        *(st.dictionaries(keys, children, max_size=4) for keys in JSON_KEYS),
+    ),
+    max_leaves=30,
+)
+
+
+@given(JSON_PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_json_text_matches_json_dumps(payload):
+    assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("payload", [object(), [1, {"a": {1.5}}], {(1, 2): 0}, {"a": 1, 2: 0}],
+                         ids=["object", "nested-set", "tuple-key", "mixed-keys"])
+def test_json_text_refuses_what_json_dumps_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        json_text(payload)
 
 
 FORM_ALPHABET = "abcdefghijklmnopqrstuvwxyzéèêëšţž' -,\""
