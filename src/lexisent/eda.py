@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,25 +77,39 @@ def compute_eda(lexicon: Lexicon) -> EdaReport:
     per-language histograms and the correlation matrix use only per-language
     scores that are explicitly present; pairs with fewer than two joint
     observations (or a constant column) are reported as absent, not as 0.
+
+    The counts are tallied by score, so each distinct score is classified and
+    binned once per call; the correlations and quartiles read every score in
+    row order.
     """
     if len(lexicon) == 0:
         raise ValueError("cannot summarize an empty lexicon")
 
-    polarity_counts = {p: 0 for p in Polarity}
-    pos_by_polarity = {pos: {p: 0 for p in Polarity} for pos in PosTag}
     pos_scores: dict[PosTag, list[float]] = {pos: [] for pos in PosTag}
     for entry in lexicon.entries:
-        polarity = Polarity.from_score(entry.shared_score)
-        polarity_counts[polarity] += 1
-        pos_by_polarity[entry.pos][polarity] += 1
         pos_scores[entry.pos].append(entry.shared_score)
+    pos_tallies = {pos: Counter(scores) for pos, scores in pos_scores.items()}
+    polarity_of = {
+        score: Polarity.from_score(score)
+        for score in set().union(*pos_tallies.values())
+    }
+    polarity_counts = {p: 0 for p in Polarity}
+    pos_by_polarity = {pos: {p: 0 for p in Polarity} for pos in PosTag}
+    for pos, tally in pos_tallies.items():
+        row = pos_by_polarity[pos]
+        for score, count in tally.items():
+            polarity = polarity_of[score]
+            row[polarity] += count
+            polarity_counts[polarity] += count
 
     columns = lexicon.scores.present
+    tallies = {language: Counter(column.values()) for language, column in columns.items()}
+    bin_of = {score: score_bin(score) for score in set().union(*tallies.values())}
     histograms: dict[LanguageCode, list[int]] = {}
-    for language, column in columns.items():
+    for language, tally in tallies.items():
         counts = [0] * len(HISTOGRAM_CENTERS)
-        for score in column.values():
-            counts[score_bin(score)] += 1
+        for score, count in tally.items():
+            counts[bin_of[score]] += count
         histograms[language] = counts
 
     correlation: dict[LanguageCode, dict[LanguageCode, float | None]] = {
@@ -102,11 +117,13 @@ def compute_eda(lexicon: Lexicon) -> EdaReport:
     }
     languages = list(LanguageCode)
     for i, a in enumerate(languages):
-        correlation[a][a] = 1.0 if len(columns[a]) >= 2 else None
+        column_a = columns[a]
+        correlation[a][a] = 1.0 if len(column_a) >= 2 else None
         for b in languages[i + 1 :]:
-            both = [eid for eid in columns[a] if eid in columns[b]]
+            column_b = columns[b]
+            both = [eid for eid in column_a if eid in column_b]
             correlation[a][b] = correlation[b][a] = pearson(
-                [columns[a][eid] for eid in both], [columns[b][eid] for eid in both]
+                [column_a[eid] for eid in both], [column_b[eid] for eid in both]
             )
 
     five_number = {

@@ -9,10 +9,12 @@ Lexicon values are immutable; every operation that changes content returns a
 new ``Lexicon`` plus a report describing what happened.
 
 The curation rules live in one place, the walk :func:`_curate`: which forms
-:func:`clean` rewrites or drops (:func:`normalize_form`), and which rows
-duplicate an earlier one (equal French form as cleaned, POS and shared score).
-:func:`clean`, :func:`validate_lexicon`, :func:`require_normalized` and
-:func:`add_entries` build their reports and refusals from that walk alone.
+:func:`clean` rewrites or drops (:func:`_cleaned_forms`, by
+:func:`normalize_form`), and which rows duplicate an earlier one (equal French
+form as cleaned, POS and shared score). :func:`clean`,
+:func:`validate_lexicon` and :func:`add_entries` build their reports and
+refusals from that walk alone; :func:`require_normalized` reads only the
+forms, so it calls :func:`_cleaned_forms` without the dedup keys.
 """
 
 from __future__ import annotations
@@ -135,12 +137,18 @@ def normalize_sentence(sentence: str) -> str:
 
     Idempotent: case folding can leave a letter and a combining mark that NFC
     composes (``"ß\u0301"`` folds to ``"ss\u0301"``), so NFC runs again after it.
+    On ASCII text NFC changes nothing and case folding is ``lower``, so such
+    text is only lowered.
     """
+    if sentence.isascii():
+        return sentence.lower()
     return unicodedata.normalize("NFC", unicodedata.normalize("NFC", sentence).casefold())
 
 
 def normalize_form(form: str) -> str:
     """Canonical surface form: :func:`normalize_sentence`, stripped. Diacritics kept."""
+    if form.isascii():
+        return form.lower().strip()
     return normalize_sentence(form).strip()
 
 
@@ -313,6 +321,19 @@ _FRENCH_CELL = CSV_HEADER.index(LanguageCode.FRENCH.value)
 _POS_CELL = CSV_HEADER.index("pos")
 _SCORE_CELL = CSV_HEADER.index("score")
 _POS_BY_VALUE: dict[str, PosTag] = {tag.value: tag for tag in PosTag}
+_POS_TEXT: dict[PosTag, str] = {tag: tag.value for tag in PosTag}
+#: Every score cell of a row, the shared score's first with language None.
+_ROW_SCORE_CELLS: tuple[tuple[int, LanguageCode | None], ...] = (
+    (_SCORE_CELL, None), *((i, lang) for i, lang, _ in _SCORE_CELLS)
+)
+_LANGUAGES = tuple(LanguageCode)
+_BLANKS = ("",) * len(_LANGUAGES)
+#: Most distinct scores that one :func:`parse_lexicon` or
+#: :func:`serialize_lexicon` call keeps converted at once; a full table is
+#: emptied. Scores on the lexicon's discrete scale repeat a few dozen values.
+#: Where nearly every score is new, a table that grew with the file cost more
+#: in memory traffic than the conversions it saved.
+_MEMO_LIMIT = 256
 
 
 def parse_lexicon(source: bytes | str) -> Lexicon:
@@ -322,6 +343,12 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
     forms and duplicate rows survive parsing so that :func:`clean` can report
     them. Errors carry the offending 1-based data row and column. Lines may
     end in ``\\n``, ``\\r\\n`` or ``\\r``.
+
+    Each distinct score literal is converted and range-checked once per call,
+    as long as the call has met at most :data:`_MEMO_LIMIT` of them: a literal
+    that passed is kept, keyed by its text, and later cells spelled the same
+    reuse its float. Literals are never merged by value, so ``"-0"`` still
+    reads as ``-0.0`` and ``"0.5"`` and ``".5"`` are checked apart.
     """
     if isinstance(source, bytes):
         try:
@@ -342,20 +369,31 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
                 f"bad header {header!r}; expected {','.join(CSV_HEADER)}", row=0
             )
         n_columns = len(CSV_HEADER)
+        # Score literal -> its float, for literals that passed the checks. A
+        # miss is converted inline: a helper call per miss costs more than the
+        # table saves when every literal is new.
+        scores: dict[str, float] = {}
         for row_no, row in enumerate(reader, start=1):
-            if (len(row) != n_columns or not row[_FRENCH_CELL]
+            if (len(row) != n_columns or not row[_FRENCH_CELL] or not row[_SCORE_CELL]
                     or row[_POS_CELL] not in _POS_BY_VALUE):
                 raise _row_error(row, row_no)
-            try:
-                shared = float(row[_SCORE_CELL])
-                per_language = {lang: float(row[i]) for i, lang, _ in _SCORE_CELLS if row[i]}
-            except ValueError:
-                raise _row_error(row, row_no) from None
-            # Written so that NaN fails too.
-            if not SCORE_MIN <= shared <= SCORE_MAX or not all(
-                SCORE_MIN <= value <= SCORE_MAX for value in per_language.values()
-            ):
-                raise _row_error(row, row_no)
+            per_language = {}  # holds the shared score too, under None, until popped
+            for i, lang in _ROW_SCORE_CELLS:
+                cell = row[i]
+                if cell:
+                    value = scores.get(cell)
+                    if value is None:
+                        try:
+                            value = float(cell)
+                        except ValueError:
+                            raise _row_error(row, row_no) from None
+                        if not SCORE_MIN <= value <= SCORE_MAX:  # written so that NaN fails too
+                            raise _row_error(row, row_no)
+                        if len(scores) == _MEMO_LIMIT:
+                            scores.clear()
+                        scores[cell] = value
+                    per_language[lang] = value
+            shared = per_language.pop(None)
             entries.append(
                 LexiconEntry(
                     {lang: row[i] for i, lang in _FORM_CELLS if row[i]},
@@ -524,19 +562,33 @@ def _json_parts(value, newline: str, parts: list[str]) -> None:
 
 
 def serialize_lexicon(lexicon: Lexicon) -> bytes:
-    """Canonical CSV bytes; inverse of :func:`parse_lexicon` (row order kept)."""
-    rows = (
-        [entry.forms.get(lang, "") for _, lang in _FORM_CELLS]
-        + [entry.pos.value, format_score(entry.shared_score)]
-        + [
-            format_score(entry.per_language_scores[lang])
-            if lang in entry.per_language_scores
-            else ""
-            for _, lang, _ in _SCORE_CELLS
-        ]
-        for entry in lexicon.entries
-    )
-    return csv_text(chain([CSV_HEADER], rows)).encode("utf-8")
+    """Canonical CSV bytes; inverse of :func:`parse_lexicon` (row order kept).
+
+    Each distinct score is formatted once per call, on its first cell, as
+    long as the call has met at most :data:`_MEMO_LIMIT` of them; equal
+    scores share one literal, which :func:`format_score` makes safe (``0.0``
+    and ``-0.0`` both write ``0``).
+    """
+    text: dict[float, str] = {}  # score -> format_score(score), this call only
+
+    def rows() -> Iterator[Sequence[str]]:
+        yield CSV_HEADER
+        for entry in lexicon.entries:
+            row = list(map(entry.forms.get, _LANGUAGES, _BLANKS))
+            row.append(_POS_TEXT[entry.pos])
+            for score in (entry.shared_score, *map(entry.per_language_scores.get, _LANGUAGES)):
+                if score is None:
+                    row.append("")
+                    continue
+                literal = text.get(score)
+                if literal is None:
+                    if len(text) == _MEMO_LIMIT:
+                        text.clear()
+                    literal = text[score] = format_score(score)
+                row.append(literal)
+            yield row
+
+    return csv_text(rows()).encode("utf-8")
 
 
 @dataclass
@@ -564,29 +616,35 @@ class CleaningReport:
         }
 
 
+def _cleaned_forms(entry: LexiconEntry) -> Mapping[LanguageCode, str]:
+    """Every form of ``entry`` as :func:`clean` writes it, its
+    :func:`normalize_form`, with ``""`` where clean drops the form. It is the
+    entry's own mapping when clean would change none of them, so findings are
+    looked for only in copied mappings."""
+    forms = entry.forms
+    for language, form in entry.forms.items():
+        normalized = normalize_form(form)
+        if normalized != form or not normalized:
+            if forms is entry.forms:
+                forms = dict(forms)
+            forms[language] = normalized
+    return forms
+
+
 def _curate(
     entries: Iterable[LexiconEntry],
 ) -> Iterator[tuple[int, LexiconEntry, Mapping[LanguageCode, str], int | None]]:
     """The curation walk: ``(row, entry, forms, first_row)`` for each entry in
     row order, rows counted from 1.
 
-    ``forms`` holds every form of the entry as :func:`clean` writes it, its
-    :func:`normalize_form`, with ``""`` where clean drops the form. It is the
-    entry's own mapping when clean would change none of them, so findings are
-    looked for only in copied mappings. ``first_row`` is the first earlier row
-    with the same dedup key (the French form as clean writes it, the POS and
-    the shared score), or ``None``.
+    ``forms`` is the entry's :func:`_cleaned_forms`. ``first_row`` is the
+    first earlier row with the same dedup key (the French form as clean
+    writes it, the POS and the shared score), or ``None``.
     """
     french = LanguageCode.FRENCH
     seen: dict[tuple[str, PosTag, float], int] = {}
     for row, entry in enumerate(entries, start=1):
-        forms = entry.forms
-        for language, form in entry.forms.items():
-            normalized = normalize_form(form)
-            if normalized != form or not normalized:
-                if forms is entry.forms:
-                    forms = dict(forms)
-                forms[language] = normalized
+        forms = _cleaned_forms(entry)
         first_row = seen.setdefault((forms.get(french, ""), entry.pos, entry.shared_score), row)
         yield row, entry, forms, first_row if first_row != row else None
 
@@ -688,7 +746,8 @@ def require_normalized(lexicon: Lexicon) -> None:
     """
     found = [
         rewrite
-        for row, entry, forms, _ in _curate(lexicon.entries)
+        for row, entry in enumerate(lexicon.entries, start=1)
+        for forms in [_cleaned_forms(entry)]
         if forms is not entry.forms
         for rewrite in _rewritten(row, entry, forms)
     ]

@@ -3,6 +3,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import unicodedata
 from dataclasses import replace
 
 import pytest
@@ -27,13 +29,16 @@ from lexisent.lexicon import (
     clean,
     context_dependent_forms,
     csv_text,
+    format_score,
     json_text,
     normalize_form,
+    normalize_sentence,
     parse_lexicon,
     require_normalized,
     serialize_lexicon,
     validate_lexicon,
 )
+from lexisent.lexicon import _parse_score
 from lexisent.translator import tokenize
 
 HEADER = ",".join(CSV_HEADER)
@@ -234,6 +239,58 @@ def test_round_trip_property(lex):
     data = serialize_lexicon(lex)
     assert parse_lexicon(data) == lex
     assert serialize_lexicon(parse_lexicon(data)) == data
+
+
+#: Scores that repeat across entries, both zeros included, mixed with any
+#: float in range.
+REPEATED_SCORE_ST = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -2.25, 9.0, -9.0, 1e-9, 7.0 / 3.0]),
+    st.floats(min_value=SCORE_MIN, max_value=SCORE_MAX),
+)
+
+
+@st.composite
+def repeated_score_lexicon_st(draw) -> Lexicon:
+    entries = []
+    for _ in range(draw(st.integers(min_value=1, max_value=8))):
+        forms = {LanguageCode.FRENCH: draw(form_st)}
+        if draw(st.booleans()):
+            forms[LanguageCode.ENGLISH] = draw(form_st)
+        per_language = {language: draw(REPEATED_SCORE_ST)
+                        for language in draw(st.sets(st.sampled_from(list(LanguageCode))))}
+        entries.append(LexiconEntry(forms, draw(st.sampled_from(list(PosTag))),
+                                    draw(REPEATED_SCORE_ST), per_language))
+    return Lexicon(entries)
+
+
+def cellwise_serialize(lexicon: Lexicon) -> bytes:
+    """The lexicon's CSV with one ``format_score`` call per score cell."""
+    rows = [list(CSV_HEADER)]
+    for entry in lexicon.entries:
+        own = entry.per_language_scores
+        rows.append([entry.forms.get(language, "") for language in LanguageCode]
+                    + [entry.pos.value, format_score(entry.shared_score)]
+                    + [format_score(own[language]) if language in own else ""
+                       for language in LanguageCode])
+    return csv_text(rows).encode("utf-8")
+
+
+@given(repeated_score_lexicon_st())
+@settings(max_examples=200, deadline=None)
+def test_serialize_equals_one_format_per_cell(lex):
+    data = serialize_lexicon(lex)
+    assert data == cellwise_serialize(lex)
+    assert parse_lexicon(data) == lex
+
+
+def test_both_zeros_serialize_as_0():
+    zeros = {LanguageCode.FRENCH: -0.0, LanguageCode.ENGLISH: 0.0, LanguageCode.ZULU: -0.0}
+    lex = Lexicon([LexiconEntry({LanguageCode.FRENCH: "rien"}, PosTag.MOT, -0.0, zeros),
+                   LexiconEntry({LanguageCode.FRENCH: "nul"}, PosTag.MOT, 0.0, {})])
+    data = serialize_lexicon(lex)
+    assert data == cellwise_serialize(lex)
+    assert data.decode().splitlines()[1:] == ["rien,,,,,,mot,0,0,,0,,,0", "nul,,,,,,mot,0,,,,,,"]
+    assert parse_lexicon(data) == lex
 
 
 @given(lexicon_st())
@@ -633,6 +690,85 @@ def test_row_errors_name_the_first_bad_cell(row, message, column):
     assert (caught.value.row, caught.value.column) == (2, column)
 
 
+#: Score literals that parse: spellings of one value apart (``-0``, ``0``,
+#: ``0.0``; ``.5``, ``0.50``; ``+1``, ``1e0``), padding and an underscore.
+GOOD_LITERALS = ["-0", "0", "0.0", "+1", " 2.5 ", ".5", "0.50", "1e0", "0_5"]
+#: Score literals that ``float`` or the range check refuses.
+BAD_LITERALS = ["nan", "inf", "-inf", "9.0000001", "x"]
+
+
+@st.composite
+def repeated_literal_rows_st(draw) -> list[list[str]]:
+    """Rows whose score cells repeat a few literals across rows and columns;
+    about one cell in 30 is bad, and an empty cell is bad only as ``score``."""
+
+    def literal(blank: int) -> str:
+        if draw(st.integers(min_value=0, max_value=29)) == 0:
+            return draw(st.sampled_from(BAD_LITERALS + [""]))
+        return draw(st.sampled_from(GOOD_LITERALS + [""] * blank))
+
+    return [["mot", "", "", "", "", "", "mot", literal(0)] + [literal(4) for _ in LanguageCode]
+            for _ in range(draw(st.integers(min_value=1, max_value=8)))]
+
+
+def signed(value: float) -> tuple[float, float]:
+    return value, math.copysign(1.0, value)
+
+
+def cellwise_scores(rows: list[list[str]]):
+    """Each row's shared and per-language scores by one ``_parse_score`` call
+    per cell, or the first error's text, row and column."""
+    parsed = []
+    for row_no, row in enumerate(rows, start=1):
+        cells = dict(zip(CSV_HEADER, row))
+        try:
+            shared = _parse_score(cells["score"], row_no, "score")
+            own = [(language, signed(_parse_score(cells[column], row_no, column)))
+                   for language, column in SCORE_COLUMNS.items() if cells[column]]
+        except LexiconFormatError as exc:
+            return ("error", str(exc), exc.row, exc.column)
+        parsed.append((signed(shared), own))
+    return parsed
+
+
+@given(repeated_literal_rows_st())
+@settings(max_examples=400, deadline=None)
+def test_parser_converts_each_literal_as_the_cellwise_reference(rows):
+    expected = cellwise_scores(rows)
+    try:
+        lexicon = parse_lexicon(csv_text([CSV_HEADER] + rows))
+    except LexiconFormatError as exc:
+        assert ("error", str(exc), exc.row, exc.column) == expected
+        return
+    assert [(signed(e.shared_score),
+             [(language, signed(score)) for language, score in e.per_language_scores.items()])
+            for e in lexicon.entries] == expected
+
+
+def test_more_distinct_literals_than_one_call_keeps():
+    # 700 literals, each met again after hundreds of others, "-0" and "0" among them.
+    literals = ["-0", "0"] + [repr(k / 64 - 8.5) for k in range(1, 699)]
+    rows = [["mot", "", "", "", "", "", "mot", literals[r % 700]]
+            + [literals[(7 * r + j) % 700] if (r + j) % 3 else "" for j in range(6)]
+            for r in range(2100)]
+    lexicon = parse_lexicon(csv_text([CSV_HEADER] + rows))
+    assert [(signed(e.shared_score),
+             [(language, signed(score)) for language, score in e.per_language_scores.items()])
+            for e in lexicon.entries] == cellwise_scores(rows)
+    assert serialize_lexicon(lexicon) == cellwise_serialize(lexicon)
+
+
+def test_a_refused_literal_is_refused_again_after_the_same_text_passed_elsewhere():
+    # An empty cell passes as a per-language score but not as the shared one.
+    with pytest.raises(LexiconFormatError) as caught:
+        parse_lexicon(csv_bytes("bon,,,,,,mot,-0,,,,,,", "mal,,,,,,mot,,-0,,,,,"))
+    assert str(caught.value) == "[row 2, column 'score'] invalid score literal ''"
+    lexicon = parse_lexicon(csv_bytes("bon,,,,,,mot,-0,0,-0,,,,", "mal,,,,,,mot,0,-0,,,,,"))
+    assert [signed(e.shared_score) for e in lexicon.entries] == [(0.0, -1.0), (0.0, 1.0)]
+    assert [[signed(v) for v in e.per_language_scores.values()] for e in lexicon.entries] == [
+        [(0.0, 1.0), (0.0, -1.0)], [(0.0, -1.0)]]
+
+
 # ---------------------------------------------------------------------------
 # Lookup tables compiled on first use.
 
@@ -742,6 +878,28 @@ class TestLazyTables:
 def test_normalize_form_is_idempotent(text):
     once = normalize_form(text)
     assert normalize_form(once) == once
+
+
+def full_normalize_sentence(text: str) -> str:
+    return unicodedata.normalize("NFC", unicodedata.normalize("NFC", text).casefold())
+
+
+#: ASCII controls that ``str.strip`` removes as whitespace.
+STRIPPED_CONTROLS = ["\x1c", "\x1d", "\x1e", "\x1f", "\x0b", "\x0c"]
+
+
+@given(st.text(alphabet=st.sampled_from([chr(c) for c in range(128)]), max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_ascii_normalization_equals_the_full_path(text):
+    assert normalize_sentence(text) == full_normalize_sentence(text)
+    assert normalize_form(text) == full_normalize_sentence(text).strip()
+
+
+@pytest.mark.parametrize("control", STRIPPED_CONTROLS)
+def test_ascii_controls_that_strip_removes(control):
+    text = f"{control}Mot {control}X{control}"
+    assert normalize_sentence(text) == full_normalize_sentence(text) == text.lower()
+    assert normalize_form(text) == full_normalize_sentence(text).strip() == f"mot {control}x"
 
 
 def test_case_folding_that_leaves_a_composable_mark():
@@ -958,6 +1116,22 @@ def test_curation_equals_the_reference_functions(entries, candidates):
 
 
 class TestCurationWalk:
+    def test_require_normalized_reads_the_forms_without_the_dedup_walk(self, monkeypatch):
+        import lexisent.lexicon as lexicon_module
+
+        def no_walk(entries):
+            raise AssertionError("require_normalized ran the dedup walk")
+
+        monkeypatch.setattr(lexicon_module, "_curate", no_walk)
+        lex = Lexicon([make_entry(fr="mot"), make_entry(fr="mot"),
+                       make_entry(fr=" Autre", english="X")])
+        with pytest.raises(LexiconFormatError) as caught:
+            require_normalized(lex)
+        assert str(caught.value) == (
+            "[row 3, column 'french'] form ' Autre' is not normalized (expected 'autre'); "
+            "2 un-normalized form(s) in all; run `lexicon clean` first")
+        require_normalized(Lexicon([make_entry(fr="mot"), make_entry(fr="mot")]))
+
     def test_add_entries_names_an_accepted_candidate_by_its_new_id(self):
         lex = Lexicon([make_entry(fr="mot")])
         bigger, report = add_entries(lex, [make_entry(fr="neuf", score=2.0),

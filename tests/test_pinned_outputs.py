@@ -1,10 +1,15 @@
-"""Byte pins for the files that ``compare`` and ``translate`` write.
+"""Byte pins for the files that ``compare``, ``translate``, ``lexicon clean``
+and ``lexicon stats`` write.
 
-The fixture is fixed: the published-score lexicon plus entries that make some
-forms ambiguous and some scores non-integral, and sentences drawn from a
-seeded ``random.Random`` over its forms, unknown words and separators. The
-SHA-256s were recorded before the tokenize and scoring walks were rewritten
-for speed; any change to these files' bytes has to be deliberate.
+The ``compare``/``translate`` fixture is fixed: the published-score lexicon
+plus entries that make some forms ambiguous and some scores non-integral, and
+sentences drawn from a seeded ``random.Random`` over its forms, unknown words
+and separators. Its SHA-256s were recorded before the tokenize and scoring
+walks were rewritten for speed. The ``lexicon`` fixture is a raw CSV whose
+score literals are all distinct text, equal values spelled apart included
+(``-0``/``0``, ``0.5``/``0.50``/``.5``), with a duplicate row; its SHA-256s
+were recorded before parse, serialize and EDA began converting each distinct
+score once. Any change to these files' bytes has to be deliberate.
 """
 
 from __future__ import annotations
@@ -26,6 +31,29 @@ EXPECTED_SHA256 = {
     "compare/comparison.json": "4458dc4cc2ff8f76e3516a8a464f568752fbb287bf54f1a9a962857a12a59dc0",
     "translate/translations.csv": "f4aeae0ed242411ed333658e7b0aaf7583399af323af9b3082bfabe81755e91f",
 }
+
+LEXICON_SHA256 = {
+    "clean/cleaned.csv": "198419f8bad1510db7c339cb0b82e8307973483c6b81c2ced59325a519bd5c02",
+    "stats/eda.json": "b4abc1a9bdc0e1d7b2fa523d2fb98914945c4f70c12c1e1fa4faa3373d210134",
+}
+
+#: Row 3 duplicates row 1 (French form once cleaned, POS, and a shared score
+#: of ``0`` against ``-0``); scores sit on the neutral threshold, on half-unit
+#: bin edges and on the range ends, and the only verb scores ``-0.0``, which
+#: ``eda.json`` writes with its sign.
+RAW_LEXICON = (
+    "french,ciluba,english,afrikaans,sepedi,zulu,pos,score,"
+    "score_fr,score_cil,score_en,score_af,score_nso,score_zu\n"
+    "bon,bimpe,good,goed,botse,kuhle,adjectif,-0,1.25,2,3.5,0.50,-1e-10,4.75\n"
+    "mal,bibi,Bad ,sleg,mpe,kubi,adjectif,0.5,-2.5,-3,-1.75,-4.25,2.5,-0.5\n"
+    " Bon ,,good,,,,adjectif,0,.5,,,,,\n"
+    "joie,disanka,joy,vreugde,lethabo,injabulo,mot,8.75,9,7.5,+6,5.25,1e-9,8.0\n"
+    "tristesse,,sadness,hartseer,,usizi,mot,-8.5,-9.0,,-7.25,-6.5,,-5.75\n"
+    "vite,lubilu,fast,vinnig,ka pela,ngokushesha,adverbe,1.5e0,0.25,-0.25,0.75,-0.75,1.75,-1.25\n"
+    "lentement,,slowly,stadig,,kancane,adverb,2e-9,-1.5,,0.1,-0.3,,1.0e-1\n"
+    "peut-être,mpamu,maybe,miskien,mohlomongwe,mhlawumbe,mot,-1e-9,3.25,-4.5,-2.25,6.5,-8.25,7.25\n"
+    "aller,kuya,go,gaan,sepela,hamba,verbe,-0.0,0.0,+0,-0.00,.25,-.25,0e0\n"
+)
 
 #: Entries that share a form with a paper entry under another POS tag (so the
 #: form is ambiguous) or carry scores whose mean is not a short decimal.
@@ -93,3 +121,13 @@ def test_compare_and_translate_outputs_are_byte_identical(fixture_files, monkeyp
     digests = {name: hashlib.sha256((fixture_files / name).read_bytes()).hexdigest()
                for name in EXPECTED_SHA256}
     assert digests == EXPECTED_SHA256
+
+
+def test_lexicon_clean_and_stats_outputs_are_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.csv").write_text(RAW_LEXICON, encoding="utf-8")
+    assert main(["lexicon", "clean", "--in", "raw.csv", "--out", "clean"]) == 0
+    assert main(["lexicon", "stats", "--in", "raw.csv", "--out", "stats"]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in LEXICON_SHA256}
+    assert digests == LEXICON_SHA256
