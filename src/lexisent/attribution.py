@@ -16,7 +16,7 @@ import numpy as np
 
 from .contextual import CLASS_ORDER, ContextModel, TargetSentence
 from .lexicon import Polarity, csv_text, json_text
-from .settings import BASELINE_KINDS, DEFAULT_SCHEME, DEFAULT_STEPS, SCHEMES
+from .settings import BASELINE_KINDS, DEFAULT_SCHEME, DEFAULT_STEPS, SCHEMES, SettingError
 
 #: score_fn(points (P, T, E)) -> (values (P,), gradients w.r.t. each point (P, T, E))
 ScoreFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
@@ -37,7 +37,7 @@ def path_integrated_gradients(
     Every path point, ``x`` and ``baseline`` go to ``score_fn`` in one call.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise SettingError("steps", f"must be at least 1, got {steps}")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     diff = x - baseline
@@ -118,8 +118,8 @@ def integrated_gradients(
     else:
         raise ValueError(f"unknown baseline {baseline_kind!r}; expected one of {BASELINE_KINDS}")
 
-    proba = model.predict_proba(sentence)
-    predicted = CLASS_ORDER[int(np.argmax(proba))]
+    (predicted_index,), (proba,) = model.predict_batch([sentence])
+    predicted = CLASS_ORDER[predicted_index]
     chosen = predicted if target_class is None else target_class
     class_index = CLASS_ORDER.index(chosen)
 
@@ -136,7 +136,7 @@ def integrated_gradients(
         sentence=sentence,
         target_class=chosen,
         predicted_class=predicted,
-        confidence=float(proba[np.argmax(proba)]),
+        confidence=float(proba[predicted_index]),
         per_token=per_token,
         total_attribution=float(attributions.sum()),
         convergence_delta=delta,

@@ -112,8 +112,10 @@ def _normalized_lexicon(text: str):
     return lexicon
 
 
-def _csv_rows(text: str, header: tuple[str, ...]) -> list[list[str]]:
-    """The data rows of a CSV with ``header``; errors name the row (header = 0)."""
+def _sentence_rows(text: str, header: tuple[str, ...]) -> list[list]:
+    """The data rows of a CSV with ``header``: a sentence, then language cells
+    parsed to :class:`LanguageCode`. Errors name the row (header = 0) and, for
+    an unknown language, its column."""
     rows = []
     try:  # ``rows`` keeps the rows read before an error, so its length is the bad row
         rows.extend(csv.reader(io.StringIO(text, newline="")))
@@ -126,6 +128,11 @@ def _csv_rows(text: str, header: tuple[str, ...]) -> list[list[str]]:
             raise ValueError(
                 f"row {row_no}: expected {len(header)} columns, found {len(row)}"
             )
+        for i in range(1, len(row)):
+            try:
+                row[i] = LanguageCode.parse(row[i])
+            except ValueError as exc:
+                raise ValueError(f"row {row_no}: column {header[i]!r}: {exc}") from None
     return rows[1:]
 
 
@@ -238,12 +245,10 @@ def cmd_translate(args) -> int:
     if not args.infile or not args.out:
         raise _UsageError("batch mode requires --in and --out")
     rows = _parse_file(
-        args.infile, partial(_csv_rows, header=("sentence", "source_language", "target_language"))
+        args.infile,
+        partial(_sentence_rows, header=("sentence", "source_language", "target_language")),
     )
-    results = [
-        tr.translate(s, LanguageCode.parse(a), LanguageCode.parse(b), lexicon)
-        for s, a, b in rows
-    ]
+    results = [tr.translate(s, a, b, lexicon) for s, a, b in rows]
     out = OutputDir(args.out, _effective_config(args))
     table = [["sentence", "source_language", "target_language", "translated_text"]]
     for r in results:
@@ -263,12 +268,8 @@ def _baseline_fn(name: str) -> scoring.BaselineScorer:
 
 def _score_rows(args) -> scoring.ComparisonReport:
     lexicon = _parse_file(args.lex, _normalized_lexicon)
-    rows = _parse_file(args.infile, partial(_csv_rows, header=("sentence", "language")))
-    return scoring.score_batch(
-        [(s, LanguageCode.parse(l)) for s, l in rows],
-        lexicon,
-        _baseline_fn(args.baseline),
-    )
+    rows = _parse_file(args.infile, partial(_sentence_rows, header=("sentence", "language")))
+    return scoring.score_batch(rows, lexicon, _baseline_fn(args.baseline))
 
 
 def cmd_score(args) -> int:
@@ -415,7 +416,7 @@ def cmd_ml_eval(args) -> int:
         )
     _, test_set = ml.split(dataset, args.train_fraction, args.seed)
     if not len(test_set):
-        raise ValueError("test split is empty")
+        raise ValueError(f"{args.lex}: test split is empty")
     out = OutputDir(args.out, _effective_config(args))
     summary = _write_evaluation(
         out, test_set.y, model.predict(test_set.X),
@@ -498,7 +499,10 @@ def cmd_ctx_eval(args) -> int:
 
     model = _parse_file(args.model, ctx.load_context_model)
     corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
-    y_true, y_pred, proba = ctx.evaluate(model, corpus)
+    try:
+        y_true, y_pred, proba = ctx.evaluate(model, corpus)
+    except ValueError as exc:  # an empty corpus
+        raise ValueError(f"{args.corpus}: {exc}") from None
     out = OutputDir(args.out, _effective_config(args))
     summary = _write_evaluation(
         out, y_true, y_pred, proba, [p.value for p in ctx.CLASS_ORDER]
@@ -520,15 +524,16 @@ def cmd_explain(args) -> int:
     else:
         sentences = _parse_file(args.corpus, ctx.read_corpus)
     target_class = Polarity(args.target_class) if args.target_class else None
-    out = OutputDir(args.out, _effective_config(args))
-    maps = []
-    for i, sentence in enumerate(sentences, start=1):
-        amap = attr.integrated_gradients(
+    maps = [
+        attr.integrated_gradients(
             model, sentence, target_class=target_class, steps=args.steps,
             baseline_kind=args.baseline, scheme=args.scheme,
         )
-        maps.append(amap)
-        stem = f"attribution_{i:04d}" if len(sentences) > 1 else "attribution"
+        for sentence in sentences
+    ]
+    out = OutputDir(args.out, _effective_config(args))
+    for i, amap in enumerate(maps, start=1):
+        stem = f"attribution_{i:04d}" if len(maps) > 1 else "attribution"
         out.write(f"{stem}.json", attr.attribution_json(amap))
         out.write(f"{stem}.csv", attr.heatmap_csv(amap))
         out.write(f"{stem}.svg", attr.heatmap_svg(amap))
@@ -651,7 +656,10 @@ def main(argv=None) -> int:
     The cyclic garbage collector is paused while the command runs, since its
     passes over the many small objects a command builds find nothing to free.
     That holds because no command leaves cyclic garbage that grows with its
-    input: reference counting frees what the command drops. The caller's
+    input: reference counting frees what the command drops. The only cycles
+    left behind are the 730 objects that each :func:`build_parser` call
+    leaves (argparse's parsers and actions refer to each other), a count
+    that does not depend on the input, so the pause stays safe. The caller's
     collector state comes back on return, and no collection is forced.
     """
     collecting = gc.isenabled()

@@ -328,12 +328,6 @@ class ContextModel:
             self.embeddings[packed.targets], self.embeddings[packed.context], packed.mask
         )
 
-    def logits(self, sentence: TargetSentence) -> np.ndarray:
-        return self.forward_ids(self.pack([sentence]))[1][0]
-
-    def predict_proba(self, sentence: TargetSentence) -> np.ndarray:
-        return _softmax(self.logits(sentence))
-
     def predict_batch(self, sentences: list[TargetSentence]) -> tuple[np.ndarray, np.ndarray]:
         packed = self.pack(sentences)
         proba = np.concatenate(

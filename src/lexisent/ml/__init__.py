@@ -5,13 +5,12 @@ from .forest import RandomForestModel, train_random_forest
 from .naive_bayes import GaussianNBModel, train_gaussian_nb
 from .serialize import MODEL_KINDS, load_model, save_model
 from .svm import LinearSVMModel, train_linear_svm
-from .tree import DecisionTreeModel, train_decision_tree
+from .tree import train_decision_tree
 
 __all__ = [
     "Dataset",
     "FEATURE_NAMES",
     "MODEL_KINDS",
-    "DecisionTreeModel",
     "RandomForestModel",
     "GaussianNBModel",
     "LinearSVMModel",

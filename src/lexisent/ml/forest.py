@@ -1,33 +1,14 @@
-"""Random forest: bagged CART trees with per-node feature subsampling."""
+"""Random forest: bagged CART trees with per-node feature subsampling, in the
+tree model class :class:`~lexisent.ml.tree.RandomForestModel`."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dataset import Dataset, SettingError, rng_for
-from .tree import Tree, build_tree, check_tree_training
-
-
-@dataclass
-class RandomForestModel:
-    kind = "random_forest"
-    trees: list[Tree]
-    class_names: tuple[str, ...]
-    n_features: int
-    seed: int
-    hyperparameters: dict = field(default_factory=dict)
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        # Soft voting: mean of the trees' leaf distributions. The argmax of
-        # this mean is the ensemble vote, so predict == argmax(predict_proba).
-        stacked = np.stack([tree.predict_proba(X) for tree in self.trees])
-        return stacked.mean(axis=0)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.predict_proba(X), axis=1)
+from .tree import RandomForestModel, build_tree, check_tree_training
 
 
 def train_random_forest(
@@ -60,6 +41,7 @@ def train_random_forest(
                        feature_rng=rng if subsample else None, n_candidate_features=n_candidates)
         )
     return RandomForestModel(
+        kind="random_forest",
         trees=trees,
         class_names=data.class_names,
         n_features=d,

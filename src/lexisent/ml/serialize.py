@@ -7,10 +7,9 @@ import numpy as np
 from .. import artifact
 from ..artifact import checked_array, checked_names, is_int, require
 from ..settings import MODEL_KINDS
-from .forest import RandomForestModel
 from .naive_bayes import GaussianNBModel
 from .svm import LinearSVMModel
-from .tree import DecisionTreeModel, Tree
+from .tree import RandomForestModel, Tree
 
 #: The arrays of a saved tree (see :class:`~lexisent.ml.tree.Tree`).
 TREE_FIELDS = ("feature", "threshold", "left", "right", "value")
@@ -67,9 +66,8 @@ def _node_indices(data: dict, name: str, where: str, stop: int) -> np.ndarray:
 
 
 def save_model(model) -> str:
-    if isinstance(model, (DecisionTreeModel, RandomForestModel)):
-        trees = [model.tree] if isinstance(model, DecisionTreeModel) else model.trees
-        parameters = {"trees": [_tree_to_dict(tree) for tree in trees]}
+    if isinstance(model, RandomForestModel):
+        parameters = {"trees": [_tree_to_dict(tree) for tree in model.trees]}
     elif isinstance(model, GaussianNBModel):
         parameters = {
             "present": model.present.tolist(),
@@ -119,9 +117,7 @@ def load_model(text: str):
         if kind == "decision_tree" and len(saved) != 1:
             raise ValueError(f"field 'trees' holds {len(saved)} trees, expected 1")
         trees = [_tree_from_dict(tree, f"tree {i}", n_features, k) for i, tree in enumerate(saved)]
-        if kind == "decision_tree":
-            return DecisionTreeModel(tree=trees[0], **common)
-        return RandomForestModel(trees=trees, **common)
+        return RandomForestModel(kind=kind, trees=trees, **common)
     if kind == "gaussian_nb":
         present = params["present"]
         if (

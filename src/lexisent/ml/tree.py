@@ -1,5 +1,6 @@
-"""CART decision tree with Gini impurity and class-frequency leaves, grown by
-an exact split search over columns sorted once per tree."""
+"""CART trees with Gini impurity and class-frequency leaves, grown by an exact
+split search over columns sorted once per tree, and the model class of both
+tree learners, :class:`RandomForestModel`."""
 
 from __future__ import annotations
 
@@ -191,18 +192,23 @@ def build_tree(
 
 
 @dataclass
-class DecisionTreeModel:
-    """One CART tree (:class:`Tree`) with its classes and training settings."""
+class RandomForestModel:
+    """CART trees (:class:`Tree`) with their classes and training settings.
+    ``kind`` is ``decision_tree`` for :func:`train_decision_tree`'s one tree,
+    the forest grown without bootstrap or feature sampling (Breiman 2001)."""
 
-    kind = "decision_tree"
-    tree: Tree
+    kind: str
+    trees: list[Tree]
     class_names: tuple[str, ...]
     n_features: int
     seed: int
     hyperparameters: dict = field(default_factory=dict)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.tree.predict_proba(X)
+        # Soft voting: mean of the trees' leaf distributions. The argmax of
+        # this mean is the ensemble vote, so predict == argmax(predict_proba).
+        stacked = np.stack([tree.predict_proba(X) for tree in self.trees])
+        return stacked.mean(axis=0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1)
@@ -232,10 +238,11 @@ def train_decision_tree(
     max_depth: int | None = 12,
     min_samples_split: int = 2,
     seed: int = 0,
-) -> DecisionTreeModel:
+) -> RandomForestModel:
     check_tree_training(data, max_depth, min_samples_split)
-    return DecisionTreeModel(
-        tree=build_tree(data.X, data.y, len(data.class_names), max_depth, min_samples_split),
+    return RandomForestModel(
+        kind="decision_tree",
+        trees=[build_tree(data.X, data.y, len(data.class_names), max_depth, min_samples_split)],
         class_names=data.class_names,
         n_features=data.X.shape[1],
         seed=seed,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .lexicon import LanguageCode, Lexicon, Polarity, format_score
+from .lexicon import LanguageCode, Lexicon, Polarity, format_score, normalize_sentence
 from .translator import WORD_PATTERN, Token, TokenKind, tokenize
 
 
@@ -177,9 +177,10 @@ def builtin_english_baseline(sentence: str) -> tuple[float, Polarity]:
 
     The raw sum x maps to x / sqrt(x^2 + 15), so the compound always lies in
     [-1, 1]; sentences with no valence hits (any non-English input) score 0.
+    Words are split as :func:`~lexisent.translator.tokenize` splits them.
     """
     total = 0.0
-    for word in WORD_PATTERN.findall(sentence.casefold()):
+    for word in WORD_PATTERN.findall(normalize_sentence(sentence)):
         total += ENGLISH_VALENCES.get(word, 0.0)
     compound = total / math.sqrt(total * total + _NORMALIZATION_ALPHA)
     if compound > BASELINE_THRESHOLD:

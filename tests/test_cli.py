@@ -560,6 +560,51 @@ class TestErrorsNameTheFile:
                    "--out", tmp_path / "out") == 2
         assert f"{sentences}: row 2: expected 2 columns, found 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text, column", [
+        ("compare", "sentence,language\nI want food.,english\nbad day,klingon\n", "language"),
+        ("score", "sentence,language\nI want food.,english\nbad day,klingon\n", "language"),
+        ("translate", "sentence,source_language,target_language\n"
+                      "Thank you.,english,french\nbad day,english,elvish\n", "target_language"),
+    ], ids=["compare", "score", "translate"])
+    def test_unknown_language_cell_names_file_row_and_column(self, tmp_path, paper_lex_file,
+                                                             command, text, column, capsys):
+        sentences = tmp_path / "sents.csv"
+        sentences.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        assert run(command, "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sentences}: row 2: column {column!r}: unknown language ")
+        assert not out.exists()
+
+    def test_explain_names_steps_and_writes_nothing(self, tmp_path, models, capsys):
+        _, ctx_model = models
+        out = tmp_path / "out"
+        assert run("explain", "--model", ctx_model, "--text", "a [TARGET] b [/TARGET] c",
+                   "--out", out, "--steps", "0") == 2
+        assert capsys.readouterr().err == "error: --steps must be at least 1, got 0\n"
+        assert not out.exists()
+
+    def test_ctx_eval_of_an_empty_corpus_names_it(self, tmp_path, models, capsys):
+        _, ctx_model = models
+        corpus = tmp_path / "empty.tsv"
+        corpus.write_text("", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("ctx", "eval", "--model", ctx_model, "--corpus", corpus, "--out", out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {corpus}: ")
+        assert not out.exists()
+
+    def test_ml_eval_of_an_empty_test_split_names_the_lexicon(self, tmp_path, paper_lex_file,
+                                                              capsys):
+        lexicon = tmp_path / "one.csv"  # one entry: its single-member class goes to training
+        lexicon.write_bytes(b"".join(paper_lex_file.read_bytes().splitlines(True)[:2]))
+        assert run("ml", "train", "--lex", lexicon, "--model", "decision_tree",
+                   "--out", tmp_path / "ml") == 0
+        out = tmp_path / "out"
+        assert run("ml", "eval", "--model", tmp_path / "ml" / "model.json",
+                   "--lex", lexicon, "--out", out) == 2
+        assert f"error: {lexicon}: test split is empty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_diverging_ctx_train_writes_no_model(self, tmp_path, ctx_lex_file, capsys):
         run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
             "-n", "300", "--seed", "2", "--out", tmp_path / "gen")

@@ -187,6 +187,11 @@ def small_model(seed=0, corpus=None, epochs=3, learning_rate=0.2, weights=None,
     return model, train, val
 
 
+def logits(model, sentence):
+    """The logits (3,) of one sentence, from the model's batch forward pass."""
+    return model.forward_ids(model.pack([sentence]))[1][0]
+
+
 class TestTrainSettings:
     @pytest.mark.parametrize("setting, value, problem", [
         ("embedding_dim", 0, "must be at least 1, got 0"),
@@ -284,8 +289,7 @@ class TestTraining:
         batch = model.pack(train)
         weighted, _ = ctx.loss_and_gradients(model, batch, np.ones(3))
         manual = 0.0
-        for sentence in train:
-            p = model.predict_proba(sentence)
+        for sentence, p in zip(train, model.predict_batch(train)[1]):
             manual -= np.log(p[ctx.CLASS_ORDER.index(sentence.label)])
         assert weighted == pytest.approx(manual / len(train), rel=1e-12)
 
@@ -364,7 +368,7 @@ class TestWindowLocality:
         base = ctx.parse_marked("a b [TARGET] thing [/TARGET] c d e far1 far2")
         edited = ctx.parse_marked("a b [TARGET] thing [/TARGET] c d e far1 CHANGED")
         # positions far1/far2 sit 4-5 tokens right of the target, beyond window 2
-        assert np.array_equal(model.logits(base), model.logits(edited))
+        assert np.array_equal(logits(model, base), logits(model, edited))
 
     def test_tokens_inside_window_do_affect_logits(self):
         model, _, _ = small_model(
@@ -372,7 +376,7 @@ class TestWindowLocality:
         )
         base = ctx.parse_marked("good good [TARGET] thing [/TARGET] good")
         edited = ctx.parse_marked("good bad [TARGET] thing [/TARGET] good")
-        assert not np.array_equal(model.logits(base), model.logits(edited))
+        assert not np.array_equal(logits(model, base), logits(model, edited))
 
 
 class TestEvaluate:
@@ -415,7 +419,7 @@ class TestModelSerialization:
         model, train, _ = small_model(epochs=5)
         clone = ctx.load_context_model(ctx.save_context_model(model))
         for sentence in train[:10]:
-            assert np.array_equal(model.logits(sentence), clone.logits(sentence))
+            assert np.array_equal(logits(model, sentence), logits(clone, sentence))
         assert ctx.save_context_model(clone) == ctx.save_context_model(model)
 
     def test_compact_and_indented_files_load_to_identical_parameters(self):

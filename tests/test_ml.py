@@ -20,6 +20,7 @@ from lexisent.lexicon import (
     NEUTRAL_EPSILON, LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag,
 )
 from lexisent.ml.dataset import Dataset, FEATURE_NAMES, featurize, split
+from lexisent.ml.serialize import TREE_FIELDS
 from lexisent.ml.tree import best_split, gini
 
 CLASSES_AB = ("a", "b")
@@ -239,7 +240,7 @@ class TestDecisionTree:
     def test_pure_input_single_leaf(self):
         data = dataset_from([[0.0], [1.0], [2.0]], [1, 1, 1])
         model = ml.train_decision_tree(data)
-        assert model.tree.feature[0] == -1
+        assert model.trees[0].feature[0] == -1
         assert model.predict_proba(data.X)[0].tolist() == [0.0, 1.0]
 
     def test_stump_matches_exhaustive_search(self):
@@ -248,8 +249,8 @@ class TestDecisionTree:
         data = dataset_from(X, y)
         model = ml.train_decision_tree(data, max_depth=1)
         feature, threshold, _ = brute_force_stump(X, y, 2)
-        assert model.tree.feature[0] == feature
-        assert model.tree.threshold[0] == pytest.approx(threshold)
+        assert model.trees[0].feature[0] == feature
+        assert model.trees[0].threshold[0] == pytest.approx(threshold)
 
     def test_stump_matches_exhaustive_search_many_seeds(self):
         for seed in range(25):
@@ -259,10 +260,10 @@ class TestDecisionTree:
             expected = brute_force_stump(X, y, 2)
             model = ml.train_decision_tree(dataset_from(X, y), max_depth=1)
             if expected is None:
-                assert model.tree.feature[0] == -1
+                assert model.trees[0].feature[0] == -1
             else:
-                assert model.tree.feature[0] == expected[0]
-                assert model.tree.threshold[0] == pytest.approx(expected[1])
+                assert model.trees[0].feature[0] == expected[0]
+                assert model.trees[0].threshold[0] == pytest.approx(expected[1])
 
     def test_training_accuracy_nondecreasing_in_depth(self):
         rng = np.random.default_rng(5)
@@ -278,13 +279,24 @@ class TestRandomForest:
     def test_degenerate_forest_equals_tree(self):
         rng = np.random.default_rng(9)
         data = random_dataset(rng, n=40, d=4, k=3)
-        tree = ml.train_decision_tree(data, max_depth=6)
+        tree = ml.train_decision_tree(data, max_depth=6, min_samples_split=3, seed=4)
         forest = ml.train_random_forest(
-            data, n_trees=1, max_depth=6, bootstrap=False, feature_subsample=False
+            data, n_trees=1, max_depth=6, min_samples_split=3, seed=4,
+            bootstrap=False, feature_subsample=False,
         )
+        assert (tree.kind, forest.kind) == ("decision_tree", "random_forest")
+        assert len(tree.trees) == len(forest.trees) == 1
+        for name in TREE_FIELDS:
+            expected = getattr(forest.trees[0], name)
+            assert getattr(tree.trees[0], name).tobytes() == expected.tobytes()
         probe = rng.normal(size=(60, 4))
         assert np.array_equal(forest.predict(probe), tree.predict(probe))
-        assert np.allclose(forest.predict_proba(probe), tree.predict_proba(probe))
+        assert np.array_equal(forest.predict_proba(probe), tree.predict_proba(probe))
+        saved = json.loads(ml.save_model(tree))
+        assert saved["kind"] == "decision_tree"
+        assert saved["seed"] == 4
+        assert len(saved["parameters"]["trees"]) == 1
+        assert saved["hyperparameters"] == {"max_depth": 6, "min_samples_split": 3}
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(10)
@@ -517,7 +529,7 @@ class TestFlatTreeMatchesNodeGraph:
     def test_threshold_keeps_the_scored_partition(self, lower, upper):
         assert not (lower + upper) / 2.0 < upper
         data = dataset_from([[lower], [upper], [upper]], [0, 1, 1])
-        tree = ml.train_decision_tree(data, max_depth=1).tree
+        tree = ml.train_decision_tree(data, max_depth=1).trees[0]
         assert tree.threshold[0] == lower
         assert tree.value.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
         assert tree.predict_proba(data.X).tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]]
@@ -550,7 +562,7 @@ class TestBestSplitPerNode:
         else:
             model = ml.train_decision_tree(data, max_depth=5)
             reference_build(data.X, data.y, 3, 5, 2)
-            assert calls["new"] >= np.count_nonzero(model.tree.feature >= 0) > 0
+            assert calls["new"] >= np.count_nonzero(model.trees[0].feature >= 0) > 0
         assert calls["new"] == calls["reference"] > 0
 
 
@@ -587,7 +599,7 @@ class TestRefusedTreeSettings:
     def test_depth_one_and_no_limit_are_accepted(self):
         data = dataset_from([[0.0], [1.0]], [0, 1])
         for max_depth in (1, None):
-            assert ml.train_decision_tree(data, max_depth=max_depth).tree.feature[0] == 0
+            assert ml.train_decision_tree(data, max_depth=max_depth).trees[0].feature[0] == 0
 
 
 def gaussian_density(x, mean, var):

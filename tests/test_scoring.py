@@ -25,7 +25,7 @@ from lexisent.scoring import (
     score_sentence,
     zero_baseline,
 )
-from lexisent.translator import translate
+from lexisent.translator import translate, word_tokens
 
 EN = LanguageCode.ENGLISH
 AF = LanguageCode.AFRIKAANS
@@ -150,6 +150,13 @@ class TestBaseline:
 
     def test_empty_sentence(self):
         assert builtin_english_baseline("") == (0.0, Polarity.NEUTRAL)
+
+    def test_words_split_as_the_tokenizer_splits_them(self):
+        # NFC maps the Greek question mark U+037E to ";", which separates words.
+        sentence = "good\u037ebad"
+        assert word_tokens(sentence) == ["good", "bad"]
+        assert builtin_english_baseline(sentence) == builtin_english_baseline("good bad")
+        assert builtin_english_baseline(sentence)[1] is Polarity.NEGATIVE
 
     def test_normalization_formula(self):
         # Hand oracle: three hits of valence 2.7 sum to 8.1 before squashing.
