@@ -228,6 +228,8 @@ def cmd_lexicon_stats(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    if (args.text is None) == (args.infile is None):
+        raise _UsageError("provide exactly one of --text or --in")
     lexicon = _parse_file(args.lex, _normalized_lexicon)
     if args.text is not None:
         if not args.source or not args.target:
@@ -350,18 +352,18 @@ def cmd_ml_train(args) -> int:
     lexicon = _parse_file(args.lex, parse_lexicon)
     dataset = ml.featurize(lexicon, task=args.task)
     train_set, test_set = ml.split(dataset, args.train_fraction, args.seed)
+    if not len(test_set):
+        raise ValueError(f"{args.lex}: test split is empty")
     model = _train_ml_model(train_set, args)
     model.hyperparameters["task"] = args.task
     model.hyperparameters["split"] = {"seed": args.seed, "train_fraction": args.train_fraction}
     out = OutputDir(args.out, _effective_config(args))
     out.write("model.json", ml.save_model(model))
     out.write("dataset.csv", ml.dataset_csv(dataset))
-    summary = {"accuracy": None}
-    if len(test_set):
-        proba = model.predict_proba(test_set.X)
-        summary = _write_evaluation(
-            out, test_set.y, model.predict(test_set.X), proba, dataset.class_names
-        )
+    summary = _write_evaluation(
+        out, test_set.y, model.predict(test_set.X),
+        model.predict_proba(test_set.X), dataset.class_names,
+    )
     out.finish()
     print(
         f"{args.model} trained on {len(train_set)}/{len(dataset)} vectors, "

@@ -23,7 +23,7 @@ import csv
 import io
 import types
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain
@@ -160,13 +160,14 @@ def check_score(value: float, row: int | None = None, column: str | None = None)
     return float(value)
 
 
-@dataclass(frozen=True)
-class LexiconEntry:
+class LexiconEntry(NamedTuple):
     """One concept: surface forms per language, POS, shared and per-language scores.
 
     ``entry_id`` is assigned positionally by the owning :class:`Lexicon`;
     missing translations and missing per-language scores are absent keys,
-    never empty strings.
+    never empty strings. An entry is a named tuple: it compares equal to a
+    plain tuple of the same five fields and unpacks to them, and
+    ``entry._replace(...)`` makes a changed copy.
     """
 
     forms: Mapping[LanguageCode, str]
@@ -226,7 +227,7 @@ class Lexicon:
 
     def __init__(self, entries: Iterable[LexiconEntry]):
         self.entries: tuple[LexiconEntry, ...] = tuple(
-            entry if entry.entry_id == f"r{i}" else replace(entry, entry_id=f"r{i}")
+            entry if entry.entry_id == f"r{i}" else entry._replace(entry_id=f"r{i}")
             for i, entry in enumerate(entries, start=1)
         )
 
@@ -309,22 +310,20 @@ def _add_phrase_length(lengths: dict[str, tuple[int, ...]], form: str) -> None:
         lengths[first] = tuple(sorted((*known, count), reverse=True))
 
 
-#: Cells of a CSV row, in header order: (cell index, language) of each form,
-#: and (cell index, language, column name) of each per-language score.
+#: Cells of a CSV row, in header order: (cell index, language) of each form.
 _FORM_CELLS: tuple[tuple[int, LanguageCode], ...] = tuple(
     (CSV_HEADER.index(lang.value), lang) for lang in LanguageCode
-)
-_SCORE_CELLS: tuple[tuple[int, LanguageCode, str], ...] = tuple(
-    (CSV_HEADER.index(SCORE_COLUMNS[lang]), lang, SCORE_COLUMNS[lang]) for lang in LanguageCode
 )
 _FRENCH_CELL = CSV_HEADER.index(LanguageCode.FRENCH.value)
 _POS_CELL = CSV_HEADER.index("pos")
 _SCORE_CELL = CSV_HEADER.index("score")
 _POS_BY_VALUE: dict[str, PosTag] = {tag.value: tag for tag in PosTag}
 _POS_TEXT: dict[PosTag, str] = {tag: tag.value for tag in PosTag}
-#: Every score cell of a row, the shared score's first with language None.
-_ROW_SCORE_CELLS: tuple[tuple[int, LanguageCode | None], ...] = (
-    (_SCORE_CELL, None), *((i, lang) for i, lang, _ in _SCORE_CELLS)
+#: Every score cell of a row as (cell index, language, column name), in
+#: header order: the shared score's first, with language None.
+_ROW_SCORE_CELLS: tuple[tuple[int, LanguageCode | None, str], ...] = (
+    (_SCORE_CELL, None, "score"),
+    *((CSV_HEADER.index(column), lang, column) for lang, column in SCORE_COLUMNS.items()),
 )
 _LANGUAGES = tuple(LanguageCode)
 _BLANKS = ("",) * len(_LANGUAGES)
@@ -341,8 +340,14 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
 
     Rows are kept in file order and are *not* cleaned: un-trimmed or mixed-case
     forms and duplicate rows survive parsing so that :func:`clean` can report
-    them. Errors carry the offending 1-based data row and column. Lines may
-    end in ``\\n``, ``\\r\\n`` or ``\\r``.
+    them. Lines may end in ``\\n``, ``\\r\\n`` or ``\\r``.
+
+    A row's first error is raised by the check that finds it, with the
+    1-based data row and, for every check but the column count, the column.
+    The checks run in this order: the column count, a missing French form,
+    the POS, an empty shared score, then each score cell in header order
+    (shared score first), which must be a float literal within
+    [:data:`SCORE_MIN`, :data:`SCORE_MAX`].
 
     Each distinct score literal is converted and range-checked once per call,
     as long as the call has met at most :data:`_MEMO_LIMIT` of them: a literal
@@ -374,11 +379,22 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
         # table saves when every literal is new.
         scores: dict[str, float] = {}
         for row_no, row in enumerate(reader, start=1):
-            if (len(row) != n_columns or not row[_FRENCH_CELL] or not row[_SCORE_CELL]
-                    or row[_POS_CELL] not in _POS_BY_VALUE):
-                raise _row_error(row, row_no)
+            if len(row) != n_columns:
+                raise LexiconFormatError(
+                    f"expected {n_columns} columns, found {len(row)}", row=row_no
+                )
+            if not row[_FRENCH_CELL]:
+                raise LexiconFormatError("missing required french form", row_no, "french")
+            pos = _POS_BY_VALUE.get(row[_POS_CELL])
+            if pos is None:
+                try:
+                    pos = PosTag.parse(row[_POS_CELL])
+                except ValueError as exc:
+                    raise LexiconFormatError(str(exc), row_no, "pos") from None
+            if not row[_SCORE_CELL]:
+                raise LexiconFormatError("invalid score literal ''", row_no, "score")
             per_language = {}  # holds the shared score too, under None, until popped
-            for i, lang in _ROW_SCORE_CELLS:
+            for i, lang, column in _ROW_SCORE_CELLS:
                 cell = row[i]
                 if cell:
                     value = scores.get(cell)
@@ -386,9 +402,11 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
                         try:
                             value = float(cell)
                         except ValueError:
-                            raise _row_error(row, row_no) from None
+                            raise LexiconFormatError(
+                                f"invalid score literal {cell!r}", row_no, column
+                            ) from None
                         if not SCORE_MIN <= value <= SCORE_MAX:  # written so that NaN fails too
-                            raise _row_error(row, row_no)
+                            check_score(value, row_no, column)  # raises the range error
                         if len(scores) == _MEMO_LIMIT:
                             scores.clear()
                         scores[cell] = value
@@ -397,7 +415,7 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
             entries.append(
                 LexiconEntry(
                     {lang: row[i] for i, lang in _FORM_CELLS if row[i]},
-                    _POS_BY_VALUE[row[_POS_CELL]],
+                    pos,
                     shared,
                     per_language,
                     f"r{row_no}",
@@ -407,37 +425,6 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
         row_no = 0 if header is None else len(entries) + 1
         raise LexiconFormatError(f"malformed CSV: {exc}", row=row_no) from None
     return Lexicon(entries)
-
-
-def _row_error(row: list[str], row_no: int) -> LexiconFormatError:
-    """The first error of a row that :func:`parse_lexicon` refused, found by
-    checking its cells one at a time in column order."""
-    if len(row) != len(CSV_HEADER):
-        return LexiconFormatError(
-            f"expected {len(CSV_HEADER)} columns, found {len(row)}", row=row_no
-        )
-    if not row[_FRENCH_CELL]:
-        return LexiconFormatError("missing required french form", row_no, "french")
-    try:
-        PosTag.parse(row[_POS_CELL])
-    except ValueError as exc:
-        return LexiconFormatError(str(exc), row_no, "pos")
-    try:
-        _parse_score(row[_SCORE_CELL], row_no, "score")
-        for i, _, column in _SCORE_CELLS:
-            if row[i]:
-                _parse_score(row[i], row_no, column)
-    except LexiconFormatError as exc:
-        return exc
-    raise AssertionError(f"row {row_no} has no error")
-
-
-def _parse_score(cell: str, row: int, column: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise LexiconFormatError(f"invalid score literal {cell!r}", row, column) from None
-    return check_score(value, row, column)
 
 
 def format_score(value: float) -> str:

@@ -91,7 +91,9 @@ def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dat
     be stratified).
     """
     if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must lie strictly between 0 and 1")
+        raise SettingError(
+            "train_fraction", f"must lie strictly between 0 and 1, got {train_fraction}"
+        )
     rng = rng_for(seed, 0)
     train_idx: list[int] = []
     test_idx: list[int] = []

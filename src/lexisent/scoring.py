@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
-from .lexicon import LanguageCode, Lexicon, Polarity, format_score, normalize_sentence
-from .translator import WORD_PATTERN, Token, TokenKind, tokenize
+from .lexicon import LanguageCode, Lexicon, Polarity, format_score
+from .translator import Token, TokenKind, tokenize, word_tokens
 
 
 class ScoreMode(str, Enum):
@@ -180,7 +180,7 @@ def builtin_english_baseline(sentence: str) -> tuple[float, Polarity]:
     Words are split as :func:`~lexisent.translator.tokenize` splits them.
     """
     total = 0.0
-    for word in WORD_PATTERN.findall(normalize_sentence(sentence)):
+    for word in word_tokens(sentence):
         total += ENGLISH_VALENCES.get(word, 0.0)
     compound = total / math.sqrt(total * total + _NORMALIZATION_ALPHA)
     if compound > BASELINE_THRESHOLD:

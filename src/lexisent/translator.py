@@ -51,11 +51,7 @@ class TranslationResult:
 
 def word_tokens(text: str) -> list[str]:
     """Normalized words of ``text`` with punctuation separators dropped."""
-    return [w for w, _, _ in _words_with_spans(normalize_sentence(text))]
-
-
-def _words_with_spans(normalized: str) -> list[tuple[str, int, int]]:
-    return [(m.group(), m.start(), m.end()) for m in WORD_PATTERN.finditer(normalized)]
+    return WORD_PATTERN.findall(normalize_sentence(text))
 
 
 def tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[Token]:

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -192,6 +191,17 @@ class TestTranslateCommand:
 
     def test_text_requires_languages(self, paper_lex_file):
         assert run("translate", "--lex", paper_lex_file, "--text", "hi") == 1
+
+    @pytest.mark.parametrize("given", [
+        ("--text", "bon", "--from", "french", "--to", "english", "--in", "x.csv"),
+        (),
+    ])
+    def test_takes_exactly_one_of_text_or_in(self, tmp_path, given, capsys):
+        # The lexicon does not exist: the flags are refused before it is read.
+        assert run("translate", "--lex", tmp_path / "missing.csv", *given,
+                   "--out", tmp_path / "y") == 1
+        assert "usage error: provide exactly one of --text or --in\n" in capsys.readouterr().err
+        assert not (tmp_path / "y").exists()
 
     def test_unknown_language(self, paper_lex_file):
         assert run("translate", "--lex", paper_lex_file, "--text", "hi",
@@ -399,6 +409,16 @@ class TestMlCommands:
         assert "error: --n-trees must be at least 1, got 0\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value, shown", [("1.5", "1.5"), ("0", "0.0"), ("1", "1.0")])
+    def test_train_names_the_flag_of_a_refused_train_fraction(
+            self, tmp_path, paper_lex_file, value, shown, capsys):
+        out = tmp_path / "ml"
+        assert run("ml", "train", "--lex", paper_lex_file, "--out", out,
+                   "--train-fraction", value) == 2
+        assert (f"error: --train-fraction must lie strictly between 0 and 1, got {shown}\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("model, flag, value, problem", [
         ("gaussian_nb", "--var-smoothing", "0", "must be a finite number above 0, got 0.0"),
         ("gaussian_nb", "--var-smoothing", "-1", "must be a finite number above 0, got -1.0"),
@@ -597,7 +617,12 @@ class TestErrorsNameTheFile:
                                                               capsys):
         lexicon = tmp_path / "one.csv"  # one entry: its single-member class goes to training
         lexicon.write_bytes(b"".join(paper_lex_file.read_bytes().splitlines(True)[:2]))
+        refused = tmp_path / "refused"
         assert run("ml", "train", "--lex", lexicon, "--model", "decision_tree",
+                   "--out", refused) == 2
+        assert f"error: {lexicon}: test split is empty" in capsys.readouterr().err
+        assert not refused.exists()
+        assert run("ml", "train", "--lex", paper_lex_file, "--model", "decision_tree",
                    "--out", tmp_path / "ml") == 0
         out = tmp_path / "out"
         assert run("ml", "eval", "--model", tmp_path / "ml" / "model.json",
@@ -812,7 +837,7 @@ class TestCtxGenerateNeedsACleanLexicon:
         entries = list(build_ctx_lexicon().entries)
         french, english = LanguageCode.FRENCH, LanguageCode.ENGLISH
         assert entries[1].forms == {french: "accuser", english: "accuse"}
-        entries[1] = replace(entries[1], forms={french: "accuser", english: "Accuse "})
+        entries[1] = entries[1]._replace(forms={french: "accuser", english: "Accuse "})
         path = tmp_path / "dirty.csv"
         path.write_bytes(serialize_lexicon(Lexicon(entries)))
         return path

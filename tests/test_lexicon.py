@@ -5,7 +5,6 @@ import io
 import json
 import math
 import unicodedata
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +37,6 @@ from lexisent.lexicon import (
     serialize_lexicon,
     validate_lexicon,
 )
-from lexisent.lexicon import _parse_score
 from lexisent.translator import tokenize
 
 HEADER = ",".join(CSV_HEADER)
@@ -534,9 +532,18 @@ class TestIndexes:
 # The parser against the row-by-row parser it replaced.
 
 
+def parse_score(cell: str, row: int, column: str) -> float:
+    """One score cell, converted and range-checked on its own."""
+    try:
+        value = float(cell)
+    except ValueError:
+        raise LexiconFormatError(f"invalid score literal {cell!r}", row, column) from None
+    return check_score(value, row, column)
+
+
 def reference_parse_lexicon(source: bytes | str) -> Lexicon:
     """The earlier ``parse_lexicon``: one dict per row, enum loops, and a
-    checked ``_parse_score`` call per score cell."""
+    checked :func:`parse_score` call per score cell."""
     if isinstance(source, bytes):
         try:
             text = source.decode("utf-8")
@@ -553,13 +560,6 @@ def reference_parse_lexicon(source: bytes | str) -> Lexicon:
         raise LexiconFormatError(
             f"bad header {header!r}; expected {','.join(CSV_HEADER)}", row=0
         )
-
-    def parse_score(cell, row, column):
-        try:
-            value = float(cell)
-        except ValueError:
-            raise LexiconFormatError(f"invalid score literal {cell!r}", row, column) from None
-        return check_score(value, row, column)
 
     entries = []
     for row_no, row in enumerate(reader, start=1):
@@ -682,6 +682,10 @@ def test_parser_equals_the_row_by_row_reference(data):
     ("aimer,,,,,,verbe,1,,9.5,x,,,", "score 9.5 outside [-9, 9]", "score_cil"),
     ("aimer,,,,,,verbe,x,9.5,,,,,", "invalid score literal 'x'", "score"),
     (",,,,,,noun,x,,,,,,", "missing required french form", "french"),
+    # Two checks fail: the first in check order names the row's error.
+    ("aimer,,,,,,noun,,,,,,,", "unknown POS tag 'noun'", "pos"),
+    (",,,,,,verbe,1,,,,,", "expected 14 columns, found 13", None),
+    ("aimer,,,,,,verbe,1,1,,,,,nan", "score nan outside [-9, 9]", "score_zu"),
 ])
 def test_row_errors_name_the_first_bad_cell(row, message, column):
     with pytest.raises(LexiconFormatError) as caught:
@@ -716,14 +720,14 @@ def signed(value: float) -> tuple[float, float]:
 
 
 def cellwise_scores(rows: list[list[str]]):
-    """Each row's shared and per-language scores by one ``_parse_score`` call
+    """Each row's shared and per-language scores by one :func:`parse_score` call
     per cell, or the first error's text, row and column."""
     parsed = []
     for row_no, row in enumerate(rows, start=1):
         cells = dict(zip(CSV_HEADER, row))
         try:
-            shared = _parse_score(cells["score"], row_no, "score")
-            own = [(language, signed(_parse_score(cells[column], row_no, column)))
+            shared = parse_score(cells["score"], row_no, "score")
+            own = [(language, signed(parse_score(cells[column], row_no, column)))
                    for language, column in SCORE_COLUMNS.items() if cells[column]]
         except LexiconFormatError as exc:
             return ("error", str(exc), exc.row, exc.column)
@@ -1065,7 +1069,7 @@ def candidate_st(draw) -> LexiconEntry:
     forms = {language: normalize_form(form) for language, form in entry.forms.items()}
     forms = {language: form for language, form in forms.items() if form}
     forms.setdefault(LanguageCode.FRENCH, "mot")
-    return replace(entry, forms=forms)
+    return entry._replace(forms=forms)
 
 
 def caught(call):

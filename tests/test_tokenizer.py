@@ -9,7 +9,6 @@ by POS priority and row on every hit.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +19,7 @@ from lexisent.scoring import score_batch, zero_baseline
 from lexisent.translator import (
     Token,
     TokenKind,
-    _words_with_spans,
+    WORD_PATTERN,
     normalize_sentence,
     tokenize,
 )
@@ -44,6 +43,11 @@ def oracle_words(normalized: str) -> list[tuple[str, int, int]]:
     if start is not None:
         words.append((normalized[start:], start, len(normalized)))
     return words
+
+
+def regex_words(normalized: str) -> list[tuple[str, int, int]]:
+    """Each ``WORD_PATTERN`` match as (word, start, end), as the tokenizer splits."""
+    return [(m.group(), m.start(), m.end()) for m in WORD_PATTERN.finditer(normalized)]
 
 
 def oracle_tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[Token]:
@@ -138,19 +142,19 @@ def test_ambiguous_tie_break_matches_oracle_beyond_nine_entries():
 @given(st.text(alphabet=st.characters(codec="utf-8"), max_size=60))
 @settings(max_examples=300, deadline=None)
 def test_regex_splitter_equals_character_loop(text):
-    assert _words_with_spans(text) == oracle_words(text)
+    assert regex_words(text) == oracle_words(text)
 
 
 def test_regex_splitter_equals_character_loop_on_every_code_point():
     text = "a".join(chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF)
-    assert _words_with_spans(text) == oracle_words(text)
+    assert regex_words(text) == oracle_words(text)
 
 
 def test_regex_splitter_on_unicode_whitespace():
     text = "a\u00a0b\u2003c\u3000d\x1ce\u200bf"
     # U+200B (zero width space) is not whitespace to str.isspace(), so it stays.
-    assert [w for w, _, _ in _words_with_spans(text)] == ["a", "b", "c", "d", "e\u200bf"]
-    assert _words_with_spans(text) == oracle_words(text)
+    assert [w for w, _, _ in regex_words(text)] == ["a", "b", "c", "d", "e\u200bf"]
+    assert regex_words(text) == oracle_words(text)
 
 
 def test_score_batch_tokenizes_each_sentence_once(monkeypatch, paper_lexicon):
@@ -189,9 +193,9 @@ def scored_lexicons(draw) -> Lexicon:
     entries = draw(lexicons()).entries
     score = st.sampled_from(WALK_SCORES)
     return Lexicon([
-        replace(entry, shared_score=draw(score),
-                per_language_scores=draw(st.dictionaries(st.sampled_from(list(LanguageCode)),
-                                                         score, max_size=3)))
+        entry._replace(shared_score=draw(score),
+                       per_language_scores=draw(st.dictionaries(
+                           st.sampled_from(list(LanguageCode)), score, max_size=3)))
         for entry in entries
     ])
 
