@@ -230,10 +230,18 @@ def cmd_lexicon_stats(args) -> int:
 def cmd_translate(args) -> int:
     if (args.text is None) == (args.infile is None):
         raise _UsageError("provide exactly one of --text or --in")
-    lexicon = _parse_file(args.lex, _normalized_lexicon)
     if args.text is not None:
         if not args.source or not args.target:
             raise _UsageError("--text requires --from and --to")
+        if args.out is not None:
+            raise _UsageError("--out applies only to --in; --text prints its translation")
+    else:
+        if args.source is not None or args.target is not None:
+            raise _UsageError("--from and --to apply only to --text; --in reads them per row")
+        if not args.infile or not args.out:
+            raise _UsageError("batch mode requires --in and --out")
+    lexicon = _parse_file(args.lex, _normalized_lexicon)
+    if args.text is not None:
         result = tr.translate(
             args.text,
             LanguageCode.parse(args.source),
@@ -244,8 +252,6 @@ def cmd_translate(args) -> int:
         if result.unknown_count:
             print(f"{result.unknown_count} unknown token(s)", file=sys.stderr)
         return 0
-    if not args.infile or not args.out:
-        raise _UsageError("batch mode requires --in and --out")
     rows = _parse_file(
         args.infile,
         partial(_sentence_rows, header=("sentence", "source_language", "target_language")),
@@ -518,9 +524,9 @@ def cmd_explain(args) -> int:
     from . import attribution as attr
     from . import contextual as ctx
 
-    model = _parse_file(args.model, ctx.load_context_model)
     if (args.text is None) == (args.corpus is None):
         raise _UsageError("provide exactly one of --text or --corpus")
+    model = _parse_file(args.model, ctx.load_context_model)
     if args.text is not None:
         sentences = [ctx.parse_marked(args.text)]
     else:

@@ -1,7 +1,9 @@
 """Six-language sentiment lexicon: domain types, CSV I/O, cleaning, extension.
 
-It also holds the two text writers every command uses: :func:`csv_text` and
-:func:`json_text`.
+It also holds the two text writers every command uses: :func:`csv_text`,
+which joins ``str`` cells by ``,`` and quotes only a cell holding ``,``,
+``"``, ``\\r`` or ``\\n``, and :func:`json_text`, which writes
+``json.dumps``'s indented bytes. Neither calls the standard library's writer.
 
 A lexicon row is one concept carried across up to six languages, with a part
 of speech, one shared sentiment score, and optional per-language scores.
@@ -21,7 +23,6 @@ from __future__ import annotations
 
 import csv
 import io
-import types
 import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
@@ -435,20 +436,35 @@ def format_score(value: float) -> str:
 
 
 def csv_text(rows: Iterable[Sequence[str]]) -> str:
-    """CSV text of ``rows``, each ended by ``\\n``, with minimal quoting.
+    """CSV text of ``rows``: ``str`` cells joined by ``,``, each row ended by ``\\n``.
 
-    A cell holding ``\\r`` is quoted too, so a reader reads the cell back
-    whole. ``csv.writer`` quotes only the characters of its line terminator,
-    so rows are written with ``\\r\\n`` ends, one ``write`` call per row,
-    and each end is cut back to ``\\n``.
+    A cell holding ``,``, ``"``, ``\\r`` or ``\\n`` is quoted: wrapped in
+    ``"``, with each inner ``"`` doubled. A row of one empty cell is written
+    ``""``, and an empty row as an empty line. This is ``csv.writer``'s
+    minimal quoting with a ``\\r\\n`` terminator, so ``csv.reader`` reads
+    every cell back whole; the bytes are defined by this rule, not by the
+    installed ``csv`` module. A joined line whose only commas are its
+    separators, and which holds no ``"``, ``\\r`` or ``\\n``, is written as
+    it is.
     """
     buffer = io.StringIO()
-
-    def write(line: str) -> None:
-        buffer.write(line[:-2] + "\n")
-
-    csv.writer(types.SimpleNamespace(write=write), lineterminator="\r\n").writerows(rows)
+    write = buffer.write
+    for row in rows:
+        line = ",".join(row)
+        if not line and len(row) == 1:
+            line = '""'
+        elif (line.count(",") != len(row) - 1
+              or '"' in line or "\r" in line or "\n" in line):
+            line = ",".join(map(_csv_cell, row))
+        write(line)
+        write("\n")
     return buffer.getvalue()
+
+
+def _csv_cell(cell: str) -> str:
+    if "," in cell or '"' in cell or "\r" in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 def json_text(payload) -> str:

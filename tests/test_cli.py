@@ -203,6 +203,22 @@ class TestTranslateCommand:
         assert "usage error: provide exactly one of --text or --in\n" in capsys.readouterr().err
         assert not (tmp_path / "y").exists()
 
+    def test_text_refuses_out(self, tmp_path, capsys):
+        # The lexicon does not exist: the flag is refused before it is read.
+        assert run("translate", "--lex", tmp_path / "missing.csv", "--text", "bon",
+                   "--from", "french", "--to", "english", "--out", tmp_path / "y") == 1
+        assert ("usage error: --out applies only to --in; --text prints its translation\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "y").exists()
+
+    @pytest.mark.parametrize("given", [("--from", "klingon"), ("--to", "english")])
+    def test_in_refuses_from_and_to(self, tmp_path, given, capsys):
+        assert run("translate", "--lex", tmp_path / "missing.csv", "--in", tmp_path / "x.csv",
+                   "--out", tmp_path / "y", *given) == 1
+        assert ("usage error: --from and --to apply only to --text; --in reads them per row\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "y").exists()
+
     def test_unknown_language(self, paper_lex_file):
         assert run("translate", "--lex", paper_lex_file, "--text", "hi",
                    "--from", "klingon", "--to", "english") == 2
@@ -523,6 +539,12 @@ class TestCtxAndExplain:
             "--epochs", "2", "--seed", "3", "--embedding-dim", "8")
         assert run("explain", "--model", trained / "model.json",
                    "--out", tmp_path / "x") == 1
+
+    def test_explain_checks_its_input_flags_before_the_model(self, tmp_path, capsys):
+        assert run("explain", "--model", tmp_path / "nope.json", "--out", tmp_path / "x") == 1
+        assert ("usage error: provide exactly one of --text or --corpus\n"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "x").exists()
 
 
 class TestErrorsNameTheFile:

@@ -145,10 +145,21 @@ class TestRoundTrip:
         assert parse_lexicon(data) == lex
 
 
-CELL_ST = st.text(alphabet="ab ,\"\r\n'", max_size=5)
+@pytest.mark.parametrize("rows, text", [
+    ([[""]], '""\n'),
+    ([[]], "\n"),
+    ([["a\rb", "c"]], '"a\rb",c\n'),
+    ([['say "hi"', "x,y", "é\tz"]], '"say ""hi""","x,y",é\tz\n'),
+    ([["a\x00b", "\x00"]], "a\x00b,\x00\n"),
+])
+def test_csv_text_edge_rows(rows, text):
+    assert csv_text(rows) == text
 
 
-@given(st.lists(st.lists(CELL_ST, min_size=2, max_size=4), max_size=5))
+CELL_ST = st.text(alphabet="ab ,\"\r\n'é\t\x00", max_size=5)
+
+
+@given(st.lists(st.lists(CELL_ST, min_size=0, max_size=4), max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_csv_text_reads_back_and_matches_the_plain_writer(rows):
     text = csv_text(rows)

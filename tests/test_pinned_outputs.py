@@ -1,5 +1,5 @@
 """Byte pins for the files that ``compare``, ``translate``, ``lexicon clean``
-and ``lexicon stats`` write.
+and ``lexicon stats`` write, and for the CSVs of ``ml train``.
 
 The ``compare``/``translate`` fixture is fixed: the published-score lexicon
 plus entries that make some forms ambiguous and some scores non-integral, and
@@ -9,7 +9,11 @@ walks were rewritten for speed. The ``lexicon`` fixture is a raw CSV whose
 score literals are all distinct text, equal values spelled apart included
 (``-0``/``0``, ``0.5``/``0.50``/``.5``), with a duplicate row; its SHA-256s
 were recorded before parse, serialize and EDA began converting each distinct
-score once. Any change to these files' bytes has to be deliberate.
+score once. The ``ml train`` CSVs (``dataset.csv`` and every ``roc_*.csv``)
+come from a decision tree on the published-score lexicon; a tree's
+probabilities are count fractions, so they do not depend on the BLAS build.
+Their SHA-256s were recorded before ``csv_text`` stopped running
+``csv.writer``. Any change to these files' bytes has to be deliberate.
 """
 
 from __future__ import annotations
@@ -35,6 +39,13 @@ EXPECTED_SHA256 = {
 LEXICON_SHA256 = {
     "clean/cleaned.csv": "198419f8bad1510db7c339cb0b82e8307973483c6b81c2ced59325a519bd5c02",
     "stats/eda.json": "b4abc1a9bdc0e1d7b2fa523d2fb98914945c4f70c12c1e1fa4faa3373d210134",
+}
+
+ML_TRAIN_SHA256 = {
+    "dataset.csv": "45b2d9cfc8c4569b45502845cec1ef3da5ec0453416c6a4f9cd1753890bf3c2e",
+    "roc_mot.csv": "fd74b5dca5b3d32d5c2f1ae4c1ea66ee2bbe663e50d6717a93e43dab9927e2cf",
+    "roc_pronompersonnel.csv": "a9656ddd0231ad35b284d31b23e6353f335aadcbb149b3baad749ded8d83fec1",
+    "roc_verbe.csv": "a89c3c105d3df0597dc65164c173e624c761f3f64a18b1733045fb607ca88be0",
 }
 
 #: Row 3 duplicates row 1 (French form once cleaned, POS, and a shared score
@@ -131,3 +142,13 @@ def test_lexicon_clean_and_stats_outputs_are_byte_identical(tmp_path, monkeypatc
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in LEXICON_SHA256}
     assert digests == LEXICON_SHA256
+
+
+def test_ml_train_csv_outputs_are_byte_identical(tmp_path, monkeypatch, paper_lexicon):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lexicon.csv").write_bytes(serialize_lexicon(paper_lexicon))
+    assert main(["ml", "train", "--lex", "lexicon.csv", "--model", "decision_tree",
+                 "--out", "ml"]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / "ml").glob("*.csv")}
+    assert digests == ML_TRAIN_SHA256
