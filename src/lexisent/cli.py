@@ -3,7 +3,11 @@
 Subcommands: ``lexicon validate|clean|stats``, ``translate``, ``score``,
 ``compare``, ``ml train|eval``, ``ctx generate|train|eval``, ``explain``.
 Every run echoes its effective configuration and a manifest of produced files
-into the output directory, so results are reproducible from disk.
+into the output directory, so results are reproducible from disk. A command
+returns its files instead of writing them; :func:`main` then builds
+``run_config.json`` and ``manifest.json``, and only after that makes the
+directory and writes every file. So a command that exits 1 or 2 writes
+nothing, and only a failing write can leave a partial directory.
 
 ``score`` and ``compare`` write both scoring modes (avg and v2). ``ml train``
 records its task and train/test split in the model, and ``ml eval`` scores the
@@ -27,6 +31,7 @@ import argparse
 import csv
 import gc
 import io
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -63,25 +68,9 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class OutputDir:
-    """Collects written files and finishes with a manifest + config echo."""
-
-    def __init__(self, path: str, config: dict):
-        self.path = Path(path)
-        self.path.mkdir(parents=True, exist_ok=True)
-        self.config = config
-        self.files: list[str] = []
-
-    def write(self, name: str, content: str | bytes) -> None:
-        """Write ``content``, text as UTF-8, to ``name`` in the directory."""
-        data = content.encode("utf-8") if isinstance(content, str) else content
-        (self.path / name).write_bytes(data)
-        self.files.append(name)
-
-    def finish(self) -> None:
-        self.write("run_config.json", json_text(self.config))
-        manifest = {"config": self.config, "files": sorted(self.files + ["manifest.json"])}
-        self.write("manifest.json", json_text(manifest))
+#: What a command returns: its output files, name to content (text is written
+#: as UTF-8) in write order, and its stderr summary line, if any.
+Output = tuple[dict[str, str | bytes], str | None]
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -140,94 +129,74 @@ def _sentence_rows(text: str, header: tuple[str, ...]) -> list[list]:
 # lexicon subcommands
 
 
-def cmd_lexicon_validate(args) -> int:
+def cmd_lexicon_validate(args) -> Output:
     lexicon = _parse_file(args.infile, parse_lexicon)
     report = validate_lexicon(lexicon)
     text = json_text(report.to_json_dict())
+    summary = f"{len(lexicon)} entries, {report.issue_count} issues"
     if args.out:
-        out = OutputDir(args.out, _effective_config(args))
-        out.write("validation_report.json", text)
-        out.finish()
-    else:
-        sys.stdout.write(text)
-    print(f"{len(lexicon)} entries, {report.issue_count} issues", file=sys.stderr)
-    return 0
+        return {"validation_report.json": text}, summary
+    sys.stdout.write(text)
+    return {}, summary
 
 
-def cmd_lexicon_clean(args) -> int:
+def cmd_lexicon_clean(args) -> Output:
     lexicon = _parse_file(args.infile, parse_lexicon)
     cleaned, report = clean(lexicon)
-    out = OutputDir(args.out, _effective_config(args))
-    out.write("cleaned.csv", serialize_lexicon(cleaned))
-    out.write("cleaning_report.json", json_text(report.to_json_dict()))
-    out.finish()
-    print(
-        f"{len(lexicon)} entries in, {len(cleaned)} out, "
-        f"{report.change_count} changes",
-        file=sys.stderr,
+    files = {
+        "cleaned.csv": serialize_lexicon(cleaned),
+        "cleaning_report.json": json_text(report.to_json_dict()),
+    }
+    return files, (
+        f"{len(lexicon)} entries in, {len(cleaned)} out, {report.change_count} changes"
     )
-    return 0
 
 
-def cmd_lexicon_stats(args) -> int:
+def cmd_lexicon_stats(args) -> Output:
     from . import eda, svg
 
     lexicon = _parse_file(args.infile, parse_lexicon)
     report = eda.compute_eda(lexicon)
-    out = OutputDir(args.out, _effective_config(args))
-    out.write("eda.json", json_text(report.to_json_dict()))
+    files = {"eda.json": json_text(report.to_json_dict())}
 
     polarities = [p.value for p in Polarity]
-    out.write(
-        "polarity_counts.svg",
-        svg.bar_chart(
-            polarities,
-            [report.polarity_counts[p] for p in Polarity],
-            "entries per polarity (shared score)",
-        ),
+    files["polarity_counts.svg"] = svg.bar_chart(
+        polarities,
+        [report.polarity_counts[p] for p in Polarity],
+        "entries per polarity (shared score)",
     )
     pos_rows = [p.value for p in report.pos_by_polarity]
-    out.write(
-        "pos_by_polarity.svg",
-        svg.heatmap_grid(
-            pos_rows,
-            polarities,
-            [[float(report.pos_by_polarity[pos][p]) for p in Polarity]
-             for pos in report.pos_by_polarity],
-            "POS against polarity",
-        ),
+    files["pos_by_polarity.svg"] = svg.heatmap_grid(
+        pos_rows,
+        polarities,
+        [[float(report.pos_by_polarity[pos][p]) for p in Polarity]
+         for pos in report.pos_by_polarity],
+        "POS against polarity",
     )
     centers = list(eda.HISTOGRAM_CENTERS)
     series = [
         (lang.value, [(float(c), float(n)) for c, n in zip(centers, counts)])
         for lang, counts in report.per_language_histograms.items()
     ]
-    out.write(
-        "score_densities.svg",
-        svg.line_chart(series, "per-language score distribution", "score", "entries"),
+    files["score_densities.svg"] = svg.line_chart(
+        series, "per-language score distribution", "score", "entries"
     )
     languages = list(LanguageCode)
-    out.write(
-        "correlation_matrix.svg",
-        svg.heatmap_grid(
-            [l.value for l in languages],
-            [l.value for l in languages],
-            [[report.cross_language_correlation[a][b] for b in languages]
-             for a in languages],
-            "cross-language score correlation",
-            fmt="{:.2f}",
-        ),
+    files["correlation_matrix.svg"] = svg.heatmap_grid(
+        [l.value for l in languages],
+        [l.value for l in languages],
+        [[report.cross_language_correlation[a][b] for b in languages] for a in languages],
+        "cross-language score correlation",
+        fmt="{:.2f}",
     )
-    out.finish()
-    print(f"eda over {len(lexicon)} entries written to {out.path}", file=sys.stderr)
-    return 0
+    return files, f"eda over {len(lexicon)} entries written to {Path(args.out)}"
 
 
 # ---------------------------------------------------------------------------
 # translation and scoring
 
 
-def cmd_translate(args) -> int:
+def cmd_translate(args) -> Output:
     if (args.text is None) == (args.infile is None):
         raise _UsageError("provide exactly one of --text or --in")
     if args.text is not None:
@@ -249,25 +218,19 @@ def cmd_translate(args) -> int:
             lexicon,
         )
         print(result.translated_text)
-        if result.unknown_count:
-            print(f"{result.unknown_count} unknown token(s)", file=sys.stderr)
-        return 0
+        return {}, (f"{result.unknown_count} unknown token(s)" if result.unknown_count else None)
     rows = _parse_file(
         args.infile,
         partial(_sentence_rows, header=("sentence", "source_language", "target_language")),
     )
     results = [tr.translate(s, a, b, lexicon) for s, a, b in rows]
-    out = OutputDir(args.out, _effective_config(args))
     table = [["sentence", "source_language", "target_language", "translated_text"]]
     for r in results:
         table.append(
             [r.source_text, r.source_language.value, r.target_language.value,
              r.translated_text]
         )
-    out.write("translations.csv", csv_text(table))
-    out.finish()
-    print(f"translated {len(results)} sentences", file=sys.stderr)
-    return 0
+    return {"translations.csv": csv_text(table)}, f"translated {len(results)} sentences"
 
 
 def _baseline_fn(name: str) -> scoring.BaselineScorer:
@@ -280,31 +243,24 @@ def _score_rows(args) -> scoring.ComparisonReport:
     return scoring.score_batch(rows, lexicon, _baseline_fn(args.baseline))
 
 
-def cmd_score(args) -> int:
+def cmd_score(args) -> Output:
     report = _score_rows(args)
-    out = OutputDir(args.out, _effective_config(args))
-    out.write("comparison.csv", csv_text(scoring.comparison_csv_rows(report)))
-    out.finish()
-    summary = "; ".join(
+    counts = "; ".join(
         f"{mode.value}: "
         + ", ".join(f"{p.value} {report.polarity_counts[mode.value][p]}" for p in Polarity)
         for mode in scoring.ScoreMode
     )
-    print(f"{len(report.rows)} sentences ({summary})", file=sys.stderr)
-    return 0
+    files = {"comparison.csv": csv_text(scoring.comparison_csv_rows(report))}
+    return files, f"{len(report.rows)} sentences ({counts})"
 
 
-def cmd_compare(args) -> int:
+def cmd_compare(args) -> Output:
     report = _score_rows(args)
-    out = OutputDir(args.out, _effective_config(args))
-    out.write("comparison.csv", csv_text(scoring.comparison_csv_rows(report)))
-    out.write("comparison.json", json_text(report.to_json_dict()))
-    out.finish()
-    print(
-        f"{len(report.rows)} sentences, v2/baseline agreement {report.agreement:.3f}",
-        file=sys.stderr,
-    )
-    return 0
+    files = {
+        "comparison.csv": csv_text(scoring.comparison_csv_rows(report)),
+        "comparison.json": json_text(report.to_json_dict()),
+    }
+    return files, f"{len(report.rows)} sentences, v2/baseline agreement {report.agreement:.3f}"
 
 
 # ---------------------------------------------------------------------------
@@ -331,28 +287,39 @@ def _train_ml_model(dataset, args):
     return ml.train_linear_svm(dataset, lam=args.lam, epochs=args.epochs, seed=args.seed)
 
 
-def _write_evaluation(out: OutputDir, y_true, y_pred, proba, class_names) -> dict:
+def _evaluation_files(model: str, y_true, y_pred, proba, class_names) -> tuple[dict, float]:
+    """The evaluation files of ``model``'s predictions, and its accuracy.
+    Class probabilities that are not finite are refused, naming ``model``."""
+    import numpy as np
+
     from . import metrics as evalm
     from . import svg
 
+    bad_rows = np.count_nonzero(~np.isfinite(proba).all(axis=1))
+    if bad_rows:
+        raise ValueError(
+            f"{model}: the class probabilities of {bad_rows} of {len(proba)} rows are not finite"
+        )
     cm = evalm.confusion(
         [class_names[t] for t in y_true], [class_names[p] for p in y_pred], class_names
     )
     report = evalm.metrics(cm)
     curves = evalm.roc_one_vs_rest(list(y_true), proba, class_names)
-    out.write("confusion.json", json_text(cm.to_json_dict()))
-    out.write("metrics.json", json_text(report.to_json_dict()))
-    out.write("metrics.txt", evalm.metrics_table(report))
+    files = {
+        "confusion.json": json_text(cm.to_json_dict()),
+        "metrics.json": json_text(report.to_json_dict()),
+        "metrics.txt": evalm.metrics_table(report),
+    }
     for name, curve in sorted(curves.items()):
         rows = [["false_positive_rate", "true_positive_rate"]]
         rows += [[repr(x), repr(y)] for x, y in curve.points]
-        out.write(f"roc_{name}.csv", csv_text(rows))
+        files[f"roc_{name}.csv"] = csv_text(rows)
     if curves:
-        out.write("roc.svg", svg.roc_chart(curves, "one-vs-rest ROC"))
-    return {"accuracy": report.accuracy}
+        files["roc.svg"] = svg.roc_chart(curves, "one-vs-rest ROC")
+    return files, report.accuracy
 
 
-def cmd_ml_train(args) -> int:
+def cmd_ml_train(args) -> Output:
     from . import ml
 
     lexicon = _parse_file(args.lex, parse_lexicon)
@@ -363,20 +330,15 @@ def cmd_ml_train(args) -> int:
     model = _train_ml_model(train_set, args)
     model.hyperparameters["task"] = args.task
     model.hyperparameters["split"] = {"seed": args.seed, "train_fraction": args.train_fraction}
-    out = OutputDir(args.out, _effective_config(args))
-    out.write("model.json", ml.save_model(model))
-    out.write("dataset.csv", ml.dataset_csv(dataset))
-    summary = _write_evaluation(
-        out, test_set.y, model.predict(test_set.X),
+    files = {"model.json": ml.save_model(model), "dataset.csv": ml.dataset_csv(dataset)}
+    evaluation, accuracy = _evaluation_files(
+        f"{args.model} trained on {args.lex}", test_set.y, model.predict(test_set.X),
         model.predict_proba(test_set.X), dataset.class_names,
     )
-    out.finish()
-    print(
+    return {**files, **evaluation}, (
         f"{args.model} trained on {len(train_set)}/{len(dataset)} vectors, "
-        f"test accuracy {summary['accuracy']}",
-        file=sys.stderr,
+        f"test accuracy {accuracy}"
     )
-    return 0
 
 
 def _use_recorded_split(model, args) -> None:
@@ -407,7 +369,7 @@ def _use_recorded_split(model, args) -> None:
         setattr(args, key, value)
 
 
-def cmd_ml_eval(args) -> int:
+def cmd_ml_eval(args) -> Output:
     from . import ml
 
     model = _parse_file(args.model, ml.load_model)
@@ -425,21 +387,18 @@ def cmd_ml_eval(args) -> int:
     _, test_set = ml.split(dataset, args.train_fraction, args.seed)
     if not len(test_set):
         raise ValueError(f"{args.lex}: test split is empty")
-    out = OutputDir(args.out, _effective_config(args))
-    summary = _write_evaluation(
-        out, test_set.y, model.predict(test_set.X),
+    files, accuracy = _evaluation_files(
+        args.model, test_set.y, model.predict(test_set.X),
         model.predict_proba(test_set.X), dataset.class_names,
     )
-    out.finish()
-    print(f"test accuracy {summary['accuracy']:.4f}", file=sys.stderr)
-    return 0
+    return files, f"test accuracy {accuracy:.4f}"
 
 
 # ---------------------------------------------------------------------------
 # contextual model
 
 
-def cmd_ctx_generate(args) -> int:
+def cmd_ctx_generate(args) -> Output:
     from . import contextual as ctx
 
     try:
@@ -457,14 +416,14 @@ def cmd_ctx_generate(args) -> int:
         lexicon, LanguageCode.parse(args.language), args.count, args.seed,
         label_weights=weights,
     )
-    out = OutputDir(args.out, _effective_config(args))
-    out.write("corpus.tsv", ctx.write_corpus(sentences))
-    out.finish()
-    print(f"generated {len(sentences)} sentences", file=sys.stderr)
-    return 0
+    try:
+        corpus = ctx.write_corpus(sentences)
+    except ValueError as exc:  # a form that would break the corpus's lines
+        raise ValueError(f"{args.lex}: {exc}") from None
+    return {"corpus.tsv": corpus}, f"generated {len(sentences)} sentences"
 
 
-def cmd_ctx_train(args) -> int:
+def cmd_ctx_train(args) -> Output:
     from . import contextual as ctx
 
     corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
@@ -486,23 +445,21 @@ def cmd_ctx_train(args) -> int:
         raise
     except ValueError as exc:  # nothing is written for a corpus that cannot be trained on
         raise ValueError(f"{args.corpus}: {exc}") from None
-    out = OutputDir(args.out, _effective_config(args))
-    out.write("model.json", ctx.save_context_model(model))
-    out.write("loss.csv", ctx.history_csv(model))
-    out.write("train.tsv", ctx.write_corpus(train_set))
-    out.write("validation.tsv", ctx.write_corpus(val_set))
-    out.write("test.tsv", ctx.write_corpus(test_set))
-    out.finish()
+    files = {
+        "model.json": ctx.save_context_model(model),
+        "loss.csv": ctx.history_csv(model),
+        "train.tsv": ctx.write_corpus(train_set),
+        "validation.tsv": ctx.write_corpus(val_set),
+        "test.tsv": ctx.write_corpus(test_set),
+    }
     val_acc = ctx.accuracy(model, val_set) if val_set else float("nan")
-    print(
+    return files, (
         f"trained {args.epochs} epochs on {len(train_set)} sentences, "
-        f"validation accuracy {val_acc:.4f}",
-        file=sys.stderr,
+        f"validation accuracy {val_acc:.4f}"
     )
-    return 0
 
 
-def cmd_ctx_eval(args) -> int:
+def cmd_ctx_eval(args) -> Output:
     from . import contextual as ctx
 
     model = _parse_file(args.model, ctx.load_context_model)
@@ -511,16 +468,13 @@ def cmd_ctx_eval(args) -> int:
         y_true, y_pred, proba = ctx.evaluate(model, corpus)
     except ValueError as exc:  # an empty corpus
         raise ValueError(f"{args.corpus}: {exc}") from None
-    out = OutputDir(args.out, _effective_config(args))
-    summary = _write_evaluation(
-        out, y_true, y_pred, proba, [p.value for p in ctx.CLASS_ORDER]
+    files, accuracy = _evaluation_files(
+        args.model, y_true, y_pred, proba, [p.value for p in ctx.CLASS_ORDER]
     )
-    out.finish()
-    print(f"accuracy {summary['accuracy']:.4f} on {len(y_true)} sentences", file=sys.stderr)
-    return 0
+    return files, f"accuracy {accuracy:.4f} on {len(y_true)} sentences"
 
 
-def cmd_explain(args) -> int:
+def cmd_explain(args) -> Output:
     from . import attribution as attr
     from . import contextual as ctx
 
@@ -532,23 +486,23 @@ def cmd_explain(args) -> int:
     else:
         sentences = _parse_file(args.corpus, ctx.read_corpus)
     target_class = Polarity(args.target_class) if args.target_class else None
-    maps = [
-        attr.integrated_gradients(
+    maps, files = [], {}
+    for i, sentence in enumerate(sentences, start=1):
+        amap = attr.integrated_gradients(
             model, sentence, target_class=target_class, steps=args.steps,
             baseline_kind=args.baseline, scheme=args.scheme,
         )
-        for sentence in sentences
-    ]
-    out = OutputDir(args.out, _effective_config(args))
-    for i, amap in enumerate(maps, start=1):
-        stem = f"attribution_{i:04d}" if len(maps) > 1 else "attribution"
-        out.write(f"{stem}.json", attr.attribution_json(amap))
-        out.write(f"{stem}.csv", attr.heatmap_csv(amap))
-        out.write(f"{stem}.svg", attr.heatmap_svg(amap))
-    out.write("summary.csv", csv_text(attr.summary_rows(maps)))
-    out.finish()
-    print(f"attributed {len(maps)} sentence(s)", file=sys.stderr)
-    return 0
+        numbers = (amap.confidence, amap.total_attribution, amap.convergence_delta,
+                   amap.score_input, amap.score_baseline, *(v for _, v in amap.per_token))
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"{args.model}: the attribution of {sentence.text!r} is not finite")
+        maps.append(amap)
+        stem = f"attribution_{i:04d}" if len(sentences) > 1 else "attribution"
+        files[f"{stem}.json"] = attr.attribution_json(amap)
+        files[f"{stem}.csv"] = attr.heatmap_csv(amap)
+        files[f"{stem}.svg"] = attr.heatmap_svg(amap)
+    files["summary.csv"] = csv_text(attr.summary_rows(maps))
+    return files, f"attributed {len(maps)} sentence(s)"
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +644,18 @@ def _run(argv) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.func(args)
+        files, summary = args.func(args)
+        if files:  # run_config.json and manifest.json are built before the directory
+            config = _effective_config(args)
+            files["run_config.json"] = json_text(config)
+            files["manifest.json"] = json_text(
+                {"config": config, "files": sorted([*files, "manifest.json"])}
+            )
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            for name, content in files.items():
+                data = content.encode("utf-8") if isinstance(content, str) else content
+                (out / name).write_bytes(data)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -700,6 +665,9 @@ def _run(argv) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if summary is not None:
+        print(summary, file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

@@ -529,11 +529,13 @@ def accuracy(model: ContextModel, sentences: list[TargetSentence]) -> float:
 
 
 def write_corpus(sentences: list[TargetSentence]) -> str:
-    """TSV with one ``marked_sentence<TAB>label`` line per sentence."""
+    """TSV with one ``marked_sentence<TAB>label`` line per sentence. A text
+    that :func:`read_corpus` would not read back as one field of one line,
+    holding a tab or a :meth:`str.splitlines` boundary, is refused."""
     lines = []
     for s in sentences:
-        if "\t" in s.text or "\n" in s.text:
-            raise ValueError("marked sentences must not contain tabs or newlines")
+        if "\t" in s.text or s.text.splitlines() != [s.text]:
+            raise ValueError(f"marked sentence {s.text!r} holds a tab or a line break")
         label = s.label.value if s.label is not None else ""
         lines.append(f"{s.text}\t{label}")
     return "\n".join(lines) + ("\n" if lines else "")

@@ -65,6 +65,14 @@ def _node_indices(data: dict, name: str, where: str, stop: int) -> np.ndarray:
     return np.array(values, dtype=np.intp)
 
 
+def _positive_array(params: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """:func:`checked_array` of field ``name``, refused unless every entry is above 0."""
+    array = checked_array(params, name, shape)
+    if not (array > 0).all():
+        raise ValueError(f"field {name!r} holds values that are not above 0")
+    return array
+
+
 def save_model(model) -> str:
     if isinstance(model, RandomForestModel):
         parameters = {"trees": [_tree_to_dict(tree) for tree in model.trees]}
@@ -99,7 +107,8 @@ def load_model(text: str):
     ``class_names`` a list of k distinct strings, ``n_features`` an int >= 0, and the
     parameters shaped for k classes and ``n_features`` features. ``trees`` is
     a non-empty list, with exactly one tree for a decision tree. Naive Bayes
-    keeps rows only for the classes in ``present``."""
+    keeps rows only for the classes in ``present``, and its ``priors`` and
+    ``variances`` must be above 0."""
     data = artifact.loads(text, "classical", MODEL_KINDS, MODEL_FIELDS)
     kind, params = data["kind"], data["parameters"]
     require(params, PARAMETER_FIELDS[kind], "'parameters'")
@@ -131,9 +140,9 @@ def load_model(text: str):
         k_present = len(present)
         return GaussianNBModel(
             present=np.asarray(present, dtype=int),
-            priors=checked_array(params, "priors", (k_present,)),
+            priors=_positive_array(params, "priors", (k_present,)),
             means=checked_array(params, "means", (k_present, n_features)),
-            variances=checked_array(params, "variances", (k_present, n_features)),
+            variances=_positive_array(params, "variances", (k_present, n_features)),
             **common,
         )
     return LinearSVMModel(weights=checked_array(params, "weights", (k, n_features)), **common)

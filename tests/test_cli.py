@@ -13,7 +13,7 @@ import lexisent
 from lexisent.artifact import FORMAT_VERSION
 from lexisent.cli import build_parser, main
 from lexisent.contextual import LOSS_EXPLOSION_FACTOR
-from lexisent.lexicon import LanguageCode, Lexicon, parse_lexicon, serialize_lexicon
+from lexisent.lexicon import LanguageCode, Lexicon, json_text, parse_lexicon, serialize_lexicon
 
 from conftest import build_ctx_lexicon
 
@@ -530,18 +530,12 @@ class TestCtxAndExplain:
         n_sentences = len((trained / "test.tsv").read_text().splitlines())
         assert len(summary) == n_sentences + 1
 
-    def test_explain_needs_exactly_one_input(self, tmp_path, ctx_lex_file):
-        gen = tmp_path / "gen"
-        run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
-            "-n", "60", "--seed", "3", "--out", gen)
-        trained = tmp_path / "model"
-        run("ctx", "train", "--corpus", gen / "corpus.tsv", "--out", trained,
-            "--epochs", "2", "--seed", "3", "--embedding-dim", "8")
-        assert run("explain", "--model", trained / "model.json",
+    @pytest.mark.parametrize("given", [(), ("--text", "a [TARGET] b [/TARGET]",
+                                            "--corpus", "corpus.tsv")],
+                             ids=["neither", "both"])
+    def test_explain_checks_its_input_flags_before_the_model(self, tmp_path, given, capsys):
+        assert run("explain", "--model", tmp_path / "nope.json", *given,
                    "--out", tmp_path / "x") == 1
-
-    def test_explain_checks_its_input_flags_before_the_model(self, tmp_path, capsys):
-        assert run("explain", "--model", tmp_path / "nope.json", "--out", tmp_path / "x") == 1
         assert ("usage error: provide exactly one of --text or --corpus\n"
                 in capsys.readouterr().err)
         assert not (tmp_path / "x").exists()
@@ -738,6 +732,59 @@ class TestErrorsNameTheFile:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    def test_ml_eval_of_a_model_with_non_finite_outputs_names_it(self, tmp_path,
+                                                                 paper_lex_file, capsys):
+        assert run("ml", "train", "--lex", paper_lex_file, "--model", "linear_svm",
+                   "--epochs", "1", "--out", tmp_path / "svm") == 0
+        capsys.readouterr()
+        data = json.loads((tmp_path / "svm" / "model.json").read_text(encoding="utf-8"))
+        weights = data["parameters"]["weights"]
+        data["parameters"]["weights"] = [[1e308] * len(row) for row in weights]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("ml", "eval", "--model", huge, "--lex", paper_lex_file, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {huge}: the class probabilities of ")
+        assert err.endswith(" rows are not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (("ctx", "eval"), "the class probabilities of "),
+        (("explain",), "the attribution of '"),
+    ], ids=["ctx-eval", "explain"])
+    def test_contextual_model_with_non_finite_outputs_is_named(self, tmp_path, models,
+                                                               command, message, capsys):
+        _, ctx_model = models
+        data = json.loads(ctx_model.read_text(encoding="utf-8"))
+        for name in ("embeddings", "weights"):
+            data[name] = [[1e308] * len(row) for row in data[name]]
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps(data), encoding="utf-8")
+        corpus = ctx_model.parent / "test.tsv"
+        out = tmp_path / "out"
+        assert run(*command, "--model", huge, "--corpus", corpus, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {huge}: {message}")
+        assert err.endswith(" not finite\n")
+        assert not out.exists()
+
+    def test_ml_eval_refuses_a_naive_bayes_variance_of_0(self, tmp_path, paper_lex_file,
+                                                         capsys):
+        assert run("ml", "train", "--lex", paper_lex_file, "--model", "gaussian_nb",
+                   "--out", tmp_path / "nb") == 0
+        capsys.readouterr()
+        data = json.loads((tmp_path / "nb" / "model.json").read_text(encoding="utf-8"))
+        variances = data["parameters"]["variances"]
+        variances[0] = [0.0] * len(variances[0])
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("ml", "eval", "--model", broken, "--lex", paper_lex_file, "--out", out) == 2
+        assert (capsys.readouterr().err
+                == f"error: {broken}: field 'variances' holds values that are not above 0\n")
+        assert not out.exists()
+
     def test_exploding_ctx_train_writes_no_model(self, tmp_path, ctx_lex_file, capsys):
         run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
             "-n", "300", "--seed", "2", "--out", tmp_path / "gen")
@@ -749,6 +796,59 @@ class TestErrorsNameTheFile:
         err = capsys.readouterr().err
         assert f"{corpus}: training diverged: epoch 1 train loss " in err
         assert f"exceeds {LOSS_EXPLOSION_FACTOR:g} times the untrained model's loss " in err
+        assert not out.exists()
+
+
+class TestAFailedRunWritesNothing:
+    """Every writing command builds all its files, ``run_config.json`` and
+    ``manifest.json`` included, before the output directory is made."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory, paper_lexicon):
+        root = tmp_path_factory.mktemp("inputs")
+        lexicon, ctx_lexicon = root / "lexicon.csv", root / "ctx_lexicon.csv"
+        lexicon.write_bytes(serialize_lexicon(paper_lexicon))
+        ctx_lexicon.write_bytes(serialize_lexicon(build_ctx_lexicon()))
+        (root / "sentences.csv").write_text("sentence,language\nI want food.,english\n",
+                                            encoding="utf-8")
+        (root / "pairs.csv").write_text(
+            "sentence,source_language,target_language\nThank you.,english,french\n",
+            encoding="utf-8")
+        assert run("ml", "train", "--lex", lexicon, "--model", "decision_tree",
+                   "--out", root / "ml") == 0
+        assert run("ctx", "generate", "--lex", ctx_lexicon, "--language", "english",
+                   "-n", "40", "--seed", "1", "--out", root / "gen") == 0
+        assert run("ctx", "train", "--corpus", root / "gen" / "corpus.tsv",
+                   "--out", root / "ctx", "--epochs", "1", "--embedding-dim", "4") == 0
+        return {"root": root, "lexicon": lexicon, "ctx_lexicon": ctx_lexicon}
+
+    @pytest.mark.parametrize("argv", [
+        "lexicon validate --in {lexicon}",
+        "lexicon clean --in {lexicon}",
+        "lexicon stats --in {lexicon}",
+        "translate --lex {lexicon} --in {root}/pairs.csv",
+        "score --lex {lexicon} --in {root}/sentences.csv",
+        "compare --lex {lexicon} --in {root}/sentences.csv",
+        "ml train --lex {lexicon} --model decision_tree",
+        "ml eval --model {root}/ml/model.json --lex {lexicon}",
+        "ctx generate --lex {ctx_lexicon} --language english -n 40",
+        "ctx train --corpus {root}/gen/corpus.tsv --epochs 1 --embedding-dim 4",
+        "ctx eval --model {root}/ctx/model.json --corpus {root}/ctx/test.tsv",
+        "explain --model {root}/ctx/model.json --corpus {root}/ctx/test.tsv --steps 4",
+    ], ids=lambda argv: argv.split(" --")[0].replace(" ", "-"))
+    def test_a_refused_manifest_leaves_no_directory(self, monkeypatch, tmp_path, inputs,
+                                                    argv, capsys):
+        from lexisent import cli
+
+        def refusing(payload):
+            if isinstance(payload, dict) and "files" in payload:
+                raise ValueError("manifest refused")
+            return json_text(payload)
+
+        monkeypatch.setattr(cli, "json_text", refusing)
+        out = tmp_path / "out"
+        assert run(*argv.format(**inputs).split(), "--out", out) == 2
+        assert capsys.readouterr().err == "error: manifest refused\n"
         assert not out.exists()
 
 
@@ -872,6 +972,25 @@ class TestCtxGenerateNeedsACleanLexicon:
         err = capsys.readouterr().err
         assert f"{dirty_ctx_lex_file}: [row 2, column 'english'] form 'Accuse '" in err
         assert "run `lexicon clean` first" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("separator", ["\t", "\u2028"], ids=["tab", "line-separator"])
+    def test_generate_refuses_a_form_that_would_split_a_corpus_line(self, tmp_path, separator,
+                                                                    capsys):
+        entries = list(build_ctx_lexicon().entries)
+        english = LanguageCode.ENGLISH
+        assert entries[4].forms[english] == "happy"
+        entries[4] = entries[4]._replace(forms={**entries[4].forms,
+                                                english: f"a{separator}great"})
+        lexicon = tmp_path / "lexicon.csv"
+        lexicon.write_bytes(serialize_lexicon(Lexicon(entries)))
+        out = tmp_path / "gen"
+        assert run("ctx", "generate", "--lex", lexicon, "--language", "english",
+                   "-n", "40", "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {lexicon}: marked sentence ")
+        assert repr(f"a{separator}great")[1:-1] in err
+        assert err.endswith(" holds a tab or a line break\n")
         assert not out.exists()
 
     def test_after_clean_the_form_is_context_dependent(self, tmp_path, dirty_ctx_lex_file):

@@ -451,6 +451,12 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="line 3: no label"):
             ctx.read_corpus(text, labeled=True)
 
+    @pytest.mark.parametrize("separator", ["\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+    def test_corpus_refuses_a_text_that_would_not_read_back(self, separator):
+        sentence = ctx.parse_marked(f"a{separator}b [TARGET] c [/TARGET]", Polarity.NEUTRAL)
+        with pytest.raises(ValueError, match="holds a tab or a line break"):
+            ctx.write_corpus([sentence])
+
     def test_corpus_round_trip(self, ctx_lexicon):
         data = ctx.generate_dataset(ctx_lexicon, EN, 25, seed=3)
         text = ctx.write_corpus(data)

@@ -856,6 +856,9 @@ class TestLoadModelShapes:
         ("present", lambda a: [0, 1, 3], r"'present' is \[0, 1, 3\], expected distinct"),
         ("present", lambda a: [0, 0, 1], r"'present' is \[0, 0, 1\], expected distinct"),
         ("present", lambda a: [0, 1], r"'priors' has shape \(3,\), expected \(2\)"),
+        ("priors", lambda a: [-0.5] + a[1:], "'priors' holds values that are not above 0"),
+        ("variances", lambda a: [[0.0] * 4] + a[1:],
+         "'variances' holds values that are not above 0"),
     ])
     def test_naive_bayes(self, saved, name, cut, message):
         def change(data):
