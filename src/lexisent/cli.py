@@ -223,14 +223,10 @@ def cmd_translate(args) -> Output:
         args.infile,
         partial(_sentence_rows, header=("sentence", "source_language", "target_language")),
     )
-    results = [tr.translate(s, a, b, lexicon) for s, a, b in rows]
     table = [["sentence", "source_language", "target_language", "translated_text"]]
-    for r in results:
-        table.append(
-            [r.source_text, r.source_language.value, r.target_language.value,
-             r.translated_text]
-        )
-    return {"translations.csv": csv_text(table)}, f"translated {len(results)} sentences"
+    for s, a, b in rows:
+        table.append([s, a.value, b.value, tr.translate(s, a, b, lexicon).translated_text])
+    return {"translations.csv": csv_text(table)}, f"translated {len(rows)} sentences"
 
 
 def _baseline_fn(name: str) -> scoring.BaselineScorer:
@@ -370,6 +366,8 @@ def _use_recorded_split(model, args) -> None:
 
 
 def cmd_ml_eval(args) -> Output:
+    import numpy as np
+
     from . import ml
 
     model = _parse_file(args.model, ml.load_model)
@@ -387,9 +385,10 @@ def cmd_ml_eval(args) -> Output:
     _, test_set = ml.split(dataset, args.train_fraction, args.seed)
     if not len(test_set):
         raise ValueError(f"{args.lex}: test split is empty")
+    with np.errstate(over="ignore", invalid="ignore"):  # outputs that overflow are refused below
+        y_pred, proba = model.predict(test_set.X), model.predict_proba(test_set.X)
     files, accuracy = _evaluation_files(
-        args.model, test_set.y, model.predict(test_set.X),
-        model.predict_proba(test_set.X), dataset.class_names,
+        args.model, test_set.y, y_pred, proba, dataset.class_names
     )
     return files, f"test accuracy {accuracy:.4f}"
 
@@ -440,7 +439,6 @@ def cmd_ctx_train(args) -> Output:
             config, train_set, val_set, weights,
             epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed,
         )
-        ctx.check_loss_explosion(model, train_set, weights)
     except SettingError:
         raise
     except ValueError as exc:  # nothing is written for a corpus that cannot be trained on
@@ -460,12 +458,15 @@ def cmd_ctx_train(args) -> Output:
 
 
 def cmd_ctx_eval(args) -> Output:
+    import numpy as np
+
     from . import contextual as ctx
 
     model = _parse_file(args.model, ctx.load_context_model)
     corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
-    try:
-        y_true, y_pred, proba = ctx.evaluate(model, corpus)
+    try:  # outputs that overflow are refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            y_true, y_pred, proba = ctx.evaluate(model, corpus)
     except ValueError as exc:  # an empty corpus
         raise ValueError(f"{args.corpus}: {exc}") from None
     files, accuracy = _evaluation_files(
@@ -475,6 +476,8 @@ def cmd_ctx_eval(args) -> Output:
 
 
 def cmd_explain(args) -> Output:
+    import numpy as np
+
     from . import attribution as attr
     from . import contextual as ctx
 
@@ -488,10 +491,11 @@ def cmd_explain(args) -> Output:
     target_class = Polarity(args.target_class) if args.target_class else None
     maps, files = [], {}
     for i, sentence in enumerate(sentences, start=1):
-        amap = attr.integrated_gradients(
-            model, sentence, target_class=target_class, steps=args.steps,
-            baseline_kind=args.baseline, scheme=args.scheme,
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+            amap = attr.integrated_gradients(
+                model, sentence, target_class=target_class, steps=args.steps,
+                baseline_kind=args.baseline, scheme=args.scheme,
+            )
         numbers = (amap.confidence, amap.total_attribution, amap.convergence_delta,
                    amap.score_input, amap.score_baseline, *(v for _, v in amap.per_token))
         if not all(map(math.isfinite, numbers)):

@@ -404,6 +404,11 @@ def _require_labels(sentences: list[TargetSentence]) -> None:
             raise ValueError(f"unlabeled sentence: {s.text!r}")
 
 
+#: A run has diverged, even while its loss is finite, once an epoch ends with
+#: a train loss above this multiple of the untrained model's loss.
+LOSS_EXPLOSION_FACTOR = 100
+
+
 def train(
     config: TrainConfig,
     train_set: list[TargetSentence],
@@ -418,8 +423,11 @@ def train(
     The vocabulary comes from the training set; per-epoch train/validation
     losses land in ``model.history``. Fully deterministic per seed. Raises
     :class:`ValueError` as soon as an epoch ends with a loss that is not
-    finite, instead of returning a diverged model. A setting that cannot
-    train a model raises :class:`~lexisent.ml.SettingError`.
+    finite, or with a train loss above :data:`LOSS_EXPLOSION_FACTOR` times
+    the untrained model's, instead of returning a diverged model. Zero
+    weights and bias give each class probability 1/3, so the untrained
+    model's loss is ln 3 times the mean class weight of ``train_set``. A
+    setting that cannot train a model raises :class:`~lexisent.ml.SettingError`.
     """
     minimums = (("embedding_dim", config.embedding_dim, 1), ("epochs", epochs, 1),
                 ("window", config.window, 0), ("batch_size", config.batch_size, 1))
@@ -451,6 +459,8 @@ def train(
         },
     )
     weight_vector = np.array([class_weights[p] for p in CLASS_ORDER], dtype=float)
+    mean_weight = sum(class_weights[s.label] for s in train_set) / len(train_set)
+    untrained = math.log(len(CLASS_ORDER)) * mean_weight
     packed_train = model.pack(train_set)
     packed_val = model.pack(val_set)
 
@@ -477,33 +487,14 @@ def train(
                     f"training diverged: epoch {epoch} {name.replace('_', ' ')} is "
                     f"{record[name]} at learning rate {learning_rate}"
                 )
-        model.history.append(record)
-    return model
-
-
-#: A run has diverged, even while its loss is finite, once an epoch ends with
-#: a train loss above this multiple of the untrained model's loss.
-LOSS_EXPLOSION_FACTOR = 100
-
-
-def check_loss_explosion(model: ContextModel, train_set: list[TargetSentence],
-                         class_weights: dict[Polarity, float]) -> None:
-    """Raise :class:`ValueError` at the first epoch of ``model.history`` whose
-    train loss exceeds :data:`LOSS_EXPLOSION_FACTOR` times the untrained loss.
-
-    Zero weights and bias give each class probability 1/3, so the untrained
-    model's loss is ln 3 times the mean class weight of ``train_set``.
-    """
-    mean_weight = sum(class_weights[s.label] for s in train_set) / len(train_set)
-    untrained = math.log(len(CLASS_ORDER)) * mean_weight
-    for record in model.history:
         if record["train_loss"] > LOSS_EXPLOSION_FACTOR * untrained:
             raise ValueError(
-                f"training diverged: epoch {record['epoch']} train loss "
-                f"{record['train_loss']} exceeds {LOSS_EXPLOSION_FACTOR:g} times the "
-                f"untrained model's loss {untrained:.6g} at learning rate "
-                f"{model.hyperparameters['learning_rate']}"
+                f"training diverged: epoch {epoch} train loss {record['train_loss']} exceeds "
+                f"{LOSS_EXPLOSION_FACTOR:g} times the untrained model's loss {untrained:.6g} "
+                f"at learning rate {learning_rate}"
             )
+        model.history.append(record)
+    return model
 
 
 def evaluate(

@@ -7,6 +7,13 @@ Sentence totals are plain sums of word scores (they may leave [-9, 9]).
 One walk over a sentence's tokens scores both modes and formats each mode's
 word scores (``form:score; form:score``) once; :func:`score_batch` and
 :func:`score_sentence` both go through it.
+
+:func:`score_batch` builds each sentence's comparison row once, as the object
+that ``comparison.json`` writes: a dict whose keys are the ten
+:data:`COMPARISON_COLUMNS`. The totals and the baseline compound are floats,
+the word scores are their ``form:score`` text, and the language and the three
+sentiments are their ``.value`` strings. :func:`comparison_csv_rows` formats
+the CSV rows from the same dicts.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from enum import Enum
 from typing import Callable, NamedTuple
 
 from .lexicon import LanguageCode, Lexicon, Polarity, format_score
-from .translator import Token, TokenKind, tokenize, word_tokens
+from .translator import Token, tokenize, word_tokens
 
 
 class ScoreMode(str, Enum):
@@ -47,10 +54,6 @@ class _ModeScores(NamedTuple):
     text: str
 
 
-# Read once: an enum member read from its class costs about 150 ns.
-_LEXICAL = TokenKind.LEXICAL
-
-
 def _score_modes(
     tokens: list[Token],
     mean: dict[str, float],
@@ -62,11 +65,11 @@ def _score_modes(
     tokens score 0. ``formatted`` caches :func:`format_score` by score, so a
     caller that passes one dict formats each distinct score once."""
     avg_scores, v2_scores, avg_pieces, v2_pieces = [], [], [], []
-    for surface, kind, entry_id, _, _ in tokens:
-        if kind is _LEXICAL:
-            avg, v2 = mean[entry_id], own[entry_id]
-        else:
+    for surface, entry_id, _, _ in tokens:
+        if entry_id is None:
             avg = v2 = 0.0
+        else:
+            avg, v2 = mean[entry_id], own[entry_id]
         text = formatted.get(avg)
         if text is None:
             text = formatted[avg] = format_score(avg)
@@ -109,7 +112,8 @@ def score_sentence(
 
 def format_word_scores(word_scores: tuple[tuple[str, float], ...]) -> str:
     """Serialize word scores as ``form:score; form:score``, the text that
-    :func:`score_batch` stores in each row's ``word_scores_*_text``."""
+    :func:`score_batch` stores in each row's ``word_scores_avg`` and
+    ``word_scores_v2``."""
     return "; ".join(f"{form}:{format_score(score)}" for form, score in word_scores)
 
 
@@ -195,45 +199,16 @@ def zero_baseline(sentence: str) -> tuple[float, Polarity]:
     return 0.0, Polarity.NEUTRAL
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    sentence: str
-    language: LanguageCode
-    total_avg: float
-    word_scores_avg: tuple[tuple[str, float], ...]
-    word_scores_avg_text: str
-    polarity_avg: Polarity
-    total_v2: float
-    word_scores_v2: tuple[tuple[str, float], ...]
-    word_scores_v2_text: str
-    polarity_v2: Polarity
-    baseline_compound: float
-    baseline_polarity: Polarity
-
-
 @dataclass
 class ComparisonReport:
-    rows: list[ComparisonRow]
+    #: One dict per sentence, keyed by :data:`COMPARISON_COLUMNS`.
+    rows: list[dict[str, str | float]]
     agreement: float
     polarity_counts: dict[str, dict[Polarity, int]]
 
     def to_json_dict(self) -> dict:
         return {
-            "rows": [
-                {
-                    "sentence": r.sentence,
-                    "language": r.language.value,
-                    "total_score_avg": r.total_avg,
-                    "word_scores_avg": r.word_scores_avg_text,
-                    "sentiment_avg": r.polarity_avg.value,
-                    "total_score_v2": r.total_v2,
-                    "word_scores_v2": r.word_scores_v2_text,
-                    "sentiment_v2": r.polarity_v2.value,
-                    "baseline_compound": r.baseline_compound,
-                    "baseline_sentiment": r.baseline_polarity.value,
-                }
-                for r in self.rows
-            ],
+            "rows": self.rows,
             "agreement": self.agreement,
             "polarity_counts": {
                 scorer: {p.value: c for p, c in counts.items()}
@@ -258,7 +233,7 @@ def score_batch(
     table = lexicon.scores
     mean, effective = table.mean, table.effective
     formatted: dict[float, str] = {}
-    out: list[ComparisonRow] = []
+    out: list[dict[str, str | float]] = []
     counts = {
         scorer: {p: 0 for p in Polarity} for scorer in ("avg", "v2", "baseline")
     }
@@ -275,22 +250,18 @@ def score_batch(
         counts["baseline"][baseline_polarity] += 1
         if v2_polarity is baseline_polarity:
             agree += 1
-        out.append(
-            ComparisonRow(
-                sentence=sentence,
-                language=language,
-                total_avg=avg.total,
-                word_scores_avg=avg.word_scores,
-                word_scores_avg_text=avg.text,
-                polarity_avg=avg_polarity,
-                total_v2=v2.total,
-                word_scores_v2=v2.word_scores,
-                word_scores_v2_text=v2.text,
-                polarity_v2=v2_polarity,
-                baseline_compound=compound,
-                baseline_polarity=baseline_polarity,
-            )
-        )
+        out.append({
+            "sentence": sentence,
+            "language": language.value,
+            "total_score_avg": avg.total,
+            "word_scores_avg": avg.text,
+            "sentiment_avg": avg_polarity.value,
+            "total_score_v2": v2.total,
+            "word_scores_v2": v2.text,
+            "sentiment_v2": v2_polarity.value,
+            "baseline_compound": compound,
+            "baseline_sentiment": baseline_polarity.value,
+        })
     agreement = agree / len(rows) if rows else 1.0
     return ComparisonReport(rows=out, agreement=agreement, polarity_counts=counts)
 
@@ -315,16 +286,16 @@ def comparison_csv_rows(report: ComparisonReport) -> list[list[str]]:
     for r in report.rows:
         rows.append(
             [
-                r.sentence,
-                r.language.value,
-                f"{r.total_avg:.6f}",
-                r.word_scores_avg_text,
-                r.polarity_avg.value,
-                f"{r.total_v2:.6f}",
-                r.word_scores_v2_text,
-                r.polarity_v2.value,
-                f"{r.baseline_compound:.4f}",
-                r.baseline_polarity.value,
+                r["sentence"],
+                r["language"],
+                f"{r['total_score_avg']:.6f}",
+                r["word_scores_avg"],
+                r["sentiment_avg"],
+                f"{r['total_score_v2']:.6f}",
+                r["word_scores_v2"],
+                r["sentiment_v2"],
+                f"{r['baseline_compound']:.4f}",
+                r["baseline_sentiment"],
             ]
         )
     return rows

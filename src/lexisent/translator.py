@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple
 
 from .lexicon import LanguageCode, Lexicon, normalize_sentence
@@ -20,23 +19,13 @@ from .lexicon import LanguageCode, Lexicon, normalize_sentence
 WORD_PATTERN = re.compile(r'[^\s.,!?;:"()]+')
 
 
-class TokenKind(str, Enum):
-    LEXICAL = "lexical"
-    UNKNOWN = "unknown"
-
-
 class Token(NamedTuple):
     surface: str
-    kind: TokenKind
+    #: The matched lexicon entry; ``None`` for an unknown token.
     entry_id: str | None
     span: tuple[int, int]
     #: Entry ids that also matched the surface but lost disambiguation.
     alternatives: tuple[str, ...] = ()
-
-
-# Read once: an enum member read from its class costs about 150 ns.
-_LEXICAL = TokenKind.LEXICAL
-_UNKNOWN = TokenKind.UNKNOWN
 
 
 @dataclass(frozen=True)
@@ -90,12 +79,12 @@ def tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[To
         if not ids:
             ids = index.get(word, ())
         if not ids:
-            tokens.append(Token(word, _UNKNOWN, None, span))
+            tokens.append(Token(word, None, span))
         elif len(ids) == 1:
-            tokens.append(Token(surface, _LEXICAL, ids[0], span))
+            tokens.append(Token(surface, ids[0], span))
         else:
             chosen, alternatives = ambiguous[surface]
-            tokens.append(Token(surface, _LEXICAL, chosen, span, alternatives))
+            tokens.append(Token(surface, chosen, span, alternatives))
         i += match_len
     return tokens
 
@@ -116,18 +105,19 @@ def translate(
     tokens = tuple(tokenize(sentence, source, lexicon))
     if source is target:
         translated_text, out_tokens = normalize_sentence(sentence), tokens
-        unknown_count = sum(t.kind is _UNKNOWN for t in tokens)
+        unknown_count = sum(t.entry_id is None for t in tokens)
     else:
         by_id = lexicon.by_id
         pieces, out = [], []
         unknown_count = 0
         for token in tokens:
-            form = by_id[token.entry_id].forms.get(target) if token.entry_id is not None else None
+            entry_id = token.entry_id
+            form = None if entry_id is None else by_id[entry_id].forms.get(target)
             if form is None:
                 unknown_count += 1
                 form = token.surface
-                if token.kind is _LEXICAL:
-                    token = Token(form, _UNKNOWN, None, token.span, token.alternatives)
+                if entry_id is not None:
+                    token = Token(form, None, token.span, token.alternatives)
             pieces.append(form)
             out.append(token)
         translated_text, out_tokens = " ".join(pieces), tuple(out)

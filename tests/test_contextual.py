@@ -322,28 +322,27 @@ class TestTraining:
         assert csv_text.splitlines()[0] == "epoch,train_loss,val_loss"
         assert len(csv_text.splitlines()) == 5
 
-    def test_diverging_run_raises_at_the_first_non_finite_epoch(self, ctx_lexicon):
+    def test_diverging_run_raises_at_the_first_exploded_epoch(self, ctx_lexicon):
         corpus = ctx.generate_dataset(ctx_lexicon, EN, 300, seed=2)
         train, val, _ = ctx.split_70_20_10(corpus, seed=2)
+        # Uniform weights: the untrained loss is ln 3. Epoch 1 ends at a finite
+        # loss far above 100 times that, so training stops there.
+        with pytest.raises(ValueError, match=r"diverged: epoch 1 train loss \d\.\d+e\+\d+ "
+                                             r"exceeds 100 times the untrained model's loss "
+                                             r"1\.09861 at learning rate 1000000\.0$"):
+            ctx.train(ctx.TrainConfig(), train, val, ctx.uniform_class_weights(),
+                      epochs=6, learning_rate=1e6, seed=0)
 
-        def fit(epochs):
-            return ctx.train(ctx.TrainConfig(), train, val, ctx.uniform_class_weights(),
-                             epochs=epochs, learning_rate=1e6, seed=0)
-
-        finite = fit(3)  # same seed, so the same first three epochs
-        assert all(math.isfinite(h[key]) for h in finite.history
-                   for key in ("train_loss", "val_loss"))
-        with pytest.raises(ValueError, match=r"diverged: epoch 4 train loss is nan "
-                                             r"at learning rate 1000000\.0"):
-            fit(6)
-
-    def test_non_finite_validation_loss_is_reported(self, monkeypatch):
+    @pytest.mark.parametrize("name", ["train", "val"])
+    def test_non_finite_loss_is_reported(self, monkeypatch, name):
         corpus = toy_corpus()
         train, val, _ = ctx.split_70_20_10(corpus, seed=0)
+        assert len(train) != len(val)
+        poisoned = len(train) if name == "train" else len(val)
         mean_loss = ctx._mean_loss
         monkeypatch.setattr(ctx, "_mean_loss", lambda model, packed, *rest: (
-            float("inf") if len(packed) == len(val) else mean_loss(model, packed, *rest)))
-        with pytest.raises(ValueError, match="epoch 1 val loss is inf"):
+            float("inf") if len(packed) == poisoned else mean_loss(model, packed, *rest)))
+        with pytest.raises(ValueError, match=f"epoch 1 {name} loss is inf"):
             ctx.train(ctx.TrainConfig(embedding_dim=4), train, val,
                       ctx.uniform_class_weights(), epochs=2, learning_rate=0.1, seed=0)
 

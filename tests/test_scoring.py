@@ -16,6 +16,7 @@ from lexisent.lexicon import (
     LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag, serialize_lexicon,
 )
 from lexisent.scoring import (
+    COMPARISON_COLUMNS,
     ENGLISH_VALENCES,
     ScoreMode,
     builtin_english_baseline,
@@ -202,7 +203,7 @@ class TestScoreBatch:
             return 0.0, next(answers)
 
         report = score_batch(rows, paper_lexicon, stub)
-        assert all(r.polarity_v2 is Polarity.POSITIVE for r in report.rows)
+        assert all(r["sentiment_v2"] == Polarity.POSITIVE.value for r in report.rows)
         assert report.agreement == 0.0
 
     def test_non_english_rows_all_neutral_under_builtin(self, paper_lexicon):
@@ -215,8 +216,17 @@ class TestScoreBatch:
             [(s, NSO) for s in sentences], paper_lexicon, builtin_english_baseline
         )
         assert len(report.rows) == 9
-        assert all(r.baseline_compound == 0.0 for r in report.rows)
-        assert all(r.baseline_polarity is Polarity.NEUTRAL for r in report.rows)
+        assert all(r["baseline_compound"] == 0.0 for r in report.rows)
+        assert all(r["baseline_sentiment"] == Polarity.NEUTRAL.value for r in report.rows)
+
+    def test_rows_are_the_comparison_columns_as_plain_values(self, paper_lexicon):
+        rows = [("I want food.", EN), ("Go tšhaba go wa.", NSO), ("xyz", EN), ("", AF)]
+        report = score_batch(rows, paper_lexicon, builtin_english_baseline)
+        assert len(report.rows) == len(rows)
+        for row in report.rows:
+            assert tuple(row) == COMPARISON_COLUMNS
+            # Exact types: a str-valued enum member is an instance of str.
+            assert all(type(value) in (str, float) for value in row.values()), row
 
     def test_counts_sum_to_row_count(self, paper_lexicon):
         rows = [("I want food.", EN), ("Go tšhaba go wa.", NSO), ("xyz", EN)]
@@ -253,7 +263,7 @@ lexicon = parse_lexicon(sys.stdin.read())
 rows = [(sentence, LanguageCode(language)) for sentence, language in json.loads(sys.argv[1])]
 report = score_batch(rows, lexicon, zero_baseline)
 translated = translate(rows[0][0], rows[0][1], LanguageCode.FRENCH, lexicon)
-print(json.dumps([[[r.total_avg, r.total_v2] for r in report.rows],
+print(json.dumps([[[r["total_score_avg"], r["total_score_v2"]] for r in report.rows],
                   translated.translated_text]))
 """
 
@@ -270,6 +280,6 @@ def test_lexicon_scoring_and_translate_run_without_numpy(paper_lexicon):
     totals, translated = json.loads(done.stdout)
     parsed = [(sentence, LanguageCode(language)) for sentence, language in rows]
     report = score_batch(parsed, paper_lexicon, zero_baseline)
-    assert totals == [[r.total_avg, r.total_v2] for r in report.rows]
+    assert totals == [[r["total_score_avg"], r["total_score_v2"]] for r in report.rows]
     assert translated == translate(rows[0][0], EN, LanguageCode.FRENCH,
                                    paper_lexicon).translated_text

@@ -18,7 +18,6 @@ from lexisent.lexicon import POS_PRIORITY, LanguageCode, Lexicon, LexiconEntry, 
 from lexisent.scoring import score_batch, zero_baseline
 from lexisent.translator import (
     Token,
-    TokenKind,
     WORD_PATTERN,
     normalize_sentence,
     tokenize,
@@ -65,13 +64,13 @@ def oracle_tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> 
                 break
         if match_len == 0:
             word, start, end = words[i]
-            tokens.append(Token(word, TokenKind.UNKNOWN, None, (start, end)))
+            tokens.append(Token(word, None, (start, end)))
             i += 1
             continue
         surface = " ".join(w for w, _, _ in words[i : i + match_len])
         span = (words[i][1], words[i + match_len - 1][2])
         ranked = sorted(matched, key=lambda e: (POS_PRIORITY[lexicon.by_id[e].pos], int(e[1:])))
-        tokens.append(Token(surface, TokenKind.LEXICAL, ranked[0], span, tuple(ranked[1:])))
+        tokens.append(Token(surface, ranked[0], span, tuple(ranked[1:])))
         i += match_len
     return tokens
 
@@ -176,10 +175,12 @@ def test_score_batch_equals_score_sentence_per_mode(paper_lexicon):
     rows = [("I want food.", EN), ("Go tšhaba go wa.", LanguageCode.SEPEDI)]
     report = score_batch(rows, paper_lexicon, zero_baseline)
     for (sentence, language), row in zip(rows, report.rows):
-        avg = scoring.score_sentence(sentence, language, paper_lexicon, scoring.ScoreMode.AVG)
-        v2 = scoring.score_sentence(sentence, language, paper_lexicon, scoring.ScoreMode.V2)
-        assert (row.word_scores_avg, row.total_avg) == (avg.word_scores, avg.total_score)
-        assert (row.word_scores_v2, row.total_v2) == (v2.word_scores, v2.total_score)
+        for mode in scoring.ScoreMode:
+            scored = scoring.score_sentence(sentence, language, paper_lexicon, mode)
+            m = mode.value
+            assert (row[f"total_score_{m}"], row[f"sentiment_{m}"]) == (
+                scored.total_score, scored.polarity.value)
+            assert row[f"word_scores_{m}"] == scoring.format_word_scores(scored.word_scores)
 
 
 # Integral, non-integral and signed-zero scores, so equal scores of the two
@@ -201,7 +202,7 @@ def scored_lexicons(draw) -> Lexicon:
 
 
 def reference_word_scores(tokens, column) -> tuple[tuple[str, float], ...]:
-    return tuple((t.surface, column[t.entry_id] if t.kind is TokenKind.LEXICAL else 0.0)
+    return tuple((t.surface, 0.0 if t.entry_id is None else column[t.entry_id])
                  for t in tokens)
 
 
@@ -215,15 +216,12 @@ def test_score_batch_walk_equals_per_mode_scoring(lexicon, data):
     table = lexicon.scores
     for (sentence, language), row in zip(rows, report.rows):
         tokens = tokenize(sentence, language, lexicon)
-        for mode, column, word_scores, text, total, polarity in (
-            (scoring.ScoreMode.AVG, table.mean, row.word_scores_avg, row.word_scores_avg_text,
-             row.total_avg, row.polarity_avg),
-            (scoring.ScoreMode.V2, table.effective[language], row.word_scores_v2,
-             row.word_scores_v2_text, row.total_v2, row.polarity_v2),
-        ):
+        for mode, column in ((scoring.ScoreMode.AVG, table.mean),
+                             (scoring.ScoreMode.V2, table.effective[language])):
             scored = scoring.score_sentence(sentence, language, lexicon, mode)
-            assert (word_scores, total, polarity) == (
-                scored.word_scores, scored.total_score, scored.polarity)
-            assert word_scores == reference_word_scores(tokens, column)
-            assert total == math.fsum(score for _, score in word_scores)
-            assert text == scoring.format_word_scores(word_scores)
+            m = mode.value
+            assert (row[f"total_score_{m}"], row[f"sentiment_{m}"]) == (
+                scored.total_score, scored.polarity.value)
+            assert row[f"word_scores_{m}"] == scoring.format_word_scores(scored.word_scores)
+            assert scored.word_scores == reference_word_scores(tokens, column)
+            assert scored.total_score == math.fsum(score for _, score in scored.word_scores)

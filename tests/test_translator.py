@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, PosTag
 from lexisent.translator import (
-    TokenKind,
     normalize_sentence,
     tokenize,
     translate,
@@ -36,7 +35,7 @@ class TestTokenize:
     def test_phrase_tokens(self, paper_lexicon):
         tokens = tokenize("Go tšhaba go wa.", NSO, paper_lexicon)
         assert [t.surface for t in tokens] == ["go tšhaba", "go wa"]
-        assert all(t.kind is TokenKind.LEXICAL for t in tokens)
+        assert all(t.entry_id is not None for t in tokens)
 
     def test_empty_sentence(self, paper_lexicon):
         assert tokenize("", EN, paper_lexicon) == []
@@ -56,9 +55,8 @@ class TestTokenize:
 
     def test_unknown_words(self, paper_lexicon):
         tokens = tokenize("xyzzy food", EN, paper_lexicon)
-        assert tokens[0].kind is TokenKind.UNKNOWN
         assert tokens[0].entry_id is None
-        assert tokens[1].kind is TokenKind.LEXICAL
+        assert tokens[1].entry_id is not None
 
     def test_punctuation_is_separator_apostrophe_is_not(self):
         lex = lex_of(("c'est", "it's"))
@@ -112,7 +110,7 @@ class TestTranslate:
         result = translate("na", AF, EN, paper_lexicon)
         assert result.translated_text == "na"
         assert result.unknown_count == 1
-        assert result.tokens[0].kind is TokenKind.UNKNOWN
+        assert result.tokens[0].entry_id is None
 
     def test_identity_translation_returns_normalized_input(self, paper_lexicon):
         result = translate("Thank You.", EN, EN, paper_lexicon)
@@ -152,17 +150,17 @@ def test_translate_on_arbitrary_unicode(lexicon, data):
     result = translate(text, source, target, lexicon)
     tokens = tokenize(text, source, lexicon)
     assert [(t.surface, t.span) for t in result.tokens] == [(t.surface, t.span) for t in tokens]
-    assert result.unknown_count == sum(t.kind is TokenKind.UNKNOWN for t in result.tokens)
+    assert result.unknown_count == sum(t.entry_id is None for t in result.tokens)
     if source is target:
         assert result.translated_text == normalize_sentence(text)
         assert result.tokens == tuple(tokens)
         return
     pieces = []
     for token, out in zip(tokens, result.tokens):
-        entry = lexicon.by_id[token.entry_id] if token.kind is TokenKind.LEXICAL else None
+        entry = lexicon.by_id[token.entry_id] if token.entry_id is not None else None
         form = entry.forms.get(target) if entry is not None else None
         if form is None:
-            assert (out.kind, out.entry_id) == (TokenKind.UNKNOWN, None)
+            assert out == token._replace(entry_id=None)
             pieces.append(token.surface)
         else:
             assert out == token
