@@ -5,56 +5,32 @@ class score along the straight path from the baseline x' to the input x. The
 class score is the model's log-probability for the chosen class; the residual
 between the summed attributions and F(x) - F(x') is the convergence delta,
 which shrinks as the number of integration steps grows.
+
+The model's logits are affine in its input embeddings: ``h`` is the target
+embedding next to the mean of the window's embeddings, and ``z = h W + b``.
+On the straight path the logits therefore run along a line, ``z(t) = z' +
+t (z - z')``, and the gradient of F at every path point is one fixed linear
+map of the 3-vector ``e_c - softmax(z(t))``. The Riemann sum of the gradients
+is that map applied once to the weighted mean ``g`` of those 3-vectors, so a
+token's attribution is ``((x_i - x'_i) @ W_part) . g``, where ``W_part`` holds
+the rows of ``W`` that read the target (for the target) or the window mean
+(for a context token, whose value is then divided by the number of used
+window slots); tokens outside the window get 0.
+Only the two forward passes for ``z`` and ``z'`` read embeddings, once per
+sentence; the path itself is 3-way softmaxes, so its cost depends neither on
+sentence length nor on embedding size, and ``steps`` adds only those.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .contextual import CLASS_ORDER, ContextModel, TargetSentence
+from . import contextual
+from .contextual import CLASS_ORDER, ContextModel, TargetSentence, _log_sum_exp, _softmax
 from .lexicon import Polarity, csv_text, json_text
 from .settings import BASELINE_KINDS, DEFAULT_SCHEME, DEFAULT_STEPS, SCHEMES, SettingError
-
-#: score_fn(points (P, T, E)) -> (values (P,), gradients w.r.t. each point (P, T, E))
-ScoreFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-
-
-def path_integrated_gradients(
-    score_fn: ScoreFn,
-    x: np.ndarray,
-    baseline: np.ndarray,
-    steps: int,
-    scheme: str = DEFAULT_SCHEME,
-) -> tuple[np.ndarray, float, float, float]:
-    """Core integral: returns (attributions, F(x), F(baseline), delta).
-
-    ``right`` evaluates gradients at k/steps for k = 1..steps (a right-endpoint
-    Riemann sum); ``trapezoid`` averages endpoint pairs, halving the endpoint
-    weights. Both are exact for linear score functions at any step count.
-    Every path point, ``x`` and ``baseline`` go to ``score_fn`` in one call.
-    """
-    if steps < 1:
-        raise SettingError("steps", f"must be at least 1, got {steps}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    diff = x - baseline
-    if scheme == "right":
-        ks = np.arange(1, steps + 1)
-        weights = np.ones(steps)
-    else:
-        ks = np.arange(0, steps + 1)
-        weights = np.ones(steps + 1)
-        weights[[0, -1]] = 0.5
-    points = baseline + (ks / steps)[:, None, None] * diff
-    values, grads = score_fn(np.concatenate([points, x[None], baseline[None]]))
-    mean_grad = (weights[:, None, None] * grads[: len(ks)]).sum(axis=0) / steps
-    attributions = diff * mean_grad
-    f_x, f_baseline = float(values[-2]), float(values[-1])
-    delta = float(attributions.sum() - (f_x - f_baseline))
-    return attributions, f_x, f_baseline, delta
 
 
 @dataclass(frozen=True)
@@ -95,6 +71,119 @@ class AttributionMap:
         }
 
 
+#: Most (rows, path points, 3) logits held at once, so that a large ``steps``
+#: costs time but not memory.
+PATH_ELEMENTS = 1 << 18
+
+
+def _mean_gradient(z: np.ndarray, z_baseline: np.ndarray, class_index: np.ndarray,
+                   steps: int, scheme: str) -> np.ndarray:
+    """``sum_k w_k (e_c - softmax(z' + t_k (z - z'))) / steps`` per row, (rows, 3).
+
+    ``right`` takes t_k = k/steps for k = 1..steps (a right-endpoint Riemann
+    sum); ``trapezoid`` takes k = 0..steps and halves the two endpoint
+    weights, so the weights sum to ``steps`` in both. Both are exact for
+    linear score functions at any step count. The path points go through in
+    blocks of at most :data:`PATH_ELEMENTS` logits.
+    """
+    rows = len(z)
+    direction = z - z_baseline
+    block = max(1, PATH_ELEMENTS // (3 * rows))
+    total = np.zeros((rows, 3))
+    for start in range(1 if scheme == "right" else 0, steps + 1, block):
+        k = np.arange(start, min(start + block, steps + 1))
+        weights = np.ones(len(k))
+        if scheme == "trapezoid":
+            weights[(k == 0) | (k == steps)] = 0.5
+        logits = z_baseline[:, None] + (k / steps)[None, :, None] * direction[:, None]
+        total += np.einsum("k,rkc->rc", weights, _softmax(logits))
+    mean = total / -steps
+    mean[np.arange(rows), class_index] += 1.0
+    return mean
+
+
+def corpus_integrated_gradients(
+    model: ContextModel,
+    sentences: list[TargetSentence],
+    target_class: Polarity | None = None,
+    steps: int = DEFAULT_STEPS,
+    baseline_kind: str = "zero",
+    scheme: str = DEFAULT_SCHEME,
+) -> list[AttributionMap]:
+    """Per-token attributions for each sentence, in order; post-hoc, the model
+    is read-only.
+
+    The attributed class defaults to each sentence's predicted class. Token
+    attribution is the sum over that token's embedding coordinates; the
+    baseline is either the zero embedding or the padding token's embedding at
+    every position. Sentences go through in chunks of
+    :data:`~lexisent.contextual.PREDICT_CHUNK`, with one forward pass for the
+    inputs and one for the baselines per chunk.
+    """
+    if steps < 1:
+        raise SettingError("steps", f"must be at least 1, got {steps}")
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
+    e = model.embedding_dim
+    if baseline_kind == "zero":
+        base = np.zeros(e)
+    elif baseline_kind == "pad":
+        base = model.embeddings[model.vocabulary.pad_id]
+    else:
+        raise ValueError(f"unknown baseline {baseline_kind!r}; expected one of {BASELINE_KINDS}")
+    w_target, w_context = model.weights[:e], model.weights[e:]
+    window = model.window
+    chunk = contextual.PREDICT_CHUNK
+    maps = []
+    for first, part in zip(range(0, len(sentences), chunk), model.pack(sentences).chunks(chunk)):
+        target = model.embeddings[part.targets]
+        context = model.embeddings[part.context]
+        _, z = model.forward(target, context, part.mask)
+        _, z_base = model.forward(np.broadcast_to(base, target.shape),
+                                  np.broadcast_to(base, context.shape), part.mask)
+        proba = _softmax(z)
+        predicted = np.argmax(proba, axis=1)
+        if target_class is None:
+            class_index = predicted
+        else:
+            class_index = np.full(len(part), CLASS_ORDER.index(target_class))
+        g = _mean_gradient(z, z_base, class_index, steps, scheme)
+        rows = np.arange(len(part))
+        f_x = z[rows, class_index] - _log_sum_exp(z)
+        f_base = z_base[rows, class_index] - _log_sum_exp(z_base)
+        on_target = np.einsum("rc,rc->r", (target - base) @ w_target, g)
+        used = np.maximum(part.mask.sum(axis=1), 1)
+        on_context = np.einsum("rjc,rc->rj", (context - base) @ w_context, g) / used[:, None]
+        on_context[~part.mask] = 0.0
+        total = on_target + on_context.sum(axis=1)
+        delta = total - (f_x - f_base)
+        columns = zip(sentences[first : first + chunk], on_target.tolist(), on_context.tolist(),
+                      predicted.tolist(), class_index.tolist(), proba.tolist(), total.tolist(),
+                      delta.tolist(), f_x.tolist(), f_base.tolist())
+        for s, on_t, on_c, p, c, row_proba, row_total, row_delta, row_f_x, row_f_base in columns:
+            t = s.target_index
+            left, right = min(t, window), min(len(s.tokens) - 1 - t, window)
+            values = [0.0] * len(s.tokens)
+            values[t - left : t] = on_c[window - left : window]
+            values[t] = on_t
+            values[t + 1 : t + 1 + right] = on_c[window : window + right]
+            maps.append(AttributionMap(
+                sentence=s,
+                target_class=CLASS_ORDER[c],
+                predicted_class=CLASS_ORDER[p],
+                confidence=row_proba[p],
+                per_token=tuple(zip(s.tokens, values)),
+                total_attribution=row_total,
+                convergence_delta=row_delta,
+                steps=steps,
+                baseline_kind=baseline_kind,
+                scheme=scheme,
+                score_input=row_f_x,
+                score_baseline=row_f_base,
+            ))
+    return maps
+
+
 def integrated_gradients(
     model: ContextModel,
     sentence: TargetSentence,
@@ -103,49 +192,10 @@ def integrated_gradients(
     baseline_kind: str = "zero",
     scheme: str = DEFAULT_SCHEME,
 ) -> AttributionMap:
-    """Per-token attributions for one sentence; post-hoc, the model is read-only.
-
-    The attributed class defaults to the model's prediction. Token attribution
-    is the sum over that token's embedding coordinates; the baseline is either
-    the zero embedding or the padding token's embedding at every position.
-    """
-    ids, target_index = model.encode(sentence)
-    x = model.embeddings[ids].copy()
-    if baseline_kind == "zero":
-        baseline = np.zeros_like(x)
-    elif baseline_kind == "pad":
-        baseline = np.tile(model.embeddings[model.vocabulary.pad_id], (len(ids), 1))
-    else:
-        raise ValueError(f"unknown baseline {baseline_kind!r}; expected one of {BASELINE_KINDS}")
-
-    (predicted_index,), (proba,) = model.predict_batch([sentence])
-    predicted = CLASS_ORDER[predicted_index]
-    chosen = predicted if target_class is None else target_class
-    class_index = CLASS_ORDER.index(chosen)
-
-    def score_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return model.log_prob_and_input_grad(points, target_index, class_index)
-
-    attributions, f_x, f_baseline, delta = path_integrated_gradients(
-        score_fn, x, baseline, steps, scheme
-    )
-    per_token = tuple(
-        (token, float(attributions[i].sum())) for i, token in enumerate(sentence.tokens)
-    )
-    return AttributionMap(
-        sentence=sentence,
-        target_class=chosen,
-        predicted_class=predicted,
-        confidence=float(proba[predicted_index]),
-        per_token=per_token,
-        total_attribution=float(attributions.sum()),
-        convergence_delta=delta,
-        steps=steps,
-        baseline_kind=baseline_kind,
-        scheme=scheme,
-        score_input=f_x,
-        score_baseline=f_baseline,
-    )
+    """:func:`corpus_integrated_gradients` of one sentence."""
+    (amap,) = corpus_integrated_gradients(model, [sentence], target_class, steps,
+                                          baseline_kind, scheme)
+    return amap
 
 
 def normalized_colors(values: list[float]) -> list[float]:

@@ -489,24 +489,26 @@ def cmd_explain(args) -> Output:
     else:
         sentences = _parse_file(args.corpus, ctx.read_corpus)
     target_class = Polarity(args.target_class) if args.target_class else None
-    maps, files = [], {}
-    for i, sentence in enumerate(sentences, start=1):
-        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
-            amap = attr.integrated_gradients(
-                model, sentence, target_class=target_class, steps=args.steps,
-                baseline_kind=args.baseline, scheme=args.scheme,
-            )
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
+        maps = attr.corpus_integrated_gradients(
+            model, sentences, target_class=target_class, steps=args.steps,
+            baseline_kind=args.baseline, scheme=args.scheme,
+        )
+    files = {}
+    for i, amap in enumerate(maps, start=1):
         numbers = (amap.confidence, amap.total_attribution, amap.convergence_delta,
                    amap.score_input, amap.score_baseline, *(v for _, v in amap.per_token))
         if not all(map(math.isfinite, numbers)):
-            raise ValueError(f"{args.model}: the attribution of {sentence.text!r} is not finite")
-        maps.append(amap)
-        stem = f"attribution_{i:04d}" if len(sentences) > 1 else "attribution"
+            raise ValueError(
+                f"{args.model}: the attribution of {amap.sentence.text!r} is not finite")
+        stem = f"attribution_{i:04d}" if len(maps) > 1 else "attribution"
         files[f"{stem}.json"] = attr.attribution_json(amap)
         files[f"{stem}.csv"] = attr.heatmap_csv(amap)
         files[f"{stem}.svg"] = attr.heatmap_svg(amap)
     files["summary.csv"] = csv_text(attr.summary_rows(maps))
-    return files, f"attributed {len(maps)} sentence(s)"
+    largest = max((abs(amap.convergence_delta) for amap in maps), default=0.0)
+    return files, (f"attributed {len(maps)} sentence(s), "
+                   f"largest |convergence delta| {largest:.3g}")
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +610,9 @@ def build_parser() -> _Parser:
     p.add_argument("--text", default=None, help="one marked sentence")
     p.add_argument("--corpus", default=None, help="TSV corpus to attribute in batch")
     p.add_argument("--out", required=True)
-    p.add_argument("--steps", type=int, default=DEFAULT_STEPS)
+    p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
+                   help="integration steps along the path; each adds only a 3-way softmax "
+                        "per sentence, so a large count costs little")
     p.add_argument("--baseline", choices=BASELINE_KINDS, default="zero")
     p.add_argument("--scheme", choices=SCHEMES, default=DEFAULT_SCHEME)
     p.add_argument("--target-class", choices=[pol.value for pol in Polarity], default=None)

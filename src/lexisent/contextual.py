@@ -211,6 +211,15 @@ def generate_dataset(
 
     probabilities = [w / total for w in label_weights]
     rng = rng_for(seed, 1000)
+    # The words of each form drawn so far: the marked text's words, form by form.
+    words: dict[str, list[str]] = {}
+
+    def words_of(forms: list[str]) -> list[str]:
+        for form in forms:
+            if form not in words:
+                words[form] = word_tokens(form)
+        return [word for form in forms for word in words[form]]
+
     sentences = []
     for _ in range(n):
         label = CLASS_ORDER[int(rng.choice(len(CLASS_ORDER), p=probabilities))]
@@ -219,7 +228,13 @@ def generate_dataset(
         before = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(1, 4)))]
         after = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(1, 4)))]
         text = " ".join(before + [TARGET_OPEN, target, TARGET_CLOSE] + after) + "."
-        sentences.append(parse_marked(text, label=label))
+        target_words = words_of([target])
+        if target_words and text.count(TARGET_OPEN) == text.count(TARGET_CLOSE) == 1:
+            before_words = words_of(before)
+            tokens = (*before_words, " ".join(target_words), *words_of(after))
+            sentences.append(TargetSentence(text, tokens, len(before_words), label))
+        else:  # a form holding a marker, or a target with no words: parse_marked refuses it
+            sentences.append(parse_marked(text, label=label))
     return sentences
 
 
@@ -340,7 +355,11 @@ class ContextModel:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Log-probability of a class at each of P inputs ``points`` (P, T, E)
         of one sentence, and its gradient w.r.t. each input: values (P,) and
-        gradients (P, T, E). Model parameters are untouched."""
+        gradients (P, T, E). Model parameters are untouched.
+
+        :mod:`lexisent.attribution` integrates in logit space and never calls
+        this; it is the input gradient that the tests check that kernel
+        against, and ``bench/tracing.py`` traces it by name."""
         context = self.window_positions(points.shape[1], target_index)
         _, z = self.forward(points[:, target_index], points[:, context],
                             np.ones(len(context), dtype=bool))

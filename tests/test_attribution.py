@@ -10,16 +10,17 @@ from hypothesis import strategies as st
 from lexisent import contextual as ctx
 from lexisent.attribution import (
     AttributionMap,
+    corpus_integrated_gradients,
     heatmap_csv,
     heatmap_svg,
     integrated_gradients,
     normalized_colors,
-    path_integrated_gradients,
     summary_rows,
 )
 from lexisent.lexicon import LanguageCode, Polarity
-from lexisent.settings import BASELINE_KINDS, SCHEMES
+from lexisent.settings import BASELINE_KINDS, SCHEMES, SettingError
 
+from test_batched_kernels import EDGE_SENTENCES, path_integrated_gradients, random_model
 from test_contextual import small_model, toy_corpus
 
 EN = LanguageCode.ENGLISH
@@ -55,11 +56,12 @@ class TestCore:
         assert delta == 0.0
 
     def test_invalid_steps_and_scheme(self):
-        w = np.ones((1, 1))
-        with pytest.raises(ValueError):
-            path_integrated_gradients(linear_score_fn(w), w, w * 0, steps=0)
-        with pytest.raises(ValueError):
-            path_integrated_gradients(linear_score_fn(w), w, w * 0, steps=1, scheme="simpson")
+        model = random_model(0, 2, window=1)
+        with pytest.raises(SettingError, match="^steps must be at least 1, got 0$") as caught:
+            corpus_integrated_gradients(model, EDGE_SENTENCES, steps=0)
+        assert caught.value.setting == "steps"
+        with pytest.raises(ValueError, match="^unknown scheme 'simpson'; expected one of "):
+            corpus_integrated_gradients(model, EDGE_SENTENCES, steps=1, scheme="simpson")
 
     def test_quadratic_delta_shrinks_with_steps(self):
         def score(points):
@@ -147,7 +149,16 @@ class TestIntegratedGradients:
 
 def coordinate_attributions(model, amap):
     """The (tokens, embedding) attributions that ``amap`` sums per token,
-    recomputed from the core integral."""
+    recomputed by the oracle integral, and a round-off bound on each token's
+    sum.
+
+    A token's attribution is sum over e, c of (x - x')_e W_ec g_c / n, with
+    n = 1 for the target and the used window slots for a context token, and
+    |g_c| <= 1. So ``terms`` bounds the magnitude of its 3E products, each of
+    which rounds at most 3E + 3 times. The mean gradient g comes from the path
+    logits, whose round-off is at most (2E + 5) eps ``logit_size`` on either
+    side, and g moves by no more than its logits do.
+    """
     ids, target_index = model.encode(amap.sentence)
     x = model.embeddings[ids]
     if amap.baseline_kind == "zero":
@@ -159,7 +170,21 @@ def coordinate_attributions(model, amap):
         lambda points: model.log_prob_and_input_grad(points, target_index, class_index),
         x, baseline, amap.steps, amap.scheme,
     )
-    return attributions
+    e = model.embedding_dim
+    context = model.window_positions(len(ids), target_index)
+    row_sums = np.abs(model.weights).sum(axis=1)
+    per_coordinate = np.zeros_like(x)
+    per_coordinate[target_index] = row_sums[:e]
+    if context:
+        per_coordinate[context] = row_sums[e:] / len(context)
+    terms = (np.abs(x - baseline) * per_coordinate).sum(axis=1)
+    features = [np.concatenate([p[target_index], p[context].mean(axis=0) if context
+                                else np.zeros(e)]) for p in (x, baseline)]
+    logit_size = (np.abs(features[0]) + np.abs(features[1])) @ np.abs(model.weights)
+    logit_size = float((logit_size + np.abs(model.bias)).max())
+    eps = np.finfo(np.float64).eps
+    bound = 2 * eps * terms * (3 * e + 3 + (2 * e + 5) * logit_size)
+    return attributions, bound
 
 
 # Words of the toy corpus, and one it never saw.
@@ -179,22 +204,23 @@ class TestCompleteness:
     @settings(max_examples=60, deadline=None)
     def test_delta_is_the_completeness_residual(self, trained, before, target, after, steps,
                                                 scheme, baseline_kind, target_class):
-        """sum(per-token attributions) - (F(x) - F(x')) is the reported delta."""
+        """Each token's attribution is the sum of its coordinates' attributions,
+        and sum(per-token attributions) - (F(x) - F(x')) is the reported delta,
+        both to round-off."""
         model, _ = trained
         sentence = ctx.parse_marked(" ".join([*before, "[TARGET]", *target, "[/TARGET]", *after]))
         amap = integrated_gradients(model, sentence, target_class=target_class, steps=steps,
                                     baseline_kind=baseline_kind, scheme=scheme)
-        coords = coordinate_attributions(model, amap)
-        assert [value for _, value in amap.per_token] == coords.sum(axis=1).tolist()
-        residual = math.fsum(value for _, value in amap.per_token) - (
-            amap.score_input - amap.score_baseline)
-        # Both sides add the same n coordinates in different orders, each with
-        # an error of at most (n - 1) * eps/2 * sum|coordinates| (Higham,
-        # "Accuracy and Stability of Numerical Algorithms", 2nd ed., eq. 4.4),
-        # and each subtraction rounds once more.
+        coords, bound = coordinate_attributions(model, amap)
+        values = np.array([value for _, value in amap.per_token])
+        assert np.all(np.abs(values - coords.sum(axis=1)) <= bound)
+        residual = math.fsum(values) - (amap.score_input - amap.score_baseline)
+        # The reported delta adds the same n token values in another order, with
+        # an error of at most (n - 1) * eps/2 * sum|values| (Higham, "Accuracy
+        # and Stability of Numerical Algorithms", 2nd ed., eq. 4.4), and each
+        # subtraction rounds once more.
         eps = np.finfo(np.float64).eps
-        magnitude = np.abs(coords).sum()
-        tolerance = eps * ((coords.size + 1) * magnitude
+        tolerance = eps * (len(values) * np.abs(values).sum()
                            + 2 * (abs(amap.score_input) + abs(amap.score_baseline)))
         assert abs(residual - amap.convergence_delta) <= tolerance
 

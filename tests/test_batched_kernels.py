@@ -2,13 +2,16 @@
 
 The reference functions below are the loop implementations the batched code
 replaced: one Python pass per sentence for the loss and its gradients, one
-score-function call per path point for Integrated Gradients. The batched code
-may only reassociate floating-point sums, so every comparison holds to 1e-12.
+score-function call per path point for Integrated Gradients, and the generic
+path integral over a score function's input gradients. The batched code may
+only reassociate floating-point sums, so every comparison holds to 1e-12.
 """
 
 from __future__ import annotations
 
 import math
+import tracemalloc
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 from lexisent import attribution as attr
 from lexisent import contextual as ctx
 from lexisent.ml.dataset import rng_for
+from lexisent.settings import DEFAULT_SCHEME, SCHEMES
 
 from test_contextual import toy_corpus
 
@@ -130,6 +134,42 @@ def ref_log_prob_and_input_grad(model, x, target_index, class_index):
     if context:
         grad[context] += dh[e:] / len(context)
     return value, grad
+
+
+#: score_fn(points (P, T, E)) -> (values (P,), gradients w.r.t. each point (P, T, E))
+ScoreFn = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+def path_integrated_gradients(
+    score_fn: ScoreFn,
+    x: np.ndarray,
+    baseline: np.ndarray,
+    steps: int,
+    scheme: str = DEFAULT_SCHEME,
+) -> tuple[np.ndarray, float, float, float]:
+    """Core integral of any score function: (attributions, F(x), F(baseline), delta).
+
+    ``right`` evaluates gradients at k/steps for k = 1..steps (a right-endpoint
+    Riemann sum); ``trapezoid`` averages endpoint pairs, halving the endpoint
+    weights. Every path point, ``x`` and ``baseline`` go to ``score_fn`` in
+    one call.
+    """
+    assert steps >= 1 and scheme in SCHEMES
+    diff = x - baseline
+    if scheme == "right":
+        ks = np.arange(1, steps + 1)
+        weights = np.ones(steps)
+    else:
+        ks = np.arange(0, steps + 1)
+        weights = np.ones(steps + 1)
+        weights[[0, -1]] = 0.5
+    points = baseline + (ks / steps)[:, None, None] * diff
+    values, grads = score_fn(np.concatenate([points, x[None], baseline[None]]))
+    mean_grad = (weights[:, None, None] * grads[: len(ks)]).sum(axis=0) / steps
+    attributions = diff * mean_grad
+    f_x, f_baseline = float(values[-2]), float(values[-1])
+    delta = float(attributions.sum() - (f_x - f_baseline))
+    return attributions, f_x, f_baseline, delta
 
 
 def ref_integrated_gradients(model, sentence, steps, baseline_kind, scheme):
@@ -327,31 +367,83 @@ class TestIntegratedGradients:
 
     @pytest.mark.parametrize("scheme", attr.SCHEMES)
     @pytest.mark.parametrize("baseline_kind", attr.BASELINE_KINDS)
-    @given(model=models, s=sentences(), steps=st.integers(1, 40))
+    @given(model=models, batch=st.lists(sentences(), min_size=1, max_size=6),
+           steps=st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
-    def test_matches_reference(self, scheme, baseline_kind, model, s, steps):
-        amap = attr.integrated_gradients(model, s, steps=steps, baseline_kind=baseline_kind,
-                                         scheme=scheme)
-        per_token, f_x, f_baseline, delta, predicted = ref_integrated_gradients(
-            model, s, steps, baseline_kind, scheme)
-        assert amap.predicted_class is ctx.CLASS_ORDER[predicted]
-        np.testing.assert_allclose([v for _, v in amap.per_token], per_token,
-                                   rtol=TOL, atol=TOL)
-        assert amap.score_input == pytest.approx(f_x, rel=TOL, abs=TOL)
-        assert amap.score_baseline == pytest.approx(f_baseline, rel=TOL, abs=TOL)
-        assert amap.convergence_delta == pytest.approx(delta, abs=TOL)
+    def test_matches_reference(self, scheme, baseline_kind, model, batch, steps):
+        maps = attr.corpus_integrated_gradients(model, batch, steps=steps,
+                                                baseline_kind=baseline_kind, scheme=scheme)
+        assert [amap.sentence for amap in maps] == batch
+        for amap, s in zip(maps, batch):
+            per_token, f_x, f_baseline, delta, predicted = ref_integrated_gradients(
+                model, s, steps, baseline_kind, scheme)
+            assert amap.predicted_class is ctx.CLASS_ORDER[predicted]
+            np.testing.assert_allclose([v for _, v in amap.per_token], per_token,
+                                       rtol=TOL, atol=TOL)
+            assert amap.score_input == pytest.approx(f_x, rel=TOL, abs=TOL)
+            assert amap.score_baseline == pytest.approx(f_baseline, rel=TOL, abs=TOL)
+            assert amap.convergence_delta == pytest.approx(delta, abs=TOL)
 
-    def test_one_gradient_call_per_sentence(self, monkeypatch):
+    def test_one_input_and_one_baseline_pass_per_chunk(self, monkeypatch):
         model = random_model(3, 4, window=2)
-        calls = []
-        original = ctx.ContextModel.log_prob_and_input_grad
+        rows = []
+        original = ctx.ContextModel.forward
 
-        def counted(self, points, target_index, class_index):
-            calls.append(points.shape[0])
-            return original(self, points, target_index, class_index)
+        def counted(self, target, context, mask):
+            rows.append(len(target))
+            return original(self, target, context, mask)
 
-        monkeypatch.setattr(ctx.ContextModel, "log_prob_and_input_grad", counted)
-        attr.integrated_gradients(model, EDGE_SENTENCES[4], steps=50, scheme="trapezoid")
-        attr.integrated_gradients(model, EDGE_SENTENCES[4], steps=50, scheme="right")
-        # all path points plus F(x) and F(baseline) in one call each
-        assert calls == [51 + 2, 50 + 2]
+        def no_gradients(*args):
+            raise AssertionError("the kernel integrates in logit space")
+
+        monkeypatch.setattr(ctx.ContextModel, "forward", counted)
+        monkeypatch.setattr(ctx.ContextModel, "log_prob_and_input_grad", no_gradients)
+        monkeypatch.setattr(ctx, "PREDICT_CHUNK", 4)
+        for steps in (1, 50, 4096):
+            for scheme in attr.SCHEMES:
+                rows.clear()
+                attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=steps,
+                                                 scheme=scheme)
+                # the inputs, then the baselines, of each chunk of 4 sentences
+                assert rows == [4, 4, 2, 2]
+
+    @pytest.mark.parametrize("baseline_kind", attr.BASELINE_KINDS)
+    def test_chunked_maps_equal_the_unchunked_maps(self, monkeypatch, baseline_kind):
+        model = random_model(7, 3, window=2)
+        whole = attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=20,
+                                                 baseline_kind=baseline_kind)
+        monkeypatch.setattr(ctx, "PREDICT_CHUNK", 2)
+        chunked = attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=20,
+                                                   baseline_kind=baseline_kind)
+        assert_same_maps(chunked, whole)
+
+    def test_path_blocks_leave_the_maps_unchanged(self, monkeypatch):
+        model = random_model(8, 3, window=3)
+        whole = attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=64)
+        monkeypatch.setattr(attr, "PATH_ELEMENTS", 10)  # one path point per block
+        assert_same_maps(attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=64),
+                         whole)
+
+    def test_a_large_step_count_stays_in_bounded_memory(self):
+        model = random_model(9, 4, window=2)
+        steps = 2_000_000  # unblocked, one (steps, 3) logit array alone takes 48 MB
+        tracemalloc.start()
+        try:
+            (amap,) = attr.corpus_integrated_gradients(model, EDGE_SENTENCES[4:5], steps=steps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert abs(amap.convergence_delta) < 1e-9
+
+
+def assert_same_maps(got, want):
+    assert [m.sentence for m in got] == [m.sentence for m in want]
+    for a, b in zip(got, want):
+        assert (a.predicted_class, a.target_class) == (b.predicted_class, b.target_class)
+        assert [token for token, _ in a.per_token] == [token for token, _ in b.per_token]
+        np.testing.assert_allclose([v for _, v in a.per_token], [v for _, v in b.per_token],
+                                   rtol=TOL, atol=TOL)
+        for name in ("confidence", "total_attribution", "convergence_delta", "score_input",
+                     "score_baseline"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=TOL, abs=TOL)

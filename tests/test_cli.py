@@ -531,6 +531,37 @@ class TestCtxAndExplain:
         n_sentences = len((trained / "test.tsv").read_text().splitlines())
         assert len(summary) == n_sentences + 1
 
+    def test_explain_text_equals_the_same_sentence_in_a_corpus(self, tmp_path, ctx_lex_file,
+                                                              capsys):
+        run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+            "-n", "60", "--seed", "3", "--out", tmp_path / "gen")
+        run("ctx", "train", "--corpus", tmp_path / "gen" / "corpus.tsv",
+            "--out", tmp_path / "model", "--epochs", "4", "--embedding-dim", "8")
+        model, corpus = tmp_path / "model" / "model.json", tmp_path / "model" / "test.tsv"
+        flags = ("--steps", "8", "--baseline", "pad", "--scheme", "right")
+        capsys.readouterr()
+        assert run("explain", "--model", model, "--corpus", corpus, "--out", tmp_path / "all",
+                   *flags) == 0
+        maps = [json.loads(path.read_text(encoding="utf-8"))
+                for path in sorted((tmp_path / "all").glob("attribution_*.json"))]
+        largest = max(abs(amap["convergence_delta"]) for amap in maps)
+        assert capsys.readouterr().err.endswith(
+            f"attributed {len(maps)} sentence(s), largest |convergence delta| {largest:.3g}\n")
+        text = corpus.read_text(encoding="utf-8").splitlines()[2].split("\t")[0]
+        assert run("explain", "--model", model, "--text", text, "--out", tmp_path / "one",
+                   *flags) == 0
+        one = json.loads((tmp_path / "one" / "attribution.json").read_text(encoding="utf-8"))
+        assert one.keys() == maps[2].keys()
+        for key, value in one.items():
+            if key == "per_token":
+                assert [token for token, _ in value] == [token for token, _ in maps[2][key]]
+                assert [v for _, v in value] == pytest.approx([v for _, v in maps[2][key]],
+                                                              rel=1e-12, abs=1e-12)
+            elif isinstance(value, float):
+                assert value == pytest.approx(maps[2][key], rel=1e-12, abs=1e-12)
+            else:
+                assert value == maps[2][key]
+
     @pytest.mark.parametrize("given", [(), ("--text", "a [TARGET] b [/TARGET]",
                                             "--corpus", "corpus.tsv")],
                              ids=["neither", "both"])

@@ -7,11 +7,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexisent import contextual as ctx
 from lexisent import metrics as evalm
 from lexisent import ml
-from lexisent.lexicon import LanguageCode, Polarity
+from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag
+from lexisent.translator import word_tokens
 
 EN = LanguageCode.ENGLISH
 
@@ -137,6 +140,20 @@ class TestSplit:
             ctx.split_70_20_10(data, seed=0)
 
 
+#: Lexicon forms mixing words with separators, spaces, letters that case
+#: folding changes and combining marks that NFC composes.
+FORMS = st.text(st.sampled_from(["a", "B", "e", "\u0301", "\u0308", "\u00df", "\u0130", "\u03a3",
+                                 "\u1100", "\u1161", " ", "\u00a0", ".", ",", "'", "-"]),
+                min_size=1, max_size=8)
+
+
+def lexicon_of(scored_forms: list[tuple[str, float]]) -> Lexicon:
+    """A lexicon of one English form and score per entry."""
+    return Lexicon(LexiconEntry(forms={EN: form}, pos=PosTag.MOT, shared_score=score,
+                                per_language_scores={EN: score})
+                   for form, score in scored_forms)
+
+
 class TestGenerate:
     def test_counts_and_parseability(self, ctx_lexicon):
         data = ctx.generate_dataset(ctx_lexicon, EN, 200, seed=1)
@@ -145,6 +162,37 @@ class TestGenerate:
             reparsed = ctx.parse_marked(s.text, label=s.label)
             assert reparsed.tokens == s.tokens
             assert s.target in ("accuse", "earth")
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_every_sentence_is_its_parsed_text(self, ctx_lexicon, seed):
+        for s in ctx.generate_dataset(ctx_lexicon, EN, 300, seed=seed):
+            assert s == ctx.parse_marked(s.text, label=s.label)
+
+    @given(forms=st.lists(FORMS, min_size=4, max_size=12, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_every_sentence_is_its_parsed_text_on_any_lexicon(self, forms, seed):
+        """Forms with separators, spaces, case folding and combining marks
+        yield the tokens the parsed marked text has; a context form may have
+        no words at all."""
+        target = next((form for form in forms if word_tokens(form)), None)
+        if target is None:
+            return
+        pools = [form for form in forms if form != target]
+        lexicon = lexicon_of([(target, 3.0), (target, -3.0)]
+                             + [(form, (3.0, 0.0, -3.0)[i % 3]) for i, form in enumerate(pools)])
+        for s in ctx.generate_dataset(lexicon, EN, 40, seed=seed, label_weights=(1, 1, 1)):
+            assert s == ctx.parse_marked(s.text, label=s.label)
+
+    @pytest.mark.parametrize("target, context, message", [
+        ("...", "good", "empty target span"),
+        ("thing", "good [target]", "expected exactly one"),
+        ("thing [/TARGET]", "good", "expected exactly one"),
+    ], ids=["wordless-target", "marker-in-context", "marker-in-target"])
+    def test_a_form_the_corpus_reader_refuses_is_refused(self, target, context, message):
+        lexicon = lexicon_of([(target, 3.0), (target, -3.0), (context.upper(), 3.0)])
+        with pytest.raises(ctx.MarkupError, match=message):
+            ctx.generate_dataset(lexicon, EN, 5, seed=0, label_weights=(0, 0, 1))
 
     def test_empty(self, ctx_lexicon):
         assert ctx.generate_dataset(ctx_lexicon, EN, 0, seed=1) == []
