@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-Subcommands: ``lexicon validate|clean|stats``, ``translate``, ``score``,
-``compare``, ``ml train|eval``, ``ctx generate|train|eval``, ``explain``.
+Subcommands: ``lexicon validate|clean|stats``, ``translate``, ``compare``,
+``ml train|eval``, ``ctx generate|train|eval``, ``explain``.
 Every run echoes its effective configuration and a manifest of produced files
 into the output directory, so results are reproducible from disk. A command
 returns its files instead of writing them; :func:`main` then builds
@@ -9,7 +9,7 @@ returns its files instead of writing them; :func:`main` then builds
 directory and writes every file. So a command that exits 1 or 2 writes
 nothing, and only a failing write can leave a partial directory.
 
-``score`` and ``compare`` write both scoring modes (avg and v2). ``ml train``
+``compare`` writes both scoring modes (avg and v2). ``ml train``
 records its task and train/test split in the model, and ``ml eval`` scores the
 same test split, refusing a ``--seed`` or ``--train-fraction`` that differs.
 ``ml train``, ``ml eval`` and ``ctx eval`` write the same evaluation files:
@@ -21,8 +21,8 @@ older versions must be trained again. Exit codes: 0 success,
 one, the row or line; a refused training setting names its flag.
 
 Each subcommand imports only the modules it runs, so building the parser
-loads no numpy, and ``lexicon validate|clean``, ``translate``, ``score`` and
-``compare`` run without it.
+loads no numpy, and ``lexicon validate|clean``, ``translate`` and ``compare``
+run without it.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ import gc
 import io
 import math
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -82,16 +83,26 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return config
 
 
+@contextmanager
+def _errors_name(path: str):
+    """Data errors raised inside name the file ``path``; a refused setting
+    passes unchanged, since it names its flag."""
+    try:
+        yield
+    except SettingError:
+        raise
+    except ValueError as exc:  # UnicodeDecodeError included
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _parse_file(path: str, parse):
     """``parse`` applied to a UTF-8 file's text; its errors name the file.
 
     The text keeps its line ends, so CSV readers see quoted line breaks as
     written.
     """
-    try:
+    with _errors_name(path):
         return parse(Path(path).read_bytes().decode("utf-8"))
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def _normalized_lexicon(text: str):
@@ -142,7 +153,8 @@ def cmd_lexicon_validate(args) -> Output:
 
 def cmd_lexicon_clean(args) -> Output:
     lexicon = _parse_file(args.infile, parse_lexicon)
-    cleaned, report = clean(lexicon)
+    with _errors_name(args.infile):  # a French form that cleans to nothing
+        cleaned, report = clean(lexicon)
     files = {
         "cleaned.csv": serialize_lexicon(cleaned),
         "cleaning_report.json": json_text(report.to_json_dict()),
@@ -156,7 +168,8 @@ def cmd_lexicon_stats(args) -> Output:
     from . import eda, svg
 
     lexicon = _parse_file(args.infile, parse_lexicon)
-    report = eda.compute_eda(lexicon)
+    with _errors_name(args.infile):  # an empty lexicon
+        report = eda.compute_eda(lexicon)
     files = {"eda.json": json_text(report.to_json_dict())}
 
     polarities = [p.value for p in Polarity]
@@ -229,29 +242,15 @@ def cmd_translate(args) -> Output:
     return {"translations.csv": csv_text(table)}, f"translated {len(rows)} sentences"
 
 
-def _baseline_fn(name: str) -> scoring.BaselineScorer:
-    return scoring.builtin_english_baseline if name == "builtin" else scoring.zero_baseline
-
-
-def _score_rows(args) -> scoring.ComparisonReport:
+def cmd_compare(args) -> Output:
     lexicon = _parse_file(args.lex, _normalized_lexicon)
     rows = _parse_file(args.infile, partial(_sentence_rows, header=("sentence", "language")))
-    return scoring.score_batch(rows, lexicon, _baseline_fn(args.baseline))
-
-
-def cmd_score(args) -> Output:
-    report = _score_rows(args)
-    counts = "; ".join(
-        f"{mode.value}: "
-        + ", ".join(f"{p.value} {report.polarity_counts[mode.value][p]}" for p in Polarity)
-        for mode in scoring.ScoreMode
-    )
-    files = {"comparison.csv": csv_text(scoring.comparison_csv_rows(report))}
-    return files, f"{len(report.rows)} sentences ({counts})"
-
-
-def cmd_compare(args) -> Output:
-    report = _score_rows(args)
+    if not rows:  # an agreement over no sentences would read a vacuous 1.000
+        raise ValueError(f"{args.infile}: no sentences")
+    baseline = (scoring.builtin_english_baseline if args.baseline == "builtin"
+                else scoring.zero_baseline)
+    report = scoring.score_batch(rows, lexicon, baseline)
+    del lexicon, rows  # freed before the files are built, so peak memory stays low
     files = {
         "comparison.csv": csv_text(scoring.comparison_csv_rows(report)),
         "comparison.json": json_text(report.to_json_dict()),
@@ -411,14 +410,14 @@ def cmd_ctx_generate(args) -> Output:
     if args.count < 1:
         raise _UsageError(f"-n/--count must be at least 1, got {args.count}")
     lexicon = _parse_file(args.lex, _normalized_lexicon)
-    sentences = ctx.generate_dataset(
-        lexicon, LanguageCode.parse(args.language), args.count, args.seed,
-        label_weights=weights,
-    )
-    try:
+    language = LanguageCode.parse(args.language)
+    # The lexicon may lack the forms to build from, or hold one that would
+    # break the corpus's lines.
+    with _errors_name(args.lex):
+        sentences = ctx.generate_dataset(
+            lexicon, language, args.count, args.seed, label_weights=weights
+        )
         corpus = ctx.write_corpus(sentences)
-    except ValueError as exc:  # a form that would break the corpus's lines
-        raise ValueError(f"{args.lex}: {exc}") from None
     return {"corpus.tsv": corpus}, f"generated {len(sentences)} sentences"
 
 
@@ -426,7 +425,7 @@ def cmd_ctx_train(args) -> Output:
     from . import contextual as ctx
 
     corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
-    try:
+    with _errors_name(args.corpus):  # nothing is written for a corpus that cannot be trained on
         train_set, val_set, test_set = ctx.split_70_20_10(corpus, args.seed)
         if args.uniform_weights:
             weights = ctx.uniform_class_weights()
@@ -439,10 +438,6 @@ def cmd_ctx_train(args) -> Output:
             config, train_set, val_set, weights,
             epochs=args.epochs, learning_rate=args.learning_rate, seed=args.seed,
         )
-    except SettingError:
-        raise
-    except ValueError as exc:  # nothing is written for a corpus that cannot be trained on
-        raise ValueError(f"{args.corpus}: {exc}") from None
     files = {
         "model.json": ctx.save_context_model(model),
         "loss.csv": ctx.history_csv(model),
@@ -464,11 +459,9 @@ def cmd_ctx_eval(args) -> Output:
 
     model = _parse_file(args.model, ctx.load_context_model)
     corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
-    try:  # outputs that overflow are refused below
-        with np.errstate(over="ignore", invalid="ignore"):
-            y_true, y_pred, proba = ctx.evaluate(model, corpus)
-    except ValueError as exc:  # an empty corpus
-        raise ValueError(f"{args.corpus}: {exc}") from None
+    # An empty corpus is refused; outputs that overflow are refused below.
+    with _errors_name(args.corpus), np.errstate(over="ignore", invalid="ignore"):
+        y_true, y_pred, proba = ctx.evaluate(model, corpus)
     files, accuracy = _evaluation_files(
         args.model, y_true, y_pred, proba, [p.value for p in ctx.CLASS_ORDER]
     )
@@ -545,12 +538,11 @@ def build_parser() -> _Parser:
                    help="CSV sentence,source_language,target_language")
     p.add_argument("--out", default=None)
 
-    for name, func in (("score", cmd_score), ("compare", cmd_compare)):
-        p = add(name, func, sub, help="sentence scoring against the baseline")
-        p.add_argument("--lex", required=True)
-        p.add_argument("--in", dest="infile", required=True, help="CSV sentence,language")
-        p.add_argument("--out", required=True)
-        p.add_argument("--baseline", choices=("builtin", "zero"), default="builtin")
+    p = add("compare", cmd_compare, sub, help="sentence scoring against the baseline")
+    p.add_argument("--lex", required=True)
+    p.add_argument("--in", dest="infile", required=True, help="CSV sentence,language")
+    p.add_argument("--out", required=True)
+    p.add_argument("--baseline", choices=("builtin", "zero"), default="builtin")
 
     mlp = sub.add_parser("ml", help="classical classifiers on lexicon features")
     ml_sub = mlp.add_subparsers(dest="subcommand")
@@ -627,7 +619,7 @@ def main(argv=None) -> int:
     passes over the many small objects a command builds find nothing to free.
     That holds because no command leaves cyclic garbage that grows with its
     input: reference counting frees what the command drops. The only cycles
-    left behind are the 730 objects that each :func:`build_parser` call
+    left behind are the 686 objects that each :func:`build_parser` call
     leaves (argparse's parsers and actions refer to each other), a count
     that does not depend on the input, so the pause stays safe. The caller's
     collector state comes back on return, and no collection is forced.

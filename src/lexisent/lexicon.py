@@ -196,7 +196,6 @@ class _Tables(NamedTuple):
     by_id: dict[str, LexiconEntry]
     index: dict[LanguageCode, dict[str, tuple[str, ...]]]
     phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]]
-    ambiguous: dict[LanguageCode, dict[str, tuple[str, tuple[str, ...]]]]
 
 
 class ScoreTable(NamedTuple):
@@ -218,12 +217,11 @@ class Lexicon:
     Construction keeps only ``entries``. The lookup tables are compiled on
     first use, all at once and once per lexicon, so commands that never look a
     form up never pay for them: ``by_id`` (entry id -> entry), ``index`` (form
-    -> entry ids in entry order), and two per-language tables for the
-    tokenizer: ``phrase_lengths`` maps the first word of every multi-word form
-    to the word counts of the forms that start with it (descending), and
-    ``ambiguous`` maps every form with several entries to the winning entry id
-    and the losing ones, ranked by :data:`POS_PRIORITY` and then by row, so the
-    earliest entry wins a tie. ``scores`` compiles on its own first use too.
+    -> entry ids in disambiguation order: ranked by :data:`POS_PRIORITY` and
+    then by row, so the first id wins and the earliest entry wins a tie), and
+    ``phrase_lengths``, which maps the first word of every multi-word form to
+    the word counts of the forms that start with it (descending).
+    ``scores`` compiles on its own first use too.
     """
 
     def __init__(self, entries: Iterable[LexiconEntry]):
@@ -239,7 +237,7 @@ class Lexicon:
         phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]] = {
             lang: {} for lang in LanguageCode
         }
-        # Forms seen more than once collect their ids in a list, frozen below.
+        # Forms seen more than once collect their ids in a list, ranked and frozen below.
         repeated: dict[LanguageCode, dict[str, list[str]]] = {lang: {} for lang in LanguageCode}
         for entry in self.entries:
             entry_id = entry.entry_id
@@ -253,14 +251,11 @@ class Lexicon:
                     repeated[language][form].append(entry_id)
                 else:
                     repeated[language][form] = [*forms[form], entry_id]
-        ambiguous: dict[LanguageCode, dict[str, tuple[str, tuple[str, ...]]]] = {}
         for language, forms in repeated.items():
-            winners = ambiguous[language] = {}
-            for form, ids in forms.items():
-                index[language][form] = tuple(ids)
+            for form, ids in forms.items():  # sorted is stable: a tie keeps row order
                 ranked = sorted(ids, key=lambda i: POS_PRIORITY[by_id[i].pos])
-                winners[form] = (ranked[0], tuple(ranked[1:]))
-        return _Tables(by_id, index, phrase_lengths, ambiguous)
+                index[language][form] = tuple(ranked)
+        return _Tables(by_id, index, phrase_lengths)
 
     @cached_property
     def scores(self) -> ScoreTable:
@@ -289,10 +284,6 @@ class Lexicon:
     def phrase_lengths(self) -> dict[LanguageCode, dict[str, tuple[int, ...]]]:
         return self._tables.phrase_lengths
 
-    @property
-    def ambiguous(self) -> dict[LanguageCode, dict[str, tuple[str, tuple[str, ...]]]]:
-        return self._tables.ambiguous
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -300,6 +291,7 @@ class Lexicon:
         return isinstance(other, Lexicon) and self.entries == other.entries
 
     def lookup(self, language: LanguageCode, form: str) -> tuple[LexiconEntry, ...]:
+        """The entries whose ``language`` form is ``form``, in disambiguation order."""
         return tuple(self.by_id[i] for i in self.index[language].get(form, ()))
 
 

@@ -53,14 +53,14 @@ def tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[To
     records for that first word are tried, longest first, then the word on its
     own. Words with no lexicon match come back as unknown tokens. Spans index
     into the normalized sentence. A form with several entries resolves to the
-    winner precompiled in ``lexicon.ambiguous``.
+    first of its ids in ``index``, which are in disambiguation order; the rest
+    become the token's ``alternatives``.
     """
     matches = list(WORD_PATTERN.finditer(normalize_sentence(sentence)))
     texts = [m.group() for m in matches]
     n_words = len(texts)
     index = lexicon.index[language]
     phrase_lengths = lexicon.phrase_lengths[language]
-    ambiguous = lexicon.ambiguous[language]
 
     tokens: list[Token] = []
     i = 0
@@ -78,13 +78,10 @@ def tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[To
                     break
         if not ids:
             ids = index.get(word, ())
-        if not ids:
-            tokens.append(Token(word, None, span))
-        elif len(ids) == 1:
-            tokens.append(Token(surface, ids[0], span))
+        if ids:
+            tokens.append(Token(surface, ids[0], span, ids[1:]))
         else:
-            chosen, alternatives = ambiguous[surface]
-            tokens.append(Token(surface, chosen, span, alternatives))
+            tokens.append(Token(word, None, span))
         i += match_len
     return tokens
 

@@ -11,10 +11,18 @@ from pathlib import Path
 import pytest
 
 import lexisent
+from lexisent import cli
 from lexisent.artifact import FORMAT_VERSION
 from lexisent.cli import build_parser, main
 from lexisent.contextual import LOSS_EXPLOSION_FACTOR
-from lexisent.lexicon import LanguageCode, Lexicon, json_text, parse_lexicon, serialize_lexicon
+from lexisent.lexicon import (
+    CSV_HEADER,
+    LanguageCode,
+    Lexicon,
+    json_text,
+    parse_lexicon,
+    serialize_lexicon,
+)
 
 from conftest import build_ctx_lexicon
 
@@ -70,7 +78,6 @@ CLI_SURFACE = {
     "lexicon clean": {"--in", "--out"},
     "lexicon stats": {"--in", "--out"},
     "translate": {"--lex", "--text", "--from", "--to", "--in", "--out"},
-    "score": {"--lex", "--in", "--out", "--baseline"},
     "compare": {"--lex", "--in", "--out", "--baseline"},
     "ml train": {"--lex", "--task", "--model", "--out", "--train-fraction", "--seed",
                  "--max-depth", "--min-samples-split", "--n-trees", "--no-bootstrap",
@@ -100,17 +107,32 @@ def leaf_options(parser, path=()):
 class TestCliSurface:
     def test_options_per_subcommand(self):
         assert dict(leaf_options(build_parser())) == CLI_SURFACE
-        assert sum(len(options) for options in CLI_SURFACE.values()) == 65
+        assert sum(len(options) for options in CLI_SURFACE.values()) == 61
 
     @pytest.mark.parametrize("argv", [
         ("lexicon", "validate", "--in", "lexicon.csv", "--threads", "2"),
-        ("score", "--lex", "l.csv", "--in", "s.csv", "--out", "o", "--mode", "v2"),
         ("compare", "--lex", "l.csv", "--in", "s.csv", "--out", "o", "--mode", "avg"),
         ("ml", "eval", "--model", "m.json", "--lex", "l.csv", "--out", "o", "--task", "pos"),
     ])
     def test_removed_flags_are_usage_errors(self, argv, capsys):
         assert run(*argv) == 1
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_score_is_an_unknown_command(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run("score", "--lex", "l.csv", "--in", "s.csv", "--out", out) == 1
+        assert "invalid choice: 'score'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_docstring_lists_exactly_the_leaf_commands(self):
+        """The module docstring's ``Subcommands:`` list, ``lexicon
+        validate|clean|stats`` read as three commands, is the parser's."""
+        listed = re.search(r"^Subcommands:(.*?)\.$", cli.__doc__, re.M | re.S).group(1)
+        named = set()
+        for item in re.findall(r"``([^`]+)``", listed):
+            group, _, leaves = item.rpartition(" ")
+            named |= {f"{group} {leaf}".strip() for leaf in leaves.split("|")}
+        assert named == set(dict(leaf_options(build_parser())))
 
 
 class TestLexiconCommands:
@@ -269,9 +291,9 @@ class TestScoreCommands:
         )
         return path
 
-    def test_score_layout(self, tmp_path, paper_lex_file, sentences_file):
+    def test_compare_layout(self, tmp_path, paper_lex_file, sentences_file):
         out = tmp_path / "scored"
-        assert run("score", "--in", sentences_file, "--lex", paper_lex_file,
+        assert run("compare", "--in", sentences_file, "--lex", paper_lex_file,
                    "--baseline", "builtin", "--out", out) == 0
         lines = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == (
@@ -307,11 +329,9 @@ class TestUnnormalizedLexicon:
         path.write_text("sentence,language\nI am happy,english\n", encoding="utf-8")
         return path
 
-    @pytest.mark.parametrize("command", ["score", "compare"])
-    def test_scoring_commands_refuse(self, tmp_path, dirty_lex_file, sentences_file,
-                                     command, capsys):
+    def test_compare_refuses(self, tmp_path, dirty_lex_file, sentences_file, capsys):
         out = tmp_path / "out"
-        assert run(command, "--lex", dirty_lex_file, "--in", sentences_file,
+        assert run("compare", "--lex", dirty_lex_file, "--in", sentences_file,
                    "--out", out) == 2
         err = capsys.readouterr().err
         assert "row 3, column 'english'" in err
@@ -327,7 +347,7 @@ class TestUnnormalizedLexicon:
         cleaned = tmp_path / "cleaned"
         assert run("lexicon", "clean", "--in", dirty_lex_file, "--out", cleaned) == 0
         out = tmp_path / "out"
-        assert run("score", "--lex", cleaned / "cleaned.csv", "--in", sentences_file,
+        assert run("compare", "--lex", cleaned / "cleaned.csv", "--in", sentences_file,
                    "--out", out) == 0
         row = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()[1]
         assert "happy:5" in row and "positive" in row
@@ -630,10 +650,9 @@ class TestErrorsNameTheFile:
 
     @pytest.mark.parametrize("command, text, column", [
         ("compare", "sentence,language\nI want food.,english\nbad day,klingon\n", "language"),
-        ("score", "sentence,language\nI want food.,english\nbad day,klingon\n", "language"),
         ("translate", "sentence,source_language,target_language\n"
                       "Thank you.,english,french\nbad day,english,elvish\n", "target_language"),
-    ], ids=["compare", "score", "translate"])
+    ], ids=["compare", "translate"])
     def test_unknown_language_cell_names_file_row_and_column(self, tmp_path, paper_lex_file,
                                                              command, text, column, capsys):
         sentences = tmp_path / "sents.csv"
@@ -834,6 +853,34 @@ class TestErrorsNameTheFile:
         assert f"exceeds {LOSS_EXPLOSION_FACTOR:g} times the untrained model's loss " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, rows, message", [
+        (("lexicon", "clean"), ['" ",,good,,,,mot,1,,,,,,'],
+         "entry r1: french form ' ' normalizes to empty"),
+        (("lexicon", "stats"), [], "cannot summarize an empty lexicon"),
+        (("ctx", "generate", "--language", "english", "-n", "4"), ["bon,,good,,,,mot,1,,,,,,"],
+         "lexicon has no context-dependent english forms"),
+        (("ctx", "generate", "--language", "english", "-n", "4"),
+         ["bon,,watch,,,,mot,1,,,,,,", "mal,,watch,,,,mot,-1,,,,,,"],
+         "no unambiguous negative english words to build contexts"),
+    ], ids=["clean-empty-form", "stats-empty", "generate-no-targets", "generate-no-context"])
+    def test_a_command_refusing_its_lexicon_names_it(self, tmp_path, command, rows, message,
+                                                     capsys):
+        lexicon = tmp_path / "lexicon.csv"
+        lexicon.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n", encoding="utf-8")
+        flag = "--lex" if command[0] == "ctx" else "--in"
+        out = tmp_path / "out"
+        assert run(*command, flag, lexicon, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {lexicon}: {message}\n"
+        assert not out.exists()
+
+    def test_compare_refuses_a_file_of_no_sentences(self, tmp_path, paper_lex_file, capsys):
+        sentences = tmp_path / "sents.csv"
+        sentences.write_text("sentence,language\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("compare", "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {sentences}: no sentences\n"
+        assert not out.exists()
+
 
 class TestAFailedRunWritesNothing:
     """Every writing command builds all its files, ``run_config.json`` and
@@ -863,7 +910,6 @@ class TestAFailedRunWritesNothing:
         "lexicon clean --in {lexicon}",
         "lexicon stats --in {lexicon}",
         "translate --lex {lexicon} --in {root}/pairs.csv",
-        "score --lex {lexicon} --in {root}/sentences.csv",
         "compare --lex {lexicon} --in {root}/sentences.csv",
         "ml train --lex {lexicon} --model decision_tree",
         "ml eval --model {root}/ml/model.json --lex {lexicon}",
@@ -1092,7 +1138,6 @@ class TestImportsPerSubcommand:
             ["lexicon", "validate", "--in", lexicon, "--out", "validate"],
             ["lexicon", "clean", "--in", lexicon, "--out", "clean"],
             ["translate", "--lex", lexicon, "--in", str(pairs), "--out", "translate"],
-            ["score", "--lex", lexicon, "--in", str(sentences), "--out", "score"],
             ["compare", "--lex", lexicon, "--in", str(sentences), "--out", "compare"],
         ]
         blocked, plain = tmp_path / "blocked", tmp_path / "plain"
@@ -1110,4 +1155,4 @@ class TestImportsPerSubcommand:
 
         assert files(blocked) == files(plain)
         assert {Path(name).parts[0] for name in files(plain)} == {
-            "validate", "clean", "translate", "score", "compare"}
+            "validate", "clean", "translate", "compare"}

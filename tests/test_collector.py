@@ -144,7 +144,6 @@ class TestNoCyclicGarbageGrowsWithInput:
         "lexicon clean": "lexicon clean --in {lexicon} --out {out}",
         "lexicon stats": "lexicon stats --in {lexicon} --out {out}",
         "translate": "translate --lex {lexicon} --in {pairs} --out {out}",
-        "score": "score --lex {lexicon} --in {sentences} --out {out}",
         "compare": "compare --lex {lexicon} --in {sentences} --out {out}",
         "ml train": "ml train --lex {lexicon} --model random_forest --n-trees 3 --out {out}",
         "ml eval": "ml eval --model {ml_model} --lex {lexicon} --out {out}",

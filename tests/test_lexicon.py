@@ -519,15 +519,18 @@ class TestIndexes:
             make_entry(fr="voir", english="watch", pos=PosTag.VERBE),
             make_entry(fr="seul", english="alone"),
         ])
-        assert lex.index[LanguageCode.ENGLISH]["watch"] == ("r1", "r2", "r3")
-        assert lex.ambiguous[LanguageCode.ENGLISH] == {"watch": ("r2", ("r1", "r3"))}
+        assert lex.index[LanguageCode.ENGLISH]["watch"] == ("r2", "r1", "r3")
+        assert [e.entry_id for e in lex.lookup(LanguageCode.ENGLISH, "watch")] == [
+            "r2", "r1", "r3"]
+        (token,) = tokenize("watch", LanguageCode.ENGLISH, lex)
+        assert (token.entry_id, token.alternatives) == ("r2", ("r1", "r3"))
 
     def test_same_pos_tie_goes_to_the_earliest_row(self):
         entries = [make_entry(fr=f"f{i}", english=f"w{i}") for i in range(1, 9)]
         entries += [make_entry(fr="f9", english="same", pos=PosTag.VERBE),
                     make_entry(fr="f10", english="same", pos=PosTag.VERBE)]
         lex = Lexicon(entries)
-        assert lex.ambiguous[LanguageCode.ENGLISH]["same"] == ("r9", ("r10",))
+        assert lex.index[LanguageCode.ENGLISH]["same"] == ("r9", "r10")
         (token,) = tokenize("same", LanguageCode.ENGLISH, lex)
         assert (token.entry_id, token.alternatives) == ("r9", ("r10",))
 
@@ -789,13 +792,17 @@ def test_a_refused_literal_is_refused_again_after_the_same_text_passed_elsewhere
 
 
 def reference_tables(lexicon: Lexicon):
-    """``by_id``, ``index``, ``phrase_lengths`` and ``ambiguous`` built eagerly,
-    one entry and one form at a time."""
+    """``by_id``, ``index`` and ``phrase_lengths`` built eagerly, one entry and
+    one form at a time; ``index`` ranks each form's ids by POS, then by row."""
     by_id = {e.entry_id: e for e in lexicon.entries}
     index = {lang: {} for lang in LanguageCode}
     for entry in lexicon.entries:
         for language, form in entry.forms.items():
             index[language][form] = index[language].get(form, ()) + (entry.entry_id,)
+    for forms in index.values():
+        for form, ids in forms.items():
+            forms[form] = tuple(
+                sorted(ids, key=lambda i: (POS_PRIORITY[by_id[i].pos], int(i[1:]))))
     phrase_lengths = {lang: {} for lang in LanguageCode}
     for language, forms in index.items():
         for form in forms:
@@ -803,16 +810,7 @@ def reference_tables(lexicon: Lexicon):
                 first = form.split(" ")[0]
                 lengths = set(phrase_lengths[language].get(first, ())) | {form.count(" ") + 1}
                 phrase_lengths[language][first] = tuple(sorted(lengths, reverse=True))
-    ambiguous = {
-        language: {
-            form: (ranked[0], tuple(ranked[1:]))
-            for form, ids in forms.items()
-            if len(ids) > 1
-            for ranked in [sorted(ids, key=lambda i: (POS_PRIORITY[by_id[i].pos], int(i[1:])))]
-        }
-        for language, forms in index.items()
-    }
-    return by_id, index, phrase_lengths, ambiguous
+    return by_id, index, phrase_lengths
 
 
 WORDS = ["go", "wa", "le", "bon", "go wa", "go tšhaba", "go wa le", "bon le", "ke"]
@@ -843,13 +841,22 @@ def items(table):
 @settings(max_examples=150, deadline=None)
 def test_lazy_tables_equal_the_eager_reference(lex):
     assert "_tables" not in lex.__dict__
-    by_id, index, phrase_lengths, ambiguous = reference_tables(lex)
+    by_id, index, phrase_lengths = reference_tables(lex)
     assert items(lex.by_id) == items(by_id)
     assert items(lex.index) == items(index)
     assert items(lex.phrase_lengths) == items(phrase_lengths)
-    # Forms enter ``ambiguous`` in the order of their second entry, so only
-    # its contents are compared.
-    assert lex.ambiguous == ambiguous
+
+
+@given(crowded_lexicon_st(), st.lists(st.sampled_from(WORDS), max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_index_ranks_ids_and_a_token_takes_the_first(lex, words):
+    for language, forms in lex.index.items():
+        for form, ids in forms.items():
+            rows = [e.entry_id for e in lex.entries if e.forms.get(language) == form]
+            assert ids == tuple(sorted(rows, key=lambda i: POS_PRIORITY[lex.by_id[i].pos]))
+        for token in tokenize(" ".join(words), language, lex):
+            ids = forms.get(token.surface, (None,))
+            assert (token.entry_id, token.alternatives) == (ids[0], ids[1:])
 
 
 class TestLazyTables:
