@@ -4,18 +4,20 @@ Attribution of coordinate i is (x_i - x'_i) times the average gradient of the
 class score along the straight path from the baseline x' to the input x. The
 class score is the model's log-probability for the chosen class; the residual
 between the summed attributions and F(x) - F(x') is the convergence delta,
-which shrinks as the number of integration steps grows.
+which shrinks as the number of integration steps grows. The average is taken
+by the trapezoid rule over ``steps + 1`` evenly spaced path points, so the
+delta falls as 1/steps^2.
 
 The model's logits are affine in its input embeddings: ``h`` is the target
 embedding next to the mean of the window's embeddings, and ``z = h W + b``.
 On the straight path the logits therefore run along a line, ``z(t) = z' +
 t (z - z')``, and the gradient of F at every path point is one fixed linear
-map of the 3-vector ``e_c - softmax(z(t))``. The Riemann sum of the gradients
-is that map applied once to the weighted mean ``g`` of those 3-vectors, so a
-token's attribution is ``((x_i - x'_i) @ W_part) . g``, where ``W_part`` holds
-the rows of ``W`` that read the target (for the target) or the window mean
-(for a context token, whose value is then divided by the number of used
-window slots); tokens outside the window get 0.
+map of the 3-vector ``e_c - softmax(z(t))``. The trapezoid sum of the
+gradients is that map applied once to the weighted mean ``g`` of those
+3-vectors, so a token's attribution is ``((x_i - x'_i) @ W_part) . g``, where
+``W_part`` holds the rows of ``W`` that read the target (for the target) or
+the window mean (for a context token, whose value is then divided by the
+number of used window slots); tokens outside the window get 0.
 Only the two forward passes for ``z`` and ``z'`` read embeddings, once per
 sentence; the path itself is 3-way softmaxes, so its cost depends neither on
 sentence length nor on embedding size, and ``steps`` adds only those.
@@ -28,9 +30,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contextual
-from .contextual import CLASS_ORDER, ContextModel, TargetSentence, _log_sum_exp, _softmax
+from .contextual import CLASS_ORDER, ContextModel, TargetSentence, _log_sum_exp
 from .lexicon import Polarity, csv_text, json_text
-from .settings import BASELINE_KINDS, DEFAULT_SCHEME, DEFAULT_STEPS, SCHEMES, SettingError
+from .ml.dataset import softmax
+from .settings import BASELINE_KINDS, DEFAULT_STEPS, SettingError
 
 
 @dataclass(frozen=True)
@@ -44,7 +47,6 @@ class AttributionMap:
     convergence_delta: float
     steps: int
     baseline_kind: str
-    scheme: str
     score_input: float  # F(x)
     score_baseline: float  # F(x')
 
@@ -65,7 +67,7 @@ class AttributionMap:
             "convergence_delta": self.convergence_delta,
             "steps": self.steps,
             "baseline_kind": self.baseline_kind,
-            "scheme": self.scheme,
+            "scheme": "trapezoid",
             "score_input": self.score_input,
             "score_baseline": self.score_baseline,
         }
@@ -77,26 +79,24 @@ PATH_ELEMENTS = 1 << 18
 
 
 def _mean_gradient(z: np.ndarray, z_baseline: np.ndarray, class_index: np.ndarray,
-                   steps: int, scheme: str) -> np.ndarray:
+                   steps: int) -> np.ndarray:
     """``sum_k w_k (e_c - softmax(z' + t_k (z - z'))) / steps`` per row, (rows, 3).
 
-    ``right`` takes t_k = k/steps for k = 1..steps (a right-endpoint Riemann
-    sum); ``trapezoid`` takes k = 0..steps and halves the two endpoint
-    weights, so the weights sum to ``steps`` in both. Both are exact for
-    linear score functions at any step count. The path points go through in
-    blocks of at most :data:`PATH_ELEMENTS` logits.
+    The trapezoid rule: t_k = k/steps for k = 0..steps, with the two endpoint
+    weights halved, so the weights sum to ``steps``. It is exact for linear
+    score functions at any step count. The path points go through in blocks
+    of at most :data:`PATH_ELEMENTS` logits.
     """
     rows = len(z)
     direction = z - z_baseline
     block = max(1, PATH_ELEMENTS // (3 * rows))
     total = np.zeros((rows, 3))
-    for start in range(1 if scheme == "right" else 0, steps + 1, block):
+    for start in range(0, steps + 1, block):
         k = np.arange(start, min(start + block, steps + 1))
         weights = np.ones(len(k))
-        if scheme == "trapezoid":
-            weights[(k == 0) | (k == steps)] = 0.5
+        weights[(k == 0) | (k == steps)] = 0.5
         logits = z_baseline[:, None] + (k / steps)[None, :, None] * direction[:, None]
-        total += np.einsum("k,rkc->rc", weights, _softmax(logits))
+        total += np.einsum("k,rkc->rc", weights, softmax(logits))
     mean = total / -steps
     mean[np.arange(rows), class_index] += 1.0
     return mean
@@ -108,7 +108,6 @@ def corpus_integrated_gradients(
     target_class: Polarity | None = None,
     steps: int = DEFAULT_STEPS,
     baseline_kind: str = "zero",
-    scheme: str = DEFAULT_SCHEME,
 ) -> list[AttributionMap]:
     """Per-token attributions for each sentence, in order; post-hoc, the model
     is read-only.
@@ -122,8 +121,6 @@ def corpus_integrated_gradients(
     """
     if steps < 1:
         raise SettingError("steps", f"must be at least 1, got {steps}")
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
     e = model.embedding_dim
     if baseline_kind == "zero":
         base = np.zeros(e)
@@ -141,13 +138,13 @@ def corpus_integrated_gradients(
         _, z = model.forward(target, context, part.mask)
         _, z_base = model.forward(np.broadcast_to(base, target.shape),
                                   np.broadcast_to(base, context.shape), part.mask)
-        proba = _softmax(z)
+        proba = softmax(z)
         predicted = np.argmax(proba, axis=1)
         if target_class is None:
             class_index = predicted
         else:
             class_index = np.full(len(part), CLASS_ORDER.index(target_class))
-        g = _mean_gradient(z, z_base, class_index, steps, scheme)
+        g = _mean_gradient(z, z_base, class_index, steps)
         rows = np.arange(len(part))
         f_x = z[rows, class_index] - _log_sum_exp(z)
         f_base = z_base[rows, class_index] - _log_sum_exp(z_base)
@@ -177,7 +174,6 @@ def corpus_integrated_gradients(
                 convergence_delta=row_delta,
                 steps=steps,
                 baseline_kind=baseline_kind,
-                scheme=scheme,
                 score_input=row_f_x,
                 score_baseline=row_f_base,
             ))
@@ -190,11 +186,9 @@ def integrated_gradients(
     target_class: Polarity | None = None,
     steps: int = DEFAULT_STEPS,
     baseline_kind: str = "zero",
-    scheme: str = DEFAULT_SCHEME,
 ) -> AttributionMap:
     """:func:`corpus_integrated_gradients` of one sentence."""
-    (amap,) = corpus_integrated_gradients(model, [sentence], target_class, steps,
-                                          baseline_kind, scheme)
+    (amap,) = corpus_integrated_gradients(model, [sentence], target_class, steps, baseline_kind)
     return amap
 
 

@@ -9,9 +9,13 @@ returns its files instead of writing them; :func:`main` then builds
 directory and writes every file. So a command that exits 1 or 2 writes
 nothing, and only a failing write can leave a partial directory.
 
-``compare`` writes both scoring modes (avg and v2). ``ml train``
-records its task and train/test split in the model, and ``ml eval`` scores the
-same test split, refusing a ``--seed`` or ``--train-fraction`` that differs.
+``compare`` scores each sentence in both modes (avg and v2) and against the
+built-in English baseline. ``translate --in``, ``compare`` and ``explain
+--corpus`` refuse an input that holds no sentences. ``explain --text`` writes
+``attribution.*``, and ``explain --corpus`` writes ``attribution_NNNN.*`` per
+sentence, however many it holds. ``ml train`` records its task and
+train/test split in the model, and ``ml eval`` scores the same test split,
+refusing a ``--seed`` or ``--train-fraction`` that differs.
 ``ml train``, ``ml eval`` and ``ctx eval`` write the same evaluation files:
 confusion matrix, metrics and one-vs-rest ROC curves. ``ml train`` and
 ``ctx train`` write ``model.json`` in model format 2, whose ``kind`` names the
@@ -50,15 +54,7 @@ from .lexicon import (
     serialize_lexicon,
     validate_lexicon,
 )
-from .settings import (
-    BASELINE_KINDS,
-    DEFAULT_SCHEME,
-    DEFAULT_STEPS,
-    MODEL_KINDS,
-    SCHEMES,
-    TASKS,
-    SettingError,
-)
+from .settings import BASELINE_KINDS, DEFAULT_STEPS, MODEL_KINDS, TASKS, SettingError
 
 class _UsageError(Exception):
     pass
@@ -236,10 +232,13 @@ def cmd_translate(args) -> Output:
         args.infile,
         partial(_sentence_rows, header=("sentence", "source_language", "target_language")),
     )
+    if not rows:
+        raise ValueError(f"{args.infile}: no sentences")
     table = [["sentence", "source_language", "target_language", "translated_text"]]
     for s, a, b in rows:
         table.append([s, a.value, b.value, tr.translate(s, a, b, lexicon).translated_text])
-    return {"translations.csv": csv_text(table)}, f"translated {len(rows)} sentences"
+    del lexicon, rows  # freed before the file is built, so peak memory stays low
+    return {"translations.csv": csv_text(table)}, f"translated {len(table) - 1} sentences"
 
 
 def cmd_compare(args) -> Output:
@@ -247,9 +246,7 @@ def cmd_compare(args) -> Output:
     rows = _parse_file(args.infile, partial(_sentence_rows, header=("sentence", "language")))
     if not rows:  # an agreement over no sentences would read a vacuous 1.000
         raise ValueError(f"{args.infile}: no sentences")
-    baseline = (scoring.builtin_english_baseline if args.baseline == "builtin"
-                else scoring.zero_baseline)
-    report = scoring.score_batch(rows, lexicon, baseline)
+    report = scoring.score_batch(rows, lexicon, scoring.builtin_english_baseline)
     del lexicon, rows  # freed before the files are built, so peak memory stays low
     files = {
         "comparison.csv": csv_text(scoring.comparison_csv_rows(report)),
@@ -282,9 +279,10 @@ def _train_ml_model(dataset, args):
     return ml.train_linear_svm(dataset, lam=args.lam, epochs=args.epochs, seed=args.seed)
 
 
-def _evaluation_files(model: str, y_true, y_pred, proba, class_names) -> tuple[dict, float]:
-    """The evaluation files of ``model``'s predictions, and its accuracy.
-    Class probabilities that are not finite are refused, naming ``model``."""
+def _evaluation_files(model: str, y_true, proba, class_names) -> tuple[dict, float]:
+    """The evaluation files of ``model``'s class probabilities, and its
+    accuracy; each row's prediction is its most probable class. Class
+    probabilities that are not finite are refused, naming ``model``."""
     import numpy as np
 
     from . import metrics as evalm
@@ -295,6 +293,7 @@ def _evaluation_files(model: str, y_true, y_pred, proba, class_names) -> tuple[d
         raise ValueError(
             f"{model}: the class probabilities of {bad_rows} of {len(proba)} rows are not finite"
         )
+    y_pred = np.argmax(proba, axis=1)
     cm = evalm.confusion(
         [class_names[t] for t in y_true], [class_names[p] for p in y_pred], class_names
     )
@@ -327,8 +326,8 @@ def cmd_ml_train(args) -> Output:
     model.hyperparameters["split"] = {"seed": args.seed, "train_fraction": args.train_fraction}
     files = {"model.json": ml.save_model(model), "dataset.csv": ml.dataset_csv(dataset)}
     evaluation, accuracy = _evaluation_files(
-        f"{args.model} trained on {args.lex}", test_set.y, model.predict(test_set.X),
-        model.predict_proba(test_set.X), dataset.class_names,
+        f"{args.model} trained on {args.lex}", test_set.y, model.predict_proba(test_set.X),
+        dataset.class_names,
     )
     return {**files, **evaluation}, (
         f"{args.model} trained on {len(train_set)}/{len(dataset)} vectors, "
@@ -385,10 +384,8 @@ def cmd_ml_eval(args) -> Output:
     if not len(test_set):
         raise ValueError(f"{args.lex}: test split is empty")
     with np.errstate(over="ignore", invalid="ignore"):  # outputs that overflow are refused below
-        y_pred, proba = model.predict(test_set.X), model.predict_proba(test_set.X)
-    files, accuracy = _evaluation_files(
-        args.model, test_set.y, y_pred, proba, dataset.class_names
-    )
+        proba = model.predict_proba(test_set.X)
+    files, accuracy = _evaluation_files(args.model, test_set.y, proba, dataset.class_names)
     return files, f"test accuracy {accuracy:.4f}"
 
 
@@ -461,9 +458,9 @@ def cmd_ctx_eval(args) -> Output:
     corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
     # An empty corpus is refused; outputs that overflow are refused below.
     with _errors_name(args.corpus), np.errstate(over="ignore", invalid="ignore"):
-        y_true, y_pred, proba = ctx.evaluate(model, corpus)
+        y_true, _, proba = ctx.evaluate(model, corpus)
     files, accuracy = _evaluation_files(
-        args.model, y_true, y_pred, proba, [p.value for p in ctx.CLASS_ORDER]
+        args.model, y_true, proba, [p.value for p in ctx.CLASS_ORDER]
     )
     return files, f"accuracy {accuracy:.4f} on {len(y_true)} sentences"
 
@@ -481,11 +478,13 @@ def cmd_explain(args) -> Output:
         sentences = [ctx.parse_marked(args.text)]
     else:
         sentences = _parse_file(args.corpus, ctx.read_corpus)
+        if not sentences:
+            raise ValueError(f"{args.corpus}: no sentences")
     target_class = Polarity(args.target_class) if args.target_class else None
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
         maps = attr.corpus_integrated_gradients(
             model, sentences, target_class=target_class, steps=args.steps,
-            baseline_kind=args.baseline, scheme=args.scheme,
+            baseline_kind=args.baseline,
         )
     files = {}
     for i, amap in enumerate(maps, start=1):
@@ -494,7 +493,7 @@ def cmd_explain(args) -> Output:
         if not all(map(math.isfinite, numbers)):
             raise ValueError(
                 f"{args.model}: the attribution of {amap.sentence.text!r} is not finite")
-        stem = f"attribution_{i:04d}" if len(maps) > 1 else "attribution"
+        stem = "attribution" if args.text is not None else f"attribution_{i:04d}"
         files[f"{stem}.json"] = attr.attribution_json(amap)
         files[f"{stem}.csv"] = attr.heatmap_csv(amap)
         files[f"{stem}.svg"] = attr.heatmap_svg(amap)
@@ -542,7 +541,6 @@ def build_parser() -> _Parser:
     p.add_argument("--lex", required=True)
     p.add_argument("--in", dest="infile", required=True, help="CSV sentence,language")
     p.add_argument("--out", required=True)
-    p.add_argument("--baseline", choices=("builtin", "zero"), default="builtin")
 
     mlp = sub.add_parser("ml", help="classical classifiers on lexicon features")
     ml_sub = mlp.add_subparsers(dest="subcommand")
@@ -606,7 +604,6 @@ def build_parser() -> _Parser:
                    help="integration steps along the path; each adds only a 3-way softmax "
                         "per sentence, so a large count costs little")
     p.add_argument("--baseline", choices=BASELINE_KINDS, default="zero")
-    p.add_argument("--scheme", choices=SCHEMES, default=DEFAULT_SCHEME)
     p.add_argument("--target-class", choices=[pol.value for pol in Polarity], default=None)
 
     return parser

@@ -20,7 +20,7 @@ import numpy as np
 from . import artifact
 from .artifact import checked_array, checked_names, is_int
 from .lexicon import LanguageCode, Lexicon, Polarity, context_dependent_forms, csv_text
-from .ml.dataset import SettingError, rng_for
+from .ml.dataset import SettingError, rng_for, softmax
 from .translator import word_tokens
 
 log = logging.getLogger(__name__)
@@ -196,7 +196,7 @@ def generate_dataset(
     targets = context_dependent_forms(lexicon, language)
     if not targets:
         raise ValueError(f"lexicon has no context-dependent {language.value} forms")
-    effective = lexicon.scores.effective[language]
+    effective = lexicon.effective[language]
     pools: dict[Polarity, list[str]] = {p: [] for p in CLASS_ORDER}
     for form, ids in lexicon.index[language].items():
         polarities = {Polarity.from_score(effective[i]) for i in ids}
@@ -236,12 +236,6 @@ def generate_dataset(
         else:  # a form holding a marker, or a target with no words: parse_marked refuses it
             sentences.append(parse_marked(text, label=label))
     return sentences
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of logits (..., 3)."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _log_sum_exp(z: np.ndarray) -> np.ndarray:
@@ -346,7 +340,7 @@ class ContextModel:
     def predict_batch(self, sentences: list[TargetSentence]) -> tuple[np.ndarray, np.ndarray]:
         packed = self.pack(sentences)
         proba = np.concatenate(
-            [_softmax(self.forward_ids(part)[1]) for part in packed.chunks(PREDICT_CHUNK)]
+            [softmax(self.forward_ids(part)[1]) for part in packed.chunks(PREDICT_CHUNK)]
         )
         return np.argmax(proba, axis=1), proba
 
@@ -364,7 +358,7 @@ class ContextModel:
         _, z = self.forward(points[:, target_index], points[:, context],
                             np.ones(len(context), dtype=bool))
         values = z[:, class_index] - _log_sum_exp(z)
-        dz = -_softmax(z)
+        dz = -softmax(z)
         dz[:, class_index] += 1.0
         dh = dz @ self.weights.T  # (P, 2E)
         grads = np.zeros_like(points)
@@ -393,7 +387,7 @@ def loss_and_gradients(
     scale = 1.0 / len(batch)
     loss = float(_weighted_losses(z, batch.labels, weight_vector).sum()) * scale
 
-    dz = _softmax(z)
+    dz = softmax(z)
     dz[rows, batch.labels] -= 1.0
     dz *= (weight_vector[batch.labels] * scale)[:, None]
     dh = dz @ model.weights.T  # (B, 2E)

@@ -102,7 +102,7 @@ def compute_eda(lexicon: Lexicon) -> EdaReport:
             row[polarity] += count
             polarity_counts[polarity] += count
 
-    columns = lexicon.scores.present
+    columns = lexicon.present
     tallies = {language: Counter(column.values()) for language, column in columns.items()}
     bin_of = {score: score_bin(score) for score in set().union(*tallies.values())}
     histograms: dict[LanguageCode, list[int]] = {}

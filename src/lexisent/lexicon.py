@@ -198,16 +198,6 @@ class _Tables(NamedTuple):
     phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]]
 
 
-class ScoreTable(NamedTuple):
-    """Entry id -> score, in row order: ``effective`` per language (else the
-    shared score), ``mean`` of the per-language scores (else the shared
-    score), and ``present`` per language (explicit scores only)."""
-
-    effective: dict[LanguageCode, dict[str, float]]
-    mean: dict[str, float]
-    present: dict[LanguageCode, dict[str, float]]
-
-
 class Lexicon:
     """Immutable ordered collection of entries with per-language form indexes.
 
@@ -221,7 +211,8 @@ class Lexicon:
     then by row, so the first id wins and the earliest entry wins a tie), and
     ``phrase_lengths``, which maps the first word of every multi-word form to
     the word counts of the forms that start with it (descending).
-    ``scores`` compiles on its own first use too.
+    The score columns ``present``, ``effective`` and ``mean`` compile each on
+    its own first use, so a command that reads one does not build the others.
     """
 
     def __init__(self, entries: Iterable[LexiconEntry]):
@@ -258,19 +249,32 @@ class Lexicon:
         return _Tables(by_id, index, phrase_lengths)
 
     @cached_property
-    def scores(self) -> ScoreTable:
-        shared: dict[str, float] = {}
-        mean: dict[str, float] = {}
+    def present(self) -> dict[LanguageCode, dict[str, float]]:
+        """Per language, entry id -> the entry's own score, for the entries
+        that give one, in row order."""
         present: dict[LanguageCode, dict[str, float]] = {lang: {} for lang in LanguageCode}
         for entry in self.entries:
-            entry_id, own = entry.entry_id, entry.per_language_scores
-            shared[entry_id] = entry.shared_score
-            mean[entry_id] = sum(own.values()) / len(own) if own else entry.shared_score
-            for language, score in own.items():
-                present[language][entry_id] = score
+            for language, score in entry.per_language_scores.items():
+                present[language][entry.entry_id] = score
+        return present
+
+    @cached_property
+    def effective(self) -> dict[LanguageCode, dict[str, float]]:
+        """Per language, entry id -> the entry's own score, else its shared
+        score, in row order."""
+        shared = {entry.entry_id: entry.shared_score for entry in self.entries}
         # Overlaying keeps the shared column's row order.
-        effective = {language: {**shared, **column} for language, column in present.items()}
-        return ScoreTable(effective, mean, present)
+        return {language: {**shared, **column} for language, column in self.present.items()}
+
+    @cached_property
+    def mean(self) -> dict[str, float]:
+        """Entry id -> the mean of the entry's per-language scores, else its
+        shared score, in row order."""
+        mean: dict[str, float] = {}
+        for entry in self.entries:
+            own = entry.per_language_scores
+            mean[entry.entry_id] = sum(own.values()) / len(own) if own else entry.shared_score
+        return mean
 
     @property
     def by_id(self) -> dict[str, LexiconEntry]:
@@ -814,7 +818,7 @@ def context_dependent_forms(lexicon: Lexicon, language: LanguageCode) -> list[st
     the language-specific effective score, at least one is positive and one
     negative. Returned sorted for determinism.
     """
-    effective = lexicon.scores.effective[language]
+    effective = lexicon.effective[language]
     result = []
     for form, ids in lexicon.index[language].items():
         if len(ids) < 2:

@@ -31,7 +31,6 @@ class Dataset:
     X: np.ndarray  # (n, 9) float
     y: np.ndarray  # (n,) int class indices
     class_names: tuple[str, ...]
-    task: str
     provenance: tuple[str, ...]
     feature_names: tuple[str, ...] = FEATURE_NAMES
 
@@ -43,7 +42,6 @@ class Dataset:
             X=self.X[indices],
             y=self.y[indices],
             class_names=self.class_names,
-            task=self.task,
             provenance=tuple(self.provenance[i] for i in indices),
             feature_names=self.feature_names,
         )
@@ -57,7 +55,7 @@ def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:
     classes = PosTag if task == "pos" else Polarity
     index = {member: i for i, member in enumerate(classes)}
     entries = lexicon.entries
-    effective = lexicon.scores.effective
+    effective = lexicon.effective
     english_code = LanguageCode.ENGLISH
     english = [entry.forms.get(english_code) or "" for entry in entries]
     X = np.column_stack(
@@ -73,7 +71,6 @@ def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:
         X=X,
         y=np.asarray(labels, dtype=int),
         class_names=tuple(m.value for m in classes),
-        task=task,
         provenance=tuple(e.entry_id for e in entries),
     )
 
@@ -82,6 +79,12 @@ def rng_for(seed: int, *stream: int) -> np.random.Generator:
     """Independent generator for (seed, stream...); deterministic per key."""
     key = [seed & 0xFFFFFFFFFFFFFFFF] + [s & 0xFFFFFFFFFFFFFFFF for s in stream]
     return np.random.default_rng(np.random.SeedSequence(key))
+
+
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, with each row's maximum subtracted first."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, SettingError
+from .dataset import Dataset, SettingError, softmax
 
 
 @dataclass
@@ -34,10 +34,7 @@ class GaussianNBModel:
         return jll
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        jll = self._joint_log_likelihood(X)
-        jll -= jll.max(axis=1, keepdims=True)
-        posterior = np.exp(jll)
-        posterior /= posterior.sum(axis=1, keepdims=True)
+        posterior = softmax(self._joint_log_likelihood(X))
         out = np.zeros((len(posterior), len(self.class_names)))
         out[:, self.present] = posterior
         return out

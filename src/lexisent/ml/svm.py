@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, SettingError, rng_for
+from .dataset import Dataset, SettingError, rng_for, softmax
 
 
 @dataclass
@@ -24,10 +24,7 @@ class LinearSVMModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         # Softmax over margins; used only for ranking (ROC), not calibration.
-        margins = self.decision_function(X)
-        margins -= margins.max(axis=1, keepdims=True)
-        p = np.exp(margins)
-        return p / p.sum(axis=1, keepdims=True)
+        return softmax(self.decision_function(X))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return np.argmax(self.decision_function(X), axis=1)

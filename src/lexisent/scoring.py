@@ -95,9 +95,8 @@ def score_sentence(
     sentence: str, language: LanguageCode, lexicon: Lexicon, mode: ScoreMode
 ) -> ScoredSentence:
     """Tokenize and score one sentence; unknown tokens score 0."""
-    table = lexicon.scores
     avg, v2 = _score_modes(
-        tokenize(sentence, language, lexicon), table.mean, table.effective[language], {}
+        tokenize(sentence, language, lexicon), lexicon.mean, lexicon.effective[language], {}
     )
     scores = avg if mode is ScoreMode.AVG else v2
     return ScoredSentence(
@@ -194,11 +193,6 @@ def builtin_english_baseline(sentence: str) -> tuple[float, Polarity]:
     return compound, Polarity.NEUTRAL
 
 
-def zero_baseline(sentence: str) -> tuple[float, Polarity]:
-    """Baseline that abstains: compound 0.0, neutral, for every sentence."""
-    return 0.0, Polarity.NEUTRAL
-
-
 @dataclass
 class ComparisonReport:
     #: One dict per sentence, keyed by :data:`COMPARISON_COLUMNS`.
@@ -230,8 +224,7 @@ def score_batch(
     Agreement is the fraction of rows where the v2 polarity matches the
     baseline's (vacuously 1.0 on empty input). Output rows keep input order.
     """
-    table = lexicon.scores
-    mean, effective = table.mean, table.effective
+    mean, effective = lexicon.mean, lexicon.effective
     formatted: dict[float, str] = {}
     out: list[dict[str, str | float]] = []
     counts = {

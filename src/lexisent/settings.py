@@ -1,7 +1,8 @@
 """Names the command-line parser offers, and the error for a refused setting.
 
-The parser's choices for the classical and attribution commands are defined
-here, once, and imported by the modules that use them (:mod:`lexisent.ml`,
+The parser's choices for the classical commands, and the step count and
+reference points of the attribution command, are defined here, once, and
+imported by the modules that use them (:mod:`lexisent.ml`,
 :mod:`lexisent.attribution`). This module imports nothing, so building the
 parser loads no numpy.
 """
@@ -12,12 +13,9 @@ TASKS = ("pos", "polarity")
 #: The ``kind`` of each classical model file.
 MODEL_KINDS = ("decision_tree", "random_forest", "gaussian_nb", "linear_svm")
 
-#: Integrated-gradients quadrature schemes.
-SCHEMES = ("right", "trapezoid")
-# Trapezoid converges at 1/steps^2 versus the right-endpoint sum's 1/steps,
-# keeping convergence deltas far below the score difference at modest steps.
-DEFAULT_SCHEME = "trapezoid"
+#: Integrated-gradients steps along the path, unless ``--steps`` is given.
 DEFAULT_STEPS = 50
+#: Integrated-gradients reference points: the zero or the padding embedding.
 BASELINE_KINDS = ("zero", "pad")
 
 

@@ -48,7 +48,7 @@ def classical_models(draw, kind):
     X = matrix(draw, n, d)
     y = np.array(draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
     names = tuple(draw(st.lists(st.text(max_size=4), min_size=k, max_size=k, unique=True)))
-    data = Dataset(X=X, y=y, class_names=names, task="pos",
+    data = Dataset(X=X, y=y, class_names=names,
                    provenance=tuple(f"r{i}" for i in range(n)))
     try:
         model = TRAINERS[kind](data, draw(st.integers(0, 2**31 - 1)))
@@ -119,7 +119,7 @@ def saved():
     """One saved file of each kind, as parsed JSON."""
     rng = np.random.default_rng(3)
     data = Dataset(X=rng.normal(size=(30, 3)), y=np.arange(30) % 3, class_names=("a", "b", "c"),
-                   task="pos", provenance=tuple(f"r{i}" for i in range(30)))
+                   provenance=tuple(f"r{i}" for i in range(30)))
     files = {kind: json.loads(ml.save_model(train(data, 1))) for kind, train in TRAINERS.items()}
     tokens = ctx.SPECIAL_TOKENS + ("good", "bad")
     model = ctx.ContextModel(ctx.Vocabulary(tokens), rng.normal(size=(len(tokens), 2)),

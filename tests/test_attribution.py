@@ -18,7 +18,7 @@ from lexisent.attribution import (
     summary_rows,
 )
 from lexisent.lexicon import LanguageCode, Polarity
-from lexisent.settings import BASELINE_KINDS, SCHEMES, SettingError
+from lexisent.settings import BASELINE_KINDS, SettingError
 
 from test_batched_kernels import EDGE_SENTENCES, path_integrated_gradients, random_model
 from test_contextual import small_model, toy_corpus
@@ -34,14 +34,13 @@ def linear_score_fn(w):
 
 
 class TestCore:
-    @pytest.mark.parametrize("scheme", ["right", "trapezoid"])
     @pytest.mark.parametrize("steps", [1, 3, 50])
-    def test_linear_model_is_exact(self, scheme, steps):
+    def test_linear_model_is_exact(self, steps):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(4, 3))
         x = rng.normal(size=(4, 3))
         attributions, f_x, f_b, delta = path_integrated_gradients(
-            linear_score_fn(w), x, np.zeros_like(x), steps=steps, scheme=scheme
+            linear_score_fn(w), x, np.zeros_like(x), steps=steps
         )
         assert np.allclose(attributions, w * x, atol=1e-12)
         assert abs(delta) < 1e-12 * max(1.0, abs(f_x))
@@ -55,28 +54,24 @@ class TestCore:
         assert np.all(attributions == 0.0)
         assert delta == 0.0
 
-    def test_invalid_steps_and_scheme(self):
+    def test_invalid_steps(self):
         model = random_model(0, 2, window=1)
         with pytest.raises(SettingError, match="^steps must be at least 1, got 0$") as caught:
             corpus_integrated_gradients(model, EDGE_SENTENCES, steps=0)
         assert caught.value.setting == "steps"
-        with pytest.raises(ValueError, match="^unknown scheme 'simpson'; expected one of "):
-            corpus_integrated_gradients(model, EDGE_SENTENCES, steps=1, scheme="simpson")
 
-    def test_quadratic_delta_shrinks_with_steps(self):
+    def test_cubic_delta_falls_as_one_over_steps_squared(self):
         def score(points):
-            return np.sum(points * points, axis=(1, 2)), 2.0 * points
+            return np.sum(points ** 3, axis=(1, 2)), 3.0 * points ** 2
 
         x = np.full((1, 3), 1.5)
         deltas = []
         for steps in (8, 32, 128, 512):
-            _, _, _, delta = path_integrated_gradients(
-                score, x, np.zeros_like(x), steps=steps, scheme="right"
-            )
+            _, _, _, delta = path_integrated_gradients(score, x, np.zeros_like(x), steps=steps)
             deltas.append(abs(delta))
         assert deltas == sorted(deltas, reverse=True)
-        # right-endpoint error of a quadratic is exactly C/steps
-        assert deltas[0] == pytest.approx(64 * deltas[3], rel=1e-6)
+        # the gradient is quadratic along the path, so the trapezoid error is exactly C/steps^2
+        assert deltas[0] == pytest.approx(64 ** 2 * deltas[3], rel=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +95,7 @@ class TestIntegratedGradients:
         assert 0.0 <= amap.confidence <= 1.0
         assert amap.predicted_class in list(Polarity)
         assert amap.steps == 32
+        assert amap.to_json_dict()["scheme"] == "trapezoid"
 
     def test_defaults_to_predicted_class(self, trained):
         model, train = trained
@@ -110,15 +106,11 @@ class TestIntegratedGradients:
 
     def test_delta_decreases_with_steps(self, trained):
         model, train = trained
-        for scheme in ("right", "trapezoid"):
-            deltas = [
-                abs(integrated_gradients(model, train[2], steps=m, scheme=scheme)
-                    .convergence_delta)
-                for m in (8, 32, 128, 512)
-            ]
-            assert deltas == sorted(deltas, reverse=True)
-            # 1/m decay: going 8 -> 512 must shrink |delta| by >= 64x / 2 slack
-            assert deltas[3] <= deltas[0] * (8 / 512) * 2 + 1e-12
+        deltas = [abs(integrated_gradients(model, train[2], steps=m).convergence_delta)
+                  for m in (8, 32, 128, 512)]
+        assert deltas == sorted(deltas, reverse=True)
+        # 1/m decay: going 8 -> 512 must shrink |delta| by >= 64x / 2 slack
+        assert deltas[3] <= deltas[0] * (8 / 512) * 2 + 1e-12
 
     def test_identical_tokens_in_window_get_equal_attribution(self, trained):
         model, _ = trained
@@ -168,7 +160,7 @@ def coordinate_attributions(model, amap):
     class_index = ctx.CLASS_ORDER.index(amap.target_class)
     attributions, *_ = path_integrated_gradients(
         lambda points: model.log_prob_and_input_grad(points, target_index, class_index),
-        x, baseline, amap.steps, amap.scheme,
+        x, baseline, amap.steps,
     )
     e = model.embedding_dim
     context = model.window_positions(len(ids), target_index)
@@ -197,20 +189,19 @@ class TestCompleteness:
         target=st.lists(WORDS, min_size=1, max_size=2),
         after=st.lists(WORDS, max_size=4),
         steps=st.integers(1, 64),
-        scheme=st.sampled_from(SCHEMES),
         baseline_kind=st.sampled_from(BASELINE_KINDS),
         target_class=st.sampled_from([None, *Polarity]),
     )
     @settings(max_examples=60, deadline=None)
     def test_delta_is_the_completeness_residual(self, trained, before, target, after, steps,
-                                                scheme, baseline_kind, target_class):
+                                                baseline_kind, target_class):
         """Each token's attribution is the sum of its coordinates' attributions,
         and sum(per-token attributions) - (F(x) - F(x')) is the reported delta,
         both to round-off."""
         model, _ = trained
         sentence = ctx.parse_marked(" ".join([*before, "[TARGET]", *target, "[/TARGET]", *after]))
         amap = integrated_gradients(model, sentence, target_class=target_class, steps=steps,
-                                    baseline_kind=baseline_kind, scheme=scheme)
+                                    baseline_kind=baseline_kind)
         coords, bound = coordinate_attributions(model, amap)
         values = np.array([value for _, value in amap.per_token])
         assert np.all(np.abs(values - coords.sum(axis=1)) <= bound)
@@ -242,7 +233,6 @@ class TestHeatmap:
             convergence_delta=0.0,
             steps=8,
             baseline_kind="zero",
-            scheme="trapezoid",
             score_input=1.0,
             score_baseline=0.0,
         )

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from lexisent import attribution as attr
 from lexisent import contextual as ctx
 from lexisent.ml.dataset import rng_for
-from lexisent.settings import DEFAULT_SCHEME, SCHEMES
 
 from test_contextual import toy_corpus
 
@@ -145,24 +144,18 @@ def path_integrated_gradients(
     x: np.ndarray,
     baseline: np.ndarray,
     steps: int,
-    scheme: str = DEFAULT_SCHEME,
 ) -> tuple[np.ndarray, float, float, float]:
     """Core integral of any score function: (attributions, F(x), F(baseline), delta).
 
-    ``right`` evaluates gradients at k/steps for k = 1..steps (a right-endpoint
-    Riemann sum); ``trapezoid`` averages endpoint pairs, halving the endpoint
-    weights. Every path point, ``x`` and ``baseline`` go to ``score_fn`` in
-    one call.
+    The trapezoid rule: gradients at k/steps for k = 0..steps, with the two
+    endpoint weights halved. Every path point, ``x`` and ``baseline`` go to
+    ``score_fn`` in one call.
     """
-    assert steps >= 1 and scheme in SCHEMES
+    assert steps >= 1
     diff = x - baseline
-    if scheme == "right":
-        ks = np.arange(1, steps + 1)
-        weights = np.ones(steps)
-    else:
-        ks = np.arange(0, steps + 1)
-        weights = np.ones(steps + 1)
-        weights[[0, -1]] = 0.5
+    ks = np.arange(0, steps + 1)
+    weights = np.ones(steps + 1)
+    weights[[0, -1]] = 0.5
     points = baseline + (ks / steps)[:, None, None] * diff
     values, grads = score_fn(np.concatenate([points, x[None], baseline[None]]))
     mean_grad = (weights[:, None, None] * grads[: len(ks)]).sum(axis=0) / steps
@@ -172,7 +165,7 @@ def path_integrated_gradients(
     return attributions, f_x, f_baseline, delta
 
 
-def ref_integrated_gradients(model, sentence, steps, baseline_kind, scheme):
+def ref_integrated_gradients(model, sentence, steps, baseline_kind):
     """(per-token attributions, F(x), F(baseline), delta, predicted index)."""
     ids, target_index = model.encode(sentence)
     x = model.embeddings[ids].copy()
@@ -187,13 +180,9 @@ def ref_integrated_gradients(model, sentence, steps, baseline_kind, scheme):
 
     diff = x - baseline
     mean_grad = np.zeros_like(x)
-    if scheme == "right":
-        for k in range(1, steps + 1):
-            mean_grad += score_fn(baseline + (k / steps) * diff)[1]
-    else:
-        for k in range(0, steps + 1):
-            weight = 0.5 if k in (0, steps) else 1.0
-            mean_grad += weight * score_fn(baseline + (k / steps) * diff)[1]
+    for k in range(0, steps + 1):
+        weight = 0.5 if k in (0, steps) else 1.0
+        mean_grad += weight * score_fn(baseline + (k / steps) * diff)[1]
     mean_grad /= steps
     attributions = diff * mean_grad
     f_x, f_baseline = score_fn(x)[0], score_fn(baseline)[0]
@@ -365,18 +354,17 @@ class TestIntegratedGradients:
             assert value == pytest.approx(ref_value, rel=TOL, abs=TOL)
             np.testing.assert_allclose(grad, ref_grad, rtol=TOL, atol=TOL)
 
-    @pytest.mark.parametrize("scheme", attr.SCHEMES)
     @pytest.mark.parametrize("baseline_kind", attr.BASELINE_KINDS)
     @given(model=models, batch=st.lists(sentences(), min_size=1, max_size=6),
            steps=st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
-    def test_matches_reference(self, scheme, baseline_kind, model, batch, steps):
+    def test_matches_reference(self, baseline_kind, model, batch, steps):
         maps = attr.corpus_integrated_gradients(model, batch, steps=steps,
-                                                baseline_kind=baseline_kind, scheme=scheme)
+                                                baseline_kind=baseline_kind)
         assert [amap.sentence for amap in maps] == batch
         for amap, s in zip(maps, batch):
             per_token, f_x, f_baseline, delta, predicted = ref_integrated_gradients(
-                model, s, steps, baseline_kind, scheme)
+                model, s, steps, baseline_kind)
             assert amap.predicted_class is ctx.CLASS_ORDER[predicted]
             np.testing.assert_allclose([v for _, v in amap.per_token], per_token,
                                        rtol=TOL, atol=TOL)
@@ -400,12 +388,10 @@ class TestIntegratedGradients:
         monkeypatch.setattr(ctx.ContextModel, "log_prob_and_input_grad", no_gradients)
         monkeypatch.setattr(ctx, "PREDICT_CHUNK", 4)
         for steps in (1, 50, 4096):
-            for scheme in attr.SCHEMES:
-                rows.clear()
-                attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=steps,
-                                                 scheme=scheme)
-                # the inputs, then the baselines, of each chunk of 4 sentences
-                assert rows == [4, 4, 2, 2]
+            rows.clear()
+            attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=steps)
+            # the inputs, then the baselines, of each chunk of 4 sentences
+            assert rows == [4, 4, 2, 2]
 
     @pytest.mark.parametrize("baseline_kind", attr.BASELINE_KINDS)
     def test_chunked_maps_equal_the_unchunked_maps(self, monkeypatch, baseline_kind):

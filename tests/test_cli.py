@@ -78,7 +78,7 @@ CLI_SURFACE = {
     "lexicon clean": {"--in", "--out"},
     "lexicon stats": {"--in", "--out"},
     "translate": {"--lex", "--text", "--from", "--to", "--in", "--out"},
-    "compare": {"--lex", "--in", "--out", "--baseline"},
+    "compare": {"--lex", "--in", "--out"},
     "ml train": {"--lex", "--task", "--model", "--out", "--train-fraction", "--seed",
                  "--max-depth", "--min-samples-split", "--n-trees", "--no-bootstrap",
                  "--no-feature-subsample", "--var-smoothing", "--lam", "--epochs"},
@@ -88,7 +88,7 @@ CLI_SURFACE = {
                   "--embedding-dim", "--window", "--batch-size", "--uniform-weights"},
     "ctx eval": {"--model", "--corpus", "--out"},
     "explain": {"--model", "--text", "--corpus", "--out", "--steps", "--baseline",
-                "--scheme", "--target-class"},
+                "--target-class"},
 }
 
 
@@ -107,12 +107,15 @@ def leaf_options(parser, path=()):
 class TestCliSurface:
     def test_options_per_subcommand(self):
         assert dict(leaf_options(build_parser())) == CLI_SURFACE
-        assert sum(len(options) for options in CLI_SURFACE.values()) == 61
+        assert sum(len(options) for options in CLI_SURFACE.values()) == 59
 
     @pytest.mark.parametrize("argv", [
         ("lexicon", "validate", "--in", "lexicon.csv", "--threads", "2"),
         ("compare", "--lex", "l.csv", "--in", "s.csv", "--out", "o", "--mode", "avg"),
         ("ml", "eval", "--model", "m.json", "--lex", "l.csv", "--out", "o", "--task", "pos"),
+        ("compare", "--lex", "l.csv", "--in", "s.csv", "--out", "o", "--baseline", "zero"),
+        ("explain", "--model", "m.json", "--text", "a [TARGET] b [/TARGET]", "--out", "o",
+         "--scheme", "right"),
     ])
     def test_removed_flags_are_usage_errors(self, argv, capsys):
         assert run(*argv) == 1
@@ -294,7 +297,7 @@ class TestScoreCommands:
     def test_compare_layout(self, tmp_path, paper_lex_file, sentences_file):
         out = tmp_path / "scored"
         assert run("compare", "--in", sentences_file, "--lex", paper_lex_file,
-                   "--baseline", "builtin", "--out", out) == 0
+                   "--out", out) == 0
         lines = (out / "comparison.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == (
             "sentence,language,total_score_avg,word_scores_avg,sentiment_avg,"
@@ -558,7 +561,7 @@ class TestCtxAndExplain:
         run("ctx", "train", "--corpus", tmp_path / "gen" / "corpus.tsv",
             "--out", tmp_path / "model", "--epochs", "4", "--embedding-dim", "8")
         model, corpus = tmp_path / "model" / "model.json", tmp_path / "model" / "test.tsv"
-        flags = ("--steps", "8", "--baseline", "pad", "--scheme", "right")
+        flags = ("--steps", "8", "--baseline", "pad")
         capsys.readouterr()
         assert run("explain", "--model", model, "--corpus", corpus, "--out", tmp_path / "all",
                    *flags) == 0
@@ -581,6 +584,24 @@ class TestCtxAndExplain:
                 assert value == pytest.approx(maps[2][key], rel=1e-12, abs=1e-12)
             else:
                 assert value == maps[2][key]
+
+    def test_explain_numbers_the_files_of_a_one_sentence_corpus(self, tmp_path, ctx_lex_file):
+        """``--corpus`` names its files by position however many sentences it
+        holds, so a reader of ``attribution_*.json`` finds a lone sentence too."""
+        run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+            "-n", "40", "--seed", "4", "--out", tmp_path / "gen")
+        run("ctx", "train", "--corpus", tmp_path / "gen" / "corpus.tsv",
+            "--out", tmp_path / "model", "--epochs", "2", "--embedding-dim", "4")
+        corpus = tmp_path / "one.tsv"
+        line = (tmp_path / "model" / "test.tsv").read_text(encoding="utf-8").splitlines()[0]
+        corpus.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "explained"
+        assert run("explain", "--model", tmp_path / "model" / "model.json",
+                   "--corpus", corpus, "--out", out, "--steps", "4") == 0
+        assert sorted(path.name for path in out.iterdir()) == [
+            "attribution_0001.csv", "attribution_0001.json", "attribution_0001.svg",
+            "manifest.json", "run_config.json", "summary.csv",
+        ]
 
     @pytest.mark.parametrize("given", [(), ("--text", "a [TARGET] b [/TARGET]",
                                             "--corpus", "corpus.tsv")],
@@ -873,11 +894,24 @@ class TestErrorsNameTheFile:
         assert capsys.readouterr().err == f"error: {lexicon}: {message}\n"
         assert not out.exists()
 
-    def test_compare_refuses_a_file_of_no_sentences(self, tmp_path, paper_lex_file, capsys):
-        sentences = tmp_path / "sents.csv"
-        sentences.write_text("sentence,language\n", encoding="utf-8")
+    @pytest.mark.parametrize("command, text", [
+        ("compare", "sentence,language\n"),
+        ("translate", "sentence,source_language,target_language\n"),
+        ("explain", ""),
+        ("explain", "\n  \n\t\n"),
+    ], ids=["compare", "translate", "explain-empty", "explain-blank"])
+    def test_sentence_commands_refuse_a_file_of_no_sentences(self, tmp_path, paper_lex_file,
+                                                             command, text, request, capsys):
+        sentences = tmp_path / "sentences"
+        sentences.write_text(text, encoding="utf-8")
+        if command == "explain":
+            _, ctx_model = request.getfixturevalue("models")
+            flags = ("--model", ctx_model, "--corpus", sentences)
+        else:
+            flags = ("--lex", paper_lex_file, "--in", sentences)
+        capsys.readouterr()
         out = tmp_path / "out"
-        assert run("compare", "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
+        assert run(command, *flags, "--out", out) == 2
         assert capsys.readouterr().err == f"error: {sentences}: no sentences\n"
         assert not out.exists()
 

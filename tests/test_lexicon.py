@@ -402,7 +402,7 @@ class TestPolarity:
             shared_score=2.0,
             per_language_scores={LanguageCode.ZULU: -1.0},
         )
-        effective = Lexicon([e]).scores.effective
+        effective = Lexicon([e]).effective
         assert effective[LanguageCode.ZULU] == {"r1": -1.0}
         assert effective[LanguageCode.ENGLISH] == {"r1": 2.0}
 
@@ -425,33 +425,37 @@ def bits(column: dict[str, float]) -> list[tuple[str, str]]:
     return [(entry_id, score.hex()) for entry_id, score in column.items()]
 
 
-class TestScoreTable:
+class TestScoreColumns:
     @given(st.lists(SCORED_ENTRIES, max_size=12))
     @settings(max_examples=200, deadline=None)
     def test_columns_equal_the_per_entry_expressions(self, entries):
         lexicon = Lexicon(entries)
-        table = lexicon.scores
-        assert list(table.effective) == list(table.present) == list(LanguageCode)
+        assert list(lexicon.effective) == list(lexicon.present) == list(LanguageCode)
         expected_mean = []
         for e in lexicon.entries:
             values = list(e.per_language_scores.values())
             mean = sum(values) / len(values) if values else e.shared_score
             expected_mean.append((e.entry_id, mean.hex()))
-        assert bits(table.mean) == expected_mean
+        assert bits(lexicon.mean) == expected_mean
         for language in LanguageCode:
-            assert bits(table.effective[language]) == [
+            assert bits(lexicon.effective[language]) == [
                 (e.entry_id, e.per_language_scores.get(language, e.shared_score).hex())
                 for e in lexicon.entries
             ]
-            assert bits(table.present[language]) == [
+            assert bits(lexicon.present[language]) == [
                 (e.entry_id, e.per_language_scores[language].hex())
                 for e in lexicon.entries if language in e.per_language_scores
             ]
 
-    def test_compiled_on_first_use_once(self):
+    def test_each_column_compiles_on_its_own_first_use_once(self):
         lexicon = Lexicon([make_entry()])
-        assert "scores" not in vars(lexicon)
-        assert lexicon.scores is lexicon.scores
+        columns = ("present", "effective", "mean")
+        assert not set(columns) & set(vars(lexicon))
+        assert lexicon.present is lexicon.present
+        assert {"present"} == set(columns) & set(vars(lexicon))
+        assert lexicon.mean is lexicon.mean
+        assert {"present", "mean"} == set(columns) & set(vars(lexicon))
+        assert lexicon.effective is lexicon.effective
 
 
 class TestContextDependentForms:

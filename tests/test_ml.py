@@ -26,13 +26,12 @@ from lexisent.ml.tree import best_split, gini
 CLASSES_AB = ("a", "b")
 
 
-def dataset_from(X, y, classes=CLASSES_AB, task="pos") -> Dataset:
+def dataset_from(X, y, classes=CLASSES_AB) -> Dataset:
     X = np.asarray(X, dtype=float)
     return Dataset(
         X=X,
         y=np.asarray(y, dtype=int),
         class_names=tuple(classes),
-        task=task,
         provenance=tuple(f"r{i+1}" for i in range(len(X))),
     )
 
@@ -150,7 +149,7 @@ class TestLeanFeaturizeAndCsv:
     def test_dataset_csv_bytes(self, X, names, ids, seed):
         X = np.array(X, dtype=float).reshape(len(X), 2)
         y = np.random.default_rng(seed).integers(0, len(names), size=len(X))
-        data = Dataset(X=X, y=y, class_names=tuple(names), task="pos",
+        data = Dataset(X=X, y=y, class_names=tuple(names),
                        provenance=tuple(ids[:len(X)]), feature_names=("a,b", 'q"'))
         text = ml.dataset_csv(data)
         # Every cell reads back whole; the old per-row writer left a lone
@@ -775,6 +774,26 @@ class TestPredictApi:
             proba = model.predict_proba(probe)
             assert proba.sum(axis=1) == pytest.approx(np.ones(20), abs=1e-9)
             assert np.array_equal(model.predict(probe), np.argmax(proba, axis=1))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("task", ml.dataset.TASKS)
+    def test_predict_is_the_argmax_of_the_probabilities_on_lexicon_features(
+            self, paper_lexicon, seed, task):
+        """``ml train`` and ``ml eval`` predict each row's most probable class,
+        while a saved model's ``predict`` still serves other readers; on the
+        features of a lexicon, both agree for every classical kind."""
+        data = featurize(paper_lexicon, task=task)
+        train_set, test_set = split(data, 0.8, seed)
+        models = [
+            ml.train_decision_tree(train_set, seed=seed),
+            ml.train_random_forest(train_set, n_trees=10, seed=seed),
+            ml.train_gaussian_nb(train_set),
+            ml.train_linear_svm(train_set, epochs=2, seed=seed),
+            ml.train_linear_svm(train_set, epochs=50, seed=seed),
+        ]
+        for model in models:
+            for X in (test_set.X, data.X):
+                assert np.array_equal(model.predict(X), np.argmax(model.predict_proba(X), axis=1))
 
     def test_serialization_round_trip(self, trained):
         rng = np.random.default_rng(19)

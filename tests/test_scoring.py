@@ -24,7 +24,6 @@ from lexisent.scoring import (
     format_word_scores,
     score_batch,
     score_sentence,
-    zero_baseline,
 )
 from lexisent.translator import translate, word_tokens
 
@@ -32,6 +31,11 @@ EN = LanguageCode.ENGLISH
 AF = LanguageCode.AFRIKAANS
 NSO = LanguageCode.SEPEDI
 ZU = LanguageCode.ZULU
+
+
+def zero_baseline(sentence: str) -> tuple[float, Polarity]:
+    """A baseline that abstains: compound 0.0, neutral, for every sentence."""
+    return 0.0, Polarity.NEUTRAL
 
 
 def word_lexicon(words: dict[str, float], language=EN, shared=None) -> Lexicon:
@@ -256,9 +260,11 @@ class TestSerialization:
 NUMPY_BLOCKED = """
 import json, sys
 sys.modules["numpy"] = None
-from lexisent.lexicon import LanguageCode, parse_lexicon
-from lexisent.scoring import score_batch, zero_baseline
+from lexisent.lexicon import LanguageCode, Polarity, parse_lexicon
+from lexisent.scoring import score_batch
 from lexisent.translator import translate
+def zero_baseline(sentence):
+    return 0.0, Polarity.NEUTRAL
 lexicon = parse_lexicon(sys.stdin.read())
 rows = [(sentence, LanguageCode(language)) for sentence, language in json.loads(sys.argv[1])]
 report = score_batch(rows, lexicon, zero_baseline)

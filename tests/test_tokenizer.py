@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 
 from lexisent import scoring
 from lexisent.lexicon import POS_PRIORITY, LanguageCode, Lexicon, LexiconEntry, PosTag
-from lexisent.scoring import score_batch, zero_baseline
+from lexisent.scoring import score_batch
 from lexisent.translator import (
     Token,
     WORD_PATTERN,
     normalize_sentence,
     tokenize,
 )
+
+from test_scoring import zero_baseline
 
 FR = LanguageCode.FRENCH
 EN = LanguageCode.ENGLISH
@@ -213,11 +215,10 @@ def test_score_batch_walk_equals_per_mode_scoring(lexicon, data):
     sentences = [draw_sentence(data, lexicon) for _ in range(count)]
     rows = [(sentence, language) for sentence in sentences for language in (FR, EN)]
     report = score_batch(rows, lexicon, zero_baseline)
-    table = lexicon.scores
     for (sentence, language), row in zip(rows, report.rows):
         tokens = tokenize(sentence, language, lexicon)
-        for mode, column in ((scoring.ScoreMode.AVG, table.mean),
-                             (scoring.ScoreMode.V2, table.effective[language])):
+        for mode, column in ((scoring.ScoreMode.AVG, lexicon.mean),
+                             (scoring.ScoreMode.V2, lexicon.effective[language])):
             scored = scoring.score_sentence(sentence, language, lexicon, mode)
             m = mode.value
             assert (row[f"total_score_{m}"], row[f"sentiment_{m}"]) == (
