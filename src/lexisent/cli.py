@@ -9,6 +9,13 @@ returns its files instead of writing them; :func:`main` then builds
 directory and writes every file. So a command that exits 1 or 2 writes
 nothing, and only a failing write can leave a partial directory.
 
+``compare`` and ``translate --in`` stream their large files: each returns
+them as chunks of text that are scored or translated a block of rows at a
+time while the file is written, so memory holds the parsed input and one
+block, not every output row and the whole file text. Their inputs (the
+lexicon and every sentence row) are still read and checked in full before a
+command returns, so a refused run still writes nothing.
+
 ``compare`` scores each sentence in both modes (avg and v2) and against the
 built-in English baseline. ``translate --in``, ``compare`` and ``explain
 --corpus`` refuse an input that holds no sentences. ``explain --text`` writes
@@ -40,6 +47,7 @@ import sys
 from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
+from typing import Callable, Iterable, Iterator
 
 from . import scoring
 from . import translator as tr
@@ -49,6 +57,7 @@ from .lexicon import (
     clean,
     csv_text,
     json_text,
+    json_value_text,
     parse_lexicon,
     require_normalized,
     serialize_lexicon,
@@ -65,9 +74,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-#: What a command returns: its output files, name to content (text is written
-#: as UTF-8) in write order, and its stderr summary line, if any.
-Output = tuple[dict[str, str | bytes], str | None]
+#: What a command returns: its output files, name to content in write order,
+#: and its stderr summary line, if any. A content is text (written as UTF-8),
+#: bytes, or an iterable of such chunks that is written one chunk at a time;
+#: ``compare`` and ``translate --in`` return their large files that way, and
+#: ``compare`` its summary as a function to call once its files are written,
+#: since the agreement it prints is known only then.
+Output = tuple[dict[str, str | bytes | Iterable[str | bytes]], str | Callable[[], str] | None]
+
+#: Sentence rows that ``compare`` scores, and ``translate --in`` translates,
+#: per block: a block's text is written before the next block is scored or
+#: translated, so memory holds one block of output rows, not the whole file.
+_BLOCK_ROWS = 256
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
@@ -108,6 +126,9 @@ def _normalized_lexicon(text: str):
     return lexicon
 
 
+_LANGUAGE_BY_VALUE: dict[str, LanguageCode] = {code.value: code for code in LanguageCode}
+
+
 def _sentence_rows(text: str, header: tuple[str, ...]) -> list[list]:
     """The data rows of a CSV with ``header``: a sentence, then language cells
     parsed to :class:`LanguageCode`. Errors name the row (header = 0) and, for
@@ -125,11 +146,22 @@ def _sentence_rows(text: str, header: tuple[str, ...]) -> list[list]:
                 f"row {row_no}: expected {len(header)} columns, found {len(row)}"
             )
         for i in range(1, len(row)):
-            try:
-                row[i] = LanguageCode.parse(row[i])
-            except ValueError as exc:
-                raise ValueError(f"row {row_no}: column {header[i]!r}: {exc}") from None
+            code = _LANGUAGE_BY_VALUE.get(row[i])
+            if code is None:
+                try:
+                    code = LanguageCode.parse(row[i])
+                except ValueError as exc:
+                    raise ValueError(f"row {row_no}: column {header[i]!r}: {exc}") from None
+            row[i] = code
     return rows[1:]
+
+
+def _language(flag: str, value: str) -> LanguageCode:
+    """The language a flag names; an unknown one is refused, naming the flag."""
+    try:
+        return LanguageCode.parse(value)
+    except ValueError as exc:
+        raise SettingError(flag, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -218,27 +250,89 @@ def cmd_translate(args) -> Output:
             raise _UsageError("--from and --to apply only to --text; --in reads them per row")
         if not args.infile or not args.out:
             raise _UsageError("batch mode requires --in and --out")
-    lexicon = _parse_file(args.lex, _normalized_lexicon)
     if args.text is not None:
-        result = tr.translate(
-            args.text,
-            LanguageCode.parse(args.source),
-            LanguageCode.parse(args.target),
-            lexicon,
-        )
+        source, target = _language("from", args.source), _language("to", args.target)
+        result = tr.translate(args.text, source, target, _parse_file(args.lex, _normalized_lexicon))
         print(result.translated_text)
         return {}, (f"{result.unknown_count} unknown token(s)" if result.unknown_count else None)
+    lexicon = _parse_file(args.lex, _normalized_lexicon)
     rows = _parse_file(
         args.infile,
         partial(_sentence_rows, header=("sentence", "source_language", "target_language")),
     )
     if not rows:
         raise ValueError(f"{args.infile}: no sentences")
-    table = [["sentence", "source_language", "target_language", "translated_text"]]
-    for s, a, b in rows:
-        table.append([s, a.value, b.value, tr.translate(s, a, b, lexicon).translated_text])
-    del lexicon, rows  # freed before the file is built, so peak memory stays low
-    return {"translations.csv": csv_text(table)}, f"translated {len(table) - 1} sentences"
+    return (
+        {"translations.csv": _translation_chunks(rows, lexicon)},
+        f"translated {len(rows)} sentences",
+    )
+
+
+def _blocks(rows: list) -> Iterator[list]:
+    """``rows`` in consecutive slices of :data:`_BLOCK_ROWS` rows."""
+    return (rows[start:start + _BLOCK_ROWS] for start in range(0, len(rows), _BLOCK_ROWS))
+
+
+def _translation_chunks(rows: list, lexicon) -> Iterator[str]:
+    """``translations.csv``, one block of rows at a time."""
+    yield csv_text([("sentence", "source_language", "target_language", "translated_text")])
+    for block in _blocks(rows):
+        yield csv_text([
+            [s, a.value, b.value, tr.translate(s, a, b, lexicon).translated_text]
+            for s, a, b in block
+        ])
+
+
+class _Comparison:
+    """``compare``'s two files, scored one block of rows at a time while
+    ``comparison.csv`` is written.
+
+    ``comparison.json`` writes its summary (``agreement`` and
+    ``polarity_counts``, summed over the blocks) before its ``rows``, but the
+    summary is known only after the last block. So each block's JSON rows
+    wait in an unnamed temporary file, which ``comparison.json`` copies after
+    the summary.
+    """
+
+    def __init__(self, rows: list, lexicon):
+        self.rows, self.lexicon = rows, lexicon
+        self.agreed = 0
+        self.counts = {scorer: dict.fromkeys(Polarity, 0) for scorer in ("avg", "v2", "baseline")}
+
+    def chunks(self) -> Iterator[str | bytes | None]:
+        """``comparison.csv``'s chunks, ``None``, then ``comparison.json``'s.
+
+        One generator writes both files, so the temporary file is closed
+        however the writing ends.
+        """
+        import tempfile  # only compare needs it, so importing the cli does not load it
+
+        with tempfile.TemporaryFile() as spool:
+            for i, block in enumerate(_blocks(self.rows)):
+                report = scoring.score_batch(block, self.lexicon, scoring.builtin_english_baseline)
+                self.agreed += sum(
+                    r["sentiment_v2"] == r["baseline_sentiment"] for r in report.rows)
+                for scorer, counts in report.polarity_counts.items():
+                    for polarity, count in counts.items():
+                        self.counts[scorer][polarity] += count
+                # The rows as comparison.json's "rows" list holds them, without
+                # the list's "[" and closing "\n  ]".
+                rows = json_value_text(report.rows, 1)[1:-len("\n  ]")]
+                spool.write((("," if i else "") + rows).encode("utf-8"))
+                table = scoring.comparison_csv_rows(report)
+                yield csv_text(table[1:] if i else table)  # the header once
+            yield None
+
+            summary = scoring.ComparisonReport([], self.agreed / len(self.rows), self.counts)
+            text = json_text(summary.to_json_dict())  # "rows" sorts last: ... "rows": []\n}\n
+            yield text[:-len("]\n}\n")]
+            spool.seek(0)
+            yield from iter(partial(spool.read, 1 << 16), b"")
+            yield "\n  ]\n}\n"
+
+    def summary(self) -> str:
+        return (f"{len(self.rows)} sentences, "
+                f"v2/baseline agreement {self.agreed / len(self.rows):.3f}")
 
 
 def cmd_compare(args) -> Output:
@@ -246,13 +340,10 @@ def cmd_compare(args) -> Output:
     rows = _parse_file(args.infile, partial(_sentence_rows, header=("sentence", "language")))
     if not rows:  # an agreement over no sentences would read a vacuous 1.000
         raise ValueError(f"{args.infile}: no sentences")
-    report = scoring.score_batch(rows, lexicon, scoring.builtin_english_baseline)
-    del lexicon, rows  # freed before the files are built, so peak memory stays low
-    files = {
-        "comparison.csv": csv_text(scoring.comparison_csv_rows(report)),
-        "comparison.json": json_text(report.to_json_dict()),
-    }
-    return files, f"{len(report.rows)} sentences, v2/baseline agreement {report.agreement:.3f}"
+    comparison = _Comparison(rows, lexicon)
+    chunks = comparison.chunks()
+    files = {"comparison.csv": iter(chunks.__next__, None), "comparison.json": chunks}
+    return files, comparison.summary
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +497,8 @@ def cmd_ctx_generate(args) -> Output:
         )
     if args.count < 1:
         raise _UsageError(f"-n/--count must be at least 1, got {args.count}")
+    language = _language("language", args.language)
     lexicon = _parse_file(args.lex, _normalized_lexicon)
-    language = LanguageCode.parse(args.language)
     # The lexicon may lack the forms to build from, or hold one that would
     # break the corpus's lines.
     with _errors_name(args.lex):
@@ -651,8 +742,9 @@ def _run(argv) -> int:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
             for name, content in files.items():
-                data = content.encode("utf-8") if isinstance(content, str) else content
-                (out / name).write_bytes(data)
+                with open(out / name, "wb") as stream:
+                    for chunk in (content,) if isinstance(content, (str, bytes)) else content:
+                        stream.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
@@ -663,7 +755,7 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if summary is not None:
-        print(summary, file=sys.stderr)
+        print(summary() if callable(summary) else summary, file=sys.stderr)
     return 0
 
 

@@ -479,6 +479,15 @@ def json_text(payload) -> str:
     return "".join(parts)
 
 
+def json_value_text(value, depth: int) -> str:
+    """The text of ``value`` as :func:`json_text` writes it nested ``depth``
+    levels deep: every line after the first is indented by ``2 * depth`` more
+    spaces, and no line break ends it."""
+    parts: list[str] = []
+    _json_parts(value, "\n" + "  " * depth, parts)
+    return "".join(parts)
+
+
 def _json_float(value: float) -> str:
     if value != value:
         return "NaN"

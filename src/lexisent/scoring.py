@@ -46,10 +46,10 @@ BaselineScorer = Callable[[str], tuple[float, Polarity]]
 
 
 class _ModeScores(NamedTuple):
-    """One mode's scores of one sentence; ``text`` is
-    ``format_word_scores(word_scores)``."""
+    """One mode's scores of one sentence, one per token; ``text`` is
+    ``format_word_scores`` of the tokens' surfaces paired with ``scores``."""
 
-    word_scores: tuple[tuple[str, float], ...]
+    scores: list[float]
     total: float
     text: str
 
@@ -81,13 +81,13 @@ def _score_modes(
             if text is None:
                 text = formatted[v2] = format_score(v2)
             v2_piece = f"{surface}:{text}"
-        avg_scores.append((surface, avg))
-        v2_scores.append((surface, v2))
+        avg_scores.append(avg)
+        v2_scores.append(v2)
         avg_pieces.append(avg_piece)
         v2_pieces.append(v2_piece)
     return (
-        _ModeScores(tuple(avg_scores), math.fsum(s for _, s in avg_scores), "; ".join(avg_pieces)),
-        _ModeScores(tuple(v2_scores), math.fsum(s for _, s in v2_scores), "; ".join(v2_pieces)),
+        _ModeScores(avg_scores, math.fsum(avg_scores), "; ".join(avg_pieces)),
+        _ModeScores(v2_scores, math.fsum(v2_scores), "; ".join(v2_pieces)),
     )
 
 
@@ -95,15 +95,14 @@ def score_sentence(
     sentence: str, language: LanguageCode, lexicon: Lexicon, mode: ScoreMode
 ) -> ScoredSentence:
     """Tokenize and score one sentence; unknown tokens score 0."""
-    avg, v2 = _score_modes(
-        tokenize(sentence, language, lexicon), lexicon.mean, lexicon.effective[language], {}
-    )
+    tokens = tokenize(sentence, language, lexicon)
+    avg, v2 = _score_modes(tokens, lexicon.mean, lexicon.effective[language], {})
     scores = avg if mode is ScoreMode.AVG else v2
     return ScoredSentence(
         sentence=sentence,
         language=language,
         mode=mode,
-        word_scores=scores.word_scores,
+        word_scores=tuple(zip([token.surface for token in tokens], scores.scores)),
         total_score=scores.total,
         polarity=Polarity.from_score(scores.total),
     )

@@ -20,8 +20,9 @@ BASELINE_KINDS = ("zero", "pad")
 
 
 class SettingError(ValueError):
-    """A training setting that would yield a useless model. ``setting`` is
-    the parameter's name and ``problem`` what is wrong with its value."""
+    """A setting the run cannot use: a training setting that would yield a
+    useless model, or an unknown language. ``setting`` is the parameter's
+    name and ``problem`` what is wrong with its value."""
 
     def __init__(self, setting: str, problem: str):
         super().__init__(f"{setting} {problem}")

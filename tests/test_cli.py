@@ -6,12 +6,13 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import lexisent
-from lexisent import cli
+from lexisent import cli, scoring
 from lexisent.artifact import FORMAT_VERSION
 from lexisent.cli import build_parser, main
 from lexisent.contextual import LOSS_EXPLOSION_FACTOR
@@ -19,10 +20,12 @@ from lexisent.lexicon import (
     CSV_HEADER,
     LanguageCode,
     Lexicon,
+    csv_text,
     json_text,
     parse_lexicon,
     serialize_lexicon,
 )
+from lexisent.translator import translate
 
 from conftest import build_ctx_lexicon
 
@@ -245,9 +248,19 @@ class TestTranslateCommand:
                 in capsys.readouterr().err)
         assert not (tmp_path / "y").exists()
 
-    def test_unknown_language(self, paper_lex_file):
-        assert run("translate", "--lex", paper_lex_file, "--text", "hi",
-                   "--from", "klingon", "--to", "english") == 2
+    @pytest.mark.parametrize("argv, flag", [
+        ("translate --text hi --from klingon --to english", "--from"),
+        ("translate --text hi --from english --to klingon", "--to"),
+        ("ctx generate --language klingon -n 5 --out {out}", "--language"),
+    ], ids=["translate-from", "translate-to", "ctx-generate"])
+    def test_unknown_language(self, tmp_path, argv, flag, capsys):
+        # The lexicon does not exist: the language is refused before it is read.
+        out = tmp_path / "out"
+        assert run(*argv.format(out=out).split(), "--lex", tmp_path / "missing.csv") == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} unknown language 'klingon' "
+            "(expected one of: french, ciluba, english, afrikaans, sepedi, zulu)\n")
+        assert not out.exists()
 
     def test_batch(self, tmp_path, paper_lex_file):
         sentences = tmp_path / "sentences.csv"
@@ -314,6 +327,84 @@ class TestScoreCommands:
         report = json.loads((out / "comparison.json").read_text())
         assert 0.0 <= report["agreement"] <= 1.0
         assert len(report["rows"]) == 2
+
+
+#: Sentences of every polarity in four languages; some hold a comma, a quote
+#: or a line break, which the CSV quotes and the JSON escapes.
+STREAMED_SENTENCES = [
+    ("I want food and I am happy today, what do you want to do with uncle", "english"),
+    ("Je suis heureux aujourd'hui, je veux danser avec vous", "french"),
+    ("Go tšhaba go wa.", "sepedi"),
+    ('Ek vertrou haar\nen "ek" is gelukkig', "afrikaans"),
+    ("what", "english"),
+]
+
+
+def sentence_files(directory: Path, rows) -> tuple[Path, Path]:
+    """``compare`` and ``translate --in`` inputs in ``directory``: the
+    ``(sentence, language)`` ``rows``, translated to English."""
+    directory.mkdir(exist_ok=True)
+    sentences, pairs = directory / "sentences.csv", directory / "pairs.csv"
+    sentences.write_bytes(csv_text([("sentence", "language"), *rows]).encode("utf-8"))
+    pairs.write_bytes(csv_text([("sentence", "source_language", "target_language"),
+                                *((s, language, "english") for s, language in rows)]
+                               ).encode("utf-8"))
+    return sentences, pairs
+
+
+class TestStreamedFiles:
+    """``compare`` and ``translate --in`` write their files a block of rows at
+    a time: the bytes are those of the whole batch built at once, and memory
+    grows little with the sentence count."""
+
+    @pytest.mark.parametrize("n", [1, cli._BLOCK_ROWS, cli._BLOCK_ROWS + 1])
+    def test_the_files_equal_the_whole_batch(self, tmp_path, paper_lex_file, n, capsys):
+        rows = [STREAMED_SENTENCES[i % len(STREAMED_SENTENCES)] for i in range(n)]
+        sentences, pairs = sentence_files(tmp_path, rows)
+        assert run("compare", "--lex", paper_lex_file, "--in", sentences,
+                   "--out", tmp_path / "compare") == 0
+        assert run("translate", "--lex", paper_lex_file, "--in", pairs,
+                   "--out", tmp_path / "translate") == 0
+
+        lexicon = parse_lexicon(paper_lex_file.read_bytes())
+        report = scoring.score_batch([(s, LanguageCode(language)) for s, language in rows],
+                                     lexicon, scoring.builtin_english_baseline)
+        assert (tmp_path / "compare" / "comparison.csv").read_bytes() == csv_text(
+            scoring.comparison_csv_rows(report)).encode("utf-8")
+        assert (tmp_path / "compare" / "comparison.json").read_bytes() == json_text(
+            report.to_json_dict()).encode("utf-8")
+        table = [("sentence", "source_language", "target_language", "translated_text")]
+        table += [(s, language, "english", translate(s, LanguageCode(language),
+                                                     LanguageCode.ENGLISH, lexicon).translated_text)
+                  for s, language in rows]
+        assert (tmp_path / "translate" / "translations.csv").read_bytes() == csv_text(
+            table).encode("utf-8")
+        assert capsys.readouterr().err == (
+            f"{n} sentences, v2/baseline agreement {report.agreement:.3f}\n"
+            f"translated {n} sentences\n")
+
+    @pytest.mark.parametrize("command", ["compare", "translate"])
+    def test_memory_per_sentence_stays_small(self, tmp_path, paper_lex_file, command, capsys):
+        # Both runs hold full blocks, so the growth is what each sentence keeps:
+        # its parsed row and its share of the input text, under 1 KB here.
+        # Holding every output row and the whole files took about 2.8 KB.
+        copies = cli._BLOCK_ROWS // len(STREAMED_SENTENCES) + 1
+
+        def peak(scale: int) -> int:
+            sentences, pairs = sentence_files(tmp_path / f"in{scale}",
+                                              STREAMED_SENTENCES * (copies * scale))
+            tracemalloc.start()
+            try:
+                assert run(command, "--lex", paper_lex_file,
+                           "--in", sentences if command == "compare" else pairs,
+                           "--out", tmp_path / f"out{scale}") == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # one-off lazy set-up
+        per_sentence = (peak(4) - peak(1)) / (3 * copies * len(STREAMED_SENTENCES))
+        assert per_sentence < 1500
 
 
 class TestUnnormalizedLexicon:
