@@ -1,26 +1,26 @@
 """Integrated Gradients over the contextual model's input embeddings.
 
-Attribution of coordinate i is (x_i - x'_i) times the average gradient of the
-class score along the straight path from the baseline x' to the input x. The
-class score is the model's log-probability for the chosen class; the residual
-between the summed attributions and F(x) - F(x') is the convergence delta,
-which shrinks as the number of integration steps grows. The average is taken
-by the trapezoid rule over ``steps + 1`` evenly spaced path points, so the
-delta falls as 1/steps^2.
+Attribution of coordinate i is x_i times the average gradient of the class
+score along the straight path from the zero embedding x' = 0 to the input x.
+The class score is the model's log-probability for the chosen class; the
+residual between the summed attributions and F(x) - F(0) is the convergence
+delta, which shrinks as the number of integration steps grows. The average is
+taken by the trapezoid rule over ``steps + 1`` evenly spaced path points, so
+the delta falls as 1/steps^2.
 
 The model's logits are affine in its input embeddings: ``h`` is the target
-embedding next to the mean of the window's embeddings, and ``z = h W + b``.
-On the straight path the logits therefore run along a line, ``z(t) = z' +
-t (z - z')``, and the gradient of F at every path point is one fixed linear
-map of the 3-vector ``e_c - softmax(z(t))``. The trapezoid sum of the
-gradients is that map applied once to the weighted mean ``g`` of those
-3-vectors, so a token's attribution is ``((x_i - x'_i) @ W_part) . g``, where
-``W_part`` holds the rows of ``W`` that read the target (for the target) or
-the window mean (for a context token, whose value is then divided by the
-number of used window slots); tokens outside the window get 0.
-Only the two forward passes for ``z`` and ``z'`` read embeddings, once per
-sentence; the path itself is 3-way softmaxes, so its cost depends neither on
-sentence length nor on embedding size, and ``steps`` adds only those.
+embedding next to the mean of the window's embeddings, and ``z = h W + b``, so
+at x' = 0 they are ``b``. On the straight path the logits therefore run along
+a line, ``z(t) = b + t (z - b)``, and the gradient of F at every path point
+is one fixed linear map of the 3-vector ``e_c - softmax(z(t))``. The
+trapezoid sum of the gradients is that map applied once to the weighted mean
+``g`` of those 3-vectors, so a token's attribution is ``(x_i @ W_part) . g``,
+where ``W_part`` holds the rows of ``W`` that read the target (for the
+target) or the window mean (for a context token, whose value is then divided
+by the number of used window slots); tokens outside the window get 0.
+Only the forward pass for ``z`` reads embeddings, once per sentence; the path
+itself is 3-way softmaxes, so its cost depends neither on sentence length nor
+on embedding size, and ``steps`` adds only those.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from . import contextual
 from .contextual import CLASS_ORDER, ContextModel, TargetSentence, _log_sum_exp
 from .lexicon import Polarity, csv_text, json_text
 from .ml.dataset import softmax
-from .settings import BASELINE_KINDS, DEFAULT_STEPS, SettingError
+from .settings import DEFAULT_STEPS, SettingError
 
 
 @dataclass(frozen=True)
@@ -46,7 +46,6 @@ class AttributionMap:
     total_attribution: float
     convergence_delta: float
     steps: int
-    baseline_kind: str
     score_input: float  # F(x)
     score_baseline: float  # F(x')
 
@@ -66,7 +65,7 @@ class AttributionMap:
             "total_attribution": self.total_attribution,
             "convergence_delta": self.convergence_delta,
             "steps": self.steps,
-            "baseline_kind": self.baseline_kind,
+            "baseline_kind": "zero",
             "scheme": "trapezoid",
             "score_input": self.score_input,
             "score_baseline": self.score_baseline,
@@ -78,9 +77,9 @@ class AttributionMap:
 PATH_ELEMENTS = 1 << 18
 
 
-def _mean_gradient(z: np.ndarray, z_baseline: np.ndarray, class_index: np.ndarray,
+def _mean_gradient(z: np.ndarray, bias: np.ndarray, class_index: np.ndarray,
                    steps: int) -> np.ndarray:
-    """``sum_k w_k (e_c - softmax(z' + t_k (z - z'))) / steps`` per row, (rows, 3).
+    """``sum_k w_k (e_c - softmax(b + t_k (z - b))) / steps`` per row, (rows, 3).
 
     The trapezoid rule: t_k = k/steps for k = 0..steps, with the two endpoint
     weights halved, so the weights sum to ``steps``. It is exact for linear
@@ -88,14 +87,14 @@ def _mean_gradient(z: np.ndarray, z_baseline: np.ndarray, class_index: np.ndarra
     of at most :data:`PATH_ELEMENTS` logits.
     """
     rows = len(z)
-    direction = z - z_baseline
+    direction = z - bias
     block = max(1, PATH_ELEMENTS // (3 * rows))
     total = np.zeros((rows, 3))
     for start in range(0, steps + 1, block):
         k = np.arange(start, min(start + block, steps + 1))
         weights = np.ones(len(k))
         weights[(k == 0) | (k == steps)] = 0.5
-        logits = z_baseline[:, None] + (k / steps)[None, :, None] * direction[:, None]
+        logits = bias + (k / steps)[None, :, None] * direction[:, None]
         total += np.einsum("k,rkc->rc", weights, softmax(logits))
     mean = total / -steps
     mean[np.arange(rows), class_index] += 1.0
@@ -107,28 +106,18 @@ def corpus_integrated_gradients(
     sentences: list[TargetSentence],
     target_class: Polarity | None = None,
     steps: int = DEFAULT_STEPS,
-    baseline_kind: str = "zero",
 ) -> list[AttributionMap]:
     """Per-token attributions for each sentence, in order; post-hoc, the model
     is read-only.
 
     The attributed class defaults to each sentence's predicted class. Token
-    attribution is the sum over that token's embedding coordinates; the
-    baseline is either the zero embedding or the padding token's embedding at
-    every position. Sentences go through in chunks of
-    :data:`~lexisent.contextual.PREDICT_CHUNK`, with one forward pass for the
-    inputs and one for the baselines per chunk.
+    attribution is the sum over that token's embedding coordinates. Sentences
+    go through in chunks of :data:`~lexisent.contextual.PREDICT_CHUNK`, with
+    one forward pass per chunk.
     """
     if steps < 1:
         raise SettingError("steps", f"must be at least 1, got {steps}")
-    e = model.embedding_dim
-    if baseline_kind == "zero":
-        base = np.zeros(e)
-    elif baseline_kind == "pad":
-        base = model.embeddings[model.vocabulary.pad_id]
-    else:
-        raise ValueError(f"unknown baseline {baseline_kind!r}; expected one of {BASELINE_KINDS}")
-    w_target, w_context = model.weights[:e], model.weights[e:]
+    w_target, w_context = np.split(model.weights, [model.embedding_dim])
     window = model.window
     chunk = contextual.PREDICT_CHUNK
     maps = []
@@ -136,21 +125,19 @@ def corpus_integrated_gradients(
         target = model.embeddings[part.targets]
         context = model.embeddings[part.context]
         _, z = model.forward(target, context, part.mask)
-        _, z_base = model.forward(np.broadcast_to(base, target.shape),
-                                  np.broadcast_to(base, context.shape), part.mask)
         proba = softmax(z)
         predicted = np.argmax(proba, axis=1)
         if target_class is None:
             class_index = predicted
         else:
             class_index = np.full(len(part), CLASS_ORDER.index(target_class))
-        g = _mean_gradient(z, z_base, class_index, steps)
+        g = _mean_gradient(z, model.bias, class_index, steps)
         rows = np.arange(len(part))
         f_x = z[rows, class_index] - _log_sum_exp(z)
-        f_base = z_base[rows, class_index] - _log_sum_exp(z_base)
-        on_target = np.einsum("rc,rc->r", (target - base) @ w_target, g)
+        f_base = model.bias[class_index] - _log_sum_exp(model.bias)
+        on_target = np.einsum("rc,rc->r", target @ w_target, g)
         used = np.maximum(part.mask.sum(axis=1), 1)
-        on_context = np.einsum("rjc,rc->rj", (context - base) @ w_context, g) / used[:, None]
+        on_context = np.einsum("rjc,rc->rj", context @ w_context, g) / used[:, None]
         on_context[~part.mask] = 0.0
         total = on_target + on_context.sum(axis=1)
         delta = total - (f_x - f_base)
@@ -173,7 +160,6 @@ def corpus_integrated_gradients(
                 total_attribution=row_total,
                 convergence_delta=row_delta,
                 steps=steps,
-                baseline_kind=baseline_kind,
                 score_input=row_f_x,
                 score_baseline=row_f_base,
             ))
@@ -185,10 +171,9 @@ def integrated_gradients(
     sentence: TargetSentence,
     target_class: Polarity | None = None,
     steps: int = DEFAULT_STEPS,
-    baseline_kind: str = "zero",
 ) -> AttributionMap:
     """:func:`corpus_integrated_gradients` of one sentence."""
-    (amap,) = corpus_integrated_gradients(model, [sentence], target_class, steps, baseline_kind)
+    (amap,) = corpus_integrated_gradients(model, [sentence], target_class, steps)
     return amap
 
 

@@ -20,9 +20,9 @@ command returns, so a refused run still writes nothing.
 built-in English baseline. ``translate --in``, ``compare`` and ``explain
 --corpus`` refuse an input that holds no sentences. ``explain --text`` writes
 ``attribution.*``, and ``explain --corpus`` writes ``attribution_NNNN.*`` per
-sentence, however many it holds. ``ml train`` records its task and
-train/test split in the model, and ``ml eval`` scores the same test split,
-refusing a ``--seed`` or ``--train-fraction`` that differs.
+sentence, however many it holds. ``ml train`` records its task, split and
+test rows' SHA-256 in the model, and ``ml eval`` scores the same test split,
+refusing a ``--seed``, ``--train-fraction`` or lexicon that gives another.
 ``ml train``, ``ml eval`` and ``ctx eval`` write the same evaluation files:
 confusion matrix, metrics and one-vs-rest ROC curves. ``ml train`` and
 ``ctx train`` write ``model.json`` in model format 2, whose ``kind`` names the
@@ -43,6 +43,7 @@ import csv
 import gc
 import io
 import math
+import re
 import sys
 from contextlib import contextmanager
 from functools import partial
@@ -63,7 +64,7 @@ from .lexicon import (
     serialize_lexicon,
     validate_lexicon,
 )
-from .settings import BASELINE_KINDS, DEFAULT_STEPS, MODEL_KINDS, TASKS, SettingError
+from .settings import DEFAULT_STEPS, MODEL_KINDS, TASKS, SettingError
 
 class _UsageError(Exception):
     pass
@@ -138,8 +139,9 @@ def _sentence_rows(text: str, header: tuple[str, ...]) -> list[list]:
         rows.extend(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise ValueError(f"row {len(rows)}: malformed CSV: {exc}") from None
-    if not rows or tuple(rows[0]) != header:
-        raise ValueError(f"expected header {','.join(header)}")
+    if not rows or tuple(rows[0]) != header:  # a repr shows a BOM or a stray space
+        found = rows[0] if rows else []
+        raise ValueError(f"row 0: bad header {found!r}; expected {','.join(header)}")
     for row_no, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise ValueError(
@@ -414,7 +416,8 @@ def cmd_ml_train(args) -> Output:
         raise ValueError(f"{args.lex}: test split is empty")
     model = _train_ml_model(train_set, args)
     model.hyperparameters["task"] = args.task
-    model.hyperparameters["split"] = {"seed": args.seed, "train_fraction": args.train_fraction}
+    model.hyperparameters["split"] = {"seed": args.seed, "train_fraction": args.train_fraction,
+                                      "test_sha256": test_set.sha256()}
     files = {"model.json": ml.save_model(model), "dataset.csv": ml.dataset_csv(dataset)}
     evaluation, accuracy = _evaluation_files(
         f"{args.model} trained on {args.lex}", test_set.y, model.predict_proba(test_set.X),
@@ -426,9 +429,10 @@ def cmd_ml_train(args) -> Output:
     )
 
 
-def _use_recorded_split(model, args) -> None:
+def _use_recorded_split(model, args) -> str | None:
     """Set ``args.seed`` and ``args.train_fraction`` to the split ``ml train``
-    recorded in the model; flags given explicitly must match it."""
+    recorded in the model; flags given explicitly must match it. Returns the
+    recorded ``test_sha256``, or None for a model trained before it was."""
     from .artifact import is_int
 
     recorded = model.hyperparameters.get("split", {})
@@ -442,6 +446,11 @@ def _use_recorded_split(model, args) -> None:
             f"{args.model}: field 'split' of 'hyperparameters' is {recorded!r}, expected an "
             "object with an int 'seed' and a 'train_fraction' in (0, 1)"
         )
+    digest = recorded.get("test_sha256")
+    if digest is not None and not (isinstance(digest, str)
+                                   and re.fullmatch("[0-9a-f]{64}", digest)):
+        raise ValueError(f"{args.model}: field 'test_sha256' of 'split' is {digest!r}, "
+                         "expected 64 lowercase hex digits")
     for key, flag in (("seed", "--seed"), ("train_fraction", "--train-fraction")):
         given = getattr(args, key)
         value = recorded.get(key, given)
@@ -452,6 +461,7 @@ def _use_recorded_split(model, args) -> None:
                 f"{flag} {given} differs from {value}, the {key} {args.model} was trained with"
             )
         setattr(args, key, value)
+    return digest
 
 
 def cmd_ml_eval(args) -> Output:
@@ -463,7 +473,7 @@ def cmd_ml_eval(args) -> Output:
     task = model.hyperparameters.get("task")
     if task not in TASKS:
         raise ValueError(f"{args.model}: the model records no known task (found {task!r})")
-    _use_recorded_split(model, args)
+    test_sha256 = _use_recorded_split(model, args)
     lexicon = _parse_file(args.lex, parse_lexicon)
     dataset = ml.featurize(lexicon, task=task)
     if model.n_features != dataset.X.shape[1]:
@@ -474,6 +484,9 @@ def cmd_ml_eval(args) -> Output:
     _, test_set = ml.split(dataset, args.train_fraction, args.seed)
     if not len(test_set):
         raise ValueError(f"{args.lex}: test split is empty")
+    if test_sha256 not in (None, test_set.sha256()):
+        raise ValueError(f"--lex {args.lex}: its test rows differ from those {args.model} "
+                         "recorded in training (entry ids, features or labels)")
     with np.errstate(over="ignore", invalid="ignore"):  # outputs that overflow are refused below
         proba = model.predict_proba(test_set.X)
     files, accuracy = _evaluation_files(args.model, test_set.y, proba, dataset.class_names)
@@ -574,9 +587,7 @@ def cmd_explain(args) -> Output:
     target_class = Polarity(args.target_class) if args.target_class else None
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
         maps = attr.corpus_integrated_gradients(
-            model, sentences, target_class=target_class, steps=args.steps,
-            baseline_kind=args.baseline,
-        )
+            model, sentences, target_class=target_class, steps=args.steps)
     files = {}
     for i, amap in enumerate(maps, start=1):
         numbers = (amap.confidence, amap.total_attribution, amap.convergence_delta,
@@ -694,7 +705,6 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                    help="integration steps along the path; each adds only a 3-way softmax "
                         "per sentence, so a large count costs little")
-    p.add_argument("--baseline", choices=BASELINE_KINDS, default="zero")
     p.add_argument("--target-class", choices=[pol.value for pol in Polarity], default=None)
 
     return parser
@@ -707,7 +717,7 @@ def main(argv=None) -> int:
     passes over the many small objects a command builds find nothing to free.
     That holds because no command leaves cyclic garbage that grows with its
     input: reference counting frees what the command drops. The only cycles
-    left behind are the 686 objects that each :func:`build_parser` call
+    left behind are the 671 objects that each :func:`build_parser` call
     leaves (argparse's parsers and actions refer to each other), a count
     that does not depend on the input, so the pause stays safe. The caller's
     collector state comes back on return, and no collection is forced.

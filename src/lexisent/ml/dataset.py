@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
 from dataclasses import dataclass
 from itertools import chain
@@ -45,6 +47,11 @@ class Dataset:
             provenance=tuple(self.provenance[i] for i in indices),
             feature_names=self.feature_names,
         )
+
+    def sha256(self) -> str:
+        """SHA-256 of the rows: their entry ids, feature bytes and labels."""
+        rows = json.dumps(self.provenance).encode() + self.X.astype("<f8").tobytes()
+        return hashlib.sha256(rows + self.y.astype("<i8").tobytes()).hexdigest()
 
 
 def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:

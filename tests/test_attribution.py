@@ -18,7 +18,7 @@ from lexisent.attribution import (
     summary_rows,
 )
 from lexisent.lexicon import LanguageCode, Polarity
-from lexisent.settings import BASELINE_KINDS, SettingError
+from lexisent.settings import SettingError
 
 from test_batched_kernels import EDGE_SENTENCES, path_integrated_gradients, random_model
 from test_contextual import small_model, toy_corpus
@@ -121,22 +121,9 @@ class TestIntegratedGradients:
     def test_model_untouched_by_attribution(self, trained):
         model, train = trained
         before = ctx.save_context_model(model)
-        integrated_gradients(model, train[3], steps=128, baseline_kind="pad")
+        integrated_gradients(model, train[3], steps=128)
         integrated_gradients(model, train[4], steps=16)
         assert ctx.save_context_model(model) == before
-
-    def test_pad_baseline(self, trained):
-        model, train = trained
-        amap = integrated_gradients(model, train[5], baseline_kind="pad")
-        assert amap.baseline_kind == "pad"
-        # baseline score comes from the pad embedding, not zeros
-        zero = integrated_gradients(model, train[5], baseline_kind="zero")
-        assert amap.score_baseline != zero.score_baseline
-
-    def test_unknown_baseline_rejected(self, trained):
-        model, train = trained
-        with pytest.raises(ValueError):
-            integrated_gradients(model, train[0], baseline_kind="mean")
 
 
 def coordinate_attributions(model, amap):
@@ -144,23 +131,19 @@ def coordinate_attributions(model, amap):
     recomputed by the oracle integral, and a round-off bound on each token's
     sum.
 
-    A token's attribution is sum over e, c of (x - x')_e W_ec g_c / n, with
-    n = 1 for the target and the used window slots for a context token, and
-    |g_c| <= 1. So ``terms`` bounds the magnitude of its 3E products, each of
-    which rounds at most 3E + 3 times. The mean gradient g comes from the path
-    logits, whose round-off is at most (2E + 5) eps ``logit_size`` on either
-    side, and g moves by no more than its logits do.
+    A token's attribution is sum over e, c of x_e W_ec g_c / n (the reference
+    point x' is 0), with n = 1 for the target and the used window slots for a
+    context token, and |g_c| <= 1. So ``terms`` bounds the magnitude of its 3E
+    products, each of which rounds at most 3E + 3 times. The mean gradient g
+    comes from the path logits, whose round-off is at most (2E + 5) eps
+    ``logit_size`` on either side, and g moves by no more than its logits do.
     """
     ids, target_index = model.encode(amap.sentence)
     x = model.embeddings[ids]
-    if amap.baseline_kind == "zero":
-        baseline = np.zeros_like(x)
-    else:
-        baseline = np.tile(model.embeddings[model.vocabulary.pad_id], (len(ids), 1))
     class_index = ctx.CLASS_ORDER.index(amap.target_class)
     attributions, *_ = path_integrated_gradients(
         lambda points: model.log_prob_and_input_grad(points, target_index, class_index),
-        x, baseline, amap.steps,
+        x, np.zeros_like(x), amap.steps,
     )
     e = model.embedding_dim
     context = model.window_positions(len(ids), target_index)
@@ -169,10 +152,10 @@ def coordinate_attributions(model, amap):
     per_coordinate[target_index] = row_sums[:e]
     if context:
         per_coordinate[context] = row_sums[e:] / len(context)
-    terms = (np.abs(x - baseline) * per_coordinate).sum(axis=1)
-    features = [np.concatenate([p[target_index], p[context].mean(axis=0) if context
-                                else np.zeros(e)]) for p in (x, baseline)]
-    logit_size = (np.abs(features[0]) + np.abs(features[1])) @ np.abs(model.weights)
+    terms = (np.abs(x) * per_coordinate).sum(axis=1)
+    features = np.concatenate([x[target_index], x[context].mean(axis=0) if context
+                               else np.zeros(e)])
+    logit_size = np.abs(features) @ np.abs(model.weights)
     logit_size = float((logit_size + np.abs(model.bias)).max())
     eps = np.finfo(np.float64).eps
     bound = 2 * eps * terms * (3 * e + 3 + (2 * e + 5) * logit_size)
@@ -189,19 +172,17 @@ class TestCompleteness:
         target=st.lists(WORDS, min_size=1, max_size=2),
         after=st.lists(WORDS, max_size=4),
         steps=st.integers(1, 64),
-        baseline_kind=st.sampled_from(BASELINE_KINDS),
         target_class=st.sampled_from([None, *Polarity]),
     )
     @settings(max_examples=60, deadline=None)
     def test_delta_is_the_completeness_residual(self, trained, before, target, after, steps,
-                                                baseline_kind, target_class):
+                                                target_class):
         """Each token's attribution is the sum of its coordinates' attributions,
         and sum(per-token attributions) - (F(x) - F(x')) is the reported delta,
         both to round-off."""
         model, _ = trained
         sentence = ctx.parse_marked(" ".join([*before, "[TARGET]", *target, "[/TARGET]", *after]))
-        amap = integrated_gradients(model, sentence, target_class=target_class, steps=steps,
-                                    baseline_kind=baseline_kind)
+        amap = integrated_gradients(model, sentence, target_class=target_class, steps=steps)
         coords, bound = coordinate_attributions(model, amap)
         values = np.array([value for _, value in amap.per_token])
         assert np.all(np.abs(values - coords.sum(axis=1)) <= bound)
@@ -232,7 +213,6 @@ class TestHeatmap:
             total_attribution=float(sum(values)),
             convergence_delta=0.0,
             steps=8,
-            baseline_kind="zero",
             score_input=1.0,
             score_baseline=0.0,
         )

@@ -165,14 +165,12 @@ def path_integrated_gradients(
     return attributions, f_x, f_baseline, delta
 
 
-def ref_integrated_gradients(model, sentence, steps, baseline_kind):
-    """(per-token attributions, F(x), F(baseline), delta, predicted index)."""
+def ref_integrated_gradients(model, sentence, steps):
+    """(per-token attributions, F(x), F(baseline), delta, predicted index),
+    integrated from the zero embedding."""
     ids, target_index = model.encode(sentence)
     x = model.embeddings[ids].copy()
-    if baseline_kind == "zero":
-        baseline = np.zeros_like(x)
-    else:
-        baseline = np.tile(model.embeddings[model.vocabulary.pad_id], (len(ids), 1))
+    baseline = np.zeros_like(x)
     predicted = int(np.argmax(ref_softmax(ref_logits(model, x, target_index))))
 
     def score_fn(point):
@@ -354,17 +352,15 @@ class TestIntegratedGradients:
             assert value == pytest.approx(ref_value, rel=TOL, abs=TOL)
             np.testing.assert_allclose(grad, ref_grad, rtol=TOL, atol=TOL)
 
-    @pytest.mark.parametrize("baseline_kind", attr.BASELINE_KINDS)
     @given(model=models, batch=st.lists(sentences(), min_size=1, max_size=6),
            steps=st.integers(1, 40))
     @settings(max_examples=40, deadline=None)
-    def test_matches_reference(self, baseline_kind, model, batch, steps):
-        maps = attr.corpus_integrated_gradients(model, batch, steps=steps,
-                                                baseline_kind=baseline_kind)
+    def test_matches_reference(self, model, batch, steps):
+        maps = attr.corpus_integrated_gradients(model, batch, steps=steps)
         assert [amap.sentence for amap in maps] == batch
         for amap, s in zip(maps, batch):
             per_token, f_x, f_baseline, delta, predicted = ref_integrated_gradients(
-                model, s, steps, baseline_kind)
+                model, s, steps)
             assert amap.predicted_class is ctx.CLASS_ORDER[predicted]
             np.testing.assert_allclose([v for _, v in amap.per_token], per_token,
                                        rtol=TOL, atol=TOL)
@@ -372,7 +368,7 @@ class TestIntegratedGradients:
             assert amap.score_baseline == pytest.approx(f_baseline, rel=TOL, abs=TOL)
             assert amap.convergence_delta == pytest.approx(delta, abs=TOL)
 
-    def test_one_input_and_one_baseline_pass_per_chunk(self, monkeypatch):
+    def test_one_forward_pass_per_chunk(self, monkeypatch):
         model = random_model(3, 4, window=2)
         rows = []
         original = ctx.ContextModel.forward
@@ -390,17 +386,14 @@ class TestIntegratedGradients:
         for steps in (1, 50, 4096):
             rows.clear()
             attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=steps)
-            # the inputs, then the baselines, of each chunk of 4 sentences
-            assert rows == [4, 4, 2, 2]
+            # the inputs of each chunk of 4 sentences; z' is the bias
+            assert rows == [4, 2]
 
-    @pytest.mark.parametrize("baseline_kind", attr.BASELINE_KINDS)
-    def test_chunked_maps_equal_the_unchunked_maps(self, monkeypatch, baseline_kind):
+    def test_chunked_maps_equal_the_unchunked_maps(self, monkeypatch):
         model = random_model(7, 3, window=2)
-        whole = attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=20,
-                                                 baseline_kind=baseline_kind)
+        whole = attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=20)
         monkeypatch.setattr(ctx, "PREDICT_CHUNK", 2)
-        chunked = attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=20,
-                                                   baseline_kind=baseline_kind)
+        chunked = attr.corpus_integrated_gradients(model, EDGE_SENTENCES, steps=20)
         assert_same_maps(chunked, whole)
 
     def test_path_blocks_leave_the_maps_unchanged(self, monkeypatch):

@@ -129,16 +129,18 @@ class TestNoCyclicGarbageGrowsWithInput:
         for scale in (1, 4):
             assert run("ctx", "generate", "--lex", ctx_lexicon, "--language", "english",
                        "-n", made[scale]["count"], "--out", root / f"gen{scale}") == 0
-        assert run("ml", "train", "--lex", made[1]["lexicon"], "--model", "decision_tree",
-                   "--out", root / "ml") == 0
+            # ``ml eval`` refuses a lexicon of other test rows than its model's
+            made[scale]["ml_model"] = root / f"ml{scale}" / "model.json"
+            assert run("ml", "train", "--lex", made[scale]["lexicon"], "--model",
+                       "decision_tree", "--out", root / f"ml{scale}") == 0
         assert run("ctx", "train", "--corpus", made[1]["corpus"], "--out", root / "ctx",
                    "--epochs", "1", "--embedding-dim", "4") == 0
         return {"sizes": made, "ctx_lexicon": ctx_lexicon,
-                "ml_model": root / "ml" / "model.json",
                 "ctx_model": root / "ctx" / "model.json"}
 
     # Each leaf subcommand's arguments; ``{lexicon}``, ``{sentences}``,
-    # ``{pairs}``, ``{corpus}`` and ``{count}`` are the small or the large input.
+    # ``{pairs}``, ``{corpus}``, ``{count}`` and ``{ml_model}`` are the small or
+    # the large input.
     COMMANDS = {
         "lexicon validate": "lexicon validate --in {lexicon} --out {out}",
         "lexicon clean": "lexicon clean --in {lexicon} --out {out}",
