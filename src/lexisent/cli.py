@@ -9,12 +9,15 @@ returns its files instead of writing them; :func:`main` then builds
 directory and writes every file. So a command that exits 1 or 2 writes
 nothing, and only a failing write can leave a partial directory.
 
-``compare`` and ``translate --in`` stream their large files: each returns
-them as chunks of text that are scored or translated a block of rows at a
-time while the file is written, so memory holds the parsed input and one
-block, not every output row and the whole file text. Their inputs (the
-lexicon and every sentence row) are still read and checked in full before a
-command returns, so a refused run still writes nothing.
+Every input file is read as a text stream (:func:`_parse_file`): the
+lexicon, sentence and corpus readers take its lines one at a time, so memory
+holds what a file parses to, not its text as well; a model file, one JSON
+document, is read whole. Each input is still read and checked in full before
+a command returns, so a refused run still writes nothing. ``compare`` and
+``translate --in`` also stream their large files: each returns them as
+chunks of text that are scored or translated a block of rows at a time while
+the file is written, so memory holds the parsed input and one block, not
+every output row and the whole file text.
 
 ``compare`` scores each sentence in both modes (avg and v2) and against the
 built-in English baseline. ``translate --in``, ``compare`` and ``explain
@@ -41,7 +44,6 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
-import io
 import math
 import re
 import sys
@@ -111,18 +113,46 @@ def _errors_name(path: str):
 
 
 def _parse_file(path: str, parse):
-    """``parse`` applied to a UTF-8 file's text; its errors name the file.
+    """``parse`` applied to a UTF-8 file opened as a text stream; its errors
+    name the file.
 
-    The text keeps its line ends, so CSV readers see quoted line breaks as
-    written.
+    The stream yields the file's lines with their line ends as written
+    (``newline=""``), so CSV readers see quoted line breaks as written. It
+    decodes a chunk at a time, and its decode error gives a position within
+    the chunk; so on that error the file's bytes are read again, and the
+    error names the first byte that is not UTF-8 by its offset in the file
+    and its 1-based line.
     """
     with _errors_name(path):
-        return parse(Path(path).read_bytes().decode("utf-8"))
+        try:
+            with open(path, encoding="utf-8", newline="") as stream:
+                return parse(stream)
+        except UnicodeDecodeError as exc:
+            raise _decode_error(Path(path).read_bytes(), exc) from None
 
 
-def _normalized_lexicon(text: str):
+def _decode_error(data: bytes, exc: UnicodeDecodeError) -> ValueError:
+    """The first UTF-8 error in ``data``, whose position is the byte offset in
+    ``data``, and the line it is on; ``exc`` if ``data`` decodes, as a file
+    changed while it was read may."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as whole:
+        head = data[:whole.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return ValueError(f"{whole}, on line {line}")
+    return exc
+
+
+def _whole_text(load):
+    """A parse that gives ``load`` the stream's whole text, for the model
+    files, which are one JSON document."""
+    return lambda stream: load(stream.read())
+
+
+def _normalized_lexicon(lines: Iterable[str]):
     """A lexicon for the commands that tokenize sentences against it."""
-    lexicon = parse_lexicon(text)
+    lexicon = parse_lexicon(lines)
     require_normalized(lexicon)
     return lexicon
 
@@ -130,13 +160,14 @@ def _normalized_lexicon(text: str):
 _LANGUAGE_BY_VALUE: dict[str, LanguageCode] = {code.value: code for code in LanguageCode}
 
 
-def _sentence_rows(text: str, header: tuple[str, ...]) -> list[list]:
-    """The data rows of a CSV with ``header``: a sentence, then language cells
-    parsed to :class:`LanguageCode`. Errors name the row (header = 0) and, for
-    an unknown language, its column."""
+def _sentence_rows(lines: Iterable[str], header: tuple[str, ...]) -> list[list]:
+    """The data rows of a CSV with ``header``, read from its lines (line ends
+    kept): a sentence, then language cells parsed to :class:`LanguageCode`.
+    Errors name the row (header = 0) and, for an unknown language, its
+    column."""
     rows = []
     try:  # ``rows`` keeps the rows read before an error, so its length is the bad row
-        rows.extend(csv.reader(io.StringIO(text, newline="")))
+        rows.extend(csv.reader(lines))
     except csv.Error as exc:
         raise ValueError(f"row {len(rows)}: malformed CSV: {exc}") from None
     if not rows or tuple(rows[0]) != header:  # a repr shows a BOM or a stray space
@@ -469,7 +500,7 @@ def cmd_ml_eval(args) -> Output:
 
     from . import ml
 
-    model = _parse_file(args.model, ml.load_model)
+    model = _parse_file(args.model, _whole_text(ml.load_model))
     task = model.hyperparameters.get("task")
     if task not in TASKS:
         raise ValueError(f"{args.model}: the model records no known task (found {task!r})")
@@ -558,7 +589,7 @@ def cmd_ctx_eval(args) -> Output:
 
     from . import contextual as ctx
 
-    model = _parse_file(args.model, ctx.load_context_model)
+    model = _parse_file(args.model, _whole_text(ctx.load_context_model))
     corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
     # An empty corpus is refused; outputs that overflow are refused below.
     with _errors_name(args.corpus), np.errstate(over="ignore", invalid="ignore"):
@@ -577,7 +608,7 @@ def cmd_explain(args) -> Output:
 
     if (args.text is None) == (args.corpus is None):
         raise _UsageError("provide exactly one of --text or --corpus")
-    model = _parse_file(args.model, ctx.load_context_model)
+    model = _parse_file(args.model, _whole_text(ctx.load_context_model))
     if args.text is not None:
         sentences = [ctx.parse_marked(args.text)]
     else:

@@ -14,6 +14,8 @@ import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import Iterable
 
 import numpy as np
 
@@ -545,10 +547,19 @@ def write_corpus(sentences: list[TargetSentence]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_corpus(text: str, labeled: bool = False) -> list[TargetSentence]:
-    """Parse a corpus TSV; with ``labeled`` an empty label is an error."""
+def read_corpus(lines: Iterable[str] | str, labeled: bool = False) -> list[TargetSentence]:
+    """Parse a corpus TSV from its lines, such as an open text file, or from
+    its whole text; with ``labeled`` an empty label is an error.
+
+    Lines break where :meth:`str.splitlines` breaks the whole text: each line
+    read is split again, so ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``,
+    ``\\x85``, ``\\u2028`` and ``\\u2029`` end a line as ``\\n`` does, and
+    errors name the same line numbers whether the corpus is read as lines or
+    as text.
+    """
     sentences = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    split = chain.from_iterable(map(str.splitlines, (lines,) if isinstance(lines, str) else lines))
+    for line_no, line in enumerate(split, start=1):
         if not line.strip():
             continue
         fields = line.split("\t")

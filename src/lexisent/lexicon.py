@@ -27,7 +27,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import INFINITY as _INFINITY, encode_basestring_ascii
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -330,14 +330,20 @@ _BLANKS = ("",) * len(_LANGUAGES)
 #: Where nearly every score is new, a table that grew with the file cost more
 #: in memory traffic than the conversions it saved.
 _MEMO_LIMIT = 256
+#: Rows that :func:`serialize_lexicon` writes as text before encoding them.
+_BLOCK_ROWS = 512
 
 
-def parse_lexicon(source: bytes | str) -> Lexicon:
+def parse_lexicon(source: bytes | str | Iterable[str]) -> Lexicon:
     """Parse a UTF-8 lexicon CSV into a :class:`Lexicon`.
 
-    Rows are kept in file order and are *not* cleaned: un-trimmed or mixed-case
-    forms and duplicate rows survive parsing so that :func:`clean` can report
-    them. Lines may end in ``\\n``, ``\\r\\n`` or ``\\r``.
+    ``source`` is the file's bytes, its text, or its lines with their line
+    ends kept, such as a text file opened with ``newline=""``. Lines are
+    parsed as they are read, so a file read as lines is never held as one
+    text. Rows are kept in file order and are *not* cleaned: un-trimmed or
+    mixed-case forms and duplicate rows survive parsing so that
+    :func:`clean` can report them. Lines may end in ``\\n``, ``\\r\\n`` or
+    ``\\r``.
 
     A row's first error is raised by the check that finds it, with the
     1-based data row and, for every check but the column count, the column.
@@ -354,12 +360,10 @@ def parse_lexicon(source: bytes | str) -> Lexicon:
     """
     if isinstance(source, bytes):
         try:
-            text = source.decode("utf-8")
+            source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise LexiconFormatError(f"lexicon is not valid UTF-8: {exc}") from None
-    else:
-        text = source
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
     entries: list[LexiconEntry] = []
     header = None
     try:
@@ -572,10 +576,13 @@ def _json_parts(value, newline: str, parts: list[str]) -> None:
 def serialize_lexicon(lexicon: Lexicon) -> bytes:
     """Canonical CSV bytes; inverse of :func:`parse_lexicon` (row order kept).
 
-    Each distinct score is formatted once per call, on its first cell, as
-    long as the call has met at most :data:`_MEMO_LIMIT` of them; equal
-    scores share one literal, which :func:`format_score` makes safe (``0.0``
-    and ``-0.0`` both write ``0``).
+    The bytes are :func:`csv_text` of the rows, UTF-8 encoded, built
+    :data:`_BLOCK_ROWS` rows at a time: each block's text is encoded as soon
+    as it is written, so the whole file is never held as text as well as
+    bytes. Each distinct score is formatted once per call, on its first
+    cell, as long as the call has met at most :data:`_MEMO_LIMIT` of them;
+    equal scores share one literal, which :func:`format_score` makes safe
+    (``0.0`` and ``-0.0`` both write ``0``).
     """
     text: dict[float, str] = {}  # score -> format_score(score), this call only
 
@@ -596,7 +603,10 @@ def serialize_lexicon(lexicon: Lexicon) -> bytes:
                 row.append(literal)
             yield row
 
-    return csv_text(rows()).encode("utf-8")
+    pending = rows()
+    # Each block's text is dropped as soon as it is encoded; the rows run out
+    # when csv_text of an empty slice gives "".
+    return b"".join(iter(lambda: csv_text(islice(pending, _BLOCK_ROWS)).encode("utf-8"), b""))
 
 
 @dataclass

@@ -21,6 +21,8 @@ from lexisent.lexicon import (
     CSV_HEADER,
     LanguageCode,
     Lexicon,
+    LexiconEntry,
+    PosTag,
     csv_text,
     json_text,
     parse_lexicon,
@@ -43,6 +45,9 @@ def ctx_lex_file(tmp_path):
     path = tmp_path / "ctx_lexicon.csv"
     path.write_bytes(serialize_lexicon(build_ctx_lexicon()))
     return path
+
+
+HEADER_LINE = ",".join(CSV_HEADER)
 
 
 def run(*argv) -> int:
@@ -424,6 +429,39 @@ class TestStreamedFiles:
         peak(1)  # one-off lazy set-up
         per_sentence = (peak(4) - peak(1)) / (3 * copies * len(STREAMED_SENTENCES))
         assert per_sentence < 1500
+
+
+class TestInputsAreStreamed:
+    def test_validate_holds_little_beyond_the_lexicon_it_parses(self, tmp_path, capsys):
+        # The peak traced over the parsed lexicon's own 3.62 MB, for 3000 rows
+        # of six forms (250 KB of file): 0.44 MB (12%) when the file is read
+        # as a stream, 1.32 MB (36%) with its text and an io.StringIO of the
+        # text also held.
+        languages = list(LanguageCode)
+        lexicon = Lexicon([
+            LexiconEntry({lang: f"{lang.value[:3]}é{i}" for lang in languages},
+                         list(PosTag)[i % len(PosTag)], float(i % 7 - 3),
+                         {lang: (i % 9 - 4) / 4 for lang in languages[:3]})
+            for i in range(3000)
+        ])
+        path = tmp_path / "lexicon.csv"
+        path.write_bytes(serialize_lexicon(lexicon))
+        del lexicon
+        assert run("lexicon", "validate", "--in", path, "--out", tmp_path / "warm-up") == 0
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lexicon = parse_lexicon(path.read_bytes())
+            retained = tracemalloc.get_traced_memory()[0] - before
+            del lexicon
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            assert run("lexicon", "validate", "--in", path, "--out", tmp_path / "out") == 0
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak - retained < 0.2 * retained
 
 
 class TestUnnormalizedLexicon:
@@ -1195,6 +1233,45 @@ class TestUnreadableInput:
         assert run("compare", "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
         assert f"error: {sentences}: 'utf-8' codec can't decode byte 0xff" in (
             capsys.readouterr().err)
+        assert not out.exists()
+
+    MODEL_LINES = ["{\n"] + [f' "field{i}": {i},\n' for i in range(900)] + [' "end": 0\n}\n']
+    #: Per reader: the lines of a file over 8 KiB, so a stream decodes it in
+    #: more than one chunk, and the arguments that read it (``{file}``) and
+    #: write ``{out}``; ``{lex}`` is a valid file, which the model commands
+    #: never reach. Line ends vary, since a line may end in any of them.
+    INPUTS = {
+        "lexicon": ([f"{HEADER_LINE}\r\n"]
+                    + [f"mot{i},,,,,,mot,1,,,,,,\r\n" for i in range(600)],
+                    ("lexicon", "validate", "--in", "{file}", "--out", "{out}")),
+        "compare": (["sentence,language\r"] + ["I am happy,english\r"] * 600,
+                    ("compare", "--lex", "{lex}", "--in", "{file}", "--out", "{out}")),
+        "translate": (["sentence,source_language,target_language\n"]
+                      + ["I am happy,english,french\n"] * 600,
+                      ("translate", "--lex", "{lex}", "--in", "{file}", "--out", "{out}")),
+        "ctx train": ([f"[TARGET] good [/TARGET] day {i}\tpositive\n" for i in range(600)],
+                      ("ctx", "train", "--corpus", "{file}", "--out", "{out}")),
+        "ml model": (MODEL_LINES,
+                     ("ml", "eval", "--model", "{file}", "--lex", "{lex}", "--out", "{out}")),
+        "ctx model": (MODEL_LINES,
+                      ("ctx", "eval", "--model", "{file}", "--corpus", "{lex}", "--out", "{out}")),
+    }
+
+    @pytest.mark.parametrize("reader", list(INPUTS))
+    def test_a_byte_that_is_not_utf8_is_named_by_its_line_and_file_offset(
+            self, tmp_path, paper_lex_file, reader, capsys):
+        lines, argv = self.INPUTS[reader]
+        lines = [line.encode("utf-8") for line in lines]
+        at = 500  # the bad byte starts line 501
+        offset = sum(map(len, lines[:at]))
+        assert offset > 8192
+        path = tmp_path / "input"
+        path.write_bytes(b"".join(lines[:at]) + b"\xff" + b"".join(lines[at:]))
+        out = tmp_path / "out"
+        assert run(*(arg.format(file=path, out=out, lex=paper_lex_file) for arg in argv)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff in position {offset}: "
+            f"invalid start byte, on line {at + 1}\n")
         assert not out.exists()
 
     def test_oversized_lexicon_cell_names_file_and_row(self, tmp_path, paper_lex_file, capsys):

@@ -504,6 +504,26 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match="holds a tab or a line break"):
             ctx.write_corpus([sentence])
 
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x0c"])
+    def test_a_corpus_file_breaks_lines_where_its_text_does(self, tmp_path, separator):
+        # str.splitlines breaks at the separator, a file's lines do not: the
+        # corpus reads the same either way, as two sentences and a bad line 3.
+        path = tmp_path / "corpus.tsv"
+        good = (f"[TARGET] a [/TARGET] b\tneutral{separator}"
+                "[TARGET] c [/TARGET] d\tpositive\r\n")
+        path.write_text(good, encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as lines:
+            read = ctx.read_corpus(lines)
+        assert [(s.text, s.label) for s in read] == [
+            (s.text, s.label) for s in ctx.read_corpus(good)
+        ] == [("[TARGET] a [/TARGET] b", NEU), ("[TARGET] c [/TARGET] d", POS)]
+
+        path.write_text(good + f"[TARGET] e{separator}[/TARGET] f\tneutral\n",
+                        encoding="utf-8", newline="")
+        with open(path, encoding="utf-8", newline="") as lines, pytest.raises(
+                ValueError, match="^line 3: expected 'sentence<TAB>label'$"):
+            ctx.read_corpus(lines)
+
     def test_corpus_round_trip(self, ctx_lexicon):
         data = ctx.generate_dataset(ctx_lexicon, EN, 25, seed=3)
         text = ctx.write_corpus(data)

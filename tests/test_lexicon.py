@@ -38,6 +38,7 @@ from lexisent.lexicon import (
     serialize_lexicon,
     validate_lexicon,
 )
+from lexisent.lexicon import _BLOCK_ROWS
 from lexisent.translator import tokenize
 
 HEADER = ",".join(CSV_HEADER)
@@ -296,6 +297,23 @@ def cellwise_serialize(lexicon: Lexicon) -> bytes:
 @given(repeated_score_lexicon_st())
 @settings(max_examples=200, deadline=None)
 def test_serialize_equals_one_format_per_cell(lex):
+    data = serialize_lexicon(lex)
+    assert data == cellwise_serialize(lex)
+    assert parse_lexicon(data) == lex
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 2, _BLOCK_ROWS - 1, _BLOCK_ROWS,
+                               _BLOCK_ROWS + 1])
+def test_serialize_in_blocks_equals_the_whole_text(n):
+    # n entries and the header: the file ends one row short of a block, on
+    # one, and one row past it.
+    languages = list(LanguageCode)
+    lex = Lexicon([
+        LexiconEntry({LanguageCode.FRENCH: f"mot {i}", languages[i % 6]: f'é, "{i}"'},
+                     PosTag.MOT, -0.0 if i % 5 == 0 else (i % 37 - 18) / 4,
+                     {languages[i % 4]: -0.0, languages[5]: i / 7 % 9})
+        for i in range(n)
+    ])
     data = serialize_lexicon(lex)
     assert data == cellwise_serialize(lex)
     assert parse_lexicon(data) == lex
@@ -687,6 +705,48 @@ def outcome(parse, data: bytes):
          list(e.per_language_scores.items()))
         for e in lexicon.entries
     ]
+
+
+#: Text that breaks a row: an unterminated or stray quote, a NUL, and a cell
+#: over ``csv``'s field limit, which the reader refuses.
+MALFORMED_CELLS = ['"open', 'a"b', '"x"y', "\x00", '"', "x" * 140_000]
+
+
+@st.composite
+def lexicon_text_st(draw) -> str:
+    """Lexicon text as a file may hold it: :func:`csv_row_st` rows, whose
+    cells may quote line breaks, all ended by ``\\n``, ``\\r\\n`` or a lone
+    ``\\r``; sometimes a BOM, a bad header, or a cell written raw that breaks
+    its row."""
+    rows = [list(CSV_HEADER)] + draw(st.lists(csv_row_st(), max_size=6))
+    if draw(st.integers(min_value=0, max_value=10)) == 0:
+        rows[0] = rows[0][:-1]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator=draw(st.sampled_from(["\n", "\r\n", "\r"]))).writerows(rows)
+    text = buffer.getvalue()
+    if draw(st.integers(min_value=0, max_value=6)) == 0:
+        at = draw(st.integers(min_value=0, max_value=len(text)))
+        text = text[:at] + draw(st.sampled_from(MALFORMED_CELLS)) + text[at:]
+    if draw(st.integers(min_value=0, max_value=8)) == 0:
+        text = "\ufeff" + text
+    return text
+
+
+def utf8_stream(text: str, chunk_size: int) -> io.TextIOWrapper:
+    """``text`` as a file opened with ``newline=""`` gives it, decoded
+    ``chunk_size`` bytes at a time, so a line or a ``\\r\\n`` may straddle
+    two chunks."""
+    stream = io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline="")
+    stream._CHUNK_SIZE = chunk_size
+    return stream
+
+
+@given(lexicon_text_st(), st.integers(min_value=1, max_value=64))
+@settings(max_examples=300, deadline=None)
+def test_a_stream_parses_as_its_text(text, chunk_size):
+    expected = outcome(parse_lexicon, text)
+    assert outcome(parse_lexicon, utf8_stream(text, chunk_size)) == expected
+    assert outcome(parse_lexicon, text.encode("utf-8")) == expected
 
 
 @given(lexicon_csv_st())

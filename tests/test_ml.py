@@ -161,6 +161,14 @@ class TestLeanFeaturizeAndCsv:
         if not any("\r" in cell for cell in names + ids):
             assert text == reference_dataset_csv(data)
 
+    def test_dataset_csv_keeps_both_zeros_apart(self):
+        # 0.0 == -0.0, but their reprs differ; each cell keeps its own.
+        data = dataset_from([[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, 1.5]], [0, 1, 0, 1])
+        text = ml.dataset_csv(data)
+        assert text == reference_dataset_csv(data)
+        assert text.splitlines()[1:] == ["0.0,-0.0,a,r1", "-0.0,0.0,b,r2", "0.0,0.0,a,r3",
+                                         "-0.0,1.5,b,r4"]
+
     def test_dataset_csv_bytes_on_a_lexicon(self, paper_lexicon):
         for task in ml.dataset.TASKS:
             data = featurize(paper_lexicon, task=task)
