@@ -27,16 +27,19 @@ sentence, however many it holds. ``ml train`` records its task, split and
 test rows' SHA-256 in the model, and ``ml eval`` scores the same test split,
 refusing a ``--seed``, ``--train-fraction`` or lexicon that gives another.
 ``ml train``, ``ml eval`` and ``ctx eval`` write the same evaluation files:
-confusion matrix, metrics and one-vs-rest ROC curves. ``ml train`` and
-``ctx train`` write ``model.json`` in model format 2, whose ``kind`` names the
-model; files of any other format version are refused, so models saved by
-older versions must be trained again. Exit codes: 0 success,
-1 usage error, 2 data error; data errors name the file and, where there is
-one, the row or line; a refused training setting names its flag.
+confusion matrix, metrics and one-vs-rest ROC curves; their summary warns
+when the accuracy does not exceed the majority-class accuracy, which
+``metrics.json`` gives next to it. ``ml train`` and ``ctx train`` write
+``model.json`` in model format 2, whose ``kind`` names the model; files of
+any other format version are refused, so models saved by older versions must
+be trained again. Exit codes: 0 success, 1 usage error, 2 data error; data
+errors name the file and, where there is one, the row or line; a refused
+training setting names its flag. A CSV input is read in ``csv``'s strict
+mode, so a quote that does not close its cell is a data error.
 
 Each subcommand imports only the modules it runs, so building the parser
-loads no numpy, and ``lexicon validate|clean``, ``translate`` and ``compare``
-run without it.
+loads no numpy, and ``lexicon validate|clean|stats``, ``translate`` and
+``compare`` run without it.
 """
 
 from __future__ import annotations
@@ -167,7 +170,7 @@ def _sentence_rows(lines: Iterable[str], header: tuple[str, ...]) -> list[list]:
     column."""
     rows = []
     try:  # ``rows`` keeps the rows read before an error, so its length is the bad row
-        rows.extend(csv.reader(lines))
+        rows.extend(csv.reader(lines, strict=True))
     except csv.Error as exc:
         raise ValueError(f"row {len(rows)}: malformed CSV: {exc}") from None
     if not rows or tuple(rows[0]) != header:  # a repr shows a BOM or a stray space
@@ -403,10 +406,11 @@ def _train_ml_model(dataset, args):
     return ml.train_linear_svm(dataset, lam=args.lam, epochs=args.epochs, seed=args.seed)
 
 
-def _evaluation_files(model: str, y_true, proba, class_names) -> tuple[dict, float]:
-    """The evaluation files of ``model``'s class probabilities, and its
-    accuracy; each row's prediction is its most probable class. Class
-    probabilities that are not finite are refused, naming ``model``."""
+def _evaluation_files(model: str, y_true, proba, class_names):
+    """The evaluation files of ``model``'s class probabilities, and their
+    :class:`~lexisent.metrics.MetricsReport`; each row's prediction is its
+    most probable class. Class probabilities that are not finite are refused,
+    naming ``model``."""
     import numpy as np
 
     from . import metrics as evalm
@@ -434,7 +438,16 @@ def _evaluation_files(model: str, y_true, proba, class_names) -> tuple[dict, flo
         files[f"roc_{name}.csv"] = csv_text(rows)
     if curves:
         files["roc.svg"] = svg.roc_chart(curves, "one-vs-rest ROC")
-    return files, report.accuracy
+    return files, report
+
+
+def _majority_warning(report) -> str:
+    """A second summary line when ``report``'s accuracy does not exceed its
+    majority-class accuracy; empty otherwise."""
+    if report.accuracy > report.majority_accuracy:
+        return ""
+    return (f"\nwarning: accuracy {report.accuracy:.4f} does not exceed the "
+            f"majority-class accuracy {report.majority_accuracy:.4f}")
 
 
 def cmd_ml_train(args) -> Output:
@@ -450,13 +463,13 @@ def cmd_ml_train(args) -> Output:
     model.hyperparameters["split"] = {"seed": args.seed, "train_fraction": args.train_fraction,
                                       "test_sha256": test_set.sha256()}
     files = {"model.json": ml.save_model(model), "dataset.csv": ml.dataset_csv(dataset)}
-    evaluation, accuracy = _evaluation_files(
+    evaluation, report = _evaluation_files(
         f"{args.model} trained on {args.lex}", test_set.y, model.predict_proba(test_set.X),
         dataset.class_names,
     )
     return {**files, **evaluation}, (
         f"{args.model} trained on {len(train_set)}/{len(dataset)} vectors, "
-        f"test accuracy {accuracy}"
+        f"test accuracy {report.accuracy}" + _majority_warning(report)
     )
 
 
@@ -520,8 +533,8 @@ def cmd_ml_eval(args) -> Output:
                          "recorded in training (entry ids, features or labels)")
     with np.errstate(over="ignore", invalid="ignore"):  # outputs that overflow are refused below
         proba = model.predict_proba(test_set.X)
-    files, accuracy = _evaluation_files(args.model, test_set.y, proba, dataset.class_names)
-    return files, f"test accuracy {accuracy:.4f}"
+    files, report = _evaluation_files(args.model, test_set.y, proba, dataset.class_names)
+    return files, f"test accuracy {report.accuracy:.4f}" + _majority_warning(report)
 
 
 # ---------------------------------------------------------------------------
@@ -594,10 +607,11 @@ def cmd_ctx_eval(args) -> Output:
     # An empty corpus is refused; outputs that overflow are refused below.
     with _errors_name(args.corpus), np.errstate(over="ignore", invalid="ignore"):
         y_true, _, proba = ctx.evaluate(model, corpus)
-    files, accuracy = _evaluation_files(
+    files, report = _evaluation_files(
         args.model, y_true, proba, [p.value for p in ctx.CLASS_ORDER]
     )
-    return files, f"accuracy {accuracy:.4f} on {len(y_true)} sentences"
+    return files, (f"accuracy {report.accuracy:.4f} on {len(y_true)} sentences"
+                   + _majority_warning(report))
 
 
 def cmd_explain(args) -> Output:

@@ -1,12 +1,14 @@
-"""Exploratory statistics over a lexicon: distributions, correlations, quartiles."""
+"""Exploratory statistics over a lexicon: distributions, correlations, quartiles.
+
+Quartiles are Hyndman & Fan's (1996) type 7, numpy's default ``linear``
+method, computed in plain Python so that ``lexicon stats`` runs without numpy.
+"""
 
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
 
 from .lexicon import LanguageCode, Lexicon, Polarity, PosTag
 
@@ -34,6 +36,31 @@ def pearson(xs: list[float], ys: list[float]) -> float | None:
     sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     r = sxy / (math.sqrt(sxx) * math.sqrt(syy))
     return max(-1.0, min(1.0, r))
+
+
+def _five_number(scores: list[float]) -> tuple[float, float, float, float, float]:
+    """Min, quartiles and max of ``scores`` (at least one): Hyndman-Fan type 7.
+
+    The steps and their float operations are numpy's ``linear`` method, so
+    each value equals ``np.percentile(scores, [0, 25, 50, 75, 100])`` bit for
+    bit, unless it falls on a tie of ``0.0`` and ``-0.0``: numpy's partition
+    picks either sign there, while ``sorted`` is stable, so equal scores keep
+    their row order.
+    """
+    ordered = sorted(scores)
+    last = len(ordered) - 1
+    summary = []
+    for q in (0.0, 0.25, 0.5, 0.75, 1.0):
+        index = last * q
+        if index >= last:  # numpy takes the last value twice, and gamma from index -1
+            a = b = ordered[-1]
+            g = index + 1
+        else:
+            lo = math.floor(index)
+            a, b = ordered[lo], ordered[lo + 1]
+            g = index - lo
+        summary.append(a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g))
+    return tuple(summary)
 
 
 @dataclass
@@ -76,7 +103,10 @@ def compute_eda(lexicon: Lexicon) -> EdaReport:
     Polarity counts and the POS breakdown classify the shared score. The
     per-language histograms and the correlation matrix use only per-language
     scores that are explicitly present; pairs with fewer than two joint
-    observations (or a constant column) are reported as absent, not as 0.
+    observations (or a constant column) are reported as absent, not as 0; so
+    is a language's correlation with itself when its present scores hold
+    fewer than two distinct values. The per-POS five-number summary is
+    described at :func:`_five_number`.
 
     The counts are tallied by score, so each distinct score is classified and
     binned once per call; the correlations and quartiles read every score in
@@ -118,7 +148,7 @@ def compute_eda(lexicon: Lexicon) -> EdaReport:
     languages = list(LanguageCode)
     for i, a in enumerate(languages):
         column_a = columns[a]
-        correlation[a][a] = 1.0 if len(column_a) >= 2 else None
+        correlation[a][a] = 1.0 if len(tallies[a]) >= 2 else None
         for b in languages[i + 1 :]:
             column_b = columns[b]
             both = [eid for eid in column_a if eid in column_b]
@@ -126,10 +156,7 @@ def compute_eda(lexicon: Lexicon) -> EdaReport:
                 [column_a[eid] for eid in both], [column_b[eid] for eid in both]
             )
 
-    five_number = {
-        pos: tuple(np.percentile(np.asarray(scores, dtype=float), [0, 25, 50, 75, 100]).tolist())
-        for pos, scores in pos_scores.items() if scores
-    }
+    five_number = {pos: _five_number(scores) for pos, scores in pos_scores.items() if scores}
 
     return EdaReport(
         entry_count=len(lexicon),

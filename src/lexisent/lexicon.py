@@ -343,7 +343,9 @@ def parse_lexicon(source: bytes | str | Iterable[str]) -> Lexicon:
     text. Rows are kept in file order and are *not* cleaned: un-trimmed or
     mixed-case forms and duplicate rows survive parsing so that
     :func:`clean` can report them. Lines may end in ``\\n``, ``\\r\\n`` or
-    ``\\r``.
+    ``\\r``. The CSV is read in ``csv``'s strict mode: a quoted cell must be
+    followed by ``,`` or a line end, and a quote must close before the file
+    ends; a ``"`` inside an unquoted cell stays part of it.
 
     A row's first error is raised by the check that finds it, with the
     1-based data row and, for every check but the column count, the column.
@@ -363,7 +365,9 @@ def parse_lexicon(source: bytes | str | Iterable[str]) -> Lexicon:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise LexiconFormatError(f"lexicon is not valid UTF-8: {exc}") from None
-    reader = csv.reader(io.StringIO(source, newline="") if isinstance(source, str) else source)
+    reader = csv.reader(
+        io.StringIO(source, newline="") if isinstance(source, str) else source, strict=True
+    )
     entries: list[LexiconEntry] = []
     header = None
     try:

@@ -43,6 +43,12 @@ class MetricsReport:
     def total_support(self) -> int:
         return sum(c.support for c in self.per_class)
 
+    @property
+    def majority_accuracy(self) -> float:
+        """The accuracy of always predicting the class with the most support:
+        the floor that a useful classifier exceeds."""
+        return max(c.support for c in self.per_class) / self.total_support
+
     def to_json_dict(self) -> dict:
         return {
             "per_class": {
@@ -55,6 +61,7 @@ class MetricsReport:
                 for name, m in zip(self.classes, self.per_class)
             },
             "accuracy": self.accuracy,
+            "majority_accuracy": self.majority_accuracy,
             "macro_avg": {
                 "precision": self.macro_avg[0],
                 "recall": self.macro_avg[1],

@@ -526,6 +526,20 @@ class TestMlCommands:
         metrics = json.loads((out2 / "metrics.json").read_text())
         assert 0.0 <= metrics["accuracy"] <= 1.0
 
+    @pytest.mark.parametrize("task, warns", [("pos", True), ("polarity", False)])
+    def test_summary_warns_at_or_below_the_majority_class_accuracy(
+            self, tmp_path, paper_lex_file, capsys, task, warns):
+        out = tmp_path / "ml"
+        assert run("ml", "train", "--lex", paper_lex_file, "--task", task,
+                   "--model", "decision_tree", "--out", out, "--seed", "3") == 0
+        metrics = json.loads((out / "metrics.json").read_text())
+        supports = [m["support"] for m in metrics["per_class"].values()]
+        assert metrics["majority_accuracy"] == max(supports) / sum(supports)
+        assert (metrics["accuracy"] <= metrics["majority_accuracy"]) == warns
+        warning = (f"warning: accuracy {metrics['accuracy']:.4f} does not exceed the "
+                   f"majority-class accuracy {metrics['majority_accuracy']:.4f}\n")
+        assert capsys.readouterr().err.endswith(warning) == warns
+
     @pytest.fixture
     def nb_model(self, tmp_path, paper_lex_file):
         out = tmp_path / "nb"
@@ -1293,6 +1307,21 @@ class TestUnreadableInput:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, message", [
+        ('"x"y,english', "',' expected after '\"'"),
+        ('"open,english', "unexpected end of data"),
+    ])
+    def test_bad_quoting_in_a_sentence_file_names_file_and_row(
+            self, tmp_path, paper_lex_file, capsys, bad, message):
+        sentences = tmp_path / "bad.csv"
+        sentences.write_text(f"sentence,language\nI am happy,english\n{bad}\nGood,english\n",
+                             encoding="utf-8")
+        out = tmp_path / "out"
+        assert run("compare", "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
+        assert (f"error: {sentences}: row 2: malformed CSV: {message}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_a_key_error_is_not_reported_as_a_data_error(self, monkeypatch, paper_lex_file):
         from lexisent import cli
 
@@ -1367,7 +1396,7 @@ CLI = "import sys; from lexisent.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # The modules that need numpy, directly or through another module.
 NUMPY_MODULES = ("numpy", "lexisent.ml", "lexisent.contextual", "lexisent.attribution",
-                 "lexisent.eda", "lexisent.metrics")
+                 "lexisent.metrics")
 
 START_UP = """
 import json, sys
@@ -1406,6 +1435,7 @@ class TestImportsPerSubcommand:
         commands = [
             ["lexicon", "validate", "--in", lexicon, "--out", "validate"],
             ["lexicon", "clean", "--in", lexicon, "--out", "clean"],
+            ["lexicon", "stats", "--in", lexicon, "--out", "stats"],
             ["translate", "--lex", lexicon, "--in", str(pairs), "--out", "translate"],
             ["compare", "--lex", lexicon, "--in", str(sentences), "--out", "compare"],
         ]
@@ -1424,4 +1454,4 @@ class TestImportsPerSubcommand:
 
         assert files(blocked) == files(plain)
         assert {Path(name).parts[0] for name in files(plain)} == {
-            "validate", "clean", "translate", "compare"}
+            "validate", "clean", "stats", "translate", "compare"}

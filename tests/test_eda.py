@@ -2,9 +2,12 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lexisent.eda import HISTOGRAM_CENTERS, compute_eda, pearson, score_bin
+from lexisent.eda import HISTOGRAM_CENTERS, _five_number, compute_eda, pearson, score_bin
 from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag
 
 FR = LanguageCode.FRENCH
@@ -76,6 +79,18 @@ def test_constant_column_correlation_undefined():
     assert compute_eda(lex).cross_language_correlation[FR][ZU] is None
 
 
+def test_constant_column_self_correlation_undefined():
+    # 0.0 and -0.0 are one value, so French is constant too.
+    for french in ((2.0, 2.0), (0.0, -0.0)):
+        lex = Lexicon([
+            entry_with({FR: french[0], ZU: 1.0}, fr="a"),
+            entry_with({FR: french[1], ZU: 3.0}, fr="b"),
+        ])
+        report = compute_eda(lex)
+        assert report.cross_language_correlation[FR][FR] is None
+        assert report.cross_language_correlation[ZU][ZU] == 1.0
+
+
 def test_polarity_counts_sum_and_pos_rows(paper_lexicon):
     report = compute_eda(paper_lexicon)
     assert sum(report.polarity_counts.values()) == len(paper_lexicon)
@@ -111,6 +126,33 @@ def test_five_number_summary():
     report = compute_eda(lex)
     assert report.per_pos_five_number[PosTag.MOT] == (1.0, 1.75, 2.5, 3.25, 4.0)
     assert PosTag.VERBE not in report.per_pos_five_number
+
+
+# Any float of the score range, quarter steps (which repeat), and both zeros.
+SCORES = st.one_of(
+    st.floats(-9.0, 9.0),
+    st.integers(-36, 36).map(lambda k: k / 4),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(SCORES, min_size=1, max_size=40))
+def test_five_number_is_numpy_percentile(scores):
+    expected = np.percentile(np.asarray(scores, dtype=float), [0, 25, 50, 75, 100]).tolist()
+    found = _five_number(scores)
+    assert found == tuple(expected)
+    signs = {math.copysign(1.0, s) for s in scores if s == 0.0}
+    if len(signs) < 2:  # no tie of 0.0 and -0.0, whose order numpy leaves open
+        assert [v.hex() for v in found] == [v.hex() for v in expected]
+
+
+def test_five_number_keeps_the_row_order_of_signed_zeros():
+    # The same three scores in two row orders; q3 interpolates halfway
+    # between the last two, so its sign follows the row order.
+    assert [v.hex() for v in _five_number([0.0, -0.0, -0.0])] == [
+        (0.0).hex(), (0.0).hex(), (0.0).hex(), (-0.0).hex(), (0.0).hex()]
+    assert [v.hex() for v in _five_number([-0.0, 0.0, -0.0])] == [(0.0).hex()] * 5
 
 
 def test_empty_lexicon_rejected():

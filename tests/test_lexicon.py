@@ -1279,6 +1279,22 @@ class TestMalformedCsv:
         assert caught_error.value.row == 2
         assert "field larger than field limit" in str(caught_error.value)
 
+    @pytest.mark.parametrize("bad, message", [
+        ('"x"y,,,,,,mot,1,,,,,,', "',' expected after '\"'"),
+        ('"open,,,,,,mot,1,,,,,,', "unexpected end of data"),
+    ])
+    def test_bad_quoting_names_the_row(self, bad, message):
+        # Read leniently, the first row became ``xy`` and the second took in the rest of the file.
+        data = csv_bytes("bon,,,,,,mot,1,,,,,,", bad, "mal,,,,,,mot,-1,,,,,,")
+        with pytest.raises(LexiconFormatError) as caught_error:
+            parse_lexicon(data)
+        assert caught_error.value.row == 2
+        assert f"malformed CSV: {message}" in str(caught_error.value)
+
+    def test_a_quote_inside_an_unquoted_cell_stays_valid(self):
+        lexicon = parse_lexicon(csv_bytes('a"b,,,,,,mot,1,,,,,,'))
+        assert lexicon.entries[0].forms[LanguageCode.FRENCH] == 'a"b'
+
     def test_unsplittable_header_is_row_0(self):
         with pytest.raises(LexiconFormatError, match=r"\[row 0\] malformed CSV"):
             parse_lexicon(("x" * 140_000 + "," + HEADER).encode())

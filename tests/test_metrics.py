@@ -88,6 +88,8 @@ class TestMetrics:
         assert [display_round(v) for v in report.macro_avg] == ["0.66", "0.67", "0.66"]
         assert [display_round(v) for v in report.weighted_avg] == ["0.98", "0.99", "0.99"]
         assert report.total_support == 308
+        assert report.majority_accuracy == 154 / 308
+        assert report.to_json_dict()["majority_accuracy"] == 154 / 308
 
     def test_weighted_f1_from_published_per_class_rows(self):
         per_class = [
