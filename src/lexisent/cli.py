@@ -38,8 +38,11 @@ training setting names its flag. A CSV input is read in ``csv``'s strict
 mode, so a quote that does not close its cell is a data error.
 
 Each subcommand imports only the modules it runs, so building the parser
-loads no numpy, and ``lexicon validate|clean|stats``, ``translate`` and
-``compare`` run without it.
+loads only the lexicon module and the standard library modules that every
+command needs: no numpy, no scoring or translator module, and no
+``dataclasses`` (which would load ``inspect``, ``ast`` and ``dis``).
+``lexicon validate|clean|stats``, ``translate`` and ``compare`` run without
+numpy or ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -55,8 +58,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-from . import scoring
-from . import translator as tr
 from .lexicon import (
     LanguageCode,
     Polarity,
@@ -274,6 +275,8 @@ def cmd_lexicon_stats(args) -> Output:
 
 
 def cmd_translate(args) -> Output:
+    from . import translator as tr
+
     if (args.text is None) == (args.infile is None):
         raise _UsageError("provide exactly one of --text or --in")
     if args.text is not None:
@@ -311,6 +314,8 @@ def _blocks(rows: list) -> Iterator[list]:
 
 def _translation_chunks(rows: list, lexicon) -> Iterator[str]:
     """``translations.csv``, one block of rows at a time."""
+    from . import translator as tr
+
     yield csv_text([("sentence", "source_language", "target_language", "translated_text")])
     for block in _blocks(rows):
         yield csv_text([
@@ -341,11 +346,15 @@ class _Comparison:
         One generator writes both files, so the temporary file is closed
         however the writing ends.
         """
-        import tempfile  # only compare needs it, so importing the cli does not load it
+        import tempfile  # only compare needs these, so importing the cli loads neither
 
+        from . import scoring
+
+        formatted: dict[float, str] = {}  # each distinct score is formatted once in the run
         with tempfile.TemporaryFile() as spool:
             for i, block in enumerate(_blocks(self.rows)):
-                report = scoring.score_batch(block, self.lexicon, scoring.builtin_english_baseline)
+                report = scoring.score_batch(
+                    block, self.lexicon, scoring.builtin_english_baseline, formatted)
                 self.agreed += sum(
                     r["sentiment_v2"] == r["baseline_sentiment"] for r in report.rows)
                 for scorer, counts in report.polarity_counts.items():
@@ -469,7 +478,7 @@ def cmd_ml_train(args) -> Output:
     )
     return {**files, **evaluation}, (
         f"{args.model} trained on {len(train_set)}/{len(dataset)} vectors, "
-        f"test accuracy {report.accuracy}" + _majority_warning(report)
+        f"test accuracy {report.accuracy:.4f}" + _majority_warning(report)
     )
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lexicon import LanguageCode, Lexicon, Polarity, PosTag
 
@@ -63,8 +63,7 @@ def _five_number(scores: list[float]) -> tuple[float, float, float, float, float
     return tuple(summary)
 
 
-@dataclass
-class EdaReport:
+class EdaReport(NamedTuple):
     entry_count: int
     polarity_counts: dict[Polarity, int]
     pos_by_polarity: dict[PosTag, dict[Polarity, int]]

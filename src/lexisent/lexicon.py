@@ -24,7 +24,6 @@ from __future__ import annotations
 import csv
 import io
 import unicodedata
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from itertools import chain, islice
@@ -613,13 +612,12 @@ def serialize_lexicon(lexicon: Lexicon) -> bytes:
     return b"".join(iter(lambda: csv_text(islice(pending, _BLOCK_ROWS)).encode("utf-8"), b""))
 
 
-@dataclass
-class CleaningReport:
+class CleaningReport(NamedTuple):
     """Everything :func:`clean` changed, keyed by the *input* lexicon's entry ids."""
 
-    normalized_forms: list[dict] = field(default_factory=list)
-    dropped_forms: list[dict] = field(default_factory=list)
-    removed_duplicates: list[dict] = field(default_factory=list)
+    normalized_forms: list[dict]
+    dropped_forms: list[dict]
+    removed_duplicates: list[dict]
 
     @property
     def change_count(self) -> int:
@@ -678,7 +676,7 @@ def clean(lexicon: Lexicon) -> tuple[Lexicon, CleaningReport]:
     score); rows sharing a form but differing in score or POS are kept, since
     they encode context-dependent sentiment. Idempotent.
     """
-    report = CleaningReport()
+    report = CleaningReport([], [], [])
     cleaned: list[LexiconEntry] = []
     for _, entry, forms, first_row in _curate(lexicon.entries):
         entry_id = entry.entry_id
@@ -714,12 +712,11 @@ def clean(lexicon: Lexicon) -> tuple[Lexicon, CleaningReport]:
     return Lexicon(cleaned), report
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Findings from :func:`validate_lexicon`; an empty report means clean input."""
 
-    duplicates: list[dict] = field(default_factory=list)
-    unnormalized_forms: list[dict] = field(default_factory=list)
+    duplicates: list[dict]
+    unnormalized_forms: list[dict]
 
     @property
     def issue_count(self) -> int:
@@ -748,10 +745,10 @@ def _rewritten(row: int, entry: LexiconEntry, forms: Mapping[LanguageCode, str])
 def validate_lexicon(lexicon: Lexicon) -> ValidationReport:
     """Flag duplicate rows (under the dedup key) and forms clean would rewrite
     or drop: exactly what :func:`clean` changes."""
-    report = ValidationReport()
+    report = ValidationReport([], [])
     for row, entry, forms, first_row in _curate(lexicon.entries):
         if forms is not entry.forms:
-            report.unnormalized_forms += _rewritten(row, entry, forms)
+            report.unnormalized_forms.extend(_rewritten(row, entry, forms))
         if first_row is not None:
             report.duplicates.append(
                 {"row": row, "entry_id": entry.entry_id, "first_row": first_row}
@@ -783,10 +780,9 @@ def require_normalized(lexicon: Lexicon) -> None:
         )
 
 
-@dataclass
-class AdditionReport:
-    added: int = 0
-    rejected: list[dict] = field(default_factory=list)
+class AdditionReport(NamedTuple):
+    added: int
+    rejected: list[dict]
 
 
 def add_entries(
@@ -799,8 +795,8 @@ def add_entries(
     otherwise. A rejected candidate names the entry it conflicts with by that
     entry's id in the returned lexicon. Conflicts never merge silently.
     """
-    report = AdditionReport()
     accepted: list[LexiconEntry] = []
+    rejected: list[dict] = []
     accepted_ids: dict[int, str] = {}  # walk row -> id in the returned lexicon
     for row, entry, forms, first_row in _curate(chain(lexicon.entries, new_entries)):
         if row <= len(lexicon):
@@ -821,7 +817,7 @@ def add_entries(
             accepted.append(entry)
             accepted_ids[row] = f"r{len(lexicon) + len(accepted)}"
             continue
-        report.rejected.append(
+        rejected.append(
             {
                 "french": entry.forms[LanguageCode.FRENCH],
                 "pos": entry.pos.value,
@@ -830,8 +826,7 @@ def add_entries(
                 else lexicon.entries[first_row - 1].entry_id,
             }
         )
-    report.added = len(accepted)
-    return Lexicon(list(lexicon.entries) + accepted), report
+    return Lexicon(list(lexicon.entries) + accepted), AdditionReport(len(accepted), rejected)
 
 
 def context_dependent_forms(lexicon: Lexicon, language: LanguageCode) -> list[str]:

@@ -19,7 +19,6 @@ the CSV rows from the same dicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -32,8 +31,7 @@ class ScoreMode(str, Enum):
     V2 = "v2"
 
 
-@dataclass(frozen=True)
-class ScoredSentence:
+class ScoredSentence(NamedTuple):
     sentence: str
     language: LanguageCode
     mode: ScoreMode
@@ -192,8 +190,7 @@ def builtin_english_baseline(sentence: str) -> tuple[float, Polarity]:
     return compound, Polarity.NEUTRAL
 
 
-@dataclass
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     #: One dict per sentence, keyed by :data:`COMPARISON_COLUMNS`.
     rows: list[dict[str, str | float]]
     agreement: float
@@ -214,17 +211,22 @@ def score_batch(
     rows: list[tuple[str, LanguageCode]],
     lexicon: Lexicon,
     baseline: BaselineScorer,
+    formatted: dict[float, str] | None = None,
 ) -> ComparisonReport:
     """Score every sentence under both modes plus the baseline.
 
     Each sentence is tokenized once and one walk over its tokens scores both
-    modes; each distinct score is formatted once per batch.
+    modes; each distinct score is formatted once per batch. ``formatted``
+    caches :func:`format_score` by score; a caller that scores many batches of
+    one lexicon passes the same dict to each, so each distinct score is
+    formatted once in all.
 
     Agreement is the fraction of rows where the v2 polarity matches the
     baseline's (vacuously 1.0 on empty input). Output rows keep input order.
     """
     mean, effective = lexicon.mean, lexicon.effective
-    formatted: dict[float, str] = {}
+    if formatted is None:
+        formatted = {}
     out: list[dict[str, str | float]] = []
     counts = {
         scorer: {p: 0 for p in Polarity} for scorer in ("avg", "v2", "baseline")

@@ -1,13 +1,12 @@
 """Phrase-aware tokenization and word-by-word translation over a lexicon.
 
-Tokens are named tuples, since a sentence yields one per word or phrase and
-the scoring and translation walks only read them.
+Tokens and translation results are named tuples, since a sentence yields one
+token per word or phrase and the scoring and translation walks only read them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .lexicon import LanguageCode, Lexicon, normalize_sentence
@@ -28,8 +27,7 @@ class Token(NamedTuple):
     alternatives: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class TranslationResult:
+class TranslationResult(NamedTuple):
     source_language: LanguageCode
     target_language: LanguageCode
     source_text: str

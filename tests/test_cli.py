@@ -24,6 +24,7 @@ from lexisent.lexicon import (
     LexiconEntry,
     PosTag,
     csv_text,
+    format_score,
     json_text,
     parse_lexicon,
     serialize_lexicon,
@@ -407,6 +408,22 @@ class TestStreamedFiles:
             f"{n} sentences, v2/baseline agreement {report.agreement:.3f}\n"
             f"translated {n} sentences\n")
 
+    def test_compare_formats_each_distinct_score_once(self, tmp_path, paper_lex_file,
+                                                      monkeypatch):
+        calls = []
+
+        def counted(score):
+            calls.append(score)
+            return format_score(score)
+
+        monkeypatch.setattr(scoring, "format_score", counted)
+        rows = [STREAMED_SENTENCES[i % len(STREAMED_SENTENCES)]
+                for i in range(2 * cli._BLOCK_ROWS + 1)]
+        sentences, _ = sentence_files(tmp_path, rows)
+        assert run("compare", "--lex", paper_lex_file, "--in", sentences,
+                   "--out", tmp_path / "compare") == 0
+        assert calls and sorted(calls) == sorted(set(calls))
+
     @pytest.mark.parametrize("command", ["compare", "translate"])
     def test_memory_per_sentence_stays_small(self, tmp_path, paper_lex_file, command, capsys):
         # Both runs hold full blocks, so the growth is what each sentence keeps:
@@ -525,6 +542,19 @@ class TestMlCommands:
                    "--lex", paper_lex_file, "--out", out2, "--seed", "3") == 0
         metrics = json.loads((out2 / "metrics.json").read_text())
         assert 0.0 <= metrics["accuracy"] <= 1.0
+
+    def test_train_and_eval_summaries_print_one_accuracy(self, tmp_path, paper_lex_file,
+                                                         capsys):
+        out = tmp_path / "ml"
+        assert run("ml", "train", "--lex", paper_lex_file, "--task", "polarity",
+                   "--model", "gaussian_nb", "--out", out, "--seed", "3") == 0
+        trained = capsys.readouterr().err.splitlines()[0]
+        assert run("ml", "eval", "--model", out / "model.json",
+                   "--lex", paper_lex_file, "--out", tmp_path / "eval") == 0
+        evaluated = capsys.readouterr().err.splitlines()[0]
+        accuracy = json.loads((out / "metrics.json").read_text())["accuracy"]
+        assert evaluated == f"test accuracy {accuracy:.4f}"
+        assert trained.endswith(f", {evaluated}")
 
     @pytest.mark.parametrize("task, warns", [("pos", True), ("polarity", False)])
     def test_summary_warns_at_or_below_the_majority_class_accuracy(
@@ -1405,9 +1435,26 @@ build_parser()
 print(json.dumps(sorted(sys.modules)))
 """
 
+# In a fresh interpreter: ``dir(lexisent)`` before any deferred name is used,
+# then the names of ``__all__`` that resolve from the package root, then the
+# names that ``from lexisent import *`` binds.
+PUBLIC_NAMES = """
+import json, lexisent
+listed = dir(lexisent)
+resolved = sorted(name for name in lexisent.__all__ if getattr(lexisent, name, None) is not None)
+star = {}
+exec("from lexisent import *", star)
+print(json.dumps([listed, resolved, sorted(set(star) - {"__builtins__"})]))
+"""
+
+# The modules that building the parser must not load: only some commands
+# run them, and ``dataclasses`` alone loads ``inspect``, ``ast`` and ``dis``.
+DEFERRED_MODULES = ("dataclasses", "inspect", "lexisent.scoring", "lexisent.translator")
+
 NUMPY_BLOCKED = """
 import json, sys
 sys.modules["numpy"] = None
+sys.modules["dataclasses"] = None
 from lexisent.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[1])]))
 """
@@ -1421,8 +1468,26 @@ class TestImportsPerSubcommand:
         assert done.returncode == 0, done.stderr
         assert set(NUMPY_MODULES).isdisjoint(json.loads(done.stdout))
 
+    def test_building_the_parser_loads_no_dataclasses_scoring_or_translator(self):
+        done = run_python(START_UP)
+        assert done.returncode == 0, done.stderr
+        assert set(DEFERRED_MODULES).isdisjoint(json.loads(done.stdout))
+
+    def test_every_public_name_resolves_from_the_package_root(self):
+        done = run_python(PUBLIC_NAMES)
+        assert done.returncode == 0, done.stderr
+        listed, resolved, star = json.loads(done.stdout)
+        assert set(lexisent.__all__) <= set(listed)
+        assert resolved == star == sorted(lexisent.__all__)
+        assert lexisent.score_batch is scoring.score_batch
+        assert lexisent.translate is translate
+        with pytest.raises(AttributeError, match="no attribute 'score_rows'"):
+            lexisent.score_rows  # noqa: B018
+
     def test_lexicon_and_scoring_commands_run_without_numpy(self, tmp_path, paper_lex_file,
                                                             monkeypatch):
+        """They also run with ``dataclasses`` blocked, and write what an
+        unblocked run writes."""
         sentences = tmp_path / "sentences.csv"
         sentences.write_text('sentence,language\n"I want food.",english\n'
                              '"Go tšhaba go wa.",sepedi\n', encoding="utf-8")

@@ -1206,7 +1206,7 @@ def test_curation_equals_the_reference_functions(entries, candidates):
         expected = (bigger, report)
     actual = caught(lambda: add_entries(lexicon, candidates))
     if isinstance(actual, tuple) and isinstance(actual[1], AdditionReport):
-        actual = (actual[0], vars(actual[1]))
+        actual = (actual[0], actual[1]._asdict())
     assert actual == expected
 
 
