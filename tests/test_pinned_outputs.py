@@ -1,5 +1,5 @@
-"""Byte pins for the files that ``compare``, ``translate``, ``lexicon clean``
-and ``lexicon stats`` write, and for the CSVs of ``ml train``.
+"""Byte pins for the files that ``compare``, ``translate`` and ``lexicon
+clean``, ``validate`` and ``stats`` write, and for the CSVs of ``ml train``.
 
 The ``compare``/``translate`` fixture is fixed: the published-score lexicon
 plus entries that make some forms ambiguous and some scores non-integral, and
@@ -9,11 +9,14 @@ walks were rewritten for speed. The ``lexicon`` fixture is a raw CSV whose
 score literals are all distinct text, equal values spelled apart included
 (``-0``/``0``, ``0.5``/``0.50``/``.5``), with a duplicate row; its SHA-256s
 were recorded before parse, serialize and EDA began converting each distinct
-score once. The ``ml train`` CSVs (``dataset.csv`` and every ``roc_*.csv``)
-come from a decision tree on the published-score lexicon; a tree's
-probabilities are count fractions, so they do not depend on the BLAS build.
-Their SHA-256s were recorded before ``csv_text`` stopped running
-``csv.writer``. Any change to these files' bytes has to be deliberate.
+score once. The two reports that print entry ids, ``cleaning_report.json``
+and ``validation_report.json``, were pinned while entries still stored their
+id; the reports now write it from the row. The ``ml train`` CSVs
+(``dataset.csv`` and every ``roc_*.csv``) come from a decision tree on the
+published-score lexicon; a tree's probabilities are count fractions, so they
+do not depend on the BLAS build. Their SHA-256s were recorded before
+``csv_text`` stopped running ``csv.writer``. Any change to these files' bytes
+has to be deliberate.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ EXPECTED_SHA256 = {
 
 LEXICON_SHA256 = {
     "clean/cleaned.csv": "198419f8bad1510db7c339cb0b82e8307973483c6b81c2ced59325a519bd5c02",
+    "clean/cleaning_report.json":
+        "17a8f3d427f48bb5aa192cad86d728cae0f5d46a1eebca2cff6a44a6872894f3",
+    "validate/validation_report.json":
+        "83b54a9c81863fe34b2ffdb9631aedd04f0dfd305b48ce6439df840c73d688a7",
     "stats/eda.json": "b4abc1a9bdc0e1d7b2fa523d2fb98914945c4f70c12c1e1fa4faa3373d210134",
 }
 
@@ -138,6 +145,7 @@ def test_lexicon_clean_and_stats_outputs_are_byte_identical(tmp_path, monkeypatc
     monkeypatch.chdir(tmp_path)
     (tmp_path / "raw.csv").write_text(RAW_LEXICON, encoding="utf-8")
     assert main(["lexicon", "clean", "--in", "raw.csv", "--out", "clean"]) == 0
+    assert main(["lexicon", "validate", "--in", "raw.csv", "--out", "validate"]) == 0
     assert main(["lexicon", "stats", "--in", "raw.csv", "--out", "stats"]) == 0
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in LEXICON_SHA256}
