@@ -60,6 +60,7 @@ from typing import Callable, Iterable, Iterator
 
 from .lexicon import (
     LanguageCode,
+    LexiconFormatError,
     Polarity,
     clean,
     csv_text,
@@ -167,20 +168,20 @@ _LANGUAGE_BY_VALUE: dict[str, LanguageCode] = {code.value: code for code in Lang
 def _sentence_rows(lines: Iterable[str], header: tuple[str, ...]) -> list[list]:
     """The data rows of a CSV with ``header``, read from its lines (line ends
     kept): a sentence, then language cells parsed to :class:`LanguageCode`.
-    Errors name the row (header = 0) and, for an unknown language, its
-    column."""
+    Errors raise :class:`LexiconFormatError`, located as a lexicon's are: by
+    the row (header = 0) and, for an unknown language, its column."""
     rows = []
     try:  # ``rows`` keeps the rows read before an error, so its length is the bad row
         rows.extend(csv.reader(lines, strict=True))
     except csv.Error as exc:
-        raise ValueError(f"row {len(rows)}: malformed CSV: {exc}") from None
+        raise LexiconFormatError(f"malformed CSV: {exc}", len(rows)) from None
     if not rows or tuple(rows[0]) != header:  # a repr shows a BOM or a stray space
         found = rows[0] if rows else []
-        raise ValueError(f"row 0: bad header {found!r}; expected {','.join(header)}")
+        raise LexiconFormatError(f"bad header {found!r}; expected {','.join(header)}", 0)
     for row_no, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
-            raise ValueError(
-                f"row {row_no}: expected {len(header)} columns, found {len(row)}"
+            raise LexiconFormatError(
+                f"expected {len(header)} columns, found {len(row)}", row_no
             )
         for i in range(1, len(row)):
             code = _LANGUAGE_BY_VALUE.get(row[i])
@@ -188,7 +189,7 @@ def _sentence_rows(lines: Iterable[str], header: tuple[str, ...]) -> list[list]:
                 try:
                     code = LanguageCode.parse(row[i])
                 except ValueError as exc:
-                    raise ValueError(f"row {row_no}: column {header[i]!r}: {exc}") from None
+                    raise LexiconFormatError(str(exc), row_no, header[i]) from None
             row[i] = code
     return rows[1:]
 
@@ -599,7 +600,7 @@ def cmd_ctx_train(args) -> Output:
         "validation.tsv": ctx.write_corpus(val_set),
         "test.tsv": ctx.write_corpus(test_set),
     }
-    val_acc = ctx.accuracy(model, val_set) if val_set else float("nan")
+    val_acc = ctx.accuracy(model, val_set)
     return files, (
         f"trained {args.epochs} epochs on {len(train_set)} sentences, "
         f"validation accuracy {val_acc:.4f}"
@@ -654,7 +655,7 @@ def cmd_explain(args) -> Output:
         files[f"{stem}.csv"] = attr.heatmap_csv(amap)
         files[f"{stem}.svg"] = attr.heatmap_svg(amap)
     files["summary.csv"] = csv_text(attr.summary_rows(maps))
-    largest = max((abs(amap.convergence_delta) for amap in maps), default=0.0)
+    largest = max(abs(amap.convergence_delta) for amap in maps)
     return files, (f"attributed {len(maps)} sentence(s), "
                    f"largest |convergence delta| {largest:.3g}")
 

@@ -4,8 +4,10 @@ classifier over target and context embeddings, class-weighted training.
 The classifier embeds every token, concatenates the target embedding with the
 mean embedding of the tokens inside a window around the target, and applies a
 linear layer to produce three polarity logits. All gradients (parameters and
-input embeddings) are analytic, which keeps training deterministic and lets
-the attribution module integrate gradients along an input path.
+input embeddings) are analytic, which keeps training deterministic. The
+attribution module does not use the input gradient: since the logits are
+affine in the embeddings, it integrates the 3-way softmax along the straight
+line between the baseline's and the input's logits.
 """
 
 from __future__ import annotations
@@ -274,7 +276,8 @@ class PackedSentences:
             yield self.take(slice(start, start + size))
 
 
-#: Sentences per forward pass in :meth:`ContextModel.predict_batch`; bounds the
+#: Sentences per forward pass in :meth:`ContextModel.predict_batch` and in
+#: :func:`lexisent.attribution.corpus_integrated_gradients`; bounds the
 #: (chunk, 2 * window, E) context array on large corpora.
 PREDICT_CHUNK = 1024
 

@@ -163,10 +163,10 @@ def check_score(value: float, row: int | None = None, column: str | None = None)
 class LexiconEntry(NamedTuple):
     """One concept: surface forms per language, POS, shared and per-language scores.
 
-    ``entry_id`` is assigned positionally by the owning :class:`Lexicon`;
-    missing translations and missing per-language scores are absent keys,
-    never empty strings. An entry is a named tuple: it compares equal to a
-    plain tuple of the same five fields and unpacks to them, and
+    An entry stores no id: its position in :attr:`Lexicon.entries` is its only
+    identity. Missing translations and missing per-language scores are absent
+    keys, never empty strings. An entry is a named tuple: it compares equal
+    to a plain tuple of the same four fields and unpacks to them, and
     ``entry._replace(...)`` makes a changed copy.
     """
 
@@ -174,7 +174,6 @@ class LexiconEntry(NamedTuple):
     pos: PosTag
     shared_score: float
     per_language_scores: Mapping[LanguageCode, float]
-    entry_id: str = ""
 
 
 #: Disambiguation rank when one surface form maps to several entries.
@@ -192,22 +191,22 @@ POS_PRIORITY: dict[PosTag, int] = {
 
 
 class _Tables(NamedTuple):
-    by_id: dict[str, LexiconEntry]
-    index: dict[LanguageCode, dict[str, tuple[str, ...]]]
+    index: dict[LanguageCode, dict[str, tuple[int, ...]]]
     phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]]
 
 
 class Lexicon:
     """Immutable ordered collection of entries with per-language form indexes.
 
-    Entry ids are positional ("r1", "r2", ...), matching 1-based data rows of
+    An entry's id is its 0-based position in ``entries``; the files and
+    reports that show an id write it as ``"r<row>"``, the 1-based data row of
     the CSV serialization, so a parse/serialize round trip is the identity.
 
     Construction keeps only ``entries``. The lookup tables are compiled on
     first use, all at once and once per lexicon, so commands that never look a
-    form up never pay for them: ``by_id`` (entry id -> entry), ``index`` (form
-    -> entry ids in disambiguation order: ranked by :data:`POS_PRIORITY` and
-    then by row, so the first id wins and the earliest entry wins a tie), and
+    form up never pay for them: ``index`` (form -> entry positions in
+    disambiguation order: ranked by :data:`POS_PRIORITY` and then by row, so
+    the first position wins and the earliest entry wins a tie), and
     ``phrase_lengths``, which maps the first word of every multi-word form to
     the word counts of the forms that start with it (descending).
     The score columns ``present``, ``effective`` and ``mean`` compile each on
@@ -215,72 +214,68 @@ class Lexicon:
     """
 
     def __init__(self, entries: Iterable[LexiconEntry]):
-        self.entries: tuple[LexiconEntry, ...] = tuple(
-            entry if entry.entry_id == f"r{i}" else entry._replace(entry_id=f"r{i}")
-            for i, entry in enumerate(entries, start=1)
-        )
+        self.entries: tuple[LexiconEntry, ...] = tuple(entries)
 
     @cached_property
     def _tables(self) -> _Tables:
-        by_id = {e.entry_id: e for e in self.entries}
-        index: dict[LanguageCode, dict[str, tuple[str, ...]]] = {lang: {} for lang in LanguageCode}
+        entries = self.entries
+        index: dict[LanguageCode, dict[str, tuple[int, ...]]] = {lang: {} for lang in LanguageCode}
         phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]] = {
             lang: {} for lang in LanguageCode
         }
-        # Forms seen more than once collect their ids in a list, ranked and frozen below.
-        repeated: dict[LanguageCode, dict[str, list[str]]] = {lang: {} for lang in LanguageCode}
-        for entry in self.entries:
-            entry_id = entry.entry_id
+        # Forms seen more than once collect their positions in a list, ranked and frozen below.
+        repeated: dict[LanguageCode, dict[str, list[int]]] = {lang: {} for lang in LanguageCode}
+        for position, entry in enumerate(entries):
             for language, form in entry.forms.items():
                 forms = index[language]
                 if form not in forms:
-                    forms[form] = (entry_id,)
+                    forms[form] = (position,)
                     if " " in form:
                         _add_phrase_length(phrase_lengths[language], form)
                 elif form in repeated[language]:
-                    repeated[language][form].append(entry_id)
+                    repeated[language][form].append(position)
                 else:
-                    repeated[language][form] = [*forms[form], entry_id]
+                    repeated[language][form] = [*forms[form], position]
         for language, forms in repeated.items():
-            for form, ids in forms.items():  # sorted is stable: a tie keeps row order
-                ranked = sorted(ids, key=lambda i: POS_PRIORITY[by_id[i].pos])
+            for form, positions in forms.items():  # sorted is stable: a tie keeps row order
+                ranked = sorted(positions, key=lambda i: POS_PRIORITY[entries[i].pos])
                 index[language][form] = tuple(ranked)
-        return _Tables(by_id, index, phrase_lengths)
+        return _Tables(index, phrase_lengths)
 
     @cached_property
-    def present(self) -> dict[LanguageCode, dict[str, float]]:
-        """Per language, entry id -> the entry's own score, for the entries
-        that give one, in row order."""
-        present: dict[LanguageCode, dict[str, float]] = {lang: {} for lang in LanguageCode}
-        for entry in self.entries:
+    def present(self) -> dict[LanguageCode, dict[int, float]]:
+        """Per language, entry position -> the entry's own score, for the
+        entries that give one, in row order."""
+        present: dict[LanguageCode, dict[int, float]] = {lang: {} for lang in LanguageCode}
+        for position, entry in enumerate(self.entries):
             for language, score in entry.per_language_scores.items():
-                present[language][entry.entry_id] = score
+                present[language][position] = score
         return present
 
     @cached_property
-    def effective(self) -> dict[LanguageCode, dict[str, float]]:
-        """Per language, entry id -> the entry's own score, else its shared
-        score, in row order."""
-        shared = {entry.entry_id: entry.shared_score for entry in self.entries}
-        # Overlaying keeps the shared column's row order.
-        return {language: {**shared, **column} for language, column in self.present.items()}
+    def effective(self) -> dict[LanguageCode, list[float]]:
+        """Per language, the list by position of each entry's own score, else
+        its shared score."""
+        shared = [entry.shared_score for entry in self.entries]
+        effective = {}
+        for language, column in self.present.items():
+            scores = effective[language] = shared.copy()
+            for position, score in column.items():
+                scores[position] = score
+        return effective
 
     @cached_property
-    def mean(self) -> dict[str, float]:
-        """Entry id -> the mean of the entry's per-language scores, else its
-        shared score, in row order."""
-        mean: dict[str, float] = {}
-        for entry in self.entries:
-            own = entry.per_language_scores
-            mean[entry.entry_id] = sum(own.values()) / len(own) if own else entry.shared_score
-        return mean
+    def mean(self) -> list[float]:
+        """The list by position of the mean of each entry's per-language
+        scores, else its shared score."""
+        return [
+            sum(own.values()) / len(own) if own else entry.shared_score
+            for entry in self.entries
+            for own in [entry.per_language_scores]
+        ]
 
     @property
-    def by_id(self) -> dict[str, LexiconEntry]:
-        return self._tables.by_id
-
-    @property
-    def index(self) -> dict[LanguageCode, dict[str, tuple[str, ...]]]:
+    def index(self) -> dict[LanguageCode, dict[str, tuple[int, ...]]]:
         return self._tables.index
 
     @property
@@ -295,7 +290,7 @@ class Lexicon:
 
     def lookup(self, language: LanguageCode, form: str) -> tuple[LexiconEntry, ...]:
         """The entries whose ``language`` form is ``form``, in disambiguation order."""
-        return tuple(self.by_id[i] for i in self.index[language].get(form, ()))
+        return tuple(self.entries[i] for i in self.index[language].get(form, ()))
 
 
 def _add_phrase_length(lengths: dict[str, tuple[int, ...]], form: str) -> None:
@@ -422,7 +417,6 @@ def parse_lexicon(source: bytes | str | Iterable[str]) -> Lexicon:
                     pos,
                     shared,
                     per_language,
-                    f"r{row_no}",
                 )
             )
     except csv.Error as exc:  # the reader could not split the header or the next row
@@ -613,7 +607,7 @@ def serialize_lexicon(lexicon: Lexicon) -> bytes:
 
 
 class CleaningReport(NamedTuple):
-    """Everything :func:`clean` changed, keyed by the *input* lexicon's entry ids."""
+    """Everything :func:`clean` changed, naming entries by *input* row, ``"r<row>"``."""
 
     normalized_forms: list[dict]
     dropped_forms: list[dict]
@@ -678,37 +672,31 @@ def clean(lexicon: Lexicon) -> tuple[Lexicon, CleaningReport]:
     """
     report = CleaningReport([], [], [])
     cleaned: list[LexiconEntry] = []
-    for _, entry, forms, first_row in _curate(lexicon.entries):
-        entry_id = entry.entry_id
+    for row, entry, forms, first_row in _curate(lexicon.entries):
         if forms is not entry.forms:
             for language, before in entry.forms.items():
                 after = forms[language]
                 if not after:
                     report.dropped_forms.append(
-                        {"entry_id": entry_id, "language": language.value, "before": before}
+                        {"entry_id": f"r{row}", "language": language.value, "before": before}
                     )
                 elif after != before:
                     report.normalized_forms.append(
-                        {"entry_id": entry_id, "language": language.value,
+                        {"entry_id": f"r{row}", "language": language.value,
                          "before": before, "after": after}
                     )
             forms = {language: form for language, form in forms.items() if form}
         if LanguageCode.FRENCH not in forms:
             raise ValueError(
-                f"entry {entry_id}: french form "
+                f"entry r{row}: french form "
                 f"{entry.forms.get(LanguageCode.FRENCH, '')!r} normalizes to empty"
             )
         if first_row is not None:
             report.removed_duplicates.append(
-                {"entry_id": entry_id, "kept_entry_id": lexicon.entries[first_row - 1].entry_id}
-            )
+                {"entry_id": f"r{row}", "kept_entry_id": f"r{first_row}"})
             continue
         cleaned.append(
-            LexiconEntry(
-                forms, entry.pos, entry.shared_score, entry.per_language_scores,
-                f"r{len(cleaned) + 1}",
-            )
-        )
+            LexiconEntry(forms, entry.pos, entry.shared_score, entry.per_language_scores))
     return Lexicon(cleaned), report
 
 
@@ -735,7 +723,7 @@ def _rewritten(row: int, entry: LexiconEntry, forms: Mapping[LanguageCode, str])
     ``forms``; a dropped form is listed with ``normalized`` ``""``, a literal
     ``""`` form included."""
     return [
-        {"row": row, "entry_id": entry.entry_id, "language": language.value,
+        {"row": row, "entry_id": f"r{row}", "language": language.value,
          "form": form, "normalized": forms[language]}
         for language, form in entry.forms.items()
         if forms[language] != form or not form
@@ -751,7 +739,7 @@ def validate_lexicon(lexicon: Lexicon) -> ValidationReport:
             report.unnormalized_forms.extend(_rewritten(row, entry, forms))
         if first_row is not None:
             report.duplicates.append(
-                {"row": row, "entry_id": entry.entry_id, "first_row": first_row}
+                {"row": row, "entry_id": f"r{row}", "first_row": first_row}
             )
     return report
 
@@ -792,8 +780,8 @@ def add_entries(
 
     Every candidate must already be as :func:`clean` writes it, with a French
     form and scores in range; a ``ValueError`` refuses the whole call
-    otherwise. A rejected candidate names the entry it conflicts with by that
-    entry's id in the returned lexicon. Conflicts never merge silently.
+    otherwise. A rejected candidate names the entry it conflicts with by its
+    row in the returned lexicon, ``"r<row>"``. Conflicts never merge silently.
     """
     accepted: list[LexiconEntry] = []
     rejected: list[dict] = []
@@ -822,8 +810,7 @@ def add_entries(
                 "french": entry.forms[LanguageCode.FRENCH],
                 "pos": entry.pos.value,
                 "shared_score": entry.shared_score,
-                "conflicts_with": accepted_ids[first_row] if first_row > len(lexicon)
-                else lexicon.entries[first_row - 1].entry_id,
+                "conflicts_with": accepted_ids.get(first_row, f"r{first_row}"),
             }
         )
     return Lexicon(list(lexicon.entries) + accepted), AdditionReport(len(accepted), rejected)

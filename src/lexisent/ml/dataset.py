@@ -33,7 +33,7 @@ class Dataset:
     X: np.ndarray  # (n, 9) float
     y: np.ndarray  # (n,) int class indices
     class_names: tuple[str, ...]
-    provenance: tuple[str, ...]
+    provenance: tuple[str, ...]  # each row's entry id, "r<row>" of its lexicon row
     feature_names: tuple[str, ...] = FEATURE_NAMES
 
     def __len__(self) -> int:
@@ -67,7 +67,7 @@ def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:
     english = [entry.forms.get(english_code) or "" for entry in entries]
     X = np.column_stack(
         [[entry.shared_score for entry in entries]]
-        + [list(effective[language].values()) for language in LanguageCode]
+        + [effective[language] for language in LanguageCode]
         + [[len(form) for form in english], [len(form.split()) for form in english]]
     ).astype(float, copy=False)
     if task == "pos":
@@ -78,7 +78,7 @@ def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:
         X=X,
         y=np.asarray(labels, dtype=int),
         class_names=tuple(m.value for m in classes),
-        provenance=tuple(e.entry_id for e in entries),
+        provenance=tuple(f"r{row}" for row in range(1, len(entries) + 1)),
     )
 
 

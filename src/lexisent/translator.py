@@ -20,11 +20,11 @@ WORD_PATTERN = re.compile(r'[^\s.,!?;:"()]+')
 
 class Token(NamedTuple):
     surface: str
-    #: The matched lexicon entry; ``None`` for an unknown token.
-    entry_id: str | None
+    #: The matched entry's position in ``lexicon.entries``; ``None`` if unknown.
+    entry_id: int | None
     span: tuple[int, int]
-    #: Entry ids that also matched the surface but lost disambiguation.
-    alternatives: tuple[str, ...] = ()
+    #: Positions of entries that also matched the surface but lost disambiguation.
+    alternatives: tuple[int, ...] = ()
 
 
 class TranslationResult(NamedTuple):
@@ -51,8 +51,8 @@ def tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[To
     records for that first word are tried, longest first, then the word on its
     own. Words with no lexicon match come back as unknown tokens. Spans index
     into the normalized sentence. A form with several entries resolves to the
-    first of its ids in ``index``, which are in disambiguation order; the rest
-    become the token's ``alternatives``.
+    first of its positions in ``index``, which are in disambiguation order;
+    the rest become the token's ``alternatives``.
     """
     matches = list(WORD_PATTERN.finditer(normalize_sentence(sentence)))
     texts = [m.group() for m in matches]
@@ -102,12 +102,11 @@ def translate(
         translated_text, out_tokens = normalize_sentence(sentence), tokens
         unknown_count = sum(t.entry_id is None for t in tokens)
     else:
-        by_id = lexicon.by_id
         pieces, out = [], []
         unknown_count = 0
         for token in tokens:
             entry_id = token.entry_id
-            form = None if entry_id is None else by_id[entry_id].forms.get(target)
+            form = None if entry_id is None else lexicon.entries[entry_id].forms.get(target)
             if form is None:
                 unknown_count += 1
                 form = token.surface

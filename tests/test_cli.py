@@ -889,7 +889,7 @@ class TestErrorsNameTheFile:
                              encoding="utf-8")
         assert run("compare", "--lex", paper_lex_file, "--in", sentences,
                    "--out", tmp_path / "out") == 2
-        assert f"{sentences}: row 2: expected 2 columns, found 1" in capsys.readouterr().err
+        assert f"{sentences}: [row 2] expected 2 columns, found 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, text, column", [
         ("compare", "sentence,language\nI want food.,english\nbad day,klingon\n", "language"),
@@ -903,7 +903,7 @@ class TestErrorsNameTheFile:
         out = tmp_path / "out"
         assert run(command, "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {sentences}: row 2: column {column!r}: unknown language ")
+        assert err.startswith(f"error: {sentences}: [row 2, column {column!r}] unknown language ")
         assert not out.exists()
 
     def test_explain_names_steps_and_writes_nothing(self, tmp_path, models, capsys):
@@ -1152,7 +1152,7 @@ class TestErrorsNameTheFile:
         assert run(command, "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
         found = ["\ufeff" + header[0], *header[1:]]
         assert capsys.readouterr().err == (
-            f"error: {sentences}: row 0: bad header {found!r}; expected {','.join(header)}\n")
+            f"error: {sentences}: [row 0] bad header {found!r}; expected {','.join(header)}\n")
         assert not out.exists()
 
 
@@ -1333,7 +1333,7 @@ class TestUnreadableInput:
                              + "x" * 140_000 + ",english\n", encoding="utf-8")
         out = tmp_path / "out"
         assert run("compare", "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
-        assert (f"error: {sentences}: row 2: malformed CSV: field larger than field limit"
+        assert (f"error: {sentences}: [row 2] malformed CSV: field larger than field limit"
                 in capsys.readouterr().err)
         assert not out.exists()
 
@@ -1348,7 +1348,7 @@ class TestUnreadableInput:
                              encoding="utf-8")
         out = tmp_path / "out"
         assert run("compare", "--lex", paper_lex_file, "--in", sentences, "--out", out) == 2
-        assert (f"error: {sentences}: row 2: malformed CSV: {message}"
+        assert (f"error: {sentences}: [row 2] malformed CSV: {message}"
                 in capsys.readouterr().err)
         assert not out.exists()
 

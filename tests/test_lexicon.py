@@ -430,8 +430,8 @@ class TestPolarity:
             per_language_scores={LanguageCode.ZULU: -1.0},
         )
         effective = Lexicon([e]).effective
-        assert effective[LanguageCode.ZULU] == {"r1": -1.0}
-        assert effective[LanguageCode.ENGLISH] == {"r1": 2.0}
+        assert effective[LanguageCode.ZULU] == [-1.0]
+        assert effective[LanguageCode.ENGLISH] == [2.0]
 
 
 SCORES = st.one_of(
@@ -447,9 +447,11 @@ SCORED_ENTRIES = st.builds(
 )
 
 
-def bits(column: dict[str, float]) -> list[tuple[str, str]]:
-    """A score column with its exact floats (-0.0 too), in key order."""
-    return [(entry_id, score.hex()) for entry_id, score in column.items()]
+def bits(column: list[float] | dict[int, float]) -> list[tuple[int, str]]:
+    """A score column as (position, exact float) pairs (-0.0 too): a list by
+    position, a sparse dict in key order."""
+    pairs = column.items() if isinstance(column, dict) else enumerate(column)
+    return [(position, score.hex()) for position, score in pairs]
 
 
 class TestScoreColumns:
@@ -459,19 +461,21 @@ class TestScoreColumns:
         lexicon = Lexicon(entries)
         assert list(lexicon.effective) == list(lexicon.present) == list(LanguageCode)
         expected_mean = []
-        for e in lexicon.entries:
+        for i, e in enumerate(lexicon.entries):
             values = list(e.per_language_scores.values())
             mean = sum(values) / len(values) if values else e.shared_score
-            expected_mean.append((e.entry_id, mean.hex()))
+            expected_mean.append((i, mean.hex()))
+        assert type(lexicon.mean) is list
         assert bits(lexicon.mean) == expected_mean
         for language in LanguageCode:
+            assert type(lexicon.effective[language]) is list
             assert bits(lexicon.effective[language]) == [
-                (e.entry_id, e.per_language_scores.get(language, e.shared_score).hex())
-                for e in lexicon.entries
+                (i, e.per_language_scores.get(language, e.shared_score).hex())
+                for i, e in enumerate(lexicon.entries)
             ]
             assert bits(lexicon.present[language]) == [
-                (e.entry_id, e.per_language_scores[language].hex())
-                for e in lexicon.entries if language in e.per_language_scores
+                (i, e.per_language_scores[language].hex())
+                for i, e in enumerate(lexicon.entries) if language in e.per_language_scores
             ]
 
     def test_each_column_compiles_on_its_own_first_use_once(self):
@@ -527,21 +531,23 @@ class TestRequireNormalized:
 class TestIndexes:
     def test_index_is_consistent(self, paper_lexicon):
         for language in LanguageCode:
-            for form, ids in paper_lexicon.index[language].items():
-                for eid in ids:
-                    assert paper_lexicon.by_id[eid].forms[language] == form
-        for entry in paper_lexicon.entries:
+            for form, positions in paper_lexicon.index[language].items():
+                for i in positions:
+                    assert paper_lexicon.entries[i].forms[language] == form
+        for i, entry in enumerate(paper_lexicon.entries):
             for language, form in entry.forms.items():
-                assert entry.entry_id in paper_lexicon.index[language][form]
+                assert i in paper_lexicon.index[language][form]
 
-    def test_parsed_entries_keep_their_positional_ids(self):
+    def test_a_lexicon_holds_the_given_entries_at_their_positions(self):
         lex = parse_lexicon(csv_bytes("bon,,good,,,,mot,1,,,,,,", "mal,,bad,,,,mot,-1,,,,,,"))
-        assert [e.entry_id for e in lex.entries] == ["r1", "r2"]
+        assert LexiconEntry._fields == ("forms", "pos", "shared_score", "per_language_scores")
+        assert not hasattr(lex, "by_id")
         rebuilt = Lexicon(lex.entries)
+        assert len(rebuilt.entries) == 2
         assert all(a is b for a, b in zip(rebuilt.entries, lex.entries))
         shifted = Lexicon(lex.entries[1:])
-        assert [e.entry_id for e in shifted.entries] == ["r1"]
-        assert shifted.index[LanguageCode.ENGLISH] == {"bad": ("r1",)}
+        assert shifted.entries[0] is lex.entries[1]
+        assert shifted.index[LanguageCode.ENGLISH] == {"bad": (0,)}
 
     def test_ambiguous_forms_precompile_the_pos_winner(self):
         lex = Lexicon([
@@ -550,20 +556,19 @@ class TestIndexes:
             make_entry(fr="voir", english="watch", pos=PosTag.VERBE),
             make_entry(fr="seul", english="alone"),
         ])
-        assert lex.index[LanguageCode.ENGLISH]["watch"] == ("r2", "r1", "r3")
-        assert [e.entry_id for e in lex.lookup(LanguageCode.ENGLISH, "watch")] == [
-            "r2", "r1", "r3"]
+        assert lex.index[LanguageCode.ENGLISH]["watch"] == (1, 0, 2)
+        assert lex.lookup(LanguageCode.ENGLISH, "watch") == tuple(lex.entries[i] for i in (1, 0, 2))
         (token,) = tokenize("watch", LanguageCode.ENGLISH, lex)
-        assert (token.entry_id, token.alternatives) == ("r2", ("r1", "r3"))
+        assert (token.entry_id, token.alternatives) == (1, (0, 2))
 
     def test_same_pos_tie_goes_to_the_earliest_row(self):
         entries = [make_entry(fr=f"f{i}", english=f"w{i}") for i in range(1, 9)]
         entries += [make_entry(fr="f9", english="same", pos=PosTag.VERBE),
                     make_entry(fr="f10", english="same", pos=PosTag.VERBE)]
         lex = Lexicon(entries)
-        assert lex.index[LanguageCode.ENGLISH]["same"] == ("r9", "r10")
+        assert lex.index[LanguageCode.ENGLISH]["same"] == (8, 9)
         (token,) = tokenize("same", LanguageCode.ENGLISH, lex)
-        assert (token.entry_id, token.alternatives) == ("r9", ("r10",))
+        assert (token.entry_id, token.alternatives) == (8, (9,))
 
     def test_phrase_lengths(self, paper_lexicon):
         assert paper_lexicon.phrase_lengths[LanguageCode.ENGLISH]["to"] == (2,)
@@ -637,7 +642,6 @@ def reference_parse_lexicon(source: bytes | str) -> Lexicon:
                 pos=pos,
                 shared_score=shared,
                 per_language_scores=per_language,
-                entry_id=f"r{row_no}",
             )
         )
     return Lexicon(entries)
@@ -695,14 +699,14 @@ def lexicon_csv_st(draw) -> bytes:
 
 
 def outcome(parse, data: bytes):
-    """The entries a parser returns, fields and key order included, or its error."""
+    """The entries a parser returns in order, fields and key order included,
+    or its error."""
     try:
         lexicon = parse(data)
     except LexiconFormatError as exc:
         return ("error", str(exc), exc.row, exc.column)
     return [
-        (e.entry_id, list(e.forms.items()), e.pos, e.shared_score,
-         list(e.per_language_scores.items()))
+        (list(e.forms.items()), e.pos, e.shared_score, list(e.per_language_scores.items()))
         for e in lexicon.entries
     ]
 
@@ -865,17 +869,17 @@ def test_a_refused_literal_is_refused_again_after_the_same_text_passed_elsewhere
 
 
 def reference_tables(lexicon: Lexicon):
-    """``by_id``, ``index`` and ``phrase_lengths`` built eagerly, one entry and
-    one form at a time; ``index`` ranks each form's ids by POS, then by row."""
-    by_id = {e.entry_id: e for e in lexicon.entries}
+    """``index`` and ``phrase_lengths`` built eagerly, one entry and one form
+    at a time; ``index`` ranks each form's positions by POS, then by row."""
+    entries = lexicon.entries
     index = {lang: {} for lang in LanguageCode}
-    for entry in lexicon.entries:
+    for position, entry in enumerate(entries):
         for language, form in entry.forms.items():
-            index[language][form] = index[language].get(form, ()) + (entry.entry_id,)
+            index[language][form] = index[language].get(form, ()) + (position,)
     for forms in index.values():
-        for form, ids in forms.items():
+        for form, positions in forms.items():
             forms[form] = tuple(
-                sorted(ids, key=lambda i: (POS_PRIORITY[by_id[i].pos], int(i[1:]))))
+                sorted(positions, key=lambda i: (POS_PRIORITY[entries[i].pos], i)))
     phrase_lengths = {lang: {} for lang in LanguageCode}
     for language, forms in index.items():
         for form in forms:
@@ -883,7 +887,7 @@ def reference_tables(lexicon: Lexicon):
                 first = form.split(" ")[0]
                 lengths = set(phrase_lengths[language].get(first, ())) | {form.count(" ") + 1}
                 phrase_lengths[language][first] = tuple(sorted(lengths, reverse=True))
-    return by_id, index, phrase_lengths
+    return index, phrase_lengths
 
 
 WORDS = ["go", "wa", "le", "bon", "go wa", "go tšhaba", "go wa le", "bon le", "ke"]
@@ -914,8 +918,7 @@ def items(table):
 @settings(max_examples=150, deadline=None)
 def test_lazy_tables_equal_the_eager_reference(lex):
     assert "_tables" not in lex.__dict__
-    by_id, index, phrase_lengths = reference_tables(lex)
-    assert items(lex.by_id) == items(by_id)
+    index, phrase_lengths = reference_tables(lex)
     assert items(lex.index) == items(index)
     assert items(lex.phrase_lengths) == items(phrase_lengths)
 
@@ -925,8 +928,8 @@ def test_lazy_tables_equal_the_eager_reference(lex):
 def test_index_ranks_ids_and_a_token_takes_the_first(lex, words):
     for language, forms in lex.index.items():
         for form, ids in forms.items():
-            rows = [e.entry_id for e in lex.entries if e.forms.get(language) == form]
-            assert ids == tuple(sorted(rows, key=lambda i: POS_PRIORITY[lex.by_id[i].pos]))
+            rows = [i for i, e in enumerate(lex.entries) if e.forms.get(language) == form]
+            assert ids == tuple(sorted(rows, key=lambda i: POS_PRIORITY[lex.entries[i].pos]))
         for token in tokenize(" ".join(words), language, lex):
             ids = forms.get(token.surface, (None,))
             assert (token.entry_id, token.alternatives) == (ids[0], ids[1:])
@@ -1006,7 +1009,7 @@ def test_case_folding_that_leaves_a_composable_mark():
     assert clean(cleaned)[1].change_count == 0
     require_normalized(cleaned)
     (token,) = tokenize("STRAß́E", LanguageCode.FRENCH, cleaned)
-    assert token.entry_id == "r1"
+    assert token.entry_id == 0
 
 
 # ---------------------------------------------------------------------------
@@ -1027,7 +1030,7 @@ def reference_unnormalized_forms(lexicon: Lexicon) -> list[dict]:
         for language, form in entry.forms.items():
             normalized = normalize_form(form)
             if normalized != form or not form:
-                found.append({"row": row_no, "entry_id": entry.entry_id,
+                found.append({"row": row_no, "entry_id": f"r{row_no}",
                               "language": language.value, "form": form,
                               "normalized": normalized})
     return found
@@ -1036,34 +1039,35 @@ def reference_unnormalized_forms(lexicon: Lexicon) -> list[dict]:
 def reference_clean(lexicon: Lexicon):
     report = {"normalized_forms": [], "dropped_forms": [], "removed_duplicates": []}
     cleaned, seen = [], {}
-    for entry in lexicon.entries:
+    for row_no, entry in enumerate(lexicon.entries, start=1):
+        entry_id = f"r{row_no}"
         forms = {}
         for language, form in entry.forms.items():
             normalized = normalize_form(form)
             if normalized == "":
                 if language is LanguageCode.FRENCH:
                     raise ValueError(
-                        f"entry {entry.entry_id}: french form {form!r} normalizes to empty"
+                        f"entry {entry_id}: french form {form!r} normalizes to empty"
                     )
                 report["dropped_forms"].append(
-                    {"entry_id": entry.entry_id, "language": language.value, "before": form}
+                    {"entry_id": entry_id, "language": language.value, "before": form}
                 )
                 continue
             if normalized != form:
                 report["normalized_forms"].append(
-                    {"entry_id": entry.entry_id, "language": language.value,
+                    {"entry_id": entry_id, "language": language.value,
                      "before": form, "after": normalized}
                 )
             forms[language] = normalized
         key = (forms[LanguageCode.FRENCH], entry.pos, entry.shared_score)
         if key in seen:
             report["removed_duplicates"].append(
-                {"entry_id": entry.entry_id, "kept_entry_id": seen[key]}
+                {"entry_id": entry_id, "kept_entry_id": seen[key]}
             )
             continue
-        seen[key] = entry.entry_id
+        seen[key] = entry_id
         cleaned.append(LexiconEntry(forms, entry.pos, entry.shared_score,
-                                    entry.per_language_scores, f"r{len(cleaned) + 1}"))
+                                    entry.per_language_scores))
     report["change_count"] = sum(len(found) for found in report.values())
     return Lexicon(cleaned), report
 
@@ -1074,7 +1078,7 @@ def reference_validate_lexicon(lexicon: Lexicon) -> dict:
     for row_no, entry in enumerate(lexicon.entries, start=1):
         key = reference_dedup_key(entry)
         if key in seen:
-            duplicates.append({"row": row_no, "entry_id": entry.entry_id,
+            duplicates.append({"row": row_no, "entry_id": f"r{row_no}",
                                "first_row": seen[key]})
         else:
             seen[key] = row_no
@@ -1110,7 +1114,8 @@ def reference_check_entry(entry: LexiconEntry) -> None:
 
 
 def reference_add_entries(lexicon: Lexicon, new_entries):
-    existing = {reference_dedup_key(entry): entry.entry_id for entry in lexicon.entries}
+    existing = {reference_dedup_key(entry): f"r{row_no}"
+                for row_no, entry in enumerate(lexicon.entries, start=1)}
     accepted, rejected = [], []
     for entry in new_entries:
         reference_check_entry(entry)
@@ -1178,8 +1183,9 @@ def reference_conflict_id(lexicon: Lexicon, conflicts_with: str) -> str:
     row instead of its last."""
     if conflicts_with.startswith("new"):
         return f"r{len(lexicon) + int(conflicts_with[3:]) + 1}"
-    key = reference_dedup_key(lexicon.by_id[conflicts_with])
-    return next(e.entry_id for e in lexicon.entries if reference_dedup_key(e) == key)
+    key = reference_dedup_key(lexicon.entries[int(conflicts_with[1:]) - 1])
+    return next(f"r{row_no}" for row_no, e in enumerate(lexicon.entries, start=1)
+                if reference_dedup_key(e) == key)
 
 
 @given(st.lists(dirty_entry_st(), max_size=10), st.lists(candidate_st(), max_size=6))
@@ -1317,7 +1323,6 @@ def test_validate_reports_exactly_what_clean_changes(entries):
     changed = {(c["entry_id"], c["language"]): c["after"] for c in changes.normalized_forms}
     changed.update({(c["entry_id"], c["language"]): "" for c in changes.dropped_forms})
     assert flagged == changed
-    assert [(d["entry_id"], lexicon.entries[d["first_row"] - 1].entry_id)
-            for d in report.duplicates] == [
+    assert [(d["entry_id"], f"r{d['first_row']}") for d in report.duplicates] == [
         (d["entry_id"], d["kept_entry_id"]) for d in changes.removed_duplicates]
     assert report.issue_count == changes.change_count

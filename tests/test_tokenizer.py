@@ -71,7 +71,7 @@ def oracle_tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> 
             continue
         surface = " ".join(w for w, _, _ in words[i : i + match_len])
         span = (words[i][1], words[i + match_len - 1][2])
-        ranked = sorted(matched, key=lambda e: (POS_PRIORITY[lexicon.by_id[e].pos], int(e[1:])))
+        ranked = sorted(matched, key=lambda i: (POS_PRIORITY[lexicon.entries[i].pos], i))
         tokens.append(Token(surface, ranked[0], span, tuple(ranked[1:])))
         i += match_len
     return tokens

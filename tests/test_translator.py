@@ -83,8 +83,8 @@ class TestTokenize:
                             shared_score=2.0, per_language_scores={})
         lex = Lexicon([verb, noun])  # mot outranks verbe regardless of order
         (token,) = tokenize("watch", EN, lex)
-        assert lex.by_id[token.entry_id].pos is PosTag.MOT
-        assert len(token.alternatives) == 1
+        assert token.entry_id == 1 and lex.entries[token.entry_id].pos is PosTag.MOT
+        assert token.alternatives == (0,)
 
 
 class TestTranslate:
@@ -157,7 +157,7 @@ def test_translate_on_arbitrary_unicode(lexicon, data):
         return
     pieces = []
     for token, out in zip(tokens, result.tokens):
-        entry = lexicon.by_id[token.entry_id] if token.entry_id is not None else None
+        entry = lexicon.entries[token.entry_id] if token.entry_id is not None else None
         form = entry.forms.get(target) if entry is not None else None
         if form is None:
             assert out == token._replace(entry_id=None)
