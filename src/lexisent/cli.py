@@ -180,9 +180,7 @@ def _sentence_rows(lines: Iterable[str], header: tuple[str, ...]) -> list[list]:
         raise LexiconFormatError(f"bad header {found!r}; expected {','.join(header)}", 0)
     for row_no, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
-            raise LexiconFormatError(
-                f"expected {len(header)} columns, found {len(row)}", row_no
-            )
+            raise LexiconFormatError(f"expected {len(header)} columns, found {len(row)}", row_no)
         for i in range(1, len(row)):
             code = _LANGUAGE_BY_VALUE.get(row[i])
             if code is None:

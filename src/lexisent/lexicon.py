@@ -118,7 +118,7 @@ CSV_HEADER: tuple[str, ...] = tuple(
 
 
 class LexiconFormatError(ValueError):
-    """A malformed lexicon file. Carries the 1-based data row (0 = header)."""
+    """A malformed lexicon or sentence CSV. Carries the 1-based data row (0 = header)."""
 
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
         self.row = row

@@ -59,10 +59,10 @@ def _score_modes(
     formatted: dict[float, str],
 ) -> tuple[_ModeScores, _ModeScores]:
     """Both modes' scores of ``tokens`` in one walk: ``mean`` holds the avg
-    column and ``own`` the v2 column of the sentence's language, each a list
-    indexed by a token's entry position. Unknown
-    tokens score 0. ``formatted`` caches :func:`format_score` by score, so a
-    caller that passes one dict formats each distinct score once."""
+    column and ``own`` the v2 column of the sentence's language, lists by
+    entry position. Unknown tokens score 0. ``formatted`` caches
+    :func:`format_score` by score, so a caller that passes one dict formats
+    each distinct score once."""
     avg_scores, v2_scores, avg_pieces, v2_pieces = [], [], [], []
     for surface, entry_id, _, _ in tokens:
         if entry_id is None:
