@@ -118,10 +118,11 @@ def corpus_integrated_gradients(
     if steps < 1:
         raise SettingError("steps", f"must be at least 1, got {steps}")
     w_target, w_context = np.split(model.weights, [model.embedding_dim])
-    window = model.window
+    packed = model.pack(sentences)
+    window = packed.context.shape[1] // 2  # the packed window, at most the model's
     chunk = contextual.PREDICT_CHUNK
     maps = []
-    for first, part in zip(range(0, len(sentences), chunk), model.pack(sentences).chunks(chunk)):
+    for first, part in zip(range(0, len(sentences), chunk), packed.chunks(chunk)):
         target = model.embeddings[part.targets]
         context = model.embeddings[part.context]
         _, z = model.forward(target, context, part.mask)

@@ -14,22 +14,24 @@ lexicon, sentence and corpus readers take its lines one at a time, so memory
 holds what a file parses to, not its text as well; a model file, one JSON
 document, is read whole. Each input is still read and checked in full before
 a command returns, so a refused run still writes nothing. ``compare`` and
-``translate --in`` also stream their large files: each returns them as
-chunks of text that are scored or translated a block of rows at a time while
-the file is written, so memory holds the parsed input and one block, not
-every output row and the whole file text.
+``translate --in`` also stream their large file: each returns it as chunks
+of text that are scored or translated a block of rows at a time while the
+file is written, so memory holds the parsed input and one block, not every
+output row and the whole file text.
 
 ``compare`` scores each sentence in both modes (avg and v2) and against the
-built-in English baseline. ``translate --in``, ``compare`` and ``explain
---corpus`` refuse an input that holds no sentences. ``explain --text`` writes
-``attribution.*``, and ``explain --corpus`` writes ``attribution_NNNN.*`` per
-sentence, however many it holds. ``ml train`` records its task, split and
-test rows' SHA-256 in the model, and ``ml eval`` scores the same test split,
-refusing a ``--seed``, ``--train-fraction`` or lexicon that gives another.
-``ml train``, ``ml eval`` and ``ctx eval`` write the same evaluation files:
-confusion matrix, metrics and one-vs-rest ROC curves; their summary warns
-when the accuracy does not exceed the majority-class accuracy, which
-``metrics.json`` gives next to it. ``ml train`` and ``ctx train`` write
+built-in English baseline; its rows go to ``comparison.csv`` alone, and
+``comparison.json`` holds their agreement and polarity counts. ``translate
+--in``, ``compare`` and ``explain --corpus`` refuse an input that holds no
+sentences. ``explain --text`` writes ``attribution.*``, and ``explain
+--corpus`` writes ``attribution_NNNN.*`` per sentence, however many it holds.
+``ml train`` records its task, split and test rows' SHA-256 in the model, and
+``ml eval`` scores the same test split, refusing a ``--seed``,
+``--train-fraction`` or lexicon that gives another, and a model whose classes
+are not its task's. ``ml train``, ``ml eval`` and ``ctx eval`` write the same
+evaluation files: confusion matrix, metrics and one-vs-rest ROC curves; their
+summary warns when the accuracy does not exceed the majority-class accuracy,
+which ``metrics.json`` gives next to it. ``ml train`` and ``ctx train`` write
 ``model.json`` in model format 2, whose ``kind`` names the model; files of
 any other format version are refused, so models saved by older versions must
 be trained again. Exit codes: 0 success, 1 usage error, 2 data error; data
@@ -65,7 +67,6 @@ from .lexicon import (
     clean,
     csv_text,
     json_text,
-    json_value_text,
     parse_lexicon,
     require_normalized,
     serialize_lexicon,
@@ -85,7 +86,7 @@ class _Parser(argparse.ArgumentParser):
 #: What a command returns: its output files, name to content in write order,
 #: and its stderr summary line, if any. A content is text (written as UTF-8),
 #: bytes, or an iterable of such chunks that is written one chunk at a time;
-#: ``compare`` and ``translate --in`` return their large files that way, and
+#: ``compare`` and ``translate --in`` return their files that way, and
 #: ``compare`` its summary as a function to call once its files are written,
 #: since the agreement it prints is known only then.
 Output = tuple[dict[str, str | bytes | Iterable[str | bytes]], str | Callable[[], str] | None]
@@ -324,14 +325,11 @@ def _translation_chunks(rows: list, lexicon) -> Iterator[str]:
 
 
 class _Comparison:
-    """``compare``'s two files, scored one block of rows at a time while
-    ``comparison.csv`` is written.
-
-    ``comparison.json`` writes its summary (``agreement`` and
-    ``polarity_counts``, summed over the blocks) before its ``rows``, but the
-    summary is known only after the last block. So each block's JSON rows
-    wait in an unnamed temporary file, which ``comparison.json`` copies after
-    the summary.
+    """``compare``'s two files: ``comparison.csv``, scored one block of rows at
+    a time while it is written, and ``comparison.json``, the summary built
+    from the counts gathered meanwhile. So :meth:`summary_chunks` and
+    :meth:`summary` must start only after :meth:`csv_chunks` is exhausted;
+    :func:`_run` writes the files in order, the CSV first.
     """
 
     def __init__(self, rows: list, lexicon):
@@ -339,40 +337,27 @@ class _Comparison:
         self.agreed = 0
         self.counts = {scorer: dict.fromkeys(Polarity, 0) for scorer in ("avg", "v2", "baseline")}
 
-    def chunks(self) -> Iterator[str | bytes | None]:
-        """``comparison.csv``'s chunks, ``None``, then ``comparison.json``'s.
-
-        One generator writes both files, so the temporary file is closed
-        however the writing ends.
-        """
-        import tempfile  # only compare needs these, so importing the cli loads neither
-
+    def csv_chunks(self) -> Iterator[str]:
+        """``comparison.csv``, one block of rows at a time."""
         from . import scoring
 
         formatted: dict[float, str] = {}  # each distinct score is formatted once in the run
-        with tempfile.TemporaryFile() as spool:
-            for i, block in enumerate(_blocks(self.rows)):
-                report = scoring.score_batch(
-                    block, self.lexicon, scoring.builtin_english_baseline, formatted)
-                self.agreed += sum(
-                    r["sentiment_v2"] == r["baseline_sentiment"] for r in report.rows)
-                for scorer, counts in report.polarity_counts.items():
-                    for polarity, count in counts.items():
-                        self.counts[scorer][polarity] += count
-                # The rows as comparison.json's "rows" list holds them, without
-                # the list's "[" and closing "\n  ]".
-                rows = json_value_text(report.rows, 1)[1:-len("\n  ]")]
-                spool.write((("," if i else "") + rows).encode("utf-8"))
-                table = scoring.comparison_csv_rows(report)
-                yield csv_text(table[1:] if i else table)  # the header once
-            yield None
+        for i, block in enumerate(_blocks(self.rows)):
+            report = scoring.score_batch(
+                block, self.lexicon, scoring.builtin_english_baseline, formatted)
+            self.agreed += sum(r["sentiment_v2"] == r["baseline_sentiment"] for r in report.rows)
+            for scorer, counts in report.polarity_counts.items():
+                for polarity, count in counts.items():
+                    self.counts[scorer][polarity] += count
+            table = scoring.comparison_csv_rows(report)
+            yield csv_text(table[1:] if i else table)  # the header once
 
-            summary = scoring.ComparisonReport([], self.agreed / len(self.rows), self.counts)
-            text = json_text(summary.to_json_dict())  # "rows" sorts last: ... "rows": []\n}\n
-            yield text[:-len("]\n}\n")]
-            spool.seek(0)
-            yield from iter(partial(spool.read, 1 << 16), b"")
-            yield "\n  ]\n}\n"
+    def summary_chunks(self) -> Iterator[str]:
+        """``comparison.json``: the agreement and polarity counts of every row."""
+        from . import scoring
+
+        summary = scoring.ComparisonReport([], self.agreed / len(self.rows), self.counts)
+        yield json_text(summary.to_json_dict())
 
     def summary(self) -> str:
         return (f"{len(self.rows)} sentences, "
@@ -385,9 +370,8 @@ def cmd_compare(args) -> Output:
     if not rows:  # an agreement over no sentences would read a vacuous 1.000
         raise ValueError(f"{args.infile}: no sentences")
     comparison = _Comparison(rows, lexicon)
-    chunks = comparison.chunks()
-    files = {"comparison.csv": iter(chunks.__next__, None), "comparison.json": chunks}
-    return files, comparison.summary
+    return ({"comparison.csv": comparison.csv_chunks(),
+             "comparison.json": comparison.summary_chunks()}, comparison.summary)
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +512,9 @@ def cmd_ml_eval(args) -> Output:
     test_sha256 = _use_recorded_split(model, args)
     lexicon = _parse_file(args.lex, parse_lexicon)
     dataset = ml.featurize(lexicon, task=task)
+    if tuple(model.class_names) != dataset.class_names:
+        raise ValueError(f"{args.model}: the model's classes {list(model.class_names)} are not "
+                         f"those of its task {task!r}, {list(dataset.class_names)}")
     if model.n_features != dataset.X.shape[1]:
         raise ValueError(
             f"{args.model}: the model takes {model.n_features} features, "
@@ -663,7 +650,11 @@ def cmd_explain(args) -> Output:
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="lexisent", description=__doc__)
+    parser = _Parser(prog="lexisent", description=(
+        "Commands: lexicon validate|clean|stats, translate, compare, ml train|eval, ctx "
+        "generate|train|eval, explain. A command that writes files writes them, with "
+        "run_config.json and manifest.json, into its --out directory, and none if it fails. "
+        "Exit codes: 0 success, 1 usage error, 2 data error."))
     sub = parser.add_subparsers(dest="command")
 
     def add(name, func, parent, **kwargs):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import artifact
 from .artifact import checked_array, checked_names, is_int
-from .lexicon import LanguageCode, Lexicon, Polarity, context_dependent_forms, csv_text
+from .lexicon import LanguageCode, Lexicon, Polarity, context_dependent_forms, csv_text, float_sum
 from .ml.dataset import SettingError, rng_for, softmax
 from .translator import word_tokens
 
@@ -192,7 +192,7 @@ def generate_dataset(
     ``label_weights`` orders (negative, neutral, positive); they must be
     finite, non-negative and not all 0.
     """
-    total = sum(label_weights)
+    total = float_sum(label_weights)
     if not (all(math.isfinite(w) and w >= 0 for w in label_weights) and 0 < total < math.inf):
         raise SettingError(
             "label_weights", f"must be finite, non-negative and not all 0, got {label_weights}"
@@ -255,7 +255,8 @@ class PackedSentences:
     Context slot ``j`` of a row holds the token ``window - j`` places left of
     the target for ``j < window`` and ``j - window + 1`` places right of it
     otherwise, so the slots run in sentence order. Slots past either end of
-    the sentence hold the pad id and are masked out.
+    the sentence hold the pad id and are masked out. ``window`` is the packed
+    one, at most the model's (:meth:`ContextModel.pack`).
     """
 
     targets: np.ndarray  # (B,) token id of each target
@@ -307,7 +308,8 @@ class ContextModel:
         return [j for j in range(lo, hi + 1) if j != target_index]
 
     def pack(self, sentences: list[TargetSentence]) -> PackedSentences:
-        w = self.window
+        # Slots past the longest sentence would be masked in every row, so none is made.
+        w = min(self.window, max((len(s.tokens) for s in sentences), default=1) - 1)
         targets = np.empty(len(sentences), dtype=np.intp)
         context = np.full((len(sentences), 2 * w), self.vocabulary.pad_id, dtype=np.intp)
         mask = np.zeros((len(sentences), 2 * w), dtype=bool)
@@ -477,7 +479,7 @@ def train(
         },
     )
     weight_vector = np.array([class_weights[p] for p in CLASS_ORDER], dtype=float)
-    mean_weight = sum(class_weights[s.label] for s in train_set) / len(train_set)
+    mean_weight = float_sum(class_weights[s.label] for s in train_set) / len(train_set)
     untrained = math.log(len(CLASS_ORDER)) * mean_weight
     packed_train = model.pack(train_set)
     packed_val = model.pack(val_set)

@@ -10,7 +10,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .lexicon import LanguageCode, Lexicon, Polarity, PosTag
+from .lexicon import LanguageCode, Lexicon, Polarity, PosTag, float_sum
 
 #: Histogram bin centers: one unit-width bin per integer score.
 HISTOGRAM_CENTERS = tuple(range(-9, 10))
@@ -27,13 +27,16 @@ def pearson(xs: list[float], ys: list[float]) -> float | None:
     n = len(xs)
     if n < 2:
         return None
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    sxx = sum((x - mean_x) ** 2 for x in xs)
-    syy = sum((y - mean_y) ** 2 for y in ys)
+    mean_x = float_sum(xs) / n
+    mean_y = float_sum(ys) / n
+    sxx = syy = sxy = 0.0  # each sum adds left to right, as float_sum does
+    for x, y in zip(xs, ys):
+        dx, dy = x - mean_x, y - mean_y
+        sxx += dx ** 2
+        syy += dy ** 2
+        sxy += dx * dy
     if sxx <= 0.0 or syy <= 0.0:
         return None
-    sxy = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
     r = sxy / (math.sqrt(sxx) * math.sqrt(syy))
     return max(-1.0, min(1.0, r))
 

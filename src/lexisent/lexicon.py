@@ -269,7 +269,7 @@ class Lexicon:
         """The list by position of the mean of each entry's per-language
         scores, else its shared score."""
         return [
-            sum(own.values()) / len(own) if own else entry.shared_score
+            float_sum(own.values()) / len(own) if own else entry.shared_score
             for entry in self.entries
             for own in [entry.per_language_scores]
         ]
@@ -432,6 +432,16 @@ def format_score(value: float) -> str:
     return repr(value)
 
 
+def float_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right from ``0.0``, as the builtin ``sum`` adds
+    floats up to Python 3.11 (3.12 made it compensated), so that outputs built
+    on float sums do not depend on the interpreter."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def csv_text(rows: Iterable[Sequence[str]]) -> str:
     """CSV text of ``rows``: ``str`` cells joined by ``,``, each row ended by ``\\n``.
 
@@ -477,15 +487,6 @@ def json_text(payload) -> str:
     parts: list[str] = []
     _json_parts(payload, "\n", parts)
     parts.append("\n")
-    return "".join(parts)
-
-
-def json_value_text(value, depth: int) -> str:
-    """The text of ``value`` as :func:`json_text` writes it nested ``depth``
-    levels deep: every line after the first is indented by ``2 * depth`` more
-    spaces, and no line break ends it."""
-    parts: list[str] = []
-    _json_parts(value, "\n" + "  " * depth, parts)
     return "".join(parts)
 
 

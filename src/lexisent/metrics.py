@@ -8,6 +8,7 @@ from typing import Sequence
 import numpy as np
 
 from .artifact import check_distinct
+from .lexicon import float_sum
 
 
 @dataclass(frozen=True)
@@ -110,10 +111,10 @@ def aggregate_per_class(
     k = len(per_class)
     total = sum(support for _, _, _, support in per_class)
     macro = tuple(
-        _safe_div(sum(row[i] for row in per_class), k) for i in range(3)
+        _safe_div(float_sum(row[i] for row in per_class), k) for i in range(3)
     )
     weighted = tuple(
-        _safe_div(sum(row[i] * row[3] for row in per_class), total) for i in range(3)
+        _safe_div(float_sum(row[i] * row[3] for row in per_class), total) for i in range(3)
     )
     return macro, weighted
 

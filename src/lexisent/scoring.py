@@ -8,12 +8,13 @@ One walk over a sentence's tokens scores both modes and formats each mode's
 word scores (``form:score; form:score``) once; :func:`score_batch` and
 :func:`score_sentence` both go through it.
 
-:func:`score_batch` builds each sentence's comparison row once, as the object
-that ``comparison.json`` writes: a dict whose keys are the ten
-:data:`COMPARISON_COLUMNS`. The totals and the baseline compound are floats,
-the word scores are their ``form:score`` text, and the language and the three
-sentiments are their ``.value`` strings. :func:`comparison_csv_rows` formats
-the CSV rows from the same dicts.
+:func:`score_batch` builds each sentence's comparison row once: a dict whose
+keys are the ten :data:`COMPARISON_COLUMNS`. The totals and the baseline
+compound are floats, the word scores are their ``form:score`` text, and the
+language and the three sentiments are their ``.value`` strings.
+:func:`comparison_csv_rows` formats the rows of ``comparison.csv`` from those
+dicts; ``comparison.json`` holds only the batch's agreement and polarity
+counts (:meth:`ComparisonReport.to_json_dict`).
 """
 
 from __future__ import annotations
@@ -197,9 +198,8 @@ class ComparisonReport(NamedTuple):
     agreement: float
     polarity_counts: dict[str, dict[Polarity, int]]
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self) -> dict:  # what comparison.json holds: no rows
         return {
-            "rows": self.rows,
             "agreement": self.agreement,
             "polarity_counts": {
                 scorer: {p.value: c for p, c in counts.items()}

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
 import json
 import os
@@ -22,6 +23,7 @@ from lexisent.lexicon import (
     LanguageCode,
     Lexicon,
     LexiconEntry,
+    Polarity,
     PosTag,
     csv_text,
     format_score,
@@ -137,6 +139,16 @@ class TestCliSurface:
         assert run("score", "--lex", "l.csv", "--in", "s.csv", "--out", out) == 1
         assert "invalid choice: 'score'" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_help_is_for_users(self, capsys):
+        """``--help`` describes the commands and exit codes, not the module's
+        implementation notes."""
+        with pytest.raises(SystemExit) as exited:
+            run("--help")
+        assert exited.value.code == 0
+        text = capsys.readouterr().out
+        assert "Exit codes: 0 success, 1 usage error, 2 data error." in " ".join(text.split())
+        assert ":func:" not in text and "dataclasses" not in text
 
     def test_docstring_lists_exactly_the_leaf_commands(self):
         """The module docstring's ``Subcommands:`` list, ``lexicon
@@ -351,7 +363,7 @@ class TestScoreCommands:
                    "--out", out) == 0
         report = json.loads((out / "comparison.json").read_text())
         assert 0.0 <= report["agreement"] <= 1.0
-        assert len(report["rows"]) == 2
+        assert set(report) == {"agreement", "polarity_counts"}  # the rows are the CSV's
 
 
 #: Sentences of every polarity in four languages; some hold a comma, a quote
@@ -407,6 +419,28 @@ class TestStreamedFiles:
         assert capsys.readouterr().err == (
             f"{n} sentences, v2/baseline agreement {report.agreement:.3f}\n"
             f"translated {n} sentences\n")
+
+    def test_the_summary_tallies_the_csv(self, tmp_path, paper_lex_file, capsys):
+        """``comparison.json`` is the summary of ``comparison.csv``'s rows:
+        the share whose v2 sentiment is the baseline's, and each scorer's
+        sentiment column tallied."""
+        rows = [STREAMED_SENTENCES[i % len(STREAMED_SENTENCES)]
+                for i in range(cli._BLOCK_ROWS + 1)]
+        sentences, _ = sentence_files(tmp_path, rows)
+        out = tmp_path / "compare"
+        assert run("compare", "--lex", paper_lex_file, "--in", sentences, "--out", out) == 0
+        with open(out / "comparison.csv", encoding="utf-8", newline="") as stream:
+            table = list(csv.DictReader(stream))
+        assert len(table) == len(rows)
+        agreement = sum(r["sentiment_v2"] == r["baseline_sentiment"] for r in table) / len(table)
+        columns = {"avg": "sentiment_avg", "v2": "sentiment_v2",
+                   "baseline": "baseline_sentiment"}
+        counts = {scorer: {p.value: sum(r[column] == p.value for r in table) for p in Polarity}
+                  for scorer, column in columns.items()}
+        assert (out / "comparison.json").read_text(encoding="utf-8") == json_text(
+            {"agreement": agreement, "polarity_counts": counts})
+        assert capsys.readouterr().err == (
+            f"{len(rows)} sentences, v2/baseline agreement {agreement:.3f}\n")
 
     def test_compare_formats_each_distinct_score_once(self, tmp_path, paper_lex_file,
                                                       monkeypatch):
@@ -638,6 +672,28 @@ class TestMlCommands:
                    "--train-fraction", "0.7") == 0
         assert read_dir(tmp_path / "b")["metrics.json"] == read_dir(nb_model)["metrics.json"]
 
+    @pytest.mark.parametrize("trained, recorded", [("pos", "polarity"), ("polarity", "pos")])
+    def test_eval_refuses_a_model_whose_classes_are_not_its_tasks(
+            self, tmp_path, paper_lex_file, trained, recorded, capsys):
+        """A model whose recorded task was edited: its probability columns
+        are not the task's classes, so eval would crash on an index or label
+        each prediction with another class's name."""
+        assert run("ml", "train", "--lex", paper_lex_file, "--task", trained,
+                   "--model", "gaussian_nb", "--out", tmp_path / "nb") == 0
+        path = tmp_path / "nb" / "model.json"
+        model = json.loads(path.read_text())
+        model["hyperparameters"]["task"] = recorded
+        del model["hyperparameters"]["split"]["test_sha256"]
+        path.write_text(json.dumps(model))
+        capsys.readouterr()
+        out = tmp_path / "eval"
+        assert run("ml", "eval", "--model", path, "--lex", paper_lex_file, "--out", out) == 2
+        names = {"pos": [tag.value for tag in PosTag], "polarity": [p.value for p in Polarity]}
+        assert capsys.readouterr().err == (
+            f"error: {path}: the model's classes {names[trained]} are not those of its "
+            f"task {recorded!r}, {names[recorded]}\n")
+        assert not out.exists()
+
     def test_train_deterministic(self, tmp_path, paper_lex_file):
         out1, out2 = tmp_path / "m1", tmp_path / "m2"
         for out in (out1, out2):
@@ -824,6 +880,35 @@ class TestCtxAndExplain:
             "attribution_0001.csv", "attribution_0001.json", "attribution_0001.svg",
             "manifest.json", "run_config.json", "summary.csv",
         ]
+
+    def test_a_window_wider_than_every_sentence(self, tmp_path, ctx_lex_file):
+        """Context slots past the longest sentence are masked in every row, so
+        a window of 10**12 trains, evaluates and explains as one just wider
+        than every sentence does, and allocates no more. (A window of 10**12
+        is one that numpy refuses to allocate at once, without touching
+        memory.)"""
+        run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+            "-n", "60", "--seed", "1", "--out", tmp_path / "gen")
+        outputs = {}
+        for window in ("1000000000000", "40"):
+            model = tmp_path / window / "model"
+            assert run("ctx", "train", "--corpus", tmp_path / "gen" / "corpus.tsv",
+                       "--out", model, "--epochs", "3", "--embedding-dim", "4",
+                       "--window", window) == 0
+            assert run("ctx", "eval", "--model", model / "model.json",
+                       "--corpus", model / "test.tsv", "--out", tmp_path / window / "eval") == 0
+            assert run("explain", "--model", model / "model.json", "--corpus",
+                       model / "test.tsv", "--out", tmp_path / window / "explain",
+                       "--steps", "4") == 0
+            files = {f"{step}/{name}": content for step in ("model", "eval", "explain")
+                     for name, content in read_dir(tmp_path / window / step).items()
+                     if name not in ("run_config.json", "manifest.json")}
+            model = json.loads(files["model/model.json"])
+            assert model["window"] == model["hyperparameters"]["window"] == int(window)
+            del model["window"], model["hyperparameters"]["window"]
+            files["model/model.json"] = model
+            outputs[window] = files
+        assert outputs["1000000000000"] == outputs["40"]
 
     @pytest.mark.parametrize("given", [(), ("--text", "a [TARGET] b [/TARGET]",
                                             "--corpus", "corpus.tsv")],

@@ -30,7 +30,6 @@ from lexisent.lexicon import (
     csv_text,
     format_score,
     json_text,
-    json_value_text,
     normalize_form,
     normalize_sentence,
     parse_lexicon,
@@ -199,18 +198,10 @@ JSON_PAYLOADS = st.recursive(
 )
 
 
-@given(JSON_PAYLOADS, st.integers(0, 3))
+@given(JSON_PAYLOADS)
 @settings(max_examples=300, deadline=None)
-def test_json_text_matches_json_dumps(payload, depth):
+def test_json_text_matches_json_dumps(payload):
     assert json_text(payload) == json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    # ``depth`` levels deep, as the one item of nested lists
-    nested = payload
-    for _ in range(depth):
-        nested = [nested]
-    opening = "".join("[\n" + "  " * (level + 1) for level in range(depth))
-    closing = "".join("\n" + "  " * level + "]" for level in reversed(range(depth)))
-    assert json.dumps(nested, sort_keys=True, indent=2) == (
-        opening + json_value_text(payload, depth) + closing)
 
 
 @pytest.mark.parametrize("payload", [object(), [1, {"a": {1.5}}], {(1, 2): 0}, {"a": 1, 2: 0}],

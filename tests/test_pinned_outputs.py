@@ -15,8 +15,9 @@ id; the reports now write it from the row. The ``ml train`` CSVs
 (``dataset.csv`` and every ``roc_*.csv``) come from a decision tree on the
 published-score lexicon; a tree's probabilities are count fractions, so they
 do not depend on the BLAS build. Their SHA-256s were recorded before
-``csv_text`` stopped running ``csv.writer``. Any change to these files' bytes
-has to be deliberate.
+``csv_text`` stopped running ``csv.writer``. ``comparison.json`` was pinned
+again when it stopped repeating the CSV's rows and became the run's summary.
+Any change to these files' bytes has to be deliberate.
 """
 
 from __future__ import annotations
@@ -24,10 +25,13 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import random
 
 import pytest
 
+from lexisent import contextual, eda, metrics
+from lexisent import lexicon as lexicon_module
 from lexisent.cli import main
 from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, PosTag, serialize_lexicon
 
@@ -35,7 +39,7 @@ from conftest import PAPER_ENTRIES
 
 EXPECTED_SHA256 = {
     "compare/comparison.csv": "4c3659baf22b444c03a2351f795a57ef9b3641afe6a16f501735bfb5fe212d59",
-    "compare/comparison.json": "4458dc4cc2ff8f76e3516a8a464f568752fbb287bf54f1a9a962857a12a59dc0",
+    "compare/comparison.json": "07021751af60d85ec0b3f1d00809513d5504e92d8cf402042fe676dcddada66a",
     "translate/translations.csv": "f4aeae0ed242411ed333658e7b0aaf7583399af323af9b3082bfabe81755e91f",
 }
 
@@ -150,6 +154,34 @@ def test_lexicon_clean_and_stats_outputs_are_byte_identical(tmp_path, monkeypatc
     digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
                for name in LEXICON_SHA256}
     assert digests == LEXICON_SHA256
+
+
+def compensated_sum(values, start=0):
+    """The builtin ``sum``, but floats are added exactly rounded, as a
+    compensated ``sum`` (Python 3.12 and later) may add them."""
+    values = list(values)
+    if any(isinstance(value, float) for value in [start, *values]):
+        return math.fsum([start, *values])
+    return sum(values, start)
+
+
+def test_float_sums_do_not_depend_on_the_interpreter(tmp_path, monkeypatch):
+    """Float sums that reach an output add left to right, as the builtin
+    ``sum`` did before Python 3.12: a compensated ``sum`` leaves them
+    unchanged."""
+    for module in (contextual, eda, lexicon_module, metrics):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "raw.csv").write_text(RAW_LEXICON, encoding="utf-8")
+    assert main(["lexicon", "stats", "--in", "raw.csv", "--out", "stats"]) == 0
+    assert hashlib.sha256((tmp_path / "stats/eda.json").read_bytes()).hexdigest() == (
+        LEXICON_SHA256["stats/eda.json"])
+    scores = {LanguageCode.FRENCH: 0.1, LanguageCode.CILUBA: 0.2, LanguageCode.ENGLISH: 0.3}
+    entry = LexiconEntry({LanguageCode.ENGLISH: "good"}, PosTag.MOT, 0.0, scores)
+    assert Lexicon([entry]).mean == [0.20000000000000004]
+    macro, weighted = metrics.aggregate_per_class([(0.1, 0.1, 0.1, 1), (0.2, 0.2, 0.2, 1),
+                                                   (0.3, 0.3, 0.3, 1)])
+    assert macro == weighted == (0.20000000000000004,) * 3
 
 
 def test_ml_train_csv_outputs_are_byte_identical(tmp_path, monkeypatch, paper_lexicon):
