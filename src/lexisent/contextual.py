@@ -190,13 +190,15 @@ def generate_dataset(
     from lexicon forms whose polarity (in ``language``) matches the intended
     label, so the label is recoverable from the context alone.
     ``label_weights`` orders (negative, neutral, positive); they must be
-    finite, non-negative and not all 0.
+    finite, non-negative and not all 0, with a finite total.
     """
     total = float_sum(label_weights)
-    if not (all(math.isfinite(w) and w >= 0 for w in label_weights) and 0 < total < math.inf):
+    if not (all(math.isfinite(w) and w >= 0 for w in label_weights) and total > 0):
         raise SettingError(
             "label_weights", f"must be finite, non-negative and not all 0, got {label_weights}"
         )
+    if total == math.inf:
+        raise SettingError("label_weights", f"have a total that overflows, got {label_weights}")
     targets = context_dependent_forms(lexicon, language)
     if not targets:
         raise ValueError(f"lexicon has no context-dependent {language.value} forms")
@@ -213,7 +215,10 @@ def generate_dataset(
             )
         pools[polarity].sort()
 
-    probabilities = [w / total for w in label_weights]
+    # The cumulative distribution that Generator.choice(3, p=...) builds on
+    # every call; searching it for one uniform draw is that call's draw.
+    cdf = np.array([w / total for w in label_weights]).cumsum()
+    cdf /= cdf[-1]
     rng = rng_for(seed, 1000)
     # The words of each form drawn so far: the marked text's words, form by form.
     words: dict[str, list[str]] = {}
@@ -226,7 +231,7 @@ def generate_dataset(
 
     sentences = []
     for _ in range(n):
-        label = CLASS_ORDER[int(rng.choice(len(CLASS_ORDER), p=probabilities))]
+        label = CLASS_ORDER[int(cdf.searchsorted(rng.random(), side="right"))]
         pool = pools[label]
         target = targets[int(rng.integers(len(targets)))]
         before = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(1, 4)))]
@@ -308,21 +313,26 @@ class ContextModel:
         return [j for j in range(lo, hi + 1) if j != target_index]
 
     def pack(self, sentences: list[TargetSentence]) -> PackedSentences:
+        """The sentences as arrays, with no Python loop per sentence: every
+        token is encoded in one pass over the concatenated sentences, and
+        each context slot gathers the token at its offset from the target
+        where that position lies inside its sentence."""
+        lengths = np.array([len(s.tokens) for s in sentences], dtype=np.intp)
         # Slots past the longest sentence would be masked in every row, so none is made.
-        w = min(self.window, max((len(s.tokens) for s in sentences), default=1) - 1)
-        targets = np.empty(len(sentences), dtype=np.intp)
-        context = np.full((len(sentences), 2 * w), self.vocabulary.pad_id, dtype=np.intp)
-        mask = np.zeros((len(sentences), 2 * w), dtype=bool)
-        labels = np.full(len(sentences), -1, dtype=np.intp)
-        for row, s in enumerate(sentences):
-            ids, t = self.encode(s)
-            targets[row] = ids[t]
-            left, right = ids[max(0, t - w) : t], ids[t + 1 : t + 1 + w]
-            context[row, w - len(left) : w + len(right)] = np.concatenate([left, right])
-            mask[row, w - len(left) : w + len(right)] = True
-            if s.label is not None:
-                labels[row] = CLASS_ORDER.index(s.label)
-        return PackedSentences(targets, context, mask, labels)
+        w = min(self.window, int(lengths.max(initial=1)) - 1)
+        get, unknown = self.vocabulary.token_to_id.get, self.vocabulary.unknown_id
+        ids = np.fromiter((get(t, unknown) for s in sentences for t in s.tokens),
+                          dtype=np.intp, count=int(lengths.sum()))
+        first = np.cumsum(lengths) - lengths  # position of each sentence's first token
+        at = first + np.array([s.target_index for s in sentences], dtype=np.intp)
+        offsets = np.concatenate([np.arange(-w, 0), np.arange(1, w + 1)])
+        positions = at[:, None] + offsets
+        mask = (positions >= first[:, None]) & (positions < (first + lengths)[:, None])
+        context = np.full(positions.shape, self.vocabulary.pad_id, dtype=np.intp)
+        context[mask] = ids[positions[mask]]
+        labels = np.array([-1 if s.label is None else CLASS_ORDER.index(s.label)
+                           for s in sentences], dtype=np.intp)
+        return PackedSentences(ids[at], context, mask, labels)
 
     def forward(
         self, target: np.ndarray, context: np.ndarray, mask: np.ndarray
@@ -388,7 +398,13 @@ def loss_and_gradients(
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Mean class-weighted cross-entropy over a labeled batch, plus analytic
     gradients. With all weights 1 this is exactly the unweighted mean
-    cross-entropy."""
+    cross-entropy.
+
+    The embedding gradient is sparse: ``"embedding_rows"`` holds the sorted
+    ids of the rows the batch touches (its targets and used context slots)
+    and ``"embeddings"`` (len(rows), E) their gradients; every other row's
+    gradient is 0. Each row sums its terms in the order the dense (V, E)
+    gradient would, targets first, so both hold the same bits."""
     h, z = model.forward_ids(batch)
     rows = np.arange(len(batch))
     scale = 1.0 / len(batch)
@@ -399,12 +415,17 @@ def loss_and_gradients(
     dz *= (weight_vector[batch.labels] * scale)[:, None]
     dh = dz @ model.weights.T  # (B, 2E)
     e = model.embedding_dim
-    grad_embeddings = np.zeros_like(model.embeddings)
-    np.add.at(grad_embeddings, batch.targets, dh[:, :e])
-    share = dh[:, e:] / np.maximum(batch.mask.sum(axis=1), 1)[:, None]
     rows_used, slots_used = np.nonzero(batch.mask)
-    np.add.at(grad_embeddings, batch.context[rows_used, slots_used], share[rows_used])
-    return loss, {"embeddings": grad_embeddings, "weights": h.T @ dz, "bias": dz.sum(axis=0)}
+    touched, slot = np.unique(
+        np.concatenate([batch.targets, batch.context[rows_used, slots_used]]),
+        return_inverse=True,
+    )
+    grad_embeddings = np.zeros((len(touched), e))
+    np.add.at(grad_embeddings, slot[: len(batch)], dh[:, :e])
+    share = dh[:, e:] / np.maximum(batch.mask.sum(axis=1), 1)[:, None]
+    np.add.at(grad_embeddings, slot[len(batch) :], share[rows_used])
+    return loss, {"embedding_rows": touched, "embeddings": grad_embeddings,
+                  "weights": h.T @ dz, "bias": dz.sum(axis=0)}
 
 
 def _mean_loss(
@@ -491,7 +512,7 @@ def train(
             for start in range(0, len(order), config.batch_size):
                 batch = packed_train.take(order[start : start + config.batch_size])
                 _, grads = loss_and_gradients(model, batch, weight_vector)
-                model.embeddings -= learning_rate * grads["embeddings"]
+                model.embeddings[grads["embedding_rows"]] -= learning_rate * grads["embeddings"]
                 model.weights -= learning_rate * grads["weights"]
                 model.bias -= learning_rate * grads["bias"]
             record = {

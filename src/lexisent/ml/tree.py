@@ -44,11 +44,12 @@ class Tree:
 
 
 def gini(counts: np.ndarray) -> float:
-    total = counts.sum()
+    # The ufunc reductions that ``sum`` would call, without its wrapper.
+    total = np.add.reduce(counts)
     if total == 0:
         return 0.0
     p = counts / total
-    return float(1.0 - np.sum(p * p))
+    return float(1.0 - np.add.reduce(p * p))
 
 
 def split_threshold(lower: float, upper: float) -> float:
@@ -88,7 +89,7 @@ def best_split(
     changes = np.zeros(rows.shape, dtype=bool)
     np.not_equal(values[:, 1:], values[:, :-1], out=changes[:, 1:])
     ranks = np.add.accumulate(changes, axis=1, dtype=np.intp)
-    n_ranks = int(ranks[:, -1].max()) + 1
+    n_ranks = int(np.maximum.reduce(ranks[:, -1])) + 1
     if n_ranks == 1:
         return None
     # cum[f, r, c]: rows of class c whose value of feature f has rank <= r.
@@ -160,12 +161,12 @@ def build_tree(
                 feature_rng.choice(d, size=n_candidate_features, replace=False))
             found = best_split(columns, y, order, counts, features)
         if found is None:
-            nodes.append([-1, 0.0, -1, -1, counts / counts.sum()])
+            nodes.append([-1, 0.0, -1, -1, counts / np.add.reduce(counts)])
             continue
         feature, threshold, _, left_counts = found
         nodes.append([feature, threshold, node + 1, -1, np.zeros(n_classes)])
         m = order.shape[1]
-        n_left = int(left_counts.sum())
+        n_left = int(np.add.reduce(left_counts))
         right_counts = counts - left_counts
         left = right = None
         left_searched = searched(n_left, left_counts, depth + 1)

@@ -1,10 +1,13 @@
 """The batched contextual kernels against per-sentence reference loops.
 
 The reference functions below are the loop implementations the batched code
-replaced: one Python pass per sentence for the loss and its gradients, one
-score-function call per path point for Integrated Gradients, and the generic
-path integral over a score function's input gradients. The batched code may
-only reassociate floating-point sums, so every comparison holds to 1e-12.
+replaced: one Python pass per sentence for packing and for the loss and its
+gradients, one score-function call per path point for Integrated Gradients,
+and the generic path integral over a score function's input gradients. The
+batched code may only reassociate floating-point sums, so every comparison
+holds to 1e-12. Packing and the sparse embedding update reassociate nothing
+and are compared bit for bit: the first with the per-sentence loop, the
+second with the dense (V, E) gradient that training subtracted before.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from hypothesis import strategies as st
 
 from lexisent import attribution as attr
 from lexisent import contextual as ctx
-from lexisent.ml.dataset import rng_for
+from lexisent.ml.dataset import rng_for, softmax
 
-from test_contextual import toy_corpus
+from test_contextual import dense_gradients, toy_corpus
 
 TOL = 1e-12
 
@@ -57,6 +60,42 @@ def ref_triples(model, sentences):
         (model.encode(s)[0], s.target_index, ctx.CLASS_ORDER.index(s.label))
         for s in sentences
     ]
+
+
+def ref_pack(model, sentences):
+    """The per-sentence loop that :meth:`ContextModel.pack` replaced."""
+    w = min(model.window, max((len(s.tokens) for s in sentences), default=1) - 1)
+    targets = np.empty(len(sentences), dtype=np.intp)
+    context = np.full((len(sentences), 2 * w), model.vocabulary.pad_id, dtype=np.intp)
+    mask = np.zeros((len(sentences), 2 * w), dtype=bool)
+    labels = np.full(len(sentences), -1, dtype=np.intp)
+    for row, s in enumerate(sentences):
+        ids, t = model.encode(s)
+        targets[row] = ids[t]
+        left, right = ids[max(0, t - w) : t], ids[t + 1 : t + 1 + w]
+        context[row, w - len(left) : w + len(right)] = np.concatenate([left, right])
+        mask[row, w - len(left) : w + len(right)] = True
+        if s.label is not None:
+            labels[row] = ctx.CLASS_ORDER.index(s.label)
+    return ctx.PackedSentences(targets, context, mask, labels)
+
+
+def ref_dense_embedding_gradient(model, batch, weight_vector):
+    """The dense (V, E) embedding gradient of a packed batch, built as
+    :func:`ctx.loss_and_gradients` built it before it returned the touched
+    rows alone."""
+    _, z = model.forward_ids(batch)
+    dz = softmax(z)
+    dz[np.arange(len(batch)), batch.labels] -= 1.0
+    dz *= (weight_vector[batch.labels] * (1.0 / len(batch)))[:, None]
+    dh = dz @ model.weights.T
+    e = model.embedding_dim
+    grad = np.zeros_like(model.embeddings)
+    np.add.at(grad, batch.targets, dh[:, :e])
+    share = dh[:, e:] / np.maximum(batch.mask.sum(axis=1), 1)[:, None]
+    rows_used, slots_used = np.nonzero(batch.mask)
+    np.add.at(grad, batch.context[rows_used, slots_used], share[rows_used])
+    return grad
 
 
 def ref_loss_and_gradients(model, triples, weight_vector):
@@ -220,6 +259,12 @@ def sentences(draw):
     return sentence(tokens, target, draw(st.sampled_from(ctx.CLASS_ORDER)))
 
 
+@st.composite
+def labeled_or_not(draw):
+    s = draw(sentences())
+    return s if draw(st.booleans()) else ctx.TargetSentence(s.text, s.tokens, s.target_index)
+
+
 models = st.builds(
     random_model,
     seed=st.integers(0, 2**32 - 1),
@@ -242,8 +287,17 @@ EDGE_SENTENCES = [
 ]
 
 
+def assert_same_packing(model, batch):
+    packed, ref = model.pack(batch), ref_pack(model, batch)
+    for name in ("targets", "context", "mask", "labels"):
+        got, want = getattr(packed, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert np.array_equal(got, want), name
+
+
 def assert_same_loss_and_gradients(model, batch, weight_vector):
     loss, grads = ctx.loss_and_gradients(model, model.pack(batch), weight_vector)
+    grads = dense_gradients(model, grads)
     ref_loss, ref_grads = ref_loss_and_gradients(model, ref_triples(model, batch), weight_vector)
     assert loss == pytest.approx(ref_loss, rel=TOL, abs=TOL)
     for name in ("embeddings", "weights", "bias"):
@@ -271,6 +325,16 @@ class TestPack:
         packed = random_model(0, 2, window=0).pack(EDGE_SENTENCES)
         assert packed.context.shape == packed.mask.shape == (len(EDGE_SENTENCES), 0)
 
+    @given(st.integers(0, 6), st.lists(labeled_or_not(), max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, window, batch):
+        assert_same_packing(random_model(0, 2, window), batch)
+
+    @pytest.mark.parametrize("window", [0, 1, 3, 50])
+    def test_edge_sentences_and_the_empty_list_match_reference(self, window):
+        for batch in ([], EDGE_SENTENCES[:1], EDGE_SENTENCES):
+            assert_same_packing(random_model(1, 2, window), batch)
+
     def test_take_and_chunks_keep_rows(self):
         model = random_model(1, 3, window=3)
         packed = model.pack(EDGE_SENTENCES)
@@ -296,6 +360,29 @@ class TestLossAndGradients:
     @settings(max_examples=200, deadline=None)
     def test_matches_reference(self, model, batch, weight_vector):
         assert_same_loss_and_gradients(model, batch, weight_vector)
+
+    @given(models, st.lists(sentences(), min_size=1, max_size=8), weight_vectors,
+           st.floats(0.0, 2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_an_update_moves_only_the_touched_rows(self, model, batch, weight_vector,
+                                                   learning_rate):
+        """Training's sparse step leaves every other row's bits alone and gives
+        the touched rows the bits of the dense step ``E - lr * dense_grad``."""
+        packed = model.pack(batch)
+        _, grads = ctx.loss_and_gradients(model, packed, weight_vector)
+        dense_grad = ref_dense_embedding_gradient(model, packed, weight_vector)
+        assert dense_gradients(model, grads)["embeddings"].tobytes() == dense_grad.tobytes()
+        dense = model.embeddings - learning_rate * dense_grad
+        before = model.embeddings.copy()
+        model.embeddings[grads["embedding_rows"]] -= learning_rate * grads["embeddings"]
+        touched = np.zeros(len(before), dtype=bool)
+        touched[grads["embedding_rows"]] = True
+        assert model.embeddings[~touched].tobytes() == before[~touched].tobytes()
+        assert model.embeddings.tobytes() == dense.tobytes()
+        ids = {model.vocabulary.encode(t) for s in batch
+               for j, t in enumerate(s.tokens)
+               if abs(j - s.target_index) <= model.window}
+        assert grads["embedding_rows"].tolist() == sorted(ids)
 
     @given(models, st.lists(sentences(), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)

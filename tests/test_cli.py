@@ -1310,6 +1310,15 @@ class TestCtxSettings:
                 f"got {shown}\n") in capsys.readouterr().err
         assert not out.exists()
 
+    def test_generate_refuses_label_weights_whose_total_overflows(self, tmp_path, ctx_lex_file,
+                                                                  capsys):
+        out = tmp_path / "gen"
+        assert run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+                   "-n", "10", "--label-weights=1e308,1e308,1", "--out", out) == 2
+        assert ("error: --label-weights have a total that overflows, "
+                "got (1e+308, 1e+308, 1.0)\n") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, message", [
         (("-n", "10", "--label-weights", "a,b,c"),
          "--label-weights needs three comma-separated numbers, got 'a,b,c'"),

@@ -13,12 +13,22 @@ from hypothesis import strategies as st
 from lexisent import contextual as ctx
 from lexisent import metrics as evalm
 from lexisent import ml
-from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag
+from lexisent.lexicon import (LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag,
+                              context_dependent_forms, float_sum)
+from lexisent.ml.dataset import rng_for
 from lexisent.translator import word_tokens
 
 EN = LanguageCode.ENGLISH
 
 NEG, NEU, POS = ctx.CLASS_ORDER
+
+
+def dense_gradients(model, grads):
+    """``loss_and_gradients``' gradients with the embedding gradient as the
+    dense (V, E) array, zero in the rows the batch does not touch."""
+    embeddings = np.zeros_like(model.embeddings)
+    embeddings[grads["embedding_rows"]] = grads["embeddings"]
+    return {"embeddings": embeddings, "weights": grads["weights"], "bias": grads["bias"]}
 
 
 class TestParseMarked:
@@ -154,7 +164,52 @@ def lexicon_of(scored_forms: list[tuple[str, float]]) -> Lexicon:
                    for form, score in scored_forms)
 
 
+def ref_generated(lexicon, language, n, seed, label_weights):
+    """(text, label) of each sentence :func:`ctx.generate_dataset` makes, as
+    it made them while it drew each label with ``Generator.choice``."""
+    targets = context_dependent_forms(lexicon, language)
+    effective = lexicon.effective[language]
+    pools = {p: [] for p in ctx.CLASS_ORDER}
+    for form, ids in lexicon.index[language].items():
+        polarities = {Polarity.from_score(effective[i]) for i in ids}
+        if len(polarities) == 1:
+            pools[next(iter(polarities))].append(form)
+    for pool in pools.values():
+        pool.sort()
+    total = float_sum(label_weights)
+    probabilities = [w / total for w in label_weights]
+    rng = rng_for(seed, 1000)
+    out = []
+    for _ in range(n):
+        label = ctx.CLASS_ORDER[int(rng.choice(len(ctx.CLASS_ORDER), p=probabilities))]
+        pool = pools[label]
+        target = targets[int(rng.integers(len(targets)))]
+        before = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(1, 4)))]
+        after = [pool[int(rng.integers(len(pool)))] for _ in range(int(rng.integers(1, 4)))]
+        words = before + [ctx.TARGET_OPEN, target, ctx.TARGET_CLOSE] + after
+        out.append((" ".join(words) + ".", label))
+    return out
+
+
+label_weights = st.tuples(*[st.one_of(st.just(0.0), st.floats(1e-300, 1e300))] * 3).filter(
+    lambda weights: 0 < float_sum(weights) < math.inf)
+
+
 class TestGenerate:
+    @given(st.integers(0, 2**64 - 1), label_weights)
+    @settings(max_examples=100, deadline=None)
+    def test_labels_are_drawn_as_generator_choice_draws_them(self, ctx_lexicon, seed, weights):
+        corpus = ctx.generate_dataset(ctx_lexicon, EN, 40, seed=seed, label_weights=weights)
+        assert [(s.text, s.label) for s in corpus] == ref_generated(ctx_lexicon, EN, 40, seed,
+                                                                    weights)
+
+    @pytest.mark.parametrize("weights", [(0.4, 0.2, 0.4), (1, 0, 0), (0, 1, 2), (1e-300, 1, 1)])
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_labels_match_generator_choice_at_fixed_weights(self, ctx_lexicon, seed, weights):
+        corpus = ctx.generate_dataset(ctx_lexicon, EN, 200, seed=seed, label_weights=weights)
+        assert [(s.text, s.label) for s in corpus] == ref_generated(ctx_lexicon, EN, 200, seed,
+                                                                    weights)
+
     def test_counts_and_parseability(self, ctx_lexicon):
         data = ctx.generate_dataset(ctx_lexicon, EN, 200, seed=1)
         assert len(data) == 200
@@ -215,13 +270,27 @@ class TestGenerate:
 
     @pytest.mark.parametrize("weights", [
         (0.0, 0.0, 0.0), (-1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
-        (1e308, 1e308, 0.0),
     ])
     def test_label_weights_that_cannot_be_sampled_are_refused(self, ctx_lexicon, weights):
         with pytest.raises(ml.SettingError, match="^label_weights must be finite, "
                                                   "non-negative and not all 0, got ") as caught:
             ctx.generate_dataset(ctx_lexicon, EN, 10, seed=0, label_weights=weights)
         assert caught.value.setting == "label_weights"
+
+    @pytest.mark.parametrize("weights", [(1e308, 1e308, 0.0), (1e308, 1e308, 1.0)])
+    def test_label_weights_whose_total_overflows_are_refused(self, ctx_lexicon, weights):
+        with pytest.raises(ml.SettingError, match=r"^label_weights have a total that "
+                                                  r"overflows, got \(1e\+308, ") as caught:
+            ctx.generate_dataset(ctx_lexicon, EN, 10, seed=0, label_weights=weights)
+        assert caught.value.setting == "label_weights"
+
+    def test_label_weights_with_the_largest_finite_total_are_sampled(self, ctx_lexicon):
+        """Weights are not rescaled: a total just below overflow samples as
+        the same weights scaled down do."""
+        big = ctx.generate_dataset(ctx_lexicon, EN, 60, seed=3,
+                                   label_weights=(4e307, 1e307, 1.2e308))
+        small = ctx.generate_dataset(ctx_lexicon, EN, 60, seed=3, label_weights=(4, 1, 12))
+        assert [s.label for s in big] == [s.label for s in small]
 
 
 def small_model(seed=0, corpus=None, epochs=3, learning_rate=0.2, weights=None,
@@ -275,7 +344,7 @@ class TestGradients:
             value, _ = ctx.loss_and_gradients(model, batch, weight_vector)
             return value
 
-        _, grads = ctx.loss_and_gradients(model, batch, weight_vector)
+        grads = dense_gradients(model, ctx.loss_and_gradients(model, batch, weight_vector)[1])
         h = 1e-6
         for name, array in (
             ("embeddings", model.embeddings),
@@ -349,6 +418,8 @@ class TestTraining:
             model, model.pack(train[:8] * 2), weight_vector
         )
         assert loss_twice == pytest.approx(loss_once, rel=1e-12)
+        grads_once = dense_gradients(model, grads_once)
+        grads_twice = dense_gradients(model, grads_twice)
         for key in grads_once:
             assert np.allclose(grads_once[key], grads_twice[key], atol=1e-12)
 

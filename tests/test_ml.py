@@ -19,6 +19,7 @@ from lexisent import ml
 from lexisent.lexicon import (
     NEUTRAL_EPSILON, LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag,
 )
+from lexisent.ml import svm as svm_module
 from lexisent.ml.dataset import Dataset, FEATURE_NAMES, featurize, split
 from lexisent.ml.serialize import TREE_FIELDS
 from lexisent.ml.tree import best_split, gini
@@ -761,6 +762,53 @@ class TestLinearSVMMatchesPerHeadLoop:
         np.testing.assert_allclose(model.weights, expected, rtol=1e-12, atol=1e-12)
         probe = np.random.default_rng(seed + 1).normal(size=(20, d))
         assert np.array_equal(model.predict(probe), np.argmax(probe @ expected.T, axis=1))
+
+
+def reference_svm_steps(X, y, k, lam, epochs, seed):
+    """The per-step loop of all heads at once that ``_train_heads`` replaced:
+    labels, step size and the samples gathered afresh at every step."""
+    n, d = X.shape
+    rngs = [ml.dataset.rng_for(seed, c) for c in range(k)]
+    y_signed = np.where(y[None, :] == np.arange(k)[:, None], 1.0, -1.0)
+    heads = np.arange(k)
+    w = np.zeros((k, d))
+    t = 1
+    for _ in range(epochs):
+        orders = np.stack([rng.permutation(n) for rng in rngs])
+        labels = y_signed[heads[:, None], orders]
+        for step in range(n):
+            eta = 1.0 / (lam * t)
+            w *= 1.0 - 1.0 / t
+            x = X[orders[:, step]]
+            y_step = labels[:, step]
+            violated = y_step * np.einsum("kd,kd->k", w, x) < 1.0
+            w += (eta * y_step * violated)[:, None] * x
+            t += 1
+    return w
+
+
+class TestBlockedPegasosMatchesPerStepLoop:
+    """Gathering samples and computing labels and step sizes a block of
+    steps at a time keeps every bit of the weights."""
+
+    @pytest.mark.parametrize("n, epochs", [(1, 3), (37, 2), (256, 2), (300, 3), (517, 2)])
+    @pytest.mark.parametrize("lam", [1e-4, 0.3])
+    def test_weights_have_the_same_bytes(self, n, epochs, lam):
+        data = random_dataset(np.random.default_rng(n), n=n, d=6, k=4)
+        got = svm_module._train_heads(data.X, data.y, 4, lam, epochs, seed=1)
+        want = reference_svm_steps(data.X, data.y, 4, lam, epochs, seed=1)
+        assert got.tobytes() == want.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 5),
+           k=st.integers(1, 4), epochs=st.integers(1, 4), block=st.integers(1, 9))
+    @settings(max_examples=100, deadline=None)
+    def test_any_block_size_gives_the_same_bytes(self, seed, n, d, k, epochs, block):
+        data = random_dataset(np.random.default_rng(seed), n=n, d=d, k=k)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(svm_module, "GATHER_STEPS", block)
+            got = svm_module._train_heads(data.X, data.y, k, 1e-2, epochs, seed % 7)
+        want = reference_svm_steps(data.X, data.y, k, 1e-2, epochs, seed % 7)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestPredictApi:

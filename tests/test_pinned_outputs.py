@@ -17,6 +17,11 @@ published-score lexicon; a tree's probabilities are count fractions, so they
 do not depend on the BLAS build. Their SHA-256s were recorded before
 ``csv_text`` stopped running ``csv.writer``. ``comparison.json`` was pinned
 again when it stopped repeating the CSV's rows and became the run's summary.
+``ctx generate``'s ``corpus.tsv`` comes from the small English lexicon of
+the contextual tests at two seeds and one weight triple with a zero; it is
+made of PCG64 draws and string operations alone, so unlike the contextual
+model's files its bytes do not depend on the machine. Its SHA-256s were
+recorded before each label stopped being drawn by ``Generator.choice``.
 Any change to these files' bytes has to be deliberate.
 """
 
@@ -35,7 +40,7 @@ from lexisent import lexicon as lexicon_module
 from lexisent.cli import main
 from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, PosTag, serialize_lexicon
 
-from conftest import PAPER_ENTRIES
+from conftest import PAPER_ENTRIES, build_ctx_lexicon
 
 EXPECTED_SHA256 = {
     "compare/comparison.csv": "4c3659baf22b444c03a2351f795a57ef9b3641afe6a16f501735bfb5fe212d59",
@@ -57,6 +62,12 @@ ML_TRAIN_SHA256 = {
     "roc_mot.csv": "fd74b5dca5b3d32d5c2f1ae4c1ea66ee2bbe663e50d6717a93e43dab9927e2cf",
     "roc_pronompersonnel.csv": "a9656ddd0231ad35b284d31b23e6353f335aadcbb149b3baad749ded8d83fec1",
     "roc_verbe.csv": "a89c3c105d3df0597dc65164c173e624c761f3f64a18b1733045fb607ca88be0",
+}
+
+CORPUS_SHA256 = {
+    ("0", "0.4,0.2,0.4"): "18c0e0f1716f5084998a433cd17eea5cb6db1d6b17ffe0211e43611f9858d5ab",
+    ("1", "0.4,0.2,0.4"): "de08933c064dc07837c76726a1e5ecdb4768e17137649a9a2d2833bab8d69129",
+    ("1", "0,1,2"): "2e4daa9a76fbd059c85003c347970c4da268600aeaf3a6f60205b3fe8d468267",
 }
 
 #: Row 3 duplicates row 1 (French form once cleaned, POS, and a shared score
@@ -192,3 +203,16 @@ def test_ml_train_csv_outputs_are_byte_identical(tmp_path, monkeypatch, paper_le
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (tmp_path / "ml").glob("*.csv")}
     assert digests == ML_TRAIN_SHA256
+
+
+def test_ctx_generate_corpus_is_byte_identical(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lexicon.csv").write_bytes(serialize_lexicon(build_ctx_lexicon()))
+    digests = {}
+    for seed, weights in CORPUS_SHA256:
+        out = tmp_path / f"generate-{seed}-{weights}"
+        assert main(["ctx", "generate", "--lex", "lexicon.csv", "--language", "english",
+                     "-n", "300", "--seed", seed, f"--label-weights={weights}",
+                     "--out", str(out)]) == 0
+        digests[seed, weights] = hashlib.sha256((out / "corpus.tsv").read_bytes()).hexdigest()
+    assert digests == CORPUS_SHA256
