@@ -25,10 +25,12 @@ built-in English baseline; its rows go to ``comparison.csv`` alone, and
 --in``, ``compare`` and ``explain --corpus`` refuse an input that holds no
 sentences. ``explain --text`` writes ``attribution.*``, and ``explain
 --corpus`` writes ``attribution_NNNN.*`` per sentence, however many it holds.
-``ml train`` records its task, split and test rows' SHA-256 in the model, and
-``ml eval`` scores the same test split, refusing a ``--seed``,
-``--train-fraction`` or lexicon that gives another, and a model whose classes
-are not its task's. ``ml train``, ``ml eval`` and ``ctx eval`` write the same
+``ml train`` records its task and its split in the model: the seed, the
+train fraction and the test rows' SHA-256. ``ml eval`` requires that record,
+so a model saved without it must be trained again, and scores the same test
+split: ``--seed`` and ``--train-fraction`` can only confirm the record, and a
+lexicon that gives other test rows, or a model whose classes are not its
+task's, is refused. ``ml train``, ``ml eval`` and ``ctx eval`` write the same
 evaluation files: confusion matrix, metrics and one-vs-rest ROC curves; their
 summary warns when the accuracy does not exceed the majority-class accuracy,
 which ``metrics.json`` gives next to it. ``ml train`` and ``ctx train`` write
@@ -39,12 +41,16 @@ errors name the file and, where there is one, the row or line; a refused
 training setting names its flag. A CSV input is read in ``csv``'s strict
 mode, so a quote that does not close its cell is a data error.
 
-Each subcommand imports only the modules it runs, so building the parser
+Each subcommand imports its modules when it runs, so building the parser
 loads only the lexicon module and the standard library modules that every
 command needs: no numpy, no scoring or translator module, and no
 ``dataclasses`` (which would load ``inspect``, ``ast`` and ``dis``).
 ``lexicon validate|clean|stats``, ``translate`` and ``compare`` run without
-numpy or ``dataclasses``.
+numpy or ``dataclasses``. The others load more than they run: ``ml train``
+and ``ml eval`` import every classical model through :mod:`lexisent.ml`, and
+so do ``ctx`` and ``explain``, since :mod:`lexisent.contextual` takes
+``rng_for`` and ``softmax`` from :mod:`lexisent.ml.dataset`, whose package
+imports the tree, forest, naive Bayes, SVM and serialize modules.
 """
 
 from __future__ import annotations
@@ -98,12 +104,8 @@ _BLOCK_ROWS = 256
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    config = {}
-    for key, value in sorted(vars(args).items()):
-        if key in ("func", "command"):
-            continue
-        config[key] = value.value if hasattr(value, "value") else value
-    return config
+    return {key: value for key, value in sorted(vars(args).items())
+            if key not in ("func", "command")}
 
 
 @contextmanager
@@ -390,8 +392,6 @@ def _train_ml_model(dataset, args):
         return ml.train_random_forest(
             dataset, n_trees=args.n_trees, max_depth=args.max_depth,
             min_samples_split=args.min_samples_split, seed=args.seed,
-            bootstrap=not args.no_bootstrap,
-            feature_subsample=not args.no_feature_subsample,
         )
     if args.model == "gaussian_nb":
         return ml.train_gaussian_nb(dataset, var_smoothing=args.var_smoothing)
@@ -465,38 +465,32 @@ def cmd_ml_train(args) -> Output:
     )
 
 
-def _use_recorded_split(model, args) -> str | None:
+def _use_recorded_split(model, args) -> str:
     """Set ``args.seed`` and ``args.train_fraction`` to the split ``ml train``
     recorded in the model; flags given explicitly must match it. Returns the
-    recorded ``test_sha256``, or None for a model trained before it was."""
-    from .artifact import is_int
+    recorded ``test_sha256``. A model that records no such split, an int
+    ``seed``, a ``train_fraction`` in (0, 1) and a ``test_sha256``, is refused."""
+    from .artifact import is_int, require
 
-    recorded = model.hyperparameters.get("split", {})
-    if "split" in model.hyperparameters and not (
-        isinstance(recorded, dict)
-        and is_int(recorded.get("seed"))
-        and isinstance(recorded.get("train_fraction"), float)
-        and 0 < recorded["train_fraction"] < 1
-    ):
-        raise ValueError(
-            f"{args.model}: field 'split' of 'hyperparameters' is {recorded!r}, expected an "
-            "object with an int 'seed' and a 'train_fraction' in (0, 1)"
-        )
-    digest = recorded.get("test_sha256")
-    if digest is not None and not (isinstance(digest, str)
-                                   and re.fullmatch("[0-9a-f]{64}", digest)):
-        raise ValueError(f"{args.model}: field 'test_sha256' of 'split' is {digest!r}, "
-                         "expected 64 lowercase hex digits")
+    with _errors_name(args.model):
+        require(model.hyperparameters, ("split",), "'hyperparameters'")
+        recorded = model.hyperparameters["split"]
+        if not (isinstance(recorded, dict) and is_int(recorded.get("seed"))
+                and isinstance(recorded.get("train_fraction"), float)
+                and 0 < recorded["train_fraction"] < 1):
+            raise ValueError(f"field 'split' of 'hyperparameters' is {recorded!r}, expected an "
+                             "object with an int 'seed' and a 'train_fraction' in (0, 1)")
+        require(recorded, ("test_sha256",), "'split'")
+        digest = recorded["test_sha256"]
+        if not (isinstance(digest, str) and re.fullmatch("[0-9a-f]{64}", digest)):
+            raise ValueError(f"field 'test_sha256' of 'split' is {digest!r}, "
+                             "expected 64 lowercase hex digits")
     for key, flag in (("seed", "--seed"), ("train_fraction", "--train-fraction")):
         given = getattr(args, key)
-        value = recorded.get(key, given)
-        if value is None:
-            raise ValueError(f"{args.model}: the model records no split {key}; pass {flag}")
-        if given is not None and given != value:
-            raise ValueError(
-                f"{flag} {given} differs from {value}, the {key} {args.model} was trained with"
-            )
-        setattr(args, key, value)
+        if given is not None and given != recorded[key]:
+            raise ValueError(f"{flag} {given} differs from {recorded[key]}, "
+                             f"the {key} {args.model} was trained with")
+        setattr(args, key, recorded[key])
     return digest
 
 
@@ -523,7 +517,7 @@ def cmd_ml_eval(args) -> Output:
     _, test_set = ml.split(dataset, args.train_fraction, args.seed)
     if not len(test_set):
         raise ValueError(f"{args.lex}: test split is empty")
-    if test_sha256 not in (None, test_set.sha256()):
+    if test_sha256 != test_set.sha256():
         raise ValueError(f"--lex {args.lex}: its test rows differ from those {args.model} "
                          "recorded in training (entry ids, features or labels)")
     with np.errstate(over="ignore", invalid="ignore"):  # outputs that overflow are refused below
@@ -567,10 +561,7 @@ def cmd_ctx_train(args) -> Output:
     corpus = _parse_file(args.corpus, partial(ctx.read_corpus, labeled=True))
     with _errors_name(args.corpus):  # nothing is written for a corpus that cannot be trained on
         train_set, val_set, test_set = ctx.split_70_20_10(corpus, args.seed)
-        if args.uniform_weights:
-            weights = ctx.uniform_class_weights()
-        else:
-            weights = ctx.compute_class_weights([s.label for s in train_set])
+        weights = ctx.compute_class_weights([s.label for s in train_set])
         config = ctx.TrainConfig(
             embedding_dim=args.embedding_dim, window=args.window, batch_size=args.batch_size
         )
@@ -700,8 +691,6 @@ def build_parser() -> _Parser:
     p.add_argument("--max-depth", type=int, default=12)
     p.add_argument("--min-samples-split", type=int, default=2)
     p.add_argument("--n-trees", type=int, default=100)
-    p.add_argument("--no-bootstrap", action="store_true")
-    p.add_argument("--no-feature-subsample", action="store_true")
     p.add_argument("--var-smoothing", type=float, default=1e-9)
     p.add_argument("--lam", type=float, default=1e-4)
     p.add_argument("--epochs", type=int, default=50)
@@ -734,8 +723,6 @@ def build_parser() -> _Parser:
     p.add_argument("--embedding-dim", type=int, default=32)
     p.add_argument("--window", type=int, default=5)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--uniform-weights", action="store_true",
-                   help="disable inverse-frequency class weighting")
     p = add("eval", cmd_ctx_eval, ctx_sub)
     p.add_argument("--model", required=True)
     p.add_argument("--corpus", required=True)
@@ -761,7 +748,7 @@ def main(argv=None) -> int:
     passes over the many small objects a command builds find nothing to free.
     That holds because no command leaves cyclic garbage that grows with its
     input: reference counting frees what the command drops. The only cycles
-    left behind are the 671 objects that each :func:`build_parser` call
+    left behind are the 656 objects that each :func:`build_parser` call
     leaves (argparse's parsers and actions refer to each other), a count
     that does not depend on the input, so the pause stays safe. The caller's
     collector state comes back on return, and no collection is forced.

@@ -100,9 +100,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def encode(self, token: str) -> int:
-        return self.token_to_id.get(token, self.unknown_id)
-
 
 def build_vocabulary(sentences: list[TargetSentence]) -> Vocabulary:
     seen = sorted({token for s in sentences for token in s.tokens} - set(SPECIAL_TOKENS))
@@ -114,10 +111,6 @@ def compute_class_weights(labels: list[Polarity]) -> dict[Polarity, float]:
     counts = Counter(labels)
     return {p: len(labels) / (len(CLASS_ORDER) * counts[p]) if counts[p] else 0.0
             for p in CLASS_ORDER}
-
-
-def uniform_class_weights() -> dict[Polarity, float]:
-    return {polarity: 1.0 for polarity in CLASS_ORDER}
 
 
 @dataclass
@@ -302,10 +295,6 @@ class ContextModel:
     @property
     def embedding_dim(self) -> int:
         return self.embeddings.shape[1]
-
-    def encode(self, sentence: TargetSentence) -> tuple[np.ndarray, int]:
-        ids = np.array([self.vocabulary.encode(t) for t in sentence.tokens], dtype=int)
-        return ids, sentence.target_index
 
     def window_positions(self, length: int, target_index: int) -> list[int]:
         lo = max(0, target_index - self.window)

@@ -288,10 +288,6 @@ class Lexicon:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Lexicon) and self.entries == other.entries
 
-    def lookup(self, language: LanguageCode, form: str) -> tuple[LexiconEntry, ...]:
-        """The entries whose ``language`` form is ``form``, in disambiguation order."""
-        return tuple(self.entries[i] for i in self.index[language].get(form, ()))
-
 
 def _add_phrase_length(lengths: dict[str, tuple[int, ...]], form: str) -> None:
     first = form.partition(" ")[0]

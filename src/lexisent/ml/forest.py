@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .dataset import Dataset, SettingError, rng_for
 from .tree import RandomForestModel, build_tree, check_tree_training
 
@@ -17,28 +15,23 @@ def train_random_forest(
     max_depth: int | None = 12,
     min_samples_split: int = 2,
     seed: int = 0,
-    bootstrap: bool = True,
-    feature_subsample: bool = True,
 ) -> RandomForestModel:
-    """Train ``n_trees`` CART trees; each tree's RNG derives from (seed, index),
-    so results do not depend on training order."""
+    """Train ``n_trees`` CART trees, each on a bootstrap sample of the rows
+    and drawing ceil(sqrt(d)) candidate features at each split; each tree's
+    RNG derives from (seed, index), so results do not depend on training order."""
     if n_trees < 1:
         raise SettingError("n_trees", f"must be at least 1, got {n_trees}")
     check_tree_training(data, max_depth, min_samples_split)
     d = data.X.shape[1]
     n_candidates = math.isqrt(d) + (0 if math.isqrt(d) ** 2 == d else 1)  # ceil(sqrt(d))
-    subsample = feature_subsample and n_candidates < d
     trees = []
     for i in range(n_trees):
         rng = rng_for(seed, i)
-        if bootstrap:
-            idx = rng.integers(0, len(data), size=len(data))
-            X, y = data.X[idx], data.y[idx]
-        else:
-            X, y = data.X, data.y
+        idx = rng.integers(0, len(data), size=len(data))
         trees.append(
-            build_tree(X, y, len(data.class_names), max_depth, min_samples_split,
-                       feature_rng=rng if subsample else None, n_candidate_features=n_candidates)
+            build_tree(data.X[idx], data.y[idx], len(data.class_names), max_depth,
+                       min_samples_split, feature_rng=rng if n_candidates < d else None,
+                       n_candidate_features=n_candidates)
         )
     return RandomForestModel(
         kind="random_forest",
@@ -50,7 +43,5 @@ def train_random_forest(
             "n_trees": n_trees,
             "max_depth": max_depth,
             "min_samples_split": min_samples_split,
-            "bootstrap": bootstrap,
-            "feature_subsample": feature_subsample,
         },
     )

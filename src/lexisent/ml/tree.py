@@ -196,7 +196,9 @@ def build_tree(
 class RandomForestModel:
     """CART trees (:class:`Tree`) with their classes and training settings.
     ``kind`` is ``decision_tree`` for :func:`train_decision_tree`'s one tree,
-    the forest grown without bootstrap or feature sampling (Breiman 2001)."""
+    grown on every row from every feature, and ``random_forest`` for the
+    bagged trees of :func:`~lexisent.ml.forest.train_random_forest`
+    (Breiman 2001)."""
 
     kind: str
     trees: list[Tree]

@@ -1,12 +1,13 @@
 """Shared fixtures: a mini-lexicon carrying the published word scores, a
 synthetic English lexicon with context-dependent words for the contextual
-model tests, and a check that every test leaves the cyclic garbage collector
-as it found it."""
+model tests, the reference token encoder, and a check that every test leaves
+the cyclic garbage collector as it found it."""
 
 from __future__ import annotations
 
 import gc
 
+import numpy as np
 import pytest
 
 from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, PosTag
@@ -161,3 +162,11 @@ def build_ctx_lexicon() -> Lexicon:
 @pytest.fixture(scope="session")
 def ctx_lexicon() -> Lexicon:
     return build_ctx_lexicon()
+
+
+def encode(vocabulary, tokens) -> np.ndarray:
+    """The reference encoder that :meth:`ContextModel.pack` must agree with:
+    each token's vocabulary id, or the unknown id for a token outside the
+    vocabulary, looked up one token at a time."""
+    return np.array([vocabulary.token_to_id.get(t, vocabulary.unknown_id) for t in tokens],
+                    dtype=int)

@@ -20,6 +20,7 @@ from lexisent.attribution import (
 from lexisent.lexicon import LanguageCode, Polarity
 from lexisent.settings import SettingError
 
+from conftest import encode
 from test_batched_kernels import EDGE_SENTENCES, path_integrated_gradients, random_model
 from test_contextual import small_model, toy_corpus
 
@@ -138,7 +139,8 @@ def coordinate_attributions(model, amap):
     comes from the path logits, whose round-off is at most (2E + 5) eps
     ``logit_size`` on either side, and g moves by no more than its logits do.
     """
-    ids, target_index = model.encode(amap.sentence)
+    sentence = amap.sentence
+    ids, target_index = encode(model.vocabulary, sentence.tokens), sentence.target_index
     x = model.embeddings[ids]
     class_index = ctx.CLASS_ORDER.index(amap.target_class)
     attributions, *_ = path_integrated_gradients(

@@ -25,6 +25,7 @@ from lexisent import attribution as attr
 from lexisent import contextual as ctx
 from lexisent.ml.dataset import rng_for, softmax
 
+from conftest import encode
 from test_contextual import dense_gradients, toy_corpus
 
 TOL = 1e-12
@@ -57,7 +58,7 @@ def ref_log_sum_exp(z):
 
 def ref_triples(model, sentences):
     return [
-        (model.encode(s)[0], s.target_index, ctx.CLASS_ORDER.index(s.label))
+        (encode(model.vocabulary, s.tokens), s.target_index, ctx.CLASS_ORDER.index(s.label))
         for s in sentences
     ]
 
@@ -70,7 +71,7 @@ def ref_pack(model, sentences):
     mask = np.zeros((len(sentences), 2 * w), dtype=bool)
     labels = np.full(len(sentences), -1, dtype=np.intp)
     for row, s in enumerate(sentences):
-        ids, t = model.encode(s)
+        ids, t = encode(model.vocabulary, s.tokens), s.target_index
         targets[row] = ids[t]
         left, right = ids[max(0, t - w) : t], ids[t + 1 : t + 1 + w]
         context[row, w - len(left) : w + len(right)] = np.concatenate([left, right])
@@ -207,7 +208,7 @@ def path_integrated_gradients(
 def ref_integrated_gradients(model, sentence, steps):
     """(per-token attributions, F(x), F(baseline), delta, predicted index),
     integrated from the zero embedding."""
-    ids, target_index = model.encode(sentence)
+    ids, target_index = encode(model.vocabulary, sentence.tokens), sentence.target_index
     x = model.embeddings[ids].copy()
     baseline = np.zeros_like(x)
     predicted = int(np.argmax(ref_softmax(ref_logits(model, x, target_index))))
@@ -313,7 +314,7 @@ class TestPack:
         model = random_model(0, 2, window=2)
         packed = model.pack([sentence(("w0", "w1", "w2", "w3"), 1),
                              sentence(("w4",), 0, None)])
-        ids = {w: model.vocabulary.encode(w) for w in WORDS}
+        ids = dict(zip(WORDS, encode(model.vocabulary, WORDS).tolist()))
         pad = model.vocabulary.pad_id
         assert packed.targets.tolist() == [ids["w1"], ids["w4"]]
         assert packed.context.tolist() == [[pad, ids["w0"], ids["w2"], ids["w3"]],
@@ -379,17 +380,16 @@ class TestLossAndGradients:
         touched[grads["embedding_rows"]] = True
         assert model.embeddings[~touched].tobytes() == before[~touched].tobytes()
         assert model.embeddings.tobytes() == dense.tobytes()
-        ids = {model.vocabulary.encode(t) for s in batch
-               for j, t in enumerate(s.tokens)
-               if abs(j - s.target_index) <= model.window}
-        assert grads["embedding_rows"].tolist() == sorted(ids)
+        near = [t for s in batch for j, t in enumerate(s.tokens)
+                if abs(j - s.target_index) <= model.window]
+        assert grads["embedding_rows"].tolist() == sorted(set(encode(model.vocabulary, near)))
 
     @given(models, st.lists(sentences(), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_predict_batch_matches_reference(self, model, batch):
         predicted, proba = model.predict_batch(batch)
         for row, s in enumerate(batch):
-            ids, target_index = model.encode(s)
+            ids, target_index = encode(model.vocabulary, s.tokens), s.target_index
             expected = ref_softmax(ref_logits(model, model.embeddings[ids], target_index))
             np.testing.assert_allclose(proba[row], expected, rtol=TOL, atol=TOL)
         assert predicted.tolist() == np.argmax(proba, axis=1).tolist()
@@ -427,7 +427,7 @@ class TestIntegratedGradients:
     @given(models, sentences(), st.integers(1, 5), st.data())
     @settings(max_examples=100, deadline=None)
     def test_input_gradients_match_reference(self, model, s, n_points, data):
-        ids, target_index = model.encode(s)
+        ids, target_index = encode(model.vocabulary, s.tokens), s.target_index
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         points = model.embeddings[ids] + rng.normal(size=(n_points, len(ids), model.embedding_dim))
         class_index = data.draw(st.integers(0, 2))

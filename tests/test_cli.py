@@ -92,12 +92,12 @@ CLI_SURFACE = {
     "translate": {"--lex", "--text", "--from", "--to", "--in", "--out"},
     "compare": {"--lex", "--in", "--out"},
     "ml train": {"--lex", "--task", "--model", "--out", "--train-fraction", "--seed",
-                 "--max-depth", "--min-samples-split", "--n-trees", "--no-bootstrap",
-                 "--no-feature-subsample", "--var-smoothing", "--lam", "--epochs"},
+                 "--max-depth", "--min-samples-split", "--n-trees", "--var-smoothing", "--lam",
+                 "--epochs"},
     "ml eval": {"--model", "--lex", "--out", "--train-fraction", "--seed"},
     "ctx generate": {"--lex", "--language", "--count", "--seed", "--label-weights", "--out"},
     "ctx train": {"--corpus", "--out", "--epochs", "--learning-rate", "--seed",
-                  "--embedding-dim", "--window", "--batch-size", "--uniform-weights"},
+                  "--embedding-dim", "--window", "--batch-size"},
     "ctx eval": {"--model", "--corpus", "--out"},
     "explain": {"--model", "--text", "--corpus", "--out", "--steps", "--target-class"},
 }
@@ -118,7 +118,7 @@ def leaf_options(parser, path=()):
 class TestCliSurface:
     def test_options_per_subcommand(self):
         assert dict(leaf_options(build_parser())) == CLI_SURFACE
-        assert sum(len(options) for options in CLI_SURFACE.values()) == 58
+        assert sum(len(options) for options in CLI_SURFACE.values()) == 55
 
     @pytest.mark.parametrize("argv", [
         ("lexicon", "validate", "--in", "lexicon.csv", "--threads", "2"),
@@ -639,8 +639,7 @@ class TestMlCommands:
                                                          nb_model, capsys):
         """Entry ids are positional, so a changed lexicon of the same labels
         in the same order splits into the same ids; the recorded SHA-256 of
-        the test rows tells it apart. A model that records none is evaluated
-        as before."""
+        the test rows tells it apart."""
         _, test = ml.split(ml.featurize(paper_lexicon), 0.7, 3)
         entries = list(paper_lexicon.entries)
         row = int(test.provenance[0][1:]) - 1
@@ -654,23 +653,26 @@ class TestMlCommands:
             f"error: --lex {changed}: its test rows differ from those {path} recorded "
             "in training (entry ids, features or labels)\n")
         assert not out.exists()
-        model = json.loads(path.read_text())
-        del model["hyperparameters"]["split"]["test_sha256"]
-        path.write_text(json.dumps(model))
-        assert run("ml", "eval", "--model", path, "--lex", changed, "--out", out) == 0
 
-    def test_eval_needs_flags_when_no_split_is_recorded(self, tmp_path, paper_lex_file,
-                                                        nb_model, capsys):
+    @pytest.mark.parametrize("flags", [(), ("--seed", "3", "--train-fraction", "0.7")])
+    @pytest.mark.parametrize("field, message", [
+        ("split", "missing field 'split' in 'hyperparameters'"),
+        ("test_sha256", "missing field 'test_sha256' in 'split'"),
+    ])
+    def test_eval_refuses_a_model_that_records_no_split_or_digest(
+            self, tmp_path, paper_lex_file, nb_model, flags, field, message, capsys):
+        """A model saved before ``ml train`` recorded its split, or its test
+        rows' digest, is refused, even with flags that give the split."""
         path = nb_model / "model.json"
         model = json.loads(path.read_text())
-        del model["hyperparameters"]["split"]
+        split = model["hyperparameters"]["split"]
+        del (model["hyperparameters"] if field == "split" else split)[field]
         path.write_text(json.dumps(model))
-        base = ("ml", "eval", "--model", path, "--lex", paper_lex_file)
-        assert run(*base, "--out", tmp_path / "a") == 2
-        assert "records no split seed; pass --seed" in capsys.readouterr().err
-        assert run(*base, "--out", tmp_path / "b", "--seed", "3",
-                   "--train-fraction", "0.7") == 0
-        assert read_dir(tmp_path / "b")["metrics.json"] == read_dir(nb_model)["metrics.json"]
+        out = tmp_path / "eval"
+        assert run("ml", "eval", "--model", path, "--lex", paper_lex_file, "--out", out,
+                   *flags) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("trained, recorded", [("pos", "polarity"), ("polarity", "pos")])
     def test_eval_refuses_a_model_whose_classes_are_not_its_tasks(
@@ -683,7 +685,6 @@ class TestMlCommands:
         path = tmp_path / "nb" / "model.json"
         model = json.loads(path.read_text())
         model["hyperparameters"]["task"] = recorded
-        del model["hyperparameters"]["split"]["test_sha256"]
         path.write_text(json.dumps(model))
         capsys.readouterr()
         out = tmp_path / "eval"
@@ -831,6 +832,38 @@ class TestCtxAndExplain:
                               "attribution,convergence_delta")
         n_sentences = len((trained / "test.tsv").read_text().splitlines())
         assert len(summary) == n_sentences + 1
+
+    def test_explain_target_class(self, tmp_path, ctx_lex_file, capsys):
+        """``--target-class`` attributes every sentence toward that class, as
+        the library does given it, and is recorded in ``run_config.json``."""
+        from lexisent import attribution
+        from lexisent import contextual as ctx
+
+        run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+            "-n", "40", "--seed", "5", "--out", tmp_path / "gen")
+        run("ctx", "train", "--corpus", tmp_path / "gen" / "corpus.tsv",
+            "--out", tmp_path / "model", "--epochs", "2", "--embedding-dim", "4")
+        model, corpus = tmp_path / "model" / "model.json", tmp_path / "model" / "test.tsv"
+        out = tmp_path / "explained"
+        assert run("explain", "--model", model, "--corpus", corpus, "--out", out,
+                   "--steps", "8", "--target-class", "negative") == 0
+        expected = attribution.corpus_integrated_gradients(
+            ctx.load_context_model(model.read_text(encoding="utf-8")),
+            ctx.read_corpus(corpus.read_text(encoding="utf-8")), Polarity.NEGATIVE, steps=8)
+        written = [json.loads(path.read_text(encoding="utf-8"))
+                   for path in sorted(out.glob("attribution_*.json"))]
+        assert len(written) == len(expected) > 1
+        assert {amap["predicted_class"] for amap in written} != {"negative"}
+        for amap, want in zip(written, expected):
+            assert amap["target_class"] == "negative"
+            assert amap["per_token"] == [[token, value] for token, value in want.per_token]
+        assert json.loads((out / "run_config.json").read_text())["target_class"] == "negative"
+        capsys.readouterr()
+        assert run("explain", "--model", model, "--corpus", corpus, "--out", tmp_path / "bogus",
+                   "--target-class", "bogus") == 1
+        assert "usage error: argument --target-class: invalid choice: 'bogus'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "bogus").exists()
 
     def test_explain_text_equals_the_same_sentence_in_a_corpus(self, tmp_path, ctx_lex_file,
                                                               capsys):

@@ -18,9 +18,14 @@ from lexisent.lexicon import (LanguageCode, Lexicon, LexiconEntry, Polarity, Pos
 from lexisent.ml.dataset import rng_for
 from lexisent.translator import word_tokens
 
+from conftest import encode
+
 EN = LanguageCode.ENGLISH
 
 NEG, NEU, POS = ctx.CLASS_ORDER
+
+#: Class weights of 1 each: the plain, unweighted cross-entropy.
+UNIFORM = {p: 1.0 for p in ctx.CLASS_ORDER}
 
 
 def dense_gradients(model, grads):
@@ -72,9 +77,8 @@ class TestVocabulary:
         vocab = ctx.build_vocabulary(sentences)
         assert vocab.pad_id == 0 and vocab.unknown_id == 1
         assert vocab.id_to_token[:4] == ctx.SPECIAL_TOKENS
-        ids = [vocab.encode(t) for t in ("a", "b", "c")]
-        assert sorted(ids) == [4, 5, 6]
-        assert vocab.encode("never-seen") == vocab.unknown_id
+        assert sorted(encode(vocab, ("a", "b", "c"))) == [4, 5, 6]
+        assert encode(vocab, ["never-seen"]).tolist() == [vocab.unknown_id]
 
 
 class TestClassWeights:
@@ -297,7 +301,7 @@ def small_model(seed=0, corpus=None, epochs=3, learning_rate=0.2, weights=None,
                 config=None):
     corpus = corpus if corpus is not None else toy_corpus()
     train, val, _ = ctx.split_70_20_10(corpus, seed=seed)
-    weights = weights or ctx.uniform_class_weights()
+    weights = weights or UNIFORM
     config = config or ctx.TrainConfig(embedding_dim=8, window=5, batch_size=8)
     model = ctx.train(config, train, val, weights, epochs=epochs,
                       learning_rate=learning_rate, seed=seed)
@@ -325,7 +329,7 @@ class TestTrainSettings:
         (config if setting in config else kwargs)[setting] = value
         train, val, _ = ctx.split_70_20_10(toy_corpus(), seed=0)
         with pytest.raises(ml.SettingError, match=f"^{setting} {problem}$") as caught:
-            ctx.train(ctx.TrainConfig(**config), train, val, ctx.uniform_class_weights(),
+            ctx.train(ctx.TrainConfig(**config), train, val, UNIFORM,
                       seed=0, **kwargs)
         assert caught.value.setting == setting
 
@@ -367,7 +371,7 @@ class TestGradients:
 
     def test_input_gradient_matches_finite_differences(self):
         model, train, _ = small_model(epochs=2)
-        ids, target_index = model.encode(train[0])
+        ids, target_index = encode(model.vocabulary, train[0].tokens), train[0].target_index
         x = model.embeddings[ids].copy()
         _, (grad,) = model.log_prob_and_input_grad(x[None], target_index, 2)
         h = 1e-6
@@ -449,7 +453,7 @@ class TestTraining:
         with pytest.raises(ValueError, match=r"diverged: epoch 1 train loss \d\.\d+e\+\d+ "
                                              r"exceeds 100 times the untrained model's loss "
                                              r"1\.09861 at learning rate 1000000\.0$"):
-            ctx.train(ctx.TrainConfig(), train, val, ctx.uniform_class_weights(),
+            ctx.train(ctx.TrainConfig(), train, val, UNIFORM,
                       epochs=6, learning_rate=1e6, seed=0)
 
     @pytest.mark.parametrize("name", ["train", "val"])
@@ -463,17 +467,17 @@ class TestTraining:
             float("inf") if len(packed) == poisoned else mean_loss(model, packed, *rest)))
         with pytest.raises(ValueError, match=f"epoch 1 {name} loss is inf"):
             ctx.train(ctx.TrainConfig(embedding_dim=4), train, val,
-                      ctx.uniform_class_weights(), epochs=2, learning_rate=0.1, seed=0)
+                      UNIFORM, epochs=2, learning_rate=0.1, seed=0)
 
     def test_unlabeled_training_sentence_rejected(self):
         train = toy_corpus(n_per_class=3) + [ctx.parse_marked("[TARGET] x [/TARGET] y")]
         with pytest.raises(ValueError, match="unlabeled sentence"):
-            ctx.train(ctx.TrainConfig(), train, [], ctx.uniform_class_weights(),
+            ctx.train(ctx.TrainConfig(), train, [], UNIFORM,
                       epochs=1, learning_rate=0.1, seed=0)
 
     def test_empty_train_set_rejected(self):
         with pytest.raises(ValueError):
-            ctx.train(ctx.TrainConfig(), [], [], ctx.uniform_class_weights(),
+            ctx.train(ctx.TrainConfig(), [], [], UNIFORM,
                       epochs=1, learning_rate=0.1, seed=0)
 
 

@@ -376,7 +376,7 @@ class TestAddEntries:
         bigger, report = add_entries(lex, [make_entry(fr="nouveau")])
         assert len(bigger) == 4
         assert report.added == 1
-        assert bigger.lookup(LanguageCode.FRENCH, "nouveau")
+        assert bigger.index[LanguageCode.FRENCH].get("nouveau", ()) == (3,)
 
     def test_duplicate_rejected_lexicon_unchanged(self):
         lex = Lexicon([make_entry(fr="mot", score=2.0)])
@@ -547,8 +547,7 @@ class TestIndexes:
             make_entry(fr="voir", english="watch", pos=PosTag.VERBE),
             make_entry(fr="seul", english="alone"),
         ])
-        assert lex.index[LanguageCode.ENGLISH]["watch"] == (1, 0, 2)
-        assert lex.lookup(LanguageCode.ENGLISH, "watch") == tuple(lex.entries[i] for i in (1, 0, 2))
+        assert lex.index[LanguageCode.ENGLISH].get("watch", ()) == (1, 0, 2)
         (token,) = tokenize("watch", LanguageCode.ENGLISH, lex)
         assert (token.entry_id, token.alternatives) == (1, (0, 2))
 
@@ -940,7 +939,7 @@ class TestLazyTables:
         for sentence in ["I am happy", "go tšhaba go wa", "tu aimes bien"] * 20:
             for language in LanguageCode:
                 tokenize(sentence, language, lex)
-        lex.lookup(LanguageCode.ENGLISH, "happy")
+        assert lex.index[LanguageCode.ENGLISH].get("happy", ())
         assert compiled == [lex]
 
     def test_commands_that_never_look_up_a_form_never_compile(self, paper_lexicon):

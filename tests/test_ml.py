@@ -21,7 +21,6 @@ from lexisent.lexicon import (
 )
 from lexisent.ml import svm as svm_module
 from lexisent.ml.dataset import Dataset, FEATURE_NAMES, featurize, split
-from lexisent.ml.serialize import TREE_FIELDS
 from lexisent.ml.tree import best_split, gini
 
 CLASSES_AB = ("a", "b")
@@ -284,27 +283,17 @@ class TestDecisionTree:
 
 
 class TestRandomForest:
-    def test_degenerate_forest_equals_tree(self):
-        rng = np.random.default_rng(9)
-        data = random_dataset(rng, n=40, d=4, k=3)
+    def test_saved_file_names_the_kind_and_its_settings(self):
+        data = random_dataset(np.random.default_rng(9), n=40, d=4, k=3)
         tree = ml.train_decision_tree(data, max_depth=6, min_samples_split=3, seed=4)
-        forest = ml.train_random_forest(
-            data, n_trees=1, max_depth=6, min_samples_split=3, seed=4,
-            bootstrap=False, feature_subsample=False,
-        )
-        assert (tree.kind, forest.kind) == ("decision_tree", "random_forest")
-        assert len(tree.trees) == len(forest.trees) == 1
-        for name in TREE_FIELDS:
-            expected = getattr(forest.trees[0], name)
-            assert getattr(tree.trees[0], name).tobytes() == expected.tobytes()
-        probe = rng.normal(size=(60, 4))
-        assert np.array_equal(forest.predict(probe), tree.predict(probe))
-        assert np.array_equal(forest.predict_proba(probe), tree.predict_proba(probe))
-        saved = json.loads(ml.save_model(tree))
-        assert saved["kind"] == "decision_tree"
-        assert saved["seed"] == 4
-        assert len(saved["parameters"]["trees"]) == 1
-        assert saved["hyperparameters"] == {"max_depth": 6, "min_samples_split": 3}
+        forest = ml.train_random_forest(data, n_trees=2, max_depth=6, min_samples_split=3,
+                                        seed=4)
+        saved = [json.loads(ml.save_model(model)) for model in (tree, forest)]
+        assert [(s["kind"], s["seed"], len(s["parameters"]["trees"])) for s in saved] == [
+            ("decision_tree", 4, 1), ("random_forest", 4, 2)]
+        assert saved[0]["hyperparameters"] == {"max_depth": 6, "min_samples_split": 3}
+        assert saved[1]["hyperparameters"] == {"n_trees": 2, "max_depth": 6,
+                                               "min_samples_split": 3}
 
     def test_same_seed_identical(self):
         rng = np.random.default_rng(10)
@@ -447,19 +436,17 @@ def reference_proba(roots, X, n_classes):
     return np.stack(per_tree).mean(axis=0)
 
 
-def reference_forest(data, n_trees, max_depth, min_samples_split, seed, bootstrap,
-                     feature_subsample):
-    """The root of each tree :func:`ml.train_random_forest` grows."""
-    d = data.X.shape[1]
-    n_candidates = math.ceil(math.sqrt(d))
+def reference_forest(data, n_trees, max_depth, min_samples_split, seed):
+    """The root of each tree :func:`ml.train_random_forest` grows: each on a
+    bootstrap sample, drawing ceil(sqrt(d)) candidate features per split."""
+    n_candidates = math.ceil(math.sqrt(data.X.shape[1]))
     roots = []
     for i in range(n_trees):
         rng = ml.dataset.rng_for(seed, i)
-        idx = rng.integers(0, len(data), size=len(data)) if bootstrap else np.arange(len(data))
+        idx = rng.integers(0, len(data), size=len(data))
         roots.append(reference_build(
             data.X[idx], data.y[idx], len(data.class_names), max_depth, min_samples_split,
-            feature_rng=rng if feature_subsample else None,
-            n_candidate_features=n_candidates if feature_subsample else None,
+            feature_rng=rng, n_candidate_features=n_candidates,
         ))
     return roots
 
@@ -496,13 +483,10 @@ class TestFlatTreeMatchesNodeGraph:
         max_depth=st.sampled_from([None, 1, 3]),
         min_samples_split=st.sampled_from([2, 5]),
         n_trees=st.integers(1, 3),
-        bootstrap=st.booleans(),
-        feature_subsample=st.booleans(),
     )
     @settings(max_examples=250, deadline=None)
     def test_predictions_and_round_trip(self, seed, n, d, k, used, kind, levels, max_depth,
-                                        min_samples_split, n_trees, bootstrap,
-                                        feature_subsample):
+                                        min_samples_split, n_trees):
         rng = np.random.default_rng(seed)
         # Labels from the first ``used`` classes leave the others absent from every node.
         data = dataset_from(columns_of(kind, rng, n, d, levels),
@@ -514,14 +498,12 @@ class TestFlatTreeMatchesNodeGraph:
         tree = ml.train_decision_tree(data, max_depth=max_depth,
                                       min_samples_split=min_samples_split)
         forest = ml.train_random_forest(data, n_trees=n_trees, max_depth=max_depth,
-                                        min_samples_split=min_samples_split, seed=seed % 97,
-                                        bootstrap=bootstrap, feature_subsample=feature_subsample)
+                                        min_samples_split=min_samples_split, seed=seed % 97)
         expected = [
             (tree, reference_proba([reference_build(data.X, data.y, k, max_depth,
                                                     min_samples_split)], probe, k)),
             (forest, reference_proba(reference_forest(data, n_trees, max_depth,
-                                                      min_samples_split, seed % 97, bootstrap,
-                                                      feature_subsample), probe, k)),
+                                                      min_samples_split, seed % 97), probe, k)),
         ]
         for model, want in expected:
             assert model.predict_proba(probe).tobytes() == want.tobytes()
@@ -566,7 +548,7 @@ class TestBestSplitPerNode:
                             counted("reference", reference_best_split))
         if forest:
             ml.train_random_forest(data, n_trees=3, max_depth=5, seed=seed)
-            reference_forest(data, 3, 5, 2, seed, True, True)
+            reference_forest(data, 3, 5, 2, seed)
         else:
             model = ml.train_decision_tree(data, max_depth=5)
             reference_build(data.X, data.y, 3, 5, 2)
