@@ -32,7 +32,7 @@ import numpy as np
 from . import contextual
 from .contextual import CLASS_ORDER, ContextModel, TargetSentence, _log_sum_exp
 from .lexicon import Polarity, csv_text, json_text
-from .ml.dataset import softmax
+from .numeric import softmax
 from .settings import DEFAULT_STEPS, SettingError
 
 

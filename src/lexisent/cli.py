@@ -12,8 +12,14 @@ nothing, and only a failing write can leave a partial directory.
 Every input file is read as a text stream (:func:`_parse_file`): the
 lexicon, sentence and corpus readers take its lines one at a time, so memory
 holds what a file parses to, not its text as well; a model file, one JSON
-document, is read whole. Each input is still read and checked in full before
-a command returns, so a refused run still writes nothing. ``compare`` and
+document, is read whole. The three input tables (the lexicon, the sentence
+CSVs and the tab-separated contextual corpus) are split into rows by one
+reader, :func:`~lexisent.lexicon.table_rows`, in ``csv``'s strict mode with
+lines ended only by ``\\n``, ``\\r\\n`` or ``\\r``. A CSV's header is row 0
+and the corpus has none; data rows count from 1 and must hold the table's
+column count, so a blank row is refused; every data error names its row
+and, for a bad cell, its column. Each input is read and checked in full
+before a command returns, so a refused run writes nothing. ``compare`` and
 ``translate --in`` also stream their large file: each returns it as chunks
 of text that are scored or translated a block of rows at a time while the
 file is written, so memory holds the parsed input and one block, not every
@@ -37,26 +43,24 @@ which ``metrics.json`` gives next to it. ``ml train`` and ``ctx train`` write
 ``model.json`` in model format 2, whose ``kind`` names the model; files of
 any other format version are refused, so models saved by older versions must
 be trained again. Exit codes: 0 success, 1 usage error, 2 data error; data
-errors name the file and, where there is one, the row or line; a refused
-training setting names its flag. A CSV input is read in ``csv``'s strict
-mode, so a quote that does not close its cell is a data error.
+errors name the file and, in an input table, the row; a refused training
+setting names its flag.
 
 Each subcommand imports its modules when it runs, so building the parser
 loads only the lexicon module and the standard library modules that every
 command needs: no numpy, no scoring or translator module, and no
 ``dataclasses`` (which would load ``inspect``, ``ast`` and ``dis``).
 ``lexicon validate|clean|stats``, ``translate`` and ``compare`` run without
-numpy or ``dataclasses``. The others load more than they run: ``ml train``
-and ``ml eval`` import every classical model through :mod:`lexisent.ml`, and
-so do ``ctx`` and ``explain``, since :mod:`lexisent.contextual` takes
-``rng_for`` and ``softmax`` from :mod:`lexisent.ml.dataset`, whose package
-imports the tree, forest, naive Bayes, SVM and serialize modules.
+numpy or ``dataclasses``. ``ml train`` and ``ml eval`` import every
+classical model through :mod:`lexisent.ml`. ``ctx`` and ``explain`` import
+the contextual model and its attributions, which take ``rng_for`` and
+``softmax`` from :mod:`lexisent.numeric`, and load no :mod:`lexisent.ml`
+module.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import math
 import re
@@ -76,6 +80,8 @@ from .lexicon import (
     parse_lexicon,
     require_normalized,
     serialize_lexicon,
+    table_rows,
+    unknown_value,
     validate_lexicon,
 )
 from .settings import DEFAULT_STEPS, MODEL_KINDS, TASKS, SettingError
@@ -170,37 +176,30 @@ _LANGUAGE_BY_VALUE: dict[str, LanguageCode] = {code.value: code for code in Lang
 
 def _sentence_rows(lines: Iterable[str], header: tuple[str, ...]) -> list[list]:
     """The data rows of a CSV with ``header``, read from its lines (line ends
-    kept): a sentence, then language cells parsed to :class:`LanguageCode`.
-    Errors raise :class:`LexiconFormatError`, located as a lexicon's are: by
-    the row (header = 0) and, for an unknown language, its column."""
+    kept) by :func:`~lexisent.lexicon.table_rows`: a sentence, then language
+    cells parsed to :class:`LanguageCode`; an unknown language is a
+    :class:`LexiconFormatError` naming its row and column. A file of no rows
+    is refused: an agreement over no sentences would read a vacuous 1.000."""
     rows = []
-    try:  # ``rows`` keeps the rows read before an error, so its length is the bad row
-        rows.extend(csv.reader(lines, strict=True))
-    except csv.Error as exc:
-        raise LexiconFormatError(f"malformed CSV: {exc}", len(rows)) from None
-    if not rows or tuple(rows[0]) != header:  # a repr shows a BOM or a stray space
-        found = rows[0] if rows else []
-        raise LexiconFormatError(f"bad header {found!r}; expected {','.join(header)}", 0)
-    for row_no, row in enumerate(rows[1:], start=1):
-        if len(row) != len(header):
-            raise LexiconFormatError(f"expected {len(header)} columns, found {len(row)}", row_no)
+    for row_no, row in table_rows(lines, header):
         for i in range(1, len(row)):
             code = _LANGUAGE_BY_VALUE.get(row[i])
             if code is None:
-                try:
-                    code = LanguageCode.parse(row[i])
-                except ValueError as exc:
-                    raise LexiconFormatError(str(exc), row_no, header[i]) from None
+                raise LexiconFormatError(
+                    unknown_value("language", row[i], LanguageCode), row_no, header[i])
             row[i] = code
-    return rows[1:]
+        rows.append(row)
+    if not rows:
+        raise ValueError("no sentences")
+    return rows
 
 
 def _language(flag: str, value: str) -> LanguageCode:
     """The language a flag names; an unknown one is refused, naming the flag."""
-    try:
-        return LanguageCode.parse(value)
-    except ValueError as exc:
-        raise SettingError(flag, str(exc)) from None
+    code = _LANGUAGE_BY_VALUE.get(value)
+    if code is None:
+        raise SettingError(flag, unknown_value("language", value, LanguageCode))
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +300,6 @@ def cmd_translate(args) -> Output:
         args.infile,
         partial(_sentence_rows, header=("sentence", "source_language", "target_language")),
     )
-    if not rows:
-        raise ValueError(f"{args.infile}: no sentences")
     return (
         {"translations.csv": _translation_chunks(rows, lexicon)},
         f"translated {len(rows)} sentences",
@@ -369,8 +366,6 @@ class _Comparison:
 def cmd_compare(args) -> Output:
     lexicon = _parse_file(args.lex, _normalized_lexicon)
     rows = _parse_file(args.infile, partial(_sentence_rows, header=("sentence", "language")))
-    if not rows:  # an agreement over no sentences would read a vacuous 1.000
-        raise ValueError(f"{args.infile}: no sentences")
     comparison = _Comparison(rows, lexicon)
     return ({"comparison.csv": comparison.csv_chunks(),
              "comparison.json": comparison.summary_chunks()}, comparison.summary)

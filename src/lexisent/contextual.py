@@ -12,19 +12,21 @@ line between the baseline's and the input's logits.
 
 from __future__ import annotations
 
+import csv
 import logging
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from . import artifact
 from .artifact import checked_array, checked_names, is_int
-from .lexicon import LanguageCode, Lexicon, Polarity, context_dependent_forms, csv_text, float_sum
-from .ml.dataset import SettingError, rng_for, softmax
+from .lexicon import (LanguageCode, Lexicon, LexiconFormatError, Polarity,
+                      context_dependent_forms, csv_text, float_sum, table_rows, unknown_value)
+from .numeric import rng_for, softmax
+from .settings import SettingError
 from .translator import word_tokens
 
 log = logging.getLogger(__name__)
@@ -457,7 +459,7 @@ def train(
     the untrained model's, instead of returning a diverged model. Zero
     weights and bias give each class probability 1/3, so the untrained
     model's loss is ln 3 times the mean class weight of ``train_set``. A
-    setting that cannot train a model raises :class:`~lexisent.ml.SettingError`.
+    setting that cannot train a model raises :class:`~lexisent.settings.SettingError`.
     """
     minimums = (("embedding_dim", config.embedding_dim, 1), ("epochs", epochs, 1),
                 ("window", config.window, 0), ("batch_size", config.batch_size, 1))
@@ -549,48 +551,47 @@ def accuracy(model: ContextModel, sentences: list[TargetSentence]) -> float:
 # file formats
 
 
+#: The corpus labels; an unlabeled corpus also accepts an empty one.
+_LABELS: dict[str, Polarity] = {p.value: p for p in CLASS_ORDER}
+
+
 def write_corpus(sentences: list[TargetSentence]) -> str:
     """TSV with one ``marked_sentence<TAB>label`` line per sentence. A text
-    that :func:`read_corpus` would not read back as one field of one line,
-    holding a tab or a :meth:`str.splitlines` boundary, is refused."""
+    holding a tab, ``\\r`` or ``\\n``, which :func:`read_corpus` splits on, is
+    refused."""
     lines = []
     for s in sentences:
-        if "\t" in s.text or s.text.splitlines() != [s.text]:
+        if "\t" in s.text or "\r" in s.text or "\n" in s.text:
             raise ValueError(f"marked sentence {s.text!r} holds a tab or a line break")
         label = s.label.value if s.label is not None else ""
         lines.append(f"{s.text}\t{label}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def read_corpus(lines: Iterable[str] | str, labeled: bool = False) -> list[TargetSentence]:
-    """Parse a corpus TSV from its lines, such as an open text file, or from
-    its whole text; with ``labeled`` an empty label is an error.
-
-    Lines break where :meth:`str.splitlines` breaks the whole text: each line
-    read is split again, so ``\\x0b``, ``\\x0c``, ``\\x1c``-``\\x1e``,
-    ``\\x85``, ``\\u2028`` and ``\\u2029`` end a line as ``\\n`` does, and
-    errors name the same line numbers whether the corpus is read as lines or
-    as text.
+def read_corpus(lines: Iterable[str], labeled: bool = False) -> list[TargetSentence]:
+    """Parse a corpus TSV from its lines (line ends kept, as a file opened
+    with ``newline=""`` gives them); with ``labeled`` an empty label is an
+    error. The rows come from :func:`~lexisent.lexicon.table_rows`, with no
+    header and cells split at the tab with no quoting. Errors raise
+    :class:`~lexisent.lexicon.LexiconFormatError` naming the row and, for a
+    byte-order mark, bad markup or a bad label, the column.
     """
     sentences = []
-    split = chain.from_iterable(map(str.splitlines, (lines,) if isinstance(lines, str) else lines))
-    for line_no, line in enumerate(split, start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
-            raise ValueError(f"line {line_no}: expected 'sentence<TAB>label'")
-        marked, label_text = fields
-        if labeled and not label_text:
-            raise ValueError(
-                f"line {line_no}: no label; expected one of "
-                + ", ".join(p.value for p in CLASS_ORDER)
-            )
+    rows = table_rows(lines, ("sentence", "label"), header=False, delimiter="\t",
+                      quoting=csv.QUOTE_NONE)
+    for row_no, (marked, label_text) in rows:  # cells are checked in file order
+        if row_no == 1 and marked.startswith("\ufeff"):
+            raise LexiconFormatError(
+                "starts with a byte-order mark (U+FEFF); save the file as UTF-8 without one",
+                row_no, "sentence")
         try:
-            label = Polarity(label_text) if label_text else None
-            sentences.append(parse_marked(marked, label=label))
-        except ValueError as exc:  # a bad label or MarkupError
-            raise type(exc)(f"line {line_no}: {exc}") from None
+            sentence = parse_marked(marked, _LABELS.get(label_text))
+        except MarkupError as exc:
+            raise LexiconFormatError(str(exc), row_no, "sentence") from None
+        if label_text not in _LABELS and (label_text or labeled):
+            raise LexiconFormatError(
+                unknown_value("label", label_text, CLASS_ORDER), row_no, "label")
+        sentences.append(sentence)
     return sentences
 
 

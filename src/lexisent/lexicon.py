@@ -47,16 +47,6 @@ class LanguageCode(str, Enum):
     SEPEDI = "sepedi"
     ZULU = "zulu"
 
-    @classmethod
-    def parse(cls, text: str) -> "LanguageCode":
-        try:
-            return cls(text)
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(
-                f"unknown language {text!r} (expected one of: {valid})"
-            ) from None
-
 
 class PosTag(str, Enum):
     """Part-of-speech labels exactly as they appear in the source data.
@@ -75,16 +65,6 @@ class PosTag(str, Enum):
     PRONOMPERSONNEL = "pronompersonnel"
     VERBE = "verbe"
 
-    @classmethod
-    def parse(cls, text: str) -> "PosTag":
-        try:
-            return cls(text)
-        except ValueError:
-            valid = ", ".join(m.value for m in cls)
-            raise ValueError(
-                f"unknown POS tag {text!r} (expected one of: {valid})"
-            ) from None
-
 
 class Polarity(str, Enum):
     NEGATIVE = "negative"
@@ -98,6 +78,11 @@ class Polarity(str, Enum):
         if score < -NEUTRAL_EPSILON:
             return cls.NEGATIVE
         return cls.NEUTRAL
+
+
+def unknown_value(what: str, text: str, members: Iterable[Enum]) -> str:
+    """Why ``text``, a cell or a flag's value, is refused: it is none of ``members``."""
+    return f"unknown {what} {text!r} (expected one of: {', '.join(m.value for m in members)})"
 
 
 #: Per-language score column names, in header order.
@@ -118,7 +103,10 @@ CSV_HEADER: tuple[str, ...] = tuple(
 
 
 class LexiconFormatError(ValueError):
-    """A malformed lexicon or sentence CSV. Carries the 1-based data row (0 = header)."""
+    """A malformed input table: the lexicon, a sentence CSV or a contextual
+    corpus. Carries the row (the header's is 0, data rows count from 1) and,
+    where one cell is at fault, its column; the message starts with both, as
+    ``[row 3, column 'pos']``."""
 
     def __init__(self, message: str, row: int | None = None, column: str | None = None):
         self.row = row
@@ -130,6 +118,35 @@ class LexiconFormatError(ValueError):
             where.append(f"column {column!r}")
         prefix = f"[{', '.join(where)}] " if where else ""
         super().__init__(prefix + message)
+
+
+def table_rows(lines: Iterable[str], columns: tuple[str, ...], header: bool = True,
+               **dialect) -> Iterator[tuple[int, list[str]]]:
+    """``(row, cells)`` for each data row of the table of ``columns`` in
+    ``lines`` (line ends kept, as a file opened with ``newline=""`` gives
+    them), split by ``csv.reader`` in strict mode with ``dialect``.
+
+    With ``header`` the first row must equal ``columns`` and is row 0. Data
+    rows count from 1 and must each hold ``len(columns)`` cells, so a blank
+    line is refused. A bad header, a wrong cell count or a row ``csv`` cannot
+    split raises :class:`LexiconFormatError` naming the row; the caller
+    checks the cells.
+    """
+    reader = csv.reader(lines, strict=True, **dialect)
+    row_no = -1 if header else 0  # the last row read whole
+    try:
+        if header:
+            found = next(reader, [])
+            if tuple(found) != columns:  # a repr shows a BOM or a stray space
+                raise LexiconFormatError(f"bad header {found!r}; expected {','.join(columns)}", 0)
+            row_no = 0
+        for row_no, row in enumerate(reader, row_no + 1):
+            if len(row) != len(columns):
+                raise LexiconFormatError(
+                    f"expected {len(columns)} columns, found {len(row)}", row_no)
+            yield row_no, row
+    except csv.Error as exc:
+        raise LexiconFormatError(f"malformed CSV: {exc}", row_no + 1) from None
 
 
 def normalize_sentence(sentence: str) -> str:
@@ -332,10 +349,9 @@ def parse_lexicon(source: bytes | str | Iterable[str]) -> Lexicon:
     parsed as they are read, so a file read as lines is never held as one
     text. Rows are kept in file order and are *not* cleaned: un-trimmed or
     mixed-case forms and duplicate rows survive parsing so that
-    :func:`clean` can report them. Lines may end in ``\\n``, ``\\r\\n`` or
-    ``\\r``. The CSV is read in ``csv``'s strict mode: a quoted cell must be
-    followed by ``,`` or a line end, and a quote must close before the file
-    ends; a ``"`` inside an unquoted cell stays part of it.
+    :func:`clean` can report them. The rows come from :func:`table_rows`,
+    which checks the header :data:`CSV_HEADER` and each row's column count; a
+    ``"`` inside an unquoted cell stays part of it.
 
     A row's first error is raised by the check that finds it, with the
     1-based data row and, for every check but the column count, the column.
@@ -355,69 +371,48 @@ def parse_lexicon(source: bytes | str | Iterable[str]) -> Lexicon:
             source = source.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise LexiconFormatError(f"lexicon is not valid UTF-8: {exc}") from None
-    reader = csv.reader(
-        io.StringIO(source, newline="") if isinstance(source, str) else source, strict=True
-    )
+    lines = io.StringIO(source, newline="") if isinstance(source, str) else source
     entries: list[LexiconEntry] = []
-    header = None
-    try:
-        header = next(reader, None)
-        if header is None:
-            raise LexiconFormatError("empty lexicon file", row=0)
-        if tuple(header) != CSV_HEADER:
+    # Score literal -> its float, for literals that passed the checks. A miss
+    # is converted inline: a helper call per miss costs more than the table
+    # saves when every literal is new.
+    scores: dict[str, float] = {}
+    for row_no, row in table_rows(lines, CSV_HEADER):
+        if not row[_FRENCH_CELL]:
+            raise LexiconFormatError("missing required french form", row_no, "french")
+        pos = _POS_BY_VALUE.get(row[_POS_CELL])
+        if pos is None:
             raise LexiconFormatError(
-                f"bad header {header!r}; expected {','.join(CSV_HEADER)}", row=0
+                unknown_value("POS tag", row[_POS_CELL], PosTag), row_no, "pos")
+        if not row[_SCORE_CELL]:
+            raise LexiconFormatError("invalid score literal ''", row_no, "score")
+        per_language = {}  # holds the shared score too, under None, until popped
+        for i, lang, column in _ROW_SCORE_CELLS:
+            cell = row[i]
+            if cell:
+                value = scores.get(cell)
+                if value is None:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        raise LexiconFormatError(
+                            f"invalid score literal {cell!r}", row_no, column
+                        ) from None
+                    if not SCORE_MIN <= value <= SCORE_MAX:  # written so that NaN fails too
+                        check_score(value, row_no, column)  # raises the range error
+                    if len(scores) == _MEMO_LIMIT:
+                        scores.clear()
+                    scores[cell] = value
+                per_language[lang] = value
+        shared = per_language.pop(None)
+        entries.append(
+            LexiconEntry(
+                {lang: row[i] for i, lang in _FORM_CELLS if row[i]},
+                pos,
+                shared,
+                per_language,
             )
-        n_columns = len(CSV_HEADER)
-        # Score literal -> its float, for literals that passed the checks. A
-        # miss is converted inline: a helper call per miss costs more than the
-        # table saves when every literal is new.
-        scores: dict[str, float] = {}
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != n_columns:
-                raise LexiconFormatError(
-                    f"expected {n_columns} columns, found {len(row)}", row=row_no
-                )
-            if not row[_FRENCH_CELL]:
-                raise LexiconFormatError("missing required french form", row_no, "french")
-            pos = _POS_BY_VALUE.get(row[_POS_CELL])
-            if pos is None:
-                try:
-                    pos = PosTag.parse(row[_POS_CELL])
-                except ValueError as exc:
-                    raise LexiconFormatError(str(exc), row_no, "pos") from None
-            if not row[_SCORE_CELL]:
-                raise LexiconFormatError("invalid score literal ''", row_no, "score")
-            per_language = {}  # holds the shared score too, under None, until popped
-            for i, lang, column in _ROW_SCORE_CELLS:
-                cell = row[i]
-                if cell:
-                    value = scores.get(cell)
-                    if value is None:
-                        try:
-                            value = float(cell)
-                        except ValueError:
-                            raise LexiconFormatError(
-                                f"invalid score literal {cell!r}", row_no, column
-                            ) from None
-                        if not SCORE_MIN <= value <= SCORE_MAX:  # written so that NaN fails too
-                            check_score(value, row_no, column)  # raises the range error
-                        if len(scores) == _MEMO_LIMIT:
-                            scores.clear()
-                        scores[cell] = value
-                    per_language[lang] = value
-            shared = per_language.pop(None)
-            entries.append(
-                LexiconEntry(
-                    {lang: row[i] for i, lang in _FORM_CELLS if row[i]},
-                    pos,
-                    shared,
-                    per_language,
-                )
-            )
-    except csv.Error as exc:  # the reader could not split the header or the next row
-        row_no = 0 if header is None else len(entries) + 1
-        raise LexiconFormatError(f"malformed CSV: {exc}", row=row_no) from None
+        )
     return Lexicon(entries)
 
 

@@ -11,6 +11,7 @@ from itertools import chain
 import numpy as np
 
 from ..lexicon import LanguageCode, Lexicon, Polarity, PosTag, csv_text
+from ..numeric import rng_for
 from ..settings import TASKS, SettingError
 
 log = logging.getLogger(__name__)
@@ -80,18 +81,6 @@ def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:
         class_names=tuple(m.value for m in classes),
         provenance=tuple(f"r{row}" for row in range(1, len(entries) + 1)),
     )
-
-
-def rng_for(seed: int, *stream: int) -> np.random.Generator:
-    """Independent generator for (seed, stream...); deterministic per key."""
-    key = [seed & 0xFFFFFFFFFFFFFFFF] + [s & 0xFFFFFFFFFFFFFFFF for s in stream]
-    return np.random.default_rng(np.random.SeedSequence(key))
-
-
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, with each row's maximum subtracted first."""
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def split(data: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:

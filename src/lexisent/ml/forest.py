@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import math
 
-from .dataset import Dataset, SettingError, rng_for
+from ..numeric import rng_for
+from .dataset import Dataset, SettingError
 from .tree import RandomForestModel, build_tree, check_tree_training
 
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, SettingError, softmax
+from ..numeric import softmax
+from .dataset import Dataset, SettingError
 
 
 @dataclass

@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, SettingError, rng_for, softmax
+from ..numeric import rng_for, softmax
+from .dataset import Dataset, SettingError
 
 
 @dataclass

@@ -1,16 +1,25 @@
 """Shared fixtures: a mini-lexicon carrying the published word scores, a
 synthetic English lexicon with context-dependent words for the contextual
-model tests, the reference token encoder, and a check that every test leaves
-the cyclic garbage collector as it found it."""
+model tests, the reference token encoder, a check that every test leaves
+the cyclic garbage collector as it found it, and the hypothesis profile
+``ci``."""
 
 from __future__ import annotations
 
 import gc
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lexisent.lexicon import LanguageCode, Lexicon, LexiconEntry, PosTag
+
+# With HYPOTHESIS_PROFILE=ci, as the CI workflow sets, every property draws
+# the same examples on every run, so a failure in a CI log reproduces.
+settings.register_profile("ci", derandomize=True)
+if os.environ.get("HYPOTHESIS_PROFILE") == "ci":
+    settings.load_profile("ci")
 
 FR = LanguageCode.FRENCH
 CIL = LanguageCode.CILUBA

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from lexisent import attribution as attr
 from lexisent import contextual as ctx
-from lexisent.ml.dataset import rng_for, softmax
+from lexisent.numeric import rng_for, softmax
 
 from conftest import encode
 from test_contextual import dense_gradients, toy_corpus

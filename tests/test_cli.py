@@ -847,9 +847,11 @@ class TestCtxAndExplain:
         out = tmp_path / "explained"
         assert run("explain", "--model", model, "--corpus", corpus, "--out", out,
                    "--steps", "8", "--target-class", "negative") == 0
+        with open(corpus, encoding="utf-8", newline="") as lines:
+            sentences = ctx.read_corpus(lines)
         expected = attribution.corpus_integrated_gradients(
             ctx.load_context_model(model.read_text(encoding="utf-8")),
-            ctx.read_corpus(corpus.read_text(encoding="utf-8")), Polarity.NEGATIVE, steps=8)
+            sentences, Polarity.NEGATIVE, steps=8)
         written = [json.loads(path.read_text(encoding="utf-8"))
                    for path in sorted(out.glob("attribution_*.json"))]
         assert len(written) == len(expected) > 1
@@ -992,14 +994,58 @@ class TestErrorsNameTheFile:
         assert run(*command, "--model", model, "--out", tmp_path / "out") == 2
         assert f"{model}: expected a JSON object" in capsys.readouterr().err
 
-    def test_corpus_error_names_file_and_line(self, tmp_path, models, capsys):
+    def test_corpus_error_names_file_row_and_column(self, tmp_path, models, capsys):
         _, ctx_model = models
         corpus = tmp_path / "bad.tsv"
         corpus.write_text("[TARGET] a [/TARGET] b\tneutral\n[TARGET] c [/TARGET]\tangry\n",
                           encoding="utf-8")
         assert run("ctx", "eval", "--model", ctx_model, "--corpus", corpus,
                    "--out", tmp_path / "out") == 2
-        assert f"{corpus}: line 2: 'angry'" in capsys.readouterr().err
+        assert f"{corpus}: [row 2, column 'label'] unknown label 'angry'" in (
+            capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", [("ctx", "train"), ("ctx", "eval"), ("explain",)],
+                             ids=["ctx-train", "ctx-eval", "explain"])
+    @pytest.mark.parametrize("text, message", [
+        ("\ufeff[TARGET] good [/TARGET] day\tpositive\n",
+         "[row 1, column 'sentence'] starts with a byte-order mark (U+FEFF); "
+         "save the file as UTF-8 without one"),
+        ("[TARGET] good [/TARGET] day\tpositive\n\n[TARGET] bad [/TARGET] day\tnegative\n",
+         "[row 2] expected 2 columns, found 0"),
+        ("[TARGET] good [/TARGET] day\tpositive\n[TARGET] bad [/TARGET] day\tangry\n",
+         "[row 2, column 'label'] unknown label 'angry' "
+         "(expected one of: negative, neutral, positive)"),
+    ], ids=["bom", "blank-row", "bad-label"])
+    def test_a_bad_corpus_row_exits_2_and_writes_nothing(self, tmp_path, models, command,
+                                                        text, message, capsys):
+        _, ctx_model = models
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(text, encoding="utf-8")
+        model_flag = [] if command == ("ctx", "train") else ["--model", ctx_model]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert run(*command, *model_flag, "--corpus", corpus, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: {corpus}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, header", [
+        ("lexicon", ",".join(CSV_HEADER)),
+        ("compare", "sentence,language"),
+        ("translate", "sentence,source_language,target_language"),
+    ])
+    def test_an_empty_table_is_refused_by_its_header(self, tmp_path, paper_lex_file, command,
+                                                     header, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_bytes(b"")
+        out = tmp_path / "out"
+        if command == "lexicon":
+            argv = ("lexicon", "clean", "--in", empty, "--out", out)
+        else:
+            argv = (command, "--lex", paper_lex_file, "--in", empty, "--out", out)
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {empty}: [row 0] bad header []; expected {header}\n")
+        assert not out.exists()
 
     def test_short_sentence_row_names_file_and_row(self, tmp_path, paper_lex_file, capsys):
         sentences = tmp_path / "sents.csv"
@@ -1071,8 +1117,8 @@ class TestErrorsNameTheFile:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "eval"])
-    def test_unlabeled_corpus_line_names_file_and_line(self, tmp_path, models, command,
-                                                       capsys):
+    def test_unlabeled_corpus_row_names_file_row_and_column(self, tmp_path, models, command,
+                                                            capsys):
         _, ctx_model = models
         corpus = tmp_path / "unlabeled.tsv"
         lines = (ctx_model.parent / "train.tsv").read_text(encoding="utf-8").splitlines()
@@ -1081,7 +1127,7 @@ class TestErrorsNameTheFile:
         model_flag = ["--model", ctx_model] if command == "eval" else []
         assert run("ctx", command, *model_flag, "--corpus", corpus,
                    "--out", tmp_path / "out") == 2
-        assert f"{corpus}: line 4: no label" in capsys.readouterr().err
+        assert f"{corpus}: [row 4, column 'label'] unknown label ''" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [("ctx", "eval"), ("explain",)])
     def test_truncated_weights_refused_by_field(self, tmp_path, models, command, capsys):
@@ -1238,8 +1284,7 @@ class TestErrorsNameTheFile:
         ("compare", "sentence,language\n"),
         ("translate", "sentence,source_language,target_language\n"),
         ("explain", ""),
-        ("explain", "\n  \n\t\n"),
-    ], ids=["compare", "translate", "explain-empty", "explain-blank"])
+    ], ids=["compare", "translate", "explain-empty"])
     def test_sentence_commands_refuse_a_file_of_no_sentences(self, tmp_path, paper_lex_file,
                                                              command, text, request, capsys):
         sentences = tmp_path / "sentences"
@@ -1511,7 +1556,7 @@ class TestCtxGenerateNeedsACleanLexicon:
         assert "run `lexicon clean` first" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("separator", ["\t", "\u2028"], ids=["tab", "line-separator"])
+    @pytest.mark.parametrize("separator", ["\t", "\n"], ids=["tab", "line-feed"])
     def test_generate_refuses_a_form_that_would_split_a_corpus_line(self, tmp_path, separator,
                                                                     capsys):
         entries = list(build_ctx_lexicon().entries)
@@ -1529,6 +1574,26 @@ class TestCtxGenerateNeedsACleanLexicon:
         assert repr(f"a{separator}great")[1:-1] in err
         assert err.endswith(" holds a tab or a line break\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("separator", ["\x85", "\u2028"], ids=["next-line", "line-separator"])
+    def test_a_form_holding_a_unicode_line_break_is_trained_on(self, tmp_path, separator):
+        """A corpus line ends only at ``\\r`` or ``\\n``, so such a form reaches
+        ``ctx train`` inside its sentence."""
+        entries = list(build_ctx_lexicon().entries)
+        english = LanguageCode.ENGLISH
+        entries[4] = entries[4]._replace(forms={**entries[4].forms,
+                                                english: f"a{separator}great"})
+        lexicon = tmp_path / "lexicon.csv"
+        lexicon.write_bytes(serialize_lexicon(Lexicon(entries)))
+        assert run("ctx", "generate", "--lex", lexicon, "--language", "english",
+                   "-n", "40", "--out", tmp_path / "gen") == 0
+        corpus = (tmp_path / "gen" / "corpus.tsv").read_bytes()
+        assert f" a{separator}great ".encode() in corpus
+        assert run("ctx", "train", "--corpus", tmp_path / "gen" / "corpus.tsv",
+                   "--out", tmp_path / "model", "--epochs", "1", "--embedding-dim", "4") == 0
+        split = b"".join((tmp_path / "model" / name).read_bytes()
+                         for name in ("train.tsv", "validation.tsv", "test.tsv"))
+        assert sorted(split.split(b"\n")) == sorted(corpus.split(b"\n"))
 
     def test_after_clean_the_form_is_context_dependent(self, tmp_path, dirty_ctx_lex_file):
         assert run("lexicon", "clean", "--in", dirty_ctx_lex_file,
@@ -1553,7 +1618,7 @@ CLI = "import sys; from lexisent.cli import main; sys.exit(main(sys.argv[1:]))"
 
 # The modules that need numpy, directly or through another module.
 NUMPY_MODULES = ("numpy", "lexisent.ml", "lexisent.contextual", "lexisent.attribution",
-                 "lexisent.metrics")
+                 "lexisent.metrics", "lexisent.numeric")
 
 START_UP = """
 import json, sys
@@ -1578,6 +1643,12 @@ print(json.dumps([listed, resolved, sorted(set(star) - {"__builtins__"})]))
 # run them, and ``dataclasses`` alone loads ``inspect``, ``ast`` and ``dis``.
 DEFERRED_MODULES = ("dataclasses", "inspect", "lexisent.scoring", "lexisent.translator")
 
+CONTEXTUAL_STACK = """
+import json, sys
+import lexisent.contextual, lexisent.attribution
+print(json.dumps(sorted(sys.modules)))
+"""
+
 NUMPY_BLOCKED = """
 import json, sys
 sys.modules["numpy"] = None
@@ -1599,6 +1670,13 @@ class TestImportsPerSubcommand:
         done = run_python(START_UP)
         assert done.returncode == 0, done.stderr
         assert set(DEFERRED_MODULES).isdisjoint(json.loads(done.stdout))
+
+    def test_the_contextual_stack_loads_no_classical_model(self):
+        done = run_python(CONTEXTUAL_STACK)
+        assert done.returncode == 0, done.stderr
+        loaded = json.loads(done.stdout)
+        assert {"lexisent.attribution", "lexisent.numeric"} <= set(loaded)
+        assert [m for m in loaded if m == "lexisent.ml" or m.startswith("lexisent.ml.")] == []
 
     def test_every_public_name_resolves_from_the_package_root(self):
         done = run_python(PUBLIC_NAMES)

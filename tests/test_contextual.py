@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import collections
 import copy
+import io
 import json
 import math
 
@@ -12,10 +13,10 @@ from hypothesis import strategies as st
 
 from lexisent import contextual as ctx
 from lexisent import metrics as evalm
-from lexisent import ml
-from lexisent.lexicon import (LanguageCode, Lexicon, LexiconEntry, Polarity, PosTag,
-                              context_dependent_forms, float_sum)
-from lexisent.ml.dataset import rng_for
+from lexisent.lexicon import (LanguageCode, Lexicon, LexiconEntry, LexiconFormatError, Polarity,
+                              PosTag, context_dependent_forms, float_sum)
+from lexisent.numeric import rng_for
+from lexisent.settings import SettingError
 from lexisent.translator import word_tokens
 
 from conftest import encode
@@ -276,15 +277,15 @@ class TestGenerate:
         (0.0, 0.0, 0.0), (-1.0, 1.0, 1.0), (math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0),
     ])
     def test_label_weights_that_cannot_be_sampled_are_refused(self, ctx_lexicon, weights):
-        with pytest.raises(ml.SettingError, match="^label_weights must be finite, "
-                                                  "non-negative and not all 0, got ") as caught:
+        with pytest.raises(SettingError, match="^label_weights must be finite, "
+                                               "non-negative and not all 0, got ") as caught:
             ctx.generate_dataset(ctx_lexicon, EN, 10, seed=0, label_weights=weights)
         assert caught.value.setting == "label_weights"
 
     @pytest.mark.parametrize("weights", [(1e308, 1e308, 0.0), (1e308, 1e308, 1.0)])
     def test_label_weights_whose_total_overflows_are_refused(self, ctx_lexicon, weights):
-        with pytest.raises(ml.SettingError, match=r"^label_weights have a total that "
-                                                  r"overflows, got \(1e\+308, ") as caught:
+        with pytest.raises(SettingError, match=r"^label_weights have a total that "
+                                               r"overflows, got \(1e\+308, ") as caught:
             ctx.generate_dataset(ctx_lexicon, EN, 10, seed=0, label_weights=weights)
         assert caught.value.setting == "label_weights"
 
@@ -328,7 +329,7 @@ class TestTrainSettings:
         kwargs = dict(epochs=1, learning_rate=0.1)
         (config if setting in config else kwargs)[setting] = value
         train, val, _ = ctx.split_70_20_10(toy_corpus(), seed=0)
-        with pytest.raises(ml.SettingError, match=f"^{setting} {problem}$") as caught:
+        with pytest.raises(SettingError, match=f"^{setting} {problem}$") as caught:
             ctx.train(ctx.TrainConfig(**config), train, val, UNIFORM,
                       seed=0, **kwargs)
         assert caught.value.setting == setting
@@ -558,53 +559,88 @@ class TestModelSerialization:
         assert from_indented.vocabulary == from_compact.vocabulary == model.vocabulary
         assert ctx.save_context_model(from_indented) == compact
 
-    @pytest.mark.parametrize("bad_line, error, message", [
-        ("[TARGET] x y\tpositive", ctx.MarkupError, "line 2: expected exactly one"),
-        ("[TARGET] x [/TARGET] y\tangry", ValueError, "line 2: 'angry' is not a valid"),
-        ("[TARGET] x [/TARGET] y", ValueError, "line 2: expected 'sentence<TAB>label'"),
-    ])
-    def test_corpus_errors_name_the_line(self, bad_line, error, message):
-        with pytest.raises(error, match=message):
-            ctx.read_corpus(f"[TARGET] a [/TARGET] b\tneutral\n{bad_line}\n")
+    @pytest.mark.parametrize("bad_line, message, column", [
+        ("[TARGET] x [/TARGET] y\tangry",
+         "unknown label 'angry' (expected one of: negative, neutral, positive)", "label"),
+        ("[TARGET] x y\tpositive", "expected exactly one [TARGET] ... [/TARGET] pair", "sentence"),
+        ("[TARGET] x y\tangry", "expected exactly one [TARGET] ... [/TARGET] pair", "sentence"),
+        ("[TARGET] x [/TARGET] y", "expected 2 columns, found 1", None),
+        ("[TARGET] x [/TARGET] y\tneutral\tpositive", "expected 2 columns, found 3", None),
+        ("", "expected 2 columns, found 0", None),
+        ("  ", "expected 2 columns, found 1", None),
+    ], ids=["bad-label", "bad-markup", "bad-markup-and-label", "one-cell", "three-cells",
+            "blank", "whitespace"])
+    def test_corpus_row_errors_name_the_row_and_column(self, bad_line, message, column):
+        text = f"[TARGET] a [/TARGET] b\tneutral\n{bad_line}\n"
+        with pytest.raises(LexiconFormatError) as caught:
+            ctx.read_corpus(io.StringIO(text, newline=""))
+        assert (caught.value.row, caught.value.column) == (2, column)
+        where = f"row 2, column {column!r}" if column else "row 2"
+        assert str(caught.value).startswith(f"[{where}] {message}")
+
+    def test_a_corpus_that_starts_with_a_bom_is_refused(self):
+        with pytest.raises(LexiconFormatError) as caught:
+            ctx.read_corpus(io.StringIO("\ufeff[TARGET] good [/TARGET] day\tpositive\n"))
+        assert str(caught.value) == (
+            "[row 1, column 'sentence'] starts with a byte-order mark (U+FEFF); "
+            "save the file as UTF-8 without one")
+
+    def test_a_sentence_over_the_csv_field_limit_is_refused(self):
+        text = "[TARGET] a [/TARGET] b\tneutral\n[TARGET] a [/TARGET] " + "b" * 140_000 + "\t\n"
+        with pytest.raises(LexiconFormatError,
+                           match=r"^\[row 2\] malformed CSV: field larger than field limit"):
+            ctx.read_corpus(io.StringIO(text, newline=""))
 
     def test_labeled_corpus_needs_every_label(self):
-        text = "[TARGET] a [/TARGET] b\tneutral\n\n[TARGET] c [/TARGET] d\t\n"
-        assert ctx.read_corpus(text)[1].label is None
-        with pytest.raises(ValueError, match="line 3: no label"):
-            ctx.read_corpus(text, labeled=True)
+        text = "[TARGET] a [/TARGET] b\tneutral\n[TARGET] e [/TARGET] f\tpositive\n" \
+               "[TARGET] c [/TARGET] d\t\n"
+        assert ctx.read_corpus(io.StringIO(text, newline=""))[2].label is None
+        with pytest.raises(LexiconFormatError, match=(
+                r"^\[row 3, column 'label'\] unknown label '' \(expected one of: negative, "
+                r"neutral, positive\)$")):
+            ctx.read_corpus(io.StringIO(text, newline=""), labeled=True)
 
-    @pytest.mark.parametrize("separator", ["\t", "\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"])
+    @pytest.mark.parametrize("separator", ["\t", "\n", "\r"])
     def test_corpus_refuses_a_text_that_would_not_read_back(self, separator):
-        sentence = ctx.parse_marked(f"a{separator}b [TARGET] c [/TARGET]", Polarity.NEUTRAL)
-        with pytest.raises(ValueError, match="holds a tab or a line break"):
+        text = f"a{separator}b [TARGET] c [/TARGET]"
+        sentence = ctx.parse_marked(text, Polarity.NEUTRAL)
+        with pytest.raises(ValueError) as caught:
             ctx.write_corpus([sentence])
+        assert str(caught.value) == f"marked sentence {text!r} holds a tab or a line break"
 
-    @pytest.mark.parametrize("separator", ["\x85", "\u2028", "\x0c"])
-    def test_a_corpus_file_breaks_lines_where_its_text_does(self, tmp_path, separator):
-        # str.splitlines breaks at the separator, a file's lines do not: the
-        # corpus reads the same either way, as two sentences and a bad line 3.
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_a_corpus_line_ends_only_at_cr_or_lf(self, tmp_path, separator):
+        # A character that str.splitlines breaks at stays inside its sentence.
         path = tmp_path / "corpus.tsv"
-        good = (f"[TARGET] a [/TARGET] b\tneutral{separator}"
-                "[TARGET] c [/TARGET] d\tpositive\r\n")
-        path.write_text(good, encoding="utf-8", newline="")
+        sentences = [ctx.parse_marked(f"[TARGET] a{separator}b [/TARGET] c", NEU),
+                     ctx.parse_marked(f"[TARGET] d [/TARGET] e{separator}", POS)]
+        path.write_text(ctx.write_corpus(sentences), encoding="utf-8", newline="")
         with open(path, encoding="utf-8", newline="") as lines:
             read = ctx.read_corpus(lines)
-        assert [(s.text, s.label) for s in read] == [
-            (s.text, s.label) for s in ctx.read_corpus(good)
-        ] == [("[TARGET] a [/TARGET] b", NEU), ("[TARGET] c [/TARGET] d", POS)]
-
-        path.write_text(good + f"[TARGET] e{separator}[/TARGET] f\tneutral\n",
-                        encoding="utf-8", newline="")
-        with open(path, encoding="utf-8", newline="") as lines, pytest.raises(
-                ValueError, match="^line 3: expected 'sentence<TAB>label'$"):
-            ctx.read_corpus(lines)
+        assert read == sentences
 
     def test_corpus_round_trip(self, ctx_lexicon):
         data = ctx.generate_dataset(ctx_lexicon, EN, 25, seed=3)
         text = ctx.write_corpus(data)
-        again = ctx.read_corpus(text)
+        again = ctx.read_corpus(io.StringIO(text, newline=""))
         assert [s.text for s in again] == [s.text for s in data]
         assert [s.label for s in again] == [s.label for s in data]
+
+    @given(st.lists(st.tuples(
+        st.text(st.sampled_from(['"', "\x0b", "\x85", "\u2028", "\u2029", "é", "ß", "ŝ", "a",
+                                 "x", " ", ","]), max_size=6),
+        st.text(st.sampled_from(['"', "\u2028", "ñ", "o", " "]), min_size=1, max_size=4)
+        .filter(lambda span: word_tokens(span)),
+        st.sampled_from([None, *ctx.CLASS_ORDER]),
+    ), max_size=5))
+    @settings(max_examples=200, deadline=None)
+    def test_written_corpus_reads_back(self, rows):
+        sentences = [ctx.parse_marked(f"{before}[TARGET]{span}[/TARGET]{before}", label)
+                     for before, span, label in rows]
+        text = ctx.write_corpus(sentences)
+        assert ctx.read_corpus(io.StringIO(text, newline="")) == sentences
+        if all(s.label is not None for s in sentences):
+            assert ctx.read_corpus(io.StringIO(text, newline=""), labeled=True) == sentences
 
 
 class TestCheckedLoading:

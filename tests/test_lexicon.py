@@ -35,6 +35,7 @@ from lexisent.lexicon import (
     parse_lexicon,
     require_normalized,
     serialize_lexicon,
+    table_rows,
     validate_lexicon,
 )
 from lexisent.lexicon import _BLOCK_ROWS
@@ -595,7 +596,8 @@ def reference_parse_lexicon(source: bytes | str) -> Lexicon:
     try:
         header = next(reader)
     except StopIteration:
-        raise LexiconFormatError("empty lexicon file", row=0) from None
+        raise LexiconFormatError(
+            f"bad header []; expected {','.join(CSV_HEADER)}", row=0) from None
     if tuple(header) != CSV_HEADER:
         raise LexiconFormatError(
             f"bad header {header!r}; expected {','.join(CSV_HEADER)}", row=0
@@ -615,10 +617,11 @@ def reference_parse_lexicon(source: bytes | str) -> Lexicon:
                 forms[language] = cell
         if LanguageCode.FRENCH not in forms:
             raise LexiconFormatError("missing required french form", row_no, "french")
-        try:
-            pos = PosTag.parse(cells["pos"])
-        except ValueError as exc:
-            raise LexiconFormatError(str(exc), row_no, "pos") from None
+        if cells["pos"] not in [tag.value for tag in PosTag]:
+            valid = ", ".join(tag.value for tag in PosTag)
+            raise LexiconFormatError(
+                f"unknown POS tag {cells['pos']!r} (expected one of: {valid})", row_no, "pos")
+        pos = PosTag(cells["pos"])
         shared = parse_score(cells["score"], row_no, "score")
         per_language = {}
         for language in LanguageCode:
@@ -773,6 +776,31 @@ def test_row_errors_name_the_first_bad_cell(row, message, column):
         parse_lexicon(csv_bytes("bon,,,,,,mot,1,,,,,,", row))
     assert message in str(caught.value)
     assert (caught.value.row, caught.value.column) == (2, column)
+
+
+@pytest.mark.parametrize("text, header, rows", [
+    ("a,b\n1,2\r\n3,4\r5,6", True, [(1, ["1", "2"]), (2, ["3", "4"]), (3, ["5", "6"])]),
+    ('a,b\n"x\ny",2\n', True, [(1, ["x\ny", "2"])]),
+    ("1,2\n3,4\n", False, [(1, ["1", "2"]), (2, ["3", "4"])]),
+    ("", False, []),
+])
+def test_table_rows_count_data_rows_from_1(text, header, rows):
+    assert list(table_rows(io.StringIO(text, newline=""), ("a", "b"), header)) == rows
+
+
+@pytest.mark.parametrize("text, header, message", [
+    ("", True, "[row 0] bad header []; expected a,b"),
+    ("a,c\n1,2\n", True, "[row 0] bad header ['a', 'c']; expected a,b"),
+    ('"a,b\n', True, "[row 0] malformed CSV: unexpected end of data"),
+    ("a,b\n1,2\n\n", True, "[row 2] expected 2 columns, found 0"),
+    ('a,b\n1,2\n"3"x,4\n', True, "[row 2] malformed CSV: ',' expected after '\"'"),
+    ('"1"x,2\n', False, "[row 1] malformed CSV: ',' expected after '\"'"),
+    ("1,2\n3\n", False, "[row 2] expected 2 columns, found 1"),
+])
+def test_table_rows_errors_name_the_row(text, header, message):
+    with pytest.raises(LexiconFormatError) as caught:
+        list(table_rows(io.StringIO(text, newline=""), ("a", "b"), header))
+    assert str(caught.value) == message
 
 
 #: Score literals that parse: spellings of one value apart (``-0``, ``0``,

@@ -22,6 +22,7 @@ from lexisent.lexicon import (
 from lexisent.ml import svm as svm_module
 from lexisent.ml.dataset import Dataset, FEATURE_NAMES, featurize, split
 from lexisent.ml.tree import best_split, gini
+from lexisent.numeric import rng_for
 
 CLASSES_AB = ("a", "b")
 
@@ -442,7 +443,7 @@ def reference_forest(data, n_trees, max_depth, min_samples_split, seed):
     n_candidates = math.ceil(math.sqrt(data.X.shape[1]))
     roots = []
     for i in range(n_trees):
-        rng = ml.dataset.rng_for(seed, i)
+        rng = rng_for(seed, i)
         idx = rng.integers(0, len(data), size=len(data))
         roots.append(reference_build(
             data.X[idx], data.y[idx], len(data.class_names), max_depth, min_samples_split,
@@ -713,7 +714,7 @@ def reference_svm_weights(data, lam, epochs, seed):
     """Pegasos one head at a time, each head with its own sample order."""
     weights = np.zeros((len(data.class_names), data.X.shape[1]))
     for c in range(len(data.class_names)):
-        rng = ml.dataset.rng_for(seed, c)
+        rng = rng_for(seed, c)
         y_signed = np.where(data.y == c, 1.0, -1.0)
         w = weights[c]
         t = 1
@@ -750,7 +751,7 @@ def reference_svm_steps(X, y, k, lam, epochs, seed):
     """The per-step loop of all heads at once that ``_train_heads`` replaced:
     labels, step size and the samples gathered afresh at every step."""
     n, d = X.shape
-    rngs = [ml.dataset.rng_for(seed, c) for c in range(k)]
+    rngs = [rng_for(seed, c) for c in range(k)]
     y_signed = np.where(y[None, :] == np.arange(k)[:, None], 1.0, -1.0)
     heads = np.arange(k)
     w = np.zeros((k, d))
