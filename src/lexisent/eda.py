@@ -118,8 +118,8 @@ def compute_eda(lexicon: Lexicon) -> EdaReport:
         raise ValueError("cannot summarize an empty lexicon")
 
     pos_scores: dict[PosTag, list[float]] = {pos: [] for pos in PosTag}
-    for entry in lexicon.entries:
-        pos_scores[entry.pos].append(entry.shared_score)
+    for pos, score in zip(lexicon.pos, lexicon.shared_scores):
+        pos_scores[pos].append(score)
     pos_tallies = {pos: Counter(scores) for pos, scores in pos_scores.items()}
     polarity_of = {
         score: Polarity.from_score(score)
@@ -153,7 +153,7 @@ def compute_eda(lexicon: Lexicon) -> EdaReport:
         correlation[a][a] = 1.0 if len(tallies[a]) >= 2 else None
         for b in languages[i + 1 :]:
             column_b = columns[b]
-            both = [eid for eid in column_a if eid in column_b]
+            both = list(filter(column_b.__contains__, column_a))
             correlation[a][b] = correlation[b][a] = pearson(
                 [column_a[eid] for eid in both], [column_b[eid] for eid in both]
             )

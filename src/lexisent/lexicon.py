@@ -6,28 +6,30 @@ which joins ``str`` cells by ``,`` and quotes only a cell holding ``,``,
 ``json.dumps``'s indented bytes. Neither calls the standard library's writer.
 
 A lexicon row is one concept carried across up to six languages, with a part
-of speech, one shared sentiment score, and optional per-language scores.
-Lexicon values are immutable; every operation that changes content returns a
-new ``Lexicon`` plus a report describing what happened.
+of speech, one shared sentiment score, and optional per-language scores. A
+:class:`Lexicon` holds its rows as columns, and every reader here and in the
+commands reads those; no command builds the rows as :class:`LexiconEntry`
+values. Lexicons are immutable: an operation that changes content returns a
+new ``Lexicon`` plus a report of what happened.
 
-The curation rules live in one place, the walk :func:`_curate`: which forms
-:func:`clean` rewrites or drops (:func:`_cleaned_forms`, by
-:func:`normalize_form`), and which rows duplicate an earlier one (equal French
-form as cleaned, POS and shared score). :func:`clean`,
-:func:`validate_lexicon` and :func:`add_entries` build their reports and
-refusals from that walk alone; :func:`require_normalized` reads only the
-forms, so it calls :func:`_cleaned_forms` without the dedup keys.
+The curation rules live in one place: :func:`_clean_column` says which forms
+:func:`clean` rewrites or drops, and :func:`_duplicates` which rows repeat an
+earlier one (same French form as cleaned, POS and shared score).
+:func:`clean` and :func:`validate_lexicon` report exactly those.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import re
 import unicodedata
+from collections import Counter
 from enum import Enum
 from functools import cached_property
-from itertools import chain, islice
+from itertools import accumulate, chain, compress, count, islice, repeat
 from json.encoder import INFINITY as _INFINITY, encode_basestring_ascii
+from operator import itemgetter, ne
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 SCORE_MIN = -9.0
@@ -149,6 +151,14 @@ def table_rows(lines: Iterable[str], columns: tuple[str, ...], header: bool = Tr
         raise LexiconFormatError(f"malformed CSV: {exc}", row_no + 1) from None
 
 
+#: A word: a maximal run of characters that are neither whitespace nor one of
+#: the separators ``.,!?;:"()``. Apostrophes are word characters so
+#: contractions stay whole. For ``str`` patterns ``\s`` matches exactly the
+#: characters for which ``str.isspace()`` is true.
+WORD_PATTERN = re.compile(r'[^\s.,!?;:"()]+')
+_SEPARATORS = '.,!?;:"()'
+
+
 def normalize_sentence(sentence: str) -> str:
     """Case-folded and NFC, as sentences are matched against lexicon forms.
 
@@ -194,116 +204,124 @@ class LexiconEntry(NamedTuple):
 
 
 #: Disambiguation rank when one surface form maps to several entries.
-POS_PRIORITY: dict[PosTag, int] = {
-    PosTag.MOT: 0,
-    PosTag.VERBE: 1,
-    PosTag.NOMBRE: 2,
-    PosTag.ADJECTIF: 3,
-    PosTag.ADVERB: 4,
-    PosTag.ADVERBE: 5,
-    PosTag.ARTICLE: 6,
-    PosTag.CONJUNCTION: 7,
-    PosTag.PRONOMPERSONNEL: 8,
-}
-
-
-class _Tables(NamedTuple):
-    index: dict[LanguageCode, dict[str, tuple[int, ...]]]
-    phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]]
+POS_PRIORITY: dict[PosTag, int] = {tag: rank for rank, tag in enumerate([
+    PosTag.MOT, PosTag.VERBE, PosTag.NOMBRE, PosTag.ADJECTIF, PosTag.ADVERB, PosTag.ADVERBE,
+    PosTag.ARTICLE, PosTag.CONJUNCTION, PosTag.PRONOMPERSONNEL])}
 
 
 class Lexicon:
-    """Immutable ordered collection of entries with per-language form indexes.
+    """Immutable ordered rows, held as columns. A row's id is its 0-based
+    position; files and reports write it ``"r<row>"``, its CSV data row.
 
-    An entry's id is its 0-based position in ``entries``; the files and
-    reports that show an id write it as ``"r<row>"``, the 1-based data row of
-    the CSV serialization, so a parse/serialize round trip is the identity.
-
-    Construction keeps only ``entries``. The lookup tables are compiled on
-    first use, all at once and once per lexicon, so commands that never look a
-    form up never pay for them: ``index`` (form -> entry positions in
-    disambiguation order: ranked by :data:`POS_PRIORITY` and then by row, so
-    the first position wins and the earliest entry wins a tie), and
-    ``phrase_lengths``, which maps the first word of every multi-word form to
-    the word counts of the forms that start with it (descending).
-    The score columns ``present``, ``effective`` and ``mean`` compile each on
-    its own first use, so a command that reads one does not build the others.
+    The columns are lists by position, shared between lexicons and never
+    changed: per language, in :class:`LanguageCode` order, ``forms`` (``None``
+    where a row has none; a literal ``""`` built in code stays, for
+    :func:`clean` to drop) and ``own_scores`` (``None`` where a row has none);
+    then ``pos`` and ``shared_scores``. ``Lexicon(entries)`` builds them from
+    entries; ``entries``, keyed in language order, is built on first use.
+    ``index`` (form -> row positions, by :data:`POS_PRIORITY` then row, so the
+    first wins) and ``phrase_lengths`` (first word of a multi-word form -> the
+    word counts of the forms it starts, descending) compile together on first
+    use; ``present``, ``effective`` and ``mean`` each on its own.
     """
 
     def __init__(self, entries: Iterable[LexiconEntry]):
-        self.entries: tuple[LexiconEntry, ...] = tuple(entries)
+        entries = tuple(entries)
+        self.forms = {lang: [e.forms.get(lang) for e in entries] for lang in LanguageCode}
+        self.own_scores = {
+            lang: [e.per_language_scores.get(lang) for e in entries] for lang in LanguageCode}
+        self.pos = [e.pos for e in entries]
+        self.shared_scores = [e.shared_score for e in entries]
+
+    @classmethod
+    def _from_columns(cls, columns: list[list]) -> Lexicon:
+        """The lexicon of ``columns``, one per :data:`CSV_HEADER` cell, in its order."""
+        lexicon = cls.__new__(cls)
+        lexicon.forms = dict(zip(_LANGUAGES, columns[:_POS_CELL]))
+        lexicon.pos, lexicon.shared_scores = columns[_POS_CELL], columns[_SCORE_CELL]
+        lexicon.own_scores = dict(zip(_LANGUAGES, columns[_SCORE_CELL + 1:]))
+        return lexicon
 
     @cached_property
-    def _tables(self) -> _Tables:
-        entries = self.entries
-        index: dict[LanguageCode, dict[str, tuple[int, ...]]] = {lang: {} for lang in LanguageCode}
-        phrase_lengths: dict[LanguageCode, dict[str, tuple[int, ...]]] = {
-            lang: {} for lang in LanguageCode
-        }
-        # Forms seen more than once collect their positions in a list, ranked and frozen below.
-        repeated: dict[LanguageCode, dict[str, list[int]]] = {lang: {} for lang in LanguageCode}
-        for position, entry in enumerate(entries):
-            for language, form in entry.forms.items():
-                forms = index[language]
-                if form not in forms:
+    def entries(self) -> tuple[LexiconEntry, ...]:
+        languages = _LANGUAGES
+        return tuple(
+            LexiconEntry({lang: form for lang, form in zip(languages, forms) if form is not None},
+                         pos, shared,
+                         {lang: score for lang, score in zip(languages, own) if score is not None})
+            for forms, own, pos, shared in zip(zip(*self.forms.values()),
+                                               zip(*self.own_scores.values()),
+                                               self.pos, self.shared_scores)
+        )
+
+    @cached_property
+    def _tables(self) -> tuple[dict, dict]:
+        pos, index, phrase_lengths = self.pos, {}, {}
+        for language, column in self.forms.items():
+            forms = index[language] = {}
+            lengths = phrase_lengths[language] = {}
+            # Forms seen more than once collect their positions in a list, ranked and frozen below.
+            repeated: dict[str, list[int]] = {}
+            for position, form in enumerate(column):
+                if form is None:
+                    pass
+                elif form not in forms:
                     forms[form] = (position,)
                     if " " in form:
-                        _add_phrase_length(phrase_lengths[language], form)
-                elif form in repeated[language]:
-                    repeated[language][form].append(position)
+                        _add_phrase_length(lengths, form)
+                elif form in repeated:
+                    repeated[form].append(position)
                 else:
-                    repeated[language][form] = [*forms[form], position]
-        for language, forms in repeated.items():
-            for form, positions in forms.items():  # sorted is stable: a tie keeps row order
-                ranked = sorted(positions, key=lambda i: POS_PRIORITY[entries[i].pos])
-                index[language][form] = tuple(ranked)
-        return _Tables(index, phrase_lengths)
+                    repeated[form] = [*forms[form], position]
+            for form, positions in repeated.items():  # sorted is stable: a tie keeps row order
+                forms[form] = tuple(sorted(positions, key=lambda i: POS_PRIORITY[pos[i]]))
+        return index, phrase_lengths
 
     @cached_property
     def present(self) -> dict[LanguageCode, dict[int, float]]:
         """Per language, entry position -> the entry's own score, for the
         entries that give one, in row order."""
-        present: dict[LanguageCode, dict[int, float]] = {lang: {} for lang in LanguageCode}
-        for position, entry in enumerate(self.entries):
-            for language, score in entry.per_language_scores.items():
-                present[language][position] = score
-        return present
+        return {language: {position: score for position, score in enumerate(column)
+                           if score is not None}
+                for language, column in self.own_scores.items()}
 
     @cached_property
     def effective(self) -> dict[LanguageCode, list[float]]:
         """Per language, the list by position of each entry's own score, else
         its shared score."""
-        shared = [entry.shared_score for entry in self.entries]
-        effective = {}
-        for language, column in self.present.items():
-            scores = effective[language] = shared.copy()
-            for position, score in column.items():
-                scores[position] = score
-        return effective
+        return {language: [shared if own is None else own
+                           for own, shared in zip(column, self.shared_scores)]
+                for language, column in self.own_scores.items()}
 
     @cached_property
     def mean(self) -> list[float]:
         """The list by position of the mean of each entry's per-language
-        scores, else its shared score."""
+        scores, added in language order, else its shared score."""
         return [
-            float_sum(own.values()) / len(own) if own else entry.shared_score
-            for entry in self.entries
-            for own in [entry.per_language_scores]
+            float_sum(own) / len(own) if own else shared
+            for scores, shared in zip(zip(*self.own_scores.values()), self.shared_scores)
+            for own in [[score for score in scores if score is not None]]
         ]
 
     @property
     def index(self) -> dict[LanguageCode, dict[str, tuple[int, ...]]]:
-        return self._tables.index
+        return self._tables[0]
 
     @property
     def phrase_lengths(self) -> dict[LanguageCode, dict[str, tuple[int, ...]]]:
-        return self._tables.phrase_lengths
+        return self._tables[1]
+
+    def _columns(self) -> list[list]:
+        """The columns, one per :data:`CSV_HEADER` cell, in its order."""
+        return [*self.forms.values(), self.pos, self.shared_scores, *self.own_scores.values()]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.pos)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Lexicon) and self.entries == other.entries
+        return (isinstance(other, Lexicon) and self.pos == other.pos
+                and self.shared_scores == other.shared_scores
+                and self.forms == other.forms and self.own_scores == other.own_scores)
 
 
 def _add_phrase_length(lengths: dict[str, tuple[int, ...]], form: str) -> None:
@@ -314,30 +332,16 @@ def _add_phrase_length(lengths: dict[str, tuple[int, ...]], form: str) -> None:
         lengths[first] = tuple(sorted((*known, count), reverse=True))
 
 
-#: Cells of a CSV row, in header order: (cell index, language) of each form.
-_FORM_CELLS: tuple[tuple[int, LanguageCode], ...] = tuple(
-    (CSV_HEADER.index(lang.value), lang) for lang in LanguageCode
-)
 _FRENCH_CELL = CSV_HEADER.index(LanguageCode.FRENCH.value)
 _POS_CELL = CSV_HEADER.index("pos")
-_SCORE_CELL = CSV_HEADER.index("score")
+_SCORE_CELL = CSV_HEADER.index("score")  # the score cells run from here to the row's end
 _POS_BY_VALUE: dict[str, PosTag] = {tag.value: tag for tag in PosTag}
 _POS_TEXT: dict[PosTag, str] = {tag: tag.value for tag in PosTag}
-#: Every score cell of a row as (cell index, language, column name), in
-#: header order: the shared score's first, with language None.
-_ROW_SCORE_CELLS: tuple[tuple[int, LanguageCode | None, str], ...] = (
-    (_SCORE_CELL, None, "score"),
-    *((CSV_HEADER.index(column), lang, column) for lang, column in SCORE_COLUMNS.items()),
-)
 _LANGUAGES = tuple(LanguageCode)
-_BLANKS = ("",) * len(_LANGUAGES)
-#: Most distinct scores that one :func:`parse_lexicon` or
-#: :func:`serialize_lexicon` call keeps converted at once; a full table is
-#: emptied. Scores on the lexicon's discrete scale repeat a few dozen values.
-#: Where nearly every score is new, a table that grew with the file cost more
-#: in memory traffic than the conversions it saved.
+#: Most distinct scores one :func:`serialize_lexicon` call keeps formatted, unless
+#: a block holds more: a table that grew with the file cost more than it saved.
 _MEMO_LIMIT = 256
-#: Rows that :func:`serialize_lexicon` writes as text before encoding them.
+#: Rows that :func:`parse_lexicon` checks, and :func:`serialize_lexicon` writes, at once.
 _BLOCK_ROWS = 512
 
 
@@ -345,26 +349,23 @@ def parse_lexicon(source: bytes | str | Iterable[str]) -> Lexicon:
     """Parse a UTF-8 lexicon CSV into a :class:`Lexicon`.
 
     ``source`` is the file's bytes, its text, or its lines with their line
-    ends kept, such as a text file opened with ``newline=""``. Lines are
-    parsed as they are read, so a file read as lines is never held as one
-    text. Rows are kept in file order and are *not* cleaned: un-trimmed or
-    mixed-case forms and duplicate rows survive parsing so that
-    :func:`clean` can report them. The rows come from :func:`table_rows`,
-    which checks the header :data:`CSV_HEADER` and each row's column count; a
-    ``"`` inside an unquoted cell stays part of it.
+    ends kept, such as a text file opened with ``newline=""``; lines are
+    parsed as they are read. Rows are kept in file order and are *not*
+    cleaned, so that :func:`clean` can report them. The rows come from
+    :func:`table_rows`, which checks the header :data:`CSV_HEADER` and each
+    row's column count; a ``"`` inside an unquoted cell stays part of it.
 
-    A row's first error is raised by the check that finds it, with the
-    1-based data row and, for every check but the column count, the column.
-    The checks run in this order: the column count, a missing French form,
-    the POS, an empty shared score, then each score cell in header order
-    (shared score first), which must be a float literal within
-    [:data:`SCORE_MIN`, :data:`SCORE_MAX`].
-
-    Each distinct score literal is converted and range-checked once per call,
-    as long as the call has met at most :data:`_MEMO_LIMIT` of them: a literal
-    that passed is kept, keyed by its text, and later cells spelled the same
-    reuse its float. Literals are never merged by value, so ``"-0"`` still
-    reads as ``-0.0`` and ``"0.5"`` and ``".5"`` are checked apart.
+    The columns are filled :data:`_BLOCK_ROWS` rows at a time, and each block
+    is checked a column at a time: no French cell is empty, every POS cell is
+    a known tag, and each distinct score literal is converted and
+    range-checked once, then looked up by its text (so ``"-0"`` still reads
+    as ``-0.0``). An empty form or per-language score cell becomes ``None``.
+    A block with a fault runs the row checks to raise the first error in file
+    order, with its 1-based data row and, for all but the column count, its
+    column. A row's checks run in this order: the column count, a missing
+    French form, the POS, an empty shared score, then each score cell in
+    header order, which must be a float literal within [:data:`SCORE_MIN`,
+    :data:`SCORE_MAX`].
     """
     if isinstance(source, bytes):
         try:
@@ -372,48 +373,59 @@ def parse_lexicon(source: bytes | str | Iterable[str]) -> Lexicon:
         except UnicodeDecodeError as exc:
             raise LexiconFormatError(f"lexicon is not valid UTF-8: {exc}") from None
     lines = io.StringIO(source, newline="") if isinstance(source, str) else source
-    entries: list[LexiconEntry] = []
-    # Score literal -> its float, for literals that passed the checks. A miss
-    # is converted inline: a helper call per miss costs more than the table
-    # saves when every literal is new.
-    scores: dict[str, float] = {}
-    for row_no, row in table_rows(lines, CSV_HEADER):
+    rows = map(itemgetter(1), table_rows(lines, CSV_HEADER))
+    columns: list[list] = [[] for _ in CSV_HEADER]
+    while True:
+        block: list[list[str]] = []
+        try:
+            block.extend(islice(rows, _BLOCK_ROWS))
+        finally:  # a fault earlier in the block wins over a row that table_rows refuses
+            _add_block(columns, block)
+        if len(block) < _BLOCK_ROWS:
+            return Lexicon._from_columns(columns)
+
+
+def _add_block(columns: list[list], block: list[list[str]]) -> None:
+    """Append the rows of ``block`` to ``columns``, one per header cell, as
+    the lexicon holds them; or raise the block's first error."""
+    if not block:
+        return
+    cells = list(zip(*block))
+    try:
+        score_of = {text: float(text) for text in set(chain.from_iterable(cells[_SCORE_CELL:]))
+                    if text}
+        faulty = not all(SCORE_MIN <= score <= SCORE_MAX for score in score_of.values())  # NaN too
+    except ValueError:
+        faulty = True
+    if (faulty or "" in cells[_FRENCH_CELL] or "" in cells[_SCORE_CELL]
+            or not _POS_BY_VALUE.keys() >= set(cells[_POS_CELL])):
+        _check_rows(block, len(columns[0]) + 1)
+    score_of[""] = None
+    for column, texts in zip(columns, cells[:_POS_CELL]):
+        column.extend([text or None for text in texts])
+    columns[_POS_CELL].extend(map(_POS_BY_VALUE.__getitem__, cells[_POS_CELL]))
+    for column, texts in zip(columns[_SCORE_CELL:], cells[_SCORE_CELL:]):
+        column.extend(map(score_of.__getitem__, texts))
+
+
+def _check_rows(block: list[list[str]], first_row: int) -> None:
+    """Raise the first error of ``block``, rows from ``first_row``, in check order."""
+    for row_no, row in enumerate(block, first_row):
         if not row[_FRENCH_CELL]:
             raise LexiconFormatError("missing required french form", row_no, "french")
-        pos = _POS_BY_VALUE.get(row[_POS_CELL])
-        if pos is None:
+        if row[_POS_CELL] not in _POS_BY_VALUE:
             raise LexiconFormatError(
                 unknown_value("POS tag", row[_POS_CELL], PosTag), row_no, "pos")
         if not row[_SCORE_CELL]:
             raise LexiconFormatError("invalid score literal ''", row_no, "score")
-        per_language = {}  # holds the shared score too, under None, until popped
-        for i, lang, column in _ROW_SCORE_CELLS:
-            cell = row[i]
+        for column, cell in zip(CSV_HEADER[_SCORE_CELL:], row[_SCORE_CELL:]):
             if cell:
-                value = scores.get(cell)
-                if value is None:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise LexiconFormatError(
-                            f"invalid score literal {cell!r}", row_no, column
-                        ) from None
-                    if not SCORE_MIN <= value <= SCORE_MAX:  # written so that NaN fails too
-                        check_score(value, row_no, column)  # raises the range error
-                    if len(scores) == _MEMO_LIMIT:
-                        scores.clear()
-                    scores[cell] = value
-                per_language[lang] = value
-        shared = per_language.pop(None)
-        entries.append(
-            LexiconEntry(
-                {lang: row[i] for i, lang in _FORM_CELLS if row[i]},
-                pos,
-                shared,
-                per_language,
-            )
-        )
-    return Lexicon(entries)
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise LexiconFormatError(
+                        f"invalid score literal {cell!r}", row_no, column) from None
+                check_score(value, row_no, column)
 
 
 def format_score(value: float) -> str:
@@ -565,37 +577,27 @@ def _json_parts(value, newline: str, parts: list[str]) -> None:
 def serialize_lexicon(lexicon: Lexicon) -> bytes:
     """Canonical CSV bytes; inverse of :func:`parse_lexicon` (row order kept).
 
-    The bytes are :func:`csv_text` of the rows, UTF-8 encoded, built
-    :data:`_BLOCK_ROWS` rows at a time: each block's text is encoded as soon
-    as it is written, so the whole file is never held as text as well as
-    bytes. Each distinct score is formatted once per call, on its first
-    cell, as long as the call has met at most :data:`_MEMO_LIMIT` of them;
-    equal scores share one literal, which :func:`format_score` makes safe
-    (``0.0`` and ``-0.0`` both write ``0``).
+    The bytes are :func:`csv_text` of the rows, zipped from the columns and
+    encoded :data:`_BLOCK_ROWS` rows at a time, so the file is never held as
+    text as well as bytes. Each distinct score is formatted once while the
+    call keeps at most :data:`_MEMO_LIMIT`; equal scores share one literal,
+    which :func:`format_score` makes safe (``0.0`` and ``-0.0`` both write ``0``).
     """
-    text: dict[float, str] = {}  # score -> format_score(score), this call only
-
-    def rows() -> Iterator[Sequence[str]]:
-        yield CSV_HEADER
-        for entry in lexicon.entries:
-            row = list(map(entry.forms.get, _LANGUAGES, _BLANKS))
-            row.append(_POS_TEXT[entry.pos])
-            for score in (entry.shared_score, *map(entry.per_language_scores.get, _LANGUAGES)):
-                if score is None:
-                    row.append("")
-                    continue
-                literal = text.get(score)
-                if literal is None:
-                    if len(text) == _MEMO_LIMIT:
-                        text.clear()
-                    literal = text[score] = format_score(score)
-                row.append(literal)
-            yield row
-
-    pending = rows()
-    # Each block's text is dropped as soon as it is encoded; the rows run out
-    # when csv_text of an empty slice gives "".
-    return b"".join(iter(lambda: csv_text(islice(pending, _BLOCK_ROWS)).encode("utf-8"), b""))
+    columns = lexicon._columns()
+    text: dict[float | None, str] = {None: ""}  # score -> format_score(score), this call only
+    blocks = [csv_text([CSV_HEADER]).encode("utf-8")]
+    for start in range(0, len(lexicon), _BLOCK_ROWS):
+        block = [column[start:start + _BLOCK_ROWS] for column in columns]
+        scores = set(chain.from_iterable(block[_SCORE_CELL:]))
+        if len(text) + len(scores) > _MEMO_LIMIT:
+            text = {None: ""}
+        new = scores.difference(text)
+        text.update(zip(new, map(format_score, new)))
+        rows = zip(*[[form or "" for form in forms] for forms in block[:_POS_CELL]],
+                   map(_POS_TEXT.__getitem__, block[_POS_CELL]),
+                   *[map(text.__getitem__, scores) for scores in block[_SCORE_CELL:]])
+        blocks.append(csv_text(rows).encode("utf-8"))
+    return b"".join(blocks)
 
 
 class CleaningReport(NamedTuple):
@@ -607,52 +609,84 @@ class CleaningReport(NamedTuple):
 
     @property
     def change_count(self) -> int:
-        return (
-            len(self.normalized_forms)
-            + len(self.dropped_forms)
-            + len(self.removed_duplicates)
-        )
+        return len(self.normalized_forms) + len(self.dropped_forms) + len(self.removed_duplicates)
 
     def to_json_dict(self) -> dict:
-        return {
-            "normalized_forms": self.normalized_forms,
-            "dropped_forms": self.dropped_forms,
-            "removed_duplicates": self.removed_duplicates,
-            "change_count": self.change_count,
-        }
+        return {**self._asdict(), "change_count": self.change_count}
 
 
-def _cleaned_forms(entry: LexiconEntry) -> Mapping[LanguageCode, str]:
-    """Every form of ``entry`` as :func:`clean` writes it, its
-    :func:`normalize_form`, with ``""`` where clean drops the form. It is the
-    entry's own mapping when clean would change none of them, so findings are
-    looked for only in copied mappings."""
-    forms = entry.forms
-    for language, form in entry.forms.items():
-        normalized = normalize_form(form)
-        if normalized != form or not normalized:
-            if forms is entry.forms:
-                forms = dict(forms)
-            forms[language] = normalized
-    return forms
+#: The Latin-1 characters (as bytes) :func:`_matchable` lets a form hold, each
+#: NFC in any text: printable, so no whitespace but the space, unchanged by case
+#: folding and no separator. In UTF-8 characters beyond ASCII are checked as text.
+_LATIN1_MATCHABLE = bytes(b for b in range(256) if chr(b).isprintable()
+                          and chr(b).casefold() == chr(b) and chr(b) not in _SEPARATORS)
+_UTF8_MATCHABLE = bytes(b for b in _LATIN1_MATCHABLE if b < 128) + bytes(range(128, 256))
 
 
-def _curate(
-    entries: Iterable[LexiconEntry],
-) -> Iterator[tuple[int, LexiconEntry, Mapping[LanguageCode, str], int | None]]:
-    """The curation walk: ``(row, entry, forms, first_row)`` for each entry in
-    row order, rows counted from 1.
+def _matchable(forms: list[str | None]) -> bool:
+    """Whether every form in ``forms`` is words joined by single spaces, with
+    no other whitespace and none of ``.,!?;:"()``, case-folded and NFC: as
+    clean leaves it and as a sentence's words join. The forms are checked as
+    one text joined by spaces, which no check reads across. False only means
+    that a form may fail."""
+    if "" in forms:
+        return False
+    text = " ".join(filter(None, forms))
+    try:
+        data, allowed, wide = text.encode("latin-1"), _LATIN1_MATCHABLE, ""
+    except UnicodeEncodeError:
+        data, allowed = text.encode("utf-8", "surrogatepass"), _UTF8_MATCHABLE
+        wide = data.translate(None, bytes(range(128))).decode("utf-8", "surrogatepass")
+    if data.translate(None, allowed) or b"  " in data or data[:1] == b" " or data[-1:] == b" ":
+        return False
+    return not wide or (wide.isprintable() and wide.casefold() == wide
+                        and unicodedata.is_normalized("NFC", text))
 
-    ``forms`` is the entry's :func:`_cleaned_forms`. ``first_row`` is the
-    first earlier row with the same dedup key (the French form as clean
-    writes it, the POS and the shared score), or ``None``.
-    """
-    french = LanguageCode.FRENCH
-    seen: dict[tuple[str, PosTag, float], int] = {}
-    for row, entry in enumerate(entries, start=1):
-        forms = _cleaned_forms(entry)
-        first_row = seen.setdefault((forms.get(french, ""), entry.pos, entry.shared_score), row)
-        yield row, entry, forms, first_row if first_row != row else None
+
+#: A form as :func:`_clean_column` reads it: ``""`` if absent, which is
+#: left as it is, and a literal ``""`` as ``" "``, which is dropped.
+_CLEAN_TEXT: dict[str | None, str] = {None: "", "": " "}
+
+
+def _clean_column(forms: list[str | None]) -> tuple[list[str | None], list[int]]:
+    """``forms`` as :func:`clean` writes them, each its :func:`normalize_form`
+    or ``None`` where absent or dropped (a literal ``""`` too), the column
+    itself if none changes; and the positions of the forms that change."""
+    texts = list(map(_CLEAN_TEXT.get, forms, forms))
+    # normalize_form of each text, by its steps: NFC, case folding, NFC, strip
+    # (on ASCII text NFC changes nothing and case folding lowers).
+    normalized = map(str.strip, map(unicodedata.normalize, repeat("NFC"), map(
+        str.casefold, map(unicodedata.normalize, repeat("NFC"), texts))))
+    changed = list(compress(count(), map(ne, texts, normalized)))
+    cleaned = forms.copy() if changed else forms
+    for position in changed:
+        cleaned[position] = normalize_form(texts[position]) or None
+    return cleaned, changed
+
+
+def _rewrites(lexicon: Lexicon) -> tuple[dict[LanguageCode, list], list[tuple[int, int]]]:
+    """The curation walk over the form columns: each as :func:`_clean_column`
+    writes it, and ``(position, language index)`` of every form clean rewrites
+    or drops, in row order and then language order."""
+    cleaned, rewrites = {}, []
+    for k, (language, forms) in enumerate(lexicon.forms.items()):
+        cleaned[language], changed = _clean_column(forms)
+        rewrites += zip(changed, repeat(k))
+    rewrites.sort()
+    return cleaned, rewrites
+
+
+def _duplicates(lexicon: Lexicon, french: list[str | None]) -> list[tuple[int, int]]:
+    """``(row, first_row)``, rows counted from 1, of each row whose dedup key
+    an earlier row holds: ``french``, the French form as clean writes it, the
+    POS and the shared score. Only a row whose French form repeats is keyed."""
+    repeats, first_row, found = Counter(french), {}, []
+    for row in [row for row, form in enumerate(french, 1) if repeats[form] > 1]:
+        first = first_row.setdefault(
+            (french[row - 1], lexicon.pos[row - 1], lexicon.shared_scores[row - 1]), row)
+        if first != row:
+            found.append((row, first))
+    return found
 
 
 def clean(lexicon: Lexicon) -> tuple[Lexicon, CleaningReport]:
@@ -660,36 +694,32 @@ def clean(lexicon: Lexicon) -> tuple[Lexicon, CleaningReport]:
 
     Duplicates are rows equal under the dedup key (french form, POS, shared
     score); rows sharing a form but differing in score or POS are kept, since
-    they encode context-dependent sentiment. Idempotent.
+    they encode context-dependent sentiment. Idempotent. The result shares
+    every column that clean does not change.
     """
+    cleaned, rewrites = _rewrites(lexicon)
+    french = cleaned[LanguageCode.FRENCH]
+    if None in french:
+        row = french.index(None)
+        raise ValueError(f"entry r{row + 1}: french form "
+                         f"{lexicon.forms[LanguageCode.FRENCH][row] or ''!r} normalizes to empty")
     report = CleaningReport([], [], [])
-    cleaned: list[LexiconEntry] = []
-    for row, entry, forms, first_row in _curate(lexicon.entries):
-        if forms is not entry.forms:
-            for language, before in entry.forms.items():
-                after = forms[language]
-                if not after:
-                    report.dropped_forms.append(
-                        {"entry_id": f"r{row}", "language": language.value, "before": before}
-                    )
-                elif after != before:
-                    report.normalized_forms.append(
-                        {"entry_id": f"r{row}", "language": language.value,
-                         "before": before, "after": after}
-                    )
-            forms = {language: form for language, form in forms.items() if form}
-        if LanguageCode.FRENCH not in forms:
-            raise ValueError(
-                f"entry r{row}: french form "
-                f"{entry.forms.get(LanguageCode.FRENCH, '')!r} normalizes to empty"
-            )
-        if first_row is not None:
-            report.removed_duplicates.append(
-                {"entry_id": f"r{row}", "kept_entry_id": f"r{first_row}"})
-            continue
-        cleaned.append(
-            LexiconEntry(forms, entry.pos, entry.shared_score, entry.per_language_scores))
-    return Lexicon(cleaned), report
+    for position, k in rewrites:
+        language = _LANGUAGES[k]
+        before, after = lexicon.forms[language][position], cleaned[language][position]
+        change = {"entry_id": f"r{position + 1}", "language": language.value, "before": before}
+        if after is None:
+            report.dropped_forms.append(change)
+        else:
+            report.normalized_forms.append({**change, "after": after})
+    columns = [*cleaned.values(), *lexicon._columns()[_POS_CELL:]]
+    keep = [True] * len(lexicon)
+    for row, first in _duplicates(lexicon, french):
+        report.removed_duplicates.append({"entry_id": f"r{row}", "kept_entry_id": f"r{first}"})
+        keep[row - 1] = False
+    if report.removed_duplicates:
+        columns = [list(compress(column, keep)) for column in columns]
+    return Lexicon._from_columns(columns), report
 
 
 class ValidationReport(NamedTuple):
@@ -703,61 +733,58 @@ class ValidationReport(NamedTuple):
         return len(self.duplicates) + len(self.unnormalized_forms)
 
     def to_json_dict(self) -> dict:
-        return {
-            "duplicates": self.duplicates,
-            "unnormalized_forms": self.unnormalized_forms,
-            "issue_count": self.issue_count,
-        }
-
-
-def _rewritten(row: int, entry: LexiconEntry, forms: Mapping[LanguageCode, str]) -> list[dict]:
-    """The forms of ``entry`` that clean rewrites or drops, given the walk's
-    ``forms``; a dropped form is listed with ``normalized`` ``""``, a literal
-    ``""`` form included."""
-    return [
-        {"row": row, "entry_id": f"r{row}", "language": language.value,
-         "form": form, "normalized": forms[language]}
-        for language, form in entry.forms.items()
-        if forms[language] != form or not form
-    ]
+        return {**self._asdict(), "issue_count": self.issue_count}
 
 
 def validate_lexicon(lexicon: Lexicon) -> ValidationReport:
     """Flag duplicate rows (under the dedup key) and forms clean would rewrite
-    or drop: exactly what :func:`clean` changes."""
-    report = ValidationReport([], [])
-    for row, entry, forms, first_row in _curate(lexicon.entries):
-        if forms is not entry.forms:
-            report.unnormalized_forms.extend(_rewritten(row, entry, forms))
-        if first_row is not None:
-            report.duplicates.append(
-                {"row": row, "entry_id": f"r{row}", "first_row": first_row}
-            )
-    return report
+    or drop: exactly what :func:`clean` changes. A dropped form is listed with
+    ``normalized`` ``""``, a literal ``""`` form included."""
+    cleaned, rewrites = _rewrites(lexicon)
+    return ValidationReport(
+        [{"row": row, "entry_id": f"r{row}", "first_row": first}
+         for row, first in _duplicates(lexicon, cleaned[LanguageCode.FRENCH])],
+        [{"row": position + 1, "entry_id": f"r{position + 1}", "language": language.value,
+          "form": lexicon.forms[language][position],
+          "normalized": cleaned[language][position] or ""}
+         for position, k in rewrites for language in [_LANGUAGES[k]]])
 
 
 def require_normalized(lexicon: Lexicon) -> None:
     """Refuse a lexicon with forms that sentence tokens could never match.
 
-    Tokens are normalized (NFC, case-folded) before lookup, so a form such as
-    ``"Happy "`` would silently score and translate as unknown. Raises
-    :class:`LexiconFormatError` naming the first such row and column.
+    A sentence is normalized (NFC, case-folded), split into words at
+    whitespace and ``.,!?;:"()`` and looked up by its words joined by single
+    spaces, so a form such as ``"Happy "``, ``"good  day"`` or ``"bad."`` would
+    silently score as unknown. Raises :class:`LexiconFormatError` naming the
+    first form :func:`clean` would change, else the first that is not
+    ``" ".join(word_tokens(form))``; only a column that is not
+    :func:`_matchable` is walked a form at a time.
     """
-    found = [
-        rewrite
-        for row, entry in enumerate(lexicon.entries, start=1)
-        for forms in [_cleaned_forms(entry)]
-        if forms is not entry.forms
-        for rewrite in _rewritten(row, entry, forms)
-    ]
-    if found:
-        first = found[0]
+    if all(map(_matchable, lexicon.forms.values())):
+        return
+    cleaned, rewrites = _rewrites(lexicon)
+    if rewrites:
+        position, k = rewrites[0]
+        language = _LANGUAGES[k]
         raise LexiconFormatError(
-            f"form {first['form']!r} is not normalized (expected {first['normalized']!r}); "
-            f"{len(found)} un-normalized form(s) in all; run `lexicon clean` first",
-            first["row"],
-            first["language"],
-        )
+            f"form {lexicon.forms[language][position]!r} is not normalized "
+            f"(expected {cleaned[language][position] or ''!r}); "
+            f"{len(rewrites)} un-normalized form(s) in all; run `lexicon clean` first",
+            position + 1, language.value)
+    unmatched = sorted(
+        (position, k, form, words)
+        for k, forms in enumerate(lexicon.forms.values())
+        for position, form in enumerate(forms) if form is not None
+        for words in [" ".join(WORD_PATTERN.findall(normalize_sentence(form)))] if words != form
+    )
+    if unmatched:
+        position, k, form, words = unmatched[0]
+        raise LexiconFormatError(
+            f"form {form!r} can never match a sentence, whose words split at whitespace "
+            f"and at {_SEPARATORS} (its words join as {words!r}); "
+            f"{len(unmatched)} such form(s) in all",
+            position + 1, _LANGUAGES[k].value)
 
 
 class AdditionReport(NamedTuple):
@@ -775,37 +802,32 @@ def add_entries(
     otherwise. A rejected candidate names the entry it conflicts with by its
     row in the returned lexicon, ``"r<row>"``. Conflicts never merge silently.
     """
-    accepted: list[LexiconEntry] = []
-    rejected: list[dict] = []
-    accepted_ids: dict[int, str] = {}  # walk row -> id in the returned lexicon
-    for row, entry, forms, first_row in _curate(chain(lexicon.entries, new_entries)):
-        if row <= len(lexicon):
-            continue
+    for entry in new_entries:
         if LanguageCode.FRENCH not in entry.forms:
             raise ValueError("entry is missing the required french form")
         for language, form in entry.forms.items():
             if not form:
                 raise ValueError(f"empty {language.value} form (absent forms must be omitted)")
-            if forms[language] != form:
+            if normalize_form(form) != form:
                 raise ValueError(
                     f"{language.value} form {form!r} is not normalized (trimmed, case-folded, NFC)"
                 )
         check_score(entry.shared_score)
         for language, score in entry.per_language_scores.items():
             check_score(score, column=SCORE_COLUMNS[language])
-        if first_row is None:
-            accepted.append(entry)
-            accepted_ids[row] = f"r{len(lexicon) + len(accepted)}"
-            continue
-        rejected.append(
-            {
-                "french": entry.forms[LanguageCode.FRENCH],
-                "pos": entry.pos.value,
-                "shared_score": entry.shared_score,
-                "conflicts_with": accepted_ids.get(first_row, f"r{first_row}"),
-            }
-        )
-    return Lexicon(list(lexicon.entries) + accepted), AdditionReport(len(accepted), rejected)
+    columns = [old + new for old, new in zip(lexicon._columns(), Lexicon(new_entries)._columns())]
+    merged = Lexicon._from_columns(columns)
+    french, _ = _clean_column(merged.forms[LanguageCode.FRENCH])
+    conflicts = [(row, first) for row, first in _duplicates(merged, french) if row > len(lexicon)]
+    keep = [True] * len(merged)
+    for row, _ in conflicts:
+        keep[row - 1] = False
+    row_in_result = list(accumulate(keep, initial=0))  # by merged row
+    rejected = [{"french": french[row - 1], "pos": merged.pos[row - 1].value,
+                 "shared_score": merged.shared_scores[row - 1],
+                 "conflicts_with": f"r{row_in_result[first]}"} for row, first in conflicts]
+    added = Lexicon._from_columns([list(compress(column, keep)) for column in columns])
+    return added, AdditionReport(len(new_entries) - len(rejected), rejected)
 
 
 def context_dependent_forms(lexicon: Lexicon, language: LanguageCode) -> list[str]:

@@ -62,24 +62,24 @@ def featurize(lexicon: Lexicon, task: str = "pos") -> Dataset:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
     classes = PosTag if task == "pos" else Polarity
     index = {member: i for i, member in enumerate(classes)}
-    entries = lexicon.entries
+    shared = lexicon.shared_scores
     effective = lexicon.effective
-    english_code = LanguageCode.ENGLISH
-    english = [entry.forms.get(english_code) or "" for entry in entries]
+    english = [form or "" for form in lexicon.forms[LanguageCode.ENGLISH]]
     X = np.column_stack(
-        [[entry.shared_score for entry in entries]]
+        [shared]
         + [effective[language] for language in LanguageCode]
-        + [[len(form) for form in english], [len(form.split()) for form in english]]
+        + [list(map(len, english)), [len(form.split()) for form in english]]
     ).astype(float, copy=False)
     if task == "pos":
-        labels = [index[entry.pos] for entry in entries]
-    else:
-        labels = [index[Polarity.from_score(entry.shared_score)] for entry in entries]
+        labels = list(map(index.__getitem__, lexicon.pos))
+    else:  # each distinct score is classified once
+        label_of = {score: index[Polarity.from_score(score)] for score in set(shared)}
+        labels = list(map(label_of.__getitem__, shared))
     return Dataset(
         X=X,
         y=np.asarray(labels, dtype=int),
         class_names=tuple(m.value for m in classes),
-        provenance=tuple(f"r{row}" for row in range(1, len(entries) + 1)),
+        provenance=tuple(f"r{row}" for row in range(1, len(lexicon) + 1)),
     )
 
 

@@ -6,21 +6,14 @@ token per word or phrase and the scoring and translation walks only read them.
 
 from __future__ import annotations
 
-import re
 from typing import NamedTuple
 
-from .lexicon import LanguageCode, Lexicon, normalize_sentence
-
-#: A word: a maximal run of characters that are neither whitespace nor one of
-#: the separators ``.,!?;:"()``. Apostrophes are word characters so
-#: contractions stay whole. For ``str`` patterns ``\s`` matches exactly the
-#: characters for which ``str.isspace()`` is true.
-WORD_PATTERN = re.compile(r'[^\s.,!?;:"()]+')
+from .lexicon import WORD_PATTERN, LanguageCode, Lexicon, normalize_sentence
 
 
 class Token(NamedTuple):
     surface: str
-    #: The matched entry's position in ``lexicon.entries``; ``None`` if unknown.
+    #: The matched entry's position in the lexicon; ``None`` if unknown.
     entry_id: int | None
     span: tuple[int, int]
     #: Positions of entries that also matched the surface but lost disambiguation.
@@ -98,6 +91,7 @@ def translate(
     translation short-circuits to the normalized input.
     """
     tokens = tuple(tokenize(sentence, source, lexicon))
+    forms = lexicon.forms[target]
     if source is target:
         translated_text, out_tokens = normalize_sentence(sentence), tokens
         unknown_count = sum(t.entry_id is None for t in tokens)
@@ -106,7 +100,7 @@ def translate(
         unknown_count = 0
         for token in tokens:
             entry_id = token.entry_id
-            form = None if entry_id is None else lexicon.entries[entry_id].forms.get(target)
+            form = None if entry_id is None else forms[entry_id]
             if form is None:
                 unknown_count += 1
                 form = token.surface

@@ -249,6 +249,47 @@ class TestLookupTablesStayUncompiled:
                 "--from", "english", "--to", "french")
 
 
+class TestNoCommandBuildsEntries:
+    """Every command reads the lexicon's columns: none builds the rows as
+    entries, or a lexicon from entries."""
+
+    @pytest.fixture
+    def no_entries(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("entries built")
+
+        monkeypatch.setattr(Lexicon.entries, "func", refuse)
+        monkeypatch.setattr(Lexicon, "__init__", refuse)
+
+    def test_the_guard_refuses_entries(self, paper_lex_file, no_entries):
+        lexicon = parse_lexicon(paper_lex_file.read_bytes())
+        with pytest.raises(AssertionError, match="entries built"):
+            lexicon.entries
+        with pytest.raises(AssertionError, match="entries built"):
+            Lexicon([])
+
+    def test_every_lexicon_command(self, tmp_path, paper_lex_file, ctx_lex_file, no_entries):
+        sentences = tmp_path / "sents.csv"
+        sentences.write_text('sentence,language\n"I want food.",english\n', encoding="utf-8")
+        targets = tmp_path / "targets.csv"
+        targets.write_text("sentence,source_language,target_language\n"
+                           "Ek vertrou haar,afrikaans,english\n", encoding="utf-8")
+        assert run("lexicon", "validate", "--in", paper_lex_file) == 0
+        assert run("lexicon", "clean", "--in", paper_lex_file, "--out", tmp_path / "c") == 0
+        cleaned = tmp_path / "c" / "cleaned.csv"
+        assert run("lexicon", "stats", "--in", cleaned, "--out", tmp_path / "s") == 0
+        assert run("compare", "--lex", cleaned, "--in", sentences, "--out", tmp_path / "k") == 0
+        assert run("translate", "--lex", cleaned, "--in", targets, "--out", tmp_path / "t") == 0
+        assert run("translate", "--lex", cleaned, "--text", "Ek vertrou haar",
+                   "--from", "afrikaans", "--to", "english") == 0
+        assert run("ml", "train", "--lex", paper_lex_file, "--model", "gaussian_nb",
+                   "--out", tmp_path / "m") == 0
+        assert run("ml", "eval", "--model", tmp_path / "m" / "model.json",
+                   "--lex", paper_lex_file, "--out", tmp_path / "e") == 0
+        assert run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
+                   "-n", "40", "--out", tmp_path / "g") == 0
+
+
 class TestTranslateCommand:
     def test_single_sentence_to_stdout(self, paper_lex_file, capsys):
         assert run("translate", "--lex", paper_lex_file, "--text", "Ek vertrou haar",
@@ -1570,15 +1611,17 @@ class TestCtxGenerateNeedsACleanLexicon:
         assert run("ctx", "generate", "--lex", lexicon, "--language", "english",
                    "-n", "40", "--out", out) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {lexicon}: marked sentence ")
-        assert repr(f"a{separator}great")[1:-1] in err
-        assert err.endswith(" holds a tab or a line break\n")
+        # Sentences split words at any whitespace, so no token could match the form.
+        assert err == (f"error: {lexicon}: [row 5, column 'english'] form "
+                       f"{f'a{separator}great'!r} can never match a sentence, whose words split "
+                       """at whitespace and at .,!?;:"() (its words join as 'a great'); """
+                       "1 such form(s) in all\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("separator", ["\x85", "\u2028"], ids=["next-line", "line-separator"])
-    def test_a_form_holding_a_unicode_line_break_is_trained_on(self, tmp_path, separator):
-        """A corpus line ends only at ``\\r`` or ``\\n``, so such a form reaches
-        ``ctx train`` inside its sentence."""
+    def test_a_form_holding_a_unicode_line_break_is_refused(self, tmp_path, separator, capsys):
+        """Such a form would not split a corpus line, which ends only at
+        ``\\r`` or ``\\n``, but a sentence splits words at it."""
         entries = list(build_ctx_lexicon().entries)
         english = LanguageCode.ENGLISH
         entries[4] = entries[4]._replace(forms={**entries[4].forms,
@@ -1586,14 +1629,9 @@ class TestCtxGenerateNeedsACleanLexicon:
         lexicon = tmp_path / "lexicon.csv"
         lexicon.write_bytes(serialize_lexicon(Lexicon(entries)))
         assert run("ctx", "generate", "--lex", lexicon, "--language", "english",
-                   "-n", "40", "--out", tmp_path / "gen") == 0
-        corpus = (tmp_path / "gen" / "corpus.tsv").read_bytes()
-        assert f" a{separator}great ".encode() in corpus
-        assert run("ctx", "train", "--corpus", tmp_path / "gen" / "corpus.tsv",
-                   "--out", tmp_path / "model", "--epochs", "1", "--embedding-dim", "4") == 0
-        split = b"".join((tmp_path / "model" / name).read_bytes()
-                         for name in ("train.tsv", "validation.tsv", "test.tsv"))
-        assert sorted(split.split(b"\n")) == sorted(corpus.split(b"\n"))
+                   "-n", "40", "--out", tmp_path / "gen") == 2
+        assert "[row 5, column 'english']" in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
 
     def test_after_clean_the_form_is_context_dependent(self, tmp_path, dirty_ctx_lex_file):
         assert run("lexicon", "clean", "--in", dirty_ctx_lex_file,

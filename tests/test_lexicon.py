@@ -38,8 +38,8 @@ from lexisent.lexicon import (
     table_rows,
     validate_lexicon,
 )
-from lexisent.lexicon import _BLOCK_ROWS
-from lexisent.translator import tokenize
+from lexisent.lexicon import _BLOCK_ROWS, _matchable
+from lexisent.translator import tokenize, word_tokens
 
 HEADER = ",".join(CSV_HEADER)
 
@@ -434,7 +434,7 @@ SCORED_ENTRIES = st.builds(
     forms=st.just({LanguageCode.FRENCH: "mot"}),
     pos=st.sampled_from(list(PosTag)),
     shared_score=SCORES,
-    # Keys in drawn order, so the mean sums in whatever order an entry holds them.
+    # Keys in drawn order: the mean still sums them in language order.
     per_language_scores=st.dictionaries(st.sampled_from(list(LanguageCode)), SCORES),
 )
 
@@ -453,8 +453,9 @@ class TestScoreColumns:
         lexicon = Lexicon(entries)
         assert list(lexicon.effective) == list(lexicon.present) == list(LanguageCode)
         expected_mean = []
-        for i, e in enumerate(lexicon.entries):
-            values = list(e.per_language_scores.values())
+        for i, e in enumerate(entries):
+            values = [e.per_language_scores[lang] for lang in LanguageCode
+                      if lang in e.per_language_scores]
             mean = sum(values) / len(values) if values else e.shared_score
             expected_mean.append((i, mean.hex()))
         assert type(lexicon.mean) is list
@@ -519,6 +520,70 @@ class TestRequireNormalized:
         assert "lexicon clean" in message
         require_normalized(clean(lex)[0])
 
+    @pytest.mark.parametrize("form, words", [("good  day", "good day"), ("bad.", "bad"),
+                                             ("a\tb", "a b"), ("(x)", "x"), ("a\u2028b", "a b")])
+    def test_refuses_a_form_no_sentence_can_match(self, form, words):
+        lex = Lexicon([make_entry(fr="bon", english="fine"),
+                       make_entry(fr="mal", english=form), make_entry(fr="x", zulu=form)])
+        assert clean(lex)[1].change_count == 0  # clean changes only what normalizing changes
+        assert [" ".join(word_tokens(form))] == [words]
+        assert [t.entry_id for t in tokenize(form, LanguageCode.ENGLISH, lex)] == [None] * len(
+            words.split())
+        with pytest.raises(LexiconFormatError) as info:
+            require_normalized(lex)
+        assert (info.value.row, info.value.column) == (2, "english")
+        assert str(info.value) == (
+            f"[row 2, column 'english'] form {form!r} can never match a sentence, whose words "
+            f"""split at whitespace and at .,!?;:"() (its words join as {words!r}); """
+            "2 such form(s) in all")
+
+    def test_an_unnormalized_form_is_named_first(self):
+        lex = Lexicon([make_entry(fr="bad."), make_entry(fr="Bon")])
+        with pytest.raises(LexiconFormatError, match=r"\[row 2, column 'french'\] form 'Bon'.*"
+                                                     "1 un-normalized form.*lexicon clean"):
+            require_normalized(lex)
+
+
+#: Characters that make a form fail one check each: whitespace of several
+#: kinds, separators, upper case, a letter that case folding expands, and a
+#: combining mark that NFC composes with the letter before it.
+TRICKY_FORM_ST = st.text(alphabet="ab \t\x85\xa0.(ÉéßA\u0301ǰ'-", min_size=0, max_size=6)
+
+
+def reference_require_matchable(lexicon: Lexicon) -> None:
+    """The forms one at a time: un-normalized ones first, then forms that are
+    not the join of their own words."""
+    reference_require_normalized(lexicon)
+    found = [(row, language, form, " ".join(word_tokens(form)))
+             for row, entry in enumerate(lexicon.entries, start=1)
+             for language, form in entry.forms.items() if " ".join(word_tokens(form)) != form]
+    if found:
+        row, language, form, words = found[0]
+        raise LexiconFormatError(
+            f"form {form!r} can never match a sentence, whose words split at whitespace and "
+            f"""at .,!?;:"() (its words join as {words!r}); {len(found)} such form(s) in all""",
+            row, language.value)
+
+
+@given(st.lists(st.tuples(TRICKY_FORM_ST, TRICKY_FORM_ST), min_size=1, max_size=6),
+       st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_require_normalized_equals_the_form_by_form_reference(pairs, normalize):
+    entries = [make_entry(fr=normalize_form(fr) if normalize else fr,
+                          english=normalize_form(en) if normalize else en) for fr, en in pairs]
+    lexicon = Lexicon(entries)
+    assert caught(lambda: require_normalized(lexicon)) == caught(
+        lambda: reference_require_matchable(lexicon))
+
+
+@given(st.lists(st.one_of(st.none(), TRICKY_FORM_ST, st.text(alphabet="ab ", max_size=5)),
+                max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_a_matchable_column_holds_only_forms_sentences_match(forms):
+    if _matchable(forms):
+        for form in filter(lambda form: form is not None, forms):
+            assert normalize_form(form) == form == " ".join(word_tokens(form))
+
 
 class TestIndexes:
     def test_index_is_consistent(self, paper_lexicon):
@@ -536,9 +601,9 @@ class TestIndexes:
         assert not hasattr(lex, "by_id")
         rebuilt = Lexicon(lex.entries)
         assert len(rebuilt.entries) == 2
-        assert all(a is b for a, b in zip(rebuilt.entries, lex.entries))
+        assert rebuilt.entries == lex.entries and rebuilt == lex
         shifted = Lexicon(lex.entries[1:])
-        assert shifted.entries[0] is lex.entries[1]
+        assert shifted.entries[0] == lex.entries[1]
         assert shifted.index[LanguageCode.ENGLISH] == {"bad": (0,)}
 
     def test_ambiguous_forms_precompile_the_pos_winner(self):
@@ -880,6 +945,48 @@ def test_a_refused_literal_is_refused_again_after_the_same_text_passed_elsewhere
     assert [signed(e.shared_score) for e in lexicon.entries] == [(0.0, -1.0), (0.0, 1.0)]
     assert [[signed(v) for v in e.per_language_scores.values()] for e in lexicon.entries] == [
         [(0.0, 1.0), (0.0, -1.0)], [(0.0, -1.0)]]
+
+
+#: A valid row, and the cells that make one fail: each named by its column.
+GOOD_ROW = ["mot", "", "good", "", "", "", "mot", "1", "", "0.5", "", "", "", ""]
+BAD_CELLS_BY_COLUMN = [(0, ""), (6, "noun"), (7, ""), (7, "x"), (9, "9.5"), (13, "nan")]
+
+
+@st.composite
+def long_lexicon_csv_st(draw) -> bytes:
+    """Files longer than one parse block, with up to three faults (a bad cell
+    or a short row) at rows drawn near the first block boundary or anywhere."""
+    n = draw(st.integers(min_value=_BLOCK_ROWS - 2, max_value=2 * _BLOCK_ROWS + 2))
+    rows = [GOOD_ROW.copy() for _ in range(n)]
+    near = st.integers(min_value=_BLOCK_ROWS - 2, max_value=min(n, _BLOCK_ROWS + 3))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        row = draw(st.one_of(near, st.integers(min_value=1, max_value=n))) - 1
+        column, cell = draw(st.sampled_from(BAD_CELLS_BY_COLUMN))
+        if draw(st.integers(min_value=0, max_value=4)) == 0:
+            rows[row] = rows[row][:-1]
+        elif column < len(rows[row]):  # a short row has no last cell to spoil
+            rows[row][column] = cell
+    return csv_text([CSV_HEADER] + rows).encode("utf-8")
+
+
+@given(long_lexicon_csv_st())
+@settings(max_examples=60, deadline=None)
+def test_a_long_file_parses_as_the_row_by_row_reference(data):
+    assert outcome(parse_lexicon, data) == outcome(reference_parse_lexicon, data)
+
+
+@pytest.mark.parametrize("bad_row, short_row", [(3, 5), (_BLOCK_ROWS, _BLOCK_ROWS + 1),
+                                                (_BLOCK_ROWS + 1, _BLOCK_ROWS + 7)])
+def test_a_short_row_after_a_bad_cell_in_its_block_reports_the_bad_cell(bad_row, short_row):
+    rows = [GOOD_ROW.copy() for _ in range(short_row + 3)]
+    rows[bad_row - 1][6] = "noun"
+    rows[short_row - 1] = rows[short_row - 1][:-1]
+    with pytest.raises(LexiconFormatError) as caught_error:
+        parse_lexicon(csv_text([CSV_HEADER] + rows))
+    assert (caught_error.value.row, caught_error.value.column) == (bad_row, "pos")
+    rows[bad_row - 1][6] = "mot"
+    with pytest.raises(LexiconFormatError, match=f"\\[row {short_row}\\] expected 14 columns"):
+        parse_lexicon(csv_text([CSV_HEADER] + rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1238,10 +1345,10 @@ class TestCurationWalk:
     def test_require_normalized_reads_the_forms_without_the_dedup_walk(self, monkeypatch):
         import lexisent.lexicon as lexicon_module
 
-        def no_walk(entries):
+        def no_walk(lexicon, french):
             raise AssertionError("require_normalized ran the dedup walk")
 
-        monkeypatch.setattr(lexicon_module, "_curate", no_walk)
+        monkeypatch.setattr(lexicon_module, "_duplicates", no_walk)
         lex = Lexicon([make_entry(fr="mot"), make_entry(fr="mot"),
                        make_entry(fr=" Autre", english="X")])
         with pytest.raises(LexiconFormatError) as caught:
@@ -1288,11 +1395,15 @@ class TestCurationWalk:
         with pytest.raises(ValueError, match="french form '' normalizes to empty"):
             clean(Lexicon([make_entry(fr="")]))
 
-    def test_clean_keeps_the_forms_of_an_entry_it_does_not_change(self):
+    def test_clean_keeps_the_columns_it_does_not_change(self):
         lex = Lexicon([make_entry(fr="mot", english="word"), make_entry(fr=" Autre")])
         cleaned, _ = clean(lex)
-        assert cleaned.entries[0].forms is lex.entries[0].forms
+        assert cleaned.forms[LanguageCode.ENGLISH] is lex.forms[LanguageCode.ENGLISH]
+        assert cleaned.pos is lex.pos and cleaned.shared_scores is lex.shared_scores
+        assert cleaned.entries[0].forms == lex.entries[0].forms
         assert cleaned.entries[1].forms == {LanguageCode.FRENCH: "autre"}
+        deduplicated, _ = clean(Lexicon([make_entry(english="word"), make_entry(english="x")]))
+        assert deduplicated.forms[LanguageCode.ENGLISH] == ["word"]
 
 
 class TestMalformedCsv:
@@ -1344,3 +1455,41 @@ def test_validate_reports_exactly_what_clean_changes(entries):
     assert [(d["entry_id"], f"r{d['first_row']}") for d in report.duplicates] == [
         (d["entry_id"], d["kept_entry_id"]) for d in changes.removed_duplicates]
     assert report.issue_count == changes.change_count
+
+
+# ---------------------------------------------------------------------------
+# The columns and the entries view.
+
+
+def score_columns(lexicon: Lexicon):
+    """``present``, ``effective`` and ``mean`` as exact floats."""
+    return ({language: bits(column) for language, column in lexicon.present.items()},
+            {language: bits(column) for language, column in lexicon.effective.items()},
+            bits(lexicon.mean))
+
+
+@given(st.one_of(lexicon_st(), st.lists(dirty_entry_st(), max_size=10).map(Lexicon),
+                 st.lists(SCORED_ENTRIES, max_size=8).map(Lexicon)))
+@settings(max_examples=200, deadline=None)
+def test_columns_and_entries_agree(lex):
+    rebuilt = Lexicon(lex.entries)
+    assert rebuilt == lex and rebuilt.entries == lex.entries
+    assert items(rebuilt.index) == items(lex.index)
+    assert items(rebuilt.phrase_lengths) == items(lex.phrase_lengths)
+    assert score_columns(rebuilt) == score_columns(lex)
+    assert serialize_lexicon(rebuilt) == serialize_lexicon(lex)
+    assert validate_lexicon(rebuilt) == validate_lexicon(lex)
+    assert caught(lambda: clean(rebuilt)) == caught(lambda: clean(lex))
+    if "" not in [form for entry in lex.entries for form in entry.forms.values()]:
+        parsed = parse_lexicon(serialize_lexicon(lex))  # built from columns; -0.0 reads 0.0
+        assert parsed == lex and parsed.entries == lex.entries
+        assert items(parsed.index) == items(lex.index)
+
+
+def test_entries_are_keyed_in_language_order():
+    forms = {LanguageCode.ZULU: "z", LanguageCode.FRENCH: "f"}
+    scores = {LanguageCode.ENGLISH: 1.0, LanguageCode.CILUBA: 2.0}
+    (entry,) = Lexicon([LexiconEntry(forms, PosTag.MOT, 0.5, scores)]).entries
+    assert entry == (forms, PosTag.MOT, 0.5, scores)
+    assert list(entry.forms) == [LanguageCode.FRENCH, LanguageCode.ZULU]
+    assert list(entry.per_language_scores) == [LanguageCode.CILUBA, LanguageCode.ENGLISH]
