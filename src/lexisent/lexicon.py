@@ -379,8 +379,10 @@ def parse_lexicon(source: bytes | str | Iterable[str]) -> Lexicon:
         block: list[list[str]] = []
         try:
             block.extend(islice(rows, _BLOCK_ROWS))
-        finally:  # a fault earlier in the block wins over a row that table_rows refuses
-            _add_block(columns, block)
+        except ValueError:  # a row table_rows refuses, or a byte that is not UTF-8:
+            _add_block(columns, block)  # a fault earlier in the block is named first
+            raise
+        _add_block(columns, block)
         if len(block) < _BLOCK_ROWS:
             return Lexicon._from_columns(columns)
 
