@@ -341,7 +341,8 @@ _LANGUAGES = tuple(LanguageCode)
 #: Most distinct scores one :func:`serialize_lexicon` call keeps formatted, unless
 #: a block holds more: a table that grew with the file cost more than it saved.
 _MEMO_LIMIT = 256
-#: Rows that :func:`parse_lexicon` checks, and :func:`serialize_lexicon` writes, at once.
+#: Rows that :func:`parse_lexicon` checks, and :func:`serialize_lexicon` writes, at once;
+#: :func:`_clean_column` tries a column's first block this size.
 _BLOCK_ROWS = 512
 
 
@@ -653,7 +654,11 @@ _CLEAN_TEXT: dict[str | None, str] = {None: "", "": " "}
 def _clean_column(forms: list[str | None]) -> tuple[list[str | None], list[int]]:
     """``forms`` as :func:`clean` writes them, each its :func:`normalize_form`
     or ``None`` where absent or dropped (a literal ``""`` too), the column
-    itself if none changes; and the positions of the forms that change."""
+    itself if none changes; and the positions of the forms that change. A
+    :func:`_matchable` column changes in none; its first block is tried
+    first, since a dirty column mostly fails there."""
+    if _matchable(forms[:_BLOCK_ROWS]) and _matchable(forms):
+        return forms, []
     texts = list(map(_CLEAN_TEXT.get, forms, forms))
     # normalize_form of each text, by its steps: NFC, case folding, NFC, strip
     # (on ASCII text NFC changes nothing and case folding lowers).
