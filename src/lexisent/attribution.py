@@ -186,12 +186,27 @@ def normalized_colors(values: list[float]) -> list[float]:
     return [(v - lo) / (hi - lo) for v in values]
 
 
-def heatmap_csv(amap: AttributionMap) -> str:
+def _token_rows(amap: AttributionMap) -> list[list[str]]:
+    """``[token, attribution, color]`` per token, each number as its ``repr``."""
     colors = normalized_colors([value for _, value in amap.per_token])
-    rows = [["token", "attribution", "color"]]
-    rows += [[token, repr(value), repr(color)]
-             for (token, value), color in zip(amap.per_token, colors)]
-    return csv_text(rows)
+    return [[token, repr(value), repr(color)]
+            for (token, value), color in zip(amap.per_token, colors)]
+
+
+def heatmap_csv(amap: AttributionMap) -> str:
+    return csv_text([["token", "attribution", "color"], *_token_rows(amap)])
+
+
+ATTRIBUTION_COLUMNS = ("sentence", "position", "token", "attribution", "color")
+
+
+def attribution_rows(maps: list[AttributionMap], first: int) -> list[list[str]]:
+    """The rows of a corpus's attribution table, without its header: one row
+    per token of each map, as :func:`heatmap_csv` writes it, after the map's
+    number (``first`` for the first map) and the token's 1-based position."""
+    return [[str(number), str(position), *row]
+            for number, amap in enumerate(maps, start=first)
+            for position, row in enumerate(_token_rows(amap), start=1)]
 
 
 def heatmap_svg(amap: AttributionMap) -> str:
@@ -230,7 +245,8 @@ def summary_rows(maps: list[AttributionMap]) -> list[list[str]]:
                 amap.predicted_class.value,
                 f"{amap.confidence:.4f}",
                 f"{amap.target_attribution:.6g}",
-                f"{amap.convergence_delta:.6g}",
+                # Digits below 1e-12 are round-off of F(x) - F(x'), and no -0.
+                f"{round(amap.convergence_delta, 12) + 0.0:.6g}",
             ]
         )
     return rows

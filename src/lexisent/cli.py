@@ -29,8 +29,11 @@ output row and the whole file text.
 built-in English baseline; its rows go to ``comparison.csv`` alone, and
 ``comparison.json`` holds their agreement and polarity counts. ``translate
 --in``, ``compare`` and ``explain --corpus`` refuse an input that holds no
-sentences. ``explain --text`` writes ``attribution.*``, and ``explain
---corpus`` writes ``attribution_NNNN.*`` per sentence, however many it holds.
+sentences. ``explain --text`` writes ``attribution.json``, ``.csv`` and
+``.svg``. ``explain --corpus`` writes ``attribution_NNNN.json`` per sentence,
+however many it holds, and one ``attributions.csv`` with a row per token of
+every sentence: its 1-based ``sentence`` number and ``position``, the token,
+its attribution and its heatmap color.
 ``ml train`` records its task and its split in the model: the seed, the
 train fraction and the test rows' SHA-256. ``ml eval`` requires that record,
 so a model saved without it must be trained again, and scores the same test
@@ -98,14 +101,16 @@ class _Parser(argparse.ArgumentParser):
 #: What a command returns: its output files, name to content in write order,
 #: and its stderr summary line, if any. A content is text (written as UTF-8),
 #: bytes, or an iterable of such chunks that is written one chunk at a time;
-#: ``compare`` and ``translate --in`` return their files that way, and
-#: ``compare`` its summary as a function to call once its files are written,
-#: since the agreement it prints is known only then.
+#: ``compare``, ``translate --in`` and ``explain --corpus`` (its
+#: ``attributions.csv``) return their large files that way, and ``compare``
+#: its summary as a function to call once its files are written, since the
+#: agreement it prints is known only then.
 Output = tuple[dict[str, str | bytes | Iterable[str | bytes]], str | Callable[[], str] | None]
 
-#: Sentence rows that ``compare`` scores, and ``translate --in`` translates,
-#: per block: a block's text is written before the next block is scored or
-#: translated, so memory holds one block of output rows, not the whole file.
+#: Sentence rows that ``compare`` scores, ``translate --in`` translates and
+#: ``explain --corpus`` tabulates, per block: a block's text is written before
+#: the next block is made, so memory holds one block of output rows, not the
+#: whole file.
 _BLOCK_ROWS = 256
 
 
@@ -595,6 +600,15 @@ def cmd_ctx_eval(args) -> Output:
                    + _majority_warning(report))
 
 
+def _attribution_chunks(maps: list) -> Iterator[str]:
+    """``attributions.csv``, one block of sentences at a time."""
+    from . import attribution as attr
+
+    yield csv_text([attr.ATTRIBUTION_COLUMNS])
+    for i, block in enumerate(_blocks(maps)):
+        yield csv_text(attr.attribution_rows(block, first=1 + i * _BLOCK_ROWS))
+
+
 def cmd_explain(args) -> Output:
     import numpy as np
 
@@ -614,17 +628,21 @@ def cmd_explain(args) -> Output:
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is refused below
         maps = attr.corpus_integrated_gradients(
             model, sentences, target_class=target_class, steps=args.steps)
-    files = {}
-    for i, amap in enumerate(maps, start=1):
+    for amap in maps:
         numbers = (amap.confidence, amap.total_attribution, amap.convergence_delta,
                    amap.score_input, amap.score_baseline, *(v for _, v in amap.per_token))
         if not all(map(math.isfinite, numbers)):
             raise ValueError(
                 f"{args.model}: the attribution of {amap.sentence.text!r} is not finite")
-        stem = "attribution" if args.text is not None else f"attribution_{i:04d}"
-        files[f"{stem}.json"] = attr.attribution_json(amap)
-        files[f"{stem}.csv"] = attr.heatmap_csv(amap)
-        files[f"{stem}.svg"] = attr.heatmap_svg(amap)
+    if args.text is not None:
+        (amap,) = maps
+        files = {"attribution.json": attr.attribution_json(amap),
+                 "attribution.csv": attr.heatmap_csv(amap),
+                 "attribution.svg": attr.heatmap_svg(amap)}
+    else:
+        files = {f"attribution_{i:04d}.json": attr.attribution_json(amap)
+                 for i, amap in enumerate(maps, start=1)}
+        files["attributions.csv"] = _attribution_chunks(maps)
     files["summary.csv"] = csv_text(attr.summary_rows(maps))
     largest = max(abs(amap.convergence_delta) for amap in maps)
     return files, (f"attributed {len(maps)} sentence(s), "
@@ -726,7 +744,9 @@ def build_parser() -> _Parser:
     p = add("explain", cmd_explain, sub, help="integrated-gradients attributions")
     p.add_argument("--model", required=True)
     p.add_argument("--text", default=None, help="one marked sentence")
-    p.add_argument("--corpus", default=None, help="TSV corpus to attribute in batch")
+    p.add_argument("--corpus", default=None,
+                   help="TSV corpus to attribute in batch: writes attribution_NNNN.json per "
+                        "sentence, attributions.csv with a row per token, and summary.csv")
     p.add_argument("--out", required=True)
     p.add_argument("--steps", type=int, default=DEFAULT_STEPS,
                    help="integration steps along the path; each adds only a 3-way softmax "

@@ -170,7 +170,8 @@ def metrics_table(report: MetricsReport) -> str:
 @dataclass(frozen=True)
 class RocCurve:
     positive_class: str
-    points: tuple[tuple[float, float], ...]  # (false positive rate, true positive rate)
+    # (false positive rate, true positive rate) at each corner of the curve
+    points: tuple[tuple[float, float], ...]
     auc: float
 
 
@@ -179,9 +180,14 @@ def roc(
 ) -> RocCurve:
     """ROC curve by sweeping thresholds over distinct scores, descending.
 
-    ``y_true`` holds 1 for positives and 0 for negatives; AUC is the
-    trapezoidal area, which on tie-free scores equals the concordant-pair
-    (Mann-Whitney) statistic exactly.
+    ``y_true`` holds 1 for positives and 0 for negatives. The sweep gives one
+    point per distinct score, but only its corner points are kept: (0, 0),
+    (1, 1) and every point where the curve turns, that is where the integer
+    (negative, positive) count steps before and after it are not parallel.
+    The dropped points lie on the straight segments between kept ones, so the
+    curve is the same (Fawcett 2006; scikit-learn's ``drop_intermediate``).
+    AUC is the trapezoidal area of the full sweep, which on tie-free scores
+    equals the concordant-pair (Mann-Whitney) statistic exactly.
     """
     if len(y_true) != len(scores):
         raise ValueError("length mismatch between labels and scores")
@@ -199,10 +205,18 @@ def roc(
     s_sorted = s[order]
     # One point per group of equal scores, at the group's last index.
     last = np.append(np.flatnonzero(s_sorted[1:] != s_sorted[:-1]), len(s) - 1)
-    fpr = np.concatenate(([0.0], np.cumsum(y_sorted == 0)[last] / n_neg))
-    tpr = np.concatenate(([0.0], np.cumsum(y_sorted == 1)[last] / n_pos))
-    points = tuple(zip(fpr.tolist(), tpr.tolist()))
+    negatives = np.concatenate(([0], np.cumsum(y_sorted == 0)[last]))
+    positives = np.concatenate(([0], np.cumsum(y_sorted == 1)[last]))
+    fpr = negatives / n_neg
+    tpr = positives / n_pos
     auc = float(np.sum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0))
+    # Every step holds at least one instance, so no step is (0, 0), and a
+    # point turns exactly when the integer cross product of its two steps is
+    # not 0.
+    dn, dp = np.diff(negatives), np.diff(positives)
+    turns = dn[1:] * dp[:-1] != dp[1:] * dn[:-1]
+    corners = np.concatenate(([True], turns, [True]))
+    points = tuple(zip(fpr[corners].tolist(), tpr[corners].tolist()))
     return RocCurve(positive_class, points, auc)
 
 

@@ -105,6 +105,12 @@ def heatmap_grid(
     return _svg(width, height, body, title)
 
 
+def _extent(series: list[tuple[str, list[tuple[float, float]]]], axis: int) -> tuple[float, float]:
+    """The least and greatest coordinate ``axis`` of every point in ``series``."""
+    values = [p[axis] for _, points in series for p in points]
+    return min(values), max(values)
+
+
 def line_chart(
     series: list[tuple[str, list[tuple[float, float]]]],
     title: str,
@@ -114,10 +120,8 @@ def line_chart(
     y_range: tuple[float, float] | None = None,
 ) -> str:
     width, height, left, bottom, top, right = 560, 360, 60, 40, 36, 150
-    xs = [p[0] for _, points in series for p in points]
-    ys = [p[1] for _, points in series for p in points]
-    x_lo, x_hi = x_range if x_range else (min(xs), max(xs))
-    y_lo, y_hi = y_range if y_range else (min(ys), max(ys))
+    x_lo, x_hi = x_range or _extent(series, 0)
+    y_lo, y_hi = y_range or _extent(series, 1)
     x_span = (x_hi - x_lo) or 1.0
     y_span = (y_hi - y_lo) or 1.0
 

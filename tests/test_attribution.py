@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from lexisent import contextual as ctx
 from lexisent.attribution import (
     AttributionMap,
+    attribution_rows,
     corpus_integrated_gradients,
     heatmap_csv,
     heatmap_svg,
@@ -17,7 +19,7 @@ from lexisent.attribution import (
     normalized_colors,
     summary_rows,
 )
-from lexisent.lexicon import LanguageCode, Polarity
+from lexisent.lexicon import LanguageCode, Polarity, csv_text
 from lexisent.settings import SettingError
 
 from conftest import encode
@@ -238,6 +240,26 @@ class TestHeatmap:
         svg_text = heatmap_svg(amap)
         assert svg_text.startswith("<svg")
         assert "w0" in svg_text and "</svg>" in svg_text
+
+    def test_attribution_rows_number_sentences_and_positions(self):
+        first, second = self.make_map([0.9, 0.5, 0.0]), self.make_map([-0.25, 0.75])
+        rows = attribution_rows([first, second], first=5)
+        assert rows == [
+            ["5", "1", "w0", "0.9", "1.0"], ["5", "2", "w1", "0.5", repr(0.5 / 0.9)],
+            ["5", "3", "w2", "0.0", "0.0"], ["6", "1", "w0", "-0.25", "0.0"],
+            ["6", "2", "w1", "0.75", "1.0"],
+        ]
+        for number, amap in ((5, first), (6, second)):
+            table = [row[2:] for row in rows if row[0] == str(number)]
+            assert csv_text([["token", "attribution", "color"], *table]) == heatmap_csv(amap)
+
+    @pytest.mark.parametrize("delta, written", [
+        (0.0, "0"), (-0.0, "0"), (-3e-13, "0"), (4.9e-13, "0"), (-7e-12, "-7e-12"),
+        (1.2345678e-7, "1.23457e-07"), (-2.7e-4, "-0.00027"), (0.5, "0.5"),
+    ])
+    def test_summary_delta_has_an_absolute_floor(self, delta, written):
+        amap = dataclasses.replace(self.make_map([0.9, 0.5]), convergence_delta=delta)
+        assert summary_rows([amap])[1][4] == written
 
     def test_summary_rows_layout(self, trained):
         model, train = trained

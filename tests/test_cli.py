@@ -850,14 +850,18 @@ class TestCtxAndExplain:
                    "--text", "good good [TARGET] accuse [/TARGET] nice",
                    "--out", explained, "--steps", "16") == 0
         files = read_dir(explained)
-        assert {"attribution.json", "attribution.csv", "attribution.svg",
-                "summary.csv"} <= set(files)
+        assert set(files) == {"attribution.json", "attribution.csv", "attribution.svg",
+                              "summary.csv", "manifest.json", "run_config.json"}
         amap = json.loads(files["attribution.json"])
         assert amap["steps"] == 16
         assert len(amap["per_token"]) == 4
         assert amap["target"] == "accuse"
 
     def test_explain_batch(self, tmp_path, ctx_lex_file):
+        """``--corpus`` writes a JSON file per sentence, one attribution table
+        whose rows are those files' tokens, and no heatmap."""
+        from lexisent.attribution import normalized_colors
+
         gen = tmp_path / "gen"
         run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
             "-n", "60", "--seed", "2", "--out", gen)
@@ -873,6 +877,18 @@ class TestCtxAndExplain:
                               "attribution,convergence_delta")
         n_sentences = len((trained / "test.tsv").read_text().splitlines())
         assert len(summary) == n_sentences + 1
+        with open(explained / "attributions.csv", encoding="utf-8", newline="") as table:
+            rows = list(csv.reader(table))
+        assert rows[0] == ["sentence", "position", "token", "attribution", "color"]
+        expected = []
+        for i in range(1, n_sentences + 1):
+            amap = json.loads((explained / f"attribution_{i:04d}.json").read_text(encoding="utf-8"))
+            colors = normalized_colors([value for _, value in amap["per_token"]])
+            expected += [[str(i), str(position), token, repr(value), repr(color)]
+                         for position, ((token, value), color)
+                         in enumerate(zip(amap["per_token"], colors), start=1)]
+        assert rows[1:] == expected
+        assert not list(explained.glob("*.svg")) and not list(explained.glob("attribution_*.csv"))
 
     def test_explain_target_class(self, tmp_path, ctx_lex_file, capsys):
         """``--target-class`` attributes every sentence toward that class, as
@@ -941,7 +957,8 @@ class TestCtxAndExplain:
 
     def test_explain_numbers_the_files_of_a_one_sentence_corpus(self, tmp_path, ctx_lex_file):
         """``--corpus`` names its files by position however many sentences it
-        holds, so a reader of ``attribution_*.json`` finds a lone sentence too."""
+        holds, so a reader of ``attribution_*.json`` finds a lone sentence too,
+        and writes one attribution table whatever the count."""
         run("ctx", "generate", "--lex", ctx_lex_file, "--language", "english",
             "-n", "40", "--seed", "4", "--out", tmp_path / "gen")
         run("ctx", "train", "--corpus", tmp_path / "gen" / "corpus.tsv",
@@ -953,8 +970,8 @@ class TestCtxAndExplain:
         assert run("explain", "--model", tmp_path / "model" / "model.json",
                    "--corpus", corpus, "--out", out, "--steps", "4") == 0
         assert sorted(path.name for path in out.iterdir()) == [
-            "attribution_0001.csv", "attribution_0001.json", "attribution_0001.svg",
-            "manifest.json", "run_config.json", "summary.csv",
+            "attribution_0001.json", "attributions.csv", "manifest.json", "run_config.json",
+            "summary.csv",
         ]
 
     def test_a_window_wider_than_every_sentence(self, tmp_path, ctx_lex_file):

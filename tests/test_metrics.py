@@ -209,16 +209,16 @@ class TestRoc:
         assert "neutral" not in curves
 
 
-def reference_roc(y_true, scores, positive_class="positive"):
-    """``roc`` as it swept each group of equal scores one element at a time."""
+def reference_sweep(y_true, scores):
+    """The integer (false positive, true positive) counts of the per-element
+    sweep: (0, 0), then one pair after each group of equal scores, swept one
+    element at a time in descending score order."""
     y = np.asarray(y_true, dtype=int)
     s = np.asarray(scores, dtype=float)
-    n_pos = int(np.sum(y == 1))
-    n_neg = int(np.sum(y == 0))
     order = np.argsort(-s, kind="stable")
     y_sorted = y[order]
     s_sorted = s[order]
-    points = [(0.0, 0.0)]
+    counts = [(0, 0)]
     tp = fp = 0
     i = 0
     n = len(y_sorted)
@@ -228,12 +228,41 @@ def reference_roc(y_true, scores, positive_class="positive"):
             tp += int(y_sorted[j] == 1)
             fp += int(y_sorted[j] == 0)
             j += 1
-        points.append((fp / n_neg, tp / n_pos))
+        counts.append((fp, tp))
         i = j
+    return counts
+
+
+def reference_roc(y_true, scores, positive_class="positive"):
+    """The full per-element sweep: every point of :func:`reference_sweep`,
+    and its trapezoidal AUC."""
+    counts = reference_sweep(y_true, scores)
+    n_neg, n_pos = counts[-1]
+    points = [(fp / n_neg, tp / n_pos) for fp, tp in counts]
     fpr = np.array([p[0] for p in points])
     tpr = np.array([p[1] for p in points])
     auc = float(np.sum(np.diff(fpr) * (tpr[:-1] + tpr[1:]) / 2.0))
     return evalm.RocCurve(positive_class, tuple(points), auc)
+
+
+def cross(a, b, c):
+    """The integer cross product of the count steps a -> b and b -> c: 0
+    exactly when the two steps are parallel."""
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+
+
+def turning_indices(counts):
+    """The first and last points of a sweep and every point where it turns."""
+    last = len(counts) - 1
+    return [0] + [k for k in range(1, last)
+                  if cross(counts[k - 1], counts[k], counts[k + 1]) != 0] + [last]
+
+
+def reference_corners(y_true, scores, positive_class="positive"):
+    """The full sweep's turning points, in order, with the full sweep's AUC."""
+    full = reference_roc(y_true, scores, positive_class)
+    corners = turning_indices(reference_sweep(y_true, scores))
+    return evalm.RocCurve(positive_class, tuple(full.points[k] for k in corners), full.auc)
 
 
 def float_bits(curve):
@@ -242,22 +271,52 @@ def float_bits(curve):
 
 TIED_SCORES = st.sampled_from([0.0, -0.0, 0.1, 0.25, 1 / 3, 0.5, 1.0, math.inf, -math.inf])
 
+LABELED_SCORES = st.lists(st.tuples(st.integers(0, 1), st.one_of(TIED_SCORES, st.floats(
+    -2, 2, allow_nan=False))), min_size=2, max_size=60)
 
-class TestRocMatchesElementSweep:
-    """``roc`` gives every point and the AUC bit for bit as the per-element
-    sweep it replaced, on scores with many ties."""
 
-    @given(pairs=st.lists(st.tuples(st.integers(0, 1), st.one_of(TIED_SCORES, st.floats(
-        -2, 2, allow_nan=False))), min_size=2, max_size=60))
+class TestRocCorners:
+    """``roc`` keeps the turning points of the per-element sweep, bit for bit
+    and in order, and its AUC bit for bit, on scores with many ties."""
+
+    def test_a_straight_run_keeps_its_ends(self):
+        curve = roc([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1])
+        assert reference_roc([1, 1, 0, 0], [0.9, 0.8, 0.2, 0.1]).points == (
+            (0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 1.0), (1.0, 1.0))
+        assert curve.points == ((0.0, 0.0), (0.0, 1.0), (1.0, 1.0))
+
+    def test_one_group_of_equal_scores_is_the_diagonal(self):
+        curve = roc([1, 0, 0, 1, 0], [0.5] * 5)
+        assert curve.points == ((0.0, 0.0), (1.0, 1.0))
+        assert curve.auc == 0.5
+
+    @given(pairs=LABELED_SCORES)
     @settings(max_examples=300, deadline=None)
     def test_points_and_auc(self, pairs):
         labels = [t for t, _ in pairs]
         assume(0 < sum(labels) < len(labels))
         scores = [x for _, x in pairs]
         curve = roc(labels, scores, positive_class="c")
-        want = reference_roc(labels, scores, positive_class="c")
+        want = reference_corners(labels, scores, positive_class="c")
         assert curve == want
         assert float_bits(curve) == float_bits(want)
+        assert curve.auc.hex() == reference_roc(labels, scores).auc.hex()
+
+    @given(pairs=st.lists(st.tuples(st.integers(0, 1), TIED_SCORES), min_size=2, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_dropped_points_lie_on_the_kept_segments(self, pairs):
+        labels = [t for t, _ in pairs]
+        assume(0 < sum(labels) < len(labels))
+        scores = [x for _, x in pairs]
+        counts = reference_sweep(labels, scores)
+        position = {point: k for k, point in enumerate(reference_roc(labels, scores).points)}
+        kept = [position[point] for point in roc(labels, scores).points]
+        assert kept[0] == 0 and kept[-1] == len(counts) - 1
+        assert kept == sorted(set(kept))
+        for a, b in zip(kept, kept[1:]):
+            assert all(cross(counts[a], counts[k], counts[b]) == 0 for k in range(a + 1, b))
+        for a, b, c in zip(kept, kept[1:], kept[2:]):
+            assert cross(counts[a], counts[b], counts[c]) != 0
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), levels=st.integers(1, 5))
     @settings(max_examples=100, deadline=None)
@@ -267,7 +326,7 @@ class TestRocMatchesElementSweep:
         proba = rng.integers(0, levels, size=(n, 3)) / levels
         curves = roc_one_vs_rest(y, proba, POLARITIES)
         want = {
-            name: reference_roc([int(t == k) for t in y], proba[:, k], positive_class=name)
+            name: reference_corners([int(t == k) for t in y], proba[:, k], positive_class=name)
             for k, name in enumerate(POLARITIES) if 0 < y.count(k) < n
         }
         assert curves == want

@@ -15,7 +15,11 @@ id; the reports now write it from the row. The ``ml train`` CSVs
 (``dataset.csv`` and every ``roc_*.csv``) come from a decision tree on the
 published-score lexicon; a tree's probabilities are count fractions, so they
 do not depend on the BLAS build. Their SHA-256s were recorded before
-``csv_text`` stopped running ``csv.writer``. ``comparison.json`` was pinned
+``csv_text`` stopped running ``csv.writer``. ROC files keep only the curve's
+corner points; the default tree's curves have no straight run, so their pins
+held when the collinear points were dropped. The ``--max-depth 2`` tree's
+curves have such runs, and its pins were checked to be the files that the
+full sweep wrote, less the rows inside a straight run. ``comparison.json`` was pinned
 again when it stopped repeating the CSV's rows and became the run's summary.
 ``ctx generate``'s ``corpus.tsv`` comes from the small English lexicon of
 the contextual tests at two seeds and one weight triple with a zero; it is
@@ -62,6 +66,13 @@ ML_TRAIN_SHA256 = {
     "roc_mot.csv": "fd74b5dca5b3d32d5c2f1ae4c1ea66ee2bbe663e50d6717a93e43dab9927e2cf",
     "roc_pronompersonnel.csv": "a9656ddd0231ad35b284d31b23e6353f335aadcbb149b3baad749ded8d83fec1",
     "roc_verbe.csv": "a89c3c105d3df0597dc65164c173e624c761f3f64a18b1733045fb607ca88be0",
+}
+
+#: ``roc_*.csv`` of ``ml train --model decision_tree --max-depth 2``.
+ML_TRAIN_DEPTH_2_SHA256 = {
+    "roc_mot.csv": "09993592c75aba9ed2cca0afbb8f2a3c183f825911d80c9ccd582a18026308e1",
+    "roc_pronompersonnel.csv": "883c19bb8f6046e4ece87e3a09b3103c17ec076daee2578de8ac3f5d14d3a967",
+    "roc_verbe.csv": "2fd4b470215775d584157ed0e7194e316a7ff295f6e416c6fd22bdce2be99ba7",
 }
 
 CORPUS_SHA256 = {
@@ -203,6 +214,19 @@ def test_ml_train_csv_outputs_are_byte_identical(tmp_path, monkeypatch, paper_le
     digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (tmp_path / "ml").glob("*.csv")}
     assert digests == ML_TRAIN_SHA256
+
+
+def test_ml_train_roc_files_keep_the_corner_points(tmp_path, monkeypatch, paper_lexicon):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lexicon.csv").write_bytes(serialize_lexicon(paper_lexicon))
+    assert main(["ml", "train", "--lex", "lexicon.csv", "--model", "decision_tree",
+                 "--max-depth", "2", "--out", "ml"]) == 0
+    digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (tmp_path / "ml").glob("roc_*.csv")}
+    assert digests == ML_TRAIN_DEPTH_2_SHA256
+    verbe = (tmp_path / "ml" / "roc_verbe.csv").read_text(encoding="utf-8").splitlines()
+    assert verbe[1:] == ["0.0,0.0", "0.6666666666666666,0.25", "0.6666666666666666,0.75",
+                         "1.0,1.0"]
 
 
 def test_ctx_generate_corpus_is_byte_identical(tmp_path, monkeypatch):
