@@ -33,7 +33,9 @@ sentences. ``explain --text`` writes ``attribution.json``, ``.csv`` and
 ``.svg``. ``explain --corpus`` writes ``attribution_NNNN.json`` per sentence,
 however many it holds, and one ``attributions.csv`` with a row per token of
 every sentence: its 1-based ``sentence`` number and ``position``, the token,
-its attribution and its heatmap color.
+its attribution and its heatmap color. Both ``explain`` modes also write
+``summary.csv``, a row per sentence with its predicted class, confidence,
+target-token attribution and convergence delta.
 ``ml train`` records its task and its split in the model: the seed, the
 train fraction and the test rows' SHA-256. ``ml eval`` requires that record,
 so a model saved without it must be trained again, and scores the same test

@@ -1,8 +1,10 @@
 """Six-language sentiment lexicon: domain types, CSV I/O, cleaning, extension.
 
-It also holds the two text writers every command uses: :func:`csv_text`,
-which joins ``str`` cells by ``,`` and quotes only a cell holding ``,``,
-``"``, ``\\r`` or ``\\n``, and :func:`json_text`, which writes
+It also holds :func:`word_tokens`, the one word splitter: the tokenizer, the
+baseline scorer, the contextual model and :func:`require_normalized` all split
+text into words with it. And it holds the two text writers every command uses:
+:func:`csv_text`, which joins ``str`` cells by ``,`` and quotes only a cell
+holding ``,``, ``"``, ``\\r`` or ``\\n``, and :func:`json_text`, which writes
 ``json.dumps``'s indented bytes. Neither calls the standard library's writer.
 
 A lexicon row is one concept carried across up to six languages, with a part
@@ -170,6 +172,11 @@ def normalize_sentence(sentence: str) -> str:
     if sentence.isascii():
         return sentence.lower()
     return unicodedata.normalize("NFC", unicodedata.normalize("NFC", sentence).casefold())
+
+
+def word_tokens(text: str) -> list[str]:
+    """Normalized words of ``text`` with punctuation separators dropped."""
+    return WORD_PATTERN.findall(normalize_sentence(text))
 
 
 def normalize_form(form: str) -> str:
@@ -783,7 +790,7 @@ def require_normalized(lexicon: Lexicon) -> None:
         (position, k, form, words)
         for k, forms in enumerate(lexicon.forms.values())
         for position, form in enumerate(forms) if form is not None
-        for words in [" ".join(WORD_PATTERN.findall(normalize_sentence(form)))] if words != form
+        for words in [" ".join(word_tokens(form))] if words != form
     )
     if unmatched:
         position, k, form, words = unmatched[0]

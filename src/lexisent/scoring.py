@@ -65,7 +65,7 @@ def _score_modes(
     :func:`format_score` by score, so a caller that passes one dict formats
     each distinct score once."""
     avg_scores, v2_scores, avg_pieces, v2_pieces = [], [], [], []
-    for surface, entry_id, _, _ in tokens:
+    for surface, entry_id, _ in tokens:
         if entry_id is None:
             avg = v2 = 0.0
         else:
@@ -94,7 +94,11 @@ def _score_modes(
 def score_sentence(
     sentence: str, language: LanguageCode, lexicon: Lexicon, mode: ScoreMode
 ) -> ScoredSentence:
-    """Tokenize and score one sentence; unknown tokens score 0."""
+    """Tokenize and score one sentence; unknown tokens score 0.
+
+    ``mode`` is a :class:`ScoreMode` or its value; any other raises
+    ``ValueError``."""
+    mode = ScoreMode(mode)
     tokens = tokenize(sentence, language, lexicon)
     avg, v2 = _score_modes(tokens, lexicon.mean, lexicon.effective[language], {})
     scores = avg if mode is ScoreMode.AVG else v2
@@ -179,7 +183,8 @@ def builtin_english_baseline(sentence: str) -> tuple[float, Polarity]:
 
     The raw sum x maps to x / sqrt(x^2 + 15), so the compound always lies in
     [-1, 1]; sentences with no valence hits (any non-English input) score 0.
-    Words are split as :func:`~lexisent.translator.tokenize` splits them.
+    Words are split by :func:`~lexisent.lexicon.word_tokens`, as the tokenizer
+    splits them.
     """
     total = 0.0
     for word in word_tokens(sentence):

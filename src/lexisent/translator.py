@@ -2,20 +2,20 @@
 
 Tokens and translation results are named tuples, since a sentence yields one
 token per word or phrase and the scoring and translation walks only read them.
+Words come from :func:`~lexisent.lexicon.word_tokens`, re-exported here.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .lexicon import WORD_PATTERN, LanguageCode, Lexicon, normalize_sentence
+from .lexicon import LanguageCode, Lexicon, normalize_sentence, word_tokens
 
 
 class Token(NamedTuple):
     surface: str
     #: The matched entry's position in the lexicon; ``None`` if unknown.
     entry_id: int | None
-    span: tuple[int, int]
     #: Positions of entries that also matched the surface but lost disambiguation.
     alternatives: tuple[int, ...] = ()
 
@@ -29,11 +29,6 @@ class TranslationResult(NamedTuple):
     unknown_count: int
 
 
-def word_tokens(text: str) -> list[str]:
-    """Normalized words of ``text`` with punctuation separators dropped."""
-    return WORD_PATTERN.findall(normalize_sentence(text))
-
-
 def tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[Token]:
     """Segment a sentence against the lexicon's phrases for ``language``.
 
@@ -42,37 +37,33 @@ def tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[To
     tšhaba go wa" becomes two two-word tokens when both phrases are known. At
     each word only the phrase lengths that the lexicon's ``phrase_lengths``
     records for that first word are tried, longest first, then the word on its
-    own. Words with no lexicon match come back as unknown tokens. Spans index
-    into the normalized sentence. A form with several entries resolves to the
-    first of its positions in ``index``, which are in disambiguation order;
-    the rest become the token's ``alternatives``.
+    own. Words with no lexicon match come back as unknown tokens. A form with
+    several entries resolves to the first of its positions in ``index``, which
+    are in disambiguation order; the rest become the token's ``alternatives``.
     """
-    matches = list(WORD_PATTERN.finditer(normalize_sentence(sentence)))
-    texts = [m.group() for m in matches]
-    n_words = len(texts)
+    words = word_tokens(sentence)
+    n_words = len(words)
     index = lexicon.index[language]
     phrase_lengths = lexicon.phrase_lengths[language]
 
     tokens: list[Token] = []
     i = 0
     while i < n_words:
-        word = texts[i]
-        span = matches[i].span()
+        word = words[i]
         surface, match_len, ids = word, 1, ()
         for length in phrase_lengths.get(word, ()):
             if i + length <= n_words:
-                candidate = " ".join(texts[i : i + length])
+                candidate = " ".join(words[i : i + length])
                 ids = index.get(candidate, ())
                 if ids:
                     surface, match_len = candidate, length
-                    span = (span[0], matches[i + length - 1].end())
                     break
         if not ids:
             ids = index.get(word, ())
         if ids:
-            tokens.append(Token(surface, ids[0], span, ids[1:]))
+            tokens.append(Token(surface, ids[0], ids[1:]))
         else:
-            tokens.append(Token(word, None, span))
+            tokens.append(Token(word, None))
         i += match_len
     return tokens
 
@@ -92,7 +83,7 @@ def translate(
     """
     tokens = tuple(tokenize(sentence, source, lexicon))
     forms = lexicon.forms[target]
-    if source is target:
+    if source == target:
         translated_text, out_tokens = normalize_sentence(sentence), tokens
         unknown_count = sum(t.entry_id is None for t in tokens)
     else:
@@ -105,7 +96,7 @@ def translate(
                 unknown_count += 1
                 form = token.surface
                 if entry_id is not None:
-                    token = Token(form, None, token.span, token.alternatives)
+                    token = Token(form, None, token.alternatives)
             pieces.append(form)
             out.append(token)
         translated_text, out_tokens = " ".join(pieces), tuple(out)

@@ -96,6 +96,16 @@ class TestScoreSentence:
         assert scored.total_score == 0.0
         assert scored.polarity is Polarity.NEUTRAL
 
+    def test_mode_given_by_value_scores_that_mode(self, paper_lexicon):
+        for mode in ScoreMode:
+            by_value = score_sentence("I am happy today.", EN, paper_lexicon, mode.value)
+            assert by_value == score_sentence("I am happy today.", EN, paper_lexicon, mode)
+            assert by_value.mode is mode
+
+    def test_unknown_mode_raises(self, paper_lexicon):
+        with pytest.raises(ValueError):
+            score_sentence("I want food.", EN, paper_lexicon, "bogus")
+
 
 class TestModeEquivalence:
     def test_equal_scores_make_modes_agree(self):

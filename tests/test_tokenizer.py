@@ -14,14 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexisent import scoring
-from lexisent.lexicon import POS_PRIORITY, LanguageCode, Lexicon, LexiconEntry, PosTag
-from lexisent.scoring import score_batch
-from lexisent.translator import (
-    Token,
+from lexisent.lexicon import (
+    POS_PRIORITY,
     WORD_PATTERN,
-    normalize_sentence,
-    tokenize,
+    LanguageCode,
+    Lexicon,
+    LexiconEntry,
+    PosTag,
 )
+from lexisent.scoring import score_batch
+from lexisent.translator import Token, normalize_sentence, tokenize, word_tokens
 
 from test_scoring import zero_baseline
 
@@ -52,7 +54,7 @@ def regex_words(normalized: str) -> list[tuple[str, int, int]]:
 
 
 def oracle_tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> list[Token]:
-    words = oracle_words(normalize_sentence(sentence))
+    words = [w for w, _, _ in oracle_words(normalize_sentence(sentence))]
     index = lexicon.index[language]
     max_len = max([len(form.split()) for form in index] + [1])
     tokens = []
@@ -60,19 +62,17 @@ def oracle_tokenize(sentence: str, language: LanguageCode, lexicon: Lexicon) -> 
     while i < len(words):
         match_len, matched = 0, ()
         for length in range(min(max_len, len(words) - i), 0, -1):
-            ids = index.get(" ".join(w for w, _, _ in words[i : i + length]), ())
+            ids = index.get(" ".join(words[i : i + length]), ())
             if ids:
                 match_len, matched = length, ids
                 break
         if match_len == 0:
-            word, start, end = words[i]
-            tokens.append(Token(word, None, (start, end)))
+            tokens.append(Token(words[i], None))
             i += 1
             continue
-        surface = " ".join(w for w, _, _ in words[i : i + match_len])
-        span = (words[i][1], words[i + match_len - 1][2])
+        surface = " ".join(words[i : i + match_len])
         ranked = sorted(matched, key=lambda i: (POS_PRIORITY[lexicon.entries[i].pos], i))
-        tokens.append(Token(surface, ranked[0], span, tuple(ranked[1:])))
+        tokens.append(Token(surface, ranked[0], tuple(ranked[1:])))
         i += match_len
     return tokens
 
@@ -129,6 +129,15 @@ def test_tokenize_equals_brute_force_longest_match(lexicon, data):
     sentence = draw_sentence(data, lexicon)
     for language in (FR, EN):
         assert tokenize(sentence, language, lexicon) == oracle_tokenize(sentence, language, lexicon)
+
+
+@given(lexicons(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_token_surfaces_cover_every_word_in_order(lexicon, data):
+    sentence = draw_sentence(data, lexicon)
+    for language in (FR, EN):
+        surfaces = [t.surface for t in tokenize(sentence, language, lexicon)]
+        assert [w for s in surfaces for w in s.split(" ")] == word_tokens(sentence)
 
 
 def test_ambiguous_tie_break_matches_oracle_beyond_nine_entries():
